@@ -42,37 +42,13 @@ use rws_bench::native_bench::{
     run_suite, run_trace_overhead, to_json_full, trajectory_row, validate_json, BenchConfig,
     GateConfig, SizeClass,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-// NOTE: duplicated in crates/runtime/tests/alloc_free_join.rs — a #[global_allocator] must
-// be declared in each binary crate root, so only the wrapper could be shared, at the cost
-// of a public test-support surface on rws-runtime. Keep the two copies in sync.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+// The workspace's one counting allocator. `allocs` is the heap traffic of a whole run over
+// every worker, and nothing else runs in this process, so it reads the process-wide sum.
+#[path = "../../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{process_allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -198,7 +174,7 @@ fn main() -> ExitCode {
             cfg.warmup,
             out
         );
-        let records = run_suite(&cfg, || ALLOCATIONS.load(Ordering::Relaxed));
+        let records = run_suite(&cfg, process_allocations);
         for r in &records {
             eprintln!(
                 "  {:>13} {:>8} t={}  median {:>12} ns  steals {:>6} ({:>5} batches)  \

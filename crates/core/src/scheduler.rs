@@ -96,6 +96,8 @@ struct Sim<'a> {
     memory: MemorySystem,
     procs: Vec<ProcState>,
     deques: Vec<SimDeque>,
+    /// Entries over all deques, so a failed steal need not scan them to decide to park.
+    queued_entries: usize,
     tasks: Vec<TaskInstance>,
     joins: Vec<JoinState>,
     stack_alloc: StackAllocator,
@@ -140,6 +142,7 @@ impl<'a> Sim<'a> {
                 .map(|_| ProcState { current: None, time: 0, parked: false, park_start: 0 })
                 .collect(),
             deques: (0..p).map(|_| SimDeque::new()).collect(),
+            queued_entries: 0,
             tasks: Vec::new(),
             joins: vec![JoinState::default(); dag.len()],
             stack_alloc: StackAllocator::new(machine.block_words, reserve),
@@ -242,6 +245,7 @@ impl<'a> Sim<'a> {
         // Own queue first (no steal cost): this only triggers in exotic schedules; normally a
         // processor's queue is empty whenever it is idle.
         if let Some(entry) = self.deques[p.index()].pop_bottom() {
+            self.queued_entries -= 1;
             let tid = self.spawn_task(entry, TaskOrigin::LocalPop);
             self.local_pops += 1;
             self.set_current(p, tid);
@@ -261,6 +265,7 @@ impl<'a> Sim<'a> {
             }
         };
         if let Some(entry) = self.deques[victim].steal_top() {
+            self.queued_entries -= 1;
             self.successful_steals += 1;
             self.steal_time += self.machine.steal_cost;
             self.joins[entry.par_node.index()].right_stolen = true;
@@ -279,7 +284,7 @@ impl<'a> Sim<'a> {
                 self.sample_potential();
             }
             self.machine.steal_cost
-        } else if self.all_deques_empty() {
+        } else if self.queued_entries == 0 {
             self.park(p);
             0
         } else {
@@ -293,10 +298,12 @@ impl<'a> Sim<'a> {
         if let Some(node) = self.tasks[tid.index()].resume_join.take() {
             return self.exec_join_and_pop(p, tid, node);
         }
+        // Work units are borrowed from the dag for `'a`, not from `self`.
+        let dag = self.dag;
         loop {
             let entering = self.tasks[tid.index()].entering.take();
             if let Some(node) = entering {
-                match &self.dag.node(node).structure {
+                match &dag.node(node).structure {
                     SpStructure::Seq { children, seg_words } => {
                         let (first, seg_words) = (children[0], *seg_words);
                         if seg_words > 0 {
@@ -307,27 +314,25 @@ impl<'a> Sim<'a> {
                         continue;
                     }
                     SpStructure::Leaf { work, seg_words } => {
-                        let (work, seg_words) = (work.clone(), *seg_words);
-                        self.push_segment(tid, seg_words);
-                        let cost = self.exec_unit(p, tid, &work);
+                        self.push_segment(tid, *seg_words);
+                        let cost = self.exec_unit(p, tid, work);
                         self.pop_segment(tid);
                         return cost;
                     }
                     SpStructure::Par { fork, left, right, seg_words, .. } => {
-                        let (fork, left, right, seg_words) =
-                            (fork.clone(), *left, *right, *seg_words);
-                        self.push_segment(tid, seg_words);
-                        let cost = self.exec_unit(p, tid, &fork);
+                        self.push_segment(tid, *seg_words);
+                        let cost = self.exec_unit(p, tid, fork);
                         let chain_len = self.tasks[tid.index()].seg_chain.len() as u32;
                         self.deques[p.index()].push_bottom(DequeEntry {
                             owner_task: tid.0,
                             par_node: node,
-                            child: right,
+                            child: *right,
                             chain_len,
                         });
+                        self.queued_entries += 1;
                         self.pushed_entry_flag = true;
                         self.tasks[tid.index()].frames.push(Frame::Par { node });
-                        self.tasks[tid.index()].entering = Some(left);
+                        self.tasks[tid.index()].entering = Some(*left);
                         return cost;
                     }
                 }
@@ -336,7 +341,7 @@ impl<'a> Sim<'a> {
             match frame {
                 None => return self.complete_task(p, tid),
                 Some(Frame::Seq { node, next }) => {
-                    let (children, seg_words) = match &self.dag.node(node).structure {
+                    let (children, seg_words) = match &dag.node(node).structure {
                         SpStructure::Seq { children, seg_words } => (children, *seg_words),
                         _ => unreachable!("Seq frame on a non-Seq node"),
                     };
@@ -358,6 +363,7 @@ impl<'a> Sim<'a> {
                         .unwrap_or(false);
                     if right_here {
                         let entry = self.deques[p.index()].pop_bottom().expect("peeked entry");
+                        self.queued_entries -= 1;
                         debug_assert_eq!(entry.owner_task, tid.0);
                         self.tasks[tid.index()].frames.push(Frame::ParRight { node });
                         self.tasks[tid.index()].entering = Some(entry.child);
@@ -414,11 +420,11 @@ impl<'a> Sim<'a> {
     }
 
     fn exec_join_and_pop(&mut self, p: ProcId, tid: TaskId, node: NodeId) -> u64 {
-        let join = match &self.dag.node(node).structure {
-            SpStructure::Par { join, .. } => join.clone(),
-            _ => unreachable!("join of a non-Par node"),
+        let dag = self.dag;
+        let SpStructure::Par { join, .. } = &dag.node(node).structure else {
+            unreachable!("join of a non-Par node")
         };
-        let cost = self.exec_unit(p, tid, &join);
+        let cost = self.exec_unit(p, tid, join);
         self.pop_segment(tid);
         cost
     }
@@ -495,10 +501,6 @@ impl<'a> Sim<'a> {
         cost
     }
 
-    fn all_deques_empty(&self) -> bool {
-        self.deques.iter().all(|d| d.is_empty())
-    }
-
     fn park(&mut self, p: ProcId) {
         let ps = &mut self.procs[p.index()];
         ps.parked = true;
@@ -569,15 +571,15 @@ impl<'a> Sim<'a> {
         let mut global_transfers = 0u64;
         let mut max_stack = 0u64;
         let mut max_global = 0u64;
-        for (block, state) in self.memory.directory().iter() {
+        for (block, transfers) in self.memory.block_transfers() {
             match block.region(block_words) {
                 Region::Stack => {
-                    stack_transfers += state.transfers;
-                    max_stack = max_stack.max(state.transfers);
+                    stack_transfers += transfers;
+                    max_stack = max_stack.max(transfers);
                 }
                 Region::Global => {
-                    global_transfers += state.transfers;
-                    max_global = max_global.max(state.transfers);
+                    global_transfers += transfers;
+                    max_global = max_global.max(transfers);
                 }
             }
         }

@@ -101,13 +101,15 @@ impl SpNode {
         }
     }
 
-    /// Child node ids, in execution order.
-    pub fn children(&self) -> Vec<NodeId> {
-        match &self.structure {
-            SpStructure::Leaf { .. } => Vec::new(),
-            SpStructure::Seq { children, .. } => children.clone(),
-            SpStructure::Par { left, right, .. } => vec![*left, *right],
-        }
+    /// Child node ids, in execution order (without allocating: the dag walks that size a
+    /// simulation call this once per node).
+    pub fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let (pair, list): ([Option<NodeId>; 2], &[NodeId]) = match &self.structure {
+            SpStructure::Leaf { .. } => ([None, None], &[]),
+            SpStructure::Seq { children, .. } => ([None, None], children),
+            SpStructure::Par { left, right, .. } => ([Some(*left), Some(*right)], &[]),
+        };
+        pair.into_iter().flatten().chain(list.iter().copied())
     }
 
     /// Whether this is a leaf.
@@ -136,14 +138,14 @@ mod tests {
         assert!(leaf.is_leaf() && !leaf.is_par() && !leaf.is_seq());
         assert!(leaf.declares_segment());
         assert_eq!(leaf.seg_words(), 2);
-        assert!(leaf.children().is_empty());
+        assert_eq!(leaf.children().count(), 0);
 
         let seq =
             SpNode::new(SpStructure::Seq { children: vec![NodeId(0), NodeId(1)], seg_words: 0 });
         assert!(seq.is_seq());
         assert!(!seq.declares_segment());
         assert_eq!(seq.seg_words(), 0);
-        assert_eq!(seq.children(), vec![NodeId(0), NodeId(1)]);
+        assert_eq!(seq.children().collect::<Vec<_>>(), vec![NodeId(0), NodeId(1)]);
 
         let par = SpNode::new(SpStructure::Par {
             fork: WorkUnit::empty(),
@@ -153,7 +155,7 @@ mod tests {
             seg_words: 4,
         });
         assert!(par.is_par());
-        assert_eq!(par.children(), vec![NodeId(2), NodeId(3)]);
+        assert_eq!(par.children().collect::<Vec<_>>(), vec![NodeId(2), NodeId(3)]);
         assert_eq!(par.seg_words(), 4);
     }
 

@@ -124,10 +124,10 @@ impl SequentialTracer {
                 seg_stack.push((*stack_top, *seg_words));
                 *stack_top += *seg_words as u64;
                 *peak = (*peak).max(*stack_top);
-                self.exec_unit(&fork.clone(), seg_stack, costs);
+                self.exec_unit(fork, seg_stack, costs);
                 self.walk(dag, *left, seg_stack, stack_top, peak, costs);
                 self.walk(dag, *right, seg_stack, stack_top, peak, costs);
-                self.exec_unit(&join.clone(), seg_stack, costs);
+                self.exec_unit(join, seg_stack, costs);
                 *stack_top -= *seg_words as u64;
                 seg_stack.pop();
             }
@@ -210,9 +210,8 @@ mod tests {
         tracer.run(&dag);
         // Exactly one access, and it must be in the stack region: the directory then has one
         // tracked block whose base is in the stack region.
-        let dir = tracer.memory().directory();
-        assert_eq!(dir.tracked_blocks(), 1);
-        let (block, _) = dir.iter().next().unwrap();
+        assert_eq!(tracer.memory().block_transfers().len(), 1);
+        let (block, _) = tracer.memory().block_transfers().next().unwrap();
         assert_eq!(block.region(config().block_words), rws_machine::Region::Stack);
     }
 
@@ -228,6 +227,6 @@ mod tests {
         let costs = tracer.run(&dag);
         assert_eq!(costs.accesses, 1);
         // Only the fork segment's block is touched (offset 1 of the first stack block).
-        assert_eq!(tracer.memory().directory().tracked_blocks(), 1);
+        assert_eq!(tracer.memory().block_transfers().len(), 1);
     }
 }

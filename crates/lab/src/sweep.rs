@@ -4,7 +4,7 @@
 
 use crate::scenario::{BackendChoice, Scenario, SweepAxis};
 use rws_core::SimConfig;
-use rws_exec::{ExecReport, Executor, NativeExecutor, SharedWorkload, SimExecutor};
+use rws_exec::{Computation, ExecReport, Executor, NativeExecutor, SharedWorkload, SimExecutor};
 use rws_machine::MachineConfig;
 use rws_runtime::trace::TraceSnapshot;
 use rws_runtime::{scope, DequeBackend, ThreadPool};
@@ -138,10 +138,13 @@ pub fn run_scenario(sc: &Scenario) -> LabRun {
 }
 
 /// One simulated run: a fresh seeded scheduler per run is what makes it reproducible —
-/// and also what makes simulated runs safe to execute concurrently (no shared state).
-fn run_sim(spec: &RunSpec, workload: SharedWorkload) -> ExecReport {
+/// and also what makes simulated runs safe to execute concurrently (the dag they share is
+/// read-only). The sweep wants the counts, not the output, so the run takes the dag built
+/// once per scenario instead of `Executor::execute`, which would rebuild it and compute
+/// the reference output only to drop both.
+fn run_sim(spec: &RunSpec, workload: &SharedWorkload, comp: &Computation) -> ExecReport {
     let exec = SimExecutor::new(spec.machine.clone(), SimConfig::with_seed(spec.seed));
-    exec.execute(workload).report
+    ExecReport { workload: workload.name(), ..exec.run_computation(comp) }
 }
 
 /// Execute the scenario's expanded runs with up to `jobs` concurrent **simulated** runs.
@@ -179,12 +182,13 @@ pub fn run_scenario_jobs_traced(
     let (work, t_inf) = (comp.dag.work(), comp.dag.span_nodes());
 
     let (records, captures) = if jobs == 1 {
-        execute_specs(expand(sc), workload.clone(), trace)
+        execute_specs(expand(sc), workload.clone(), &comp, trace)
     } else {
-        // `install` needs an owned closure; move clones in and get the records back out.
+        // `install` needs an owned closure; move the dag and clones in and get the records
+        // back out.
         let (sc, workload) = (sc.clone(), workload.clone());
         let driver = ThreadPool::new(jobs);
-        driver.install(move || execute_specs(expand(&sc), workload, trace))
+        driver.install(move || execute_specs(expand(&sc), workload, &comp, trace))
     };
 
     let lab = LabRun {
@@ -200,14 +204,16 @@ pub fn run_scenario_jobs_traced(
 }
 
 /// Run every spec, simulated runs through scoped spawns (concurrent when the caller is a
-/// pool worker, inline otherwise), native runs serialized in the scope body. Each run
-/// writes its expansion-order slot, so the returned order never depends on scheduling.
+/// pool worker, inline otherwise) over the one shared `comp`, native runs serialized in
+/// the scope body. Each run writes its expansion-order slot, so the returned order never
+/// depends on scheduling.
 ///
 /// With `trace = Some(capacity)` every native run gets a fresh traced pool and contributes
 /// one [`NativeTraceCapture`]; untraced sweeps keep reusing one pool per thread count.
 fn execute_specs(
     specs: Vec<RunSpec>,
     workload: SharedWorkload,
+    comp: &Computation,
     trace: Option<usize>,
 ) -> (Vec<RunRecord>, Vec<NativeTraceCapture>) {
     let mut slots: Vec<Option<RunRecord>> = specs.iter().map(|_| None).collect();
@@ -218,9 +224,9 @@ fn execute_specs(
         for (spec, slot) in specs.into_iter().zip(slots.iter_mut()) {
             match spec.backend {
                 BackendChoice::Sim => {
-                    let w = workload.clone();
+                    let workload = &workload;
                     s.spawn(move |_| {
-                        let report = run_sim(&spec, w);
+                        let report = run_sim(&spec, workload, comp);
                         *slot = Some(RunRecord { spec, report });
                     });
                 }

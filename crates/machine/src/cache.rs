@@ -1,139 +1,94 @@
 //! A single processor's private cache: fully associative, LRU replacement, with the
 //! bookkeeping needed to classify misses as cold, capacity or coherence (block) misses.
+//!
+//! Blocks are named by their dense index (see [`crate::index`]). The cache is two flat
+//! vectors behind that index: the intrusive [`LruList`] of resident blocks, and one [`Line`]
+//! per block this cache has ever held.
 
-use crate::addr::{Addr, BlockId};
-use crate::lru::LruSet;
-use std::collections::{HashMap, HashSet};
+use crate::lru::LruList;
 
-/// What happened when a block was filled into the cache.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FillOutcome {
-    /// A block that had to be evicted to make room, and whether it was dirty.
-    pub evicted: Option<(BlockId, bool)>,
-    /// `true` if this block had never been resident in this cache before.
-    pub cold: bool,
-    /// If the block was previously resident and was invalidated by another processor's
-    /// write, the word address of that write.
-    pub invalidated_by: Option<Addr>,
+/// What this cache knows about one block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Line {
+    /// Never resident here: the next miss on it is cold.
+    Never,
+    /// Resident once, since evicted for capacity.
+    Evicted,
+    /// Resident once, since invalidated by another processor's write to the word at this
+    /// offset of the block: the next miss on it is a *block miss* in the sense of the paper.
+    Invalidated(u32),
+    /// Resident and unmodified.
+    Clean,
+    /// Resident and modified.
+    Dirty,
 }
 
 /// A private cache of `lines` blocks with LRU replacement.
-///
-/// The cache tracks, per block, whether the local copy is dirty (modified), whether the block
-/// has ever been resident (to distinguish cold from capacity misses) and whether a formerly
-/// resident copy was invalidated by a remote write (to classify the next miss on it as a
-/// *block miss* in the sense of the paper).
 #[derive(Clone, Debug)]
-pub struct Cache {
-    lines: LruSet<BlockId>,
-    dirty: HashSet<BlockId>,
-    ever_loaded: HashSet<BlockId>,
-    invalidated_by: HashMap<BlockId, Addr>,
+pub(crate) struct Cache {
+    resident: LruList,
+    lines: Vec<Line>,
 }
 
 impl Cache {
     /// Create a cache with capacity for `lines` blocks.
-    pub fn new(lines: usize) -> Self {
-        Cache {
-            lines: LruSet::new(lines),
-            dirty: HashSet::new(),
-            ever_loaded: HashSet::new(),
-            invalidated_by: HashMap::new(),
-        }
-    }
-
-    /// Number of blocks currently resident.
-    pub fn resident(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Capacity in lines.
-    pub fn capacity(&self) -> usize {
-        self.lines.capacity()
-    }
-
-    /// Whether `block` is currently resident.
-    pub fn contains(&self, block: BlockId) -> bool {
-        self.lines.contains(&block)
-    }
-
-    /// Whether the resident copy of `block` is dirty.
-    pub fn is_dirty(&self, block: BlockId) -> bool {
-        self.dirty.contains(&block)
+    pub(crate) fn new(lines: usize) -> Self {
+        Cache { resident: LruList::new(lines), lines: Vec::new() }
     }
 
     /// Touch `block` (LRU update). Returns `true` on a hit.
-    pub fn touch(&mut self, block: BlockId) -> bool {
-        self.lines.touch(&block)
-    }
-
-    /// Whether this cache has ever held `block` (used to classify cold vs capacity misses).
-    pub fn ever_loaded(&self, block: BlockId) -> bool {
-        self.ever_loaded.contains(&block)
+    #[inline]
+    pub(crate) fn touch(&mut self, block: u32) -> bool {
+        self.resident.touch(block)
     }
 
     /// Fill `block` into the cache (it must not currently be resident), possibly evicting the
-    /// LRU block. Returns what happened.
-    pub fn fill(&mut self, block: BlockId) -> FillOutcome {
-        debug_assert!(!self.contains(block), "fill() called for a resident block");
-        let cold = !self.ever_loaded.contains(&block);
-        let invalidated_by = self.invalidated_by.remove(&block);
-        let evicted = self.lines.insert(block).map(|victim| {
-            let was_dirty = self.dirty.remove(&victim);
+    /// LRU block. Returns the evicted block, if any, with whether it was dirty, and what the
+    /// cache knew about `block` until now — which is what classifies the miss.
+    pub(crate) fn fill(&mut self, block: u32) -> (Option<(u32, bool)>, Line) {
+        debug_assert!(!self.resident.contains(block), "fill() called for a resident block");
+        let evicted = self.resident.insert(block).map(|victim| {
+            let was_dirty = self.lines[victim as usize] == Line::Dirty;
+            self.lines[victim as usize] = Line::Evicted;
             (victim, was_dirty)
         });
-        self.ever_loaded.insert(block);
-        FillOutcome { evicted, cold, invalidated_by }
+        if block as usize >= self.lines.len() {
+            self.lines.resize(block as usize + 1, Line::Never);
+        }
+        (evicted, std::mem::replace(&mut self.lines[block as usize], Line::Clean))
     }
 
     /// Mark the resident copy of `block` as dirty (modified).
-    pub fn mark_dirty(&mut self, block: BlockId) {
-        debug_assert!(self.contains(block));
-        self.dirty.insert(block);
+    pub(crate) fn mark_dirty(&mut self, block: u32) {
+        debug_assert!(self.resident.contains(block));
+        self.lines[block as usize] = Line::Dirty;
     }
 
     /// Downgrade a dirty copy to clean (after a write-back triggered by a remote read).
     /// Returns `true` if the copy was dirty.
-    pub fn clean(&mut self, block: BlockId) -> bool {
-        self.dirty.remove(&block)
-    }
-
-    /// Invalidate the resident copy of `block` because another processor wrote word
-    /// `written_word` of it. Returns `true` if a copy was resident (and whether it was dirty
-    /// in the second component).
-    pub fn invalidate(&mut self, block: BlockId, written_word: Addr) -> (bool, bool) {
-        if self.lines.remove(&block) {
-            let was_dirty = self.dirty.remove(&block);
-            self.invalidated_by.insert(block, written_word);
-            (true, was_dirty)
-        } else {
-            (false, false)
+    pub(crate) fn clean(&mut self, block: u32) -> bool {
+        let was_dirty = self.lines.get(block as usize) == Some(&Line::Dirty);
+        if was_dirty {
+            self.lines[block as usize] = Line::Clean;
         }
+        was_dirty
     }
 
-    /// Evict `block` voluntarily (used when a cache must shed a line for reasons other than
-    /// capacity, e.g. when resetting). Returns whether it was resident and dirty.
-    pub fn evict(&mut self, block: BlockId) -> (bool, bool) {
-        if self.lines.remove(&block) {
-            let was_dirty = self.dirty.remove(&block);
-            (true, was_dirty)
-        } else {
-            (false, false)
+    /// Invalidate the resident copy of `block` because another processor wrote the word at
+    /// `written_offset` of it. Returns whether a copy was resident, and whether it was dirty.
+    pub(crate) fn invalidate(&mut self, block: u32, written_offset: u32) -> (bool, bool) {
+        if !self.resident.remove(block) {
+            return (false, false);
         }
+        let was_dirty = self.lines[block as usize] == Line::Dirty;
+        self.lines[block as usize] = Line::Invalidated(written_offset);
+        (true, was_dirty)
     }
 
-    /// Iterate over resident blocks from most to least recently used.
-    pub fn resident_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.lines.iter_mru().copied()
-    }
-
-    /// Drop all state (resident lines, dirty bits, history).
-    pub fn clear(&mut self) {
-        let cap = self.lines.capacity();
-        self.lines = LruSet::new(cap);
-        self.dirty.clear();
-        self.ever_loaded.clear();
-        self.invalidated_by.clear();
+    /// Resident blocks from most to least recently used.
+    #[cfg(test)]
+    fn resident_blocks(&self) -> Vec<u32> {
+        self.resident.iter_mru().collect()
     }
 }
 
@@ -141,112 +96,95 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn b(i: u64) -> BlockId {
-        BlockId(i)
-    }
-
     #[test]
     fn fill_and_hit() {
         let mut c = Cache::new(2);
-        assert!(!c.touch(b(1)));
-        let out = c.fill(b(1));
-        assert!(out.cold);
-        assert_eq!(out.evicted, None);
-        assert!(c.touch(b(1)));
-        assert_eq!(c.resident(), 1);
+        assert!(!c.touch(1));
+        assert_eq!(c.fill(1), (None, Line::Never));
+        assert!(c.touch(1));
+        assert_eq!(c.resident_blocks(), vec![1]);
     }
 
     #[test]
     fn capacity_eviction_in_lru_order() {
         let mut c = Cache::new(2);
-        c.fill(b(1));
-        c.fill(b(2));
-        let out = c.fill(b(3));
-        assert_eq!(out.evicted, Some((b(1), false)));
-        assert!(!c.contains(b(1)));
-        assert!(c.contains(b(2)));
-        assert!(c.contains(b(3)));
+        c.fill(1);
+        c.fill(2);
+        assert_eq!(c.fill(3).0, Some((1, false)));
+        assert!(!c.touch(1));
+        assert_eq!(c.resident_blocks(), vec![3, 2]);
     }
 
     #[test]
     fn eviction_reports_dirtiness() {
         let mut c = Cache::new(1);
-        c.fill(b(1));
-        c.mark_dirty(b(1));
-        let out = c.fill(b(2));
-        assert_eq!(out.evicted, Some((b(1), true)));
-        assert!(!c.is_dirty(b(1)));
+        c.fill(1);
+        c.mark_dirty(1);
+        assert_eq!(c.fill(2).0, Some((1, true)));
+        assert!(!c.clean(1), "an evicted copy is no longer dirty");
     }
 
     #[test]
     fn cold_vs_capacity_classification() {
         let mut c = Cache::new(1);
-        assert!(c.fill(b(1)).cold);
-        c.fill(b(2)); // evicts 1
-        let refill = c.fill(b(1));
-        assert!(!refill.cold, "a refill after eviction is a capacity miss, not cold");
+        assert_eq!(c.fill(1).1, Line::Never);
+        c.fill(2); // evicts 1
+        assert_eq!(c.fill(1).1, Line::Evicted, "a refill after eviction is not cold");
     }
 
     #[test]
     fn invalidation_records_writer_word() {
         let mut c = Cache::new(2);
-        c.fill(b(1));
-        let (was_resident, was_dirty) = c.invalidate(b(1), Addr(13));
+        c.fill(1);
+        let (was_resident, was_dirty) = c.invalidate(1, 5);
         assert!(was_resident);
         assert!(!was_dirty);
-        assert!(!c.contains(b(1)));
-        let refill = c.fill(b(1));
-        assert_eq!(refill.invalidated_by, Some(Addr(13)));
+        assert!(!c.touch(1));
+        assert_eq!(c.fill(1).1, Line::Invalidated(5));
         // The record is consumed by the refill.
-        c.invalidate(b(1), Addr(14));
-        c.fill(b(2));
-        let refill2 = c.fill(b(1));
-        assert_eq!(refill2.invalidated_by, Some(Addr(14)));
+        c.invalidate(1, 6);
+        c.fill(2);
+        assert_eq!(c.fill(1).1, Line::Invalidated(6));
     }
 
     #[test]
     fn invalidate_dirty_copy() {
         let mut c = Cache::new(2);
-        c.fill(b(1));
-        c.mark_dirty(b(1));
-        let (was_resident, was_dirty) = c.invalidate(b(1), Addr(0));
+        c.fill(1);
+        c.mark_dirty(1);
+        let (was_resident, was_dirty) = c.invalidate(1, 0);
         assert!(was_resident && was_dirty);
     }
 
     #[test]
     fn invalidate_absent_block_is_noop() {
         let mut c = Cache::new(2);
-        assert_eq!(c.invalidate(b(9), Addr(0)), (false, false));
+        assert_eq!(c.invalidate(9, 0), (false, false));
+        c.fill(1);
+        c.fill(2);
+        c.fill(3); // evicts 1
+        assert_eq!(c.invalidate(1, 0), (false, false));
+        assert_eq!(c.fill(1).1, Line::Evicted, "an evicted block stays a capacity miss");
     }
 
     #[test]
     fn clean_downgrades() {
         let mut c = Cache::new(2);
-        c.fill(b(1));
-        c.mark_dirty(b(1));
-        assert!(c.clean(b(1)));
-        assert!(!c.is_dirty(b(1)));
-        assert!(!c.clean(b(1)));
-        assert!(c.contains(b(1)), "clean keeps the block resident");
-    }
-
-    #[test]
-    fn clear_resets_history() {
-        let mut c = Cache::new(2);
-        c.fill(b(1));
-        c.clear();
-        assert_eq!(c.resident(), 0);
-        assert!(c.fill(b(1)).cold, "history is forgotten after clear");
+        c.fill(1);
+        c.mark_dirty(1);
+        assert!(c.clean(1));
+        assert!(!c.clean(1));
+        assert!(!c.clean(7), "a block this cache never saw is not dirty");
+        assert!(c.touch(1), "clean keeps the block resident");
     }
 
     #[test]
     fn resident_blocks_iterates_mru_first() {
         let mut c = Cache::new(3);
-        c.fill(b(1));
-        c.fill(b(2));
-        c.fill(b(3));
-        c.touch(b(1));
-        let order: Vec<BlockId> = c.resident_blocks().collect();
-        assert_eq!(order, vec![b(1), b(3), b(2)]);
+        c.fill(1);
+        c.fill(2);
+        c.fill(3);
+        c.touch(1);
+        assert_eq!(c.resident_blocks(), vec![1, 3, 2]);
     }
 }

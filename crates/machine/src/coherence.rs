@@ -1,165 +1,148 @@
 //! The coherence directory: which caches hold each block, which (if any) holds it modified,
 //! and how many cache-to-cache transfers each block has undergone (the paper's block delay,
 //! Definition 4.1).
+//!
+//! The directory owns the [`BlockIndex`], so it is where a block gets its dense index; its
+//! own per-block state is two flat vectors behind that index: one [`Entry`] per block, and
+//! the sharer sets as one bit vector with a fixed stride of `ceil(p / 64)` words per block.
 
 use crate::addr::{BlockId, ProcId};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use crate::index::BlockIndex;
 
-/// A small growable bit set over processor ids.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProcSet {
-    words: Vec<u64>,
-}
+const NO_PROC: u32 = u32::MAX;
 
-impl ProcSet {
-    /// Create an empty set.
-    pub fn new() -> Self {
-        ProcSet::default()
-    }
-
-    /// Insert a processor. Returns `true` if it was newly inserted.
-    pub fn insert(&mut self, p: ProcId) -> bool {
-        let (w, b) = (p.index() / 64, p.index() % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
-        !had
-    }
-
-    /// Remove a processor. Returns `true` if it was present.
-    pub fn remove(&mut self, p: ProcId) -> bool {
-        let (w, b) = (p.index() / 64, p.index() % 64);
-        if w >= self.words.len() {
-            return false;
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        had
-    }
-
-    /// Whether a processor is in the set.
-    pub fn contains(&self, p: ProcId) -> bool {
-        let (w, b) = (p.index() / 64, p.index() % 64);
-        w < self.words.len() && self.words[w] & (1 << b) != 0
-    }
-
-    /// Number of processors in the set.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Iterate over the members in increasing id order.
-    pub fn iter(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(
-                move |b| {
-                    if w & (1u64 << b) != 0 {
-                        Some(ProcId(wi * 64 + b))
-                    } else {
-                        None
-                    }
-                },
-            )
-        })
-    }
-
-    /// Remove every member.
-    pub fn clear(&mut self) {
-        self.words.clear();
-    }
-}
-
-/// The sharing state of one block as recorded by the directory.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockState {
-    /// Caches currently holding a (clean or dirty) copy.
-    pub sharers: ProcSet,
-    /// The cache holding a modified copy, if any. Always a member of `sharers`.
-    pub owner: Option<ProcId>,
-    /// The cache that most recently received the block (used to count cache-to-cache moves).
-    pub last_holder: Option<ProcId>,
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// The cache holding a modified copy, or `NO_PROC`. Always a sharer.
+    owner: u32,
+    /// The cache that most recently received the block (to count cache-to-cache moves).
+    last_holder: u32,
     /// How many times this block has moved from one cache to a different cache
     /// (the block delay of Definition 4.1, accumulated over the whole run).
-    pub transfers: u64,
+    transfers: u64,
 }
 
 /// The coherence directory for the whole machine.
-#[derive(Clone, Debug, Default)]
-pub struct Directory {
-    blocks: HashMap<BlockId, BlockState>,
+#[derive(Clone, Debug)]
+pub(crate) struct Directory {
+    index: BlockIndex,
+    entries: Vec<Entry>,
+    /// `stride` words per block: bit `p` is set while cache `p` holds a copy.
+    sharers: Vec<u64>,
+    stride: usize,
 }
 
 impl Directory {
-    /// Create an empty directory.
-    pub fn new() -> Self {
-        Directory::default()
-    }
-
-    /// The state of `block`, if it has ever been referenced.
-    pub fn get(&self, block: BlockId) -> Option<&BlockState> {
-        self.blocks.get(&block)
-    }
-
-    /// Mutable state of `block`, creating a default entry if needed.
-    pub fn entry(&mut self, block: BlockId) -> &mut BlockState {
-        self.blocks.entry(block).or_default()
-    }
-
-    /// Record that `proc` now holds a copy of `block`; counts a cache-to-cache transfer if
-    /// the previous holder was a different cache. Returns `true` if a transfer was counted.
-    pub fn record_fill(&mut self, block: BlockId, proc: ProcId) -> bool {
-        let e = self.entry(block);
-        e.sharers.insert(proc);
-        let transferred = matches!(e.last_holder, Some(prev) if prev != proc);
-        if transferred {
-            e.transfers += 1;
+    /// Create an empty directory for a machine of `procs` processors.
+    pub(crate) fn new(procs: usize) -> Self {
+        assert!(procs < NO_PROC as usize, "too many processors");
+        Directory {
+            index: BlockIndex::new(),
+            entries: Vec::new(),
+            sharers: Vec::new(),
+            stride: procs.div_ceil(64),
         }
-        e.last_holder = Some(proc);
+    }
+
+    /// The dense index of `block`, creating its (unshared, never moved) entry on first sight.
+    #[inline]
+    pub(crate) fn intern(&mut self, block: BlockId) -> u32 {
+        let idx = self.index.intern(block);
+        if idx as usize == self.entries.len() {
+            self.entries.push(Entry { owner: NO_PROC, last_holder: NO_PROC, transfers: 0 });
+            self.sharers.resize(self.sharers.len() + self.stride, 0);
+        }
+        idx
+    }
+
+    /// The cache holding block `idx` modified, if any.
+    pub(crate) fn owner(&self, idx: u32) -> Option<ProcId> {
+        let owner = self.entries[idx as usize].owner;
+        (owner != NO_PROC).then_some(ProcId(owner as usize))
+    }
+
+    /// A write by `proc`: its copy of block `idx` is now the modified one, and it is the
+    /// block's latest holder.
+    pub(crate) fn set_owner(&mut self, idx: u32, proc: ProcId) {
+        let e = &mut self.entries[idx as usize];
+        e.owner = proc.index() as u32;
+        e.last_holder = e.owner;
+    }
+
+    /// Record that no cache holds block `idx` modified any more (write-back).
+    pub(crate) fn clear_owner(&mut self, idx: u32) {
+        self.entries[idx as usize].owner = NO_PROC;
+    }
+
+    /// Record that `proc` now holds a copy of block `idx`; counts a cache-to-cache transfer
+    /// if the previous holder was a different cache. Returns `true` if one was counted.
+    pub(crate) fn record_fill(&mut self, idx: u32, proc: ProcId) -> bool {
+        let (word, bit) = self.sharer_bit(idx, proc);
+        self.sharers[word] |= bit;
+        let e = &mut self.entries[idx as usize];
+        let transferred = e.last_holder != NO_PROC && e.last_holder != proc.index() as u32;
+        e.transfers += transferred as u64;
+        e.last_holder = proc.index() as u32;
         transferred
     }
 
-    /// Record that `proc` dropped its copy of `block` (eviction). The ownership is cleared if
-    /// `proc` was the owner.
-    pub fn record_eviction(&mut self, block: BlockId, proc: ProcId) {
-        if let Some(e) = self.blocks.get_mut(&block) {
-            e.sharers.remove(proc);
-            if e.owner == Some(proc) {
-                e.owner = None;
+    /// Record that `proc` dropped its copy of block `idx` (eviction). The ownership is
+    /// cleared if `proc` was the owner.
+    pub(crate) fn record_eviction(&mut self, idx: u32, proc: ProcId) {
+        let (word, bit) = self.sharer_bit(idx, proc);
+        self.sharers[word] &= !bit;
+        let e = &mut self.entries[idx as usize];
+        if e.owner == proc.index() as u32 {
+            e.owner = NO_PROC;
+        }
+    }
+
+    /// A write by `writer`: strike every other cache from the sharers of block `idx`, calling
+    /// `invalidate` for each in increasing id order, and clear the ownership of any of them.
+    #[inline]
+    pub(crate) fn invalidate_others(
+        &mut self,
+        idx: u32,
+        writer: ProcId,
+        mut invalidate: impl FnMut(ProcId),
+    ) {
+        let (writer_word, writer_bit) = self.sharer_bit(idx, writer);
+        let first = idx as usize * self.stride;
+        for word in first..first + self.stride {
+            let keep = if word == writer_word { writer_bit } else { 0 };
+            let mut others = self.sharers[word] & !keep;
+            self.sharers[word] &= keep;
+            while others != 0 {
+                invalidate(ProcId((word - first) * 64 + others.trailing_zeros() as usize));
+                others &= others - 1;
             }
+        }
+        let e = &mut self.entries[idx as usize];
+        if e.owner != writer.index() as u32 {
+            e.owner = NO_PROC;
         }
     }
 
     /// Total transfers of `block` so far (0 if never referenced).
-    pub fn transfers_of(&self, block: BlockId) -> u64 {
-        self.blocks.get(&block).map(|e| e.transfers).unwrap_or(0)
+    pub(crate) fn transfers_of(&self, block: BlockId) -> u64 {
+        self.index.find(block).map_or(0, |idx| self.entries[idx as usize].transfers)
     }
 
-    /// Sum of transfers over all blocks.
-    pub fn total_transfers(&self) -> u64 {
-        self.blocks.values().map(|e| e.transfers).sum()
+    /// Every block seen so far with its transfer count, in first-access order.
+    pub(crate) fn block_transfers(&self) -> impl ExactSizeIterator<Item = (BlockId, u64)> + '_ {
+        self.index.blocks().iter().zip(&self.entries).map(|(&b, e)| (b, e.transfers))
     }
 
-    /// Number of blocks the directory has ever seen.
-    pub fn tracked_blocks(&self) -> usize {
-        self.blocks.len()
+    /// The caches holding block `idx`, in increasing id order.
+    #[cfg(test)]
+    fn sharers(&self, idx: u32) -> Vec<usize> {
+        let words = &self.sharers[idx as usize * self.stride..][..self.stride];
+        (0..self.stride * 64).filter(|p| words[p / 64] & (1 << (p % 64)) != 0).collect()
     }
 
-    /// Iterate over `(block, state)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (BlockId, &BlockState)> + '_ {
-        self.blocks.iter().map(|(b, s)| (*b, s))
-    }
-
-    /// Clear all directory state.
-    pub fn clear(&mut self) {
-        self.blocks.clear();
+    fn sharer_bit(&self, idx: u32, proc: ProcId) -> (usize, u64) {
+        debug_assert!(proc.index() < self.stride * 64);
+        (idx as usize * self.stride + proc.index() / 64, 1 << (proc.index() % 64))
     }
 }
 
@@ -169,66 +152,72 @@ mod tests {
 
     #[test]
     fn procset_insert_remove_contains() {
-        let mut s = ProcSet::new();
-        assert!(s.insert(ProcId(3)));
-        assert!(!s.insert(ProcId(3)));
-        assert!(s.contains(ProcId(3)));
-        assert!(!s.contains(ProcId(2)));
-        assert_eq!(s.len(), 1);
-        assert!(s.remove(ProcId(3)));
-        assert!(!s.remove(ProcId(3)));
-        assert!(s.is_empty());
+        let mut d = Directory::new(4);
+        let (a, b) = (d.intern(BlockId(10)), d.intern(BlockId(11)));
+        d.record_fill(a, ProcId(3));
+        d.record_fill(a, ProcId(3));
+        assert_eq!(d.sharers(a), vec![3]);
+        assert!(d.sharers(b).is_empty(), "sharer bits of neighbouring blocks are separate");
+        d.record_eviction(a, ProcId(3));
+        d.record_eviction(a, ProcId(3));
+        assert!(d.sharers(a).is_empty());
     }
 
     #[test]
     fn procset_handles_large_ids() {
-        let mut s = ProcSet::new();
-        s.insert(ProcId(0));
-        s.insert(ProcId(64));
-        s.insert(ProcId(129));
-        assert_eq!(s.len(), 3);
-        let members: Vec<usize> = s.iter().map(|p| p.index()).collect();
-        assert_eq!(members, vec![0, 64, 129]);
-        assert!(!s.contains(ProcId(130)));
-        assert!(!s.remove(ProcId(200)));
+        // 130 processors: three sharer words per block.
+        let mut d = Directory::new(130);
+        let (a, b) = (d.intern(BlockId(1)), d.intern(BlockId(2)));
+        for p in [0, 64, 129] {
+            d.record_fill(a, ProcId(p));
+            d.record_fill(b, ProcId(p));
+        }
+        assert_eq!(d.sharers(a), vec![0, 64, 129]);
+        d.set_owner(a, ProcId(129));
+        let mut struck = Vec::new();
+        d.invalidate_others(a, ProcId(64), |p| struck.push(p.index()));
+        assert_eq!(struck, vec![0, 129], "every sharer but the writer, in id order");
+        assert_eq!(d.sharers(a), vec![64]);
+        assert_eq!(d.owner(a), None, "a struck owner loses the block");
+        assert_eq!(d.sharers(b), vec![0, 64, 129], "other blocks are untouched");
     }
 
     #[test]
     fn fill_counts_transfers_only_across_caches() {
-        let mut d = Directory::new();
-        let blk = BlockId(7);
+        let mut d = Directory::new(2);
+        let blk = d.intern(BlockId(7));
         assert!(!d.record_fill(blk, ProcId(0)), "first fill is not a transfer");
         assert!(!d.record_fill(blk, ProcId(0)), "refill by the same cache is not a transfer");
         assert!(d.record_fill(blk, ProcId(1)), "moving to a different cache is a transfer");
         assert!(d.record_fill(blk, ProcId(0)), "moving back is another transfer");
-        assert_eq!(d.transfers_of(blk), 2);
-        assert_eq!(d.total_transfers(), 2);
+        assert_eq!(d.transfers_of(BlockId(7)), 2);
+        assert_eq!(d.block_transfers().collect::<Vec<_>>(), vec![(BlockId(7), 2)]);
     }
 
     #[test]
     fn eviction_clears_ownership() {
-        let mut d = Directory::new();
-        let blk = BlockId(1);
+        let mut d = Directory::new(2);
+        let blk = d.intern(BlockId(1));
         d.record_fill(blk, ProcId(0));
-        d.entry(blk).owner = Some(ProcId(0));
+        d.set_owner(blk, ProcId(0));
         d.record_eviction(blk, ProcId(0));
-        let st = d.get(blk).unwrap();
-        assert!(st.sharers.is_empty());
-        assert_eq!(st.owner, None);
+        assert!(d.sharers(blk).is_empty());
+        assert_eq!(d.owner(blk), None);
     }
 
     #[test]
     fn transfers_of_unknown_block_is_zero() {
-        let d = Directory::new();
+        let d = Directory::new(1);
         assert_eq!(d.transfers_of(BlockId(99)), 0);
     }
 
     #[test]
     fn tracked_blocks_counts_distinct() {
-        let mut d = Directory::new();
-        d.record_fill(BlockId(1), ProcId(0));
-        d.record_fill(BlockId(2), ProcId(0));
-        d.record_fill(BlockId(1), ProcId(1));
-        assert_eq!(d.tracked_blocks(), 2);
+        let mut d = Directory::new(2);
+        for (block, proc) in [(1, 0), (2, 0), (1, 1)] {
+            let idx = d.intern(BlockId(block));
+            d.record_fill(idx, ProcId(proc));
+        }
+        assert_eq!(d.block_transfers().len(), 2);
     }
 }

@@ -95,6 +95,9 @@ impl MachineConfig {
         if self.block_words == 0 {
             return Err("block size B must be at least 1 word".into());
         }
+        if self.block_words > u32::MAX as u64 {
+            return Err("block size B must fit in 32 bits".into());
+        }
         if self.cache_words < self.block_words {
             return Err(format!(
                 "cache size M = {} must be at least the block size B = {}",
@@ -159,6 +162,8 @@ mod tests {
     fn rejects_cache_smaller_than_block() {
         let c = MachineConfig::small().with_cache_words(4).with_block_words(8);
         assert!(c.validate().is_err());
+        let huge = MachineConfig::small().with_cache_words(1 << 40).with_block_words(1 << 33);
+        assert!(huge.validate().is_err(), "word offsets within a block are kept in 32 bits");
     }
 
     #[test]

@@ -27,21 +27,33 @@
 //!
 //! The word-level simulator here is deliberately simple and deterministic; the scheduling
 //! and cost model live in `rws-core`.
+//!
+//! ## How the state is laid out
+//!
+//! [`MemorySystem::access`] is the simulator's innermost loop, so it hashes once and never
+//! allocates except to grow a vector the first time a block is seen. `index` interns the
+//! accessed [`BlockId`] into a **dense index** (its rank in first-access order) with one
+//! open-addressed probe; nothing else is keyed by address. Behind that index, `coherence`
+//! keeps one directory entry per block (owner, last holder, transfer count) and the sharer
+//! sets as a bit vector with a stride of `ceil(p / 64)` words per block; `cache` keeps, per
+//! private cache, the line state of every block it has held (never / evicted / invalidated
+//! by which word / clean / dirty), and `lru` its recency list as a vector of `(prev, next)`
+//! links. Memory is proportional to the blocks touched, not to the address space: under 100
+//! bytes per block, plus 16 in each cache that has held it or a later-seen block.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod cache;
-pub mod coherence;
+mod cache;
+mod coherence;
 pub mod config;
-pub mod lru;
+mod index;
+mod lru;
 pub mod memory;
 pub mod stats;
 
 pub use addr::{Addr, BlockId, ProcId, Region};
-pub use cache::{Cache, FillOutcome};
-pub use coherence::{BlockState, Directory};
 pub use config::MachineConfig;
 pub use memory::{Access, AccessOutcome, MemorySystem, MissKind};
 pub use stats::{MemStats, ProcStats};

@@ -1,184 +1,127 @@
-//! An index-based LRU list used by the private-cache model.
+//! The LRU list of one private cache, keyed by dense block index.
 //!
 //! The paper's caches are ideal caches of `M` words with optimal-enough replacement; as is
 //! standard in cache-oblivious analysis we model them as fully associative LRU caches of
-//! `M / B` lines. Evictions happen on every miss once the cache is full, so the LRU structure
-//! must support O(1) touch / insert / evict; this module implements the classic
-//! hash-map + intrusive doubly-linked-list design without unsafe code.
+//! `M / B` lines. Evictions happen on every miss once the cache is full, so the structure
+//! must support O(1) touch / insert / evict. Keys are the dense indices handed out by
+//! [`crate::index::BlockIndex`], so the doubly-linked list is intrusive in one flat vector:
+//! `links[key]` holds the key's neighbours, or marks it absent. There is no map and no slot
+//! allocation; the vector grows to the largest key this cache has ever held.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+const NIL: u32 = u32::MAX;
+/// Stored in `prev` of a key that is not in the list.
+const ABSENT: u32 = u32::MAX - 1;
 
-const NIL: usize = usize::MAX;
-
-#[derive(Clone, Debug)]
-struct Slot<K> {
-    key: K,
-    prev: usize,
-    next: usize,
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    prev: u32,
+    next: u32,
 }
 
-/// A fixed-capacity LRU set of keys with O(1) insert, touch and evict.
+/// A fixed-capacity LRU set of dense `u32` keys with O(1) insert, touch and evict.
 #[derive(Clone, Debug)]
-pub struct LruSet<K: Eq + Hash + Clone> {
+pub(crate) struct LruList {
     capacity: usize,
-    map: HashMap<K, usize>,
-    slots: Vec<Slot<K>>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    len: usize,
+    links: Vec<Link>,
+    head: u32, // most recently used
+    tail: u32, // least recently used
 }
 
-impl<K: Eq + Hash + Clone> LruSet<K> {
-    /// Create an LRU set holding at most `capacity` keys. `capacity` must be at least 1.
-    pub fn new(capacity: usize) -> Self {
+impl LruList {
+    /// Create an LRU list holding at most `capacity` keys. `capacity` must be at least 1.
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "LRU capacity must be at least 1");
-        LruSet {
-            capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 16)),
-            slots: Vec::with_capacity(capacity.min(1 << 16)),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
+        LruList { capacity, len: 0, links: Vec::new(), head: NIL, tail: NIL }
     }
 
     /// Number of keys currently resident.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// Whether `key` is resident (does not affect recency).
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+    pub(crate) fn contains(&self, key: u32) -> bool {
+        self.links.get(key as usize).is_some_and(|l| l.prev != ABSENT)
     }
 
     /// Mark `key` as most recently used. Returns `true` if the key was resident.
-    pub fn touch(&mut self, key: &K) -> bool {
-        if let Some(&slot) = self.map.get(key) {
-            self.unlink(slot);
-            self.push_front(slot);
-            true
-        } else {
-            false
+    #[inline]
+    pub(crate) fn touch(&mut self, key: u32) -> bool {
+        if !self.contains(key) {
+            return false;
         }
+        if self.head != key {
+            self.unlink(key);
+            self.push_front(key);
+        }
+        true
     }
 
-    /// Insert `key` as most recently used. If the set is full, the least recently used key is
-    /// evicted and returned. If `key` was already resident it is just touched and `None` is
-    /// returned.
-    pub fn insert(&mut self, key: K) -> Option<K> {
-        if self.touch(&key) {
+    /// Insert `key` as most recently used. If the list is full, the least recently used key
+    /// is evicted and returned. If `key` was already resident it is just touched and `None`
+    /// is returned.
+    pub(crate) fn insert(&mut self, key: u32) -> Option<u32> {
+        assert!(key < ABSENT, "block index out of range");
+        if self.touch(key) {
             return None;
         }
-        let evicted = if self.map.len() == self.capacity { self.evict_lru() } else { None };
-        let slot = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx] = Slot { key: key.clone(), prev: NIL, next: NIL };
-                idx
-            }
-            None => {
-                self.slots.push(Slot { key: key.clone(), prev: NIL, next: NIL });
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, slot);
-        self.push_front(slot);
+        let evicted = if self.len == self.capacity { self.evict_lru() } else { None };
+        if key as usize >= self.links.len() {
+            self.links.resize(key as usize + 1, Link { prev: ABSENT, next: NIL });
+        }
+        self.push_front(key);
+        self.len += 1;
         evicted
     }
 
-    /// Remove `key` from the set, returning `true` if it was resident.
-    pub fn remove(&mut self, key: &K) -> bool {
-        if let Some(slot) = self.map.remove(key) {
-            self.unlink(slot);
-            self.free.push(slot);
-            true
-        } else {
-            false
+    /// Remove `key` from the list, returning `true` if it was resident.
+    pub(crate) fn remove(&mut self, key: u32) -> bool {
+        if !self.contains(key) {
+            return false;
         }
+        self.unlink(key);
+        self.links[key as usize].prev = ABSENT;
+        self.len -= 1;
+        true
     }
 
     /// Remove and return the least recently used key, if any.
-    pub fn evict_lru(&mut self) -> Option<K> {
-        if self.tail == NIL {
-            return None;
-        }
-        let slot = self.tail;
-        let key = self.slots[slot].key.clone();
-        self.unlink(slot);
-        self.map.remove(&key);
-        self.free.push(slot);
-        Some(key)
+    pub(crate) fn evict_lru(&mut self) -> Option<u32> {
+        let key = self.tail;
+        self.remove(key).then_some(key)
     }
 
     /// Iterate over resident keys from most to least recently used.
-    pub fn iter_mru(&self) -> impl Iterator<Item = &K> {
-        MruIter { lru: self, cur: self.head }
+    #[cfg(test)]
+    pub(crate) fn iter_mru(&self) -> impl Iterator<Item = u32> + '_ {
+        let some = |key: u32| (key != NIL).then_some(key);
+        std::iter::successors(some(self.head), move |&k| some(self.links[k as usize].next))
     }
 
-    /// Remove every key.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
+    fn unlink(&mut self, key: u32) {
+        let Link { prev, next } = self.links[key as usize];
         if prev != NIL {
-            self.slots[prev].next = next;
-        } else if self.head == slot {
+            self.links[prev as usize].next = next;
+        } else {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next].prev = prev;
-        } else if self.tail == slot {
+            self.links[next as usize].prev = prev;
+        } else {
             self.tail = prev;
         }
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = NIL;
     }
 
-    fn push_front(&mut self, slot: usize) {
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = self.head;
+    fn push_front(&mut self, key: u32) {
+        self.links[key as usize] = Link { prev: NIL, next: self.head };
         if self.head != NIL {
-            self.slots[self.head].prev = slot;
+            self.links[self.head as usize].prev = key;
+        } else {
+            self.tail = key;
         }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-}
-
-struct MruIter<'a, K: Eq + Hash + Clone> {
-    lru: &'a LruSet<K>,
-    cur: usize,
-}
-
-impl<'a, K: Eq + Hash + Clone> Iterator for MruIter<'a, K> {
-    type Item = &'a K;
-
-    fn next(&mut self) -> Option<&'a K> {
-        if self.cur == NIL {
-            return None;
-        }
-        let slot = &self.lru.slots[self.cur];
-        self.cur = slot.next;
-        Some(&slot.key)
+        self.head = key;
     }
 }
 
@@ -188,73 +131,76 @@ mod tests {
 
     #[test]
     fn insert_and_contains() {
-        let mut lru = LruSet::new(2);
-        assert!(lru.insert(1u32).is_none());
+        let mut lru = LruList::new(2);
+        assert!(lru.insert(1).is_none());
         assert!(lru.insert(2).is_none());
-        assert!(lru.contains(&1));
-        assert!(lru.contains(&2));
+        assert!(lru.contains(1));
+        assert!(lru.contains(2));
+        assert!(!lru.contains(0), "an index below a resident one is not resident");
+        assert!(!lru.contains(9), "an index this cache never saw is not resident");
         assert_eq!(lru.len(), 2);
     }
 
     #[test]
     fn eviction_is_lru_order() {
-        let mut lru = LruSet::new(2);
-        lru.insert(1u32);
+        let mut lru = LruList::new(2);
+        lru.insert(1);
         lru.insert(2);
         // 1 is now least recently used.
         assert_eq!(lru.insert(3), Some(1));
-        assert!(!lru.contains(&1));
-        assert!(lru.contains(&2));
-        assert!(lru.contains(&3));
+        assert!(!lru.contains(1));
+        assert!(lru.contains(2));
+        assert!(lru.contains(3));
     }
 
     #[test]
     fn touch_changes_victim() {
-        let mut lru = LruSet::new(2);
-        lru.insert(1u32);
+        let mut lru = LruList::new(2);
+        lru.insert(1);
         lru.insert(2);
-        assert!(lru.touch(&1));
+        assert!(lru.touch(1));
         // 2 is now the LRU entry.
         assert_eq!(lru.insert(3), Some(2));
-        assert!(lru.contains(&1));
+        assert!(lru.contains(1));
     }
 
     #[test]
     fn reinsert_does_not_evict() {
-        let mut lru = LruSet::new(2);
-        lru.insert(1u32);
+        let mut lru = LruList::new(2);
+        lru.insert(1);
         lru.insert(2);
         assert_eq!(lru.insert(2), None);
         assert_eq!(lru.len(), 2);
-        assert!(lru.contains(&1));
+        assert!(lru.contains(1));
     }
 
     #[test]
     fn remove_frees_space() {
-        let mut lru = LruSet::new(2);
-        lru.insert(1u32);
+        let mut lru = LruList::new(2);
+        lru.insert(1);
         lru.insert(2);
-        assert!(lru.remove(&1));
-        assert!(!lru.remove(&1));
+        assert!(lru.remove(1));
+        assert!(!lru.remove(1));
+        assert!(!lru.remove(40), "removing an index beyond the table is a no-op");
         assert_eq!(lru.insert(3), None);
         assert_eq!(lru.len(), 2);
     }
 
     #[test]
     fn mru_iteration_order() {
-        let mut lru = LruSet::new(3);
-        lru.insert(1u32);
+        let mut lru = LruList::new(3);
+        lru.insert(1);
         lru.insert(2);
         lru.insert(3);
-        lru.touch(&1);
-        let order: Vec<u32> = lru.iter_mru().copied().collect();
+        lru.touch(1);
+        let order: Vec<u32> = lru.iter_mru().collect();
         assert_eq!(order, vec![1, 3, 2]);
     }
 
     #[test]
     fn capacity_one() {
-        let mut lru = LruSet::new(1);
-        assert_eq!(lru.insert(1u32), None);
+        let mut lru = LruList::new(1);
+        assert_eq!(lru.insert(1), None);
         assert_eq!(lru.insert(2), Some(1));
         assert_eq!(lru.insert(3), Some(2));
         assert_eq!(lru.len(), 1);
@@ -262,36 +208,26 @@ mod tests {
 
     #[test]
     fn evict_lru_empties_in_order() {
-        let mut lru = LruSet::new(3);
-        lru.insert(1u32);
+        let mut lru = LruList::new(3);
+        lru.insert(1);
         lru.insert(2);
         lru.insert(3);
         assert_eq!(lru.evict_lru(), Some(1));
         assert_eq!(lru.evict_lru(), Some(2));
         assert_eq!(lru.evict_lru(), Some(3));
         assert_eq!(lru.evict_lru(), None);
-        assert!(lru.is_empty());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut lru = LruSet::new(2);
-        lru.insert(1u32);
-        lru.clear();
-        assert!(lru.is_empty());
-        assert_eq!(lru.insert(5), None);
-        assert!(lru.contains(&5));
+        assert_eq!(lru.len(), 0);
     }
 
     #[test]
     fn slot_reuse_after_remove() {
-        let mut lru = LruSet::new(4);
-        for i in 0..4u32 {
+        let mut lru = LruList::new(4);
+        for i in 0..4 {
             lru.insert(i);
         }
-        lru.remove(&2);
-        lru.insert(9);
-        let mut all: Vec<u32> = lru.iter_mru().copied().collect();
+        lru.remove(2);
+        assert_eq!(lru.insert(9), None, "the removed key's place is free again");
+        let mut all: Vec<u32> = lru.iter_mru().collect();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 3, 9]);
     }
@@ -302,10 +238,10 @@ mod tests {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
         for cap in [1usize, 2, 3, 7, 16] {
-            let mut lru = LruSet::new(cap);
-            let mut reference: Vec<u64> = Vec::new(); // front = MRU
+            let mut lru = LruList::new(cap);
+            let mut reference: Vec<u32> = Vec::new(); // front = MRU
             for _ in 0..2000 {
-                let key = rng.gen_range(0..32u64);
+                let key = rng.gen_range(0..32u32);
                 let op = rng.gen_range(0..10);
                 if op < 6 {
                     let evicted = lru.insert(key);
@@ -320,7 +256,7 @@ mod tests {
                         assert_eq!(evicted, expect_evict);
                     }
                 } else if op < 8 {
-                    let hit = lru.touch(&key);
+                    let hit = lru.touch(key);
                     if let Some(pos) = reference.iter().position(|&k| k == key) {
                         assert!(hit);
                         reference.remove(pos);
@@ -329,7 +265,7 @@ mod tests {
                         assert!(!hit);
                     }
                 } else {
-                    let removed = lru.remove(&key);
+                    let removed = lru.remove(key);
                     if let Some(pos) = reference.iter().position(|&k| k == key) {
                         assert!(removed);
                         reference.remove(pos);
@@ -338,7 +274,7 @@ mod tests {
                     }
                 }
                 assert_eq!(lru.len(), reference.len());
-                let order: Vec<u64> = lru.iter_mru().copied().collect();
+                let order: Vec<u32> = lru.iter_mru().collect();
                 assert_eq!(order, reference);
             }
         }

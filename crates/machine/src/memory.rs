@@ -2,7 +2,7 @@
 //! memory, with the paper's invalidation rule and miss/transfer accounting.
 
 use crate::addr::{Addr, BlockId, ProcId, Region};
-use crate::cache::Cache;
+use crate::cache::{Cache, Line};
 use crate::coherence::Directory;
 use crate::config::MachineConfig;
 use crate::stats::MemStats;
@@ -85,6 +85,11 @@ impl AccessOutcome {
 }
 
 /// The simulated memory system.
+///
+/// One access interns its block once (an open-addressed probe in the directory's block
+/// index) and from there on touches only flat vectors indexed by the block's dense index:
+/// no hashing of per-block state, and no heap allocation except to extend those vectors
+/// when a block is seen for the first time.
 #[derive(Clone, Debug)]
 pub struct MemorySystem {
     config: MachineConfig,
@@ -100,7 +105,7 @@ impl MemorySystem {
         let lines = config.lines_per_cache();
         MemorySystem {
             caches: (0..config.procs).map(|_| Cache::new(lines)).collect(),
-            directory: Directory::new(),
+            directory: Directory::new(config.procs),
             stats: MemStats::new(config.procs),
             config,
         }
@@ -121,30 +126,29 @@ impl MemorySystem {
         self.stats.reset();
     }
 
-    /// The private cache of processor `p` (for inspection in tests).
-    pub fn cache(&self, p: ProcId) -> &Cache {
-        &self.caches[p.index()]
-    }
-
-    /// The coherence directory (for inspection).
-    pub fn directory(&self) -> &Directory {
-        &self.directory
-    }
-
     /// Total cache-to-cache transfers of `block` so far (block delay, Definition 4.1).
     pub fn transfers_of(&self, block: BlockId) -> u64 {
         self.directory.transfers_of(block)
+    }
+
+    /// Every block accessed so far with its transfer count, in first-access order.
+    pub fn block_transfers(&self) -> impl ExactSizeIterator<Item = (BlockId, u64)> + '_ {
+        self.directory.block_transfers()
     }
 
     /// Perform one access by processor `proc` and return its outcome.
     ///
     /// The cost in time units is *not* computed here; the scheduler charges `b` per miss
     /// (of either kind) per the paper's cost model.
+    #[inline]
     pub fn access(&mut self, proc: ProcId, access: Access) -> AccessOutcome {
         let b = self.config.block_words;
         let block = access.addr.block(b);
         let region = access.addr.region();
-        let hit = self.caches[proc.index()].touch(block);
+        // `validate` bounds `B` by 2^32, so an offset within a block fits.
+        let offset = access.addr.block_offset(b) as u32;
+        let idx = self.directory.intern(block);
+        let hit = self.caches[proc.index()].touch(idx);
 
         let mut invalidations = 0u32;
         let mut transferred = false;
@@ -155,74 +159,67 @@ impl MemorySystem {
             self.stats.proc_mut(proc).hits += 1;
             if access.write {
                 // Upgrade: invalidate every other copy; the writer keeps its data.
-                invalidations = self.invalidate_others(block, proc, access.addr);
+                invalidations = self.invalidate_others(idx, proc, offset);
                 if invalidations > 0 {
                     self.stats.proc_mut(proc).upgrades += 1;
                 }
-                let e = self.directory.entry(block);
-                e.owner = Some(proc);
-                e.last_holder = Some(proc);
-                self.caches[proc.index()].mark_dirty(block);
             }
         } else {
             // Miss path. First figure out where the data comes from.
-            let remote_owner =
-                self.directory.get(block).and_then(|e| e.owner).filter(|&o| o != proc);
+            let remote_owner = self.directory.owner(idx).filter(|&o| o != proc);
 
             if access.write {
                 // Read-for-ownership: every other copy is invalidated.
-                invalidations = self.invalidate_others(block, proc, access.addr);
+                invalidations = self.invalidate_others(idx, proc, offset);
             } else if let Some(owner) = remote_owner {
                 // A remote modified copy is downgraded to shared (write-back).
-                if self.caches[owner.index()].clean(block) {
+                if self.caches[owner.index()].clean(idx) {
                     self.stats.proc_mut(owner).writebacks += 1;
                 }
-                self.directory.entry(block).owner = None;
+                self.directory.clear_owner(idx);
             }
 
             // Fill into the local cache, possibly evicting.
-            let fill = self.caches[proc.index()].fill(block);
-            if let Some((victim, dirty)) = fill.evicted {
+            let (evicted, before) = self.caches[proc.index()].fill(idx);
+            if let Some((victim, dirty)) = evicted {
                 self.stats.proc_mut(proc).evictions += 1;
                 if dirty {
                     self.stats.proc_mut(proc).writebacks += 1;
                 }
                 self.directory.record_eviction(victim, proc);
             }
-            transferred = self.directory.record_fill(block, proc);
+            transferred = self.directory.record_fill(idx, proc);
             if transferred {
                 self.stats.block_transfers += 1;
             }
 
-            // Classify the miss.
-            let kind = if let Some(written_word) = fill.invalidated_by {
-                MissKind::Invalidation { false_sharing: written_word != access.addr }
-            } else if remote_owner.is_some() {
-                MissKind::DirtyTransfer
-            } else if fill.cold {
-                MissKind::Cold
-            } else {
-                MissKind::Capacity
-            };
+            // Classify the miss by what this cache knew about the block.
             let pstats = self.stats.proc_mut(proc);
-            match kind {
-                MissKind::Cold => pstats.cold_misses += 1,
-                MissKind::Capacity => pstats.capacity_misses += 1,
-                MissKind::Invalidation { false_sharing } => {
+            let kind = match before {
+                Line::Invalidated(written_offset) => {
+                    let false_sharing = written_offset != offset;
                     pstats.block_misses += 1;
-                    if false_sharing {
-                        pstats.false_sharing_misses += 1;
-                    }
+                    pstats.false_sharing_misses += false_sharing as u64;
+                    MissKind::Invalidation { false_sharing }
                 }
-                MissKind::DirtyTransfer => pstats.block_misses += 1,
-            }
+                _ if remote_owner.is_some() => {
+                    pstats.block_misses += 1;
+                    MissKind::DirtyTransfer
+                }
+                Line::Never => {
+                    pstats.cold_misses += 1;
+                    MissKind::Cold
+                }
+                _ => {
+                    pstats.capacity_misses += 1;
+                    MissKind::Capacity
+                }
+            };
             miss = Some(kind);
-
-            if access.write {
-                let e = self.directory.entry(block);
-                e.owner = Some(proc);
-                self.caches[proc.index()].mark_dirty(block);
-            }
+        }
+        if access.write {
+            self.directory.set_owner(idx, proc);
+            self.caches[proc.index()].mark_dirty(idx);
         }
 
         AccessOutcome { block, miss, transferred, invalidations, region }
@@ -244,27 +241,21 @@ impl MemorySystem {
         (cache_misses, block_misses)
     }
 
-    fn invalidate_others(&mut self, block: BlockId, writer: ProcId, word: Addr) -> u32 {
-        let holders: Vec<ProcId> = match self.directory.get(block) {
-            Some(e) => e.sharers.iter().filter(|&p| p != writer).collect(),
-            None => Vec::new(),
-        };
+    /// Invalidate every copy of block `idx` but `writer`'s, whose write touched the word at
+    /// `offset`. Returns how many copies there were.
+    fn invalidate_others(&mut self, idx: u32, writer: ProcId, offset: u32) -> u32 {
+        let MemorySystem { caches, directory, stats, .. } = self;
         let mut count = 0;
-        for p in holders {
-            let (was_resident, was_dirty) = self.caches[p.index()].invalidate(block, word);
-            if was_resident {
-                count += 1;
-                self.stats.proc_mut(p).invalidations_received += 1;
-                if was_dirty {
-                    self.stats.proc_mut(p).writebacks += 1;
-                }
+        directory.invalidate_others(idx, writer, |p| {
+            // The sharer bits mirror residency, so every struck cache held a copy.
+            let (was_resident, was_dirty) = caches[p.index()].invalidate(idx, offset);
+            debug_assert!(was_resident, "the directory listed a cache without a copy");
+            count += 1;
+            stats.proc_mut(p).invalidations_received += 1;
+            if was_dirty {
+                stats.proc_mut(p).writebacks += 1;
             }
-            let e = self.directory.entry(block);
-            e.sharers.remove(p);
-            if e.owner == Some(p) {
-                e.owner = None;
-            }
-        }
+        });
         count
     }
 }

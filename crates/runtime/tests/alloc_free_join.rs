@@ -5,40 +5,24 @@
 //! The pool has one worker, so no branch is ever stolen: every `join` pushes its stack job,
 //! runs the left branch, pops the job straight back and runs it inline. A warm-up run first
 //! absorbs one-time costs (thread-local init, channel plumbing of `install`); the measured
-//! window is entirely inside the installed closure, with the main thread blocked and no
-//! other thread runnable.
+//! window is entirely inside the installed closure.
+//!
+//! The count is the **worker's own** (see `tests/support/counting_alloc.rs`), so each
+//! assertion reads "this worker's fast path did not allocate". A process-wide count failed
+//! about two runs in five: libtest runs these tests on concurrent threads, so a sibling's
+//! pool construction landed in the window. And even alone (`--test-threads=1`) the
+//! installing thread is an allocator: `ThreadPool::install` makes a fresh `mpsc` channel
+//! per call and, *after* the job is already visible to the worker, blocks in
+//! `Receiver::recv`, whose first wait on a channel registers a waker entry
+//! (`Waker::register`, a `Vec::push` onto an empty vector). When the worker reaches the
+//! measured closure before the installer reaches `recv`, that allocation falls inside the
+//! window without having anything to do with `join`.
 
 use rws_runtime::{join, scope, DequeBackend, ThreadPoolBuilder};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-// NOTE: duplicated in crates/bench/src/bin/native_bench.rs — a #[global_allocator] must be
-// declared in each binary crate root, so only the wrapper could be shared, at the cost of a
-// public test-support surface on rws-runtime. Keep the two copies in sync.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{thread_allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -61,9 +45,9 @@ fn unstolen_join_fast_path_is_allocation_free() {
                          // Warm up: first run pays any one-time lazy initialization.
         assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
         let (total, delta) = pool.install(move || {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let before = thread_allocations();
             let total = recursive_sum(0, n);
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            let after = thread_allocations();
             (total, after - before)
         });
         assert_eq!(total, n * (n - 1) / 2);
@@ -90,9 +74,9 @@ fn traced_unstolen_join_fast_path_is_allocation_free() {
         // Warm up: first run pays any one-time lazy initialization.
         assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
         let (total, delta) = pool.install(move || {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let before = thread_allocations();
             let total = recursive_sum(0, n);
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            let after = thread_allocations();
             (total, after - before)
         });
         assert_eq!(total, n * (n - 1) / 2);
@@ -134,9 +118,9 @@ fn unstolen_single_spawn_scope_fast_path_is_allocation_free() {
         // Warm up: first run pays any one-time lazy initialization.
         assert_eq!(pool.install(move || scoped_sum(0, n)), n * (n - 1) / 2);
         let (total, delta) = pool.install(move || {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let before = thread_allocations();
             let total = scoped_sum(0, n);
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            let after = thread_allocations();
             (total, after - before)
         });
         assert_eq!(total, n * (n - 1) / 2);
@@ -150,10 +134,26 @@ fn unstolen_single_spawn_scope_fast_path_is_allocation_free() {
 
 #[test]
 fn allocator_counter_actually_counts() {
-    // Guard against the instrument itself silently breaking: a Box must be visible.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    // Guard against the instrument itself silently breaking: a Box must be visible to the
+    // thread that made it, and only to that thread.
+    let before = thread_allocations();
     let b = std::hint::black_box(Box::new(123u64));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = thread_allocations();
     drop(b);
     assert!(after > before, "counting allocator failed to observe an allocation");
+    // A neighbour's allocation, made strictly between two reads here, is not counted here.
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            barrier.wait();
+            let before = thread_allocations();
+            drop(std::hint::black_box(vec![0u8; 64]));
+            assert_eq!(thread_allocations() - before, 1, "a thread sees its own allocation");
+            barrier.wait();
+        });
+        let before = thread_allocations();
+        barrier.wait();
+        barrier.wait();
+        assert_eq!(thread_allocations(), before, "another thread's allocation leaked in");
+    });
 }

@@ -12,7 +12,7 @@ use rws_algos::matmul::{matmul_computation, MatMulConfig, MmVariant};
 use rws_algos::prefix::{prefix_sums_computation, PrefixConfig};
 use rws_algos::sort::{sort_computation, SortConfig};
 use rws_algos::transpose::{bi_to_rm_computation, rm_to_bi_computation, transpose_bi_computation};
-use rws_core::{RwsScheduler, SimConfig};
+use rws_core::{RunReport, RwsScheduler, SimConfig};
 use rws_dag::{Computation, SequentialTracer};
 use rws_machine::MachineConfig;
 
@@ -185,4 +185,87 @@ fn speedup_improves_with_processors_for_wide_computations() {
     let s8 = RwsScheduler::with_machine(machine(8)).run(&comp).speedup(seq.time);
     assert!(s2 > 1.2, "two processors must help: speedup {s2}");
     assert!(s8 > s2, "eight processors must beat two: {s8} vs {s2}");
+}
+
+/// One line per run plus one per processor: every counter a `RunReport` carries. `ProcStats`
+/// is rendered through `Debug` so a field added later shows up in the fixture by itself.
+fn render_report(label: &str, r: &RunReport) -> String {
+    let mut out = format!(
+        "{label}: makespan={} steals={} failed_steals={} steal_time={} usurpations={} \
+         local_pops={} work={} nodes={} busy={} tasks={} peak_stack={} block_transfers={} \
+         stack_transfers={} global_transfers={} max_stack_transfers={} max_global_transfers={}",
+        r.makespan,
+        r.successful_steals,
+        r.failed_steals,
+        r.steal_time,
+        r.usurpations,
+        r.local_pops,
+        r.work_executed,
+        r.nodes_executed,
+        r.busy_time,
+        r.tasks_created,
+        r.peak_stack_words,
+        r.mem.block_transfers,
+        r.stack_block_transfers,
+        r.global_block_transfers,
+        r.max_stack_block_transfers,
+        r.max_global_block_transfers,
+    );
+    if let Some(last) = r.potential_trace.last() {
+        out += &format!(" potential_samples={} last={last:?}", r.potential_trace.len());
+    }
+    out.push('\n');
+    for (p, stats) in r.mem.per_proc.iter().enumerate() {
+        out += &format!("  P{p} {stats:?}\n");
+    }
+    out
+}
+
+/// The runs the golden fixture covers. The 512-word cache holds 16 to 128 lines, so LRU
+/// evictions, upgrades, dirty transfers and both kinds of invalidation all occur.
+fn golden_reports() -> String {
+    let workloads = [
+        ("prefix-sums", prefix_sums_computation(&PrefixConfig::new(1024))),
+        (
+            "matmul",
+            matmul_computation(&MatMulConfig {
+                n: 16,
+                base: 4,
+                variant: MmVariant::DepthNLimitedAccess,
+            }),
+        ),
+        ("merge-sort", sort_computation(&SortConfig::new(512))),
+    ];
+    let tiny = |p: usize, b: u64| machine(p).with_cache_words(512).with_block_words(b);
+    let mut out = String::new();
+    for (name, comp) in &workloads {
+        for p in [1usize, 2, 4, 8] {
+            for b in [4u64, 8, 32] {
+                for seed in [3u64, 17] {
+                    let report =
+                        RwsScheduler::new(tiny(p, b), SimConfig::with_seed(seed)).run(comp);
+                    out += &render_report(&format!("{name} p={p} B={b} seed={seed}"), &report);
+                }
+            }
+        }
+    }
+    let (_, matmul) = &workloads[1];
+    let padded = RwsScheduler::new(tiny(4, 8), SimConfig::with_seed(5).padded()).run(matmul);
+    out += &render_report("matmul p=4 B=8 seed=5 padded", &padded);
+    let tracked = RwsScheduler::new(tiny(4, 8), SimConfig::with_seed(5).with_potential_tracking())
+        .run(matmul);
+    out += &render_report("matmul p=4 B=8 seed=5 potential", &tracked);
+    out
+}
+
+#[test]
+fn run_reports_match_the_golden_fixture() {
+    // Captured from the hash-container simulator before the block-table rewrite: the
+    // simulator is an instrument, so a faster one must count exactly what the old one did.
+    let expected = include_str!("golden/simulator_reports.txt");
+    let actual = golden_reports();
+    for (line, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(e, a, "golden fixture line {} differs", line + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count(), "fixture length differs");
 }
