@@ -54,15 +54,18 @@ impl CsrGraph {
         let mut row_starts = Vec::with_capacity(vertices + 1);
         let mut cols = Vec::new();
         row_starts.push(0);
+        // One adjacency buffer for every row: a row holds at most `extra_degree + 1` entries.
+        let mut adj = Vec::with_capacity(extra_degree + 1);
         for v in 0..vertices {
-            let mut adj = vec![(v + 1) % vertices];
+            adj.clear();
+            adj.push((v + 1) % vertices);
             for _ in 0..(next() as usize) % (extra_degree + 1) {
                 adj.push(next() as usize % vertices);
             }
             adj.sort_unstable();
             adj.dedup();
             adj.retain(|&u| u != v);
-            cols.extend(adj);
+            cols.extend_from_slice(&adj);
             row_starts.push(cols.len());
         }
         CsrGraph { row_starts, cols }

@@ -8,8 +8,8 @@
 //!
 //! [`fft_native`] is the same decomposition run for real on the `rws-runtime` work-stealing
 //! pool: each recursion level fork-joins its column-FFT, twiddle, and row-FFT collections
-//! over disjoint borrowed chunks of a per-call scratch array, with the dag's base-case
-//! cutoff ending the recursion in an iterative radix-2 leaf.
+//! over disjoint borrowed chunks of one workspace allocated per top-level call, with the
+//! dag's base-case cutoff ending the recursion in an iterative radix-2 leaf.
 
 use crate::common::{balanced_levels, par_chunks_mut, Dest};
 use rws_dag::builders::BalancedTreeBuilder;
@@ -221,21 +221,40 @@ pub fn fft_reference(input: &[Complex]) -> Vec<Complex> {
 }
 
 /// Precomputed full-circle twiddle table for a length-`n` transform: `tw[x] = ω_n^x`
-/// (with `ω_n = e^{-2πi/n}`), one direct trig evaluation per entry.
+/// (with `ω_n = e^{-2πi/n}`).
 ///
 /// One table serves the *whole* recursion: every sub-problem size divides `n` (all sizes
 /// are powers of two obtained by factoring), so a size-`m` stage reads `ω_m^x` as
 /// `tw[x · n/m]` exactly. This replaces a trig evaluation per twiddle-pass element and the
 /// base case's repeated `w ·= wlen` recurrence (whose rounding error grows along the
-/// butterfly) with a table lookup that is exact per entry.
+/// butterfly) with a table lookup.
+///
+/// Only the first octant (`x ≤ n/8`) costs trig calls, one direct evaluation per entry;
+/// the rest of the circle is those same values moved by the symmetries of the circle —
+/// reflection in the diagonal for the second octant (`cos` and `sin` trade places), a
+/// quarter turn (`· -i`) for the second quadrant, a half turn (`· -1`) for the lower half —
+/// which permute and negate components and so cost no accuracy.
 fn twiddle_table(n: usize) -> Vec<Complex> {
     debug_assert!(n.is_power_of_two());
-    (0..n)
-        .map(|x| {
-            let angle = -2.0 * std::f64::consts::PI * x as f64 / n as f64;
-            (angle.cos(), angle.sin())
-        })
-        .collect()
+    let mut tw = vec![(1.0, 0.0); n];
+    let (octant, quarter, half) = (n / 8, n / 4, n / 2);
+    for x in 0..=octant {
+        let angle = 2.0 * std::f64::consts::PI * x as f64 / n as f64;
+        let (sin, cos) = angle.sin_cos();
+        // Where the two coincide (the diagonal itself; every entry when n < 4 leaves no
+        // second octant) the direct value is written last and stands.
+        tw[quarter - x] = (sin, -cos);
+        tw[x] = (cos, -sin);
+    }
+    for x in 0..quarter {
+        let (re, im) = tw[x];
+        tw[x + quarter] = (im, -re);
+    }
+    for x in 0..half {
+        let (re, im) = tw[x];
+        tw[x + half] = (-re, -im);
+    }
+    tw
 }
 
 /// The native kernel's base case: iterative radix-2 FFT of `a` in place, butterfly factors
@@ -298,83 +317,126 @@ impl Strided<'_> {
 /// as [`fft_computation`]'s dag, executed for real.
 ///
 /// With `m = r·c` (`r ≥ c`, both powers of two, as in the dag builder), one recursion level
-/// runs three sequenced parallel collections over a per-call scratch array:
+/// runs its sequenced parallel collections between the destination and a local array of
+/// `m` elements:
 ///
 /// 1. **`c` column FFTs of size `r`** — residue class `j₁` of the input (elements
-///    `x[j₁ + c·j₂]`) transforms into scratch row `j₁`;
-/// 2. **the twiddle pass** — scratch entry `(j₁, k₂)` is scaled by `ω_m^{j₁·k₂}`;
-/// 3. **`r` row FFTs of size `c`** — strided row `k₂` of the scratch transforms into a
-///    second scratch, and a final parallel pass writes `X[k₂ + r·k₁]` into the destination
-///    in natural order.
+///    `x[j₁ + c·j₂]`) transforms into row `j₁` of the local array;
+/// 2. **the twiddle pass** — entry `(j₁, k₂)` is scaled by `ω_m^{j₁·k₂}` and lands
+///    transposed in the destination (still unused at this point), so that
+/// 3. **`r` row FFTs of size `c`** — read contiguous destination rows and transform them
+///    back into the local array, and a final parallel pass writes `X[k₂ + r·k₁]` into the
+///    destination in natural order.
 ///
-/// Every parallel branch borrows a disjoint `&mut` chunk of the scratch (via
-/// [`par_chunks_mut`]); the recursion bottoms out at `base` with an iterative radix-2 leaf,
-/// mirroring the dag's base case. All twiddle factors — the per-level scaling pass and the
-/// leaves' butterfly factors alike — come from one precomputed full-circle table
+/// The local arrays of the whole recursion are one workspace allocated per top-level call
+/// (`fft_workspace_len`). A level lays its share out as one chunk per sub-FFT — the
+/// sub-FFT's row of the local array followed by that sub-FFT's own workspace — so handing
+/// each parallel branch its chunk (via [`par_chunks_mut`]) gives it a disjoint `&mut`
+/// borrow of both; the column and the row collection are sequenced and reuse the same
+/// words. The recursion bottoms out at `base` with an iterative radix-2 leaf, mirroring
+/// the dag's base case. All twiddle factors — the per-level scaling pass and the leaves'
+/// butterfly factors alike — come from one precomputed full-circle table
 /// (`twiddle_table`) built once per top-level call, replacing per-element trig in the hot
 /// passes. Call from inside [`rws_runtime::ThreadPool::install`] for parallel execution;
 /// outside a pool worker the joins degrade to sequential calls.
 pub fn fft_native(input: &[Complex], base: usize) -> Vec<Complex> {
     assert!(input.len().is_power_of_two(), "fft length must be a power of two");
     assert!(base.is_power_of_two() && base >= 1, "fft base case must be a power of two");
-    let tw = twiddle_table(input.len());
-    let mut out = vec![(0.0, 0.0); input.len()];
-    fft_rec(Strided { data: input, offset: 0, stride: 1 }, input.len(), &mut out, base, &tw);
+    let n = input.len();
+    let tw = twiddle_table(n);
+    let mut out = vec![(0.0, 0.0); n];
+    let mut workspace = vec![(0.0, 0.0); fft_workspace_len(n, base)];
+    fft_rec(Strided { data: input, offset: 0, stride: 1 }, n, &mut out, &mut workspace, base, &tw);
     out
 }
 
-/// Transform the `m`-element sequence viewed by `src` into `dst` (natural DFT order). `tw`
-/// is the top-level call's full-circle twiddle table ([`twiddle_table`]); `m` always
-/// divides `tw.len()`.
-fn fft_rec(src: Strided<'_>, m: usize, dst: &mut [Complex], base: usize, tw: &[Complex]) {
+/// Whether a size-`m` transform is a leaf. `m = 2` must be one regardless of `base`: its
+/// split is `r = 2`, `c = 1`, whose "column FFT" would be this very problem again.
+fn fft_is_leaf(m: usize, base: usize) -> bool {
+    m <= base.max(2)
+}
+
+/// Split `m = r · c` with `r ≥ c`, both powers of two (the dag builder's split).
+fn fft_split(m: usize) -> (usize, usize) {
+    let r = 1usize << m.trailing_zeros().div_ceil(2);
+    (r, m / r)
+}
+
+/// Elements of workspace a size-`m` transform needs: its local array, one row per sub-FFT,
+/// each row followed by the workspace of the sub-FFT that fills it — sized for whichever
+/// of the two (sequenced) collections needs more.
+fn fft_workspace_len(m: usize, base: usize) -> usize {
+    if fft_is_leaf(m, base) {
+        return 0;
+    }
+    let (r, c) = fft_split(m);
+    (c * (r + fft_workspace_len(r, base))).max(r * (c + fft_workspace_len(c, base)))
+}
+
+/// Transform the `m`-element sequence viewed by `src` into `dst` (natural DFT order), with
+/// `ws` holding at least [`fft_workspace_len`]`(m, base)` elements (contents unspecified on
+/// entry and return). `tw` is the top-level call's full-circle twiddle table
+/// ([`twiddle_table`]); `m` always divides `tw.len()`.
+fn fft_rec(
+    src: Strided<'_>,
+    m: usize,
+    dst: &mut [Complex],
+    ws: &mut [Complex],
+    base: usize,
+    tw: &[Complex],
+) {
     debug_assert_eq!(dst.len(), m);
     debug_assert!(tw.len().is_multiple_of(m));
-    // m = 2 must be a leaf regardless of `base`: its split is r = 2, c = 1, whose "column
-    // FFT" would be this very problem again.
-    if m <= base.max(2) {
+    if fft_is_leaf(m, base) {
         for (t, d) in dst.iter_mut().enumerate() {
             *d = src.get(t);
         }
         fft_base_tw(dst, tw);
         return;
     }
-    // Split m = r * c with r >= c, both powers of two (the dag builder's split).
-    let log_m = m.trailing_zeros();
-    let r = 1usize << log_m.div_ceil(2);
-    let c = m / r;
+    let (r, c) = fft_split(m);
 
-    // Collection 1: c column FFTs of size r, one per residue class mod c, each writing a
-    // contiguous scratch row.
-    let mut scratch = vec![(0.0, 0.0); m];
-    par_chunks_mut(&mut scratch, r, &|j1, row: &mut [Complex]| {
-        fft_rec(src.class(j1, c), r, row, base, tw);
+    // Collection 1: c column FFTs of size r, one per residue class mod c, each writing
+    // the row at the head of its own chunk (the chunk's tail is its workspace).
+    let col_chunk = r + fft_workspace_len(r, base);
+    let cols = &mut ws[..c * col_chunk];
+    par_chunks_mut(cols, col_chunk, &|j1, chunk: &mut [Complex]| {
+        let (row, sub_ws) = chunk.split_at_mut(r);
+        fft_rec(src.class(j1, c), r, row, sub_ws, base, tw);
     });
 
-    // Twiddle pass: scratch[j1 * r + k2] *= ω_m^{j1·k2}, read from the table as
-    // tw[j1·k2 · tw.len()/m]. The index never wraps: j1 < c and k2 < r, so
-    // j1·k2 ≤ (c-1)(r-1) < m and the scaled index stays below tw.len().
+    // Twiddle pass: column-FFT output (j1, k2) times ω_m^{j1·k2}, read from the table as
+    // tw[j1·k2 · tw.len()/m], lands at dst[k2·c + j1] — the r × c transpose, so the row
+    // FFTs below read contiguous rows. The index never wraps: j1 < c and k2 < r, so
+    // j1·k2 ≤ (c-1)(r-1) < m and the scaled index stays below tw.len(). A destination
+    // chunk of r elements is r/c whole rows of that transpose.
+    let cols = &*cols;
     let step = tw.len() / m;
-    par_chunks_mut(&mut scratch, r, &|j1, row: &mut [Complex]| {
-        for (k2, v) in row.iter_mut().enumerate() {
-            *v = c_mul(*v, tw[j1 * k2 * step]);
+    par_chunks_mut(dst, r, &|chunk_idx, part: &mut [Complex]| {
+        for (row_off, row) in part.chunks_mut(c).enumerate() {
+            let k2 = chunk_idx * (r / c) + row_off;
+            for (j1, d) in row.iter_mut().enumerate() {
+                *d = c_mul(cols[j1 * col_chunk + k2], tw[j1 * k2 * step]);
+            }
         }
     });
 
-    // Collection 2: r row FFTs of size c reading strided scratch rows; row k2 produces
-    // X[k2 + r·k1] for k1 in 0..c, written contiguously into a second scratch.
-    let scratch = scratch; // froze: stage 3 only reads it
-    let mut rows = vec![(0.0, 0.0); m];
-    par_chunks_mut(&mut rows, c, &|k2, row: &mut [Complex]| {
-        fft_rec(Strided { data: &scratch, offset: k2, stride: r }, c, row, base, tw);
+    // Collection 2: r row FFTs of size c; row k2 produces X[k2 + r·k1] for k1 in 0..c at
+    // the head of its chunk.
+    let twiddled = &*dst;
+    let row_chunk = c + fft_workspace_len(c, base);
+    let rows = &mut ws[..r * row_chunk];
+    par_chunks_mut(rows, row_chunk, &|k2, chunk: &mut [Complex]| {
+        let (row, sub_ws) = chunk.split_at_mut(c);
+        fft_rec(Strided { data: twiddled, offset: k2 * c, stride: 1 }, c, row, sub_ws, base, tw);
     });
 
     // Final pass: transpose the (r × c) result back into natural order, parallel over
-    // disjoint destination chunks.
-    let rows = rows;
-    par_chunks_mut(dst, r, &|chunk_idx, part: &mut [Complex]| {
-        for (off, d) in part.iter_mut().enumerate() {
-            let k = chunk_idx * r + off;
-            *d = rows[(k % r) * c + k / r];
+    // disjoint destination chunks. Chunk k1 is exactly X[k2 + r·k1] for k2 in 0..r.
+    let rows = &*rows;
+    par_chunks_mut(dst, r, &|k1, part: &mut [Complex]| {
+        for (k2, d) in part.iter_mut().enumerate() {
+            *d = rows[k2 * row_chunk + k1];
         }
     });
 }
@@ -461,6 +523,21 @@ mod tests {
                         "n = {n}, table {table_n}: {x:?} != {y:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn twiddle_table_matches_direct_evaluation_all_round_the_circle() {
+        // Every entry, including the seven octants filled by symmetry, is ω_n^x to within
+        // an ulp or two of a direct evaluation.
+        for n in [1usize, 2, 4, 8, 16, 64, 4096] {
+            for (x, w) in twiddle_table(n).into_iter().enumerate() {
+                let angle = -2.0 * std::f64::consts::PI * x as f64 / n as f64;
+                assert!(
+                    (w.0 - angle.cos()).abs() < 1e-15 && (w.1 - angle.sin()).abs() < 1e-15,
+                    "n = {n}, x = {x}: {w:?}"
+                );
             }
         }
     }

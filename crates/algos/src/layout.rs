@@ -8,27 +8,45 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Spread the low 32 bits of `x` over the even bit positions of the result (bit `b` moves
+/// to bit `2b`): the five-step mask-and-shift doubling, O(1) in the word size.
+#[inline]
+fn spread(x: u64) -> u64 {
+    let mut x = x & 0xFFFF_FFFF;
+    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
+    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
+    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+    x = (x | (x << 1)) & 0x5555_5555_5555_5555;
+    x
+}
+
+/// Inverse of [`spread`]: gather the even bit positions of `x` into the low 32 bits.
+#[inline]
+fn compact(x: u64) -> u64 {
+    let mut x = x & 0x5555_5555_5555_5555;
+    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
+    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
+    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
+    x = (x | (x >> 16)) & 0xFFFF_FFFF;
+    x
+}
+
 /// Interleave the bits of `i` (row) and `j` (column) to produce the BI index of element
 /// `(i, j)` of a matrix whose dimension is a power of two. Row bits become the odd (higher)
-/// bits so that quadrants are ordered TL, TR, BL, BR.
+/// bits so that quadrants are ordered TL, TR, BL, BR. Only the low 32 bits of each
+/// coordinate take part. The row term does not depend on `j`, so a tile loop over `j`
+/// pays for it once per row.
+#[inline]
 pub fn bit_interleave(i: u64, j: u64) -> u64 {
-    let mut result = 0u64;
-    for bit in 0..32 {
-        result |= ((j >> bit) & 1) << (2 * bit);
-        result |= ((i >> bit) & 1) << (2 * bit + 1);
-    }
-    result
+    spread(j) | (spread(i) << 1)
 }
 
 /// Inverse of [`bit_interleave`]: recover `(i, j)` from a BI index.
+#[inline]
 pub fn bit_deinterleave(idx: u64) -> (u64, u64) {
-    let mut i = 0u64;
-    let mut j = 0u64;
-    for bit in 0..32 {
-        j |= ((idx >> (2 * bit)) & 1) << bit;
-        i |= ((idx >> (2 * bit + 1)) & 1) << bit;
-    }
-    (i, j)
+    (compact(idx >> 1), compact(idx))
 }
 
 /// Supported matrix layouts.
@@ -57,9 +75,54 @@ pub fn bi_quadrant_offset(q: u64, m: u64) -> u64 {
     q * (m / 2) * (m / 2)
 }
 
+/// Split a BI-ordered `m × m` buffer into its four contiguous quadrant slices
+/// (TL, TR, BL, BR — each `(m/2)²` words). Any buffer laid out as four equal parts beside
+/// the quadrants (a workspace, say) splits the same way.
+pub(crate) fn quads_mut(s: &mut [f64]) -> [&mut [f64]; 4] {
+    let quarter = s.len() / 4;
+    let (a, rest) = s.split_at_mut(quarter);
+    let (b, rest) = rest.split_at_mut(quarter);
+    let (c, d) = rest.split_at_mut(quarter);
+    [a, b, c, d]
+}
+
+/// Quadrant `q` (0 = TL, 1 = TR, 2 = BL, 3 = BR) of a BI-ordered `m × m` buffer: the shared
+/// counterpart of [`quads_mut`].
+pub(crate) fn quad(s: &[f64], q: usize) -> &[f64] {
+    let quarter = s.len() / 4;
+    &s[q * quarter..(q + 1) * quarter]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition, one bit at a time: the oracle the O(1) version is checked against.
+    fn bit_interleave_by_bits(i: u64, j: u64) -> u64 {
+        let mut result = 0u64;
+        for bit in 0..32 {
+            result |= ((j >> bit) & 1) << (2 * bit);
+            result |= ((i >> bit) & 1) << (2 * bit + 1);
+        }
+        result
+    }
+
+    #[test]
+    fn interleave_agrees_with_the_bit_loop_and_round_trips() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let max = u64::from(u32::MAX);
+        let corners = [(0, 0), (0, max), (max, 0), (max, max)];
+        let mut rng = SmallRng::seed_from_u64(0xB17);
+        let random: Vec<(u64, u64)> =
+            (0..10_000).map(|_| (rng.next_u64() & max, rng.next_u64() & max)).collect();
+        for (i, j) in corners.into_iter().chain(random) {
+            let idx = bit_interleave(i, j);
+            assert_eq!(idx, bit_interleave_by_bits(i, j), "({i:#x}, {j:#x})");
+            assert_eq!(bit_deinterleave(idx), (i, j), "({i:#x}, {j:#x})");
+        }
+        // Bits above the low 32 of a coordinate never took part.
+        assert_eq!(bit_interleave(1 << 32 | 5, 1 << 63 | 9), bit_interleave_by_bits(5, 9));
+    }
 
     #[test]
     fn interleave_small_cases() {

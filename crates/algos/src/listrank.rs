@@ -9,8 +9,8 @@
 //!
 //! [`list_ranking_native`] runs the same round structure for real on the `rws-runtime`
 //! pool: each pointer-jumping round fork-joins over disjoint chunks of a double-buffered
-//! successor/rank state, so parallel branches only borrow (the fresh buffer mutably and
-//! disjointly, the previous round's buffer shared).
+//! successor/rank state, so parallel branches only borrow (the round's output buffer
+//! mutably and disjointly, the previous round's buffer shared).
 
 use crate::common::par_chunks_mut;
 use rws_dag::builders::BalancedTreeBuilder;
@@ -189,9 +189,11 @@ const NATIVE_CHUNK: usize = 256;
 /// real.
 ///
 /// Rounds are sequenced; within a round, [`par_chunks_mut`] fork-joins over disjoint
-/// chunks of the fresh `(successor, rank)` buffer while every branch reads the previous
-/// round's buffer through a shared borrow — double buffering, exactly like the dag's
-/// fresh per-round output arrays. The round count and update rule are identical to
+/// chunks of the round's `(successor, rank)` output buffer while every branch reads the
+/// previous round's buffer through a shared borrow — double buffering, like the dag's
+/// per-round output arrays, with two buffers allocated once per call that trade places
+/// after every round (a round writes every slot of its output, so nothing is cleared in
+/// between). The round count and update rule are identical to
 /// [`list_ranking_reference`], so the two agree element-for-element even on inputs with no
 /// fixed point (cycles), where the final ranks depend on the number of rounds performed.
 /// Outside a pool worker the joins run sequentially.
@@ -202,18 +204,17 @@ pub fn list_ranking_native(succ: &[usize]) -> Vec<u64> {
     }
     let mut cur: Vec<(usize, u64)> =
         succ.iter().enumerate().map(|(i, &s)| (s, u64::from(s != i))).collect();
+    let mut next = cur.clone();
     let rounds = (n as f64).log2().ceil() as usize + 1;
     for _ in 0..rounds {
-        let mut next = vec![(0usize, 0u64); n];
         par_chunks_mut(&mut next, NATIVE_CHUNK, &|chunk_idx, part: &mut [(usize, u64)]| {
-            let lo = chunk_idx * NATIVE_CHUNK;
-            for (off, out) in part.iter_mut().enumerate() {
-                let (s, r) = cur[lo + off];
+            let prev = &cur[chunk_idx * NATIVE_CHUNK..];
+            for (out, &(s, r)) in part.iter_mut().zip(prev) {
                 let (s2, r2) = cur[s];
                 *out = (s2, r + r2);
             }
         });
-        cur = next;
+        std::mem::swap(&mut cur, &mut next);
     }
     cur.into_iter().map(|(_, r)| r).collect()
 }

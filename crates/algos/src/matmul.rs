@@ -18,7 +18,7 @@
 //! real `f64` data and validate the decomposition.
 
 use crate::common::{balanced_levels, Dest};
-use crate::layout::{bi_quadrant_offset, bit_interleave};
+use crate::layout::{bi_quadrant_offset, bit_interleave, quad, quads_mut};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{AlgoMeta, Computation, NodeId, Shrink, SpDagBuilder, WorkUnit};
 use serde::{Deserialize, Serialize};
@@ -343,8 +343,7 @@ pub fn matmul_bi_reference(a_bi: &[f64], b_bi: &[f64], n: usize) -> Vec<f64> {
 }
 
 /// Largest block the gathered micro-kernel handles: an 8×8 block is three levels of the
-/// recursion, so stopping here removes the 8 quadrant `Vec` allocations per call over the
-/// three hottest (most numerous) levels, and its 64-word operands fit comfortably in L1.
+/// recursion, and its 64-word operands fit comfortably in L1.
 const MICRO: usize = 8;
 
 /// The base-case block multiply: gather the bit-interleaved `m × m` operands (`m <=
@@ -395,28 +394,18 @@ fn mm_bi_rec(c: &mut [f64], a: &[f64], b: &[f64], m: usize, accumulate: bool) {
     }
     let s = (m / 2) * (m / 2);
     // Quadrants are contiguous in BI order: [TL, TR, BL, BR].
-    let quads = |x: &[f64], q: usize| -> Vec<f64> { x[q * s..(q + 1) * s].to_vec() };
-    let a0 = quads(a, 0);
-    let a1 = quads(a, 1);
-    let a2 = quads(a, 2);
-    let a3 = quads(a, 3);
-    let b0 = quads(b, 0);
-    let b1 = quads(b, 1);
-    let b2 = quads(b, 2);
-    let b3 = quads(b, 3);
-    let pairs: [(usize, &[f64], &[f64], bool); 8] = [
-        (0, &a0, &b0, accumulate),
-        (1, &a0, &b1, accumulate),
-        (2, &a2, &b0, accumulate),
-        (3, &a2, &b1, accumulate),
-        (0, &a1, &b2, true),
-        (1, &a1, &b3, true),
-        (2, &a3, &b2, true),
-        (3, &a3, &b3, true),
+    let pairs: [(usize, usize, usize, bool); 8] = [
+        (0, 0, 0, accumulate),
+        (1, 0, 1, accumulate),
+        (2, 2, 0, accumulate),
+        (3, 2, 1, accumulate),
+        (0, 1, 2, true),
+        (1, 1, 3, true),
+        (2, 3, 2, true),
+        (3, 3, 3, true),
     ];
-    for (q, ax, bx, acc) in pairs {
-        let (lo, hi) = (q * s, (q + 1) * s);
-        mm_bi_rec(&mut c[lo..hi], ax, bx, m / 2, acc);
+    for (q, ai, bi, acc) in pairs {
+        mm_bi_rec(&mut c[q * s..(q + 1) * s], quad(a, ai), quad(b, bi), m / 2, acc);
     }
 }
 
@@ -424,56 +413,82 @@ fn mm_bi_rec(c: &mut [f64], a: &[f64], b: &[f64], m: usize, accumulate: bool) {
 ///
 /// The same eight-way limited-access decomposition as the simulated
 /// [`MmVariant::DepthLog2N`] variant: all eight half-size products are computed in one
-/// parallel collection (each into its own freshly allocated result — no two parallel tasks
-/// write the same destination), then paired sums produce the four output quadrants. Inputs
-/// and output are in the bit-interleaved layout, where quadrants are contiguous, so the
-/// recursion works on owned quadrant vectors. Call from inside
-/// [`rws_runtime::ThreadPool::install`] for parallel execution; outside a pool worker the
-/// `join`s degrade to sequential calls.
+/// parallel collection, each into its own local array (no two parallel tasks write the same
+/// destination), then paired sums produce the four output quadrants. Inputs and output are
+/// in the bit-interleaved layout, where quadrants are contiguous: the operand quadrants
+/// are borrowed sub-slices, and the local arrays of the whole recursion are one workspace
+/// allocated per call and split eight ways at every level beside the output's four
+/// quadrants, so every branch of a fork holds its own disjoint `&mut` range. Call from
+/// inside [`rws_runtime::ThreadPool::install`] for parallel execution; outside a pool
+/// worker the `join`s degrade to sequential calls.
 pub fn matmul_native_bi(a_bi: &[f64], b_bi: &[f64], n: usize, base: usize) -> Vec<f64> {
     assert!(n.is_power_of_two(), "matrix dimension must be a power of two");
     assert!(base.is_power_of_two() && base >= 1 && base <= n);
     assert_eq!(a_bi.len(), n * n);
     assert_eq!(b_bi.len(), n * n);
-    mm_native(a_bi.to_vec(), b_bi.to_vec(), n, base)
+    let mut c = vec![0.0; n * n];
+    let mut workspace = vec![0.0; mm_workspace_words(n, base)];
+    mm_native(&mut c, a_bi, b_bi, &mut workspace, n, base);
+    c
 }
 
-type QuadPair = ((Vec<f64>, Vec<f64>), (Vec<f64>, Vec<f64>));
+/// Words of local arrays below an `m × m` call: eight `(m/2)²`-word products, each with
+/// the workspace of the call that computes it.
+fn mm_workspace_words(m: usize, base: usize) -> usize {
+    if m <= base {
+        return 0;
+    }
+    let h = m / 2;
+    8 * (h * h + mm_workspace_words(h, base))
+}
 
-fn mm_native(a: Vec<f64>, b: Vec<f64>, m: usize, base: usize) -> Vec<f64> {
+/// `c ← a · b` for BI-ordered `m × m` operands, with `ws` holding
+/// [`mm_workspace_words`]`(m, base)` words.
+fn mm_native(c: &mut [f64], a: &[f64], b: &[f64], ws: &mut [f64], m: usize, base: usize) {
     use rws_runtime::join;
 
     if m <= base {
-        return matmul_bi_reference(&a, &b, m);
+        mm_bi_rec(c, a, b, m, false);
+        return;
     }
     let h = m / 2;
     let s = h * h;
-    let quad = |x: &[f64], q: usize| x[q * s..(q + 1) * s].to_vec();
-    // Output quadrant q needs two products: C_0 = A0·B0 + A1·B2, C_1 = A0·B1 + A1·B3,
-    // C_2 = A2·B0 + A3·B2, C_3 = A2·B1 + A3·B3. Each product writes its own fresh vector
-    // (limited access); the addition pass pairs them up afterwards.
-    let mk = |ai: usize, bi: usize| (quad(&a, ai), quad(&b, bi));
-    let [q0, q1, q2, q3]: [QuadPair; 4] =
-        [(mk(0, 0), mk(1, 2)), (mk(0, 1), mk(1, 3)), (mk(2, 0), mk(3, 2)), (mk(2, 1), mk(3, 3))];
+    let (qa, qb) = (|q| quad(a, q), |q| quad(b, q));
 
-    // One output quadrant: its two half-size products in parallel, then the element sum.
-    fn quadrant(pair: QuadPair, h: usize, base: usize) -> Vec<f64> {
-        let ((a1, b1), (a2, b2)) = pair;
-        let (x, y) = rws_runtime::join(
-            move || mm_native(a1, b1, h, base),
-            move || mm_native(a2, b2, h, base),
-        );
-        x.iter().zip(&y).map(|(u, v)| u + v).collect()
-    }
+    // One output quadrant `cq = a1·b1 + a2·b2`: its two half-size products in parallel,
+    // each into the first `s` words of its half of `ws` (the rest is that product's own
+    // workspace), then the element sum — always first product plus second.
+    let quadrant = |cq: &mut [f64], ws: &mut [f64], (a1, b1): Operands, (a2, b2): Operands| {
+        let (ws1, ws2) = ws.split_at_mut(ws.len() / 2);
+        let ((p1, ws1), (p2, ws2)) = (ws1.split_at_mut(s), ws2.split_at_mut(s));
+        join(|| mm_native(p1, a1, b1, ws1, h, base), || mm_native(p2, a2, b2, ws2, h, base));
+        for ((c, x), y) in cq.iter_mut().zip(&*p1).zip(&*p2) {
+            *c = x + y;
+        }
+    };
 
-    // All eight products run as one parallel collection via a three-level join tree.
-    let ((c0, c1), (c2, c3)) = join(
-        move || join(move || quadrant(q0, h, base), move || quadrant(q1, h, base)),
-        move || join(move || quadrant(q2, h, base), move || quadrant(q3, h, base)),
+    // C_0 = A0·B0 + A1·B2, C_1 = A0·B1 + A1·B3, C_2 = A2·B0 + A3·B2, C_3 = A2·B1 + A3·B3:
+    // all eight products run as one parallel collection via a three-level join tree.
+    let [c0, c1, c2, c3] = quads_mut(c);
+    let [w0, w1, w2, w3] = quads_mut(ws);
+    join(
+        || {
+            join(
+                || quadrant(c0, w0, (qa(0), qb(0)), (qa(1), qb(2))),
+                || quadrant(c1, w1, (qa(0), qb(1)), (qa(1), qb(3))),
+            )
+        },
+        || {
+            join(
+                || quadrant(c2, w2, (qa(2), qb(0)), (qa(3), qb(2))),
+                || quadrant(c3, w3, (qa(2), qb(1)), (qa(3), qb(3))),
+            )
+        },
     );
-    // Quadrants are contiguous in the bit-interleaved layout.
-    [c0, c1, c2, c3].concat()
 }
+
+/// The two operands of one half-size product.
+type Operands<'a> = (&'a [f64], &'a [f64]);
 
 /// Number of base-case leaves of the recursive decomposition: `(n / base)³`.
 pub fn expected_leaf_count(n: usize, base: usize) -> u64 {

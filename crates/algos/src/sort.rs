@@ -121,34 +121,70 @@ fn build_sort(
 /// Native fork-join merge sort on the `rws-runtime` work-stealing pool.
 ///
 /// The same HBP structure as [`sort_computation`]: the two half sorts are one parallel
-/// collection of recursive calls into fresh local arrays, followed by a merge writing each
-/// destination slot exactly once. Call from inside [`rws_runtime::ThreadPool::install`] for
-/// parallel execution; outside a pool worker the `join`s degrade to sequential calls.
+/// collection of recursive calls, followed by a merge writing each destination slot exactly
+/// once. The local arrays of the whole recursion are two `n`-word buffers allocated once per
+/// call — the result and one workspace — both split in half beside each other at every
+/// `join`, so the two branches of a fork hold disjoint `&mut` ranges of each. The buffers
+/// swap roles level by level: a call's halves are sorted *into* the workspace's halves and
+/// merged from there into its destination. Call from inside
+/// [`rws_runtime::ThreadPool::install`] for parallel execution; outside a pool worker the
+/// `join`s degrade to sequential calls.
 pub fn merge_sort_native(keys: &[u64], base: usize) -> Vec<u64> {
-    fn msort(mut keys: Vec<u64>, base: usize) -> Vec<u64> {
-        if keys.len() <= base {
-            keys.sort();
-            return keys;
+    /// Sort `dst`, given that `src` holds the same keys in the same order; `src` is left
+    /// holding the two sorted halves.
+    fn msort(src: &mut [u64], dst: &mut [u64], base: usize) {
+        if dst.len() <= base {
+            dst.sort_unstable();
+            return;
         }
-        let right = keys.split_off(keys.len() / 2);
-        let (left, right) =
-            rws_runtime::join(move || msort(keys, base), move || msort(right, base));
-        let mut out = Vec::with_capacity(left.len() + right.len());
+        let mid = dst.len() / 2;
+        let (src_lo, src_hi) = src.split_at_mut(mid);
+        let (dst_lo, dst_hi) = dst.split_at_mut(mid);
+        rws_runtime::join(|| msort(dst_lo, src_lo, base), || msort(dst_hi, src_hi, base));
+        merge(src_lo, src_hi, dst);
+    }
+
+    /// Merge two sorted runs into `out` (`out.len() == left.len() + right.len()`), equal
+    /// keys keeping `left` first. Two cursors work towards each other — the front one
+    /// emits the smallest keys upwards, the back one the largest downwards — so each step
+    /// carries two independent compare-select-advance chains instead of one, and neither
+    /// branches on a comparison (on random keys that branch is mispredicted every other
+    /// step). For `min(len)` steps no run can be exhausted from either side; what is left
+    /// in the middle afterwards is the difference of the two lengths (at most one key
+    /// here).
+    fn merge(left: &[u64], right: &[u64], out: &mut [u64]) {
+        let paired = left.len().min(right.len());
+        let n = out.len();
         let (mut i, mut j) = (0, 0);
-        while i < left.len() && j < right.len() {
-            if left[i] <= right[j] {
-                out.push(left[i]);
+        let (mut p, mut q) = (left.len(), right.len());
+        for k in 0..paired {
+            let (l, r) = (left[i], right[j]);
+            let take_left = l <= r;
+            out[k] = if take_left { l } else { r };
+            i += usize::from(take_left);
+            j += usize::from(!take_left);
+
+            let (l, r) = (left[p - 1], right[q - 1]);
+            let take_right = l <= r;
+            out[n - 1 - k] = if take_right { r } else { l };
+            q -= usize::from(take_right);
+            p -= usize::from(!take_right);
+        }
+        for slot in &mut out[paired..n - paired] {
+            if j == q || (i < p && left[i] <= right[j]) {
+                *slot = left[i];
                 i += 1;
             } else {
-                out.push(right[j]);
+                *slot = right[j];
                 j += 1;
             }
         }
-        out.extend_from_slice(&left[i..]);
-        out.extend_from_slice(&right[j..]);
-        out
     }
-    msort(keys.to_vec(), base.max(1))
+
+    let mut sorted = keys.to_vec();
+    let mut workspace = keys.to_vec();
+    msort(&mut workspace, &mut sorted, base.max(1));
+    sorted
 }
 
 /// Sequential reference sort (stable).

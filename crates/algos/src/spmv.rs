@@ -56,14 +56,17 @@ impl CsrMatrix {
         let mut cols = Vec::new();
         let mut vals = Vec::new();
         row_starts.push(0);
+        // One column buffer for every row: a row holds at most `extra_per_row + 1` entries.
+        let mut row_cols = Vec::with_capacity(extra_per_row + 1);
         for r in 0..n {
-            let mut row_cols = vec![r];
+            row_cols.clear();
+            row_cols.push(r);
             for _ in 0..(next() as usize) % (extra_per_row + 1) {
                 row_cols.push(next() as usize % n);
             }
             row_cols.sort_unstable();
             row_cols.dedup();
-            for c in row_cols {
+            for &c in &row_cols {
                 cols.push(c);
                 // Map a 53-bit draw into (-1, 1).
                 vals.push((next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0);

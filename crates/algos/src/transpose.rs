@@ -17,7 +17,7 @@
 //! decomposition the dag builders emit, executed for real.
 
 use crate::common::{balanced_levels, par_chunks_mut, Dest};
-use crate::layout::{bi_quadrant_offset, bit_interleave};
+use crate::layout::{bi_quadrant_offset, bit_interleave, quad, quads_mut};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, Shrink, SpDagBuilder, WorkUnit};
 
@@ -101,16 +101,6 @@ pub fn transpose_reference(a: &[f64], n: usize) -> Vec<f64> {
 // ------------------------------------------------------------------------------------------
 // Native fork-join kernels
 // ------------------------------------------------------------------------------------------
-
-/// Split a BI-ordered `m × m` buffer into its four contiguous quadrant slices
-/// (TL, TR, BL, BR — each `(m/2)²` words).
-fn quads_mut(s: &mut [f64]) -> [&mut [f64]; 4] {
-    let quarter = s.len() / 4;
-    let (a, rest) = s.split_at_mut(quarter);
-    let (b, rest) = rest.split_at_mut(quarter);
-    let (c, d) = rest.split_at_mut(quarter);
-    [a, b, c, d]
-}
 
 /// In-place native fork-join transpose of an `n × n` matrix in BI layout — the same
 /// decomposition as [`transpose_bi_computation`]'s dag: diagonal quadrants transpose
@@ -210,53 +200,54 @@ fn rm_to_bi_rec(
 /// Native fork-join conversion of a BI-ordered `n × n` matrix into a fresh row-major
 /// buffer — the paper's log²-depth algorithm of [`bi_to_rm_computation`] (Lemma 4.7): each
 /// quadrant converts into its own local array in one parallel collection, then a parallel
-/// row-merge pass interleaves quadrant rows into the destination.
+/// row-merge pass interleaves quadrant rows into the destination. The local arrays of the
+/// whole recursion are one `n²`-word workspace allocated per call: destination and
+/// workspace are both split into quarters beside the source's quadrants, and swap roles
+/// level by level — a quadrant's local array is the workspace quarter beside it, and the
+/// destination quarter (which nobody writes until this level's merge pass) is that
+/// quadrant's own workspace.
 pub fn bi_to_rm_native(bi: &[f64], n: usize, base: usize) -> Vec<f64> {
     assert!(n.is_power_of_two() && base.is_power_of_two() && base >= 1 && base <= n);
     assert_eq!(bi.len(), n * n);
-    bi_to_rm_rec(bi, n, base)
+    let mut out = vec![0.0; n * n];
+    let mut workspace = vec![0.0; n * n];
+    bi_to_rm_rec(bi, &mut out, &mut workspace, n, base);
+    out
 }
 
-/// Convert the contiguous BI `m × m` submatrix `bi` into an owned row-major array — the
-/// native analogue of the dag's per-call local result array.
-fn bi_to_rm_rec(bi: &[f64], m: usize, base: usize) -> Vec<f64> {
+/// Convert the contiguous BI `m × m` submatrix `bi` into the row-major array `out`, with
+/// `ws` (`m²` words, contents unspecified on return) for the local arrays below.
+fn bi_to_rm_rec(bi: &[f64], out: &mut [f64], ws: &mut [f64], m: usize, base: usize) {
     if m <= base {
-        let mut out = vec![0.0; m * m];
-        for di in 0..m {
-            for dj in 0..m {
-                out[di * m + dj] = bi[bit_interleave(di as u64, dj as u64) as usize];
+        for (di, row) in out.chunks_mut(m).enumerate() {
+            for (dj, v) in row.iter_mut().enumerate() {
+                *v = bi[bit_interleave(di as u64, dj as u64) as usize];
             }
         }
-        return out;
+        return;
     }
     let h = m / 2;
     let quarter = h * h;
-    let (q0, q1, q2, q3) = (
-        &bi[..quarter],
-        &bi[quarter..2 * quarter],
-        &bi[2 * quarter..3 * quarter],
-        &bi[3 * quarter..],
-    );
-    // 4-way scope with value-returning branches: three write their local result arrays
-    // into slots the scope body's frame owns, the fourth is the body itself.
-    let (mut t0, mut t1, mut t2) = (None, None, None);
-    let t3 = rws_runtime::scope(|s| {
-        s.spawn(|_| t0 = Some(bi_to_rm_rec(q0, h, base)));
-        s.spawn(|_| t1 = Some(bi_to_rm_rec(q1, h, base)));
-        s.spawn(|_| t2 = Some(bi_to_rm_rec(q2, h, base)));
-        bi_to_rm_rec(q3, h, base)
-    });
-    let (t0, t1, t2) =
-        (t0.expect("scope ran TL"), t1.expect("scope ran TR"), t2.expect("scope ran BL"));
+    {
+        let [t0, t1, t2, t3] = quads_mut(ws);
+        let [o0, o1, o2, o3] = quads_mut(out);
+        // 4-way scope over disjoint quarter borrows: three spawned branches fit the
+        // inline slots, the fourth is the scope body.
+        rws_runtime::scope(|s| {
+            s.spawn(|_| bi_to_rm_rec(quad(bi, 0), t0, o0, h, base));
+            s.spawn(|_| bi_to_rm_rec(quad(bi, 1), t1, o1, h, base));
+            s.spawn(|_| bi_to_rm_rec(quad(bi, 2), t2, o2, h, base));
+            bi_to_rm_rec(quad(bi, 3), t3, o3, h, base);
+        });
+    }
     // Merge pass: one branch per output row; row i (< h) interleaves TL row i and TR row
     // i, row i (>= h) interleaves BL and BR rows (the dag's row-merge tree).
-    let mut out = vec![0.0; m * m];
-    par_chunks_mut(&mut out, m, &|i, row: &mut [f64]| {
-        let (left, right, r) = if i < h { (&t0, &t1, i) } else { (&t2, &t3, i - h) };
-        row[..h].copy_from_slice(&left[r * h..(r + 1) * h]);
-        row[h..].copy_from_slice(&right[r * h..(r + 1) * h]);
+    let (top, bottom) = ws.split_at(2 * quarter);
+    par_chunks_mut(out, m, &|i, row: &mut [f64]| {
+        let (pair, r) = if i < h { (top, i) } else { (bottom, i - h) };
+        row[..h].copy_from_slice(&pair[r * h..(r + 1) * h]);
+        row[h..].copy_from_slice(&pair[quarter + r * h..quarter + (r + 1) * h]);
     });
-    out
 }
 
 // ------------------------------------------------------------------------------------------

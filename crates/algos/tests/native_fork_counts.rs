@@ -1,0 +1,79 @@
+//! The fork tree of every native HBP kernel, pinned: on a 1-thread pool the `jobs` counter
+//! (fork branches executed) of one call is a pure function of the kernel and its size, and
+//! each constant below was captured from the commit *before* the kernels were made
+//! allocation-lean. A kernel that got faster by forking less — a coarser leaf, a skipped
+//! level, a collection flattened into a loop — fails here; one that only changed how it
+//! obtains its local arrays does not.
+
+use rws_algos::fft::{fft_native, Complex};
+use rws_algos::listrank::list_ranking_native;
+use rws_algos::matmul::matmul_native_bi;
+use rws_algos::prefix::prefix_sums_native;
+use rws_algos::sort::merge_sort_native;
+use rws_algos::transpose::{bi_to_rm_native, rm_to_bi_native, transpose_native_bi};
+use rws_runtime::ThreadPool;
+
+/// `jobs` executed by one `install` of `kernel` on a fresh 1-thread pool.
+fn jobs_of<R: Send + 'static>(kernel: impl FnOnce() -> R + Send + 'static) -> u64 {
+    let pool = ThreadPool::new(1);
+    let before = pool.stats().snapshot();
+    pool.install(kernel);
+    pool.stats().snapshot_delta(&before).total_jobs()
+}
+
+fn floats(n: usize) -> Vec<f64> {
+    (0..n).map(|i| (i % 13) as f64 - 6.0).collect()
+}
+
+#[test]
+fn merge_sort_fork_count_is_pinned() {
+    for (n, base, expected) in [(1usize << 12, 16usize, 256u64), (1 << 14, 16, 1024)] {
+        let keys: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        assert_eq!(jobs_of(move || merge_sort_native(&keys, base)), expected, "n = {n}");
+    }
+}
+
+#[test]
+fn fft_fork_count_is_pinned() {
+    for (n, base, expected) in [(1usize << 10, 16usize, 781u64), (1 << 12, 16, 1549)] {
+        let input: Vec<Complex> = (0..n).map(|i| ((i % 17) as f64, (i % 5) as f64)).collect();
+        assert_eq!(jobs_of(move || fft_native(&input, base)), expected, "n = {n}");
+    }
+}
+
+#[test]
+fn transpose_pipeline_fork_count_is_pinned() {
+    for (n, base, expected) in [(64usize, 16usize, 55u64), (128, 16, 225)] {
+        let a = floats(n * n);
+        let pipeline = move || {
+            let mut bi = rm_to_bi_native(&a, n, base);
+            transpose_native_bi(&mut bi, n, base);
+            bi_to_rm_native(&bi, n, base)
+        };
+        assert_eq!(jobs_of(pipeline), expected, "n = {n}");
+    }
+}
+
+#[test]
+fn matmul_fork_count_is_pinned() {
+    for (n, base, expected) in [(32usize, 8usize, 64u64), (64, 8, 512)] {
+        let (a, b) = (floats(n * n), floats(n * n));
+        assert_eq!(jobs_of(move || matmul_native_bi(&a, &b, n, base)), expected, "n = {n}");
+    }
+}
+
+#[test]
+fn prefix_sums_fork_count_is_pinned() {
+    for (n, expected) in [(1usize << 14, 7u64), (1 << 16, 7)] {
+        let x: Vec<i64> = (0..n as i64).collect();
+        assert_eq!(jobs_of(move || prefix_sums_native(&x)), expected, "n = {n}");
+    }
+}
+
+#[test]
+fn list_ranking_fork_count_is_pinned() {
+    for (n, expected) in [(1usize << 12, 40u64), (1 << 14, 46)] {
+        let succ: Vec<usize> = (0..n).map(|i| (i + 1).min(n - 1)).collect();
+        assert_eq!(jobs_of(move || list_ranking_native(&succ)), expected, "n = {n}");
+    }
+}

@@ -159,11 +159,12 @@ fn recursive_sum(lo: u64, hi: u64) -> u64 {
 }
 
 /// In-place fork-join matmul: recurse over output row bands, then over column segments of a
-/// single row, down to `grain`-column leaves. Unlike `rws_algos::matmul_native_bi` (whose
-/// per-node temporaries make it allocator-bound — thousands of allocations per fork), this
-/// decomposition allocates nothing, so its wall time actually measures the fork/steal hot
-/// path this benchmark exists to track. The fine grain is deliberate: thousands of
-/// sub-microsecond tasks are exactly the regime where deque overhead shows.
+/// single row, down to `grain`-column leaves. Unlike `rws_algos::matmul_native_bi` (eight
+/// half-size products into local arrays and an addition pass at every node), this
+/// decomposition has no local arrays and one-cell leaves, so its wall time actually
+/// measures the fork/steal hot path this benchmark exists to track. The fine grain is
+/// deliberate: thousands of sub-microsecond tasks are exactly the regime where deque
+/// overhead shows.
 fn mm_rows(a: &[f64], bt: &[f64], c: &mut [f64], n: usize, row0: usize, grain: usize) {
     let rows = c.len() / n;
     if rows == 1 {
