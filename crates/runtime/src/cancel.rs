@@ -7,8 +7,10 @@
 //! panic plumbing (stack-job capture, scope aggregation, first-payload-wins) up to the
 //! job-server's root wrapper, which maps it to a terminal [`JobOutcome`] instead of a
 //! worker-visible panic. Code outside service mode never pays more than a thread-local
-//! read per fork: with no token installed the check is a TLS load and a `None` test, and
-//! installing a token is free of allocation (an `Arc` clone into a TLS slot).
+//! read per fork: with no token installed a fork is one load of the thread's token word
+//! and one null test, and under a token it still clones nothing — the forked branch
+//! borrows the word (`ForkToken`) and only a thief that runs it elsewhere takes a count.
+//! Installing a token is free of allocation (the `Arc`'s pointer moves into the slot).
 //!
 //! Cancellation is **cooperative**: a job that never forks after the flag flips runs to
 //! completion, and whichever terminal event lands first — the job's own return, a real
@@ -18,8 +20,13 @@
 //!
 //! [`JobOutcome`]: crate::service::JobOutcome
 
-use std::cell::RefCell;
+// The unsafe here is the thread's token word: a raw `Arc` pointer whose count `enter` /
+// `inherit` take and `TokenGuard` gives back (the invariant is stated on `CURRENT`).
+#![allow(unsafe_code)]
+
+use std::cell::Cell;
 use std::panic;
+use std::ptr;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -73,11 +80,16 @@ impl CancelToken {
 
     /// The winning cancellation reason, if any.
     pub fn reason(&self) -> Option<CancelReason> {
-        match self.inner.state.load(Ordering::Relaxed) {
-            LIVE => None,
-            BY_DEADLINE => Some(CancelReason::Deadline),
-            _ => Some(CancelReason::Explicit),
-        }
+        reason_of(self.inner.state.load(Ordering::Relaxed))
+    }
+}
+
+#[inline]
+fn reason_of(state: u8) -> Option<CancelReason> {
+    match state {
+        LIVE => None,
+        BY_DEADLINE => Some(CancelReason::Deadline),
+        _ => Some(CancelReason::Explicit),
     }
 }
 
@@ -88,40 +100,107 @@ impl CancelToken {
 pub(crate) struct CancelPayload(pub(crate) CancelReason);
 
 thread_local! {
-    static CURRENT: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
+    /// The calling thread's token: null when none is installed, otherwise a pointer that
+    /// **owns one strong count** of the token's `Arc` (taken by [`enter`] or [`inherit`],
+    /// given back by the [`TokenGuard`]). One word, `const`-initialised and without a
+    /// destructor, so a fork reads it with a plain thread-local load; no destructor is
+    /// needed because guards are stack-scoped — by thread exit every guard has dropped and
+    /// the slot is null again.
+    static CURRENT: Cell<*const CancelInner> = const { Cell::new(ptr::null()) };
 }
 
 /// The token installed on the calling thread, if any (i.e. the calling code is running
 /// under a service-mode job that can be cancelled).
+#[inline]
 pub fn current_token() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().clone())
+    let inner = CURRENT.get();
+    if inner.is_null() {
+        return None;
+    }
+    // SAFETY: a non-null slot owns a strong count of an `Arc<CancelInner>` (see `CURRENT`),
+    // so the allocation is live; the caller's clone takes a count of its own.
+    unsafe {
+        Arc::increment_strong_count(inner);
+        Some(CancelToken { inner: Arc::from_raw(inner) })
+    }
+}
+
+/// What a fork captures for the forked branch: the forking thread's token word as it
+/// stood at the fork, **borrowed** — no count taken, so an unstolen fork clones nothing and
+/// drops nothing. Whoever runs the branch on another thread turns it into an installed
+/// token with [`inherit`].
+///
+/// The borrow is good for as long as the guard that installed the token on the forking
+/// thread is alive. Guards are stack-scoped and crate-private, and both `join` and `scope`
+/// return only after every branch they forked has finished, so a branch never outlives
+/// the guard its fork ran under.
+#[derive(Clone, Copy)]
+pub(crate) struct ForkToken(*const CancelInner);
+
+impl ForkToken {
+    /// The calling thread's token word as it stands: one thread-local load, no check.
+    #[inline]
+    pub(crate) fn capture() -> ForkToken {
+        ForkToken(CURRENT.get())
+    }
+}
+
+/// The cancellation point every fork goes through: one load of the thread's token word and
+/// one test when no token is installed. Under a cancelled token it unwinds with the crate's
+/// `CancelPayload`; otherwise it returns the word for the forked branch to inherit.
+#[inline]
+pub(crate) fn fork_point() -> ForkToken {
+    let fork = ForkToken::capture();
+    if !fork.0.is_null() {
+        // SAFETY: a non-null slot owns a strong count (see `CURRENT`).
+        if let Some(reason) = reason_of(unsafe { (*fork.0).state.load(Ordering::Relaxed) }) {
+            throw_cancel(reason);
+        }
+    }
+    fork
 }
 
 /// RAII guard restoring the previously installed token. Restoration runs during unwinds
 /// too, so a cancellation unwind leaves the executing worker's TLS clean.
 pub(crate) struct TokenGuard {
-    prev: Option<CancelToken>,
-    installed: bool,
+    /// The word to put back, when this guard installed one (`None`: an inert guard).
+    restore: Option<*const CancelInner>,
 }
 
-/// Install `token` (if any) as the calling thread's current token for the guard's
-/// lifetime. `None` is a no-op guard — the non-service hot path constructs and drops it
-/// without touching TLS.
-pub(crate) fn enter(token: Option<CancelToken>) -> TokenGuard {
-    match token {
-        None => TokenGuard { prev: None, installed: false },
-        Some(t) => {
-            let prev = CURRENT.with(|c| c.borrow_mut().replace(t));
-            TokenGuard { prev, installed: true }
-        }
+/// Install `token` as the calling thread's current token for the guard's lifetime; the
+/// slot takes over the count `token` held.
+pub(crate) fn enter(token: CancelToken) -> TokenGuard {
+    TokenGuard { restore: Some(CURRENT.replace(Arc::into_raw(token.inner))) }
+}
+
+/// Install a fork-time token on the thread about to run the forked branch, for the guard's
+/// lifetime. With no token at the fork this is an inert guard — the non-service path
+/// constructs and drops it without touching TLS.
+///
+/// # Safety
+/// The fork must not have returned: the guard that installed the token on the forking
+/// thread is then still alive (see [`ForkToken`]) and holds the count that keeps the
+/// pointer valid while this thread takes its own.
+#[inline]
+pub(crate) unsafe fn inherit(fork: ForkToken) -> TokenGuard {
+    if fork.0.is_null() {
+        return TokenGuard { restore: None };
     }
+    // SAFETY: the caller's contract — the forking thread's guard holds a count, so the
+    // pointer is a live `Arc::into_raw` pointer.
+    Arc::increment_strong_count(fork.0);
+    TokenGuard { restore: Some(CURRENT.replace(fork.0)) }
 }
 
 impl Drop for TokenGuard {
+    #[inline]
     fn drop(&mut self) {
-        if self.installed {
-            let prev = self.prev.take();
-            CURRENT.with(|c| *c.borrow_mut() = prev);
+        if let Some(prev) = self.restore {
+            // Guards drop in reverse order of creation, so the slot holds what this guard
+            // installed.
+            let installed = CURRENT.replace(prev);
+            // SAFETY: `installed` is non-null and owns the count `enter`/`inherit` took.
+            unsafe { drop(Arc::from_raw(installed)) };
         }
     }
 }
@@ -132,10 +211,7 @@ impl Drop for TokenGuard {
 /// finer-grained responsiveness inside long leaf computations.
 #[inline]
 pub fn check_cancel() {
-    let cancelled = CURRENT.with(|c| c.borrow().as_ref().and_then(|t| t.reason()));
-    if let Some(reason) = cancelled {
-        throw_cancel(reason);
-    }
+    let _ = fork_point();
 }
 
 #[cold]
@@ -178,7 +254,7 @@ mod tests {
         let t = CancelToken::new();
         t.cancel(CancelReason::Deadline);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let _g = enter(Some(t.clone()));
+            let _g = enter(t.clone());
             check_cancel();
         }));
         let payload = result.expect_err("a cancelled token must unwind the check");
@@ -187,14 +263,61 @@ mod tests {
         assert!(current_token().is_none(), "the guard must restore TLS through the unwind");
     }
 
+    fn holders(t: &CancelToken) -> usize {
+        Arc::strong_count(&t.inner)
+    }
+
+    #[test]
+    fn each_guard_holds_one_count_and_a_fork_borrows_none() {
+        let t = CancelToken::new();
+        assert_eq!(holders(&t), 1);
+        {
+            let _owner = enter(t.clone());
+            assert_eq!(holders(&t), 2, "the slot took over the clone's count");
+            let fork = fork_point();
+            assert_eq!(holders(&t), 2, "a fork borrows the word");
+            {
+                // SAFETY: `_owner`, the guard the fork ran under, is alive.
+                let _thief = unsafe { inherit(fork) };
+                assert_eq!(holders(&t), 3, "whoever runs the branch takes its own count");
+                drop(current_token().expect("installed"));
+            }
+            assert_eq!(holders(&t), 2);
+        }
+        assert_eq!(holders(&t), 1, "back to the holder's own: no leak, no double drop");
+        assert!(current_token().is_none());
+    }
+
+    #[test]
+    fn a_cancellation_unwind_through_nested_guards_gives_every_count_back() {
+        let t = CancelToken::new();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let _owner = enter(t.clone());
+            // SAFETY: `_owner` is alive for the whole closure.
+            let _thief = unsafe { inherit(fork_point()) };
+            t.cancel(CancelReason::Explicit);
+            check_cancel();
+        }));
+        assert!(result.is_err(), "the cancelled check unwinds");
+        assert_eq!(holders(&t), 1);
+        assert!(current_token().is_none());
+    }
+
+    #[test]
+    fn inheriting_no_token_installs_nothing() {
+        // SAFETY: a null fork token borrows nothing.
+        let _inert = unsafe { inherit(fork_point()) };
+        assert!(current_token().is_none());
+    }
+
     #[test]
     fn guards_nest_and_restore() {
         let outer = CancelToken::new();
         let inner = CancelToken::new();
         {
-            let _a = enter(Some(outer.clone()));
+            let _a = enter(outer.clone());
             {
-                let _b = enter(Some(inner.clone()));
+                let _b = enter(inner.clone());
                 assert!(!current_token().unwrap().is_cancelled());
                 inner.cancel(CancelReason::Explicit);
                 assert!(current_token().unwrap().is_cancelled());

@@ -12,7 +12,7 @@
 
 #![allow(unsafe_code)]
 
-use crate::cancel::{self, CancelToken};
+use crate::cancel::{self, ForkToken};
 use crate::sleep::Sleep;
 use rws_trace::JobKind;
 use std::any::Any;
@@ -33,11 +33,13 @@ impl Job {
     /// here, because the executing worker may be *helping* from inside a blocked `join` —
     /// unwinding through that frame would destroy a `StackJob` a thief is still running
     /// (use-after-free) — and an unwind through `worker_loop` would silently kill the
-    /// worker thread. A panicking `install` closure still surfaces at the caller: its
-    /// channel sender is dropped without sending, so the caller's `recv` fails. A
-    /// panicking fire-and-forget `spawn` closure is dropped with the job, like a detached
-    /// thread's. (Stack jobs do their own capturing and re-throw the payload at the
-    /// owning `join`.)
+    /// worker thread. An `install` closure's panic never gets this far: `try_install`
+    /// wraps the closure in its own `catch_unwind` and *sends* the payload to the caller,
+    /// who sees `InstallError::Panicked` (`install` resumes it). A sender dropped without
+    /// sending means the worker itself died with the job in hand, and the caller sees
+    /// `InstallError::Lost`. A panicking fire-and-forget `spawn` closure is caught here
+    /// and dropped with the job, like a detached thread's. (Stack jobs do their own
+    /// capturing and re-throw the payload at the owning `join`.)
     ///
     /// Returns `true` when a heap job's panic was quarantined here, so the executing
     /// worker can health-track it (`PoolStats::record_panic_caught`). Stack jobs report
@@ -57,6 +59,7 @@ impl Job {
 
     /// Whether this job is the given stack job (pointer identity) — the `join` fast path's
     /// "did I just pop my own right branch?" test.
+    #[inline]
     pub(crate) fn is_ref(&self, r: &JobRef) -> bool {
         match self {
             Job::Heap(_) => false,
@@ -224,11 +227,10 @@ pub(crate) struct StackJob<F, R> {
     latch: Latch,
     func: UnsafeCell<Option<F>>,
     result: UnsafeCell<JoinResult<R>>,
-    /// The submitting thread's cancellation token, captured at fork so a *thief* executing
-    /// this branch observes the same deadline the owner does. `None` outside service mode
-    /// — capturing is one TLS read, carrying it two words, both off the unstolen fast path's
-    /// allocation count.
-    cancel: Option<CancelToken>,
+    /// The forking thread's cancellation token word, captured at fork so a *thief* executing
+    /// this branch observes the same deadline the owner does. One borrowed word (null
+    /// outside service mode): the unstolen path never touches the token's count.
+    cancel: ForkToken,
 }
 
 /// Outcome of the stolen branch, written by the executor before the latch is set.
@@ -250,12 +252,14 @@ where
     F: FnOnce() -> R + Send,
     R: Send,
 {
-    pub(crate) fn new(func: F, sleep: &Sleep) -> Self {
+    /// `cancel` is what the fork's cancellation point returned ([`cancel::fork_point`]).
+    #[inline]
+    pub(crate) fn new(func: F, sleep: &Sleep, cancel: ForkToken) -> Self {
         StackJob {
             latch: Latch::new(sleep),
             func: UnsafeCell::new(Some(func)),
             result: UnsafeCell::new(JoinResult::Pending),
-            cancel: cancel::current_token(),
+            cancel,
         }
     }
 
@@ -283,7 +287,8 @@ where
         // Install the fork-time token for the branch's run: a thief inherits the owner's
         // deadline, and a cancellation unwind from inside `func` is captured below like any
         // panic, travelling to the owning `join` as the branch's outcome.
-        let _token = cancel::enter(this.cancel.clone());
+        // Safety (`inherit`): the owning `join` does not return before the latch is set below.
+        let _token = cancel::inherit(this.cancel);
         let result = match panic::catch_unwind(AssertUnwindSafe(func)) {
             Ok(r) => JoinResult::Ok(r),
             Err(payload) => JoinResult::Panic(payload),
@@ -292,13 +297,15 @@ where
         this.latch.set();
     }
 
-    /// Fast path: the owner popped its own ref back — run the closure inline and return the
-    /// value directly (panics propagate normally; the job is exclusively ours again).
+    /// Fast path: the owner popped its own ref back — take the closure out of the job where
+    /// it stands (no move of the whole job) and run it inline, returning the value directly
+    /// (panics propagate normally; the job is exclusively ours again).
     ///
     /// # Safety
     /// Must only be called after reclaiming the job's ref from the deque.
-    pub(crate) unsafe fn run_inline(self) -> R {
-        let func = self.func.into_inner().expect("reclaimed stack job must hold its closure");
+    #[inline]
+    pub(crate) unsafe fn run_inline(&self) -> R {
+        let func = (*self.func.get()).take().expect("reclaimed stack job must hold its closure");
         func()
     }
 
@@ -307,8 +314,8 @@ where
     ///
     /// # Safety
     /// Must only be called after reclaiming the job's ref from the deque.
-    pub(crate) unsafe fn abandon(self) {
-        drop(self.func.into_inner());
+    pub(crate) unsafe fn abandon(&self) {
+        drop((*self.func.get()).take());
     }
 
     /// Take the stolen branch's outcome. Only valid once the latch has been probed `true`.

@@ -45,9 +45,10 @@
 //! experiments (E19): identical workloads run once with per-worker accumulators packed into a
 //! single cache line (false sharing) and once with each accumulator padded to its own line.
 
-// Unsafe is confined to the stack-job handoff in `job` (and its use in `pool`): the
-// invariants are documented at each site and covered by the stress, correctness, and
-// counting-allocator tests.
+// Unsafe is confined to the stack-job handoff in `job` (and its use in `pool` and `scope`)
+// and to the two one-word thread-locals the fork path reads — the worker word in `pool`, the
+// token word in `cancel`: the invariants are documented at each site and covered by the
+// stress, correctness, and counting-allocator tests.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -6,16 +6,21 @@
 //! on top of this with an **allocation-free fast path**: the right branch is a
 //! `StackJob` (see `job.rs`) in the caller's own stack frame, pushed into the deque as a
 //! two-word reference. When nobody steals it the owner pops it straight back and runs it
-//! inline — no `Box`, no `Arc`, no lock, no latch traffic. Only when a thief takes the
-//! branch does the owner wait on the job's atomic latch, helping execute other jobs in the
-//! meantime (a blocked join never idles a core) and parking via the pool's
-//! `Sleep` protocol (see `sleep.rs`) when there is nothing to help with.
+//! inline — no `Box`, no `Arc`, no lock and no locked read-modify-write: the
+//! fork reads the thread's worker word and its cancellation word, pushes, pops (whose
+//! `SeqCst` fence is the path's one serializing instruction), reads the job's latch once
+//! (one acquire load that finds it unset; nothing ever sets or waits on it) and bumps its
+//! own job counter with a plain store. `docs/ARCHITECTURE.md` ("What an unstolen fork
+//! costs") has the budget and the tests that pin it. Only when a thief takes the branch
+//! does the owner wait on the job's atomic latch, helping execute other jobs in the meantime
+//! (a blocked join never idles a core) and parking via the pool's `Sleep` protocol (see
+//! `sleep.rs`) when there is nothing to help with.
 
 // The unsafe here is confined to the stack-job handoff (see `job.rs` for the invariants);
 // everything else in the pool is safe code over the lock-free deques.
 #![allow(unsafe_code)]
 
-use crate::cancel;
+use crate::cancel::{self, ForkToken};
 use crate::deque::{DequeBackend, SimpleDeque};
 use crate::faults::{FaultPlan, WorkerFault};
 use crate::health::HealthMonitor;
@@ -28,10 +33,10 @@ use rws_trace::{
     EventKind, JobKind, TraceRecorder, TraceSnapshot, INJECTOR_ARG, LADDER_STAGE_PARK,
 };
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::rc::Rc;
+use std::ptr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
@@ -123,27 +128,42 @@ pub(crate) struct WorkerHandle {
 }
 
 thread_local! {
-    static CURRENT_WORKER: RefCell<Option<Rc<WorkerHandle>>> = const { RefCell::new(None) };
-}
-
-/// The calling thread's worker handle, when it is a pool worker.
-pub(crate) fn current_worker() -> Option<Rc<WorkerHandle>> {
-    CURRENT_WORKER.with(|w| w.borrow().clone())
+    /// The calling thread's worker: null on every thread that is not inside `worker_loop`.
+    /// One word, `const`-initialised and without a destructor, so reading it is a plain
+    /// thread-local load — no lazy-registration check, no borrow flag, no reference count.
+    /// Written only by [`AliveGuard`] (set on entry to `worker_loop`, cleared on every exit).
+    static CURRENT_WORKER: Cell<*const WorkerHandle> = const { Cell::new(ptr::null()) };
 }
 
 /// Number of workers in the pool the calling thread belongs to, or 1 when the caller is not
 /// a pool worker (where fork-join primitives degrade to sequential execution). This is what
 /// drives the parallel iterators' adaptive grain.
 pub fn current_num_threads() -> usize {
-    CURRENT_WORKER.with(|w| w.borrow().as_ref().map(|h| h.shared.workers)).unwrap_or(1)
+    WorkerHandle::with_current(|w| w.map_or(1, |h| h.shared.workers))
 }
 
 impl WorkerHandle {
+    /// Run `f` with the calling thread's worker handle, when it is a pool worker. This is
+    /// the one place the thread's worker word is read: `join`, `scope`, `Scope::spawn`,
+    /// `try_install`'s on-this-pool test and the service layer all come through here.
+    #[inline]
+    pub(crate) fn with_current<R>(f: impl FnOnce(Option<&WorkerHandle>) -> R) -> R {
+        let worker = CURRENT_WORKER.get();
+        // SAFETY: a non-null slot points at the `WorkerHandle` owned by this thread's
+        // `worker_loop` frame. The `AliveGuard` in that frame sets the slot after the handle
+        // exists and clears it before the handle is dropped, on every exit path (return,
+        // shutdown break, unwind), and nothing runs on a worker thread outside
+        // `worker_loop` — so whoever reads a non-null slot is running beneath that frame,
+        // and so is `f`, which cannot keep the reference past its own return.
+        f(unsafe { worker.as_ref() })
+    }
+
     /// This worker's index in the pool (service-layer access path for per-worker stats).
     pub(crate) fn index(&self) -> usize {
         self.index
     }
 
+    #[inline]
     pub(crate) fn push_local(&self, job: Job) {
         match self.shared.backend {
             DequeBackend::Crossbeam => self.cb_local.as_ref().expect("crossbeam worker").push(job),
@@ -155,6 +175,7 @@ impl WorkerHandle {
         self.shared.sleep.notify();
     }
 
+    #[inline]
     fn pop_local(&self) -> Option<Job> {
         match self.shared.backend {
             DequeBackend::Crossbeam => self.cb_local.as_ref().expect("crossbeam worker").pop(),
@@ -363,37 +384,50 @@ impl WorkerHandle {
         }
     }
 
-    /// [`WorkerHandle::wait_until`] specialized to a stolen `join` branch's latch.
+    /// [`WorkerHandle::wait_until`] specialized to a stolen `join` branch's latch. Out of
+    /// line: one fork in a thousand gets here, and the help loop is large.
+    #[cold]
+    #[inline(never)]
     fn wait_for_latch(&self, latch: &Latch) {
         self.wait_until(|| latch.probe());
     }
 }
 
-/// Lowers the worker's alive flag and clears its thread-local handle when the worker loop
-/// exits — by `return`, by shutdown `break`, or by an unwind escaping the loop. Running it
-/// on every exit path is what makes the flag a truthful liveness signal for the supervisor.
-struct AliveGuard {
-    shared: Arc<Shared>,
-    index: usize,
-}
+/// Publishes the worker in its thread's worker word for the life of `worker_loop`, and on
+/// the way out — by `return`, by shutdown `break`, or by an unwind escaping the loop —
+/// clears the word and lowers the worker's alive flag. Running it on every exit path is what
+/// makes the flag a truthful liveness signal for the supervisor, and what makes a non-null
+/// worker word a valid pointer (see [`WorkerHandle::with_current`]): the guard borrows the
+/// handle, so it cannot outlive it.
+struct AliveGuard<'a>(&'a WorkerHandle);
 
-impl Drop for AliveGuard {
-    fn drop(&mut self) {
-        self.shared.alive[self.index].store(false, Ordering::Release);
-        if let Some(t) = self.shared.trace() {
-            t.record(self.index, EventKind::WorkerDead, 0, 0);
-        }
-        CURRENT_WORKER.with(|w| *w.borrow_mut() = None);
-        // A dying worker may strand queued jobs in its deque; make sure somebody is awake
-        // to notice the work (the supervisor's respawn sweep drains the rest).
-        self.shared.sleep.notify();
-        self.shared.health.notify();
+impl<'a> AliveGuard<'a> {
+    fn enter(worker: &'a WorkerHandle) -> Self {
+        CURRENT_WORKER.set(worker);
+        AliveGuard(worker)
     }
 }
 
-fn worker_loop(handle: Rc<WorkerHandle>) {
-    let _alive = AliveGuard { shared: Arc::clone(&handle.shared), index: handle.index };
-    CURRENT_WORKER.with(|w| *w.borrow_mut() = Some(Rc::clone(&handle)));
+impl Drop for AliveGuard<'_> {
+    fn drop(&mut self) {
+        let AliveGuard(worker) = self;
+        worker.shared.alive[worker.index].store(false, Ordering::Release);
+        if let Some(t) = worker.shared.trace() {
+            t.record(worker.index, EventKind::WorkerDead, 0, 0);
+        }
+        CURRENT_WORKER.set(ptr::null());
+        // A dying worker may strand queued jobs in its deque; make sure somebody is awake
+        // to notice the work (the supervisor's respawn sweep drains the rest).
+        worker.shared.sleep.notify();
+        worker.shared.health.notify();
+    }
+}
+
+/// The worker's scheduling loop. Owns the handle: the thread's worker word points into this
+/// frame for exactly as long as the frame lives.
+fn worker_loop(handle: WorkerHandle) {
+    let handle = &handle;
+    let _alive = AliveGuard::enter(handle);
     let mut idle = 0u32;
     loop {
         // One heartbeat per scheduling sweep: a supervisor that sees the epoch frozen
@@ -530,14 +564,13 @@ fn spawn_worker(
         .spawn(move || {
             // The worker handle is built on its own thread: the crossbeam worker
             // end of the deque and the RNG are thread-local by design.
-            let handle = Rc::new(WorkerHandle {
+            worker_loop(WorkerHandle {
                 index,
                 shared: shared_for_worker,
                 cb_local: Some(cb_local),
                 simple_local: Some(simple_local),
                 rng: RefCell::new(SmallRng::seed_from_u64(0x9E3779B9 + index as u64)),
             });
-            worker_loop(handle);
         })
         .expect("failed to spawn worker thread")
 }
@@ -752,8 +785,8 @@ impl ThreadPool {
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
     {
-        let on_this_pool = CURRENT_WORKER
-            .with(|w| w.borrow().as_ref().is_some_and(|h| Arc::ptr_eq(&h.shared, &self.shared)));
+        let on_this_pool =
+            WorkerHandle::with_current(|w| w.is_some_and(|h| Arc::ptr_eq(&h.shared, &self.shared)));
         if on_this_pool {
             return panic::catch_unwind(AssertUnwindSafe(f)).map_err(InstallError::Panicked);
         }
@@ -832,24 +865,19 @@ where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
 {
-    // Cooperative cancellation point: every fork observes the current job's token (a TLS
-    // read and a `None` test when no service-mode token is installed), which is what makes
-    // deadlines bite at `join`/`scope`/`par_iter` grain boundaries.
-    cancel::check_cancel();
-    let worker = CURRENT_WORKER.with(|w| w.borrow().clone());
-    let worker = match worker {
-        Some(w) => w,
-        None => {
-            // Not on a pool thread: degrade gracefully to sequential execution.
-            let ra = a();
-            let rb = b();
-            return (ra, rb);
-        }
-    };
-    join_on_worker(&worker, a, b)
+    // Cooperative cancellation point: every fork observes the current job's token (one
+    // load and a null test when no service-mode token is installed), which is what makes
+    // deadlines bite at `join`/`scope`/`par_iter` grain boundaries. The same word is what
+    // the right branch inherits if a thief runs it.
+    let token = cancel::fork_point();
+    WorkerHandle::with_current(|worker| match worker {
+        Some(worker) => join_on_worker(worker, token, a, b),
+        // Not on a pool thread: degrade gracefully to sequential execution.
+        None => (a(), b()),
+    })
 }
 
-fn join_on_worker<RA, RB, A, B>(worker: &WorkerHandle, a: A, b: B) -> (RA, RB)
+fn join_on_worker<RA, RB, A, B>(worker: &WorkerHandle, token: ForkToken, a: A, b: B) -> (RA, RB)
 where
     RA: Send,
     RB: Send,
@@ -864,7 +892,7 @@ where
     // The right branch lives in this frame; the queue holds only a reference to it. We must
     // not leave this function until the reference is out of the queue (reclaimed below) or
     // executed (latch set) — both paths below guarantee that before returning or unwinding.
-    let job_b = StackJob::new(b, &worker.shared.sleep);
+    let job_b = StackJob::new(b, &worker.shared.sleep, token);
     let job_ref = unsafe { job_b.as_job_ref() };
     worker.push_local(Job::Stack(job_ref));
 
@@ -884,9 +912,10 @@ where
                 // just the two-word reference; dropping it here is inert.
                 match result_a {
                     Ok(ra) => {
-                        // Still a unit of fork-join work: count it (one relaxed add on this
-                        // worker's own padded line) so job counts mean "branches executed"
-                        // regardless of whether the branch was stolen.
+                        // Still a unit of fork-join work: count it (a plain load and store
+                        // on this worker's own padded line — it is the counter's only
+                        // writer) so job counts mean "branches executed" regardless of
+                        // whether the branch was stolen.
                         worker.shared.stats.record_job(worker.index);
                         if let Some(t) = worker.shared.trace() {
                             t.record(

@@ -48,16 +48,15 @@
 // for the completion latch before returning — even when its body unwinds.
 #![allow(unsafe_code)]
 
-use crate::cancel::{self, CancelToken};
+use crate::cancel::{self, ForkToken};
 use crate::job::{CountLatch, Job, JobRef};
-use crate::pool::{current_worker, Shared, WorkerHandle};
+use crate::pool::{Shared, WorkerHandle};
 use rws_trace::JobKind;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, MaybeUninit};
 use std::panic::{self, AssertUnwindSafe};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -107,10 +106,10 @@ pub struct Scope<'scope> {
     latch: CountLatch,
     /// First panic from a spawned task, rethrown when the scope closes.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// The opening thread's cancellation token, re-installed around every spawned task so
-    /// deadlines follow the work onto whichever worker runs it (`None` outside service
-    /// mode).
-    cancel: Option<CancelToken>,
+    /// The opening thread's cancellation token word, re-installed around every spawned task
+    /// so deadlines follow the work onto whichever worker runs it (null outside service
+    /// mode). Borrowed: `scope` returns only after every task has finished.
+    cancel: ForkToken,
     slots: [InlineSlot; INLINE_SLOTS],
     /// `'scope` is invariant: it must be exactly the lifetime the closures were checked
     /// against, never shortened or lengthened by variance.
@@ -140,7 +139,7 @@ impl<'scope> Scope<'scope> {
             pool,
             latch,
             panic: Mutex::new(None),
-            cancel: cancel::current_token(),
+            cancel: ForkToken::capture(),
             slots: [InlineSlot::new(), InlineSlot::new(), InlineSlot::new(), InlineSlot::new()],
             marker: PhantomData,
         }
@@ -181,43 +180,46 @@ impl<'scope> Scope<'scope> {
             return;
         };
         self.latch.increment();
-        let worker = current_worker().filter(|w| Arc::ptr_eq(&w.shared, pool));
-        if let Some(w) = &worker {
-            if size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= 64 {
-                for slot in &self.slots {
-                    if !slot.claimed.swap(true, Ordering::Acquire) {
-                        // Safety: the claim gives us exclusive use of the storage; the
-                        // scope (and thus the slot) outlives execution because the latch
-                        // was incremented above and `scope` waits for it.
-                        let job_ref = unsafe {
-                            (slot.storage.get() as *mut F).write(f);
-                            JobRef::from_raw(
-                                slot as *const InlineSlot as *const (),
-                                execute_inline::<F>,
-                                JobKind::ScopedSpawn,
-                            )
-                        };
-                        w.push_local(Job::Stack(job_ref));
-                        return;
+        WorkerHandle::with_current(|worker| {
+            let worker = worker.filter(|w| Arc::ptr_eq(&w.shared, pool));
+            if let Some(w) = worker {
+                if size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= 64 {
+                    for slot in &self.slots {
+                        if !slot.claimed.swap(true, Ordering::Acquire) {
+                            // Safety: the claim gives us exclusive use of the storage; the
+                            // scope (and thus the slot) outlives execution because the latch
+                            // was incremented above and `scope` waits for it.
+                            let job_ref = unsafe {
+                                (slot.storage.get() as *mut F).write(f);
+                                JobRef::from_raw(
+                                    slot as *const InlineSlot as *const (),
+                                    execute_inline::<F>,
+                                    JobKind::ScopedSpawn,
+                                )
+                            };
+                            w.push_local(Job::Stack(job_ref));
+                            return;
+                        }
                     }
                 }
             }
-        }
-        // Heap path: every slot busy, oversized closure, or a spawn arriving from a thread
-        // that is not a worker of this pool (which cannot push to a local deque anyway).
-        let boxed = Box::new(HeapSpawn { scope: self as *const Self as *const (), func: f });
-        // Safety: the box's ownership transfers into the ref; execute_heap reclaims it.
-        let job_ref = unsafe {
-            JobRef::from_raw(
-                Box::into_raw(boxed) as *const (),
-                execute_heap::<F>,
-                JobKind::ScopedSpawn,
-            )
-        };
-        match worker {
-            Some(w) => w.push_local(Job::Stack(job_ref)),
-            None => pool.inject(Job::Stack(job_ref)),
-        }
+            // Heap path: every slot busy, oversized closure, or a spawn arriving from a
+            // thread that is not a worker of this pool (which cannot push to a local deque
+            // anyway).
+            let boxed = Box::new(HeapSpawn { scope: self as *const Self as *const (), func: f });
+            // Safety: the box's ownership transfers into the ref; execute_heap reclaims it.
+            let job_ref = unsafe {
+                JobRef::from_raw(
+                    Box::into_raw(boxed) as *const (),
+                    execute_heap::<F>,
+                    JobKind::ScopedSpawn,
+                )
+            };
+            match worker {
+                Some(w) => w.push_local(Job::Stack(job_ref)),
+                None => pool.inject(Job::Stack(job_ref)),
+            }
+        })
     }
 
     /// Record a spawned task's panic; the first one wins and is rethrown at scope exit.
@@ -246,7 +248,8 @@ where
     let scope = &*(scope as *const Scope<'scope>);
     // The scope's fork-time token rides along to whichever worker runs the task, so a
     // deadline set on the submitting job cancels its scoped fan-out too.
-    let _token = cancel::enter(scope.cancel.clone());
+    // Safety (`inherit`): `scope` waits for the latch this task decrements last.
+    let _token = cancel::inherit(scope.cancel);
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(scope)));
     if let Err(payload) = result {
         scope.record_panic(payload);
@@ -300,23 +303,24 @@ pub fn scope<'scope, OP, R>(op: OP) -> R
 where
     OP: FnOnce(&Scope<'scope>) -> R,
 {
-    let worker: Option<Rc<WorkerHandle>> = current_worker();
-    let s = Scope::new(worker.as_ref().map(|w| Arc::clone(&w.shared)));
-    s.bind_slots();
-    let result = panic::catch_unwind(AssertUnwindSafe(|| op(&s)));
-    if let Some(w) = &worker {
-        // Help until every spawn has resolved. Mandatory even when `op` panicked: in-queue
-        // or in-flight spawns still reference this frame (and `'scope` borrows).
-        w.wait_until(|| s.latch.done());
-    }
-    // Outside a pool, spawns ran inline — the latch never went above zero.
-    match result {
-        Err(payload) => panic::resume_unwind(payload),
-        Ok(value) => match s.take_panic() {
-            Some(payload) => panic::resume_unwind(payload),
-            None => value,
-        },
-    }
+    WorkerHandle::with_current(|worker| {
+        let s = Scope::new(worker.map(|w| Arc::clone(&w.shared)));
+        s.bind_slots();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| op(&s)));
+        if let Some(w) = worker {
+            // Help until every spawn has resolved. Mandatory even when `op` panicked:
+            // in-queue or in-flight spawns still reference this frame (and `'scope` borrows).
+            w.wait_until(|| s.latch.done());
+        }
+        // Outside a pool, spawns ran inline — the latch never went above zero.
+        match result {
+            Err(payload) => panic::resume_unwind(payload),
+            Ok(value) => match s.take_panic() {
+                Some(payload) => panic::resume_unwind(payload),
+                None => value,
+            },
+        }
+    })
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use crate::cancel::{self, CancelPayload, CancelReason, CancelToken};
 use crate::deque::DequeBackend;
 use crate::faults::FaultPlan;
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
-use crate::pool::{current_worker, ThreadPool, ThreadPoolBuilder};
+use crate::pool::{ThreadPool, ThreadPoolBuilder, WorkerHandle};
 use rws_trace::{EventKind, TraceRecorder};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -379,10 +379,10 @@ impl ServerState {
     /// the supervisor, evictors).
     fn trace_event(&self, kind: EventKind, aux: u8, seq: u64) {
         if let Some(t) = &self.trace {
-            match current_worker() {
+            WorkerHandle::with_current(|w| match w {
                 Some(w) => t.record(w.index(), kind, aux, seq),
                 None => t.record_external(kind, aux, seq),
-            }
+            })
         }
     }
 
@@ -787,7 +787,7 @@ fn run_root_job(
         }
     }
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        let _token = cancel::enter(Some(job.token.clone()));
+        let _token = cancel::enter(job.token.clone());
         cancel::check_cancel();
         if inject_panic {
             // `resume_unwind`, not `panic!`: the unwind takes the same quarantine path a
@@ -811,9 +811,11 @@ fn run_root_job(
                 if outcome == JobOutcome::Deadline {
                     // Pool-stats view of expirations (the server's own counter is bumped
                     // by settle's outcome partition).
-                    if let Some(w) = current_worker() {
-                        w.shared.stats().record_deadline_expired();
-                    }
+                    WorkerHandle::with_current(|w| {
+                        if let Some(w) = w {
+                            w.shared.stats().record_deadline_expired();
+                        }
+                    });
                 }
                 server.settle(job, outcome);
             }
@@ -821,10 +823,12 @@ fn run_root_job(
                 // A genuine panic: quarantined here (this catch is inside Job::execute's,
                 // so the pool-level catch never sees it) — health-track it like the pool
                 // would.
-                if let Some(w) = current_worker() {
-                    w.shared.stats().record_panic_caught(w.index());
-                    w.shared.health().notify();
-                }
+                WorkerHandle::with_current(|w| {
+                    if let Some(w) = w {
+                        w.shared.stats().record_panic_caught(w.index());
+                        w.shared.health().notify();
+                    }
+                });
                 server.settle(job, JobOutcome::Panicked);
                 drop(payload);
             }

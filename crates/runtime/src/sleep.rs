@@ -111,11 +111,19 @@ impl Sleep {
     #[inline]
     pub(crate) fn notify(&self) {
         if self.sleepers.load(Ordering::Relaxed) > 0 {
-            let mut event = self.event.lock().unwrap_or_else(|e| e.into_inner());
-            *event = event.wrapping_add(1);
-            drop(event);
-            self.condvar.notify_one();
+            self.wake_one();
         }
+    }
+
+    /// The lock-and-signal half of [`Sleep::notify`], out of line so the inlined half is
+    /// one load and one untaken branch per fork.
+    #[cold]
+    #[inline(never)]
+    fn wake_one(&self) {
+        let mut event = self.event.lock().unwrap_or_else(|e| e.into_inner());
+        *event = event.wrapping_add(1);
+        drop(event);
+        self.condvar.notify_one();
     }
 
     /// Unconditional broadcast wakeup (shutdown, and latch completions — where the one

@@ -4,11 +4,27 @@
 //! recording from different workers never false-shares — the very effect the paper analyzes
 //! would otherwise be injected by the measurement itself — and (b) one worker's related
 //! counters share a line, so recording a steal and a job costs one line, not two.
+//!
+//! Every per-worker counter has **one writer**: the worker's own thread. The recorders are
+//! `pub(crate)` and every call site passes the calling worker's own index (a `WorkerHandle`
+//! never leaves its thread); a respawned worker takes the slot over only after the dead
+//! thread was joined, so ownership hands over with a happens-before. That is why they are
+//! bumped with a plain load and store (`bump`) rather than a locked read-modify-write — the
+//! unstolen `join` path counts a job per fork. Readers on any thread keep their relaxed
+//! loads and see each counter monotone. The service-wide counters have many writers
+//! (submitters, the supervisor, workers) and keep `fetch_add`.
 
 use crate::padding::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One worker's counters, padded to a cache line.
+/// Add `k` to a counter that only the calling thread ever writes (see the module docs):
+/// no `lock` prefix, and wrapping like the `fetch_add` it replaces.
+#[inline]
+fn bump(counter: &AtomicU64, k: u64) {
+    counter.store(counter.load(Ordering::Relaxed).wrapping_add(k), Ordering::Relaxed);
+}
+
+/// One worker's counters, padded to a cache line. Written only by that worker's thread.
 #[derive(Debug, Default)]
 struct WorkerCounters {
     steals: AtomicU64,
@@ -41,7 +57,7 @@ struct WorkerCounters {
 
 /// Pool-level service counters (one padded line, not per-worker: these are recorded on the
 /// cold submission/supervision paths — sheds, expired deadlines, worker respawns — never
-/// on the fork hot path).
+/// on the fork hot path). Written from any thread, hence `fetch_add`.
 #[derive(Debug, Default)]
 struct ServiceCounters {
     shed: AtomicU64,
@@ -167,57 +183,53 @@ impl PoolStats {
         }
     }
 
-    /// Record a successful steal by worker `w` (a batch of one).
-    pub fn record_steal(&self, w: usize) {
-        self.record_steal_batch(w, 1);
-    }
-
     /// Record one successful steal operation by worker `w` that moved `k >= 1` jobs: `k`
     /// steal events for the paper-facing `steals` (a batch of `k` migrates `k` tasks), one
     /// `batch_steals` operation for the CAS-traffic view.
-    pub fn record_steal_batch(&self, w: usize, k: u64) {
+    pub(crate) fn record_steal_batch(&self, w: usize, k: u64) {
         debug_assert!(k >= 1, "a successful steal moves at least one job");
         let c = &self.workers[w].0;
-        c.steals.fetch_add(k, Ordering::Relaxed);
-        c.batch_steals.fetch_add(1, Ordering::Relaxed);
-        c.jobs_stolen.fetch_add(k, Ordering::Relaxed);
+        bump(&c.steals, k);
+        bump(&c.batch_steals, 1);
+        bump(&c.jobs_stolen, k);
     }
 
     /// Record a job executed by worker `w`.
-    pub fn record_job(&self, w: usize) {
-        self.workers[w].0.jobs.fetch_add(1, Ordering::Relaxed);
+    #[inline]
+    pub(crate) fn record_job(&self, w: usize) {
+        bump(&self.workers[w].0.jobs, 1);
     }
 
     /// Record a steal attempt by worker `w` that found the victim's deque empty.
-    pub fn record_failed_steal(&self, w: usize) {
-        self.workers[w].0.failed_steals.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_failed_steal(&self, w: usize) {
+        bump(&self.workers[w].0.failed_steals, 1);
     }
 
     /// Record a steal attempt by worker `w` that lost a CAS race (`Steal::Retry`).
-    pub fn record_retry(&self, w: usize) {
-        self.workers[w].0.steal_retries.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_retry(&self, w: usize) {
+        bump(&self.workers[w].0.steal_retries, 1);
     }
 
     /// Record worker `w` parking after finding no work.
-    pub fn record_park(&self, w: usize) {
-        self.workers[w].0.parks.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_park(&self, w: usize) {
+        bump(&self.workers[w].0.parks, 1);
     }
 
     /// Record worker `w` waking from a park because the backstop timer fired, not because
     /// anybody notified it.
-    pub fn record_backstop_wake(&self, w: usize) {
-        self.workers[w].0.backstop_wakes.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_backstop_wake(&self, w: usize) {
+        bump(&self.workers[w].0.backstop_wakes, 1);
     }
 
-    /// Bump worker `w`'s scheduling-sweep heartbeat epoch (one relaxed add on the worker's
-    /// own padded line per `worker_loop` iteration).
-    pub fn record_heartbeat(&self, w: usize) {
-        self.workers[w].0.heartbeats.fetch_add(1, Ordering::Relaxed);
+    /// Bump worker `w`'s scheduling-sweep heartbeat epoch (once per `worker_loop`
+    /// iteration, on the worker's own padded line).
+    pub(crate) fn record_heartbeat(&self, w: usize) {
+        bump(&self.workers[w].0.heartbeats, 1);
     }
 
     /// Record a panic caught (quarantined) while worker `w` executed a job.
-    pub fn record_panic_caught(&self, w: usize) {
-        self.workers[w].0.panics_caught.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_panic_caught(&self, w: usize) {
+        bump(&self.workers[w].0.panics_caught, 1);
     }
 
     /// Record a submission shed at admission (queue full, `Shed` policy).
@@ -387,9 +399,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = PoolStats::new(2);
-        s.record_steal(0);
-        s.record_steal(1);
-        s.record_steal(1);
+        s.record_steal_batch(0, 1);
+        s.record_steal_batch(1, 1);
+        s.record_steal_batch(1, 1);
         s.record_job(0);
         s.record_retry(1);
         s.record_failed_steal(0);
@@ -449,7 +461,7 @@ mod tests {
     #[test]
     fn snapshot_delta_isolates_the_bracketed_region() {
         let s = PoolStats::new(2);
-        s.record_steal(0);
+        s.record_steal_batch(0, 1);
         s.record_job(1);
         let before = s.snapshot();
         s.record_steal_batch(0, 4);

@@ -6,7 +6,7 @@
 
 use rws_runtime::cancel::{self, CancelReason};
 use rws_runtime::{AdmissionPolicy, JobOutcome, JobServer, ParSliceExt, ServiceConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -141,6 +141,57 @@ fn deadline_token_follows_stolen_join_branches() {
     );
     assert_eq!(handle.wait_timeout(Duration::from_secs(60)), Some(JobOutcome::Deadline));
     srv.shutdown();
+}
+
+#[test]
+fn a_deadline_cancels_the_branch_a_thief_is_running() {
+    // The owner sits in its left branch until the right branch has started somewhere else,
+    // so the right branch is stolen by construction — and it is the only code in the job
+    // that ever looks at the token. The supervisor flips the *job's* token when the
+    // deadline passes; the job ends in `Deadline` only if the word the thief installed
+    // from the fork is that same token.
+    let srv = server(2);
+    let stolen = Arc::new(AtomicBool::new(false));
+    let saw_token = Arc::new(AtomicBool::new(false));
+    let (stolen_w, saw_token_w) = (Arc::clone(&stolen), Arc::clone(&saw_token));
+    let handle = srv.submit_with_deadline(
+        move || {
+            let owner = thread::current().id();
+            let started = AtomicBool::new(false);
+            rws_runtime::join(
+                || {
+                    while !started.load(Ordering::Acquire) {
+                        thread::yield_now();
+                    }
+                },
+                || {
+                    stolen_w.store(thread::current().id() != owner, Ordering::Relaxed);
+                    saw_token_w.store(cancel::current_token().is_some(), Ordering::Relaxed);
+                    started.store(true, Ordering::Release);
+                    loop {
+                        rws_runtime::check_cancel();
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                },
+            );
+        },
+        Duration::from_millis(250),
+    );
+    assert_eq!(
+        handle.wait_timeout(Duration::from_secs(60)),
+        Some(JobOutcome::Deadline),
+        "the thief's cancellation unwind travels back through the owner's join"
+    );
+    assert!(stolen.load(Ordering::Relaxed), "the right branch ran on the other worker");
+    assert!(saw_token.load(Ordering::Relaxed), "the thief ran under a token");
+    // Both workers' token words are clean again: a fresh job sees only its own, live token.
+    for _ in 0..4 {
+        let h = srv.submit(|| {
+            assert!(!cancel::current_token().expect("own token").is_cancelled());
+        });
+        assert_eq!(h.wait_timeout(Duration::from_secs(60)), Some(JobOutcome::Completed));
+    }
+    assert_eq!(srv.shutdown().deadline, 1);
 }
 
 #[test]

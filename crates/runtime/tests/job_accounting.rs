@@ -1,0 +1,93 @@
+//! Exact job accounting under the single-writer counters: a fork tree of `F` forks counts
+//! exactly `F + 1` jobs (the installed root plus one per right branch, whoever ran it), and
+//! a reader on another thread never sees a per-worker counter go backwards.
+//!
+//! The per-worker counters are bumped with a plain load and store by their one writer (see
+//! `stats.rs`); a lost update would show as a short count here, a torn or reordered one as
+//! a counter that decreases under the reader.
+
+use rws_runtime::{join, DequeBackend, PoolStatsSnapshot, ThreadPoolBuilder, WorkerSnapshot};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
+
+const LEAF: u64 = 64;
+const LEAVES: u64 = 1 << 10;
+/// Forks in a full binary tree over `LEAVES` leaves.
+const FORKS: u64 = LEAVES - 1;
+const REPEATS: usize = 50;
+
+fn recursive_sum(lo: u64, hi: u64) -> u64 {
+    if hi - lo <= LEAF {
+        return (lo..hi).sum();
+    }
+    let mid = lo + (hi - lo) / 2;
+    let (a, b) = join(move || recursive_sum(lo, mid), move || recursive_sum(mid, hi));
+    a + b
+}
+
+fn fields(w: &WorkerSnapshot) -> [u64; 10] {
+    [
+        w.steals,
+        w.jobs,
+        w.failed_steals,
+        w.steal_retries,
+        w.parks,
+        w.backstop_wakes,
+        w.batch_steals,
+        w.jobs_stolen,
+        w.heartbeats,
+        w.panics_caught,
+    ]
+}
+
+fn assert_monotone(prev: &PoolStatsSnapshot, now: &PoolStatsSnapshot) {
+    for (index, (p, n)) in prev.workers.iter().zip(&now.workers).enumerate() {
+        for (field, (before, after)) in fields(p).into_iter().zip(fields(n)).enumerate() {
+            assert!(after >= before, "worker {index} counter {field} fell: {before} -> {after}");
+        }
+    }
+}
+
+#[test]
+fn a_fork_tree_counts_one_job_per_fork_plus_its_root_while_a_reader_watches() {
+    for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
+        for threads in [1usize, 4] {
+            let pool = ThreadPoolBuilder::new().threads(threads).backend(backend).build();
+            let stats = pool.stats();
+            let stop = AtomicBool::new(false);
+            thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    let mut prev = stats.snapshot();
+                    let mut snapshots = 0u64;
+                    while !stop.load(Ordering::Acquire) {
+                        let now = stats.snapshot();
+                        assert_monotone(&prev, &now);
+                        prev = now;
+                        snapshots += 1;
+                        thread::yield_now();
+                    }
+                    snapshots
+                });
+                let n = LEAF * LEAVES;
+                for repeat in 0..REPEATS {
+                    let before = stats.snapshot();
+                    assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
+                    let delta = stats.snapshot_delta(&before);
+                    assert_eq!(
+                        delta.total_jobs(),
+                        FORKS + 1,
+                        "{backend:?}, {threads} threads, repeat {repeat}: root + one per fork"
+                    );
+                }
+                stop.store(true, Ordering::Release);
+                assert!(reader.join().expect("reader") > 0, "the reader took snapshots");
+            });
+            assert_eq!(stats.total_jobs(), REPEATS as u64 * (FORKS + 1), "{backend:?}/{threads}");
+            assert_eq!(stats.total_jobs_stolen(), stats.total_steals(), "{backend:?}/{threads}");
+            if threads == 1 {
+                assert_eq!(stats.total_steals(), 0, "{backend:?}: nobody to steal from");
+                assert_eq!(stats.jobs_of(0), REPEATS as u64 * (FORKS + 1), "{backend:?}");
+            }
+        }
+    }
+}
