@@ -8,7 +8,7 @@
 //! written exactly once (by the level that discovers it), sequenced by a barrier between
 //! levels — the same structure [`bfs_native`] executes for real on the pool.
 
-use crate::common::par_chunks_mut;
+use crate::common::{par_chunks_mut, split_lengths};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
 use serde::{Deserialize, Serialize};
@@ -117,38 +117,60 @@ const NATIVE_CHUNK: usize = 64;
 ///
 /// Each level fork-joins over chunks of the current frontier; a chunk claims newly
 /// discovered vertices with a compare-exchange on the shared distance array, so every
-/// vertex is discovered exactly once. Distances are deterministic whatever the race
-/// outcome — every contender for a vertex writes the same level — which is why the output
-/// matches [`bfs_reference`] element for element on any schedule.
+/// vertex is discovered exactly once, and writes them into its own region of one discovery
+/// buffer — sized by the chunk's out-degree sum, the most it can discover — which is
+/// compacted in chunk order into the next frontier. Both buffers are reused from level to
+/// level. Distances are deterministic whatever the race outcome — every contender for a
+/// vertex writes the same level — which is why the output matches [`bfs_reference`] element
+/// for element on any schedule.
 pub fn bfs_native(g: &CsrGraph, src: usize) -> Vec<i64> {
     let n = g.vertices();
     assert!(src < n, "source {src} out of range for {n} vertices");
     let dist: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
     dist[src].store(0, Ordering::Relaxed);
     let mut frontier = vec![src];
+    let mut discovered: Vec<usize> = Vec::new();
     let mut level = 0i64;
     while !frontier.is_empty() {
-        let chunks = frontier.len().div_ceil(NATIVE_CHUNK);
-        // One discovery bucket per frontier chunk: disjoint `&mut` targets for the
-        // fork-join, concatenated afterwards into the next frontier.
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); chunks];
+        let degree_sum = |part: &[usize]| part.iter().map(|&u| g.neighbors(u).len()).sum::<usize>();
+        let capacity = degree_sum(&frontier);
+        if discovered.len() < capacity {
+            discovered.resize(capacity, 0);
+        }
+        // One discovery region per frontier chunk, with the count of vertices it holds:
+        // disjoint `&mut` targets for the fork-join.
+        let mut regions: Vec<(&mut [usize], usize)> =
+            split_lengths(&mut discovered, frontier.chunks(NATIVE_CHUNK).map(degree_sum))
+                .map(|region| (region, 0))
+                .collect();
         let frontier_ref = &frontier;
         let dist_ref = &dist;
-        par_chunks_mut(&mut buckets, 1, &|i, slot: &mut [Vec<usize>]| {
+        par_chunks_mut(&mut regions, 1, &|i, slot: &mut [(&mut [usize], usize)]| {
+            let (region, found) = &mut slot[0];
             let lo = i * NATIVE_CHUNK;
             let hi = (lo + NATIVE_CHUNK).min(frontier_ref.len());
             for &u in &frontier_ref[lo..hi] {
                 for &v in g.neighbors(u) {
-                    if dist_ref[v]
-                        .compare_exchange(-1, level + 1, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
+                    // Test before locking. A distance leaves -1 once and never returns, so
+                    // a read of anything else means `v` is already claimed (and in a
+                    // frontier); a read of -1, however stale, goes on to the
+                    // compare-exchange, which alone decides who claims `v`.
+                    if dist_ref[v].load(Ordering::Relaxed) == -1
+                        && dist_ref[v]
+                            .compare_exchange(-1, level + 1, Ordering::AcqRel, Ordering::Acquire)
+                            .is_ok()
                     {
-                        slot[0].push(v);
+                        region[*found] = v;
+                        *found += 1;
                     }
                 }
             }
         });
-        frontier = buckets.concat();
+        frontier.clear();
+        frontier.reserve(regions.iter().map(|(_, found)| found).sum());
+        for (region, found) in &regions {
+            frontier.extend_from_slice(&region[..*found]);
+        }
         level += 1;
     }
     dist.into_iter().map(AtomicI64::into_inner).collect()
@@ -277,6 +299,69 @@ mod tests {
         for (seed, n, deg) in [(7u64, 1usize, 0usize), (7, 64, 3), (11, 500, 6)] {
             let g = CsrGraph::random(seed, n, deg);
             assert_eq!(bfs_native(&g, 0), bfs_reference(&g, 0), "seed {seed}, n {n}");
+        }
+    }
+
+    /// A graph over `n` vertices with exactly `edges`, duplicates and self-loops kept.
+    fn graph(n: usize, edges: &[(usize, usize)]) -> CsrGraph {
+        let mut row_starts = vec![0];
+        let mut cols = Vec::new();
+        for u in 0..n {
+            cols.extend(edges.iter().filter(|e| e.0 == u).map(|e| e.1));
+            row_starts.push(cols.len());
+        }
+        CsrGraph { row_starts, cols }
+    }
+
+    #[test]
+    fn hand_built_graphs_match_the_reference_on_every_pool_shape() {
+        use crate::common::PoolShape;
+        use std::sync::Arc;
+        // A star whose hub alone overflows a frontier chunk; every leaf points back at the
+        // hub, at its neighbor leaf and at the same two sinks, so the chunks of the wide
+        // level all contend for the sinks. The last vertex is unreachable.
+        let leaves = 3 * NATIVE_CHUNK + 5;
+        let star: Vec<(usize, usize)> = (1..=leaves)
+            .flat_map(|v| [(0, v), (v, 0), (v, 1 + v % leaves), (v, leaves + 1), (v, leaves + 2)])
+            .collect();
+        // The small cases state their distances, so the reference is checked too.
+        let cases = [
+            (
+                "unreachable",
+                graph(6, &[(0, 1), (1, 2), (3, 4), (4, 3), (5, 0)]),
+                0,
+                vec![0, 1, 2, -1, -1, -1],
+            ),
+            (
+                "self-loops",
+                graph(4, &[(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)]),
+                0,
+                vec![0, 1, 2, 3],
+            ),
+            (
+                "duplicate edges",
+                graph(4, &[(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)]),
+                0,
+                vec![0, 1, 1, 2],
+            ),
+            ("zero-out-degree source", graph(3, &[(0, 1), (1, 0)]), 2, vec![-1, -1, 0]),
+            ("wide star", graph(leaves + 4, &star), 0, vec![]),
+            ("wide star from a leaf", graph(leaves + 4, &star), 7, vec![]),
+        ];
+        let shapes = PoolShape::all();
+        for (what, g, src, stated) in cases {
+            let expected = bfs_reference(&g, src);
+            assert!(stated.is_empty() || stated == expected, "{what}: reference {expected:?}");
+            let g = Arc::new(g);
+            for shape in &shapes {
+                let on_pool = Arc::clone(&g);
+                assert_eq!(
+                    shape.run(move || bfs_native(&on_pool, src)),
+                    expected,
+                    "{what}, {}",
+                    shape.label
+                );
+            }
         }
     }
 

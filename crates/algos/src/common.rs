@@ -1,7 +1,7 @@
 //! Shared building blocks for the algorithm dag builders — the global-array arena and the
 //! destination abstraction (global array vs local array on an enclosing execution-stack
 //! segment) — plus the fork-join recursion helpers the native kernels share
-//! ([`par_chunks_mut`], [`join4`]).
+//! ([`par_chunks_mut`], [`join4`], `split_lengths`).
 
 use rws_dag::{Addr, WorkUnit};
 
@@ -200,6 +200,53 @@ where
         r3.expect("scope ran branch 3"),
         r4,
     )
+}
+
+/// Split `data` into consecutive disjoint pieces of the given lengths, in order — the
+/// regions a flat fork tree's leaves own when they are not all one size. Panics if the
+/// lengths add up to more than `data` holds.
+pub(crate) fn split_lengths<T, L>(mut rest: &mut [T], lengths: L) -> impl Iterator<Item = &mut [T]>
+where
+    L: IntoIterator<Item = usize>,
+{
+    lengths.into_iter().map(move |len| {
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        piece
+    })
+}
+
+/// Where a kernel's unit test runs it: outside any pool, or installed on a pool of some
+/// width and deque backend.
+#[cfg(test)]
+pub(crate) struct PoolShape {
+    pub(crate) label: String,
+    pool: Option<rws_runtime::ThreadPool>,
+}
+
+#[cfg(test)]
+impl PoolShape {
+    /// Outside a pool, then 1-, 2- and 4-thread pools of both deque backends.
+    pub(crate) fn all() -> Vec<PoolShape> {
+        use rws_runtime::{DequeBackend, ThreadPoolBuilder};
+        let mut shapes = vec![PoolShape { label: "no pool".into(), pool: None }];
+        for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
+            for threads in [1, 2, 4] {
+                shapes.push(PoolShape {
+                    label: format!("{threads} threads, {backend:?}"),
+                    pool: Some(ThreadPoolBuilder::new().threads(threads).backend(backend).build()),
+                });
+            }
+        }
+        shapes
+    }
+
+    pub(crate) fn run<R: Send + 'static>(&self, kernel: impl FnOnce() -> R + Send + 'static) -> R {
+        match &self.pool {
+            Some(pool) => pool.install(kernel),
+            None => kernel(),
+        }
+    }
 }
 
 #[cfg(test)]

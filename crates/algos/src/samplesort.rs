@@ -13,7 +13,7 @@
 //! bucket is sorted independently — so the output equals [`sample_sort_reference`] (a plain
 //! sequential sort) element for element.
 
-use crate::common::par_chunks_mut;
+use crate::common::{par_chunks_mut, split_lengths};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
 use serde::{Deserialize, Serialize};
@@ -49,8 +49,12 @@ const NATIVE_CHUNK: usize = 256;
 /// Native sample sort on the `rws-runtime` pool.
 ///
 /// Phase 1 picks splitters (sequential; the sample is tiny). Phase 2 fork-joins over input
-/// chunks, each partitioning its slice into per-bucket runs. Phase 3 fork-joins over
-/// buckets, each concatenating its runs in chunk order and sorting them. Output order is
+/// chunks: leaf `c` counting-sorts its keys by bucket into words `c * NATIVE_CHUNK..` of one
+/// `n`-word `runs` buffer and leaves each bucket's end offset in row `c` of one
+/// `chunks × buckets` table. Phase 3 fork-joins over buckets: leaf `b` owns its slice of the
+/// output, copies its run out of every chunk in chunk order and sorts in place. Every leaf
+/// writes one contiguous region nobody else touches — the layout [`sample_sort_computation`]
+/// models — and nothing is allocated per chunk or per bucket. Output order is
 /// schedule-independent throughout.
 pub fn sample_sort_native(keys: &[u64], buckets: usize) -> Vec<u64> {
     let n = keys.len();
@@ -59,27 +63,59 @@ pub fn sample_sort_native(keys: &[u64], buckets: usize) -> Vec<u64> {
     }
     let splitters = choose_splitters(keys, buckets);
     let chunks = n.div_ceil(NATIVE_CHUNK);
-    // Phase 2: per-chunk, per-bucket runs (disjoint `&mut` slots; input read shared).
-    let mut parts: Vec<Vec<Vec<u64>>> = vec![Vec::new(); chunks];
-    let splitters_ref = &splitters;
-    par_chunks_mut(&mut parts, 1, &|c, slot: &mut [Vec<Vec<u64>>]| {
-        let lo = c * NATIVE_CHUNK;
-        let hi = (lo + NATIVE_CHUNK).min(keys.len());
-        let mut local = vec![Vec::new(); buckets];
-        for &k in &keys[lo..hi] {
-            local[bucket_of(splitters_ref, k)].push(k);
+    // Phase 2: a stable counting sort of each chunk by bucket. Offsets are relative to the
+    // chunk, so they never exceed `NATIVE_CHUNK`.
+    let mut runs = vec![0u64; n];
+    let mut ends = vec![0u32; chunks * buckets];
+    let mut regions: Vec<(&[u64], &mut [u64], &mut [u32])> = keys
+        .chunks(NATIVE_CHUNK)
+        .zip(runs.chunks_mut(NATIVE_CHUNK))
+        .zip(ends.chunks_mut(buckets))
+        .map(|((input, run), row)| (input, run, row))
+        .collect();
+    par_chunks_mut(&mut regions, 1, &|_, slot: &mut [(&[u64], &mut [u64], &mut [u32])]| {
+        let (input, run, row) = &mut slot[0];
+        let mut ids = [0usize; NATIVE_CHUNK];
+        for (id, &k) in ids.iter_mut().zip(input.iter()) {
+            *id = bucket_of(&splitters, k);
+            row[*id] += 1;
         }
-        slot[0] = local;
+        // Counts -> start offsets; placing then advances each start to its bucket's end.
+        let mut start = 0;
+        for offset in row.iter_mut() {
+            let count = *offset;
+            *offset = start;
+            start += count;
+        }
+        for (&id, &k) in ids.iter().zip(input.iter()) {
+            run[row[id] as usize] = k;
+            row[id] += 1;
+        }
     });
-    // Phase 3: per-bucket gather + sort (each bucket owns its slot).
-    let mut sorted: Vec<Vec<u64>> = vec![Vec::new(); buckets];
-    let parts_ref = &parts;
-    par_chunks_mut(&mut sorted, 1, &|b, slot: &mut [Vec<u64>]| {
-        let mut v: Vec<u64> = parts_ref.iter().flat_map(|p| p[b].iter().copied()).collect();
-        v.sort_unstable();
-        slot[0] = v;
+    // Bucket sizes are the column sums of the per-chunk run lengths.
+    let mut sizes = vec![0usize; buckets];
+    for row in ends.chunks(buckets) {
+        let mut lo = 0;
+        for (size, &hi) in sizes.iter_mut().zip(row) {
+            *size += (hi - lo) as usize;
+            lo = hi;
+        }
+    }
+    // Phase 3: per-bucket gather + sort, each bucket in its own slice of the output.
+    let mut sorted = vec![0u64; n];
+    let mut outs: Vec<&mut [u64]> = split_lengths(&mut sorted, sizes).collect();
+    par_chunks_mut(&mut outs, 1, &|b, slot: &mut [&mut [u64]]| {
+        let out = &mut *slot[0];
+        let mut at = 0;
+        for (run, row) in runs.chunks(NATIVE_CHUNK).zip(ends.chunks(buckets)) {
+            let lo = if b == 0 { 0 } else { row[b - 1] as usize };
+            let piece = &run[lo..row[b] as usize];
+            out[at..at + piece.len()].copy_from_slice(piece);
+            at += piece.len();
+        }
+        out.sort_unstable();
     });
-    sorted.concat()
+    sorted
 }
 
 /// Configuration for the sample-sort computation builder.
@@ -224,6 +260,36 @@ mod tests {
         // Heavy duplication lands most keys in one bucket — the skewed case.
         let keys: Vec<u64> = (0..1000).map(|i| if i % 10 == 0 { i as u64 } else { 7 }).collect();
         assert_eq!(sample_sort_native(&keys, 8), sample_sort_reference(&keys));
+    }
+
+    #[test]
+    fn counting_layout_edge_cases_match_the_reference_on_every_pool_shape() {
+        use crate::common::PoolShape;
+        use std::sync::Arc;
+        let shapes = PoolShape::all();
+        for n in [2, NATIVE_CHUNK - 1, NATIVE_CHUNK + 1, 5000] {
+            let inputs: [(&str, Vec<u64>); 4] = [
+                ("all equal", vec![42; n]),
+                ("two distinct", (0..n).map(|i| if i % 3 == 0 { 9 } else { 5 }).collect()),
+                ("already sorted", (0..n as u64).collect()),
+                ("seeded", seeded_keys(n as u64, n)),
+            ];
+            for (what, keys) in inputs {
+                let expected = sample_sort_reference(&keys);
+                let keys = Arc::new(keys);
+                for buckets in [2, 3, 255, 256, 257, n + 1] {
+                    for shape in &shapes {
+                        let on_pool = Arc::clone(&keys);
+                        assert_eq!(
+                            shape.run(move || sample_sort_native(&on_pool, buckets)),
+                            expected,
+                            "{what}, n {n}, buckets {buckets}, {}",
+                            shape.label
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -122,18 +122,18 @@ impl TaskGraph {
         F: Fn(usize) + Sync,
     {
         let indeg: Vec<AtomicU32> = self.indegree.iter().map(|&d| AtomicU32::new(d)).collect();
-        let executed = AtomicU64::new(0);
-        let (indeg_ref, executed_ref) = (&indeg, &executed);
+        let indeg_ref = &indeg;
         scope(|s| {
             for v in 0..self.len() {
                 if self.indegree[v] == 0 {
-                    s.spawn(move |s| run_node(s, self, indeg_ref, body, executed_ref, v));
+                    s.spawn(move |s| run_node(s, self, indeg_ref, body, v));
                 }
             }
         });
-        assert_eq!(
-            executed.load(Ordering::Acquire),
-            self.len() as u64,
+        // A node ran iff its indegree reached zero, so a residue is a node that never ran —
+        // on a cycle or below one. Relaxed: the scope's exit orders every decrement first.
+        assert!(
+            indeg.iter().all(|d| d.load(Ordering::Relaxed) == 0),
             "task graph has a cycle: not every node became runnable"
         );
     }
@@ -145,19 +145,17 @@ fn run_node<'scope, F>(
     graph: &'scope TaskGraph,
     indeg: &'scope [AtomicU32],
     body: &'scope F,
-    executed: &'scope AtomicU64,
     node: usize,
 ) where
     F: Fn(usize) + Sync,
 {
     body(node);
-    executed.fetch_add(1, Ordering::AcqRel);
     for &succ in graph.successors(node) {
         // AcqRel: the release half publishes this node's writes to whoever spawns the
         // successor; the acquire half imports every other predecessor's writes when this
         // decrement is the one that reaches zero.
         if indeg[succ as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-            s.spawn(move |s| run_node(s, graph, indeg, body, executed, succ as usize));
+            s.spawn(move |s| run_node(s, graph, indeg, body, succ as usize));
         }
     }
 }
@@ -375,6 +373,26 @@ mod tests {
         g.add_edge(1, 2);
         g.add_edge(2, 1);
         g.run(&|_| {});
+    }
+
+    #[test]
+    fn a_cycle_below_a_runnable_prefix_panics_after_the_prefix_ran() {
+        // 0 -> 1 -> 2 runs; 2 -> 3 feeds the cycle 3 -> 4 -> 3; 5 hangs below the cycle.
+        let mut g = TaskGraph::new(6);
+        for (from, to) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 3), (4, 5)] {
+            g.add_edge(from, to);
+        }
+        let ran = std::sync::Mutex::new(Vec::new());
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.run(&|v| ran.lock().unwrap().push(v));
+        }));
+        let message = *outcome.expect_err("a cyclic graph must panic").downcast::<&str>().unwrap();
+        assert!(message.contains("cycle"), "{message}");
+        assert_eq!(
+            *ran.lock().unwrap(),
+            [0, 1, 2],
+            "the prefix ran; nothing on or below the cycle"
+        );
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! 1-thread pool, where no branch is ever stolen and every fork runs inline, after one
 //! warm call has paid for lazy one-time set-up.
 
+use rws_algos::bfs::{bfs_native, bfs_reference, CsrGraph};
 use rws_algos::fft::{fft_native, Complex};
 use rws_algos::listrank::list_ranking_native;
 use rws_algos::matmul::matmul_native_bi;
+use rws_algos::samplesort::sample_sort_native;
 use rws_algos::sort::merge_sort_native;
+use rws_algos::spmv::{spmv_native, CsrMatrix};
+use rws_algos::taskgraph::{layered_random, workflow_native};
 use rws_algos::transpose::{bi_to_rm_native, rm_to_bi_native, transpose_native_bi};
 use rws_runtime::ThreadPool;
 use std::sync::Arc;
@@ -99,4 +103,57 @@ fn list_ranking_allocates_two_buffers_and_its_result() {
         let succ: Vec<usize> = (0..n).map(|i| (i + 1).min(n - 1)).collect();
         move || list_ranking_native(&succ)
     });
+}
+
+// The irregular kernels: a leaf writes its own region of a buffer allocated once per call
+// (sample sort, SpMV) or grown at most once per level (BFS), never a `Vec` of its own.
+
+#[test]
+fn sample_sort_allocates_per_call_not_per_chunk_or_bucket() {
+    // Sample and splitters, `runs`, the offset table and its row handles, bucket sizes,
+    // the output and its slice handles.
+    assert_constant("sample sort", [1 << 14, 1 << 16], 8, |n| {
+        let keys: Vec<u64> =
+            (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_000_000).collect();
+        move || sample_sort_native(&keys, 256)
+    });
+}
+
+#[test]
+fn bfs_allocates_per_level_not_per_frontier_chunk() {
+    for n in [1usize << 13, 1 << 17] {
+        let g = Arc::new(CsrGraph::random(11, n, 4));
+        let levels = bfs_reference(&g, 0).into_iter().max().expect("a vertex") as u64 + 1;
+        let allocations = allocations_of(move || bfs_native(&g, 0));
+        // Per level: the region handles, and at most one growth each of the discovery
+        // buffer and the frontier. Per search: the distances and the first frontier.
+        assert!(
+            allocations <= 3 * levels + 2,
+            "bfs, n = {n}: {allocations} allocations over {levels} levels"
+        );
+    }
+}
+
+#[test]
+fn spmv_allocates_its_result() {
+    assert_constant("spmv", [1 << 13, 1 << 17], 1, |n| {
+        let m = CsrMatrix::random(11, n, 7);
+        let x = floats(n);
+        move || spmv_native(&m, &x)
+    });
+}
+
+#[test]
+fn workflow_allocates_at_most_one_box_per_spawn() {
+    for (layers, width) in [(6usize, 24usize), (12, 96)] {
+        let g = Arc::new(layered_random(11, layers, width));
+        let nodes = g.len() as u64;
+        let allocations = allocations_of(move || workflow_native(&g));
+        // One box per spawn that found the scope's inline slots busy, plus the indegree
+        // counters, the accumulators and the result.
+        assert!(
+            allocations <= nodes + 3,
+            "workflow {layers} x {width}: {allocations} allocations for {nodes} nodes"
+        );
+    }
 }

@@ -5,11 +5,15 @@
 //! level, a collection flattened into a loop — fails here; one that only changed how it
 //! obtains its local arrays does not.
 
+use rws_algos::bfs::{bfs_native, CsrGraph};
 use rws_algos::fft::{fft_native, Complex};
 use rws_algos::listrank::list_ranking_native;
 use rws_algos::matmul::matmul_native_bi;
 use rws_algos::prefix::prefix_sums_native;
+use rws_algos::samplesort::sample_sort_native;
 use rws_algos::sort::merge_sort_native;
+use rws_algos::spmv::{spmv_native, CsrMatrix};
+use rws_algos::taskgraph::{layered_random, workflow_native};
 use rws_algos::transpose::{bi_to_rm_native, rm_to_bi_native, transpose_native_bi};
 use rws_runtime::ThreadPool;
 
@@ -75,5 +79,44 @@ fn list_ranking_fork_count_is_pinned() {
     for (n, expected) in [(1usize << 12, 40u64), (1 << 14, 46)] {
         let succ: Vec<usize> = (0..n).map(|i| (i + 1).min(n - 1)).collect();
         assert_eq!(jobs_of(move || list_ranking_native(&succ)), expected, "n = {n}");
+    }
+}
+
+// The four irregular kernels. Their constants were printed by the commit *before* their
+// bodies stopped allocating per chunk (one region per leaf of a buffer allocated once per
+// call); the second size of each row is the repository benchmark's (`dag-irregular`).
+
+#[test]
+fn workflow_fork_count_is_pinned() {
+    // One job per node (the last finishing predecessor spawns it) plus the `install`.
+    for (layers, width, expected) in [(6usize, 24usize, 145u64), (12, 96, 1153)] {
+        let g = layered_random(11, layers, width);
+        assert_eq!(jobs_of(move || workflow_native(&g)), expected, "{layers} x {width}");
+    }
+}
+
+#[test]
+fn bfs_fork_count_is_pinned() {
+    for (n, expected) in [(1usize << 13, 20u64), (1 << 17, 33)] {
+        let g = CsrGraph::random(11, n, 4);
+        assert_eq!(jobs_of(move || bfs_native(&g, 0)), expected, "n = {n}");
+    }
+}
+
+#[test]
+fn spmv_fork_count_is_pinned() {
+    for (n, expected) in [(150usize, 3u64), (1 << 17, 4)] {
+        let m = CsrMatrix::random(11, n, 7);
+        let x = floats(n);
+        assert_eq!(jobs_of(move || spmv_native(&m, &x)), expected, "n = {n}");
+    }
+}
+
+#[test]
+fn sample_sort_fork_count_is_pinned() {
+    for (n, buckets, expected) in [(600usize, 3usize, 5u64), (1 << 16, 256, 7)] {
+        let keys: Vec<u64> =
+            (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_000_000).collect();
+        assert_eq!(jobs_of(move || sample_sort_native(&keys, buckets)), expected, "n = {n}");
     }
 }

@@ -185,7 +185,12 @@ impl<'scope> Scope<'scope> {
             if let Some(w) = worker {
                 if size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= 64 {
                     for slot in &self.slots {
-                        if !slot.claimed.swap(true, Ordering::Acquire) {
+                        // Test before locking: a busy slot costs a load, not an `xchg` that
+                        // was bound to lose. The swap alone claims, and its Acquire still
+                        // pairs with the executor's Release.
+                        if !slot.claimed.load(Ordering::Relaxed)
+                            && !slot.claimed.swap(true, Ordering::Acquire)
+                        {
                             // Safety: the claim gives us exclusive use of the storage; the
                             // scope (and thus the slot) outlives execution because the latch
                             // was incremented above and `scope` waits for it.
