@@ -217,7 +217,7 @@ where
 }
 
 /// Where a kernel's unit test runs it: outside any pool, or installed on a pool of some
-/// width and deque backend.
+/// width.
 #[cfg(test)]
 pub(crate) struct PoolShape {
     pub(crate) label: String,
@@ -226,17 +226,14 @@ pub(crate) struct PoolShape {
 
 #[cfg(test)]
 impl PoolShape {
-    /// Outside a pool, then 1-, 2- and 4-thread pools of both deque backends.
+    /// Outside a pool, then 1-, 2- and 4-thread pools.
     pub(crate) fn all() -> Vec<PoolShape> {
-        use rws_runtime::{DequeBackend, ThreadPoolBuilder};
         let mut shapes = vec![PoolShape { label: "no pool".into(), pool: None }];
-        for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-            for threads in [1, 2, 4] {
-                shapes.push(PoolShape {
-                    label: format!("{threads} threads, {backend:?}"),
-                    pool: Some(ThreadPoolBuilder::new().threads(threads).backend(backend).build()),
-                });
-            }
+        for threads in [1, 2, 4] {
+            shapes.push(PoolShape {
+                label: format!("{threads} threads"),
+                pool: Some(rws_runtime::ThreadPool::new(threads)),
+            });
         }
         shapes
     }

@@ -1,8 +1,8 @@
 //! `CsrGraph::random` and `CsrMatrix::random` are the instance generators of the
-//! `dag-irregular` benchmark workload and of `native_bench`'s `bfs`/`spmv` rows: what they
-//! produce for a `(seed, n, degree)` triple must never drift, or every number measured on
-//! those instances silently changes meaning. The hashes below were captured from the
-//! commit before the generators stopped allocating a `Vec` per row.
+//! `dag-irregular` benchmark workload: what they produce for a `(seed, n, degree)` triple
+//! must never drift, or every number measured on those instances silently changes meaning.
+//! The hashes below were captured from the commit before the generators stopped allocating
+//! a `Vec` per row.
 
 use rws_algos::bfs::CsrGraph;
 use rws_algos::spmv::CsrMatrix;

@@ -17,12 +17,19 @@ use rws_algos::taskgraph::{layered_random, workflow_native};
 use rws_algos::transpose::{bi_to_rm_native, rm_to_bi_native, transpose_native_bi};
 use rws_runtime::ThreadPool;
 
-/// `jobs` executed by one `install` of `kernel` on a fresh 1-thread pool.
+/// `jobs` executed by one `install` of `kernel` on a fresh 1-thread pool — where a lone
+/// worker has nobody to steal from, so the pool's steal counters must all still read zero.
 fn jobs_of<R: Send + 'static>(kernel: impl FnOnce() -> R + Send + 'static) -> u64 {
     let pool = ThreadPool::new(1);
     let before = pool.stats().snapshot();
     pool.install(kernel);
-    pool.stats().snapshot_delta(&before).total_jobs()
+    let stats = pool.stats();
+    assert_eq!(
+        (stats.total_steals(), stats.total_batch_steals(), stats.total_retries()),
+        (0, 0, 0),
+        "steals, batch steals and steal retries of a 1-thread pool"
+    );
+    stats.snapshot_delta(&before).total_jobs()
 }
 
 fn floats(n: usize) -> Vec<f64> {

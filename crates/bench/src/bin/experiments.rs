@@ -8,8 +8,8 @@
 //! cargo run --release -p rws-bench --bin experiments -- e11        # one experiment
 //! ```
 //!
-//! The experiment ids (`e1` … `e20`) are indexed in DESIGN.md §5; measured-vs-predicted
-//! summaries are recorded in EXPERIMENTS.md.
+//! The experiment ids (`e1` … `e20`) are indexed by `rws_bench::experiments::run`; each
+//! experiment's rustdoc names the result of the paper it measures.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

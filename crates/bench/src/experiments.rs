@@ -1,5 +1,6 @@
-//! The experiments E1–E20 of DESIGN.md §5: each function measures a quantity on the
-//! simulated machine and prints it next to the paper's predicted bound.
+//! The experiments E1–E20: each function measures a quantity on the simulated machine and
+//! prints it next to the paper's predicted bound; its rustdoc names the lemma or theorem,
+//! and [`run`] maps the ids to the functions.
 
 use crate::table::{fnum, Table};
 use crate::{average_over_seeds, default_machine, params_of, run_on, sequential_costs};

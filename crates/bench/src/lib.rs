@@ -1,8 +1,9 @@
 //! # rws-bench
 //!
-//! The experiment harness regenerating every quantitative claim of the paper (the experiment
-//! index lives in DESIGN.md §5 and the measured results in EXPERIMENTS.md). The
-//! `experiments` binary runs one experiment (`e1` … `e20`), a named group, or `all`.
+//! The experiment harness regenerating every quantitative claim of the paper (the index is
+//! [`experiments::run`]; each experiment's rustdoc names the lemma or theorem it measures;
+//! results are printed, not committed). The `experiments` binary runs one experiment
+//! (`e1` … `e20`), a named group, or `all`.
 //!
 //! Every experiment follows the same pattern: build a computation with `rws-algos`, run it
 //! under the `rws-core` scheduler across a parameter sweep, and print measured quantities
@@ -14,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod native_bench;
 pub mod table;
 
 pub use table::Table;

@@ -5,7 +5,7 @@ use crate::workload::{ExecOutcome, SharedWorkload};
 use rws_core::{RunReport, RwsScheduler, SimConfig};
 use rws_dag::Computation;
 use rws_machine::MachineConfig;
-use rws_runtime::{DequeBackend, ThreadPool, ThreadPoolBuilder};
+use rws_runtime::{ThreadPool, ThreadPoolBuilder};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -130,29 +130,22 @@ impl Executor for SimExecutor {
 /// native runs for timing only.
 pub struct NativeExecutor {
     pool: Arc<ThreadPool>,
-    backend_kind: DequeBackend,
 }
 
 impl NativeExecutor {
-    /// A pool with `threads` workers on the default (crossbeam-style) deque backend.
+    /// A pool with `threads` workers.
     pub fn new(threads: usize) -> Self {
-        Self::with_backend(threads, DequeBackend::Crossbeam)
+        Self::with_options(threads, None)
     }
 
-    /// A pool with `threads` workers on the chosen deque backend.
-    pub fn with_backend(threads: usize, backend: DequeBackend) -> Self {
-        Self::with_options(threads, backend, None)
-    }
-
-    /// A pool with `threads` workers, the chosen deque backend, and (optionally) the
-    /// flight recorder enabled with `trace` event slots per lane (see
-    /// [`rws_runtime::pool::ThreadPoolBuilder::trace`]).
-    pub fn with_options(threads: usize, backend: DequeBackend, trace: Option<usize>) -> Self {
-        let mut builder = ThreadPoolBuilder::new().threads(threads).backend(backend);
+    /// A pool with `threads` workers and (optionally) the flight recorder enabled with
+    /// `trace` event slots per lane (see [`rws_runtime::pool::ThreadPoolBuilder::trace`]).
+    pub fn with_options(threads: usize, trace: Option<usize>) -> Self {
+        let mut builder = ThreadPoolBuilder::new().threads(threads);
         if let Some(capacity) = trace {
             builder = builder.trace(capacity);
         }
-        NativeExecutor { pool: Arc::new(builder.build()), backend_kind: backend }
+        NativeExecutor { pool: Arc::new(builder.build()) }
     }
 
     /// The underlying pool.
@@ -169,11 +162,8 @@ impl NativeExecutor {
 
 impl Executor for NativeExecutor {
     fn name(&self) -> String {
-        let backend = match self.backend_kind {
-            DequeBackend::Crossbeam => "crossbeam",
-            DequeBackend::Simple => "simple",
-        };
-        format!("native({backend},t={})", self.procs())
+        // The deque's name stays in the string: lab reports carry it.
+        format!("native(crossbeam,t={})", self.procs())
     }
 
     fn backend(&self) -> Backend {

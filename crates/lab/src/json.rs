@@ -2,10 +2,10 @@
 //!
 //! The vendored `serde` is a no-op API marker (this build environment is offline), so JSON
 //! emission is hand-rolled — but hand-rolled *once*, here. Every emitter in the workspace
-//! (`rws-lab` reports, `rws-bench`'s `BENCH_native.json`) builds a [`Json`] value tree and
-//! renders it through this module, so there is exactly one escaping and one
-//! number-formatting path, and one [`validate`] routine that CI runs over everything that
-//! lands on disk.
+//! (`rws-lab`'s reports and trace exports, the repository benchmark's result lines) builds
+//! a [`Json`] value tree and renders it through this module, so there is exactly one
+//! escaping and one number-formatting path, and one [`validate`] routine that CI runs over
+//! everything that lands on disk.
 //!
 //! Rendering rules:
 //!
@@ -319,9 +319,10 @@ pub fn validate_with_keys(doc: &str, required: &[&str]) -> Result<(), String> {
 }
 
 /// Parse a document into a [`Json`] value tree — the read half of this module, used by
-/// structural *diffs* (e.g. `native_bench --check-against`, which compares a smoke run's
-/// shape against the committed baseline). Numbers parse as `U64`/`I64` when they are
-/// integral and in range, `F64` otherwise; object key order is preserved.
+/// structural checks (e.g. [`crate::trace_export::validate_chrome_trace`], and the
+/// repository benchmark's `--compare`, which reads saved runs back). Numbers parse as
+/// `U64`/`I64` when they are integral and in range, `F64` otherwise; object key order is
+/// preserved.
 pub fn parse(doc: &str) -> Result<Json, String> {
     struct P<'a> {
         bytes: &'a [u8],
@@ -555,7 +556,7 @@ impl Json {
     }
 
     /// The value as an `f64`, when this is any number (integers convert losslessly up to
-    /// 2^53, which covers every counter the bench documents carry).
+    /// 2^53, which covers every counter the emitted documents carry).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::F64(v) => Some(*v),

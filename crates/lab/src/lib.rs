@@ -10,8 +10,8 @@
 //! suite; and [`report`] emits everything as one validated `rws-lab-report/v1` JSON
 //! document.
 //!
-//! The [`json`] module is the workspace's single hand-rolled JSON writer/validator
-//! (`rws-bench`'s `BENCH_native.json` emitter renders through it too), and
+//! The [`json`] module is the workspace's single hand-rolled JSON writer/validator (the
+//! repository benchmark under `benchmark/` renders through it too), and
 //! [`trace_export`] renders the runtime's flight-recorder snapshots as `rws-trace/v1`
 //! documents and Chrome `trace_event` files (`lab --trace DIR` captures one per native
 //! run and per chaos run).

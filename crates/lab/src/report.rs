@@ -29,8 +29,8 @@
 //! `timing` sidecar, emitted on request ([`LabReport::to_json_timed`], `lab --timing`)
 //! and `null` otherwise. A default document is therefore byte-identical across
 //! invocations and across `--jobs` levels; `steals`/`failed_steals`/`time_units` in a
-//! **native** or **sharded** run row are `null`, pointing at the sidecar. Wall-clock
-//! *benchmarking* belongs to `BENCH_native.json`, not the lab report. `shards`/
+//! **native** or **sharded** run row are `null`, pointing at the sidecar. Measuring speed
+//! belongs to the repository benchmark (`benchmark/`), not the lab report. `shards`/
 //! `shard_threads` are `null` on non-sharded rows.
 //!
 //! Documents emitted before the sidecar existed carried a per-row `wall_ns` and measured

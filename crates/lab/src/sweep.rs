@@ -7,7 +7,7 @@ use rws_core::SimConfig;
 use rws_exec::{Computation, ExecReport, Executor, NativeExecutor, SharedWorkload, SimExecutor};
 use rws_machine::MachineConfig;
 use rws_runtime::trace::TraceSnapshot;
-use rws_runtime::{scope, DequeBackend, ThreadPool};
+use rws_runtime::{scope, ThreadPool};
 use rws_shard::ShardedExecutor;
 
 /// One expanded run: the backend, the concrete machine/pool shape, and the seed.
@@ -239,11 +239,7 @@ fn execute_specs(
             if let Some(capacity) = trace {
                 // A traced native run owns its pool: the capture is exactly this run's
                 // events, with nothing bled in from sibling seeds.
-                let exec = NativeExecutor::with_options(
-                    spec.procs,
-                    DequeBackend::Crossbeam,
-                    Some(capacity),
-                );
+                let exec = NativeExecutor::with_options(spec.procs, Some(capacity));
                 let report = exec.execute(workload.clone()).report;
                 let snapshot = exec.trace_snapshot().expect("executor was built with tracing on");
                 captures.push(NativeTraceCapture { spec: spec.clone(), snapshot });

@@ -127,8 +127,8 @@ fn dag_workload_scenarios_run_with_honest_labels() {
 
 #[test]
 fn native_sweep_scenario_mirrors_the_bench_thread_sweep() {
-    // The native_bench-style thread sweep as a scenario: native-only, no sim checks, but
-    // every run recorded with the honesty flag and the shared JSON schema.
+    // A thread sweep as a scenario: native-only, no sim checks, but every run recorded
+    // with the honesty flag and the shared JSON schema.
     let sc = load("native_threads.scn");
     assert_eq!(sc.backends, vec![BackendChoice::Native]);
     let result = report::run(&sc);

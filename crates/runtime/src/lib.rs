@@ -8,7 +8,7 @@
 //!
 //! The fork/steal hot path is engineered to cost what the model charges it and nothing more:
 //!
-//! * **Lock-free deques with steal-half batching** — the default backend is a real
+//! * **Lock-free deques with steal-half batching** — each worker's queue is a real
 //!   Chase–Lev deque (the vendored `crossbeam-deque`): atomic top/bottom indices,
 //!   CAS-arbitrated steals with `Steal::Retry` on lost races, a growable ring buffer, and
 //!   no locks anywhere. A thief takes up to *half* the victim's queue per visit
@@ -28,10 +28,6 @@
 //!   and [`par_iter`] builds rayon-style slice iterators (`par_iter`, `par_iter_mut`,
 //!   `par_chunks`, `par_chunks_mut`) with pool-width-adaptive splitting on top of the same
 //!   fork-join machinery.
-//!
-//! [`deque::SimpleDeque`] — a mutex-protected deque with identical owner/thief semantics —
-//! is kept as the contrast backend ([`DequeBackend::Simple`]) that the `BENCH_native.json`
-//! benchmarks compare the lock-free implementation against.
 //!
 //! On top of the pool sits a supervised **persistent job-server mode** ([`service`]): a
 //! long-lived [`JobServer`] accepting streamed root jobs through the lock-free MPMC
@@ -53,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
-pub mod deque;
 pub mod faults;
 mod health;
 pub mod hist;
@@ -67,7 +62,6 @@ mod sleep;
 pub mod stats;
 
 pub use cancel::{check_cancel, CancelReason, CancelToken};
-pub use deque::{DequeBackend, SimpleDeque};
 pub use faults::{FaultPlan, FaultSpec, StormSpec, WorkerFault};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use padding::{CachePadded, PaddedCounters, UnpaddedCounters};
@@ -79,7 +73,6 @@ pub use scope::{scope, Scope};
 pub use service::{
     AdmissionPolicy, JobHandle, JobOutcome, JobServer, ServiceConfig, ServiceSnapshot,
 };
-pub use sleep::SleepBackoff;
 pub use stats::{PoolStats, PoolStatsSnapshot, WorkerSnapshot};
 
 /// The flight-recorder crate, re-exported so downstream users can consume

@@ -33,10 +33,9 @@ use crate::pool::current_num_threads;
 pub const SPLIT_FACTOR: usize = 4;
 
 /// Floor on the adaptive grain of the *element* iterators: never fork a piece of fewer
-/// than this many elements. The `grain_calibration` bench in `crates/bench` puts the
-/// break-even point where one `join` (a deque push/pop pair plus a possible steal) stops
-/// paying for itself around a few dozen cheap element operations; below that a wide pool
-/// on a short slice would spend more time forking than working. Chunk adapters are
+/// than this many elements. One `join` (a deque push/pop pair plus a possible steal) costs
+/// about as much as a few dozen cheap element operations; below that a wide pool on a
+/// short slice would spend more time forking than working. Chunk adapters are
 /// exempt — their unit of work is a whole chunk, whose cost the element count says
 /// nothing about (grain 1 there reproduces the dag builders' one-fork-per-chunk trees).
 pub const MIN_SEQ_ELEMENTS: usize = 64;

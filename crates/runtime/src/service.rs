@@ -30,7 +30,6 @@
 //! [`ShedOldest`]: AdmissionPolicy::ShedOldest
 
 use crate::cancel::{self, CancelPayload, CancelReason, CancelToken};
-use crate::deque::DequeBackend;
 use crate::faults::FaultPlan;
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::pool::{ThreadPool, ThreadPoolBuilder, WorkerHandle};
@@ -210,8 +209,6 @@ impl JobHandle {
 pub struct ServiceConfig {
     /// Worker threads (0 = the machine's available parallelism).
     pub threads: usize,
-    /// Deque backend for the wrapped pool.
-    pub backend: DequeBackend,
     /// Admission capacity: maximum submissions admitted but not yet started.
     pub queue_capacity: usize,
     /// What to do when the queue is full.
@@ -233,7 +230,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             threads: 0,
-            backend: DequeBackend::Crossbeam,
             queue_capacity: 1024,
             admission: AdmissionPolicy::Block,
             default_deadline: None,
@@ -464,7 +460,7 @@ pub struct JobServer {
 impl JobServer {
     /// Start a server (pool workers + one supervisor thread).
     pub fn new(config: ServiceConfig) -> Self {
-        let mut builder = ThreadPoolBuilder::new().backend(config.backend);
+        let mut builder = ThreadPoolBuilder::new();
         if config.threads > 0 {
             builder = builder.threads(config.threads);
         }

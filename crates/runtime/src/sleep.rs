@@ -31,37 +31,27 @@ use std::time::Duration;
 /// the producer-side relaxed load; see the module docs).
 const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 
-/// Tunable shape of the idle protocol's spin→yield→park schedule.
+/// Shape of the idle protocol's spin→yield→park schedule.
 ///
 /// Each idle *round* is one full work-finding sweep (own deque, injector, random victims) —
 /// the expensive part of idling, since every sweep hammers other workers' deque indices.
 /// The schedule therefore backs off **between sweeps** exponentially: round `i` of the
-/// first [`spin_rounds`](SleepBackoff::spin_rounds) busy-spins `2^min(i, spin_cap_shift)`
-/// pause cycles, the next [`yield_rounds`](SleepBackoff::yield_rounds) rounds yield the OS
-/// slice, and after that the worker parks on the pool's `Sleep` protocol. Compared to the
-/// old fixed schedule (64 uniform sweeps, a yield every 16th), the same busy-wait budget is
-/// spent across ~10x fewer sweeps, and a genuinely idle worker reaches the park — where it
-/// costs nothing — sooner.
-///
-/// The defaults come from the `sleep_backoff` bench sweep in `crates/bench` (latency of
-/// fork-join bursts separated by idle gaps, swept over schedules): deeper spin schedules
-/// stopped improving wake-up latency before `2^6`, and more than a few yields only delayed
-/// the park without ever winning the race against a real notification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SleepBackoff {
+/// first `spin_rounds` busy-spins `2^min(i - 1, spin_cap_shift)` pause cycles, the next
+/// `yield_rounds` rounds yield the OS slice, and after that the worker parks on the pool's
+/// `Sleep` protocol, where it costs nothing.
+pub(crate) struct SleepBackoff {
     /// Exponential busy-spin rounds (work-finding sweeps) before yielding.
-    pub spin_rounds: u32,
-    /// Cap on the per-round spin exponent: round `i` spins `2^min(i, spin_cap_shift)`.
-    pub spin_cap_shift: u32,
+    pub(crate) spin_rounds: u32,
+    /// Cap on the per-round spin exponent.
+    spin_cap_shift: u32,
     /// `thread::yield_now` rounds after the spin rounds, before parking.
-    pub yield_rounds: u32,
+    yield_rounds: u32,
 }
 
-impl Default for SleepBackoff {
-    fn default() -> Self {
-        SleepBackoff { spin_rounds: 6, spin_cap_shift: 5, yield_rounds: 3 }
-    }
-}
+/// The schedule every pool runs: 6 spin rounds doubling from 1 to 32 pause cycles, then 3
+/// yields, then park.
+pub(crate) const BACKOFF: SleepBackoff =
+    SleepBackoff { spin_rounds: 6, spin_cap_shift: 5, yield_rounds: 3 };
 
 impl SleepBackoff {
     /// Rounds an idle worker survives before parking.

@@ -18,7 +18,7 @@
 //! measured closure before the installer reaches `recv`, that allocation falls inside the
 //! window without having anything to do with `join`.
 
-use rws_runtime::{join, scope, DequeBackend, ThreadPoolBuilder};
+use rws_runtime::{join, scope, ThreadPoolBuilder};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -38,27 +38,26 @@ fn recursive_sum(lo: u64, hi: u64) -> u64 {
 
 #[test]
 fn unstolen_join_fast_path_is_allocation_free() {
-    for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-        let pool = ThreadPoolBuilder::new().threads(1).backend(backend).build();
-        let n = 1 << 16; // ~1 << 10 joins, recursion depth 10 — far below the deque's
-                         // initial capacity, so no buffer growth during the measured run
-                         // Warm up: first run pays any one-time lazy initialization.
-        assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
-        let (total, delta) = pool.install(move || {
-            let before = thread_allocations();
-            let total = recursive_sum(0, n);
-            let after = thread_allocations();
-            (total, after - before)
-        });
-        assert_eq!(total, n * (n - 1) / 2);
-        assert_eq!(
-            delta,
-            0,
-            "{backend:?}: the unstolen join fast path must not allocate (got {delta} \
-             allocations for {} joins)",
-            (n / 64).max(1)
-        );
-    }
+    let pool = ThreadPoolBuilder::new().threads(1).build();
+    // ~1 << 10 joins, recursion depth 10 — far below the deque's initial capacity, so no
+    // buffer growth during the measured run.
+    let n = 1 << 16;
+    // Warm up: first run pays any one-time lazy initialization.
+    assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
+    let (total, delta) = pool.install(move || {
+        let before = thread_allocations();
+        let total = recursive_sum(0, n);
+        let after = thread_allocations();
+        (total, after - before)
+    });
+    assert_eq!(total, n * (n - 1) / 2);
+    assert_eq!(
+        delta,
+        0,
+        "the unstolen join fast path must not allocate (got {delta} \
+         allocations for {} joins)",
+        (n / 64).max(1)
+    );
 }
 
 #[test]
@@ -68,29 +67,24 @@ fn traced_unstolen_join_fast_path_is_allocation_free() {
     // into an existing slot. Same measurement as above, on a pool built with `.trace(..)` —
     // and the recorder must actually have been on (events observed), or the assertion
     // would vacuously measure an untraced pool.
-    for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-        let pool = ThreadPoolBuilder::new().threads(1).backend(backend).trace(1 << 12).build();
-        let n = 1 << 16;
-        // Warm up: first run pays any one-time lazy initialization.
-        assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
-        let (total, delta) = pool.install(move || {
-            let before = thread_allocations();
-            let total = recursive_sum(0, n);
-            let after = thread_allocations();
-            (total, after - before)
-        });
-        assert_eq!(total, n * (n - 1) / 2);
-        assert_eq!(
-            delta, 0,
-            "{backend:?}: the traced unstolen join fast path must not allocate \
-             (got {delta} allocations)"
-        );
-        let snap = pool.trace_snapshot().expect("traced pool must yield a snapshot");
-        assert!(
-            snap.total_recorded() > 0,
-            "{backend:?}: the recorder must have observed the measured run"
-        );
-    }
+    let pool = ThreadPoolBuilder::new().threads(1).trace(1 << 12).build();
+    let n = 1 << 16;
+    // Warm up: first run pays any one-time lazy initialization.
+    assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
+    let (total, delta) = pool.install(move || {
+        let before = thread_allocations();
+        let total = recursive_sum(0, n);
+        let after = thread_allocations();
+        (total, after - before)
+    });
+    assert_eq!(total, n * (n - 1) / 2);
+    assert_eq!(
+        delta, 0,
+        "the traced unstolen join fast path must not allocate \
+         (got {delta} allocations)"
+    );
+    let snap = pool.trace_snapshot().expect("traced pool must yield a snapshot");
+    assert!(snap.total_recorded() > 0, "the recorder must have observed the measured run");
 }
 
 #[test]
@@ -112,24 +106,22 @@ fn unstolen_single_spawn_scope_fast_path_is_allocation_free() {
         });
         left + right
     }
-    for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-        let pool = ThreadPoolBuilder::new().threads(1).backend(backend).build();
-        let n = 1 << 16;
-        // Warm up: first run pays any one-time lazy initialization.
-        assert_eq!(pool.install(move || scoped_sum(0, n)), n * (n - 1) / 2);
-        let (total, delta) = pool.install(move || {
-            let before = thread_allocations();
-            let total = scoped_sum(0, n);
-            let after = thread_allocations();
-            (total, after - before)
-        });
-        assert_eq!(total, n * (n - 1) / 2);
-        assert_eq!(
-            delta, 0,
-            "{backend:?}: the unstolen single-spawn scope fast path must not allocate \
-             (got {delta} allocations)"
-        );
-    }
+    let pool = ThreadPoolBuilder::new().threads(1).build();
+    let n = 1 << 16;
+    // Warm up: first run pays any one-time lazy initialization.
+    assert_eq!(pool.install(move || scoped_sum(0, n)), n * (n - 1) / 2);
+    let (total, delta) = pool.install(move || {
+        let before = thread_allocations();
+        let total = scoped_sum(0, n);
+        let after = thread_allocations();
+        (total, after - before)
+    });
+    assert_eq!(total, n * (n - 1) / 2);
+    assert_eq!(
+        delta, 0,
+        "the unstolen single-spawn scope fast path must not allocate \
+         (got {delta} allocations)"
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! `stats.rs`); a lost update would show as a short count here, a torn or reordered one as
 //! a counter that decreases under the reader.
 
-use rws_runtime::{join, DequeBackend, PoolStatsSnapshot, ThreadPoolBuilder, WorkerSnapshot};
+use rws_runtime::{join, PoolStatsSnapshot, ThreadPoolBuilder, WorkerSnapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
@@ -50,44 +50,42 @@ fn assert_monotone(prev: &PoolStatsSnapshot, now: &PoolStatsSnapshot) {
 
 #[test]
 fn a_fork_tree_counts_one_job_per_fork_plus_its_root_while_a_reader_watches() {
-    for backend in [DequeBackend::Crossbeam, DequeBackend::Simple] {
-        for threads in [1usize, 4] {
-            let pool = ThreadPoolBuilder::new().threads(threads).backend(backend).build();
-            let stats = pool.stats();
-            let stop = AtomicBool::new(false);
-            thread::scope(|s| {
-                let reader = s.spawn(|| {
-                    let mut prev = stats.snapshot();
-                    let mut snapshots = 0u64;
-                    while !stop.load(Ordering::Acquire) {
-                        let now = stats.snapshot();
-                        assert_monotone(&prev, &now);
-                        prev = now;
-                        snapshots += 1;
-                        thread::yield_now();
-                    }
-                    snapshots
-                });
-                let n = LEAF * LEAVES;
-                for repeat in 0..REPEATS {
-                    let before = stats.snapshot();
-                    assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
-                    let delta = stats.snapshot_delta(&before);
-                    assert_eq!(
-                        delta.total_jobs(),
-                        FORKS + 1,
-                        "{backend:?}, {threads} threads, repeat {repeat}: root + one per fork"
-                    );
+    for threads in [1usize, 4] {
+        let pool = ThreadPoolBuilder::new().threads(threads).build();
+        let stats = pool.stats();
+        let stop = AtomicBool::new(false);
+        thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut prev = stats.snapshot();
+                let mut snapshots = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    let now = stats.snapshot();
+                    assert_monotone(&prev, &now);
+                    prev = now;
+                    snapshots += 1;
+                    thread::yield_now();
                 }
-                stop.store(true, Ordering::Release);
-                assert!(reader.join().expect("reader") > 0, "the reader took snapshots");
+                snapshots
             });
-            assert_eq!(stats.total_jobs(), REPEATS as u64 * (FORKS + 1), "{backend:?}/{threads}");
-            assert_eq!(stats.total_jobs_stolen(), stats.total_steals(), "{backend:?}/{threads}");
-            if threads == 1 {
-                assert_eq!(stats.total_steals(), 0, "{backend:?}: nobody to steal from");
-                assert_eq!(stats.jobs_of(0), REPEATS as u64 * (FORKS + 1), "{backend:?}");
+            let n = LEAF * LEAVES;
+            for repeat in 0..REPEATS {
+                let before = stats.snapshot();
+                assert_eq!(pool.install(move || recursive_sum(0, n)), n * (n - 1) / 2);
+                let delta = stats.snapshot_delta(&before);
+                assert_eq!(
+                    delta.total_jobs(),
+                    FORKS + 1,
+                    "{threads} threads, repeat {repeat}: root + one per fork"
+                );
             }
+            stop.store(true, Ordering::Release);
+            assert!(reader.join().expect("reader") > 0, "the reader took snapshots");
+        });
+        assert_eq!(stats.total_jobs(), REPEATS as u64 * (FORKS + 1), "{threads} threads");
+        assert_eq!(stats.total_jobs_stolen(), stats.total_steals(), "{threads} threads");
+        if threads == 1 {
+            assert_eq!(stats.total_steals(), 0, "nobody to steal from");
+            assert_eq!(stats.jobs_of(0), REPEATS as u64 * (FORKS + 1));
         }
     }
 }

@@ -13,12 +13,18 @@ fn matmul() -> SharedWorkload {
 
 #[test]
 fn every_policy_reproduces_the_reference_output() {
-    let reference = matmul().run_reference();
-    for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::LeastLoaded, DispatchPolicy::Static]
-    {
-        let exec = ShardedExecutor::new(2).policy(policy);
-        let outcome = exec.execute(matmul());
-        assert_eq!(outcome.output, reference, "{} output diverged", exec.name());
+    // Besides the output, the counters a fault-free run fixes: 8 parts, nothing moved, and
+    // `work_items` — the jobs the worker pools ran, one per part at 16 x 16 and (one pool
+    // thread per shard, a larger instance) two per part at 32 x 32.
+    let mut cases: Vec<(ShardedExecutor, SharedWorkload, u64)> =
+        [DispatchPolicy::RoundRobin, DispatchPolicy::LeastLoaded, DispatchPolicy::Static]
+            .map(|policy| (ShardedExecutor::new(2).policy(policy), matmul(), 8))
+            .into();
+    let larger = Arc::new(workloads::MatMulWorkload::demo(32, 4));
+    cases.push((ShardedExecutor::new(2).threads_per_shard(1), larger, 16));
+    for (exec, workload, work_items) in cases {
+        let outcome = exec.execute(Arc::clone(&workload));
+        assert_eq!(outcome.output, workload.run_reference(), "{} output diverged", exec.name());
         assert_eq!(outcome.report.backend, Backend::Sharded);
         let detail = outcome.report.shard.as_ref().expect("shard detail");
         assert_eq!(detail.shards, 2);
@@ -28,7 +34,7 @@ fn every_policy_reproduces_the_reference_output() {
         assert_eq!(detail.redistributed, 0);
         assert_eq!(detail.shard_deaths, 0);
         assert_eq!(detail.jobs_per_shard.iter().sum::<u64>(), 8);
-        assert!(outcome.report.work_items > 0, "worker pools reported their job counts");
+        assert_eq!(outcome.report.work_items, work_items, "{}", exec.name());
     }
 }
 

@@ -1,15 +1,14 @@
 //! Sim-vs-native parity through the `Executor` trait: the same workload run on the
 //! discrete-event simulator and on the real work-stealing pool must produce identical
-//! outputs, on both native deque backends. This is the acceptance check for the executor
-//! unification — the native fork-join decompositions implement exactly the function the
-//! simulated dags model.
+//! outputs. This is the acceptance check for the executor unification — the native
+//! fork-join decompositions implement exactly the function the simulated dags model.
 //!
 //! Since every workload now ships a real fork-join kernel (no `SequentialFallback`
 //! remains in the committed suite), the centerpiece is a **seeded matrix**: all ten
 //! workloads — the six original kernels plus the DAG-structured family (task-graph
-//! workflow, BFS, SpMV, sample sort) — × both deque backends × {1, 2, 4} worker threads
-//! × three input seeds × two instance sizes, with every native report required to have
-//! its `sequential_fallback` honesty flag clear.
+//! workflow, BFS, SpMV, sample sort) — × {1, 2, 4} worker threads × three input seeds ×
+//! two instance sizes, with every native report required to have its
+//! `sequential_fallback` honesty flag clear.
 //!
 //! Since the multi-process sharded executor landed, the shardable workloads (matmul,
 //! SpMV) carry a **third backend column**: the same demo instance partitioned across
@@ -26,7 +25,6 @@ use rws_exec::workloads::{
     PrefixWorkload, SampleSortWorkload, SortWorkload, SpmvWorkload, TransposeWorkload,
 };
 use rws_exec::{Backend, Executor, NativeExecutor, SharedWorkload, SimExecutor};
-use rws_runtime::DequeBackend;
 use rws_shard::ShardedExecutor;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,14 +33,10 @@ mod support;
 use support::random_permutation_list;
 
 fn executors() -> Vec<Box<dyn Executor>> {
-    vec![
-        Box::new(SimExecutor::with_procs(4)),
-        Box::new(NativeExecutor::new(4)),
-        Box::new(NativeExecutor::with_backend(3, DequeBackend::Simple)),
-    ]
+    vec![Box::new(SimExecutor::with_procs(4)), Box::new(NativeExecutor::new(4))]
 }
 
-/// The executor column for one workload: sim + both native deque backends always, and —
+/// The executor column for one workload: sim + native always, and —
 /// for the workloads that declare a shard partition — the multi-process sharded executor
 /// at two shard counts, so parity covers all three backends wherever all three apply.
 /// (Sharded runs need the `shard-worker` binary; a workspace-level `cargo test` builds it,
@@ -139,18 +133,12 @@ fn seeded_workloads(seed: u64, large: bool) -> Vec<SharedWorkload> {
     ]
 }
 
-/// Every workload × both deque backends × {1, 2, 4} threads × 3 input seeds × 2 sizes:
+/// Every workload × {1, 2, 4} threads × 3 input seeds × 2 sizes:
 /// output parity against the sequential reference on every native run, and no
 /// `sequential_fallback` stamp anywhere in the live suite.
 #[test]
 fn seeded_matrix_every_workload_on_every_pool_shape() {
-    let pools: Vec<NativeExecutor> = [DequeBackend::Crossbeam, DequeBackend::Simple]
-        .into_iter()
-        .flat_map(|backend| {
-            [1usize, 2, 4].map(move |threads| NativeExecutor::with_backend(threads, backend))
-        })
-        .collect();
-    assert_eq!(pools.len(), 6);
+    let pools = [1usize, 2, 4].map(NativeExecutor::new);
     for seed in [101u64, 202, 303] {
         for large in [false, true] {
             for workload in seeded_workloads(seed, large) {

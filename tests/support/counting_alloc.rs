@@ -1,19 +1,17 @@
 //! The counting global allocator behind every "this path does not allocate" assertion in
 //! the workspace. A `#[global_allocator]` has to be declared in each binary, so the users
-//! (`crates/{runtime,machine,core}/tests/alloc_free_*.rs` and `native_bench`) include this
-//! one file with `#[path]` and declare `static GLOBAL: CountingAllocator`.
+//! (`crates/{runtime,machine,core}/tests/alloc_free_*.rs` and
+//! `crates/algos/tests/alloc_lean_kernels.rs`) include this one file with `#[path]` and
+//! declare `static GLOBAL: CountingAllocator`.
 //!
 //! Allocations are counted **per thread**. libtest runs the tests of one binary on
 //! concurrent threads, and a thread that hands work to a pool goes on allocating while the
 //! pool runs it, so a process-wide count over a measured window also sees whatever the
 //! neighbours did meanwhile. A per-thread delta means exactly "this thread allocated
-//! between these two reads". The process-wide sum is kept as well, for `native_bench`:
-//! its `allocs` column is the heap traffic of a whole run over all workers, and nothing
-//! else runs in that process.
+//! between these two reads".
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Forwards to [`System`], counting every `alloc`, `alloc_zeroed` and `realloc`.
 pub struct CountingAllocator;
@@ -24,28 +22,18 @@ thread_local! {
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 /// Allocations made by the calling thread since it started.
-#[allow(dead_code)] // each including binary reads one of the two counters
 pub fn thread_allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
 }
 
-/// Allocations made by every thread of the process so far.
-#[allow(dead_code)]
-pub fn process_allocations() -> u64 {
-    PROCESS_ALLOCATIONS.load(Ordering::Relaxed)
-}
-
 fn count() {
     THREAD_ALLOCATIONS.with(|n| n.set(n.get() + 1));
-    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds the `GlobalAlloc`
-// contract; the counting touches only a `Cell` in thread-local storage and an atomic, and
-// neither allocates.
+// contract; the counting touches only a `Cell` in thread-local storage, which does not
+// allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
