@@ -5,8 +5,8 @@
 //! octave is split into `2^SUB_BITS = 8` sub-buckets, so any recorded value is attributed
 //! with a relative error below `2^-SUB_BITS` (12.5%) — plenty for p50/p99/p999 service
 //! metrics, while the whole table is 512 fixed `AtomicU64`s (4 KiB) shared by every
-//! recorder with one relaxed increment per sample. This is the classic HdrHistogram
-//! bucketing scheme reduced to its integer core.
+//! recorder with two relaxed increments per sample (its bucket and the running sum). This
+//! is the classic HdrHistogram bucketing scheme reduced to its integer core.
 //!
 //! **Schema** (documented for the chaos/bench reports that serialize snapshots): bucket
 //! `i < 8` covers exactly the value `i`; bucket `i >= 8` with `e = i >> 3` and
@@ -47,7 +47,6 @@ fn upper_edge(i: usize) -> u64 {
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -63,23 +62,24 @@ impl LatencyHistogram {
     pub fn new() -> Self {
         LatencyHistogram {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
 
-    /// Record one sample (relaxed increments; safe from any thread).
+    /// Record one sample (relaxed increments; safe from any thread): two locked
+    /// read-modify-writes, and a third only for a sample that raises the maximum.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// Number of samples recorded.
+    /// Number of samples recorded (the bucket total).
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// The value at quantile `q` in `[0, 1]` — the upper edge of the bucket containing

@@ -18,7 +18,7 @@ use rws_trace::JobKind;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 
 /// A unit of work queued in a worker deque or the injector.
 pub(crate) enum Job {
@@ -150,10 +150,13 @@ impl Latch {
         self.done.store(true, Ordering::Release);
         // After the store above the owner may already have returned from `join` and
         // destroyed this latch, so `self` must not be touched again; the raw pointer into
-        // the long-lived Shared is what keeps the wakeup safe. Broadcast (rather than
-        // notify-one) because the parked waiter that cares about this latch may not be
-        // the sleeper a single notify would pick; completions are rare enough not to
-        // matter.
+        // the long-lived Shared is what keeps the wakeup safe. Publish, full fence, look
+        // (the fence pairs with the one in `Sleep::sleep_unless`): the owner parks only
+        // if its last probe missed the store, and then this load sees it registered.
+        // Broadcast (rather than notify-one) because the parked waiter that cares about
+        // this latch may not be the sleeper a single notify would pick; completions of
+        // stolen branches are rare enough not to matter.
+        fence(Ordering::SeqCst);
         if (*sleep).sleepers() > 0 {
             (*sleep).notify_all_now();
         }
@@ -163,9 +166,8 @@ impl Latch {
 /// A counting completion latch: the scoped-task (`scope`) analogue of [`Latch`]. Every
 /// spawned task increments it before being queued and decrements it after running; the
 /// scope's owner waits until the count drains to zero. Like [`Latch`], the final decrement
-/// wakes parked workers through the pool's [`Sleep`], so a parked owner learns of
-/// completion promptly (the sleep protocol's 1ms backstop covers the documented
-/// StoreLoad race, exactly as for `join`).
+/// wakes parked workers through the pool's [`Sleep`], behind the same full fence, so a
+/// parked owner learns of completion at once, never from the 1 ms backstop.
 pub(crate) struct CountLatch {
     pending: AtomicUsize,
     /// Null when the latch belongs to a scope created outside any pool (inline execution;
@@ -209,11 +211,12 @@ impl CountLatch {
     /// sleep pointer is.
     pub(crate) unsafe fn set_one(&self) {
         let sleep = self.sleep;
-        if self.pending.fetch_sub(1, Ordering::Release) == 1
-            && !sleep.is_null()
-            && (*sleep).sleepers() > 0
-        {
-            (*sleep).notify_all_now();
+        if self.pending.fetch_sub(1, Ordering::Release) == 1 && !sleep.is_null() {
+            // Publish, full fence, look — once per scope, as in `Latch::set`.
+            fence(Ordering::SeqCst);
+            if (*sleep).sleepers() > 0 {
+                (*sleep).notify_all_now();
+            }
         }
     }
 }

@@ -68,24 +68,27 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Push a job into the global injector and wake the pool — the submission path for
-    /// work arriving from outside a worker of this pool (`spawn`, cross-thread `install`,
-    /// and scoped spawns issued off-pool).
+    /// Push a job into the global injector and wake one parked worker, if there is one —
+    /// the submission path for work arriving from outside a worker of this pool (`spawn`,
+    /// cross-thread `install`, and scoped spawns issued off-pool).
     ///
-    /// This path wakes **unconditionally** ([`Sleep::notify_all_now`]), unlike the
-    /// fork-hot `notify`: a submitter is an external thread, so its relaxed sleeper-count
-    /// load can race a worker's park registration (the StoreLoad hole in the sleep
-    /// protocol's docs), and losing that race here means a job submitted to a fully idle
-    /// pool sits for the whole 1ms park backstop before anything starts it. Submission is
-    /// off the fork hot path — taking the event lock per submitted root job is noise,
-    /// while a 1ms p99 submit-to-start tail is not (`tests/submit_latency.rs` pins this).
+    /// Publish, full fence, look ([`Sleep::notify_fenced`]): `Injector::push` advances
+    /// `tail` with a `SeqCst` `fetch_add` before it writes the slot, and a worker about to
+    /// park fences between registering as a sleeper and its last `has_visible_work`. So
+    /// either this thread sees the sleeper and wakes it, or the sleeper sees `tail` moved
+    /// (a claimed-but-unwritten slot already reads "not empty") and does not park: a job
+    /// submitted to an idle pool never waits out the 1 ms park backstop
+    /// (`tests/submit_latency.rs`), and one submitted to a busy pool makes no system call
+    /// (`tests/service_wakes.rs`). One job needs one worker; if it forks, its pushes wake
+    /// the others like any fork's.
     pub(crate) fn inject(&self, job: Job) {
         self.injector.push(job);
-        self.sleep.notify_all_now();
+        self.sleep.notify_fenced();
     }
 
-    /// Whether any queue visibly holds work (the pre-park check; racy by design — a missed
-    /// observation is covered by the sleep protocol's backstop).
+    /// Whether any queue visibly holds work (the pre-park check, made after the sleeper's
+    /// fence: a job injected by a thread that then saw no sleeper is visible here; a fork's
+    /// push into a deque may be missed, which the sleep protocol's backstop covers).
     fn has_visible_work(&self) -> bool {
         if !self.injector.is_empty() {
             return true;
@@ -664,6 +667,14 @@ impl ThreadPool {
     /// verifying that an idle pool actually sleeps instead of spinning).
     pub fn parked_workers(&self) -> usize {
         self.shared.sleep.sleepers()
+    }
+
+    /// Wake-ups the pool has issued to parked workers so far (an instantaneous reading of
+    /// the sleep protocol's event counter) — useful for verifying that publishing work to
+    /// a pool whose workers are all awake wakes nobody: every event is a lock and a
+    /// `futex` call on the publisher's side.
+    pub fn wake_events(&self) -> u64 {
+        self.shared.sleep.events()
     }
 
     /// Submit a fire-and-forget job.

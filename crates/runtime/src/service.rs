@@ -25,6 +25,18 @@
 //! drives these invariants under injected panics, worker deaths, stalls, and contention
 //! storms (see [`crate::faults`]).
 //!
+//! **Who wakes whom.** A root job passes three rendezvous, and none of them makes a
+//! system call unless somebody is asleep on the other side. The side that makes progress
+//! publishes, issues a full fence and then looks for a registered sleeper; the side that
+//! sleeps registers, issues a full fence and looks once more before it blocks — Dekker's
+//! handshake, in which one of the two always sees the other. So: the submitter, after its
+//! injector push, wakes *one parked worker* (`Shared::inject`, `sleep.rs`); the worker
+//! that starts a job wakes *one [`Block`] submitter* waiting for the slot it frees
+//! (`release_slot`); and whoever settles a job wakes the threads blocked in
+//! [`JobHandle::wait`] on it (`settle`), after leaving the lock they will need (the last
+//! two through the private `Rendezvous` type below). Every sleeper keeps a timed re-check
+//! besides (1 ms, 1 ms and 50 ms), which nothing relies on.
+//!
 //! [`Block`]: AdmissionPolicy::Block
 //! [`Shed`]: AdmissionPolicy::Shed
 //! [`ShedOldest`]: AdmissionPolicy::ShedOldest
@@ -32,12 +44,13 @@
 use crate::cancel::{self, CancelPayload, CancelReason, CancelToken};
 use crate::faults::FaultPlan;
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
+use crate::padding::CachePadded;
 use crate::pool::{ThreadPool, ThreadPoolBuilder, WorkerHandle};
 use rws_trace::{EventKind, TraceRecorder};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -89,6 +102,62 @@ fn outcome_from_u8(v: u8) -> Option<JobOutcome> {
     }
 }
 
+/// A condition variable whose notifier makes no system call while nobody waits — one side
+/// of each rendezvous in the module docs. The notifier changes the condition, then calls
+/// [`Rendezvous::wake_one`]/[`Rendezvous::wake_all`]: full fence, *then* a look at the
+/// waiter count. A waiter registers, issues a full fence, and looks at the condition once
+/// more under the lock before it blocks. Dekker's handshake: either the notifier sees the
+/// registration, or the waiter's last look sees the change. The notifier passes through
+/// the lock before it notifies — a registered waiter has then either seen the change or is
+/// already in its wait — and notifies outside it, so the woken thread finds the lock free.
+#[derive(Debug, Default)]
+struct Rendezvous {
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Rendezvous {
+    /// The notifier's half: fence, look, and — only for a registered waiter — a pass
+    /// through the lock. True when the caller should now notify.
+    fn has_waiter_after_fence(&self) -> bool {
+        fence(Ordering::SeqCst);
+        if self.waiters.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
+        true
+    }
+
+    /// Wake one waiter, if there is one. Call after changing what waiters wait for.
+    fn wake_one(&self) {
+        if self.has_waiter_after_fence() {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wake every waiter, if there is one. Call after changing what waiters wait for.
+    fn wake_all(&self) {
+        if self.has_waiter_after_fence() {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block for at most `timeout`, unless `ready()` holds at the last look. Returns on a
+    /// wake, a timeout or a spurious wake-up alike: the caller re-checks and loops.
+    fn wait_unless(&self, timeout: Duration, ready: impl FnOnce() -> bool) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        {
+            let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            if !ready() {
+                let _ = self.cv.wait_timeout(guard, timeout).unwrap_or_else(|e| e.into_inner());
+            }
+        }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Shared per-submission state: the outcome CAS cell, the run claim, the slot-accounting
 /// flag, and the completion signal the handle waits on.
 #[derive(Debug)]
@@ -107,8 +176,8 @@ struct JobState {
     /// Nanoseconds from submission to the terminal outcome, stored by the winning
     /// `settle`. Zero means "not settled yet" (a genuine zero-ns settle rounds up to 1).
     settled_at_ns: AtomicU64,
-    done: Mutex<bool>,
-    cv: Condvar,
+    /// Where [`JobHandle::wait`] blocks until `settle` has published `outcome`.
+    settled: Rendezvous,
 }
 
 impl JobState {
@@ -122,8 +191,7 @@ impl JobState {
             started: AtomicBool::new(false),
             slot_released: AtomicBool::new(false),
             settled_at_ns: AtomicU64::new(0),
-            done: Mutex::new(false),
-            cv: Condvar::new(),
+            settled: Rendezvous::default(),
         }
     }
 
@@ -163,43 +231,32 @@ impl JobHandle {
 
     /// Block until the job settles, returning its outcome.
     pub fn wait(&self) -> JobOutcome {
-        let mut done = self.state.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            let (guard, _) = self
-                .state
-                .cv
-                .wait_timeout(done, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
-            done = guard;
-            if !*done {
-                // The condvar wait is belt-and-braces re-checked against the atomic: the
-                // settle path sets the atomic first, so a lost wakeup costs one timeout.
-                if self.state.outcome().is_some() {
-                    break;
-                }
-            }
-        }
-        self.state.outcome().expect("a signalled job has settled")
+        self.wait_until(None).expect("a wait without a deadline ends only with an outcome")
     }
 
     /// Block until the job settles or `timeout` elapses.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        let deadline = Instant::now() + timeout;
-        let mut done = self.state.done.lock().unwrap_or_else(|e| e.into_inner());
+        self.wait_until(Some(Instant::now() + timeout))
+    }
+
+    /// The outcome, waiting for it until `deadline` (forever without one). A settled job
+    /// answers from the atomic alone, without a lock; an unsettled one blocks on the job's
+    /// [`Rendezvous`], re-checking every 50 ms all the same.
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<JobOutcome> {
+        let job = &*self.state;
         loop {
-            if *done || self.state.outcome().is_some() {
-                return self.state.outcome();
+            if let Some(outcome) = job.outcome() {
+                return Some(outcome);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return self.state.outcome();
+            let mut wait = Duration::from_millis(50);
+            if let Some(deadline) = deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return None;
+                }
+                wait = wait.min(left);
             }
-            let (guard, _) = self
-                .state
-                .cv
-                .wait_timeout(done, (deadline - now).min(Duration::from_millis(50)))
-                .unwrap_or_else(|e| e.into_inner());
-            done = guard;
+            job.settled.wait_unless(wait, || job.outcome().is_some());
         }
     }
 }
@@ -265,6 +322,38 @@ impl Ord for DeadlineEntry {
     }
 }
 
+/// Written once per submission, by the submitting thread only. The three counter groups
+/// of [`ServerState`] are split by who writes them and padded to a line each: laid side by
+/// side, every submit invalidated the line a worker was about to settle on and every
+/// settle the line the next submit needed — false sharing, the paper's subject, in the
+/// server's own accounting.
+#[derive(Default)]
+struct SubmitCounters {
+    /// Next sequence number, which is also the number of submissions so far.
+    seq: AtomicU64,
+    accepted: AtomicU64,
+}
+
+/// Written once per settled job, by whoever settles it — a worker, for every job that ran.
+#[derive(Default)]
+struct OutcomeCounters {
+    completed: AtomicU64,
+    panicked: AtomicU64,
+    deadline: AtomicU64,
+    cancelled: AtomicU64,
+    shed: AtomicU64,
+}
+
+/// Written from both sides of every job: raised by its submitter, lowered by its worker.
+/// The sharing is real, so the two keep each other's company on one line.
+#[derive(Default)]
+struct SharedCounters {
+    /// Submissions not yet settled.
+    in_flight: AtomicU64,
+    /// Admitted-but-not-started submissions currently holding a slot.
+    occupancy: AtomicUsize,
+}
+
 /// Server-side shared state. Job closures capture this (never the `ThreadPool` itself —
 /// an `Arc<ThreadPool>` inside a queued job would create a reference cycle through the
 /// pool's own injector).
@@ -274,20 +363,13 @@ struct ServerState {
     default_deadline: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
 
-    seq: AtomicU64,
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    in_flight: AtomicU64,
-    completed: AtomicU64,
-    panicked: AtomicU64,
-    deadline: AtomicU64,
-    cancelled: AtomicU64,
-    shed: AtomicU64,
+    /// The per-job counters, a cache line per set of writers (see [`SubmitCounters`]).
+    submit: CachePadded<SubmitCounters>,
+    outcomes: CachePadded<OutcomeCounters>,
+    both: CachePadded<SharedCounters>,
 
-    /// Admitted-but-not-started submissions currently holding a slot.
-    occupancy: AtomicUsize,
-    admission_lock: Mutex<()>,
-    admission_cv: Condvar,
+    /// Where a `Block` submitter waits for `occupancy` to fall below `capacity`.
+    admission: Rendezvous,
 
     /// FIFO of admitted jobs, maintained only under `ShedOldest` (eviction candidates).
     pending: Mutex<VecDeque<Arc<JobState>>>,
@@ -322,7 +404,10 @@ struct ServerState {
 impl ServerState {
     /// Settle `job` to `outcome` — the single arbitration point for the
     /// exactly-one-terminal-outcome contract. Returns whether this call won.
-    fn settle(&self, job: &JobState, outcome: JobOutcome) -> bool {
+    ///
+    /// `now` is the instant the outcome was reached: the run path has just read the clock
+    /// for `service_hist` and passes that reading on.
+    fn settle(&self, job: &JobState, outcome: JobOutcome, now: Instant) -> bool {
         if job
             .outcome
             .compare_exchange(PENDING, outcome as u8, Ordering::AcqRel, Ordering::Acquire)
@@ -331,17 +416,17 @@ impl ServerState {
             return false;
         }
         match outcome {
-            JobOutcome::Completed => &self.completed,
-            JobOutcome::Panicked => &self.panicked,
-            JobOutcome::Deadline => &self.deadline,
-            JobOutcome::Cancelled => &self.cancelled,
-            JobOutcome::Shed => &self.shed,
+            JobOutcome::Completed => &self.outcomes.0.completed,
+            JobOutcome::Panicked => &self.outcomes.0.panicked,
+            JobOutcome::Deadline => &self.outcomes.0.deadline,
+            JobOutcome::Cancelled => &self.outcomes.0.cancelled,
+            JobOutcome::Shed => &self.outcomes.0.shed,
         }
         .fetch_add(1, Ordering::Relaxed);
-        let settled_ns = job.submitted_at.elapsed().as_nanos().max(1) as u64;
+        let settled_ns = now.duration_since(job.submitted_at).as_nanos().max(1) as u64;
         job.settled_at_ns.store(settled_ns, Ordering::Release);
         self.trace_event(EventKind::ServiceSettle, outcome as u8, job.seq);
-        if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1
+        if self.both.0.in_flight.fetch_sub(1, Ordering::AcqRel) == 1
             && self.shutdown.load(Ordering::Acquire)
         {
             // Last in-flight job during a shutdown: wake the draining thread now. Taking
@@ -351,9 +436,8 @@ impl ServerState {
             let _lock = self.drain_lock.lock().unwrap_or_else(|e| e.into_inner());
             self.drain_cv.notify_all();
         }
-        let mut done = job.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        job.cv.notify_all();
+        // The outcome was published by the CAS above.
+        job.settled.wake_all();
         true
     }
 
@@ -363,7 +447,7 @@ impl ServerState {
     /// never-started submissions — `queue_hist`/`service_hist` stay started-jobs-only,
     /// so the three histograms partition cleanly by outcome path.
     fn settle_never_ran(&self, job: &JobState, outcome: JobOutcome) -> bool {
-        if !self.settle(job, outcome) {
+        if !self.settle(job, outcome, Instant::now()) {
             return false;
         }
         self.terminal_hist.record(job.settled_at_ns.load(Ordering::Acquire));
@@ -388,9 +472,8 @@ impl ServerState {
         if job.slot_released.swap(true, Ordering::AcqRel) {
             return false;
         }
-        self.occupancy.fetch_sub(1, Ordering::AcqRel);
-        let _lock = self.admission_lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.admission_cv.notify_one();
+        self.both.0.occupancy.fetch_sub(1, Ordering::AcqRel);
+        self.admission.wake_one();
         true
     }
 
@@ -477,18 +560,10 @@ impl JobServer {
             policy: config.admission,
             default_deadline: config.default_deadline,
             faults: config.faults,
-            seq: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            deadline: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            occupancy: AtomicUsize::new(0),
-            admission_lock: Mutex::new(()),
-            admission_cv: Condvar::new(),
+            submit: CachePadded::default(),
+            outcomes: CachePadded::default(),
+            both: CachePadded::default(),
+            admission: Rendezvous::default(),
             pending: Mutex::new(VecDeque::new()),
             deadlines: Mutex::new(BinaryHeap::new()),
             supervisor_lock: Mutex::new(()),
@@ -521,7 +596,7 @@ impl JobServer {
 
     /// Submit a root job under the server's default deadline (if any).
     pub fn submit(&self, f: impl FnOnce() + Send + 'static) -> JobHandle {
-        self.submit_inner(Box::new(f), self.state.default_deadline)
+        self.submit_inner(f, self.state.default_deadline)
     }
 
     /// Submit a root job with an explicit budget, overriding the server default.
@@ -530,23 +605,21 @@ impl JobServer {
         f: impl FnOnce() + Send + 'static,
         budget: Duration,
     ) -> JobHandle {
-        self.submit_inner(Box::new(f), Some(budget))
+        self.submit_inner(f, Some(budget))
     }
 
-    fn submit_inner(
-        &self,
-        f: Box<dyn FnOnce() + Send + 'static>,
-        budget: Option<Duration>,
-    ) -> JobHandle {
+    fn submit_inner<F>(&self, f: F, budget: Option<Duration>) -> JobHandle
+    where
+        F: FnOnce() + Send + 'static,
+    {
         let state = &self.state;
-        let seq = state.seq.fetch_add(1, Ordering::Relaxed);
-        state.submitted.fetch_add(1, Ordering::Relaxed);
+        let seq = state.submit.0.seq.fetch_add(1, Ordering::Relaxed);
         let deadline = budget.map(|b| Instant::now() + b);
         let job = Arc::new(JobState::new(seq, deadline));
         let handle = JobHandle { state: Arc::clone(&job) };
         // `settle` decrements in_flight; count every submission in so the counter nets to
         // the number of genuinely unsettled submissions even for shed-at-the-door ones.
-        state.in_flight.fetch_add(1, Ordering::AcqRel);
+        state.both.0.in_flight.fetch_add(1, Ordering::AcqRel);
 
         // ---- Admission ----
         loop {
@@ -556,9 +629,11 @@ impl JobServer {
                 self.pool.stats().record_shed();
                 return handle;
             }
-            let occ = state.occupancy.load(Ordering::Acquire);
+            let occ = state.both.0.occupancy.load(Ordering::Acquire);
             if occ < state.capacity {
                 if state
+                    .both
+                    .0
                     .occupancy
                     .compare_exchange(occ, occ + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
@@ -569,18 +644,12 @@ impl JobServer {
             }
             match state.policy {
                 AdmissionPolicy::Block => {
-                    let lock = state.admission_lock.lock().unwrap_or_else(|e| e.into_inner());
-                    // Re-check under the lock, then wait with a bounded timeout: the
-                    // notify in `release_slot` plus this backstop make lost wakeups cost
-                    // at most one tick.
-                    if state.occupancy.load(Ordering::Acquire) >= state.capacity
-                        && !state.shutdown.load(Ordering::Acquire)
-                    {
-                        let _ = state
-                            .admission_cv
-                            .wait_timeout(lock, Duration::from_millis(1))
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
+                    // The wait is bounded, so a wake that goes to another blocked
+                    // submitter costs this one at most a tick.
+                    state.admission.wait_unless(Duration::from_millis(1), || {
+                        state.both.0.occupancy.load(Ordering::Acquire) < state.capacity
+                            || state.shutdown.load(Ordering::Acquire)
+                    });
                 }
                 AdmissionPolicy::Shed => {
                     job.claim_run();
@@ -609,7 +678,7 @@ impl JobServer {
         }
 
         // ---- Admitted ----
-        state.accepted.fetch_add(1, Ordering::Relaxed);
+        state.submit.0.accepted.fetch_add(1, Ordering::Relaxed);
         if state.policy == AdmissionPolicy::ShedOldest {
             let mut pending = state.pending.lock().unwrap_or_else(|e| e.into_inner());
             // Amortized cleanup: drop already-started/settled heads so the deque tracks
@@ -653,13 +722,13 @@ impl JobServer {
         let s = &self.state;
         let stats = self.pool.stats();
         ServiceSnapshot {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            accepted: s.accepted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            panicked: s.panicked.load(Ordering::Relaxed),
-            deadline: s.deadline.load(Ordering::Relaxed),
-            cancelled: s.cancelled.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
+            submitted: s.submit.0.seq.load(Ordering::Relaxed),
+            accepted: s.submit.0.accepted.load(Ordering::Relaxed),
+            completed: s.outcomes.0.completed.load(Ordering::Relaxed),
+            panicked: s.outcomes.0.panicked.load(Ordering::Relaxed),
+            deadline: s.outcomes.0.deadline.load(Ordering::Relaxed),
+            cancelled: s.outcomes.0.cancelled.load(Ordering::Relaxed),
+            shed: s.outcomes.0.shed.load(Ordering::Relaxed),
             respawns: stats.total_respawns(),
             jobs_drained: stats.total_jobs_drained(),
             panics_caught: stats.total_panics_caught(),
@@ -671,7 +740,7 @@ impl JobServer {
 
     /// Submissions not yet settled.
     pub fn in_flight(&self) -> u64 {
-        self.state.in_flight.load(Ordering::Acquire)
+        self.state.both.0.in_flight.load(Ordering::Acquire)
     }
 
     /// Stop accepting work, drain every in-flight submission to a terminal outcome
@@ -685,10 +754,7 @@ impl JobServer {
         if let Some(plan) = &state.faults {
             plan.disarm();
         }
-        {
-            let _lock = state.admission_lock.lock().unwrap_or_else(|e| e.into_inner());
-            state.admission_cv.notify_all();
-        }
+        state.admission.wake_all();
         // Drain: every accepted job must settle. Workers only die at sweep boundaries
         // (never mid-job), so respawn sweeps guarantee queued jobs find an executor. The
         // settle that zeroes `in_flight` under the shutdown flag signals `drain_cv`, so
@@ -701,10 +767,10 @@ impl JobServer {
         // would be safe for *queued* jobs (`run_root_job`'s pre-run deadline check settles
         // queued-expired jobs without any sweep) but would leave an already-*running*
         // job's expired deadline uncancelled until it completed on its own.
-        while state.in_flight.load(Ordering::Acquire) > 0 {
+        while state.both.0.in_flight.load(Ordering::Acquire) > 0 {
             self.pool.respawn_dead_workers();
             let guard = state.drain_lock.lock().unwrap_or_else(|e| e.into_inner());
-            if state.in_flight.load(Ordering::Acquire) > 0 {
+            if state.both.0.in_flight.load(Ordering::Acquire) > 0 {
                 let _ = state
                     .drain_cv
                     .wait_timeout(guard, Duration::from_millis(1))
@@ -746,10 +812,7 @@ impl Drop for JobServer {
         self.state.shutdown.store(true, Ordering::Release);
         self.state.supervisor_stop.store(true, Ordering::Release);
         self.state.wake_supervisor();
-        {
-            let _lock = self.state.admission_lock.lock().unwrap_or_else(|e| e.into_inner());
-            self.state.admission_cv.notify_all();
-        }
+        self.state.admission.wake_all();
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
@@ -762,7 +825,7 @@ impl Drop for JobServer {
 fn run_root_job(
     server: &Arc<ServerState>,
     job: &Arc<JobState>,
-    f: Box<dyn FnOnce() + Send + 'static>,
+    f: impl FnOnce(),
     inject_panic: bool,
 ) {
     if !job.claim_run() {
@@ -793,10 +856,11 @@ fn run_root_job(
         }
         f();
     }));
-    server.service_hist.record(started_at.elapsed().as_nanos() as u64);
+    let finished_at = Instant::now();
+    server.service_hist.record(finished_at.duration_since(started_at).as_nanos() as u64);
     match result {
         Ok(()) => {
-            server.settle(job, JobOutcome::Completed);
+            server.settle(job, JobOutcome::Completed, finished_at);
         }
         Err(payload) => match payload.downcast::<CancelPayload>() {
             Ok(cp) => {
@@ -813,7 +877,7 @@ fn run_root_job(
                         }
                     });
                 }
-                server.settle(job, outcome);
+                server.settle(job, outcome, finished_at);
             }
             Err(payload) => {
                 // A genuine panic: quarantined here (this catch is inside Job::execute's,
@@ -825,7 +889,7 @@ fn run_root_job(
                         w.shared.health().notify();
                     }
                 });
-                server.settle(job, JobOutcome::Panicked);
+                server.settle(job, JobOutcome::Panicked, finished_at);
                 drop(payload);
             }
         },
@@ -841,7 +905,7 @@ fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Dur
         // Launch a due contention storm: OS threads hammering the pool's MPMC injector
         // with no-op jobs, concurrently with real traffic.
         if let Some(plan) = &state.faults {
-            if let Some(spec) = plan.storm_due(state.accepted.load(Ordering::Relaxed)) {
+            if let Some(spec) = plan.storm_due(state.submit.0.accepted.load(Ordering::Relaxed)) {
                 let threads: Vec<_> = (0..spec.threads)
                     .map(|_| {
                         let pool = Arc::clone(&pool);
@@ -970,7 +1034,7 @@ mod tests {
         });
         // Wait until the blocker holds the worker (slot released once it starts).
         let deadline = Instant::now() + Duration::from_secs(10);
-        while server.state.occupancy.load(Ordering::Acquire) > 0 {
+        while server.state.both.0.occupancy.load(Ordering::Acquire) > 0 {
             assert!(Instant::now() < deadline, "blocker never started");
             thread::yield_now();
         }
@@ -1007,7 +1071,7 @@ mod tests {
             }
         });
         let deadline = Instant::now() + Duration::from_secs(10);
-        while server.state.occupancy.load(Ordering::Acquire) > 0 {
+        while server.state.both.0.occupancy.load(Ordering::Acquire) > 0 {
             assert!(Instant::now() < deadline, "blocker never started");
             thread::yield_now();
         }
@@ -1171,7 +1235,7 @@ mod tests {
             }
         });
         let deadline = Instant::now() + Duration::from_secs(10);
-        while server.state.occupancy.load(Ordering::Acquire) > 0 {
+        while server.state.both.0.occupancy.load(Ordering::Acquire) > 0 {
             assert!(Instant::now() < deadline, "blocker never started");
             thread::yield_now();
         }
@@ -1192,6 +1256,73 @@ mod tests {
             "every settled submission is in exactly one accounting path"
         );
         assert_eq!(snap.terminal.count, 5);
+    }
+
+    #[test]
+    fn no_wait_ever_leans_on_its_fifty_millisecond_recheck() {
+        // Two submitters, each waiting on every job it submits, against two workers: the
+        // settle and the waiter's registration race 20 000 times. A wake lost there costs
+        // the waiter its whole 50 ms re-check, which no healthy round trip comes near.
+        const JOBS_EACH: usize = 10_000;
+        let server = quick_server(2, 64, AdmissionPolicy::Block);
+        let slowest = thread::scope(|s| {
+            let submitters: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..JOBS_EACH)
+                            .map(|_| {
+                                let handle = server.submit(|| {});
+                                let waiting = Instant::now();
+                                assert_eq!(handle.wait(), JobOutcome::Completed);
+                                waiting.elapsed()
+                            })
+                            .max()
+                            .expect("JOBS_EACH > 0")
+                    })
+                })
+                .collect();
+            submitters.into_iter().map(|h| h.join().expect("submitter panicked")).max()
+        });
+        let slowest = slowest.expect("two submitters");
+        assert!(
+            slowest < Duration::from_millis(45),
+            "a wait() took {slowest:?}: its wake was lost and the 50 ms re-check found the outcome"
+        );
+        assert_eq!(server.shutdown().completed, 2 * JOBS_EACH as u64);
+    }
+
+    #[test]
+    fn a_blocked_submitter_is_woken_by_the_slot_it_waits_for() {
+        // Capacity 1: the submitter blocks on nearly every submission, until the worker
+        // claims the queued job (50 us of work away) and frees its slot. Were those wakes
+        // missing, every block would last its whole 1 ms timed wait — 500 ms for the
+        // stream, against 25 ms of work. Counted per submission, so that a crowded host,
+        // which slows both cases alike, does not blur the two.
+        const JOBS: usize = 500;
+        let server = quick_server(1, 1, AdmissionPolicy::Block);
+        let mut whole_ticks = 0;
+        let handles: Vec<_> = (0..JOBS)
+            .map(|_| {
+                let submitting = Instant::now();
+                let handle = server.submit(|| {
+                    let begun = Instant::now();
+                    while begun.elapsed() < Duration::from_micros(50) {
+                        std::hint::spin_loop();
+                    }
+                });
+                whole_ticks += usize::from(submitting.elapsed() >= Duration::from_millis(1));
+                handle
+            })
+            .collect();
+        for h in &handles {
+            assert_eq!(h.wait(), JobOutcome::Completed);
+        }
+        assert!(
+            whole_ticks < JOBS / 4,
+            "{whole_ticks} of {JOBS} submissions to a capacity-1 queue took a whole 1 ms \
+             tick: blocked submitters are not being woken by the slot they wait for"
+        );
+        assert_eq!(server.shutdown().completed, JOBS as u64);
     }
 
     #[test]

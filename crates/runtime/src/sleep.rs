@@ -6,29 +6,38 @@
 //! event counter. The other half of the contract is deliberately asymmetric, because
 //! producers are the hot path:
 //!
-//! * A producer (deque push, injector push, latch completion) does a single `Relaxed` load
-//!   of the sleeper count; only if somebody is actually parked does it take the lock, bump
-//!   the event counter and notify — so while the pool is busy, waking costs one untaken
-//!   branch per fork.
-//! * A would-be sleeper first registers in `sleepers` (`SeqCst`), re-reads the event
-//!   counter, runs its final work check, and only then waits — a producer that published
-//!   work *after* the final check necessarily saw `sleepers > 0` and bumps the counter,
-//!   which the waiter observes.
+//! * A forking worker (deque push) does a single `Relaxed` load of the sleeper count; only
+//!   if somebody is actually parked does it take the lock, bump the event counter and
+//!   notify — so while the pool is busy, waking costs one untaken branch per fork.
+//! * A would-be sleeper first registers in `sleepers` (`SeqCst`), issues a full fence,
+//!   re-reads the event counter, runs its final work check, and only then waits — a
+//!   producer that bumps the counter after that read is observed by the waiter, and work
+//!   published before a bump the sleeper did read is visible to its final check.
+//! * A producer off the fork path — a root job pushed into the injector
+//!   ([`Sleep::notify_fenced`]), the completion of a stolen `join` branch or of a scope
+//!   (`job.rs`) — publishes, issues a full fence, and *then* loads the sleeper count. With
+//!   the sleeper's fence that is Dekker's handshake: either the producer sees the sleeper
+//!   and wakes it, or the sleeper's final check sees what was published. These are the
+//!   wakes somebody is waiting for — a submitted job, the owner of a stolen branch — and
+//!   none of them can be lost; they happen once per root job, stolen branch or scope, where
+//!   a fence costs a tenth of the broadcast it makes conditional.
 //!
-//! One theoretical hole remains: the producer's relaxed sleeper-count load can race the
-//! sleeper's registration (classic StoreLoad reordering — the producer's push may still sit
-//! in its store buffer when the sleeper makes its final check). Closing it on the producer
-//! side would cost a full `SeqCst` fence on **every fork**, which is exactly the overhead
-//! this module exists to avoid; instead every park uses a short `wait_timeout`, so the
-//! worst case for that vanishingly rare interleaving is one extra millisecond of latency,
-//! never a lost wakeup.
+//! One window is left open on purpose: the fork path's `push_local` → [`Sleep::notify`]
+//! (and the same call where a thief announces the surplus of a batch steal).
+//! The forking worker's relaxed sleeper-count load can race a sleeper's registration
+//! (StoreLoad reordering — the push may still sit in the store buffer when the sleeper makes
+//! its final check), and closing it would cost a full fence on **every fork**, which is
+//! exactly the overhead this module exists to avoid. What that race can lose is the wake of
+//! a *thief*: the pushed job still belongs to a worker that is awake and will pop it itself,
+//! nobody waits on the sleeper, and every park uses a short `wait_timeout`, so the cost is
+//! one idle worker joining in up to a millisecond late.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// How long a parked worker waits before re-checking for work on its own (the backstop for
-/// the producer-side relaxed load; see the module docs).
+/// the fork path's relaxed load; see the module docs).
 const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 
 /// Shape of the idle protocol's spin→yield→park schedule.
@@ -93,6 +102,11 @@ impl Sleep {
         self.sleepers.load(Ordering::Acquire)
     }
 
+    /// Notifications issued so far (the event counter; wraps). Test/diagnostic use.
+    pub(crate) fn events(&self) -> u64 {
+        *self.event.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Hot-path wakeup for one newly published job: no-op unless somebody is parked, and
     /// then wakes a **single** sleeper — one job needs one thief, and waking the whole
     /// pool per fork would turn a deep serial recursion (everyone else parked) into a
@@ -103,6 +117,16 @@ impl Sleep {
         if self.sleepers.load(Ordering::Relaxed) > 0 {
             self.wake_one();
         }
+    }
+
+    /// Wakeup for work published off the fork path (a root job pushed into the injector):
+    /// full fence, *then* look — the submitter's half of the Dekker handshake whose other
+    /// half is the fence in [`Sleep::sleep_unless`]. Either this load sees the sleeper
+    /// and wakes it, or the sleeper's final work check sees the push; a wake is never
+    /// lost, and none is issued when every worker is awake.
+    pub(crate) fn notify_fenced(&self) {
+        fence(Ordering::SeqCst);
+        self.notify();
     }
 
     /// The lock-and-signal half of [`Sleep::notify`], out of line so the inlined half is
@@ -116,8 +140,8 @@ impl Sleep {
         self.condvar.notify_one();
     }
 
-    /// Unconditional broadcast wakeup (shutdown, and latch completions — where the one
-    /// waiter that matters may not be the one `notify_one` would pick).
+    /// Unconditional broadcast wakeup (shutdown, the respawn drain, and latch completions —
+    /// where the one waiter that matters may not be the one `notify_one` would pick).
     pub(crate) fn notify_all_now(&self) {
         let mut event = self.event.lock().unwrap_or_else(|e| e.into_inner());
         *event = event.wrapping_add(1);
@@ -137,6 +161,10 @@ impl Sleep {
     /// published before a bump we observe is visible to `ready`.
     pub(crate) fn sleep_unless(&self, mut ready: impl FnMut() -> bool) -> bool {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
+        // Registration before the final look at the queues, in the one total order of
+        // `SeqCst` fences: pairs with the fence a publisher issues between its push and
+        // its sleeper-count load (`notify_fenced`, the latches in `job.rs`).
+        fence(Ordering::SeqCst);
         let observed = *self.event.lock().unwrap_or_else(|e| e.into_inner());
         let mut notified = true;
         if !ready() {

@@ -35,7 +35,7 @@ struct WorkerCounters {
     /// Parks that ended in the 1ms backstop timeout instead of a notification. A handful
     /// around activity edges is normal; a steady-state stream means work is being
     /// published without a wake reaching anyone — the missed-wake class the submit-path
-    /// broadcast fix closed (see `Shared::inject`).
+    /// handshake closes (see `Shared::inject`).
     backstop_wakes: AtomicU64,
     /// Successful steal *operations* (victim visits): a batch moving `k` jobs counts once
     /// here and `k` times in `steals` — this is the CAS-traffic/victim-visit view, while
