@@ -200,6 +200,23 @@ mod tests {
         let sqrt_h = h_root_hbp_c2_sqrt(100.0, n as f64, &p);
         let quarter_h = h_root_hbp_c2_quarter(100.0, n as f64, &p);
         assert!(sqrt_h < quarter_h);
+        // E10 — Theorem 6.3 over n ∈ {2¹⁰, 2¹⁴, 2¹⁸} × B ∈ {8, 64} with T∞ = log²n: the
+        // sqrt-shrink recursion has the smallest additive term and the quarter-shrink one the
+        // largest (c = 1 ties it at n = 2¹⁰, B = 64: 278), and the gap widens with n.
+        for b_words in [8.0, 64.0] {
+            let p = Params { b_words, ..params() };
+            let mut gap = 0.0;
+            for n in [1u64 << 10, 1 << 14, 1 << 18] {
+                let n = n as f64;
+                let t_inf = log2(n).powi(2);
+                let c1 = h_root_hbp_c1(t_inf, n, log2(n) - log2(b_words), &p);
+                let sqrt = h_root_hbp_c2_sqrt(t_inf, n, &p);
+                let quarter = h_root_hbp_c2_quarter(t_inf, n, &p);
+                assert!(sqrt < c1 && c1 <= quarter, "n={n} B={b_words}: {sqrt} {c1} {quarter}");
+                assert!(quarter - sqrt > gap, "n={n} B={b_words}: the gap must widen");
+                gap = quarter - sqrt;
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # rws-analysis
 //!
-//! Closed-form evaluations of the paper's bounds, used by the experiment harness to compare
-//! measured quantities against predictions. All functions return `f64` values with the
+//! Closed-form evaluations of the paper's bounds, used by the `rws-lab` checks and the
+//! repository's tests to compare measured quantities against predictions. All functions return `f64` values with the
 //! asymptotic constants taken as 1 — experiments compare *shapes* (scaling exponents, who
 //! wins, crossovers), not absolute values.
 //!

@@ -17,7 +17,7 @@
 //! * Steals take entries from the *top* of the victim's queue, so the stolen task is always
 //!   the shallowest outstanding fork of the victim — Observation 4.1's structure (stolen
 //!   tasks are right children along a single path `P_τ`, stolen top-down) emerges naturally
-//!   and is checked by tests and by experiment E18.
+//!   and is checked by `tests/simulator_end_to_end.rs` (E18).
 //! * A stolen task receives a fresh, block-aligned stack region; its accesses to segments of
 //!   enclosing forks resolve into the victim task's stack, reproducing the stack block
 //!   sharing analyzed in Lemmas 4.3/4.4.

@@ -64,7 +64,7 @@ impl SimExecutor {
     /// Run a bare computation (no output semantics), returning the normalized report.
     ///
     /// This is the entry point for callers that have a dag but no [`crate::Workload`] —
-    /// the experiment harness's sweeps go through here.
+    /// the lab's sweep goes through here.
     pub fn run_computation(&self, comp: &Computation) -> ExecReport {
         let start = Instant::now();
         let report = self.scheduler.run(comp);

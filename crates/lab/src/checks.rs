@@ -32,8 +32,8 @@ fn params_of(machine: &MachineConfig) -> Params {
     )
 }
 
-/// The burst parameter `a` in the steal bounds: `1` gives the expectation-flavored form the
-/// experiment harness also uses.
+/// The burst parameter `a` in the steal bounds: `1` gives the expectation-flavored form
+/// (`tests/simulator_end_to_end.rs` evaluates the bounds the same way).
 const A: f64 = 1.0;
 
 /// The per-algorithm steal bound (Lemma 7.1 / Theorem 7.1 / Theorem 6.3 forms) evaluated

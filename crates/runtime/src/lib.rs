@@ -37,9 +37,10 @@
 //! ([`hist`]). A compiled-in, default-off fault-injection layer ([`faults`]) drives the
 //! chaos harness in `rws-lab` that verifies the recovery invariants.
 //!
-//! The [`padding`] module provides the cache-line padding wrappers used by the false-sharing
-//! experiments (E19): identical workloads run once with per-worker accumulators packed into a
-//! single cache line (false sharing) and once with each accumulator padded to its own line.
+//! The [`padding`] module provides the cache-line padding wrappers the
+//! `prefix_sums_native` example (E19) runs false sharing on: identical workloads run once with
+//! per-worker accumulators packed into a single cache line (false sharing) and once with each
+//! accumulator padded to its own line.
 
 // Unsafe is confined to the stack-job handoff in `job` (and its use in `pool` and `scope`)
 // and to the two one-word thread-locals the fork path reads — the worker word in `pool`, the

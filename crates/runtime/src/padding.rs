@@ -1,4 +1,5 @@
-//! Cache-line padding wrappers for the real-hardware false-sharing experiments.
+//! Cache-line padding wrappers for the real-hardware false-sharing demonstration
+//! (`examples/prefix_sums_native.rs`, E19).
 //!
 //! The paper's block misses are caused by distinct processors writing distinct words of the
 //! same cache line. The canonical native demonstration is a set of per-worker counters:
