@@ -1,44 +1,9 @@
-//! Shared building blocks for the algorithm dag builders — the global-array arena and the
-//! destination abstraction (global array vs local array on an enclosing execution-stack
-//! segment) — plus the fork-join recursion helpers the native kernels share
+//! Shared building blocks for the algorithm dag builders — the destination abstraction
+//! (global array vs local array on an enclosing execution-stack segment) — plus the
+//! fork-join recursion helpers the native kernels share
 //! ([`par_chunks_mut`], [`join4`], `split_lengths`).
 
 use rws_dag::{Addr, WorkUnit};
-
-/// A bump allocator for global arrays in the simulated global address region.
-///
-/// Algorithms allocate their input and output arrays here; the addresses are what leaf work
-/// units read and write. The arena never frees — a computation's global footprint is fixed.
-#[derive(Clone, Debug, Default)]
-pub struct GlobalArena {
-    next: u64,
-}
-
-impl GlobalArena {
-    /// A fresh arena starting at address 0.
-    pub fn new() -> Self {
-        GlobalArena::default()
-    }
-
-    /// Allocate `words` consecutive global words and return the base address.
-    pub fn alloc(&mut self, words: u64) -> u64 {
-        let base = self.next;
-        self.next += words;
-        base
-    }
-
-    /// Allocate `words` consecutive global words aligned to `align` words.
-    pub fn alloc_aligned(&mut self, words: u64, align: u64) -> u64 {
-        debug_assert!(align > 0);
-        self.next = self.next.div_ceil(align) * align;
-        self.alloc(words)
-    }
-
-    /// Total words allocated so far.
-    pub fn used(&self) -> u64 {
-        self.next
-    }
-}
 
 /// Where a (sub)result is written: a global array or a local array living on the segment of
 /// an enclosing dag node.
@@ -249,19 +214,6 @@ impl PoolShape {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arena_allocates_disjoint_ranges() {
-        let mut a = GlobalArena::new();
-        let x = a.alloc(10);
-        let y = a.alloc(5);
-        assert_eq!(x, 0);
-        assert_eq!(y, 10);
-        assert_eq!(a.used(), 15);
-        let z = a.alloc_aligned(4, 8);
-        assert_eq!(z, 16);
-        assert_eq!(a.used(), 20);
-    }
 
     #[test]
     fn dest_offset_and_accesses() {

@@ -48,5 +48,5 @@ pub mod spmv;
 pub mod taskgraph;
 pub mod transpose;
 
-pub use common::{Dest, GlobalArena};
+pub use common::Dest;
 pub use layout::{bit_interleave, MatrixLayout};

@@ -181,125 +181,11 @@ impl Json {
     }
 }
 
-/// Structural validation: the document must be one well-formed JSON value (objects, arrays,
-/// strings, numbers, literals) with nothing trailing, and must not contain a leaked
-/// non-finite number token. Returns a description of the first problem found.
+/// Structural validation: the document must [`parse`] as one JSON value with nothing
+/// trailing, and must not contain a leaked non-finite number token. Returns a description
+/// of the first problem found.
 pub fn validate(doc: &str) -> Result<(), String> {
-    // A tiny recursive-descent well-formedness scanner.
-    struct P<'a> {
-        bytes: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn ws(&mut self) {
-            while self.i < self.bytes.len() && self.bytes[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-        fn peek(&mut self) -> Option<u8> {
-            self.ws();
-            self.bytes.get(self.i).copied()
-        }
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", c as char, self.i))
-            }
-        }
-        fn value(&mut self) -> Result<(), String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string(),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                Some(b't') => self.literal("true"),
-                Some(b'f') => self.literal("false"),
-                Some(b'n') => self.literal("null"),
-                other => Err(format!("unexpected {other:?} at byte {}", self.i)),
-            }
-        }
-        fn literal(&mut self, lit: &str) -> Result<(), String> {
-            if self.bytes[self.i..].starts_with(lit.as_bytes()) {
-                self.i += lit.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at byte {}", self.i))
-            }
-        }
-        fn object(&mut self) -> Result<(), String> {
-            self.expect(b'{')?;
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.string()?;
-                self.expect(b':')?;
-                self.value()?;
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("bad object at byte {}: {other:?}", self.i)),
-                }
-            }
-        }
-        fn array(&mut self) -> Result<(), String> {
-            self.expect(b'[')?;
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.value()?;
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("bad array at byte {}: {other:?}", self.i)),
-                }
-            }
-        }
-        fn string(&mut self) -> Result<(), String> {
-            self.expect(b'"')?;
-            while let Some(&c) = self.bytes.get(self.i) {
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(()),
-                    b'\\' => self.i += 1,
-                    _ => {}
-                }
-            }
-            Err("unterminated string".into())
-        }
-        fn number(&mut self) -> Result<(), String> {
-            let start = self.i;
-            while let Some(&c) = self.bytes.get(self.i) {
-                if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                    self.i += 1;
-                } else {
-                    break;
-                }
-            }
-            if self.i == start {
-                Err(format!("empty number at byte {start}"))
-            } else {
-                Ok(())
-            }
-        }
-    }
-    let mut p = P { bytes: doc.as_bytes(), i: 0 };
-    p.value()?;
-    p.ws();
-    if p.i != doc.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
+    parse(doc)?;
     if doc.contains("NaN") || doc.contains("Infinity") {
         return Err("non-finite number leaked into the document".into());
     }

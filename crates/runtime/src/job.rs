@@ -13,12 +13,12 @@
 #![allow(unsafe_code)]
 
 use crate::cancel::{self, ForkToken};
-use crate::sleep::Sleep;
+use crate::sleep::EventCount;
 use rws_trace::JobKind;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A unit of work queued in a worker deque or the injector.
 pub(crate) enum Job {
@@ -34,9 +34,10 @@ impl Job {
     /// unwinding through that frame would destroy a `StackJob` a thief is still running
     /// (use-after-free) — and an unwind through `worker_loop` would silently kill the
     /// worker thread. An `install` closure's panic never gets this far: `try_install`
-    /// wraps the closure in its own `catch_unwind` and *sends* the payload to the caller,
-    /// who sees `InstallError::Panicked` (`install` resumes it). A sender dropped without
-    /// sending means the worker itself died with the job in hand, and the caller sees
+    /// wraps the closure in its own `catch_unwind` and writes the payload into the caller's
+    /// result slot, and the caller sees `InstallError::Panicked` (`install` resumes it). A
+    /// job dropped without having run — its worker died with it in hand — sets the caller's
+    /// latch from its drop guard with the slot empty, and the caller sees
     /// `InstallError::Lost`. A panicking fire-and-forget `spawn` closure is caught here
     /// and dropped with the job, like a detached thread's. (Stack jobs do their own
     /// capturing and re-throw the payload at the owning `join`.)
@@ -120,17 +121,18 @@ impl JobRef {
     }
 }
 
-/// A set-once completion flag with release/acquire ordering, used by the owner of a `join`
-/// to wait for a stolen branch. Setting the latch also wakes parked workers through the
-/// pool's [`Sleep`] so a sleeping owner learns of the completion promptly.
+/// A set-once completion flag with release/acquire ordering: the owner of a `join` waits on
+/// one for a stolen branch, an installer on one for its closure. Setting it wakes the
+/// [`EventCount`] its waiter sleeps on.
 pub(crate) struct Latch {
     done: AtomicBool,
-    sleep: *const Sleep,
+    events: *const EventCount,
 }
 
 impl Latch {
-    fn new(sleep: &Sleep) -> Self {
-        Latch { done: AtomicBool::new(false), sleep }
+    /// A latch whose waiter sleeps on `events`.
+    pub(crate) fn new(events: &EventCount) -> Self {
+        Latch { done: AtomicBool::new(false), events }
     }
 
     /// Whether the latch has been set (acquire: a true result also acquires the setter's
@@ -140,51 +142,44 @@ impl Latch {
         self.done.load(Ordering::Acquire)
     }
 
-    /// Set the latch and wake sleepers.
+    /// Set the latch and wake its waiter.
     ///
     /// # Safety
-    /// The `Sleep` this latch points into must still be alive — true whenever a worker of
-    /// the pool executes the job, since workers hold the pool's `Shared` alive.
-    unsafe fn set(&self) {
-        let sleep = self.sleep;
+    /// The `EventCount` this latch points into must still be alive — true whenever a worker
+    /// of the pool sets it, since workers hold the pool's `Shared` alive.
+    pub(crate) unsafe fn set(&self) {
+        let events = self.events;
         self.done.store(true, Ordering::Release);
-        // After the store above the owner may already have returned from `join` and
-        // destroyed this latch, so `self` must not be touched again; the raw pointer into
-        // the long-lived Shared is what keeps the wakeup safe. Publish, full fence, look
-        // (the fence pairs with the one in `Sleep::sleep_unless`): the owner parks only
-        // if its last probe missed the store, and then this load sees it registered.
-        // Broadcast (rather than notify-one) because the parked waiter that cares about
-        // this latch may not be the sleeper a single notify would pick; completions of
-        // stolen branches are rare enough not to matter.
-        fence(Ordering::SeqCst);
-        if (*sleep).sleepers() > 0 {
-            (*sleep).notify_all_now();
-        }
+        // After the store above the owner may already have returned and destroyed this
+        // latch, so `self` must not be touched again; the raw pointer into the long-lived
+        // Shared is what keeps the wake safe. All waiters, because the one that cares about
+        // this latch may not be the one a single wake would pick; completions of stolen
+        // branches are rare enough not to matter.
+        (*events).wake_all();
     }
 }
 
 /// A counting completion latch: the scoped-task (`scope`) analogue of [`Latch`]. Every
 /// spawned task increments it before being queued and decrements it after running; the
-/// scope's owner waits until the count drains to zero. Like [`Latch`], the final decrement
-/// wakes parked workers through the pool's [`Sleep`], behind the same full fence, so a
-/// parked owner learns of completion at once, never from the 1 ms backstop.
+/// scope's owner waits until the count drains to zero, and the final decrement wakes the
+/// pool's [`EventCount`].
 pub(crate) struct CountLatch {
     pending: AtomicUsize,
     /// Null when the latch belongs to a scope created outside any pool (inline execution;
     /// nothing ever waits).
-    sleep: *const Sleep,
+    events: *const EventCount,
 }
 
 // Safety: the pointer is only dereferenced by `set_one`, whose safety contract requires the
-// pool (and thus the `Sleep`) to be alive; the counter itself is atomic.
+// pool (and thus the `EventCount`) to be alive; the counter itself is atomic.
 unsafe impl Send for CountLatch {}
 unsafe impl Sync for CountLatch {}
 
 impl CountLatch {
-    pub(crate) fn new(sleep: Option<&Sleep>) -> Self {
+    pub(crate) fn new(events: Option<&EventCount>) -> Self {
         CountLatch {
             pending: AtomicUsize::new(0),
-            sleep: sleep.map_or(std::ptr::null(), |s| s as *const Sleep),
+            events: events.map_or(std::ptr::null(), |e| e as *const EventCount),
         }
     }
 
@@ -201,22 +196,18 @@ impl CountLatch {
         self.pending.load(Ordering::Acquire) == 0
     }
 
-    /// Mark one task complete, waking sleepers if this was the last one.
+    /// Mark one task complete, waking the owner if this was the last one.
     ///
     /// # Safety
-    /// Must pair with a prior [`CountLatch::increment`]; the `Sleep` this latch points into
-    /// must still be alive (true whenever a pool worker executes the task, since workers
-    /// keep the pool's `Shared` alive). After the decrement the latch's owner may already
-    /// have returned and destroyed the latch, so `self` is not touched again — only the raw
-    /// sleep pointer is.
+    /// Must pair with a prior [`CountLatch::increment`]; the `EventCount` this latch points
+    /// into must still be alive (true whenever a pool worker executes the task, since
+    /// workers keep the pool's `Shared` alive). After the decrement the latch's owner may
+    /// already have returned and destroyed the latch, so `self` is not touched again — only
+    /// the raw pointer is.
     pub(crate) unsafe fn set_one(&self) {
-        let sleep = self.sleep;
-        if self.pending.fetch_sub(1, Ordering::Release) == 1 && !sleep.is_null() {
-            // Publish, full fence, look — once per scope, as in `Latch::set`.
-            fence(Ordering::SeqCst);
-            if (*sleep).sleepers() > 0 {
-                (*sleep).notify_all_now();
-            }
+        let events = self.events;
+        if self.pending.fetch_sub(1, Ordering::Release) == 1 && !events.is_null() {
+            (*events).wake_all();
         }
     }
 }
@@ -257,9 +248,9 @@ where
 {
     /// `cancel` is what the fork's cancellation point returned ([`cancel::fork_point`]).
     #[inline]
-    pub(crate) fn new(func: F, sleep: &Sleep, cancel: ForkToken) -> Self {
+    pub(crate) fn new(func: F, events: &EventCount, cancel: ForkToken) -> Self {
         StackJob {
-            latch: Latch::new(sleep),
+            latch: Latch::new(events),
             func: UnsafeCell::new(Some(func)),
             result: UnsafeCell::new(JoinResult::Pending),
             cancel,

@@ -51,7 +51,6 @@
 
 pub mod cancel;
 pub mod faults;
-mod health;
 pub mod hist;
 mod job;
 pub mod padding;
@@ -80,3 +79,85 @@ pub use stats::{PoolStats, PoolStatsSnapshot, WorkerSnapshot};
 /// [`trace::TraceSnapshot`]s from [`pool::ThreadPool::trace_snapshot`] without naming
 /// `rws-trace` as a direct dependency.
 pub use rws_trace as trace;
+
+/// Waiting on supervision events: [`ThreadPool::wait_health`] re-checks its predicate on
+/// every wake of the pool's `health` event count (a worker death, a respawn, a quarantined
+/// panic, a heartbeat) until it holds or the timeout passes.
+#[cfg(test)]
+mod health {
+    mod tests {
+        use crate::pool::{Shared, WorkerHandle};
+        use crate::{join, ThreadPool};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        use std::thread;
+        use std::time::{Duration, Instant};
+
+        /// The pool's shared state, read from one of its workers.
+        fn shared_of(pool: &ThreadPool) -> Arc<Shared> {
+            pool.install(|| WorkerHandle::with_current(|w| Arc::clone(&w.unwrap().shared)))
+        }
+
+        #[test]
+        fn wait_until_returns_immediately_on_a_true_predicate() {
+            let pool = ThreadPool::new(1);
+            let mut checks = 0;
+            let held = pool.wait_health(
+                || {
+                    checks += 1;
+                    true
+                },
+                Duration::ZERO,
+            );
+            assert!(held);
+            assert_eq!(checks, 1, "a true predicate is checked once and never waited on");
+            assert_eq!(shared_of(&pool).health().waiters(), 0);
+        }
+
+        #[test]
+        fn wait_until_times_out_on_a_false_predicate() {
+            // The idle worker's heartbeats end each wait early; the loop must wait again
+            // until the whole timeout has passed.
+            let pool = ThreadPool::new(1);
+            let start = Instant::now();
+            assert!(!pool.wait_health(|| false, Duration::from_millis(5)));
+            assert!(start.elapsed() >= Duration::from_millis(5));
+            assert_eq!(shared_of(&pool).health().waiters(), 0);
+        }
+
+        #[test]
+        fn a_notify_after_the_flag_flips_wakes_the_waiter() {
+            let pool = ThreadPool::new(1);
+            let shared = shared_of(&pool);
+            let flag = AtomicBool::new(false);
+            thread::scope(|s| {
+                let waiter = s.spawn(|| {
+                    pool.wait_health(|| flag.load(Ordering::Acquire), Duration::from_secs(30))
+                });
+                // Wait for registration so the wake below cannot be skipped as waiter-less.
+                while shared.health().waiters() == 0 {
+                    thread::yield_now();
+                }
+                flag.store(true, Ordering::Release);
+                shared.health().wake_all();
+                assert!(waiter.join().unwrap(), "the event must wake and satisfy the waiter");
+            });
+        }
+
+        #[test]
+        fn notify_without_waiters_is_cheap_and_harmless() {
+            // Nobody ever waits on this pool's health: neither its workers' heartbeats nor
+            // explicit wakes may take the lock to bump the epoch.
+            let pool = ThreadPool::new(2);
+            let shared = shared_of(&pool);
+            for _ in 0..100 {
+                pool.install(|| join(|| (), || ()));
+            }
+            assert!((0..2).any(|w| pool.stats().heartbeat_of(w) > 0), "the workers swept");
+            for _ in 0..1000 {
+                shared.health().wake_all();
+            }
+            assert_eq!(shared.health().events(), 0, "no waiters, no epoch bumps");
+        }
+    }
+}

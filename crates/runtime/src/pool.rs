@@ -13,7 +13,7 @@
 //! own job counter with a plain store. `docs/ARCHITECTURE.md` ("What an unstolen fork
 //! costs") has the budget and the tests that pin it. Only when a thief takes the branch
 //! does the owner wait on the job's atomic latch, helping execute other jobs in the meantime
-//! (a blocked join never idles a core) and parking via the pool's `Sleep` protocol (see
+//! (a blocked join never idles a core) and parking on the pool's `EventCount` (see
 //! `sleep.rs`) when there is nothing to help with.
 
 // The unsafe here is confined to the stack-job handoff (see `job.rs` for the invariants);
@@ -22,9 +22,8 @@
 
 use crate::cancel::{self, ForkToken};
 use crate::faults::{FaultPlan, WorkerFault};
-use crate::health::HealthMonitor;
 use crate::job::{Job, JoinResult, Latch, StackJob};
-use crate::sleep::{Sleep, BACKOFF};
+use crate::sleep::{EventCount, BACKOFF, PARK_BACKSTOP};
 use crate::stats::PoolStats;
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as CbWorker};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -32,14 +31,14 @@ use rws_trace::{
     EventKind, JobKind, TraceRecorder, TraceSnapshot, INJECTOR_ARG, LADDER_STAGE_PARK,
 };
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Consecutive `Steal::Retry` results tolerated per victim before trying another.
 const STEAL_RETRIES: u32 = 4;
@@ -50,7 +49,8 @@ pub(crate) struct Shared {
     /// steal-path readers share the lock and only ever contend during a respawn.
     cb_stealers: Vec<RwLock<Stealer<Job>>>,
     stats: PoolStats,
-    pub(crate) sleep: Sleep,
+    /// Where idle workers park, and owners of stolen branches and scopes wait.
+    pub(crate) sleep: EventCount,
     shutdown: AtomicBool,
     workers: usize,
     /// Liveness flag per worker: lowered by the worker's own [`AliveGuard`] when its
@@ -62,9 +62,11 @@ pub(crate) struct Shared {
     /// Optional flight recorder (default off; see [`rws_trace`]). Every hook site below
     /// pays one never-taken branch when this is `None`.
     trace: Option<Arc<TraceRecorder>>,
-    /// Rendezvous for threads waiting on supervision events (deaths, respawns, panics,
-    /// heartbeats) — see [`crate::health`]. Free while nobody waits.
-    health: HealthMonitor,
+    /// Where threads wait on supervision events (deaths, respawns, panics, heartbeats):
+    /// [`ThreadPool::wait_health`]. Free while nobody waits.
+    health: EventCount,
+    /// Where threads outside the pool wait for the closure they installed.
+    installers: EventCount,
 }
 
 impl Shared {
@@ -72,7 +74,7 @@ impl Shared {
     /// the submission path for work arriving from outside a worker of this pool (`spawn`,
     /// cross-thread `install`, and scoped spawns issued off-pool).
     ///
-    /// Publish, full fence, look ([`Sleep::notify_fenced`]): `Injector::push` advances
+    /// Publish, full fence, look ([`EventCount::wake_one`]): `Injector::push` advances
     /// `tail` with a `SeqCst` `fetch_add` before it writes the slot, and a worker about to
     /// park fences between registering as a sleeper and its last `has_visible_work`. So
     /// either this thread sees the sleeper and wakes it, or the sleeper sees `tail` moved
@@ -83,7 +85,7 @@ impl Shared {
     /// the others like any fork's.
     pub(crate) fn inject(&self, job: Job) {
         self.injector.push(job);
-        self.sleep.notify_fenced();
+        self.sleep.wake_one();
     }
 
     /// Whether any queue visibly holds work (the pre-park check, made after the sleeper's
@@ -106,8 +108,8 @@ impl Shared {
         self.trace.as_deref()
     }
 
-    /// The supervision-event monitor (service-layer access path).
-    pub(crate) fn health(&self) -> &HealthMonitor {
+    /// Where supervision waiters sleep (service-layer access path).
+    pub(crate) fn health(&self) -> &EventCount {
         &self.health
     }
 }
@@ -296,7 +298,7 @@ impl WorkerHandle {
             // A heap job's panic was quarantined inside `execute`; health-track it against
             // this worker so a supervisor can tell a panic-storm from a healthy pool.
             self.shared.stats.record_panic_caught(self.index);
-            self.shared.health.notify();
+            self.shared.health.wake_all();
         }
         if let Some(t) = self.shared.trace() {
             t.record(self.index, EventKind::JobEnd, kind, 0);
@@ -307,7 +309,7 @@ impl WorkerHandle {
     /// `BACKOFF`): the first rounds busy-spin an exponentially growing number of
     /// pause cycles between work-finding sweeps, the next rounds yield the OS slice, and
     /// past the budget the worker parks. `ready` is the wake condition re-checked before
-    /// actually sleeping (see [`Sleep::sleep_unless`]). After a meaningful wake
+    /// actually sleeping (see [`EventCount::wait_unless`]). After a meaningful wake
     /// (notification / work visible) the caller's next find sweep starts a fresh activity
     /// burst (`idle == 0`); after a backstop timeout the backoff budget stays spent, so
     /// the worker makes one quiet rescan and goes right back to sleep.
@@ -325,7 +327,7 @@ impl WorkerHandle {
             if let Some(t) = self.shared.trace() {
                 t.record(self.index, EventKind::Park, LADDER_STAGE_PARK, *idle as u64);
             }
-            let notified = self.shared.sleep.sleep_unless(ready);
+            let notified = self.shared.sleep.wait_unless(PARK_BACKSTOP, ready);
             if !notified {
                 // The 1ms backstop timer fired with no notification: count it so tests
                 // (and profiles) can assert steady-state runs never lean on the backstop.
@@ -389,8 +391,8 @@ impl Drop for AliveGuard<'_> {
         CURRENT_WORKER.set(ptr::null());
         // A dying worker may strand queued jobs in its deque; make sure somebody is awake
         // to notice the work (the supervisor's respawn sweep drains the rest).
-        worker.shared.sleep.notify();
-        worker.shared.health.notify();
+        worker.shared.sleep.wake_one();
+        worker.shared.health.wake_all();
     }
 }
 
@@ -404,7 +406,7 @@ fn worker_loop(handle: WorkerHandle) {
         // One heartbeat per scheduling sweep: a supervisor that sees the epoch frozen
         // while `alive` is down knows the thread exited (vs. being busy in one long job).
         handle.shared.stats.record_heartbeat(handle.index);
-        handle.shared.health.notify();
+        handle.shared.health.wake_all();
         if let Some(plan) = &handle.shared.faults {
             match plan.poll_worker_sweep() {
                 WorkerFault::None => {}
@@ -537,13 +539,14 @@ impl ThreadPool {
             injector: Injector::new(),
             cb_stealers,
             stats: PoolStats::new(threads),
-            sleep: Sleep::new(),
+            sleep: EventCount::default(),
             shutdown: AtomicBool::new(false),
             workers: threads,
             alive: (0..threads).map(|_| AtomicBool::new(true)).collect(),
             faults,
             trace: trace.map(|cap| TraceRecorder::new(threads, cap)),
-            health: HealthMonitor::new(),
+            health: EventCount::default(),
+            installers: EventCount::default(),
         });
         let handles = cb_workers
             .into_iter()
@@ -607,7 +610,7 @@ impl ThreadPool {
                 }
             }
             if drained > 0 {
-                self.shared.sleep.notify_all_now();
+                self.shared.sleep.wake_all();
             }
             // Raise the flag before the thread exists so a concurrent sweep won't try to
             // respawn the same slot twice.
@@ -626,7 +629,7 @@ impl ThreadPool {
             report.drained_jobs += drained;
         }
         if report.respawned > 0 {
-            self.shared.health.notify();
+            self.shared.health.wake_all();
         }
         report
     }
@@ -637,8 +640,18 @@ impl ThreadPool {
     /// the instant the event lands and cost nothing to the pool while nobody waits. This
     /// is the deterministic replacement for `sleep`-loop polling over [`ThreadPool::dead_workers`]
     /// / [`PoolStats`] in supervision tests and in the service shutdown path.
-    pub fn wait_health(&self, pred: impl FnMut() -> bool, timeout: Duration) -> bool {
-        self.shared.health.wait_until(pred, timeout)
+    pub fn wait_health(&self, mut pred: impl FnMut() -> bool, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if pred() {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            self.shared.health.wait_unless(left, &mut pred);
+        }
     }
 
     /// Number of worker threads.
@@ -666,13 +679,13 @@ impl ThreadPool {
     /// Number of workers currently parked (an instantaneous, racy reading — useful for
     /// verifying that an idle pool actually sleeps instead of spinning).
     pub fn parked_workers(&self) -> usize {
-        self.shared.sleep.sleepers()
+        self.shared.sleep.waiters()
     }
 
     /// Wake-ups the pool has issued to parked workers so far (an instantaneous reading of
-    /// the sleep protocol's event counter) — useful for verifying that publishing work to
-    /// a pool whose workers are all awake wakes nobody: every event is a lock and a
-    /// `futex` call on the publisher's side.
+    /// the epoch of the event count they park on) — useful for verifying that publishing
+    /// work to a pool whose workers are all awake wakes nobody: every event is a lock and
+    /// a `futex` call on the publisher's side.
     pub fn wake_events(&self) -> u64 {
         self.shared.sleep.events()
     }
@@ -710,9 +723,8 @@ impl ThreadPool {
 
     /// [`ThreadPool::install`] with structured errors: a panicking closure comes back as
     /// [`InstallError::Panicked`] (carrying the original payload) and a worker that dies
-    /// mid-job — taking the result channel down with it — as [`InstallError::Lost`],
-    /// instead of the two being conflated into one misleading secondary panic at the
-    /// caller's `recv`.
+    /// with the job in hand as [`InstallError::Lost`], instead of the two being conflated
+    /// into one misleading secondary panic.
     pub fn try_install<R, F>(&self, f: F) -> Result<R, InstallError>
     where
         R: Send + 'static,
@@ -723,18 +735,58 @@ impl ThreadPool {
         if on_this_pool {
             return panic::catch_unwind(AssertUnwindSafe(f)).map_err(InstallError::Panicked);
         }
-        let (tx, rx) = mpsc::channel();
-        self.spawn(move || {
-            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(f)));
-        });
-        match rx.recv() {
-            Ok(Ok(r)) => Ok(r),
-            Ok(Err(payload)) => Err(InstallError::Panicked(payload)),
-            // The sender was dropped without sending: the closure never finished on any
-            // worker — its panic would have been caught and sent, so the thread itself
-            // must have died (injected death / crash) with the job in hand.
-            Err(mpsc::RecvError) => Err(InstallError::Lost),
+        // The outcome comes back through this frame, which is not left before the latch is
+        // set: the heap job is the install's one allocation.
+        let slot = InstallSlot {
+            outcome: UnsafeCell::new(None),
+            latch: Latch::new(&self.shared.installers),
+        };
+        let delivery = Delivery(&slot);
+        self.spawn(move || delivery.run(f));
+        while !slot.latch.probe() {
+            // Every way the latch gets set wakes this wait; the 50 ms re-check is nothing
+            // it relies on.
+            self.shared.installers.wait_unless(Duration::from_millis(50), || slot.latch.probe());
         }
+        match slot.outcome.into_inner() {
+            Some(Ok(r)) => Ok(r),
+            Some(Err(payload)) => Err(InstallError::Panicked(payload)),
+            // The job was dropped without running: its worker died with it in hand.
+            None => Err(InstallError::Lost),
+        }
+    }
+}
+
+/// An installer's result slot, in its `try_install` frame.
+struct InstallSlot<R> {
+    outcome: UnsafeCell<Option<thread::Result<R>>>,
+    latch: Latch,
+}
+
+/// The queued half of an install. Dropping it sets the installer's latch — after
+/// [`Delivery::run`] has written the closure's outcome, or with the slot still empty
+/// ([`InstallError::Lost`]) when the job is dropped without running.
+struct Delivery<R>(*const InstallSlot<R>);
+
+// SAFETY: the one field points at the installer's slot, which outlives the delivery — the
+// installer does not leave `try_install` before the latch is set, which only the delivery's
+// drop does — and what crosses threads through it is the outcome, `Send` with `R`.
+unsafe impl<R: Send> Send for Delivery<R> {}
+
+impl<R> Delivery<R> {
+    fn run(self, f: impl FnOnce() -> R) {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(f));
+        // SAFETY: the slot is alive (see `Send` above), and only this job writes it, before
+        // the latch is set.
+        unsafe { *(*self.0).outcome.get() = Some(outcome) };
+    }
+}
+
+impl<R> Drop for Delivery<R> {
+    fn drop(&mut self) {
+        // SAFETY: the latch lives in the slot (see `Send` above) and points into the pool's
+        // `Shared`, which the worker holding this job keeps alive.
+        unsafe { (*self.0).latch.set() };
     }
 }
 
@@ -773,7 +825,7 @@ impl std::error::Error for InstallError {}
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.sleep.notify_all_now();
+        self.shared.sleep.wake_all();
         let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
         for h in handles.drain(..).flatten() {
             let _ = h.join();
@@ -900,7 +952,6 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::time::{Duration, Instant};
 
     fn parallel_sum(pool_threads: usize, n: u64) -> u64 {
         let pool = ThreadPoolBuilder::new().threads(pool_threads).build();
@@ -1025,6 +1076,108 @@ mod tests {
         }
         // And parked workers still wake up for new work.
         assert_eq!(pool.install(|| 21 * 2), 42);
+    }
+
+    /// Runs `round` `ROUNDS` times on a 2-worker pool and fails when a quarter of them or
+    /// more ended with the owner sleeping out a park backstop: `round` forks work the other
+    /// worker steals and finishes only once the owner has parked, so only the completion's
+    /// own wake can end that park early.
+    fn parked_owners_are_woken(round: impl Fn(&ThreadPool) + Send + Sync + 'static) {
+        const ROUNDS: usize = 40;
+        let pool = Arc::new(ThreadPool::new(2));
+        let p = Arc::clone(&pool);
+        let late = pool.install(move || {
+            let me = WorkerHandle::with_current(|w| w.expect("installed on a worker").index);
+            let backstops = || p.stats().snapshot().workers[me].backstop_wakes;
+            (0..ROUNDS)
+                .filter(|_| {
+                    let before = backstops();
+                    round(&p);
+                    backstops() > before
+                })
+                .count()
+        });
+        assert!(
+            late < ROUNDS / 4,
+            "{late} of {ROUNDS} parked owners slept out their park backstop: the completion \
+             they waited for did not wake them"
+        );
+    }
+
+    /// Hold the calling worker until `stolen`, then return.
+    fn until(stolen: &AtomicBool) {
+        while !stolen.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Return once `events` has a waiter and a tenth of a park backstop more has passed:
+    /// long enough for that waiter to be past its last look and asleep.
+    fn after_a_waiter_sleeps_on(events: &EventCount) {
+        while events.waiters() == 0 {
+            thread::yield_now();
+        }
+        let registered = Instant::now();
+        while registered.elapsed() < PARK_BACKSTOP / 10 {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// The thief's half: announce the steal, finish once the owner has parked.
+    fn finish_after_the_owner_parks(pool: &ThreadPool, stolen: &AtomicBool) {
+        stolen.store(true, Ordering::Release);
+        after_a_waiter_sleeps_on(&pool.shared.sleep);
+    }
+
+    #[test]
+    fn a_parked_owner_is_woken_by_its_stolen_branch() {
+        parked_owners_are_woken(|pool| {
+            let stolen = AtomicBool::new(false);
+            join(|| until(&stolen), || finish_after_the_owner_parks(pool, &stolen));
+        });
+    }
+
+    #[test]
+    fn a_parked_scope_owner_is_woken_by_its_last_spawn() {
+        parked_owners_are_woken(|pool| {
+            let stolen = AtomicBool::new(false);
+            crate::scope(|s| {
+                s.spawn(|_| finish_after_the_owner_parks(pool, &stolen));
+                until(&stolen);
+            });
+        });
+    }
+
+    #[test]
+    fn an_installer_is_woken_by_its_closure() {
+        // The closure returns only once its installer is asleep: were the wake missing,
+        // every install would last the installer's whole 50 ms re-check.
+        const ROUNDS: usize = 20;
+        let pool = ThreadPool::new(1);
+        let late = (0..ROUNDS)
+            .filter(|_| {
+                let shared = Arc::clone(&pool.shared);
+                let finished = pool.install(move || {
+                    after_a_waiter_sleeps_on(&shared.installers);
+                    Instant::now()
+                });
+                finished.elapsed() >= Duration::from_millis(25)
+            })
+            .count();
+        assert!(late < ROUNDS / 4, "{late} of {ROUNDS} installers slept out their re-check");
+    }
+
+    #[test]
+    fn a_health_waiter_is_woken_by_the_next_heartbeat() {
+        // One idle worker, so nothing but its backstop sweeps fires a supervision event:
+        // were the heartbeat's wake missing, the wait would last its whole 5 s.
+        let pool = ThreadPool::new(1);
+        let heartbeats = pool.stats().heartbeat_of(0);
+        let waiting = Instant::now();
+        assert!(
+            pool.wait_health(|| pool.stats().heartbeat_of(0) > heartbeats, Duration::from_secs(5))
+        );
+        assert!(waiting.elapsed() < Duration::from_millis(2500), "waited {:?}", waiting.elapsed());
     }
 
     #[test]

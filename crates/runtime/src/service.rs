@@ -25,17 +25,12 @@
 //! drives these invariants under injected panics, worker deaths, stalls, and contention
 //! storms (see [`crate::faults`]).
 //!
-//! **Who wakes whom.** A root job passes three rendezvous, and none of them makes a
-//! system call unless somebody is asleep on the other side. The side that makes progress
-//! publishes, issues a full fence and then looks for a registered sleeper; the side that
-//! sleeps registers, issues a full fence and looks once more before it blocks — Dekker's
-//! handshake, in which one of the two always sees the other. So: the submitter, after its
-//! injector push, wakes *one parked worker* (`Shared::inject`, `sleep.rs`); the worker
-//! that starts a job wakes *one [`Block`] submitter* waiting for the slot it frees
-//! (`release_slot`); and whoever settles a job wakes the threads blocked in
-//! [`JobHandle::wait`] on it (`settle`), after leaving the lock they will need (the last
-//! two through the private `Rendezvous` type below). Every sleeper keeps a timed re-check
-//! besides (1 ms, 1 ms and 50 ms), which nothing relies on.
+//! **Who wakes whom.** A root job passes three waits — a parked worker for the submitted
+//! job (`Shared::inject`), a [`Block`] submitter for the slot a starting job frees
+//! (`release_slot`), [`JobHandle::wait`] for the settle — plus the supervisor's timer and
+//! the shutdown drain. Each is an `EventCount` (`sleep.rs`), so none of them makes a system
+//! call unless somebody is asleep on the other side; `docs/ARCHITECTURE.md` ("Every
+//! blocking wait") has the table.
 //!
 //! [`Block`]: AdmissionPolicy::Block
 //! [`Shed`]: AdmissionPolicy::Shed
@@ -46,12 +41,13 @@ use crate::faults::FaultPlan;
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::padding::CachePadded;
 use crate::pool::{ThreadPool, ThreadPoolBuilder, WorkerHandle};
+use crate::sleep::EventCount;
 use rws_trace::{EventKind, TraceRecorder};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -102,62 +98,6 @@ fn outcome_from_u8(v: u8) -> Option<JobOutcome> {
     }
 }
 
-/// A condition variable whose notifier makes no system call while nobody waits — one side
-/// of each rendezvous in the module docs. The notifier changes the condition, then calls
-/// [`Rendezvous::wake_one`]/[`Rendezvous::wake_all`]: full fence, *then* a look at the
-/// waiter count. A waiter registers, issues a full fence, and looks at the condition once
-/// more under the lock before it blocks. Dekker's handshake: either the notifier sees the
-/// registration, or the waiter's last look sees the change. The notifier passes through
-/// the lock before it notifies — a registered waiter has then either seen the change or is
-/// already in its wait — and notifies outside it, so the woken thread finds the lock free.
-#[derive(Debug, Default)]
-struct Rendezvous {
-    waiters: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Rendezvous {
-    /// The notifier's half: fence, look, and — only for a registered waiter — a pass
-    /// through the lock. True when the caller should now notify.
-    fn has_waiter_after_fence(&self) -> bool {
-        fence(Ordering::SeqCst);
-        if self.waiters.load(Ordering::Relaxed) == 0 {
-            return false;
-        }
-        drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
-        true
-    }
-
-    /// Wake one waiter, if there is one. Call after changing what waiters wait for.
-    fn wake_one(&self) {
-        if self.has_waiter_after_fence() {
-            self.cv.notify_one();
-        }
-    }
-
-    /// Wake every waiter, if there is one. Call after changing what waiters wait for.
-    fn wake_all(&self) {
-        if self.has_waiter_after_fence() {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Block for at most `timeout`, unless `ready()` holds at the last look. Returns on a
-    /// wake, a timeout or a spurious wake-up alike: the caller re-checks and loops.
-    fn wait_unless(&self, timeout: Duration, ready: impl FnOnce() -> bool) {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        {
-            let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-            if !ready() {
-                let _ = self.cv.wait_timeout(guard, timeout).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// Shared per-submission state: the outcome CAS cell, the run claim, the slot-accounting
 /// flag, and the completion signal the handle waits on.
 #[derive(Debug)]
@@ -177,7 +117,7 @@ struct JobState {
     /// `settle`. Zero means "not settled yet" (a genuine zero-ns settle rounds up to 1).
     settled_at_ns: AtomicU64,
     /// Where [`JobHandle::wait`] blocks until `settle` has published `outcome`.
-    settled: Rendezvous,
+    settled: EventCount,
 }
 
 impl JobState {
@@ -191,7 +131,7 @@ impl JobState {
             started: AtomicBool::new(false),
             slot_released: AtomicBool::new(false),
             settled_at_ns: AtomicU64::new(0),
-            settled: Rendezvous::default(),
+            settled: EventCount::default(),
         }
     }
 
@@ -241,7 +181,7 @@ impl JobHandle {
 
     /// The outcome, waiting for it until `deadline` (forever without one). A settled job
     /// answers from the atomic alone, without a lock; an unsettled one blocks on the job's
-    /// [`Rendezvous`], re-checking every 50 ms all the same.
+    /// `EventCount`, re-checking every 50 ms all the same.
     fn wait_until(&self, deadline: Option<Instant>) -> Option<JobOutcome> {
         let job = &*self.state;
         loop {
@@ -369,22 +309,19 @@ struct ServerState {
     both: CachePadded<SharedCounters>,
 
     /// Where a `Block` submitter waits for `occupancy` to fall below `capacity`.
-    admission: Rendezvous,
+    admission: EventCount,
 
     /// FIFO of admitted jobs, maintained only under `ShedOldest` (eviction candidates).
     pending: Mutex<VecDeque<Arc<JobState>>>,
     /// Deadline min-heap the supervisor sweeps.
     deadlines: Mutex<BinaryHeap<DeadlineEntry>>,
-    supervisor_lock: Mutex<()>,
-    supervisor_cv: Condvar,
+    /// Where the supervisor waits out its heartbeat interval or the next deadline.
+    supervisor: EventCount,
     supervisor_stop: AtomicBool,
 
     shutdown: AtomicBool,
-    /// Rendezvous for [`JobServer::shutdown`]'s drain: the settle that takes `in_flight`
-    /// to zero during shutdown signals here, so the drain wakes on the event instead of
-    /// on a polling timer.
-    drain_lock: Mutex<()>,
-    drain_cv: Condvar,
+    /// Where [`JobServer::shutdown`]'s drain waits for `in_flight` to reach zero.
+    drain: EventCount,
 
     /// Submission → execution-start latency (started jobs only).
     queue_hist: LatencyHistogram,
@@ -426,15 +363,9 @@ impl ServerState {
         let settled_ns = now.duration_since(job.submitted_at).as_nanos().max(1) as u64;
         job.settled_at_ns.store(settled_ns, Ordering::Release);
         self.trace_event(EventKind::ServiceSettle, outcome as u8, job.seq);
-        if self.both.0.in_flight.fetch_sub(1, Ordering::AcqRel) == 1
-            && self.shutdown.load(Ordering::Acquire)
-        {
-            // Last in-flight job during a shutdown: wake the draining thread now. Taking
-            // the lock (not just notifying) closes the race against a drainer between its
-            // counter check and its wait. A settle that lands before the drainer observes
-            // the shutdown flag skips this; the drain's bounded wait re-checks.
-            let _lock = self.drain_lock.lock().unwrap_or_else(|e| e.into_inner());
-            self.drain_cv.notify_all();
+        if self.both.0.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Nothing in flight: wake the shutdown drain, if one waits.
+            self.drain.wake_all();
         }
         // The outcome was published by the CAS above.
         job.settled.wake_all();
@@ -492,8 +423,7 @@ impl ServerState {
     }
 
     fn wake_supervisor(&self) {
-        let _lock = self.supervisor_lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.supervisor_cv.notify_one();
+        self.supervisor.wake_one();
     }
 }
 
@@ -563,15 +493,13 @@ impl JobServer {
             submit: CachePadded::default(),
             outcomes: CachePadded::default(),
             both: CachePadded::default(),
-            admission: Rendezvous::default(),
+            admission: EventCount::default(),
             pending: Mutex::new(VecDeque::new()),
             deadlines: Mutex::new(BinaryHeap::new()),
-            supervisor_lock: Mutex::new(()),
-            supervisor_cv: Condvar::new(),
+            supervisor: EventCount::default(),
             supervisor_stop: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            drain_lock: Mutex::new(()),
-            drain_cv: Condvar::new(),
+            drain: EventCount::default(),
             queue_hist: LatencyHistogram::new(),
             service_hist: LatencyHistogram::new(),
             terminal_hist: LatencyHistogram::new(),
@@ -757,25 +685,18 @@ impl JobServer {
         state.admission.wake_all();
         // Drain: every accepted job must settle. Workers only die at sweep boundaries
         // (never mid-job), so respawn sweeps guarantee queued jobs find an executor. The
-        // settle that zeroes `in_flight` under the shutdown flag signals `drain_cv`, so
-        // the common case wakes on the event; the wait stays *bounded* anyway, both to
-        // interleave respawn sweeps (a queued job stranded on a dead worker settles only
-        // after a sweep requeues it) and to cover the benign race where that last settle
-        // misses the just-raised shutdown flag and skips the signal.
+        // settle that zeroes `in_flight` wakes the drain; the wait stays *bounded* anyway,
+        // to interleave respawn sweeps (a queued job stranded on a dead worker settles only
+        // after a sweep requeues it).
         //
         // The supervisor deliberately keeps running through this drain — stopping it here
         // would be safe for *queued* jobs (`run_root_job`'s pre-run deadline check settles
         // queued-expired jobs without any sweep) but would leave an already-*running*
         // job's expired deadline uncancelled until it completed on its own.
-        while state.both.0.in_flight.load(Ordering::Acquire) > 0 {
+        let drained = || state.both.0.in_flight.load(Ordering::Acquire) == 0;
+        while !drained() {
             self.pool.respawn_dead_workers();
-            let guard = state.drain_lock.lock().unwrap_or_else(|e| e.into_inner());
-            if state.both.0.in_flight.load(Ordering::Acquire) > 0 {
-                let _ = state
-                    .drain_cv
-                    .wait_timeout(guard, Duration::from_millis(1))
-                    .unwrap_or_else(|e| e.into_inner());
-            }
+            state.drain.wait_unless(Duration::from_millis(1), drained);
         }
         // Heal the pool: afterwards respawns == injected deaths, deterministically, which
         // the chaos harness asserts.
@@ -792,10 +713,9 @@ impl JobServer {
             }
         }
         // Stop the supervisor last, after the pool is healthy and every job has settled:
-        // nothing below needs its sweeps, and `supervisor_loop` re-checks the stop flag
-        // under `supervisor_lock` before waiting, so this raise-then-wake cannot be lost
-        // between the loop's check and its park (the same flag/lock discipline `Drop`
-        // uses, which is what makes an unexplicit-shutdown drop flake-free too).
+        // nothing below needs its sweeps, and `supervisor_loop` looks at the stop flag
+        // last before it waits, so this raise-then-wake cannot be lost (the same flag-then-
+        // wake `Drop` does).
         state.supervisor_stop.store(true, Ordering::Release);
         state.wake_supervisor();
         if let Some(h) = self.supervisor.take() {
@@ -886,7 +806,7 @@ fn run_root_job(
                 WorkerHandle::with_current(|w| {
                     if let Some(w) = w {
                         w.shared.stats().record_panic_caught(w.index());
-                        w.shared.health().notify();
+                        w.shared.health().wake_all();
                     }
                 });
                 server.settle(job, JobOutcome::Panicked, finished_at);
@@ -953,14 +873,20 @@ fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Dur
         let timeout = match next_deadline {
             Some(at) => at.saturating_duration_since(now).min(interval),
             None => interval,
-        };
-        let lock = state.supervisor_lock.lock().unwrap_or_else(|e| e.into_inner());
-        if !state.supervisor_stop.load(Ordering::Acquire) {
-            let _ = state
-                .supervisor_cv
-                .wait_timeout(lock, timeout.max(Duration::from_micros(100)))
-                .unwrap_or_else(|e| e.into_inner());
         }
+        .max(Duration::from_micros(100));
+        // Up before the timer for a stop, or for a deadline registered since the sweep
+        // that falls before the one it saw (the registration's wake may have found nobody
+        // waiting yet).
+        state.supervisor.wait_unless(timeout, || {
+            state.supervisor_stop.load(Ordering::Acquire)
+                || state
+                    .deadlines
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .peek()
+                    .is_some_and(|entry| next_deadline.is_none_or(|next| entry.at < next))
+        });
     }
 }
 
@@ -1323,6 +1249,73 @@ mod tests {
              tick: blocked submitters are not being woken by the slot they wait for"
         );
         assert_eq!(server.shutdown().completed, JOBS as u64);
+    }
+
+    #[test]
+    fn the_supervisor_wakes_for_a_new_deadline_and_for_its_stop() {
+        // A heartbeat far longer than the test: the supervisor sleeps through it unless a
+        // deadline's registration, `shutdown` or `drop` wakes it.
+        let slow_heartbeat = || {
+            JobServer::new(ServiceConfig {
+                threads: 1,
+                heartbeat_interval: Duration::from_secs(20),
+                ..ServiceConfig::default()
+            })
+        };
+        let server = slow_heartbeat();
+        let gate = Arc::new(AtomicBool::new(false));
+        let g = Arc::clone(&gate);
+        let blocker = server.submit(move || {
+            while !g.load(Ordering::Acquire) {
+                thread::sleep(Duration::from_millis(1));
+            }
+        });
+        while server.state.supervisor.waiters() == 0 {
+            thread::yield_now();
+        }
+        // Queued behind the blocker, so only the supervisor's sweep can expire it.
+        let doomed = server.submit_with_deadline(|| {}, Duration::from_millis(10));
+        let outcome = doomed.wait_timeout(Duration::from_secs(5));
+        gate.store(true, Ordering::Release);
+        assert_eq!(outcome, Some(JobOutcome::Deadline), "the registration woke the supervisor");
+        assert_eq!(blocker.wait(), JobOutcome::Completed);
+        for stop in [
+            |s: JobServer| {
+                s.shutdown();
+            },
+            drop::<JobServer>,
+        ] {
+            let server = slow_heartbeat();
+            while server.state.supervisor.waiters() == 0 {
+                thread::yield_now();
+            }
+            let stopping = Instant::now();
+            stop(server);
+            assert!(stopping.elapsed() < Duration::from_secs(5), "the stop woke the supervisor");
+        }
+        drop(server);
+    }
+
+    #[test]
+    fn the_drain_is_woken_by_the_last_settle() {
+        // The last job settles only once `shutdown`'s drain is asleep, so its settle finds a
+        // waiter to wake; only a drain that slept out its 1 ms re-check first does not.
+        const ROUNDS: usize = 20;
+        let unwoken = (0..ROUNDS)
+            .filter(|_| {
+                let server = quick_server(1, 4, AdmissionPolicy::Block);
+                let state = Arc::clone(&server.state);
+                let s = Arc::clone(&state);
+                server.submit(move || {
+                    while s.drain.waiters() == 0 {
+                        thread::yield_now();
+                    }
+                });
+                server.shutdown();
+                state.drain.events() == 0
+            })
+            .count();
+        assert!(unwoken < ROUNDS / 4, "{unwoken} of {ROUNDS} drains were never woken");
     }
 
     #[test]

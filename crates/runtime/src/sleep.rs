@@ -1,44 +1,19 @@
-//! The pool's spin-then-park idle protocol.
+//! Every blocking wait in the crate, and the idle worker's way down to one.
 //!
-//! An idle worker used to `thread::yield_now()` forever, burning a full core per idle
-//! worker. Now it spins a bounded number of rounds (work usually arrives within
-//! microseconds under recursive fork-join) and then **parks** on a condvar guarded by an
-//! event counter. The other half of the contract is deliberately asymmetric, because
-//! producers are the hot path:
-//!
-//! * A forking worker (deque push) does a single `Relaxed` load of the sleeper count; only
-//!   if somebody is actually parked does it take the lock, bump the event counter and
-//!   notify — so while the pool is busy, waking costs one untaken branch per fork.
-//! * A would-be sleeper first registers in `sleepers` (`SeqCst`), issues a full fence,
-//!   re-reads the event counter, runs its final work check, and only then waits — a
-//!   producer that bumps the counter after that read is observed by the waiter, and work
-//!   published before a bump the sleeper did read is visible to its final check.
-//! * A producer off the fork path — a root job pushed into the injector
-//!   ([`Sleep::notify_fenced`]), the completion of a stolen `join` branch or of a scope
-//!   (`job.rs`) — publishes, issues a full fence, and *then* loads the sleeper count. With
-//!   the sleeper's fence that is Dekker's handshake: either the producer sees the sleeper
-//!   and wakes it, or the sleeper's final check sees what was published. These are the
-//!   wakes somebody is waiting for — a submitted job, the owner of a stolen branch — and
-//!   none of them can be lost; they happen once per root job, stolen branch or scope, where
-//!   a fence costs a tenth of the broadcast it makes conditional.
-//!
-//! One window is left open on purpose: the fork path's `push_local` → [`Sleep::notify`]
-//! (and the same call where a thief announces the surplus of a batch steal).
-//! The forking worker's relaxed sleeper-count load can race a sleeper's registration
-//! (StoreLoad reordering — the push may still sit in the store buffer when the sleeper makes
-//! its final check), and closing it would cost a full fence on **every fork**, which is
-//! exactly the overhead this module exists to avoid. What that race can lose is the wake of
-//! a *thief*: the pushed job still belongs to a worker that is awake and will pop it itself,
-//! nobody waits on the sleeper, and every park uses a short `wait_timeout`, so the cost is
-//! one idle worker joining in up to a millisecond late.
+//! [`EventCount`] is the one way a thread of this crate goes to sleep: an idle worker, the
+//! owner of a stolen branch, a `Block` submitter, a `JobHandle` waiter, the supervisor, a
+//! shutdown drain, an installer, a supervision waiter. `docs/ARCHITECTURE.md` ("Every
+//! blocking wait") lists each instance with who waits, who wakes, the timeout and whether
+//! the wake is fenced. [`SleepBackoff`] is the spin → yield ladder an idle worker climbs
+//! before it parks on the pool's instance.
 
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// How long a parked worker waits before re-checking for work on its own (the backstop for
-/// the fork path's relaxed load; see the module docs).
-const PARK_BACKSTOP: Duration = Duration::from_millis(1);
+/// How long a parked worker waits before re-checking for work on its own: the backstop for
+/// the fork path's unfenced [`EventCount::notify`].
+pub(crate) const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 
 /// Shape of the idle protocol's spin→yield→park schedule.
 ///
@@ -47,7 +22,7 @@ const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 /// The schedule therefore backs off **between sweeps** exponentially: round `i` of the
 /// first `spin_rounds` busy-spins `2^min(i - 1, spin_cap_shift)` pause cycles, the next
 /// `yield_rounds` rounds yield the OS slice, and after that the worker parks on the pool's
-/// `Sleep` protocol, where it costs nothing.
+/// [`EventCount`], where it costs nothing.
 pub(crate) struct SleepBackoff {
     /// Exponential busy-spin rounds (work-finding sweeps) before yielding.
     pub(crate) spin_rounds: u32,
@@ -79,109 +54,110 @@ impl SleepBackoff {
     }
 }
 
-/// Shared sleep state: an event counter under a mutex, a condvar, and the sleeper count
-/// producers check.
+/// A condition to sleep on whose wakers make no system call while nobody sleeps.
+///
+/// A waker changes what waiters wait for and then calls [`EventCount::wake_one`] or
+/// [`EventCount::wake_all`]: full fence, *then* a look at the waiter count. A waiter
+/// registers, issues a full fence, reads the epoch and looks at the condition once more
+/// before it blocks ([`EventCount::wait_unless`]). Dekker's handshake: either the waker sees
+/// the registration — and bumps the epoch under the lock, which the waiter then finds moved
+/// or is woken from — or the waiter's last look sees the change. The notify happens outside
+/// the lock, so the woken thread finds it free.
+///
+/// [`EventCount::notify`] is the one unfenced wake: the fork path's, see there.
 #[derive(Debug, Default)]
-pub(crate) struct Sleep {
-    /// Number of workers registered as (about to be) parked. Producers skip all locking
-    /// while this is zero.
-    sleepers: AtomicUsize,
-    /// Bumped on every notification; a sleeper only waits while the counter holds the value
-    /// it read before its final work check.
-    event: Mutex<u64>,
+pub(crate) struct EventCount {
+    /// Threads registered in [`EventCount::wait_unless`]. Wakers skip all locking while
+    /// this is zero.
+    waiters: AtomicUsize,
+    /// Bumped by every wake that found a waiter; a waiter sleeps only while it holds the
+    /// value read before its last look.
+    epoch: Mutex<u64>,
     condvar: Condvar,
 }
 
-impl Sleep {
-    pub(crate) fn new() -> Self {
-        Sleep::default()
+impl EventCount {
+    /// Threads currently registered as (about to be) waiting. Test/diagnostic use.
+    pub(crate) fn waiters(&self) -> usize {
+        self.waiters.load(Ordering::Acquire)
     }
 
-    /// Number of currently parked (or registering) workers. Test/diagnostic use.
-    pub(crate) fn sleepers(&self) -> usize {
-        self.sleepers.load(Ordering::Acquire)
-    }
-
-    /// Notifications issued so far (the event counter; wraps). Test/diagnostic use.
+    /// Wakes issued to a registered waiter so far (the epoch; wraps). Test/diagnostic use.
     pub(crate) fn events(&self) -> u64 {
-        *self.event.lock().unwrap_or_else(|e| e.into_inner())
+        *self.epoch.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Hot-path wakeup for one newly published job: no-op unless somebody is parked, and
-    /// then wakes a **single** sleeper — one job needs one thief, and waking the whole
-    /// pool per fork would turn a deep serial recursion (everyone else parked) into a
-    /// thundering herd. Any remaining sleepers are covered by later notifies and the
-    /// backstop timeout.
+    /// The fork path's wake: one `Relaxed` load and, only for a registered waiter, a wake of
+    /// **one** — one pushed job needs one thief, and waking everyone per fork would turn a
+    /// deep serial recursion into a thundering herd.
+    ///
+    /// Unfenced on purpose, the one wake in the crate that is: the load can pass the push
+    /// still in the store buffer (StoreLoad) while a waiter makes its last look, and that
+    /// waiter then sleeps out its timeout. Closing it would cost a full fence on **every
+    /// fork**. What it can lose is the wake of a *thief*: the pushed job belongs to a worker
+    /// that is awake and pops it itself, nobody waits on the thief, and the pool parks with
+    /// a [`PARK_BACKSTOP`] timeout.
     #[inline]
     pub(crate) fn notify(&self) {
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            self.wake_one();
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            self.signal_one();
         }
     }
 
-    /// Wakeup for work published off the fork path (a root job pushed into the injector):
-    /// full fence, *then* look — the submitter's half of the Dekker handshake whose other
-    /// half is the fence in [`Sleep::sleep_unless`]. Either this load sees the sleeper
-    /// and wakes it, or the sleeper's final work check sees the push; a wake is never
-    /// lost, and none is issued when every worker is awake.
-    pub(crate) fn notify_fenced(&self) {
+    /// Wake one waiter, if one is registered. Call after publishing what it waits for.
+    pub(crate) fn wake_one(&self) {
         fence(Ordering::SeqCst);
         self.notify();
     }
 
-    /// The lock-and-signal half of [`Sleep::notify`], out of line so the inlined half is
-    /// one load and one untaken branch per fork.
+    /// Wake every waiter, if one is registered. Call after publishing what they wait for;
+    /// for waits on conditions of their own (a latch, a job's outcome) sharing one
+    /// instance, where the waiter that cares may not be the one a single wake would pick.
+    pub(crate) fn wake_all(&self) {
+        fence(Ordering::SeqCst);
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            self.bump();
+            self.condvar.notify_all();
+        }
+    }
+
+    /// The lock-and-signal half of [`EventCount::notify`], out of line so the inlined half
+    /// is one load and one untaken branch per fork.
     #[cold]
     #[inline(never)]
-    fn wake_one(&self) {
-        let mut event = self.event.lock().unwrap_or_else(|e| e.into_inner());
-        *event = event.wrapping_add(1);
-        drop(event);
+    fn signal_one(&self) {
+        self.bump();
         self.condvar.notify_one();
     }
 
-    /// Unconditional broadcast wakeup (shutdown, the respawn drain, and latch completions —
-    /// where the one waiter that matters may not be the one `notify_one` would pick).
-    pub(crate) fn notify_all_now(&self) {
-        let mut event = self.event.lock().unwrap_or_else(|e| e.into_inner());
-        *event = event.wrapping_add(1);
-        drop(event);
-        self.condvar.notify_all();
+    fn bump(&self) {
+        let mut epoch = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
+        *epoch = epoch.wrapping_add(1);
     }
 
-    /// Park the calling worker until notified (or the backstop timeout), unless `ready`
-    /// turns true in the final pre-sleep check. `ready` is re-evaluated once per wakeup.
+    /// Block for at most `timeout`, unless `ready()` holds at the last look before blocking.
     ///
-    /// Returns `true` when the wakeup was meaningful — `ready` held before sleeping, or a
-    /// notification arrived — and `false` when only the backstop timer fired, so the
-    /// caller can treat a backstop recheck differently (one quiet rescan, no spin burst,
-    /// no steal-failure accounting).
-    ///
-    /// Locking the event mutex here synchronizes with producers' counter bumps, so work
-    /// published before a bump we observe is visible to `ready`.
-    pub(crate) fn sleep_unless(&self, mut ready: impl FnMut() -> bool) -> bool {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        // Registration before the final look at the queues, in the one total order of
-        // `SeqCst` fences: pairs with the fence a publisher issues between its push and
-        // its sleeper-count load (`notify_fenced`, the latches in `job.rs`).
+    /// Returns `true` when the wait ended meaningfully — `ready` held, or a wake arrived —
+    /// and `false` when only the timeout fired, so a caller can tell a timed re-check from
+    /// a wake (the pool counts its backstop wakes). Either way the caller re-checks its
+    /// condition: a wake meant for another waiter of the same instance also ends the wait.
+    pub(crate) fn wait_unless(&self, timeout: Duration, ready: impl FnOnce() -> bool) -> bool {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        // Registration before the last look, in the one total order of `SeqCst` fences:
+        // pairs with the fence a waker issues between its publish and its waiter-count load.
         fence(Ordering::SeqCst);
-        let observed = *self.event.lock().unwrap_or_else(|e| e.into_inner());
-        let mut notified = true;
-        if !ready() {
-            let mut event = self.event.lock().unwrap_or_else(|e| e.into_inner());
-            while *event == observed {
-                let (guard, timeout) = self
-                    .condvar
-                    .wait_timeout(event, PARK_BACKSTOP)
-                    .unwrap_or_else(|e| e.into_inner());
-                event = guard;
-                if timeout.timed_out() {
-                    notified = false;
-                    break;
-                }
-            }
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        // Taking the lock orders this read after any bump already made, so whatever was
+        // published before that bump is visible to `ready`.
+        let observed = *self.epoch.lock().unwrap_or_else(|e| e.into_inner());
+        let notified = ready() || {
+            let epoch = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
+            let (_epoch, result) = self
+                .condvar
+                .wait_timeout_while(epoch, timeout, |epoch| *epoch == observed)
+                .unwrap_or_else(|e| e.into_inner());
+            !result.timed_out()
+        };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         notified
     }
 }
@@ -192,35 +168,57 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Instant;
 
     #[test]
     fn notify_wakes_a_sleeper() {
-        let sleep = Arc::new(Sleep::new());
-        let woke = Arc::new(AtomicBool::new(false));
-        let s = Arc::clone(&sleep);
-        let w = Arc::clone(&woke);
-        let h = thread::spawn(move || {
-            // Sleep until the flag is set; each backstop wakeup re-checks.
-            while !w.load(Ordering::Acquire) {
-                s.sleep_unless(|| w.load(Ordering::Acquire));
+        // Each of the three wakes, issued after the flag flips, ends a wait that would
+        // otherwise last 30 s — and reports it as a wake, not a timeout.
+        let wakes: [fn(&EventCount); 3] =
+            [EventCount::notify, EventCount::wake_one, EventCount::wake_all];
+        for wake in wakes {
+            let events = Arc::new(EventCount::default());
+            let flag = Arc::new(AtomicBool::new(false));
+            let (e, f) = (Arc::clone(&events), Arc::clone(&flag));
+            let waiter = thread::spawn(move || {
+                e.wait_unless(Duration::from_secs(30), || f.load(Ordering::Acquire))
+            });
+            // Wait for registration so the wake below cannot be skipped as waiter-less.
+            while events.waiters() == 0 {
+                thread::yield_now();
             }
-        });
-        // Wait until the worker registers, then publish + notify.
-        while sleep.sleepers() == 0 {
-            thread::yield_now();
+            flag.store(true, Ordering::Release);
+            wake(&events);
+            assert!(waiter.join().unwrap(), "the wake must end the wait as notified");
+            assert_eq!(events.waiters(), 0);
         }
-        woke.store(true, Ordering::Release);
-        sleep.notify();
-        h.join().unwrap();
-        assert_eq!(sleep.sleepers(), 0);
     }
 
     #[test]
     fn ready_check_short_circuits_the_park() {
-        let sleep = Sleep::new();
-        // ready() is true immediately: must return without any notification.
-        sleep.sleep_unless(|| true);
-        assert_eq!(sleep.sleepers(), 0);
+        let events = EventCount::default();
+        assert!(events.wait_unless(Duration::from_secs(30), || true));
+        assert_eq!(events.waiters(), 0);
+    }
+
+    #[test]
+    fn a_timeout_returns_not_notified() {
+        let events = EventCount::default();
+        let start = Instant::now();
+        assert!(!events.wait_unless(Duration::from_millis(5), || false));
+        assert!(start.elapsed() >= Duration::from_millis(5));
+        assert_eq!(events.waiters(), 0);
+    }
+
+    #[test]
+    fn notify_without_sleepers_is_cheap_and_harmless() {
+        let events = EventCount::default();
+        for _ in 0..1000 {
+            events.notify();
+            events.wake_one();
+            events.wake_all();
+        }
+        assert_eq!(events.events(), 0, "no waiter, no epoch bump, no system call");
     }
 
     #[test]
@@ -232,15 +230,5 @@ mod tests {
             "doubling spins, capped at 2^spin_cap_shift, zero in the yield phase"
         );
         assert_eq!(bk.rounds_before_park(), 8);
-    }
-
-    #[test]
-    fn notify_without_sleepers_is_cheap_and_harmless() {
-        let sleep = Sleep::new();
-        for _ in 0..1000 {
-            sleep.notify();
-        }
-        // And an unconditional notify with nobody parked is fine too.
-        sleep.notify_all_now();
     }
 }

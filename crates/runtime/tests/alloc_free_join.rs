@@ -4,19 +4,16 @@
 //!
 //! The pool has one worker, so no branch is ever stolen: every `join` pushes its stack job,
 //! runs the left branch, pops the job straight back and runs it inline. A warm-up run first
-//! absorbs one-time costs (thread-local init, channel plumbing of `install`); the measured
+//! absorbs one-time costs (thread-local init, the first injector block); the measured
 //! window is entirely inside the installed closure.
 //!
 //! The count is the **worker's own** (see `tests/support/counting_alloc.rs`), so each
 //! assertion reads "this worker's fast path did not allocate". A process-wide count failed
 //! about two runs in five: libtest runs these tests on concurrent threads, so a sibling's
-//! pool construction landed in the window. And even alone (`--test-threads=1`) the
-//! installing thread is an allocator: `ThreadPool::install` makes a fresh `mpsc` channel
-//! per call and, *after* the job is already visible to the worker, blocks in
-//! `Receiver::recv`, whose first wait on a channel registers a waker entry
-//! (`Waker::register`, a `Vec::push` onto an empty vector). When the worker reaches the
-//! measured closure before the installer reaches `recv`, that allocation falls inside the
-//! window without having anything to do with `join`.
+//! pool construction landed in the window.
+//!
+//! The installing thread's own cost is pinned too: a warm `install` allocates its heap job
+//! and, once per 32 pushes, an injector block — nothing else.
 
 use rws_runtime::{join, scope, ThreadPoolBuilder};
 
@@ -121,6 +118,26 @@ fn unstolen_single_spawn_scope_fast_path_is_allocation_free() {
         delta, 0,
         "the unstolen single-spawn scope fast path must not allocate \
          (got {delta} allocations)"
+    );
+}
+
+#[test]
+fn a_warm_install_costs_its_thread_one_allocation() {
+    // The closure's outcome comes back through the installer's own frame, so what the
+    // installing thread allocates is the boxed job and one 32-slot injector block per 32
+    // pushes — the budget `service_wakes.rs` holds a submission to, less the job state.
+    const INSTALLS: u64 = 1024;
+    let pool = ThreadPoolBuilder::new().threads(1).build();
+    (0..8).for_each(|i| assert_eq!(pool.install(move || i), i));
+    let before = thread_allocations();
+    for i in 0..INSTALLS {
+        assert_eq!(pool.install(move || i), i);
+    }
+    let allocations = thread_allocations() - before;
+    let budget = INSTALLS + INSTALLS / 32 + 1;
+    assert!(
+        allocations <= budget,
+        "{INSTALLS} installs cost the installing thread {allocations} allocations (budget {budget})"
     );
 }
 

@@ -15,7 +15,8 @@
 //!    snapshot-delta statistics.
 //! 3. **Heartbeats.** A third thread emits [`Message::Heartbeat`] every
 //!    [`HEARTBEAT_INTERVAL`] with the current queue depth — the coordinator's liveness
-//!    and LeastLoaded signals.
+//!    and LeastLoaded signals. It waits out each interval on a stop channel, so a stop
+//!    ends it at once rather than at the next beat.
 //! 4. **Shutdown.** On [`Message::Shutdown`] (or stdin EOF) the worker answers
 //!    [`Message::Bye`] and exits 0.
 //!
@@ -37,8 +38,9 @@ use crate::proto::{Message, PartStats, VERSION};
 use rws_exec::{NativeExecutor, SharedWorkload};
 use std::io::{self, Write};
 use std::process;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -110,7 +112,6 @@ pub fn run_worker() -> i32 {
 
     let queue_depth = Arc::new(AtomicU32::new(0));
     let jobs_done = Arc::new(AtomicU64::new(0));
-    let stopped = Arc::new(AtomicBool::new(false));
 
     // -- Reader thread: stdin frames -> job queue ------------------------------------
     let (tx, rx) = mpsc::channel::<Message>();
@@ -144,13 +145,10 @@ pub fn run_worker() -> i32 {
     let hb_out = Arc::clone(&out);
     let hb_depth = Arc::clone(&queue_depth);
     let hb_done = Arc::clone(&jobs_done);
-    let hb_stopped = Arc::clone(&stopped);
+    // A message or a hang-up on `stop` ends the thread; only a timeout is a beat.
+    let (stop, hb_stop) = mpsc::channel::<()>();
     let heartbeat = thread::spawn(move || {
-        while !hb_stopped.load(Ordering::SeqCst) {
-            thread::sleep(HEARTBEAT_INTERVAL);
-            if hb_stopped.load(Ordering::SeqCst) {
-                break;
-            }
+        while let Err(RecvTimeoutError::Timeout) = hb_stop.recv_timeout(HEARTBEAT_INTERVAL) {
             let msg = Message::Heartbeat {
                 queue_depth: hb_depth.load(Ordering::SeqCst),
                 jobs_done: hb_done.load(Ordering::SeqCst),
@@ -177,7 +175,7 @@ pub fn run_worker() -> i32 {
                     if jobs_done.load(Ordering::SeqCst) >= limit {
                         // Wedge: stop heartbeating and never answer again. The
                         // coordinator's heartbeat timeout is responsible for killing us.
-                        stopped.store(true, Ordering::SeqCst);
+                        let _ = stop.send(());
                         loop {
                             thread::sleep(Duration::from_secs(3600));
                         }
@@ -248,7 +246,7 @@ pub fn run_worker() -> i32 {
         }
     };
 
-    stopped.store(true, Ordering::SeqCst);
+    drop(stop);
     let _ = heartbeat.join();
     // The reader may still be blocked on stdin (e.g. after a bad job); dropping its
     // handle detaches it — process exit reaps the thread.

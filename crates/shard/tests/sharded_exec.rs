@@ -3,9 +3,10 @@
 //! discovered next to the test executable (the coordinator pops the `deps/` dir).
 
 use rws_exec::{workloads, Backend, Executor, SharedWorkload};
+use rws_shard::worker::HEARTBEAT_INTERVAL;
 use rws_shard::{DispatchPolicy, ShardedExecutor};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn matmul() -> SharedWorkload {
     Arc::new(workloads::MatMulWorkload::demo(16, 4))
@@ -96,6 +97,27 @@ fn a_wedged_shard_is_caught_by_the_heartbeat_timeout() {
     assert!(detail.redistributed > 0, "its queued jobs moved to the survivor");
     assert_eq!(detail.jobs_accepted as usize, detail.parts);
     assert!(detail.heartbeats > 0, "the run was long enough to see heartbeats");
+}
+
+#[test]
+fn a_cold_execute_does_not_wait_out_the_heartbeat_timer() {
+    // The worker joins its heartbeat thread on the way out. Were that thread to sleep its
+    // interval through, every execute would pay what is left of the 50 ms timer after the
+    // last result — nearly all of it, against about 2 ms for the whole one-shard execute.
+    const RUNS: usize = 12;
+    let slow = HEARTBEAT_INTERVAL * 2 / 5;
+    let workload = workloads::by_name("spmv", 256, 0).expect("spmv is registered");
+    let reference = workload.run_reference();
+    let exec = ShardedExecutor::new(1);
+    let late = (0..RUNS)
+        .filter(|_| {
+            let started = Instant::now();
+            let outcome = exec.execute(Arc::clone(&workload));
+            assert_eq!(outcome.output, reference);
+            started.elapsed() >= slow
+        })
+        .count();
+    assert!(late < RUNS / 4, "{late} of {RUNS} one-shard executes took {slow:?} or more");
 }
 
 #[test]
