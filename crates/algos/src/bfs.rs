@@ -8,9 +8,10 @@
 //! written exactly once (by the level that discovers it), sequenced by a barrier between
 //! levels — the same structure [`bfs_native`] executes for real on the pool.
 
-use crate::common::{par_chunks_mut, split_lengths};
+use crate::common::split_lengths;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
+use rws_runtime::ParSliceExt;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -145,7 +146,7 @@ pub fn bfs_native(g: &CsrGraph, src: usize) -> Vec<i64> {
                 .collect();
         let frontier_ref = &frontier;
         let dist_ref = &dist;
-        par_chunks_mut(&mut regions, 1, &|i, slot: &mut [(&mut [usize], usize)]| {
+        regions.par_chunks_mut(1).for_each_indexed(|i, slot| {
             let (region, found) = &mut slot[0];
             let lo = i * NATIVE_CHUNK;
             let hi = (lo + NATIVE_CHUNK).min(frontier_ref.len());

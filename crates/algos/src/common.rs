@@ -1,7 +1,6 @@
 //! Shared building blocks for the algorithm dag builders — the destination abstraction
 //! (global array vs local array on an enclosing execution-stack segment) — plus the
-//! fork-join recursion helpers the native kernels share
-//! ([`par_chunks_mut`], [`join4`], `split_lengths`).
+//! fork-join recursion helpers the native kernels share ([`join4`], `split_lengths`).
 
 use rws_dag::{Addr, WorkUnit};
 
@@ -113,27 +112,6 @@ pub fn balanced_levels(k: usize) -> u32 {
 // ------------------------------------------------------------------------------------------
 // Native fork-join recursion helpers
 // ------------------------------------------------------------------------------------------
-
-/// Apply `f` to every `chunk`-sized piece of `data` (the last piece may be shorter) —
-/// the native mirror of the balanced BP trees the dag builders emit over leaf ranges,
-/// now a thin front over [`rws_runtime::ParSliceExt::par_chunks_mut`]. Splitting is
-/// adaptive: the fork tree bottoms out at roughly `SPLIT_FACTOR` pieces per worker of
-/// the current pool instead of one fork per chunk, so fine-grained kernels (fft columns,
-/// list-ranking rounds) stop paying a deque push per chunk on narrow pools.
-///
-/// `f` receives the chunk index and the chunk as a disjoint `&mut` borrow, so parallel
-/// branches never alias; shared inputs are read through whatever `&` captures `f` holds.
-/// Outside a pool worker the splits all degrade to sequential `join`s on the caller,
-/// exactly like every other native kernel.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: &F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk > 0, "par_chunks_mut needs a positive chunk size");
-    use rws_runtime::ParSliceExt;
-    data.par_chunks_mut(chunk).for_each_indexed(f);
-}
 
 /// Run four closures as one parallel collection and return their results — the native
 /// mirror of a four-child balanced fork, used by the quadrant-recursive kernels. Ported
@@ -259,20 +237,6 @@ mod tests {
         assert_eq!(balanced_levels(2), 1);
         assert_eq!(balanced_levels(4), 2);
         assert_eq!(balanced_levels(8), 3);
-    }
-
-    #[test]
-    fn par_chunks_mut_visits_every_chunk_exactly_once() {
-        for (len, chunk) in [(0usize, 4usize), (1, 4), (7, 3), (16, 4), (17, 4), (5, 100)] {
-            let mut data = vec![0usize; len];
-            par_chunks_mut(&mut data, chunk, &|idx, part: &mut [usize]| {
-                for (off, v) in part.iter_mut().enumerate() {
-                    *v = idx * chunk + off + 1;
-                }
-            });
-            let expected: Vec<usize> = (1..=len).collect();
-            assert_eq!(data, expected, "len {len}, chunk {chunk}");
-        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! over disjoint borrowed chunks of one workspace allocated per top-level call, with the
 //! dag's base-case cutoff ending the recursion in an iterative radix-2 leaf.
 
-use crate::common::{balanced_levels, par_chunks_mut, Dest};
+use crate::common::{balanced_levels, Dest};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, Shrink, SpDagBuilder, WorkUnit};
+use rws_runtime::ParSliceExt;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the FFT computation.
@@ -331,9 +332,9 @@ impl Strided<'_> {
 /// The local arrays of the whole recursion are one workspace allocated per top-level call
 /// (`fft_workspace_len`). A level lays its share out as one chunk per sub-FFT — the
 /// sub-FFT's row of the local array followed by that sub-FFT's own workspace — so handing
-/// each parallel branch its chunk (via [`par_chunks_mut`]) gives it a disjoint `&mut`
-/// borrow of both; the column and the row collection are sequenced and reuse the same
-/// words. The recursion bottoms out at `base` with an iterative radix-2 leaf, mirroring
+/// each parallel branch its chunk (via [`par_chunks_mut`](ParSliceExt::par_chunks_mut))
+/// gives it a disjoint `&mut` borrow of both; the column and the row collection are
+/// sequenced and reuse the same words. The recursion bottoms out at `base` with an iterative radix-2 leaf, mirroring
 /// the dag's base case. All twiddle factors — the per-level scaling pass and the leaves'
 /// butterfly factors alike — come from one precomputed full-circle table
 /// (`twiddle_table`) built once per top-level call, replacing per-element trig in the hot
@@ -400,7 +401,7 @@ fn fft_rec(
     // the row at the head of its own chunk (the chunk's tail is its workspace).
     let col_chunk = r + fft_workspace_len(r, base);
     let cols = &mut ws[..c * col_chunk];
-    par_chunks_mut(cols, col_chunk, &|j1, chunk: &mut [Complex]| {
+    cols.par_chunks_mut(col_chunk).for_each_indexed(|j1, chunk| {
         let (row, sub_ws) = chunk.split_at_mut(r);
         fft_rec(src.class(j1, c), r, row, sub_ws, base, tw);
     });
@@ -412,7 +413,7 @@ fn fft_rec(
     // chunk of r elements is r/c whole rows of that transpose.
     let cols = &*cols;
     let step = tw.len() / m;
-    par_chunks_mut(dst, r, &|chunk_idx, part: &mut [Complex]| {
+    dst.par_chunks_mut(r).for_each_indexed(|chunk_idx, part| {
         for (row_off, row) in part.chunks_mut(c).enumerate() {
             let k2 = chunk_idx * (r / c) + row_off;
             for (j1, d) in row.iter_mut().enumerate() {
@@ -426,7 +427,7 @@ fn fft_rec(
     let twiddled = &*dst;
     let row_chunk = c + fft_workspace_len(c, base);
     let rows = &mut ws[..r * row_chunk];
-    par_chunks_mut(rows, row_chunk, &|k2, chunk: &mut [Complex]| {
+    rows.par_chunks_mut(row_chunk).for_each_indexed(|k2, chunk| {
         let (row, sub_ws) = chunk.split_at_mut(c);
         fft_rec(Strided { data: twiddled, offset: k2 * c, stride: 1 }, c, row, sub_ws, base, tw);
     });
@@ -434,7 +435,7 @@ fn fft_rec(
     // Final pass: transpose the (r × c) result back into natural order, parallel over
     // disjoint destination chunks. Chunk k1 is exactly X[k2 + r·k1] for k2 in 0..r.
     let rows = &*rows;
-    par_chunks_mut(dst, r, &|k1, part: &mut [Complex]| {
+    dst.par_chunks_mut(r).for_each_indexed(|k1, part| {
         for (k2, d) in part.iter_mut().enumerate() {
             *d = rows[k2 * row_chunk + k1];
         }

@@ -12,9 +12,9 @@
 //! successor/rank state, so parallel branches only borrow (the round's output buffer
 //! mutably and disjointly, the previous round's buffer shared).
 
-use crate::common::par_chunks_mut;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
+use rws_runtime::ParSliceExt;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for list ranking.
@@ -188,12 +188,12 @@ const NATIVE_CHUNK: usize = 256;
 /// round-synchronized pointer jumping as [`list_ranking_computation`]'s dag, executed for
 /// real.
 ///
-/// Rounds are sequenced; within a round, [`par_chunks_mut`] fork-joins over disjoint
-/// chunks of the round's `(successor, rank)` output buffer while every branch reads the
-/// previous round's buffer through a shared borrow — double buffering, like the dag's
-/// per-round output arrays, with two buffers allocated once per call that trade places
-/// after every round (a round writes every slot of its output, so nothing is cleared in
-/// between). The round count and update rule are identical to
+/// Rounds are sequenced; within a round, [`par_chunks_mut`](ParSliceExt::par_chunks_mut)
+/// fork-joins over disjoint chunks of the round's `(successor, rank)` output buffer while
+/// every branch reads the previous round's buffer through a shared borrow — double
+/// buffering, like the dag's per-round output arrays, with two buffers allocated once per
+/// call that trade places after every round (a round writes every slot of its output, so
+/// nothing is cleared in between). The round count and update rule are identical to
 /// [`list_ranking_reference`], so the two agree element-for-element even on inputs with no
 /// fixed point (cycles), where the final ranks depend on the number of rounds performed.
 /// Outside a pool worker the joins run sequentially.
@@ -207,7 +207,7 @@ pub fn list_ranking_native(succ: &[usize]) -> Vec<u64> {
     let mut next = cur.clone();
     let rounds = (n as f64).log2().ceil() as usize + 1;
     for _ in 0..rounds {
-        par_chunks_mut(&mut next, NATIVE_CHUNK, &|chunk_idx, part: &mut [(usize, u64)]| {
+        next.par_chunks_mut(NATIVE_CHUNK).for_each_indexed(|chunk_idx, part| {
             let prev = &cur[chunk_idx * NATIVE_CHUNK..];
             for (out, &(s, r)) in part.iter_mut().zip(prev) {
                 let (s2, r2) = cur[s];

@@ -13,9 +13,10 @@
 //! bucket is sorted independently — so the output equals [`sample_sort_reference`] (a plain
 //! sequential sort) element for element.
 
-use crate::common::{par_chunks_mut, split_lengths};
+use crate::common::split_lengths;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
+use rws_runtime::ParSliceExt;
 use serde::{Deserialize, Serialize};
 
 /// Sequential reference: the sorted copy of `keys`.
@@ -73,7 +74,7 @@ pub fn sample_sort_native(keys: &[u64], buckets: usize) -> Vec<u64> {
         .zip(ends.chunks_mut(buckets))
         .map(|((input, run), row)| (input, run, row))
         .collect();
-    par_chunks_mut(&mut regions, 1, &|_, slot: &mut [(&[u64], &mut [u64], &mut [u32])]| {
+    regions.par_chunks_mut(1).for_each(|slot| {
         let (input, run, row) = &mut slot[0];
         let mut ids = [0usize; NATIVE_CHUNK];
         for (id, &k) in ids.iter_mut().zip(input.iter()) {
@@ -104,7 +105,7 @@ pub fn sample_sort_native(keys: &[u64], buckets: usize) -> Vec<u64> {
     // Phase 3: per-bucket gather + sort, each bucket in its own slice of the output.
     let mut sorted = vec![0u64; n];
     let mut outs: Vec<&mut [u64]> = split_lengths(&mut sorted, sizes).collect();
-    par_chunks_mut(&mut outs, 1, &|b, slot: &mut [&mut [u64]]| {
+    outs.par_chunks_mut(1).for_each_indexed(|b, slot| {
         let out = &mut *slot[0];
         let mut at = 0;
         for (run, row) in runs.chunks(NATIVE_CHUNK).zip(ends.chunks(buckets)) {

@@ -11,9 +11,9 @@
 //! [`spmv_reference`] on every schedule, which is what lets the f64 parity assertions stay
 //! exact rather than tolerance-based.
 
-use crate::common::par_chunks_mut;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
+use rws_runtime::ParSliceExt;
 use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed-sparse-row form.
@@ -101,7 +101,7 @@ const NATIVE_CHUNK: usize = 64;
 pub fn spmv_native(m: &CsrMatrix, x: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), m.ncols, "x must have one entry per matrix column");
     let mut y = vec![0.0f64; m.nrows()];
-    par_chunks_mut(&mut y, NATIVE_CHUNK, &|chunk_idx, part: &mut [f64]| {
+    y.par_chunks_mut(NATIVE_CHUNK).for_each_indexed(|chunk_idx, part| {
         let lo = chunk_idx * NATIVE_CHUNK;
         for (off, out) in part.iter_mut().enumerate() {
             let r = lo + off;

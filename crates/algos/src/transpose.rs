@@ -16,10 +16,11 @@
 //! disjoint borrowed `&mut` slices and forks with `rws_runtime::join` — the same
 //! decomposition the dag builders emit, executed for real.
 
-use crate::common::{balanced_levels, par_chunks_mut, Dest};
+use crate::common::{balanced_levels, Dest};
 use crate::layout::{bi_quadrant_offset, bit_interleave, quad, quads_mut};
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, Shrink, SpDagBuilder, WorkUnit};
+use rws_runtime::ParSliceExt;
 
 fn combine(b: &mut SpDagBuilder, children: &[NodeId]) -> NodeId {
     BalancedTreeBuilder::new(b, 2).combine(
@@ -243,7 +244,7 @@ fn bi_to_rm_rec(bi: &[f64], out: &mut [f64], ws: &mut [f64], m: usize, base: usi
     // Merge pass: one branch per output row; row i (< h) interleaves TL row i and TR row
     // i, row i (>= h) interleaves BL and BR rows (the dag's row-merge tree).
     let (top, bottom) = ws.split_at(2 * quarter);
-    par_chunks_mut(out, m, &|i, row: &mut [f64]| {
+    out.par_chunks_mut(m).for_each_indexed(|i, row| {
         let (pair, r) = if i < h { (top, i) } else { (bottom, i - h) };
         row[..h].copy_from_slice(&pair[r * h..(r + 1) * h]);
         row[h..].copy_from_slice(&pair[quarter + r * h..quarter + (r + 1) * h]);

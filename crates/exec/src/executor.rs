@@ -83,7 +83,6 @@ impl SimExecutor {
             cache_misses: report.cache_misses(),
             block_misses: report.block_misses(),
             false_sharing_misses: report.false_sharing_misses(),
-            sequential_fallback: false,
             time_units: report.makespan,
             wall: start.elapsed(),
             sim: Some(report),
@@ -192,7 +191,6 @@ impl Executor for NativeExecutor {
             cache_misses: 0,
             block_misses: 0,
             false_sharing_misses: 0,
-            sequential_fallback: workload.native_support().is_fallback(),
             time_units: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
             wall,
             sim: None,
@@ -221,7 +219,6 @@ mod tests {
         assert_eq!(outcome.report.cache_misses, sim.cache_misses());
         assert_eq!(outcome.report.block_misses, sim.block_misses());
         assert_eq!(outcome.report.false_sharing_misses, sim.false_sharing_misses());
-        assert!(!outcome.report.sequential_fallback);
         assert_eq!(outcome.output, w.run_reference());
     }
 
@@ -233,44 +230,6 @@ mod tests {
         let via_trait = exec.execute(Arc::new(w));
         assert_eq!(direct.steals, via_trait.report.steals);
         assert_eq!(direct.time_units, via_trait.report.time_units);
-    }
-
-    /// A deliberately stubbed workload: the honesty mechanism's positive path. No committed
-    /// workload declares the fallback anymore, so this mock is what keeps the stamping line
-    /// below covered until (unless) a future stub ships.
-    struct StubbedWorkload;
-
-    impl Workload for StubbedWorkload {
-        fn name(&self) -> String {
-            "stubbed".into()
-        }
-
-        fn computation(&self) -> rws_dag::Computation {
-            PrefixWorkload::demo(64).computation()
-        }
-
-        fn run_native(&self) -> crate::AlgoOutput {
-            self.run_reference()
-        }
-
-        fn native_support(&self) -> crate::NativeSupport {
-            crate::NativeSupport::SequentialFallback
-        }
-
-        fn run_reference(&self) -> crate::AlgoOutput {
-            crate::AlgoOutput::I64(vec![1, 2, 3])
-        }
-    }
-
-    #[test]
-    fn a_fallback_workload_is_stamped_on_native_and_not_on_sim() {
-        let native = NativeExecutor::new(2).execute(Arc::new(StubbedWorkload));
-        assert!(
-            native.report.sequential_fallback,
-            "a native run of a stubbed workload must wear the fallback stamp"
-        );
-        let sim = SimExecutor::with_procs(2).execute(Arc::new(StubbedWorkload));
-        assert!(!sim.report.sequential_fallback, "the simulator genuinely schedules the dag");
     }
 
     #[test]

@@ -53,6 +53,4 @@ pub use report::{Backend, ExecReport, ShardDetail};
 /// The classified dag a [`Workload`] hands the simulator, re-exported so a caller that
 /// builds it once (the lab's sweep) can hold it without depending on `rws-dag` itself.
 pub use rws_dag::Computation;
-pub use workload::{
-    part_range, AlgoOutput, ExecOutcome, NativeSupport, ShardSpec, SharedWorkload, Workload,
-};
+pub use workload::{part_range, AlgoOutput, ExecOutcome, ShardSpec, SharedWorkload, Workload};

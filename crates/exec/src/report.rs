@@ -90,10 +90,6 @@ pub struct ExecReport {
     /// Block misses where the invalidating write touched another word of the block — the
     /// paper's false-sharing count (simulator only, 0 natively).
     pub false_sharing_misses: u64,
-    /// True when this run's native leg executed the workload's sequential reference instead
-    /// of a parallel kernel (see [`crate::NativeSupport`]); always false for simulated runs,
-    /// whose dag really is scheduled across `procs` processors.
-    pub sequential_fallback: bool,
     /// Elapsed time in the backend's unit ([`Backend::time_unit`]): the simulated makespan,
     /// or wall-clock nanoseconds.
     pub time_units: u64,
@@ -147,7 +143,6 @@ mod tests {
             cache_misses: 7,
             block_misses: 2,
             false_sharing_misses: 1,
-            sequential_fallback: false,
             time_units: 1234,
             wall: Duration::from_millis(1),
             sim: None,

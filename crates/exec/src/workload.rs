@@ -66,41 +66,6 @@ impl PartialEq for AlgoOutput {
     }
 }
 
-/// How faithful a workload's native leg is. Every committed workload answers
-/// [`NativeSupport::Full`]: its [`Workload::run_native`] is a real fork-join decomposition
-/// whose steal/job counts and wall time measure parallel execution.
-///
-/// [`NativeSupport::SequentialFallback`] is the honesty mechanism kept for *future*
-/// workloads whose fork-join port has not landed yet: executors record it in
-/// [`ExecReport::sequential_fallback`](crate::ExecReport) so a "native" measurement of such
-/// a workload can never silently masquerade as a parallel result. The seeded parity matrix
-/// (`tests/executor_parity.rs`) asserts the committed suite never sets it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NativeSupport {
-    /// [`Workload::run_native`] is a real fork-join decomposition over
-    /// `rws_runtime::join` mirroring the dag's work/span structure.
-    Full,
-    /// [`Workload::run_native`] executes the sequential reference; the run still flows
-    /// through the pool end to end, but its wall time is a sequential measurement. No
-    /// committed workload declares this — it exists so a future stub must label itself.
-    SequentialFallback,
-}
-
-impl NativeSupport {
-    /// Whether this is the sequential fallback.
-    pub fn is_fallback(self) -> bool {
-        matches!(self, NativeSupport::SequentialFallback)
-    }
-
-    /// Short label for reports (`full` / `sequential-fallback`).
-    pub fn label(self) -> &'static str {
-        match self {
-            NativeSupport::Full => "full",
-            NativeSupport::SequentialFallback => "sequential-fallback",
-        }
-    }
-}
-
 /// The by-value description of a partitionable workload instance, carried in `rws-shard`'s
 /// `Job` wire messages instead of the data itself: a worker subprocess rebuilds the
 /// deterministic instance locally via [`crate::workloads::by_name`] (seeded `demo`
@@ -153,10 +118,6 @@ pub trait Workload: Send + Sync {
     /// `rws_runtime::join` inside it uses the pool's work-stealing deques.
     fn run_native(&self) -> AlgoOutput;
 
-    /// Whether [`Workload::run_native`] is a real parallel kernel or the sequential
-    /// reference. Required (no default) so every workload must state its honesty explicitly.
-    fn native_support(&self) -> NativeSupport;
-
     /// Run the sequential reference implementation.
     fn run_reference(&self) -> AlgoOutput;
 
@@ -198,14 +159,6 @@ pub struct ExecOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fallback_variant_keeps_its_honesty_labels() {
-        assert_eq!(NativeSupport::SequentialFallback.label(), "sequential-fallback");
-        assert!(NativeSupport::SequentialFallback.is_fallback());
-        assert_eq!(NativeSupport::Full.label(), "full");
-        assert!(!NativeSupport::Full.is_fallback());
-    }
 
     #[test]
     fn float_outputs_compare_with_tolerance() {

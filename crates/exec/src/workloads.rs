@@ -1,19 +1,16 @@
 //! Ready-made [`Workload`]s for the algorithm suite of `rws-algos`.
 //!
-//! All workloads run a true fork-join decomposition on the native backend
-//! ([`Workload::native_support`] answers [`NativeSupport::Full`] across the suite): the
-//! native kernels in `rws-algos` mirror the work/span structure of the dags the simulator
+//! All workloads run a true fork-join decomposition on the native backend: the native
+//! kernels in `rws-algos` mirror the work/span structure of the dags the simulator
 //! schedules, so a sim-vs-native comparison of any committed workload compares two
 //! executions of the *same* algorithm, not a parallel model against a sequential stub.
-//! `native_support` remains a required method — a future workload whose kernel has not
-//! landed must declare the fallback variant of [`NativeSupport`] so executors stamp its
-//! runs (see the [`NativeSupport`] docs for the honesty contract).
+//! A workload without such a kernel does not belong in this module.
 //!
 //! `demo` constructors fill inputs from a seeded [`SmallRng`], so runs are deterministic.
 //! Constructors validate instance shapes eagerly (power-of-two sizes where the dag builders
 //! require them), so a workload that constructs is runnable on *every* backend.
 
-use crate::workload::{part_range, AlgoOutput, NativeSupport, ShardSpec, SharedWorkload, Workload};
+use crate::workload::{part_range, AlgoOutput, ShardSpec, SharedWorkload, Workload};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_algos::bfs::{bfs_computation, bfs_native, bfs_reference, BfsConfig, CsrGraph};
 use rws_algos::fft::{
@@ -117,10 +114,6 @@ impl Workload for PrefixWorkload {
         AlgoOutput::I64(prefix_sums_native(&self.input))
     }
 
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
-    }
-
     fn run_reference(&self) -> AlgoOutput {
         AlgoOutput::I64(prefix_sums_reference(&self.input))
     }
@@ -198,10 +191,6 @@ impl Workload for MatMulWorkload {
         AlgoOutput::F64(from_bi(&c_bi, n))
     }
 
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
-    }
-
     fn run_reference(&self) -> AlgoOutput {
         AlgoOutput::F64(matmul_reference(&self.a, &self.b, self.cfg.n))
     }
@@ -260,10 +249,6 @@ impl Workload for SortWorkload {
         AlgoOutput::U64(merge_sort_native(&self.keys, self.cfg.base))
     }
 
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
-    }
-
     fn run_reference(&self) -> AlgoOutput {
         AlgoOutput::U64(sort_reference(&self.keys))
     }
@@ -317,10 +302,6 @@ impl Workload for FftWorkload {
         Self::flatten(fft_native(&self.input, self.cfg.base))
     }
 
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
-    }
-
     fn run_reference(&self) -> AlgoOutput {
         Self::flatten(fft_reference(&self.input))
     }
@@ -370,10 +351,6 @@ impl Workload for TransposeWorkload {
         let mut bi = rm_to_bi_native(&self.a, self.n, self.base);
         transpose_native_bi(&mut bi, self.n, self.base);
         AlgoOutput::F64(bi_to_rm_native(&bi, self.n, self.base))
-    }
-
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
     }
 
     fn run_reference(&self) -> AlgoOutput {
@@ -427,10 +404,6 @@ impl Workload for ListRankWorkload {
         AlgoOutput::I64(list_ranking_native(&self.succ).into_iter().map(|r| r as i64).collect())
     }
 
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
-    }
-
     fn run_reference(&self) -> AlgoOutput {
         AlgoOutput::I64(list_ranking_reference(&self.succ).into_iter().map(|r| r as i64).collect())
     }
@@ -477,10 +450,6 @@ impl Workload for DagWorkflowWorkload {
         AlgoOutput::U64(workflow_native(&self.graph))
     }
 
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
-    }
-
     fn run_reference(&self) -> AlgoOutput {
         AlgoOutput::U64(workflow_reference(&self.graph))
     }
@@ -523,10 +492,6 @@ impl Workload for BfsWorkload {
         AlgoOutput::I64(bfs_native(&self.graph, self.cfg.src))
     }
 
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
-    }
-
     fn run_reference(&self) -> AlgoOutput {
         AlgoOutput::I64(bfs_reference(&self.graph, self.cfg.src))
     }
@@ -562,24 +527,6 @@ impl SpmvWorkload {
     }
 }
 
-/// Compute `y[row0 .. row0 + out.len()] = (M · x)` for a CSR row slice with a fork-join
-/// split over the rows — the per-part SpMV kernel of the sharded backend.
-fn spmv_rows_native(m: &CsrMatrix, x: &[f64], row0: usize, out: &mut [f64]) {
-    if out.len() <= 64 {
-        for (r, slot) in out.iter_mut().enumerate() {
-            let i = row0 + r;
-            *slot = (m.row_starts[i]..m.row_starts[i + 1]).map(|e| m.vals[e] * x[m.cols[e]]).sum();
-        }
-        return;
-    }
-    let mid = out.len() / 2;
-    let (lo, hi) = out.split_at_mut(mid);
-    rws_runtime::join(
-        || spmv_rows_native(m, x, row0, lo),
-        || spmv_rows_native(m, x, row0 + mid, hi),
-    );
-}
-
 impl Workload for SpmvWorkload {
     fn name(&self) -> String {
         format!("spmv(n={})", self.matrix.nrows())
@@ -593,10 +540,6 @@ impl Workload for SpmvWorkload {
         AlgoOutput::F64(spmv_native(&self.matrix, &self.x))
     }
 
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
-    }
-
     fn run_reference(&self) -> AlgoOutput {
         AlgoOutput::F64(spmv_reference(&self.matrix, &self.x))
     }
@@ -606,10 +549,17 @@ impl Workload for SpmvWorkload {
     }
 
     fn run_native_part(&self, part: usize, parts: usize) -> AlgoOutput {
-        let (r0, r1) = part_range(self.matrix.nrows(), part, parts);
-        let mut out = vec![0.0; r1 - r0];
-        spmv_rows_native(&self.matrix, &self.x, r0, &mut out);
-        AlgoOutput::F64(out)
+        // The part's rows, rebased into a matrix of their own, run through `spmv_native`.
+        let m = &self.matrix;
+        let (r0, r1) = part_range(m.nrows(), part, parts);
+        let (e0, e1) = (m.row_starts[r0], m.row_starts[r1]);
+        let band = CsrMatrix {
+            ncols: m.ncols,
+            row_starts: m.row_starts[r0..=r1].iter().map(|&e| e - e0).collect(),
+            cols: m.cols[e0..e1].to_vec(),
+            vals: m.vals[e0..e1].to_vec(),
+        };
+        AlgoOutput::F64(spmv_native(&band, &self.x))
     }
 }
 
@@ -649,10 +599,6 @@ impl Workload for SampleSortWorkload {
 
     fn run_native(&self) -> AlgoOutput {
         AlgoOutput::U64(sample_sort_native(&self.keys, self.cfg.buckets))
-    }
-
-    fn native_support(&self) -> NativeSupport {
-        NativeSupport::Full
     }
 
     fn run_reference(&self) -> AlgoOutput {
@@ -709,19 +655,6 @@ mod tests {
             let comp = w.computation();
             assert!(comp.check_properties().is_empty(), "{}", w.name());
             assert!(comp.dag.work() > 0);
-        }
-    }
-
-    #[test]
-    fn every_workload_declares_full_native_support() {
-        // The suite has no sequential stubs left: every workload runs a real fork-join
-        // (or task-graph) kernel natively and must say so. (The fallback variant still
-        // exists in `workload.rs` as the honesty label a future stub would be forced to
-        // wear; its own tests live there.)
-        for w in &full_suite() {
-            assert_eq!(w.native_support(), NativeSupport::Full, "{}", w.name());
-            assert!(!w.native_support().is_fallback());
-            assert_eq!(w.native_support().label(), "full");
         }
     }
 

@@ -45,7 +45,7 @@
 //! that proves the harness actually trips.
 
 use crate::json::{self, obj, Json};
-use crate::scenario::ScenarioError;
+use crate::scenario::{err, parse_num, split_list, ScenarioError};
 use crate::trace_export;
 use rws_runtime::trace::TraceSnapshot;
 use rws_runtime::{
@@ -211,7 +211,7 @@ impl ChaosScenario {
                 "panic_every" => panic_every = parse_num(ln, key, value)?,
                 "death_sweeps" => {
                     let mut list = Vec::new();
-                    for item in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+                    for item in split_list(value) {
                         list.push(parse_num(ln, key, item)?);
                     }
                     death_sweeps = list;
@@ -316,21 +316,6 @@ impl ChaosScenario {
             settle_timeout: Duration::from_secs(settle_timeout_s.max(1)),
         })
     }
-}
-
-fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ScenarioError> {
-    Err(ScenarioError { line, msg: msg.into() })
-}
-
-fn parse_num<T: std::str::FromStr>(
-    line: usize,
-    key: &str,
-    value: &str,
-) -> Result<T, ScenarioError> {
-    value.parse().map_err(|_| ScenarioError {
-        line,
-        msg: format!("`{key}` expects a number, got `{value}`"),
-    })
 }
 
 fn admission_name(a: AdmissionPolicy) -> &'static str {

@@ -7,12 +7,11 @@
 //! {
 //!   "schema": "rws-lab-report/v1",
 //!   "scenario": <name>, "workload": <full workload name>,
-//!   "work": W, "t_inf": T∞, "native_fallback": bool, "measured_only": bool,
+//!   "work": W, "t_inf": T∞, "measured_only": bool,
 //!   "runs": [ { "backend", "executor", "procs", "seed", "axis", "axis_value",
 //!               "shards", "shard_threads",
 //!               "steals", "failed_steals", "work_items", "time_units", "time_unit",
-//!               "cache_misses", "block_misses", "false_sharing_misses",
-//!               "sequential_fallback" } ],
+//!               "cache_misses", "block_misses", "false_sharing_misses" } ],
 //!   "checks": [ { "run", "name", "measured", "bound", "slack", "ratio", "verdict" } ],
 //!   "timing": null | [ { "run", "wall_ns", "steals", "failed_steals" } ],
 //!   "summary": { "runs", "checks", "failed" }
@@ -98,12 +97,11 @@ impl LabReport {
     pub fn summary_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
         lines.push(format!(
-            "scenario {}: {} (W = {}, T_inf = {}){}{}",
+            "scenario {}: {} (W = {}, T_inf = {}){}",
             self.lab.scenario,
             self.lab.workload,
             self.lab.work,
             self.lab.t_inf,
-            if self.lab.native_fallback { " [native = sequential fallback]" } else { "" },
             if self.lab.measured_only { " [measured only: no paper bound applies]" } else { "" }
         ));
         for (i, r) in self.lab.records.iter().enumerate() {
@@ -112,14 +110,13 @@ impl LabReport {
                 None => String::new(),
             };
             lines.push(format!(
-                "  run {i}: {}{axis} seed={} -> {} steals, {} work items, {} {}{}",
+                "  run {i}: {}{axis} seed={} -> {} steals, {} work items, {} {}",
                 r.report.executor,
                 r.spec.seed,
                 r.report.steals,
                 r.report.work_items,
                 r.report.time_units,
                 r.report.backend.time_unit(),
-                if r.report.sequential_fallback { " (sequential fallback)" } else { "" }
             ));
         }
         for c in &self.checks {
@@ -185,7 +182,6 @@ impl LabReport {
                     ("cache_misses", r.report.cache_misses.into()),
                     ("block_misses", r.report.block_misses.into()),
                     ("false_sharing_misses", r.report.false_sharing_misses.into()),
-                    ("sequential_fallback", r.report.sequential_fallback.into()),
                 ])
             })
             .collect();
@@ -232,7 +228,6 @@ impl LabReport {
             ("workload", self.lab.workload.as_str().into()),
             ("work", self.lab.work.into()),
             ("t_inf", self.lab.t_inf.into()),
-            ("native_fallback", self.lab.native_fallback.into()),
             ("measured_only", self.lab.measured_only.into()),
             ("runs", runs.into()),
             ("checks", checks.into()),
@@ -284,7 +279,7 @@ mod tests {
         let doc = report.to_json();
         validate_report(&doc).expect("emitted lab report must validate");
         for key in
-            ["\"axis\"", "\"verdict\"", "\"sequential_fallback\"", "\"block_misses\"", "\"ratio\""]
+            ["\"axis\"", "\"verdict\"", "\"false_sharing_misses\"", "\"block_misses\"", "\"ratio\""]
         {
             assert!(doc.contains(key), "missing {key} in\n{doc}");
         }

@@ -21,16 +21,12 @@
 //! eagerly (unknown keys, malformed lists, sizes the dag builders would reject, checks that
 //! do not apply to the workload) so a scenario that parses is runnable end to end.
 
-use rws_exec::workloads::{
-    BfsWorkload, DagWorkflowWorkload, FftWorkload, ListRankWorkload, MatMulWorkload,
-    PrefixWorkload, SampleSortWorkload, SortWorkload, SpmvWorkload, TransposeWorkload,
-};
+use rws_exec::workloads::by_name;
 use rws_exec::SharedWorkload;
 use rws_machine::MachineConfig;
 use std::fmt;
-use std::sync::Arc;
 
-/// Which algorithm a scenario runs. Instances come from the deterministic `demo`
+/// Which algorithm a scenario runs. Instances come from [`by_name`], the seeded `demo`
 /// constructors of `rws_exec::workloads`, so a scenario names a reproducible input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkloadKind {
@@ -57,24 +53,26 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
-    /// Parse a scenario-file workload name.
+    /// Every kind, in the order error messages list them.
+    const ALL: [WorkloadKind; 10] = [
+        WorkloadKind::PrefixSums,
+        WorkloadKind::MatMul,
+        WorkloadKind::MergeSort,
+        WorkloadKind::Fft,
+        WorkloadKind::Transpose,
+        WorkloadKind::ListRank,
+        WorkloadKind::DagWorkflow,
+        WorkloadKind::Bfs,
+        WorkloadKind::Spmv,
+        WorkloadKind::SampleSort,
+    ];
+
+    /// Parse a scenario-file workload name (the inverse of [`WorkloadKind::name`]).
     pub fn parse(s: &str) -> Option<WorkloadKind> {
-        match s {
-            "prefix-sums" | "prefix" => Some(WorkloadKind::PrefixSums),
-            "matmul" => Some(WorkloadKind::MatMul),
-            "merge-sort" | "hbp-mergesort" | "sort" => Some(WorkloadKind::MergeSort),
-            "fft" => Some(WorkloadKind::Fft),
-            "transpose" => Some(WorkloadKind::Transpose),
-            "list-ranking" | "listrank" => Some(WorkloadKind::ListRank),
-            "dag-workflow" | "dag_workflow" | "taskgraph" => Some(WorkloadKind::DagWorkflow),
-            "bfs" => Some(WorkloadKind::Bfs),
-            "spmv" => Some(WorkloadKind::Spmv),
-            "sample-sort" | "samplesort" => Some(WorkloadKind::SampleSort),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == s)
     }
 
-    /// Canonical scenario-file name.
+    /// Scenario-file name, which is also the kind name [`by_name`] takes.
     pub fn name(self) -> &'static str {
         match self {
             WorkloadKind::PrefixSums => "prefix-sums",
@@ -97,38 +95,6 @@ impl WorkloadKind {
     pub fn measured_only(self) -> bool {
         matches!(self, WorkloadKind::DagWorkflow | WorkloadKind::Bfs | WorkloadKind::SampleSort)
     }
-
-    /// The default recursion-base parameter where the workload takes one.
-    pub fn default_base(self) -> usize {
-        match self {
-            WorkloadKind::MatMul | WorkloadKind::Transpose => 4,
-            _ => 0, // the demo constructors pick their own
-        }
-    }
-
-    /// Whether this workload can run on the multi-process sharded backend. A shardable
-    /// workload's demo instance declares a `ShardSpec` (rebuildable by spec in a worker
-    /// process) and a per-part native kernel; `tests/shardable_agreement.rs` pins this
-    /// list against what the instances actually declare.
-    pub fn shardable(self) -> bool {
-        matches!(self, WorkloadKind::MatMul | WorkloadKind::Spmv)
-    }
-
-    /// Build the deterministic workload instance for size `n` (and `base` where used).
-    pub fn instantiate(self, n: usize, base: usize) -> SharedWorkload {
-        match self {
-            WorkloadKind::PrefixSums => Arc::new(PrefixWorkload::demo(n)),
-            WorkloadKind::MatMul => Arc::new(MatMulWorkload::demo(n, base.min(n))),
-            WorkloadKind::MergeSort => Arc::new(SortWorkload::demo(n)),
-            WorkloadKind::Fft => Arc::new(FftWorkload::demo(n)),
-            WorkloadKind::Transpose => Arc::new(TransposeWorkload::demo(n, base.min(n))),
-            WorkloadKind::ListRank => Arc::new(ListRankWorkload::demo(n)),
-            WorkloadKind::DagWorkflow => Arc::new(DagWorkflowWorkload::demo(n)),
-            WorkloadKind::Bfs => Arc::new(BfsWorkload::demo(n)),
-            WorkloadKind::Spmv => Arc::new(SpmvWorkload::demo(n)),
-            WorkloadKind::SampleSort => Arc::new(SampleSortWorkload::demo(n)),
-        }
-    }
 }
 
 /// Which execution backend(s) a scenario runs on.
@@ -139,7 +105,7 @@ pub enum BackendChoice {
     /// The `rws-runtime` native thread pool (wall-clock time, pool counters).
     Native,
     /// The `rws-shard` multi-process executor (worker subprocesses over pipes); only
-    /// shardable workloads ([`WorkloadKind::shardable`]) accept it.
+    /// workloads whose instance declares a `ShardSpec` accept it.
     Sharded,
 }
 
@@ -147,7 +113,7 @@ impl BackendChoice {
     /// Parse a scenario-file backend name.
     pub fn parse(s: &str) -> Option<BackendChoice> {
         match s {
-            "sim" | "simulated" => Some(BackendChoice::Sim),
+            "sim" => Some(BackendChoice::Sim),
             "native" => Some(BackendChoice::Native),
             "sharded" => Some(BackendChoice::Sharded),
             _ => None,
@@ -264,7 +230,7 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ScenarioError> {
+pub(crate) fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ScenarioError> {
     Err(ScenarioError { line, msg: msg.into() })
 }
 
@@ -277,7 +243,8 @@ pub struct Scenario {
     pub workload: WorkloadKind,
     /// Instance size (elements, keys, points, or matrix dimension — per workload).
     pub n: usize,
-    /// Recursion base for the workloads that take one.
+    /// Recursion base for the workloads that take one, as the file gives it; 0 when the
+    /// key is absent, which [`by_name`] reads as the kind's default.
     pub base: usize,
     /// Backends to run on (deduplicated, in declaration order).
     pub backends: Vec<BackendChoice>,
@@ -334,14 +301,8 @@ impl Scenario {
                 "workload" => match WorkloadKind::parse(value) {
                     Some(w) => workload = Some(w),
                     None => {
-                        return err(
-                            ln,
-                            format!(
-                                "unknown workload `{value}` (expected prefix-sums, matmul, \
-                                 merge-sort, fft, transpose, list-ranking, dag-workflow, \
-                                 bfs, spmv, or sample-sort)"
-                            ),
-                        )
+                        let names = WorkloadKind::ALL.map(WorkloadKind::name).join(", ");
+                        return err(ln, format!("unknown workload `{value}` (expected {names})"));
                     }
                 },
                 "n" => n = Some(parse_num(ln, "n", value)?),
@@ -392,7 +353,7 @@ impl Scenario {
                         return err(ln, "sweep needs at least one value");
                     }
                     sweep = Some(match axis {
-                        "procs" | "threads" => {
+                        "procs" => {
                             let mut vs = Vec::new();
                             for item in items {
                                 vs.push(parse_num(ln, "sweep procs", item)?);
@@ -486,7 +447,11 @@ impl Scenario {
                 ),
             );
         }
-        let base = base.unwrap_or_else(|| workload.default_base());
+        // The constructors assert a power-of-two base; 0 is the "kind's default" sentinel
+        // of `by_name`, which a file states by leaving the key out.
+        if let Some(b) = base.filter(|b| !b.is_power_of_two()) {
+            return err(0, format!("base = {b} must be a power of two ≥ 1"));
+        }
         let backends = backends.unwrap_or_else(|| vec![BackendChoice::Sim]);
         if backends.is_empty() {
             return err(0, "backends must name at least one of sim, native, sharded");
@@ -525,17 +490,6 @@ impl Scenario {
                 0,
                 "sweep = shards varies the sharded backend's subprocess count, but `sharded` \
                  is not in backends",
-            );
-        }
-        if uses_sharded && !workload.shardable() {
-            return err(
-                0,
-                format!(
-                    "workload `{}` cannot run on the sharded backend: it declares no shard \
-                     partition (only spec-rebuildable workloads — matmul, spmv — cross the \
-                     process boundary)",
-                    workload.name()
-                ),
             );
         }
         // Default: the three paper checks for workloads the fork-join analysis covers;
@@ -612,11 +566,11 @@ impl Scenario {
             Some(SweepAxis::Shards(_)) | None => {}
         }
 
-        Ok(Scenario {
+        let sc = Scenario {
             name,
             workload,
             n,
-            base,
+            base: base.unwrap_or(0),
             backends,
             seeds,
             procs,
@@ -625,20 +579,32 @@ impl Scenario {
             machine,
             sweep,
             checks: checks_with_slack,
-        })
+        };
+        if uses_sharded && sc.instantiate().shard_spec().is_none() {
+            return err(
+                0,
+                format!(
+                    "workload `{}` cannot run on the sharded backend: its instance declares no \
+                     shard partition",
+                    workload.name()
+                ),
+            );
+        }
+        Ok(sc)
     }
 
     /// The deterministic workload instance this scenario runs.
     pub fn instantiate(&self) -> SharedWorkload {
-        self.workload.instantiate(self.n, self.base)
+        by_name(self.workload.name(), self.n, self.base)
+            .expect("every workload kind's name is a by_name kind")
     }
 }
 
-fn split_list(value: &str) -> Vec<&str> {
+pub(crate) fn split_list(value: &str) -> Vec<&str> {
     value.split(',').map(str::trim).filter(|s| !s.is_empty()).collect()
 }
 
-fn parse_num<T: std::str::FromStr>(
+pub(crate) fn parse_num<T: std::str::FromStr>(
     line: usize,
     key: &str,
     value: &str,
@@ -687,7 +653,8 @@ mod tests {
         let sc = Scenario::parse("name = d\nworkload = matmul\nn = 16").expect("must parse");
         assert_eq!(sc.backends, vec![BackendChoice::Sim]);
         assert_eq!(sc.seeds, vec![11]);
-        assert_eq!(sc.base, 4);
+        assert_eq!(sc.base, 0, "an absent key leaves the default to by_name");
+        assert_eq!(sc.instantiate().shard_spec().map(|s| s.base), Some(4));
         assert_eq!(sc.procs, sc.machine.procs);
         assert!(sc.sweep.is_none());
         assert_eq!(sc.checks.len(), 3, "default checks are the three paper checks");
@@ -711,6 +678,11 @@ mod tests {
             ("name = x\nworkload = fft\nn = 64\nseeds = 1, nope", "expects a number"),
             ("name = x\nworkload = fft\nn = 64\nsteal_cost = 1", "invalid machine"),
             ("name = x\nworkload = merge-sort\nn = 64\nbase = 2", "picks its own"),
+            ("name = x\nworkload = matmul\nn = 16\nbase = 3", "base = 3 must be a power of two"),
+            ("name = x\nworkload = transpose\nn = 16\nbase = 0", "base = 0 must be a power"),
+            ("name = x\nworkload = matmul\nn = 16\nbase = 0", "base = 0 must be a power"),
+            ("name = x\nworkload = fft\nn = 64\nbackends = simulated", "unknown backend"),
+            ("name = x\nworkload = fft\nn = 64\nsweep = threads: 1, 2", "unknown sweep axis"),
             ("name = x\nworkload = bfs\nn = 64\nchecks = steals", "measured-only"),
             ("name = x\nworkload = dag-workflow\nn = 64\nchecks = runtime", "measured-only"),
             ("name = x\nworkload = sample-sort\nn = 64\nchecks = block-misses", "measured-only"),
@@ -721,6 +693,23 @@ mod tests {
         ] {
             let e = Scenario::parse(text).expect_err(text);
             assert!(e.to_string().contains(needle), "`{text}` -> `{e}` missing `{needle}`");
+        }
+        // A workload is spelled one way; the error lists every spelling there is.
+        for alias in [
+            "prefix",
+            "sort",
+            "hbp-mergesort",
+            "listrank",
+            "dag_workflow",
+            "taskgraph",
+            "samplesort",
+        ] {
+            let text = format!("name = x\nworkload = {alias}\nn = 64");
+            let e = Scenario::parse(&text).expect_err(&text).to_string();
+            assert!(e.contains(&format!("unknown workload `{alias}`")), "{e}");
+            for kind in WorkloadKind::ALL {
+                assert!(e.contains(kind.name()), "`{e}` does not name {}", kind.name());
+            }
         }
     }
 
@@ -758,19 +747,12 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for k in [
-            WorkloadKind::PrefixSums,
-            WorkloadKind::MatMul,
-            WorkloadKind::MergeSort,
-            WorkloadKind::Fft,
-            WorkloadKind::Transpose,
-            WorkloadKind::ListRank,
-            WorkloadKind::DagWorkflow,
-            WorkloadKind::Bfs,
-            WorkloadKind::Spmv,
-            WorkloadKind::SampleSort,
-        ] {
+        for k in WorkloadKind::ALL {
             assert_eq!(WorkloadKind::parse(k.name()), Some(k));
+            // The kind's name is also its `by_name` key, so every kind instantiates.
+            let sc = Scenario::parse(&format!("name = x\nworkload = {}\nn = 16", k.name()))
+                .expect("must parse");
+            sc.instantiate();
         }
         for c in CheckKind::all() {
             assert_eq!(CheckKind::parse(c.name()), Some(c));

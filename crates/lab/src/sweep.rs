@@ -57,8 +57,6 @@ pub struct LabRun {
     pub scenario: String,
     /// The instantiated workload's full name (algorithm + size).
     pub workload: String,
-    /// Whether the workload's native leg is the sequential fallback.
-    pub native_fallback: bool,
     /// Whether the workload is measured-only: its task structure is data-dependent, so no
     /// paper bound applies and the report carries an explicit label instead of checks.
     pub measured_only: bool,
@@ -194,7 +192,6 @@ pub fn run_scenario_jobs_traced(
     let lab = LabRun {
         scenario: sc.name.clone(),
         workload: workload.name(),
-        native_fallback: workload.native_support().is_fallback(),
         measured_only: sc.workload.measured_only(),
         work,
         t_inf,
@@ -317,7 +314,6 @@ mod tests {
         let lab = run_scenario(&sc);
         assert_eq!(lab.records.len(), 4);
         assert!(lab.work > 0 && lab.t_inf > 0);
-        assert!(!lab.native_fallback, "prefix sums has a real parallel kernel");
         for r in &lab.records {
             assert_eq!(r.report.procs, r.spec.procs);
             assert!(r.report.work_items > 0);
@@ -439,32 +435,6 @@ mod tests {
             assert_eq!(detail.redistributed, 0, "no faults injected in a plain sweep");
             assert_eq!(detail.shard_deaths, 0);
             assert!(r.report.work_items > 0, "workers really executed on their pools");
-            assert!(!r.report.sequential_fallback);
-        }
-    }
-
-    #[test]
-    fn no_scenario_workload_is_a_native_fallback() {
-        // Every workload a scenario can name has a real fork-join kernel, so the report's
-        // honesty flags must stay clear across the whole suite.
-        for workload in [
-            "prefix-sums",
-            "matmul",
-            "merge-sort",
-            "fft",
-            "transpose",
-            "list-ranking",
-            "dag-workflow",
-            "bfs",
-            "spmv",
-            "sample-sort",
-        ] {
-            let sc = parse(&format!(
-                "name = f\nworkload = {workload}\nn = 16\nbackends = native\nseeds = 1"
-            ));
-            let lab = run_scenario(&sc);
-            assert!(!lab.native_fallback, "{workload}");
-            assert!(lab.records.iter().all(|r| !r.report.sequential_fallback), "{workload}");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! The coordinator: [`ShardedExecutor`], the multi-process backend behind
 //! [`rws_exec::Executor`].
 //!
-//! `execute()` splits the workload's index space into `shards × jobs_per_shard`
-//! contiguous parts (see [`rws_exec::part_range`]), spawns one `shard-worker` subprocess
-//! per shard, and streams [`crate::proto::Message::Job`] frames to them under the chosen
-//! [`DispatchPolicy`]. Results are reassembled in part order with
+//! `execute()` splits the workload's index space into `shards × 4` contiguous parts (see
+//! [`rws_exec::part_range`]), spawns one `shard-worker` subprocess per shard, and streams
+//! [`crate::proto::Message::Job`] frames to them round-robin, at most [`DISPATCH_WINDOW`]
+//! unacknowledged per shard. Results are reassembled in part order with
 //! [`rws_exec::AlgoOutput::concat`], so the output is byte-identical to an in-process
 //! native run of the same kernels.
 //!
@@ -12,7 +12,7 @@
 //!
 //! A shard is declared dead on any of: EOF on its stdout pipe (process exit), a failed
 //! write to its stdin (broken pipe), an [`crate::proto::Message::Error`] frame, or a
-//! heartbeat gap longer than the configured timeout (a wedged-but-alive process, which
+//! heartbeat gap longer than [`DEFAULT_HEARTBEAT_TIMEOUT`] (a wedged-but-alive process, which
 //! the coordinator then kills). Death triggers **redistribution**: every job dispatched
 //! to that shard and not yet acknowledged goes back to the front of the pending queue
 //! and is re-dispatched to the survivors. Because a slow-but-not-dead shard may still
@@ -34,48 +34,14 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How the coordinator chooses a shard for the next pending job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DispatchPolicy {
-    /// Cycle through live shards in order, keeping at most [`DISPATCH_WINDOW`] jobs in
-    /// flight per shard.
-    RoundRobin,
-    /// Send each job to the live shard with the smallest load estimate
-    /// (last heartbeat's queue depth plus unacknowledged in-flight jobs), same window.
-    LeastLoaded,
-    /// Assign every part up front: shard `⌊part·shards/parts⌋` owns part `part`, so each
-    /// shard receives one contiguous band of the index space. Redistribution after a
-    /// death falls back to round-robin over the survivors.
-    Static,
-}
-
-impl DispatchPolicy {
-    /// The policy's canonical name (scenario files and executor names use these).
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchPolicy::RoundRobin => "round-robin",
-            DispatchPolicy::LeastLoaded => "least-loaded",
-            DispatchPolicy::Static => "static",
-        }
-    }
-
-    /// Parse a canonical name (the inverse of [`DispatchPolicy::name`]).
-    pub fn parse(s: &str) -> Option<DispatchPolicy> {
-        Some(match s {
-            "round-robin" => DispatchPolicy::RoundRobin,
-            "least-loaded" => DispatchPolicy::LeastLoaded,
-            "static" => DispatchPolicy::Static,
-            _ => return None,
-        })
-    }
-}
-
-/// Max unacknowledged jobs per shard under the adaptive policies. Two keeps every shard's
-/// pipe primed (one computing, one queued) without committing work that a death would
-/// force to be redistributed.
+/// Max unacknowledged jobs per shard. Two keeps every shard's pipe primed (one computing,
+/// one queued) without committing work that a death would force to be redistributed.
 pub const DISPATCH_WINDOW: usize = 2;
 
-/// Default heartbeat-silence span after which a shard is declared dead.
+/// Parts each shard nominally owns: a workload is split into `shards × JOBS_PER_SHARD`.
+const JOBS_PER_SHARD: usize = 4;
+
+/// Heartbeat-silence span after which a shard is declared dead.
 pub const DEFAULT_HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(1000);
 
 /// Per-shard fault-injection script, forwarded to the worker via its environment
@@ -92,24 +58,17 @@ struct ShardFault {
 pub struct ShardedExecutor {
     shards: usize,
     threads_per_shard: usize,
-    policy: DispatchPolicy,
-    jobs_per_shard: usize,
-    heartbeat_timeout: Duration,
     worker_path: Option<PathBuf>,
     faults: Vec<ShardFault>,
 }
 
 impl ShardedExecutor {
-    /// An executor over `shards` worker subprocesses with one pool thread each,
-    /// round-robin dispatch, and defaults for everything else.
+    /// An executor over `shards` worker subprocesses with one pool thread each.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "a sharded executor needs at least one shard");
         ShardedExecutor {
             shards,
             threads_per_shard: 1,
-            policy: DispatchPolicy::RoundRobin,
-            jobs_per_shard: 4,
-            heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
             worker_path: None,
             faults: vec![ShardFault::default(); shards],
         }
@@ -118,25 +77,6 @@ impl ShardedExecutor {
     /// Set the native-pool thread count inside each worker.
     pub fn threads_per_shard(mut self, threads: usize) -> Self {
         self.threads_per_shard = threads.max(1);
-        self
-    }
-
-    /// Set the dispatch policy.
-    pub fn policy(mut self, policy: DispatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Set how many parts each shard nominally owns; total parts are
-    /// `shards × jobs_per_shard`.
-    pub fn jobs_per_shard(mut self, jobs: usize) -> Self {
-        self.jobs_per_shard = jobs.max(1);
-        self
-    }
-
-    /// Set the heartbeat-silence timeout after which a shard is declared dead.
-    pub fn heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.heartbeat_timeout = timeout;
         self
     }
 
@@ -198,7 +138,6 @@ struct ShardState {
     stdin: Option<ChildStdin>,
     alive: bool,
     last_seen: Instant,
-    queue_depth: u32,
     in_flight: usize,
     accepted: u64,
     _reader: thread::JoinHandle<()>,
@@ -258,39 +197,22 @@ impl Run {
         self.shards[shard].in_flight = 0;
     }
 
-    /// Pick the next shard for an adaptive dispatch (round-robin or least-loaded);
-    /// `None` when every live shard's window is full.
-    fn pick(&mut self, policy: DispatchPolicy) -> Option<usize> {
-        let candidate =
-            |s: &ShardState| s.alive && s.stdin.is_some() && s.in_flight < DISPATCH_WINDOW;
-        match policy {
-            DispatchPolicy::LeastLoaded => self
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| candidate(s))
-                .min_by_key(|(i, s)| (s.queue_depth as usize + s.in_flight, *i))
-                .map(|(i, _)| i),
-            // Static only reaches here when redistributing after a death; fall back to
-            // round-robin over the survivors.
-            DispatchPolicy::RoundRobin | DispatchPolicy::Static => {
-                let n = self.shards.len();
-                for step in 0..n {
-                    let i = (self.rr_cursor + step) % n;
-                    if candidate(&self.shards[i]) {
-                        self.rr_cursor = i + 1;
-                        return Some(i);
-                    }
-                }
-                None
-            }
-        }
+    /// The next live shard after the last one picked whose window has room; `None` when
+    /// every live shard's window is full.
+    fn pick(&mut self) -> Option<usize> {
+        let n = self.shards.len();
+        let i = (0..n).map(|step| (self.rr_cursor + step) % n).find(|&i| {
+            let s = &self.shards[i];
+            s.alive && s.stdin.is_some() && s.in_flight < DISPATCH_WINDOW
+        })?;
+        self.rr_cursor = i + 1;
+        Some(i)
     }
 
     /// Dispatch pending jobs until the queue drains or every live window is full.
-    fn fill(&mut self, policy: DispatchPolicy) {
+    fn fill(&mut self) {
         while !self.pending.is_empty() {
-            let Some(target) = self.pick(policy) else { break };
+            let Some(target) = self.pick() else { break };
             let job = self.pending.pop_front().expect("pending non-empty");
             if self.send_job(target, &job) {
                 self.shards[target].in_flight += 1;
@@ -306,7 +228,7 @@ impl Run {
 
 impl Executor for ShardedExecutor {
     fn name(&self) -> String {
-        format!("sharded(s={},t={},{})", self.shards, self.threads_per_shard, self.policy.name())
+        format!("sharded(s={},t={})", self.shards, self.threads_per_shard)
     }
 
     fn backend(&self) -> Backend {
@@ -327,7 +249,7 @@ impl Executor for ShardedExecutor {
         });
         let worker = self.resolve_worker();
         let start = Instant::now();
-        let parts = self.shards * self.jobs_per_shard;
+        let parts = self.shards * JOBS_PER_SHARD;
 
         // Part `i` is job id `i + 1` (0 is reserved for pre-job errors), so a result's
         // slot in the output table follows from its id alone — no lookup needed to
@@ -395,7 +317,6 @@ impl Executor for ShardedExecutor {
                 stdin: alive.then_some(stdin),
                 alive,
                 last_seen: Instant::now(),
-                queue_depth: 0,
                 in_flight: 0,
                 accepted: 0,
                 _reader: reader,
@@ -418,35 +339,17 @@ impl Executor for ShardedExecutor {
             stats: PartStats::default(),
         };
 
-        // -- Static pre-assignment ---------------------------------------------------
-        if self.policy == DispatchPolicy::Static {
-            let jobs: Vec<JobSpec> = run.pending.drain(..).collect();
-            for job in jobs {
-                let target = (job.part as usize * self.shards) / parts;
-                if run.shards[target].alive && run.send_job(target, &job) {
-                    run.shards[target].in_flight += 1;
-                    run.jobs_dispatched += 1;
-                    run.in_flight.insert(job.job_id, (target, job));
-                } else {
-                    run.pending.push_back(job);
-                    run.mark_dead(target, "stdin write failed");
-                }
-            }
-        }
-        run.fill(self.policy);
+        run.fill();
 
         // -- Event loop --------------------------------------------------------------
-        let tick = Duration::from_millis(20).min(self.heartbeat_timeout / 4);
+        let tick = Duration::from_millis(20).min(DEFAULT_HEARTBEAT_TIMEOUT / 4);
         while run.done < parts {
             match rx.recv_timeout(tick) {
                 Ok((shard, Event::Msg(msg))) => {
                     run.shards[shard].last_seen = Instant::now();
                     match msg {
                         Message::HelloAck { .. } => {}
-                        Message::Heartbeat { queue_depth, .. } => {
-                            run.shards[shard].queue_depth = queue_depth;
-                            run.heartbeats += 1;
-                        }
+                        Message::Heartbeat { .. } => run.heartbeats += 1,
                         Message::JobResult { job_id, output, stats } => {
                             let idx = job_id.wrapping_sub(1) as usize;
                             if job_id == 0 || idx >= parts || run.outputs[idx].is_some() {
@@ -494,7 +397,7 @@ impl Executor for ShardedExecutor {
             let now = Instant::now();
             for shard in 0..self.shards {
                 if run.shards[shard].alive
-                    && now.duration_since(run.shards[shard].last_seen) > self.heartbeat_timeout
+                    && now.duration_since(run.shards[shard].last_seen) > DEFAULT_HEARTBEAT_TIMEOUT
                 {
                     run.mark_dead(shard, "heartbeat timeout");
                 }
@@ -506,7 +409,7 @@ impl Executor for ShardedExecutor {
                     self.shards, run.done, parts, run.shard_deaths, run.redistributed
                 );
             }
-            run.fill(self.policy);
+            run.fill();
         }
 
         // -- Shutdown ----------------------------------------------------------------
@@ -548,7 +451,6 @@ impl Executor for ShardedExecutor {
             cache_misses: 0,
             block_misses: 0,
             false_sharing_misses: 0,
-            sequential_fallback: false,
             time_units: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
             wall,
             sim: None,
@@ -563,23 +465,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policies_parse_their_own_names() {
-        for policy in
-            [DispatchPolicy::RoundRobin, DispatchPolicy::LeastLoaded, DispatchPolicy::Static]
-        {
-            assert_eq!(DispatchPolicy::parse(policy.name()), Some(policy));
-        }
-        assert_eq!(DispatchPolicy::parse("fifo"), None);
-    }
-
-    #[test]
     fn executor_identity_reflects_the_topology() {
-        let exec = ShardedExecutor::new(3)
-            .threads_per_shard(2)
-            .policy(DispatchPolicy::LeastLoaded)
-            .jobs_per_shard(5);
+        let exec = ShardedExecutor::new(3).threads_per_shard(2);
         assert_eq!(exec.backend(), Backend::Sharded);
         assert_eq!(exec.procs(), 6);
-        assert_eq!(exec.name(), "sharded(s=3,t=2,least-loaded)");
+        assert_eq!(exec.name(), "sharded(s=3,t=2)");
     }
 }

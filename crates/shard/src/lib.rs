@@ -16,7 +16,7 @@
 //!   handshake that both sides refuse on mismatch;
 //! * [`worker`] — the subprocess side: handshake, job loop on a native pool, heartbeat
 //!   thread, and env-scripted fault injection for the chaos tests;
-//! * [`coordinator`] — [`ShardedExecutor`]: dispatch policies, shard-death detection
+//! * [`coordinator`] — [`ShardedExecutor`]: windowed round-robin dispatch, shard-death detection
 //!   (EOF, error frames, heartbeat timeout), redistribution of unacknowledged jobs, and
 //!   aggregation of per-shard statistics into a normalized [`rws_exec::ExecReport`].
 //!
@@ -46,7 +46,5 @@ pub mod frame;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{
-    DispatchPolicy, ShardedExecutor, DEFAULT_HEARTBEAT_TIMEOUT, DISPATCH_WINDOW,
-};
+pub use coordinator::{ShardedExecutor, DEFAULT_HEARTBEAT_TIMEOUT, DISPATCH_WINDOW};
 pub use proto::{JobSpec, Message, MsgType, PartStats, MAGIC, VERSION};

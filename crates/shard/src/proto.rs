@@ -38,7 +38,7 @@ pub enum MsgType {
     Job = 0x03,
     /// Worker → coordinator: a part's output plus the native pool's stats for the run.
     JobResult = 0x04,
-    /// Worker → coordinator: periodic liveness + queue depth (the LeastLoaded signal).
+    /// Worker → coordinator: periodic liveness + queue depth.
     Heartbeat = 0x05,
     /// Coordinator → worker: no more jobs; drain and exit cleanly.
     Shutdown = 0x06,

@@ -15,8 +15,8 @@
 //!    snapshot-delta statistics.
 //! 3. **Heartbeats.** A third thread emits [`Message::Heartbeat`] every
 //!    [`HEARTBEAT_INTERVAL`] with the current queue depth — the coordinator's liveness
-//!    and LeastLoaded signals. It waits out each interval on a stop channel, so a stop
-//!    ends it at once rather than at the next beat.
+//!    signal. It waits out each interval on a stop channel, so a stop ends it at once
+//!    rather than at the next beat.
 //! 4. **Shutdown.** On [`Message::Shutdown`] (or stdin EOF) the worker answers
 //!    [`Message::Bye`] and exits 0.
 //!

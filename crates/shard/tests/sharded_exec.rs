@@ -4,9 +4,9 @@
 
 use rws_exec::{workloads, Backend, Executor, SharedWorkload};
 use rws_shard::worker::HEARTBEAT_INTERVAL;
-use rws_shard::{DispatchPolicy, ShardedExecutor};
+use rws_shard::{ShardedExecutor, DEFAULT_HEARTBEAT_TIMEOUT};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn matmul() -> SharedWorkload {
     Arc::new(workloads::MatMulWorkload::demo(16, 4))
@@ -14,16 +14,13 @@ fn matmul() -> SharedWorkload {
 
 #[test]
 fn every_policy_reproduces_the_reference_output() {
-    // Besides the output, the counters a fault-free run fixes: 8 parts, nothing moved, and
-    // `work_items` — the jobs the worker pools ran, one per part at 16 x 16 and (one pool
-    // thread per shard, a larger instance) two per part at 32 x 32.
-    let mut cases: Vec<(ShardedExecutor, SharedWorkload, u64)> =
-        [DispatchPolicy::RoundRobin, DispatchPolicy::LeastLoaded, DispatchPolicy::Static]
-            .map(|policy| (ShardedExecutor::new(2).policy(policy), matmul(), 8))
-            .into();
-    let larger = Arc::new(workloads::MatMulWorkload::demo(32, 4));
-    cases.push((ShardedExecutor::new(2).threads_per_shard(1), larger, 16));
-    for (exec, workload, work_items) in cases {
+    // Dispatch has one policy, round-robin. Besides the output, the counters a fault-free
+    // run fixes: 8 parts, nothing moved, and `work_items` — the jobs the worker pools ran,
+    // one per part at 16 x 16 and (one pool thread per shard, a larger instance) two per
+    // part at 32 x 32.
+    let exec = ShardedExecutor::new(2);
+    let larger: SharedWorkload = Arc::new(workloads::MatMulWorkload::demo(32, 4));
+    for (workload, work_items) in [(matmul(), 8), (larger, 16)] {
         let outcome = exec.execute(Arc::clone(&workload));
         assert_eq!(outcome.output, workload.run_reference(), "{} output diverged", exec.name());
         assert_eq!(outcome.report.backend, Backend::Sharded);
@@ -55,14 +52,10 @@ fn spmv_shards_match_the_reference_at_two_and_three_shards() {
 
 #[test]
 fn killing_a_shard_mid_sweep_loses_no_jobs_and_duplicates_none() {
-    // Shard 1 crashes abruptly after its second result, with jobs still unacknowledged.
-    // Static dispatch hands it its whole band (parts 4-7) before anything runs, so it dies
-    // with two of them unacknowledged: under the windowed policies the survivors can finish
-    // the sweep before shard 1 is ever given a second job, and then nothing dies.
-    let exec = ShardedExecutor::new(3)
-        .jobs_per_shard(4)
-        .policy(DispatchPolicy::Static)
-        .fault_exit_after(1, 2);
+    // Shard 1 crashes abruptly after its first result. The first fill hands every shard two
+    // jobs (the dispatch window) before any result arrives, so shard 1 dies holding one
+    // unacknowledged job, whatever order the shards answer in.
+    let exec = ShardedExecutor::new(3).fault_exit_after(1, 1);
     let workload = matmul();
     let outcome = exec.execute(Arc::clone(&workload));
     assert_eq!(outcome.output, workload.run_reference(), "output survived the crash intact");
@@ -85,12 +78,12 @@ fn killing_a_shard_mid_sweep_loses_no_jobs_and_duplicates_none() {
 #[test]
 fn a_wedged_shard_is_caught_by_the_heartbeat_timeout() {
     // Shard 0 stalls (stops answering AND heartbeating) after one result, staying alive:
-    // only the heartbeat-silence sweep can catch it.
-    let exec = ShardedExecutor::new(2)
-        .fault_stall_after(0, 1)
-        .heartbeat_timeout(Duration::from_millis(300));
+    // only the heartbeat-silence sweep can catch it, no sooner than the timeout.
+    let exec = ShardedExecutor::new(2).fault_stall_after(0, 1);
     let workload = matmul();
+    let started = Instant::now();
     let outcome = exec.execute(Arc::clone(&workload));
+    assert!(started.elapsed() >= DEFAULT_HEARTBEAT_TIMEOUT, "declared dead before the timeout");
     assert_eq!(outcome.output, workload.run_reference());
     let detail = outcome.report.shard.as_ref().unwrap();
     assert_eq!(detail.shard_deaths, 1, "the wedged shard was declared dead");

@@ -3,12 +3,10 @@
 //! outputs. This is the acceptance check for the executor unification — the native
 //! fork-join decompositions implement exactly the function the simulated dags model.
 //!
-//! Since every workload now ships a real fork-join kernel (no `SequentialFallback`
-//! remains in the committed suite), the centerpiece is a **seeded matrix**: all ten
-//! workloads — the six original kernels plus the DAG-structured family (task-graph
-//! workflow, BFS, SpMV, sample sort) — × {1, 2, 4} worker threads × three input seeds ×
-//! two instance sizes, with every native report required to have its
-//! `sequential_fallback` honesty flag clear.
+//! Every workload ships a real fork-join kernel, so the centerpiece is a **seeded
+//! matrix**: all ten workloads — the six original kernels plus the DAG-structured family
+//! (task-graph workflow, BFS, SpMV, sample sort) — × {1, 2, 4} worker threads × three
+//! input seeds × two instance sizes, every native run matching the reference.
 //!
 //! Since the multi-process sharded executor landed, the shardable workloads (matmul,
 //! SpMV) carry a **third backend column**: the same demo instance partitioned across
@@ -66,15 +64,6 @@ fn assert_parity(workload: SharedWorkload) {
         );
         assert_eq!(outcome.report.workload, workload.name());
         assert_eq!(outcome.report.backend, exec.backend());
-        // Backend honesty: no committed workload is a sequential stub, so no run — on any
-        // backend — may carry the fallback stamp.
-        assert!(
-            !outcome.report.sequential_fallback,
-            "{} stamped {} as a sequential fallback (native_support = {})",
-            exec.name(),
-            workload.name(),
-            workload.native_support().label()
-        );
         // The substantive sim-leg check: the scheduler really executed the workload's dag,
         // conserving its work.
         if let Some(sim) = &outcome.report.sim {
@@ -134,19 +123,13 @@ fn seeded_workloads(seed: u64, large: bool) -> Vec<SharedWorkload> {
 }
 
 /// Every workload × {1, 2, 4} threads × 3 input seeds × 2 sizes:
-/// output parity against the sequential reference on every native run, and no
-/// `sequential_fallback` stamp anywhere in the live suite.
+/// output parity against the sequential reference on every native run.
 #[test]
 fn seeded_matrix_every_workload_on_every_pool_shape() {
     let pools = [1usize, 2, 4].map(NativeExecutor::new);
     for seed in [101u64, 202, 303] {
         for large in [false, true] {
             for workload in seeded_workloads(seed, large) {
-                assert!(
-                    !workload.native_support().is_fallback(),
-                    "{} must not be a sequential stub",
-                    workload.name()
-                );
                 let reference = workload.run_reference();
                 for exec in &pools {
                     let outcome = exec.execute(Arc::clone(&workload));
@@ -154,12 +137,6 @@ fn seeded_matrix_every_workload_on_every_pool_shape() {
                         outcome.output,
                         reference,
                         "{} / seed {seed} / large {large}: {} diverged from the reference",
-                        exec.name(),
-                        workload.name()
-                    );
-                    assert!(
-                        !outcome.report.sequential_fallback,
-                        "{} stamped {} as a sequential fallback",
                         exec.name(),
                         workload.name()
                     );
@@ -253,7 +230,6 @@ fn sharded_column_matches_the_reference_on_every_shardable_workload() {
                     shards
                 );
                 assert_eq!(outcome.report.backend, Backend::Sharded);
-                assert!(!outcome.report.sequential_fallback);
                 let detail = outcome.report.shard.expect("sharded runs carry shard detail");
                 assert_eq!(detail.shards, shards);
                 assert_eq!(detail.jobs_accepted, detail.parts as u64);
@@ -298,8 +274,8 @@ fn native_execution_actually_parallelizes_and_steals() {
 #[test]
 fn retired_stub_workloads_fork_real_jobs_natively() {
     // The three workloads that used to run their sequential reference natively now push
-    // real fork-join work through the pool: many executed branches per run, no fallback
-    // stamp. (Steal counts are probabilistic on a starved 1-CPU host; job counts are not.)
+    // real fork-join work through the pool: many executed branches per run. (Steal counts
+    // are probabilistic on a starved 1-CPU host; job counts are not.)
     let exec = NativeExecutor::new(4);
     for (workload, min_jobs) in [
         (Arc::new(FftWorkload::demo(1024)) as SharedWorkload, 30u64),
@@ -313,7 +289,6 @@ fn retired_stub_workloads_fork_real_jobs_natively() {
             workload.name(),
             outcome.report.work_items
         );
-        assert!(!outcome.report.sequential_fallback, "{}", workload.name());
         assert_eq!(outcome.output, workload.run_reference(), "{}", workload.name());
     }
 }
