@@ -1,6 +1,6 @@
 //! Shared building blocks for the algorithm dag builders — the destination abstraction
 //! (global array vs local array on an enclosing execution-stack segment) — plus the
-//! fork-join recursion helpers the native kernels share ([`join4`], `split_lengths`).
+//! fork-join recursion helper the native kernels share (`split_lengths`).
 
 use rws_dag::{Addr, WorkUnit};
 
@@ -110,40 +110,8 @@ pub fn balanced_levels(k: usize) -> u32 {
 }
 
 // ------------------------------------------------------------------------------------------
-// Native fork-join recursion helpers
+// Native fork-join recursion helper
 // ------------------------------------------------------------------------------------------
-
-/// Run four closures as one parallel collection and return their results — the native
-/// mirror of a four-child balanced fork, used by the quadrant-recursive kernels. Ported
-/// onto [`rws_runtime::scope()`]: three branches are scoped spawns (all of which fit the
-/// scope's inline job slots, so the fan-out stays allocation-free when unstolen) and the
-/// fourth runs in the scope body.
-pub fn join4<R1, R2, R3, R4>(
-    f1: impl FnOnce() -> R1 + Send,
-    f2: impl FnOnce() -> R2 + Send,
-    f3: impl FnOnce() -> R3 + Send,
-    f4: impl FnOnce() -> R4 + Send,
-) -> (R1, R2, R3, R4)
-where
-    R1: Send,
-    R2: Send,
-    R3: Send,
-    R4: Send,
-{
-    let (mut r1, mut r2, mut r3) = (None, None, None);
-    let r4 = rws_runtime::scope(|s| {
-        s.spawn(|_| r1 = Some(f1()));
-        s.spawn(|_| r2 = Some(f2()));
-        s.spawn(|_| r3 = Some(f3()));
-        f4()
-    });
-    (
-        r1.expect("scope ran branch 1"),
-        r2.expect("scope ran branch 2"),
-        r3.expect("scope ran branch 3"),
-        r4,
-    )
-}
 
 /// Split `data` into consecutive disjoint pieces of the given lengths, in order — the
 /// regions a flat fork tree's leaves own when they are not all one size. Panics if the
@@ -237,11 +205,5 @@ mod tests {
         assert_eq!(balanced_levels(2), 1);
         assert_eq!(balanced_levels(4), 2);
         assert_eq!(balanced_levels(8), 3);
-    }
-
-    #[test]
-    fn join4_returns_all_four_results() {
-        let (a, b, c, d) = join4(|| 1, || "two", || 3.0, || vec![4]);
-        assert_eq!((a, b, c, d), (1, "two", 3.0, vec![4]));
     }
 }

@@ -51,6 +51,37 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Emit one document: to `path` when given — written, re-read, and validated as it landed
+/// on disk, not as the in-memory string — else validated and printed to stdout. Returns
+/// `false` (having said why on stderr) on any failure.
+fn emit(doc: &str, path: Option<&str>, validate: fn(&str) -> Result<(), String>) -> bool {
+    let Some(path) = path else {
+        if let Err(e) = validate(doc) {
+            eprintln!("lab: emitted document is malformed: {e}");
+            return false;
+        }
+        print!("{doc}");
+        return true;
+    };
+    if let Err(e) = std::fs::write(path, doc) {
+        eprintln!("lab: failed to write {path}: {e}");
+        return false;
+    }
+    let written = match std::fs::read_to_string(path) {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("lab: failed to re-read {path}: {e}");
+            return false;
+        }
+    };
+    if let Err(e) = validate(&written) {
+        eprintln!("lab: {path} is malformed: {e}");
+        return false;
+    }
+    eprintln!("lab: wrote {path}");
+    true
+}
+
 /// Write one trace snapshot's pair of files (`rws-trace/v1` + Chrome) into `dir`,
 /// validating each as it landed on disk. Returns `false` on any failure.
 fn write_trace_pair(
@@ -59,42 +90,15 @@ fn write_trace_pair(
     label: &str,
     snap: &rws_runtime::trace::TraceSnapshot,
 ) -> bool {
-    let pairs = [
-        (
-            format!("{dir}/{stem}.trace.json"),
-            trace_export::trace_document(snap, label).render(),
-            true,
-        ),
-        (
-            format!("{dir}/{stem}_chrome.json"),
-            trace_export::chrome_trace(snap, label).render(),
-            false,
-        ),
-    ];
-    for (path, doc, is_trace_doc) in pairs {
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("lab: failed to write {path}: {e}");
-            return false;
-        }
-        let written = match std::fs::read_to_string(&path) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("lab: failed to re-read {path}: {e}");
-                return false;
-            }
-        };
-        let checked = if is_trace_doc {
-            trace_export::validate_trace_document(&written)
-        } else {
-            trace_export::validate_chrome_trace(&written)
-        };
-        if let Err(e) = checked {
-            eprintln!("lab: {path} is malformed: {e}");
-            return false;
-        }
-        eprintln!("lab: wrote {path}");
-    }
-    true
+    emit(
+        &trace_export::trace_document(snap, label).render(),
+        Some(&format!("{dir}/{stem}.trace.json")),
+        trace_export::validate_trace_document,
+    ) && emit(
+        &trace_export::chrome_trace(snap, label).render(),
+        Some(&format!("{dir}/{stem}_chrome.json")),
+        trace_export::validate_chrome_trace,
+    )
 }
 
 fn main() -> ExitCode {
@@ -199,33 +203,8 @@ fn main() -> ExitCode {
     }
 
     let doc = if timing { result.to_json_timed() } else { result.to_json() };
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("lab: failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            // Validate what actually landed on disk, not the in-memory string.
-            let written = match std::fs::read_to_string(path) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("lab: failed to re-read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = report::validate_report(&written) {
-                eprintln!("lab: {path} is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("lab: wrote {path}");
-        }
-        None => {
-            if let Err(e) = report::validate_report(&doc) {
-                eprintln!("lab: emitted report is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-            print!("{doc}");
-        }
+    if !emit(&doc, out.as_deref(), report::validate_report) {
+        return ExitCode::FAILURE;
     }
 
     if result.all_passed() {
@@ -278,34 +257,8 @@ fn run_chaos(
         }
     }
 
-    let doc = result.to_json();
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("lab: failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            // Validate what actually landed on disk, not the in-memory string.
-            let written = match std::fs::read_to_string(path) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("lab: failed to re-read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = chaos::validate_chaos_report(&written) {
-                eprintln!("lab: {path} is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("lab: wrote {path}");
-        }
-        None => {
-            if let Err(e) = chaos::validate_chaos_report(&doc) {
-                eprintln!("lab: emitted chaos report is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-            print!("{doc}");
-        }
+    if !emit(&result.to_json(), out, chaos::validate_chaos_report) {
+        return ExitCode::FAILURE;
     }
 
     if result.all_passed() {

@@ -21,18 +21,19 @@
 //! max_shed_rate = 0.75
 //! ```
 //!
-//! The run drives four phases — paced steady traffic, an overload burst of at least
-//! `burst_jobs / queue_capacity` times the admission window, a batch of tight-deadline
-//! jobs, and a post-chaos probe batch — while the scenario's [`FaultPlan`] kills and
-//! stalls workers, panics jobs, and (optionally) hammers the injector with a contention
-//! storm. Every submission's closure bumps a per-submission execution counter, so the
-//! verdicts are counted facts, not vibes:
+//! The run drives four phases — paced steady traffic, a batch of tight-deadline jobs (2 ms
+//! budgets on 5 ms of work), an overload burst of at least `burst_jobs / queue_capacity`
+//! times the admission window, and a post-chaos probe batch — while the scenario's
+//! [`FaultPlan`] kills and stalls workers (2 ms stalls, at most 6), panics jobs, and
+//! (optionally) hammers the injector with a contention storm (4 threads × 64 pushes).
+//! Every submission's closure bumps a per-submission execution counter, so the verdicts
+//! are counted facts, not vibes:
 //!
 //! * **all-terminal** — every submission reaches a terminal [`JobOutcome`];
 //! * **conservation** — the outcome partition sums exactly to `submitted`;
 //! * **no-lost-jobs** — every `Completed` job ran its closure exactly once;
 //! * **no-duplicate-runs** — no closure ran twice (the settle/claim CAS arbitration);
-//! * **shed-never-ran** — a `Shed` or `Cancelled` submission's closure never ran;
+//! * **shed-never-ran** — a `Shed` submission's closure never ran;
 //! * **server-live** — the probe batch completes *after* `min_deaths` injected worker
 //!   deaths, and every death was healed by a respawn;
 //! * **panic-volume** — at least `min_panics` injected panics were quarantined;
@@ -59,6 +60,22 @@ use std::time::{Duration, Instant};
 
 /// The schema tag of the emitted JSON document.
 pub const SCHEMA: &str = "rws-chaos-report/v1";
+
+/// The budget of every deadline-phase job.
+const DEADLINE: Duration = Duration::from_millis(2);
+/// Busy-work length of a deadline-phase job: longer than `DEADLINE`, so deadlines bite.
+const DEADLINE_WORK: Duration = Duration::from_millis(5);
+/// The server's supervisor sweep cadence.
+const HEARTBEAT: Duration = Duration::from_millis(2);
+/// Length of one injected worker stall.
+const STALL: Duration = Duration::from_millis(2);
+/// Cap on injected stalls.
+const MAX_STALLS: u64 = 6;
+/// OS threads a contention storm starts, and no-op jobs each of them pushes.
+const STORM_THREADS: usize = 4;
+const STORM_PUSHES: usize = 64;
+/// Overall budget for every submission to settle (generous; CI hosts have 1 CPU).
+const SETTLE_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Quick dispatch test: does this scenario text declare `mode = chaos`?
 pub fn is_chaos_scenario(text: &str) -> bool {
@@ -94,10 +111,6 @@ pub struct ChaosScenario {
     pub burst_jobs: u64,
     /// Submissions carrying a tight per-job deadline.
     pub deadline_jobs: u64,
-    /// That deadline budget.
-    pub deadline: Duration,
-    /// Busy-work length of a deadline job (longer than `deadline`, so deadlines bite).
-    pub deadline_work: Duration,
     /// Post-chaos probe submissions proving the server is still live.
     pub probe_jobs: u64,
     /// Busy-work length of a steady/burst/probe job.
@@ -108,14 +121,8 @@ pub struct ChaosScenario {
     pub death_sweeps: Vec<u64>,
     /// Stall one worker every this many sweeps (0 = never).
     pub stall_every: u64,
-    /// Stall length.
-    pub stall: Duration,
-    /// Cap on injected stalls.
-    pub max_stalls: u64,
     /// Optional one-shot injector contention storm.
     pub storm: Option<StormSpec>,
-    /// Supervisor sweep cadence.
-    pub heartbeat: Duration,
     /// Verdict floor: injected worker deaths the run must reach.
     pub min_deaths: usize,
     /// Verdict floor: quarantined job panics the run must reach.
@@ -124,8 +131,6 @@ pub struct ChaosScenario {
     pub min_deadlines: u64,
     /// Verdict ceiling: shed submissions as a fraction of all submissions.
     pub max_shed_rate: f64,
-    /// Overall budget for every submission to settle (generous; CI hosts have 1 CPU).
-    pub settle_timeout: Duration,
 }
 
 impl ChaosScenario {
@@ -146,24 +151,16 @@ impl ChaosScenario {
         let mut steady_pace_us = 300u64;
         let mut burst_jobs: Option<u64> = None;
         let mut deadline_jobs = 0u64;
-        let mut deadline_ms = 2u64;
-        let mut deadline_work_us = 5_000u64;
         let mut probe_jobs = 32u64;
         let mut job_work_us = 200u64;
         let mut panic_every = 0u64;
         let mut death_sweeps: Vec<u64> = Vec::new();
         let mut stall_every = 0u64;
-        let mut stall_ms = 5u64;
-        let mut max_stalls = 8u64;
         let mut storm_after: Option<u64> = None;
-        let mut storm_threads = 4usize;
-        let mut storm_pushes = 64usize;
-        let mut heartbeat_ms = 2u64;
         let mut min_deaths: Option<usize> = None;
         let mut min_panics = 0u64;
         let mut min_deadlines = 0u64;
         let mut max_shed_rate = 1.0f64;
-        let mut settle_timeout_s = 120u64;
 
         for (idx, raw) in text.lines().enumerate() {
             let ln = idx + 1;
@@ -204,8 +201,6 @@ impl ChaosScenario {
                 "steady_pace_us" => steady_pace_us = parse_num(ln, key, value)?,
                 "burst_jobs" => burst_jobs = Some(parse_num(ln, key, value)?),
                 "deadline_jobs" => deadline_jobs = parse_num(ln, key, value)?,
-                "deadline_ms" => deadline_ms = parse_num(ln, key, value)?,
-                "deadline_work_us" => deadline_work_us = parse_num(ln, key, value)?,
                 "probe_jobs" => probe_jobs = parse_num(ln, key, value)?,
                 "job_work_us" => job_work_us = parse_num(ln, key, value)?,
                 "panic_every" => panic_every = parse_num(ln, key, value)?,
@@ -217,12 +212,7 @@ impl ChaosScenario {
                     death_sweeps = list;
                 }
                 "stall_every" => stall_every = parse_num(ln, key, value)?,
-                "stall_ms" => stall_ms = parse_num(ln, key, value)?,
-                "max_stalls" => max_stalls = parse_num(ln, key, value)?,
                 "storm_after_accepts" => storm_after = Some(parse_num(ln, key, value)?),
-                "storm_threads" => storm_threads = parse_num(ln, key, value)?,
-                "storm_pushes" => storm_pushes = parse_num(ln, key, value)?,
-                "heartbeat_ms" => heartbeat_ms = parse_num(ln, key, value)?,
                 "min_deaths" => min_deaths = Some(parse_num(ln, key, value)?),
                 "min_panics" => min_panics = parse_num(ln, key, value)?,
                 "min_deadlines" => min_deadlines = parse_num(ln, key, value)?,
@@ -235,7 +225,6 @@ impl ChaosScenario {
                             },
                         )?
                 }
-                "settle_timeout_s" => settle_timeout_s = parse_num(ln, key, value)?,
                 other => return err(ln, format!("unknown chaos key `{other}`")),
             }
         }
@@ -277,13 +266,10 @@ impl ChaosScenario {
                 ),
             );
         }
-        if deadline_jobs > 0 && deadline_ms == 0 {
-            return err(0, "deadline_jobs need a nonzero deadline_ms");
-        }
         let storm = storm_after.map(|after_accepts| StormSpec {
             after_accepts,
-            threads: storm_threads,
-            pushes_per_thread: storm_pushes,
+            threads: STORM_THREADS,
+            pushes_per_thread: STORM_PUSHES,
         });
         // Default burst: four admission windows back to back — comfortably past 2x overload.
         let burst_jobs = burst_jobs.unwrap_or(4 * queue_capacity as u64);
@@ -298,22 +284,16 @@ impl ChaosScenario {
             steady_pace: Duration::from_micros(steady_pace_us),
             burst_jobs,
             deadline_jobs,
-            deadline: Duration::from_millis(deadline_ms),
-            deadline_work: Duration::from_micros(deadline_work_us),
             probe_jobs,
             job_work: Duration::from_micros(job_work_us),
             panic_every,
             death_sweeps,
             stall_every,
-            stall: Duration::from_millis(stall_ms),
-            max_stalls,
             storm,
-            heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
             min_deaths,
             min_panics,
             min_deadlines,
             max_shed_rate,
-            settle_timeout: Duration::from_secs(settle_timeout_s.max(1)),
         })
     }
 }
@@ -372,14 +352,13 @@ impl ChaosReport {
     pub fn summary_lines(&self) -> Vec<String> {
         let s = &self.snapshot;
         let mut lines = vec![format!(
-            "chaos {}: {} submitted -> {} completed, {} panicked, {} deadline, {} cancelled, \
-             {} shed; {} deaths healed by {} respawns ({} jobs drained){}",
+            "chaos {}: {} submitted -> {} completed, {} panicked, {} deadline, {} shed; {} \
+             deaths healed by {} respawns ({} jobs drained){}",
             self.scenario.name,
             s.submitted,
             s.completed,
             s.panicked,
             s.deadline,
-            s.cancelled,
             s.shed,
             self.deaths_injected,
             s.respawns,
@@ -460,7 +439,6 @@ impl ChaosReport {
                     ("completed", s.completed.into()),
                     ("panicked", s.panicked.into()),
                     ("deadline", s.deadline.into()),
-                    ("cancelled", s.cancelled.into()),
                     ("shed", s.shed.into()),
                     ("executions", self.executions.into()),
                 ]),
@@ -556,8 +534,8 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
         seed: sc.seed,
         death_sweeps: sc.death_sweeps.clone(),
         stall_every: sc.stall_every,
-        stall: sc.stall,
-        max_stalls: sc.max_stalls,
+        stall: STALL,
+        max_stalls: MAX_STALLS,
         panic_every: sc.panic_every,
         storm: sc.storm,
     }));
@@ -565,10 +543,9 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
         threads: sc.threads,
         queue_capacity: sc.queue_capacity,
         admission: sc.admission,
-        heartbeat_interval: sc.heartbeat,
+        heartbeat_interval: HEARTBEAT,
         faults: Some(Arc::clone(&plan)),
         trace,
-        ..ServiceConfig::default()
     });
     // The recorder outlives the pool (it is an `Arc`), so the snapshot can be drained
     // after shutdown and still include the shutdown-path events (final settles, respawns).
@@ -577,7 +554,7 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
     let total = sc.total_jobs() as usize;
     let counts: Arc<Vec<AtomicU32>> = Arc::new((0..total).map(|_| AtomicU32::new(0)).collect());
     let mut handles: Vec<JobHandle> = Vec::with_capacity(total);
-    let overall = Instant::now() + sc.settle_timeout;
+    let overall = Instant::now() + SETTLE_TIMEOUT;
 
     let submit_work = |idx: usize, work: Duration| {
         let counts = Arc::clone(&counts);
@@ -595,9 +572,8 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
     // Phase 2 — deadlines: paced like steady traffic (so they are admitted, not shed at
     // the door), with work longer than the budget, so the budget must win.
     for _ in 0..sc.deadline_jobs {
-        handles.push(
-            server.submit_with_deadline(submit_work(handles.len(), sc.deadline_work), sc.deadline),
-        );
+        handles
+            .push(server.submit_with_deadline(submit_work(handles.len(), DEADLINE_WORK), DEADLINE));
         thread::sleep(sc.steady_pace);
     }
     // Phase 3 — burst: back-to-back submissions several admission windows deep; under a
@@ -678,7 +654,7 @@ fn evaluate(
 ) -> Vec<Verdict> {
     let total = outcomes.len() as u64;
     let terminal = outcomes.iter().filter(|o| o.is_some()).count() as u64;
-    let settled = s.completed + s.panicked + s.deadline + s.cancelled + s.shed;
+    let settled = s.completed + s.panicked + s.deadline + s.shed;
     let lost = outcomes
         .iter()
         .zip(counts)
@@ -688,9 +664,7 @@ fn evaluate(
     let shed_ran = outcomes
         .iter()
         .zip(counts)
-        .filter(|(o, &c)| {
-            matches!(o, Some(JobOutcome::Shed) | Some(JobOutcome::Cancelled)) && c != 0
-        })
+        .filter(|(o, &c)| **o == Some(JobOutcome::Shed) && c != 0)
         .count();
     let shed_rate = if s.submitted == 0 { 0.0 } else { s.shed as f64 / s.submitted as f64 };
 
@@ -703,9 +677,8 @@ fn evaluate(
         Verdict {
             name: "conservation",
             detail: format!(
-                "completed {} + panicked {} + deadline {} + cancelled {} + shed {} = {} of {} \
-                 submitted",
-                s.completed, s.panicked, s.deadline, s.cancelled, s.shed, settled, s.submitted
+                "completed {} + panicked {} + deadline {} + shed {} = {} of {} submitted",
+                s.completed, s.panicked, s.deadline, s.shed, settled, s.submitted
             ),
             pass: settled == s.submitted && s.submitted == total,
         },
@@ -721,7 +694,7 @@ fn evaluate(
         },
         Verdict {
             name: "shed-never-ran",
-            detail: format!("{shed_ran} shed/cancelled submissions whose closure ran anyway"),
+            detail: format!("{shed_ran} shed submissions whose closure ran anyway"),
             pass: shed_ran == 0,
         },
         Verdict {
@@ -777,8 +750,6 @@ mod tests {
         steady_pace_us = 100
         burst_jobs = 24
         deadline_jobs = 4
-        deadline_ms = 2
-        deadline_work_us = 8000
         probe_jobs = 8
         job_work_us = 100
         panic_every = 3
@@ -787,7 +758,6 @@ mod tests {
         min_panics = 1
         min_deadlines = 1
         max_shed_rate = 0.9
-        heartbeat_ms = 1
     ";
 
     #[test]
@@ -818,7 +788,7 @@ mod tests {
             ("mode = chaos\nname = x\nmin_deadlines = 1", "unsatisfiable"),
             ("mode = chaos\nname = x\nmax_shed_rate = 1.5", "[0, 1]"),
             ("mode = chaos\nname = x\nprobe_jobs = 0", "server-live"),
-            ("mode = chaos\nname = x\ndeadline_jobs = 2\ndeadline_ms = 0", "deadline_ms"),
+            ("mode = chaos\nname = x\ndeadline_ms = 2", "unknown chaos key `deadline_ms`"),
         ] {
             let e = ChaosScenario::parse(text).expect_err(text);
             assert!(e.to_string().contains(needle), "`{text}` -> `{e}` missing `{needle}`");

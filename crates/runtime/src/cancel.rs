@@ -1,16 +1,17 @@
 //! Cooperative cancellation for service-mode jobs.
 //!
-//! A [`CancelToken`] is a shared flag a supervisor (or any holder) can flip; the running
-//! job observes it at **fork points** — `join` entry, `Scope::spawn`, and therefore every
-//! `par_iter` grain boundary, since the parallel iterators split through `join`. The
-//! observation unwinds the job with a private `CancelPayload` that rides the existing
-//! panic plumbing (stack-job capture, scope aggregation, first-payload-wins) up to the
-//! job-server's root wrapper, which maps it to a terminal [`JobOutcome`] instead of a
-//! worker-visible panic. Code outside service mode never pays more than a thread-local
-//! read per fork: with no token installed a fork is one load of the thread's token word
-//! and one null test, and under a token it still clones nothing — the forked branch
-//! borrows the word (`ForkToken`) and only a thief that runs it elsewhere takes a count.
-//! Installing a token is free of allocation (the `Arc`'s pointer moves into the slot).
+//! A [`CancelToken`] is a shared flag the job server flips when a job's deadline passes;
+//! the running job observes it at **fork points** — `join` entry, `Scope::spawn`, and
+//! therefore every `par_chunks_mut` grain boundary, since the parallel iterator splits
+//! through `join`. The observation unwinds the job with a private `CancelPayload` that
+//! rides the existing panic plumbing (stack-job capture, scope aggregation,
+//! first-payload-wins) up to the job-server's root wrapper, which settles it as
+//! [`JobOutcome::Deadline`] instead of a worker-visible panic. Code outside service mode
+//! never pays more than a thread-local read per fork: with no token installed a fork is one
+//! load of the thread's token word and one null test, and under a token it still clones
+//! nothing — the forked branch borrows the word (`ForkToken`) and only a thief that runs it
+//! elsewhere takes a count. Installing a token is free of allocation (the `Arc`'s pointer
+//! moves into the slot).
 //!
 //! Cancellation is **cooperative**: a job that never forks after the flag flips runs to
 //! completion, and whichever terminal event lands first — the job's own return, a real
@@ -18,7 +19,7 @@
 //! with a single compare-and-swap). That is the semantics the chaos harness pins down with
 //! its panic-vs-deadline race tests.
 //!
-//! [`JobOutcome`]: crate::service::JobOutcome
+//! [`JobOutcome::Deadline`]: crate::service::JobOutcome::Deadline
 
 // The unsafe here is the thread's token word: a raw `Arc` pointer whose count `enter` /
 // `inherit` take and `TokenGuard` gives back (the invariant is stated on `CURRENT`).
@@ -27,69 +28,36 @@
 use std::cell::Cell;
 use std::panic;
 use std::ptr;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Why a job was asked to stop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CancelReason {
-    /// The job's deadline budget expired.
-    Deadline,
-    /// The holder cancelled explicitly (e.g. an admission eviction or a caller's abort).
-    Explicit,
-}
-
-const LIVE: u8 = 0;
-const BY_DEADLINE: u8 = 1;
-const BY_EXPLICIT: u8 = 2;
 
 #[derive(Debug, Default)]
 struct CancelInner {
-    state: AtomicU8,
+    cancelled: AtomicBool,
 }
 
-/// A shared, cloneable cancellation flag. Cloning shares the flag (it does not fork it).
-///
-/// The first [`cancel`](CancelToken::cancel) wins: a token cancelled for a deadline and
-/// then explicitly (or vice versa) keeps the first reason, so the job's terminal outcome
-/// is unambiguous.
-#[derive(Clone, Debug, Default)]
+/// A shared cancellation flag: live until the job server cancels it, cancelled from then on.
+/// Cloning shares the flag (it does not fork it).
+#[derive(Clone, Debug)]
 pub struct CancelToken {
     inner: Arc<CancelInner>,
 }
 
 impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
+    /// A fresh, live token.
+    pub(crate) fn new() -> Self {
+        CancelToken { inner: Arc::default() }
     }
 
-    /// Flip the flag. Idempotent; the first reason wins.
-    pub fn cancel(&self, reason: CancelReason) {
-        let v = match reason {
-            CancelReason::Deadline => BY_DEADLINE,
-            CancelReason::Explicit => BY_EXPLICIT,
-        };
-        let _ = self.inner.state.compare_exchange(LIVE, v, Ordering::AcqRel, Ordering::Relaxed);
+    /// Flip the flag. Idempotent. Relaxed: the flag publishes no other data — a reader only
+    /// unwinds on it, and the outcome it settles is arbitrated by the job's own CAS.
+    pub(crate) fn cancel(&self) {
+        self.inner.cancelled.store(true, Ordering::Relaxed);
     }
 
     /// Whether the token has been cancelled (relaxed — the cancellation points re-check).
     pub fn is_cancelled(&self) -> bool {
-        self.inner.state.load(Ordering::Relaxed) != LIVE
-    }
-
-    /// The winning cancellation reason, if any.
-    pub fn reason(&self) -> Option<CancelReason> {
-        reason_of(self.inner.state.load(Ordering::Relaxed))
-    }
-}
-
-#[inline]
-fn reason_of(state: u8) -> Option<CancelReason> {
-    match state {
-        LIVE => None,
-        BY_DEADLINE => Some(CancelReason::Deadline),
-        _ => Some(CancelReason::Explicit),
+        self.inner.cancelled.load(Ordering::Relaxed)
     }
 }
 
@@ -97,7 +65,7 @@ fn reason_of(state: u8) -> Option<CancelReason> {
 /// root-job wrapper downcasts it back out of the panic plumbing; anything else that
 /// catches it (a user's `catch_unwind`) simply swallows the cancellation, which is the
 /// documented cooperative contract.
-pub(crate) struct CancelPayload(pub(crate) CancelReason);
+pub(crate) struct CancelPayload;
 
 thread_local! {
     /// The calling thread's token: null when none is installed, otherwise a pointer that
@@ -153,8 +121,8 @@ pub(crate) fn fork_point() -> ForkToken {
     let fork = ForkToken::capture();
     if !fork.0.is_null() {
         // SAFETY: a non-null slot owns a strong count (see `CURRENT`).
-        if let Some(reason) = reason_of(unsafe { (*fork.0).state.load(Ordering::Relaxed) }) {
-            throw_cancel(reason);
+        if unsafe { (*fork.0).cancelled.load(Ordering::Relaxed) } {
+            throw_cancel();
         }
     }
     fork
@@ -216,8 +184,8 @@ pub fn check_cancel() {
 
 #[cold]
 #[inline(never)]
-fn throw_cancel(reason: CancelReason) -> ! {
-    panic::panic_any(CancelPayload(reason))
+fn throw_cancel() -> ! {
+    panic::panic_any(CancelPayload)
 }
 
 #[cfg(test)]
@@ -226,22 +194,13 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn first_cancel_reason_wins() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        assert_eq!(t.reason(), None);
-        t.cancel(CancelReason::Deadline);
-        t.cancel(CancelReason::Explicit);
-        assert!(t.is_cancelled());
-        assert_eq!(t.reason(), Some(CancelReason::Deadline));
-    }
-
-    #[test]
     fn clones_share_the_flag() {
         let t = CancelToken::new();
         let u = t.clone();
-        u.cancel(CancelReason::Explicit);
-        assert!(t.is_cancelled());
+        assert!(!t.is_cancelled());
+        u.cancel();
+        u.cancel();
+        assert!(t.is_cancelled(), "a second cancel leaves the token cancelled");
     }
 
     #[test]
@@ -252,14 +211,13 @@ mod tests {
     #[test]
     fn check_cancel_unwinds_under_a_cancelled_token_and_restores_tls() {
         let t = CancelToken::new();
-        t.cancel(CancelReason::Deadline);
+        t.cancel();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _g = enter(t.clone());
             check_cancel();
         }));
         let payload = result.expect_err("a cancelled token must unwind the check");
-        let payload = payload.downcast::<CancelPayload>().expect("the crate's own payload");
-        assert_eq!(payload.0, CancelReason::Deadline);
+        assert!(payload.is::<CancelPayload>(), "the crate's own payload");
         assert!(current_token().is_none(), "the guard must restore TLS through the unwind");
     }
 
@@ -295,7 +253,7 @@ mod tests {
             let _owner = enter(t.clone());
             // SAFETY: `_owner` is alive for the whole closure.
             let _thief = unsafe { inherit(fork_point()) };
-            t.cancel(CancelReason::Explicit);
+            t.cancel();
             check_cancel();
         }));
         assert!(result.is_err(), "the cancelled check unwinds");
@@ -319,7 +277,7 @@ mod tests {
             {
                 let _b = enter(inner.clone());
                 assert!(!current_token().unwrap().is_cancelled());
-                inner.cancel(CancelReason::Explicit);
+                inner.cancel();
                 assert!(current_token().unwrap().is_cancelled());
             }
             // Back to the outer token, which is still live.

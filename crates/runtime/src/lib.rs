@@ -22,12 +22,11 @@
 //! * **Parked idle workers** — a worker that finds no work spins briefly and then parks on
 //!   the pool's sleep protocol; an idle pool burns no CPU, and a fork wakes sleepers with a
 //!   single relaxed load on the producer side.
-//! * **Scoped tasks and parallel iterators** — [`scope()`] generalizes `join` to arbitrary
+//! * **Scoped tasks and a parallel iterator** — [`scope()`] generalizes `join` to arbitrary
 //!   borrow-friendly fan-out behind one shared atomic completion latch (inline job slots
 //!   keep small fan-outs, including the kernels' 4-way quadrant splits, allocation-free),
-//!   and [`par_iter`] builds rayon-style slice iterators (`par_iter`, `par_iter_mut`,
-//!   `par_chunks`, `par_chunks_mut`) with pool-width-adaptive splitting on top of the same
-//!   fork-join machinery.
+//!   and [`par_iter`] builds a rayon-style `par_chunks_mut` with pool-width-adaptive
+//!   splitting on top of the same fork-join machinery.
 //!
 //! On top of the pool sits a supervised **persistent job-server mode** ([`service`]): a
 //! long-lived [`JobServer`] accepting streamed root jobs through the lock-free MPMC
@@ -61,11 +60,11 @@ pub mod service;
 mod sleep;
 pub mod stats;
 
-pub use cancel::{check_cancel, CancelReason, CancelToken};
+pub use cancel::{check_cancel, CancelToken};
 pub use faults::{FaultPlan, FaultSpec, StormSpec, WorkerFault};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use padding::{CachePadded, PaddedCounters, UnpaddedCounters};
-pub use par_iter::{ParChunks, ParChunksMut, ParIter, ParIterMut, ParSliceExt};
+pub use par_iter::{ParChunksMut, ParSliceExt};
 pub use pool::{
     current_num_threads, join, InstallError, RespawnReport, ThreadPool, ThreadPoolBuilder,
 };

@@ -25,7 +25,7 @@ use crate::faults::{FaultPlan, WorkerFault};
 use crate::job::{Job, JoinResult, Latch, StackJob};
 use crate::sleep::{EventCount, BACKOFF, PARK_BACKSTOP};
 use crate::stats::PoolStats;
-use crossbeam_deque::{Injector, Steal, Stealer, Worker as CbWorker};
+use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_trace::{
     EventKind, JobKind, TraceRecorder, TraceSnapshot, INJECTOR_ARG, LADDER_STAGE_PARK,
@@ -47,7 +47,7 @@ pub(crate) struct Shared {
     injector: Injector<Job>,
     /// Behind `RwLock` so the supervisor can swap in a respawned worker's fresh stealer;
     /// steal-path readers share the lock and only ever contend during a respawn.
-    cb_stealers: Vec<RwLock<Stealer<Job>>>,
+    stealers: Vec<RwLock<Stealer<Job>>>,
     stats: PoolStats,
     /// Where idle workers park, and owners of stolen branches and scopes wait.
     pub(crate) sleep: EventCount,
@@ -95,7 +95,7 @@ impl Shared {
         if !self.injector.is_empty() {
             return true;
         }
-        self.cb_stealers.iter().any(|s| !s.read().unwrap_or_else(|e| e.into_inner()).is_empty())
+        self.stealers.iter().any(|s| !s.read().unwrap_or_else(|e| e.into_inner()).is_empty())
     }
 
     /// The pool's statistics (service-layer access path).
@@ -117,7 +117,7 @@ impl Shared {
 pub(crate) struct WorkerHandle {
     index: usize,
     pub(crate) shared: Arc<Shared>,
-    cb_local: CbWorker<Job>,
+    local: Worker<Job>,
     rng: RefCell<SmallRng>,
 }
 
@@ -165,14 +165,14 @@ impl WorkerHandle {
     /// unstolen fork costs").
     #[inline(never)]
     pub(crate) fn push_local(&self, job: Job) {
-        self.cb_local.push(job);
+        self.local.push(job);
         // One relaxed load when the pool is busy; a real wakeup only if somebody parked.
         self.shared.sleep.notify();
     }
 
     #[inline(never)]
     fn pop_local(&self) -> Option<Job> {
-        self.cb_local.pop()
+        self.local.pop()
     }
 
     /// One batch-steal visit to `victim`: up to half its queue (capped at the deque's
@@ -182,8 +182,8 @@ impl WorkerHandle {
     /// poppable *and* still stealable by everyone else. Returns the popped job and the
     /// total number of jobs moved.
     fn steal_from(&self, victim: usize) -> Steal<(Job, u64)> {
-        let stealer = self.shared.cb_stealers[victim].read().unwrap_or_else(|e| e.into_inner());
-        match stealer.steal_batch_and_pop_counted(&self.cb_local) {
+        let stealer = self.shared.stealers[victim].read().unwrap_or_else(|e| e.into_inner());
+        match stealer.steal_batch_and_pop_counted(&self.local) {
             Steal::Success((job, k)) => Steal::Success((job, k as u64)),
             Steal::Empty => Steal::Empty,
             Steal::Retry => Steal::Retry,
@@ -500,14 +500,10 @@ pub struct RespawnReport {
     pub drained_jobs: u64,
 }
 
-/// Start one worker thread for slot `index`. `cb_local` is the worker end of the slot's
+/// Start one worker thread for slot `index`. `local` is the worker end of the slot's
 /// Chase–Lev deque; its matching stealer must already be published in
-/// `shared.cb_stealers[index]`.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    index: usize,
-    cb_local: CbWorker<Job>,
-) -> thread::JoinHandle<()> {
+/// `shared.stealers[index]`.
+fn spawn_worker(shared: &Arc<Shared>, index: usize, local: Worker<Job>) -> thread::JoinHandle<()> {
     let shared_for_worker = Arc::clone(shared);
     thread::Builder::new()
         .name(format!("rws-worker-{index}"))
@@ -517,7 +513,7 @@ fn spawn_worker(
             worker_loop(WorkerHandle {
                 index,
                 shared: shared_for_worker,
-                cb_local,
+                local,
                 rng: RefCell::new(SmallRng::seed_from_u64(0x9E3779B9 + index as u64)),
             });
         })
@@ -532,12 +528,12 @@ impl ThreadPool {
 
     fn with_config(threads: usize, faults: Option<Arc<FaultPlan>>, trace: Option<usize>) -> Self {
         let threads = threads.max(1);
-        let cb_workers: Vec<CbWorker<Job>> = (0..threads).map(|_| CbWorker::new_lifo()).collect();
-        let cb_stealers: Vec<RwLock<Stealer<Job>>> =
-            cb_workers.iter().map(|w| RwLock::new(w.stealer())).collect();
+        let locals: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_lifo()).collect();
+        let stealers: Vec<RwLock<Stealer<Job>>> =
+            locals.iter().map(|w| RwLock::new(w.stealer())).collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(),
-            cb_stealers,
+            stealers,
             stats: PoolStats::new(threads),
             sleep: EventCount::default(),
             shutdown: AtomicBool::new(false),
@@ -548,10 +544,10 @@ impl ThreadPool {
             health: EventCount::default(),
             installers: EventCount::default(),
         });
-        let handles = cb_workers
+        let handles = locals
             .into_iter()
             .enumerate()
-            .map(|(index, cb_local)| Some(spawn_worker(&shared, index, cb_local)))
+            .map(|(index, local)| Some(spawn_worker(&shared, index, local)))
             .collect();
         ThreadPool { shared, handles: Mutex::new(handles) }
     }
@@ -593,10 +589,10 @@ impl ThreadPool {
             }
             // Fresh deque for the replacement; publish its stealer, then drain the dead
             // worker's old deque through the stealer we just unseated.
-            let cb_local = CbWorker::new_lifo();
+            let local = Worker::new_lifo();
             let old_stealer = std::mem::replace(
-                &mut *self.shared.cb_stealers[index].write().unwrap_or_else(|e| e.into_inner()),
-                cb_local.stealer(),
+                &mut *self.shared.stealers[index].write().unwrap_or_else(|e| e.into_inner()),
+                local.stealer(),
             );
             let mut drained = 0u64;
             loop {
@@ -615,7 +611,7 @@ impl ThreadPool {
             // Raise the flag before the thread exists so a concurrent sweep won't try to
             // respawn the same slot twice.
             self.shared.alive[index].store(true, Ordering::Release);
-            handles[index] = Some(spawn_worker(&self.shared, index, cb_local));
+            handles[index] = Some(spawn_worker(&self.shared, index, local));
             if let Some(t) = self.shared.trace() {
                 // The supervisor runs off-pool; the shared external lane takes the event.
                 t.record_external(
@@ -852,7 +848,7 @@ where
 {
     // Cooperative cancellation point: every fork observes the current job's token (one
     // load and a null test when no service-mode token is installed), which is what makes
-    // deadlines bite at `join`/`scope`/`par_iter` grain boundaries. The same word is what
+    // deadlines bite at `join`/`scope`/`par_chunks_mut` grain boundaries. The same word is what
     // the right branch inherits if a thief runs it.
     let token = cancel::fork_point();
     WorkerHandle::with_current(|worker| match worker {

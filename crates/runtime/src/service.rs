@@ -9,11 +9,12 @@
 //!   from their deques back into the MPMC injector (no accepted work is lost), and
 //!   respawns a replacement in the same slot. Job panics are quarantined where they run
 //!   and health-tracked per worker.
-//! * **Per-job deadlines + cancellation** — a submission may carry a budget; the
-//!   supervisor keeps a deadline min-heap and flips the job's [`CancelToken`] when the
-//!   budget expires. The running job observes the token cooperatively at fork points
-//!   (`join` / `scope` / `par_iter` grain boundaries) and terminates with
-//!   [`JobOutcome::Deadline`]; a job still queued when its deadline fires never runs.
+//! * **Per-job deadlines** — a submission may carry a budget
+//!   ([`JobServer::submit_with_deadline`]); the supervisor keeps a deadline min-heap and
+//!   flips the job's [`CancelToken`] when the budget expires. The running job observes the
+//!   token cooperatively at fork points (`join` / `scope` / `par_chunks_mut` grain
+//!   boundaries) and terminates with [`JobOutcome::Deadline`]; a job still queued when its
+//!   deadline fires never runs.
 //! * **Admission control** — a bounded occupancy gate with a [`Block`], [`Shed`], or
 //!   [`ShedOldest`] policy, plus queue-latency and service-latency histograms
 //!   (p50/p99/p999) and shed counters in the pool's stats.
@@ -36,7 +37,7 @@
 //! [`Shed`]: AdmissionPolicy::Shed
 //! [`ShedOldest`]: AdmissionPolicy::ShedOldest
 
-use crate::cancel::{self, CancelPayload, CancelReason, CancelToken};
+use crate::cancel::{self, CancelPayload, CancelToken};
 use crate::faults::FaultPlan;
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::padding::CachePadded;
@@ -77,11 +78,9 @@ pub enum JobOutcome {
     /// The job's deadline expired — either before it started (it never runs) or mid-run at
     /// a cooperative cancellation point.
     Deadline = 3,
-    /// The job's token was cancelled explicitly and it stopped at a cancellation point.
-    Cancelled = 4,
     /// Admission refused the job (queue full under [`AdmissionPolicy::Shed`]), evicted it
     /// ([`AdmissionPolicy::ShedOldest`]), or the server was shutting down. The closure
-    /// never ran.
+    /// never ran. (Code 5, not 4: recorded traces index their outcome counts by code.)
     Shed = 5,
 }
 
@@ -92,7 +91,6 @@ fn outcome_from_u8(v: u8) -> Option<JobOutcome> {
         1 => Some(JobOutcome::Completed),
         2 => Some(JobOutcome::Panicked),
         3 => Some(JobOutcome::Deadline),
-        4 => Some(JobOutcome::Cancelled),
         5 => Some(JobOutcome::Shed),
         _ => None,
     }
@@ -146,7 +144,7 @@ impl JobState {
     }
 }
 
-/// A caller's handle to one submission: await it, read its outcome, cancel it.
+/// A caller's handle to one submission: await it and read its outcome.
 #[derive(Clone, Debug)]
 pub struct JobHandle {
     state: Arc<JobState>,
@@ -161,12 +159,6 @@ impl JobHandle {
     /// The job's terminal outcome, if it has settled.
     pub fn outcome(&self) -> Option<JobOutcome> {
         self.state.outcome()
-    }
-
-    /// This job's cancellation token (flip it with [`CancelToken::cancel`] to request an
-    /// explicit cooperative cancellation).
-    pub fn token(&self) -> &CancelToken {
-        &self.state.token
     }
 
     /// Block until the job settles, returning its outcome.
@@ -210,8 +202,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What to do when the queue is full.
     pub admission: AdmissionPolicy,
-    /// Budget applied to submissions that don't carry their own.
-    pub default_deadline: Option<Duration>,
     /// Supervisor sweep cadence (respawn checks, deadline sweeps, storm launches).
     pub heartbeat_interval: Duration,
     /// Optional fault-injection schedule (chaos testing; default off).
@@ -229,7 +219,6 @@ impl Default for ServiceConfig {
             threads: 0,
             queue_capacity: 1024,
             admission: AdmissionPolicy::Block,
-            default_deadline: None,
             heartbeat_interval: Duration::from_millis(5),
             faults: None,
             trace: None,
@@ -280,7 +269,6 @@ struct OutcomeCounters {
     completed: AtomicU64,
     panicked: AtomicU64,
     deadline: AtomicU64,
-    cancelled: AtomicU64,
     shed: AtomicU64,
 }
 
@@ -300,7 +288,6 @@ struct SharedCounters {
 struct ServerState {
     capacity: usize,
     policy: AdmissionPolicy,
-    default_deadline: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
 
     /// The per-job counters, a cache line per set of writers (see [`SubmitCounters`]).
@@ -328,7 +315,7 @@ struct ServerState {
     /// Execution-start → settle latency (started jobs only).
     service_hist: LatencyHistogram,
     /// Submission → settle latency for jobs that never started (shed at the door,
-    /// evicted, cancelled or expired while queued, refused at shutdown). Together with
+    /// evicted or expired while queued, refused at shutdown). Together with
     /// the pair above, every submission lands in exactly one accounting path:
     /// `queue_hist.count == service_hist.count` (started) and
     /// `queue_hist.count + terminal_hist.count == settled submissions`.
@@ -356,7 +343,6 @@ impl ServerState {
             JobOutcome::Completed => &self.outcomes.0.completed,
             JobOutcome::Panicked => &self.outcomes.0.panicked,
             JobOutcome::Deadline => &self.outcomes.0.deadline,
-            JobOutcome::Cancelled => &self.outcomes.0.cancelled,
             JobOutcome::Shed => &self.outcomes.0.shed,
         }
         .fetch_add(1, Ordering::Relaxed);
@@ -373,7 +359,7 @@ impl ServerState {
     }
 
     /// [`ServerState::settle`] for a job that provably never ran (its execution was
-    /// claimed by a shed/evict/cancel/deadline path). The winner also records the
+    /// claimed by a shed/evict/deadline path). The winner also records the
     /// submission → settle latency in `terminal_hist`, the accounting lane for
     /// never-started submissions — `queue_hist`/`service_hist` stay started-jobs-only,
     /// so the three histograms partition cleanly by outcome path.
@@ -429,7 +415,7 @@ impl ServerState {
 
 /// Point-in-time accounting of everything a [`JobServer`] has done. The outcome counters
 /// partition `submitted` once the server has drained (`shutdown` returns exactly such a
-/// snapshot): `submitted == completed + panicked + deadline + cancelled + shed`.
+/// snapshot): `submitted == completed + panicked + deadline + shed`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceSnapshot {
     /// Total submissions (admitted or not).
@@ -442,8 +428,6 @@ pub struct ServiceSnapshot {
     pub panicked: u64,
     /// Jobs terminated by their deadline.
     pub deadline: u64,
-    /// Jobs terminated by explicit cancellation.
-    pub cancelled: u64,
     /// Submissions shed (refused, evicted, or arriving during shutdown).
     pub shed: u64,
     /// Workers respawned by the supervisor.
@@ -457,7 +441,7 @@ pub struct ServiceSnapshot {
     /// Execution-start → settle latency distribution (started jobs only).
     pub service: HistogramSnapshot,
     /// Submission → settle latency distribution for jobs that never started (shed,
-    /// evicted, cancelled/expired while queued). `queue.count == service.count`, and
+    /// evicted, or expired while queued). `queue.count == service.count`, and
     /// `queue.count + terminal.count` equals settled submissions — the histograms
     /// partition by outcome path instead of folding refusals into service latency.
     pub terminal: HistogramSnapshot,
@@ -488,7 +472,6 @@ impl JobServer {
         let state = Arc::new(ServerState {
             capacity: config.queue_capacity.max(1),
             policy: config.admission,
-            default_deadline: config.default_deadline,
             faults: config.faults,
             submit: CachePadded::default(),
             outcomes: CachePadded::default(),
@@ -522,12 +505,14 @@ impl JobServer {
         &self.pool
     }
 
-    /// Submit a root job under the server's default deadline (if any).
+    /// Submit a root job with no deadline.
     pub fn submit(&self, f: impl FnOnce() + Send + 'static) -> JobHandle {
-        self.submit_inner(f, self.state.default_deadline)
+        self.submit_inner(f, None)
     }
 
-    /// Submit a root job with an explicit budget, overriding the server default.
+    /// Submit a root job with a budget: once `budget` has passed, the job settles as
+    /// [`JobOutcome::Deadline`] at its next cancellation point, or without running if it
+    /// has not started.
     pub fn submit_with_deadline(
         &self,
         f: impl FnOnce() + Send + 'static,
@@ -635,16 +620,6 @@ impl JobServer {
         handle
     }
 
-    /// Ask a running/queued job to stop at its next cancellation point.
-    pub fn cancel(&self, handle: &JobHandle) {
-        handle.state.token.cancel(CancelReason::Explicit);
-        // A still-queued job can settle right now.
-        if handle.state.claim_run() {
-            self.state.settle_never_ran(&handle.state, JobOutcome::Cancelled);
-            self.state.release_slot(&handle.state);
-        }
-    }
-
     /// Current accounting (counters are racy snapshots while jobs are in flight).
     pub fn snapshot(&self) -> ServiceSnapshot {
         let s = &self.state;
@@ -655,7 +630,6 @@ impl JobServer {
             completed: s.outcomes.0.completed.load(Ordering::Relaxed),
             panicked: s.outcomes.0.panicked.load(Ordering::Relaxed),
             deadline: s.outcomes.0.deadline.load(Ordering::Relaxed),
-            cancelled: s.outcomes.0.cancelled.load(Ordering::Relaxed),
             shed: s.outcomes.0.shed.load(Ordering::Relaxed),
             respawns: stats.total_respawns(),
             jobs_drained: stats.total_jobs_drained(),
@@ -762,7 +736,7 @@ fn run_root_job(
     // before the closure runs) converts this into a no-work Deadline outcome.
     if let Some(at) = job.deadline {
         if started_at >= at {
-            job.token.cancel(CancelReason::Deadline);
+            job.token.cancel();
         }
     }
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -782,37 +756,28 @@ fn run_root_job(
         Ok(()) => {
             server.settle(job, JobOutcome::Completed, finished_at);
         }
-        Err(payload) => match payload.downcast::<CancelPayload>() {
-            Ok(cp) => {
-                let outcome = match cp.0 {
-                    CancelReason::Deadline => JobOutcome::Deadline,
-                    CancelReason::Explicit => JobOutcome::Cancelled,
-                };
-                if outcome == JobOutcome::Deadline {
-                    // Pool-stats view of expirations (the server's own counter is bumped
-                    // by settle's outcome partition).
-                    WorkerHandle::with_current(|w| {
-                        if let Some(w) = w {
-                            w.shared.stats().record_deadline_expired();
-                        }
-                    });
+        Err(payload) if payload.is::<CancelPayload>() => {
+            // Pool-stats view of expirations (the server's own counter is bumped by
+            // settle's outcome partition).
+            WorkerHandle::with_current(|w| {
+                if let Some(w) = w {
+                    w.shared.stats().record_deadline_expired();
                 }
-                server.settle(job, outcome, finished_at);
-            }
-            Err(payload) => {
-                // A genuine panic: quarantined here (this catch is inside Job::execute's,
-                // so the pool-level catch never sees it) — health-track it like the pool
-                // would.
-                WorkerHandle::with_current(|w| {
-                    if let Some(w) = w {
-                        w.shared.stats().record_panic_caught(w.index());
-                        w.shared.health().wake_all();
-                    }
-                });
-                server.settle(job, JobOutcome::Panicked, finished_at);
-                drop(payload);
-            }
-        },
+            });
+            server.settle(job, JobOutcome::Deadline, finished_at);
+        }
+        Err(payload) => {
+            // A genuine panic: quarantined here (this catch is inside Job::execute's, so
+            // the pool-level catch never sees it) — health-track it like the pool would.
+            WorkerHandle::with_current(|w| {
+                if let Some(w) = w {
+                    w.shared.stats().record_panic_caught(w.index());
+                    w.shared.health().wake_all();
+                }
+            });
+            server.settle(job, JobOutcome::Panicked, finished_at);
+            drop(payload);
+        }
     }
 }
 
@@ -857,7 +822,7 @@ fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Dur
                 let entry = heap.pop().expect("peeked entry");
                 if let Some(job) = entry.job.upgrade() {
                     if job.outcome().is_none() {
-                        job.token.cancel(CancelReason::Deadline);
+                        job.token.cancel();
                         if job.claim_run() {
                             // Still queued: it never runs; settle and free its slot.
                             state.settle_never_ran(&job, JobOutcome::Deadline);
@@ -925,7 +890,7 @@ mod tests {
         assert_eq!(snap.submitted, 50);
         assert_eq!(snap.completed, 50);
         assert_eq!(
-            snap.completed + snap.panicked + snap.deadline + snap.cancelled + snap.shed,
+            snap.completed + snap.panicked + snap.deadline + snap.shed,
             snap.submitted,
             "outcomes partition submissions"
         );
@@ -1068,28 +1033,6 @@ mod tests {
         assert_eq!(handle.wait_timeout(Duration::from_secs(30)), Some(JobOutcome::Deadline));
         let snap = server.shutdown();
         assert_eq!(snap.deadline, 1);
-    }
-
-    #[test]
-    fn explicit_cancellation_beats_completion_of_a_forking_job() {
-        let server = quick_server(2, 16, AdmissionPolicy::Block);
-        let stop = Arc::new(AtomicBool::new(false));
-        let s = Arc::clone(&stop);
-        let handle = server.submit(move || loop {
-            if s.load(Ordering::Acquire) {
-                // The cancel below must land via the token, not this escape hatch — it
-                // exists only to bound the test if cancellation were broken.
-                break;
-            }
-            crate::pool::join(|| {}, || {});
-            thread::sleep(Duration::from_millis(1));
-        });
-        server.cancel(&handle);
-        let outcome = handle.wait_timeout(Duration::from_secs(30));
-        stop.store(true, Ordering::Release);
-        assert_eq!(outcome, Some(JobOutcome::Cancelled));
-        let snap = server.shutdown();
-        assert_eq!(snap.cancelled, 1);
     }
 
     #[test]

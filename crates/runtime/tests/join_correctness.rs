@@ -14,7 +14,7 @@ fn fib(n: u64) -> u64 {
 }
 
 #[test]
-fn nested_unbalanced_joins_compute_fib_on_both_backends() {
+fn nested_unbalanced_joins_compute_fib() {
     let p = ThreadPool::new(4);
     assert_eq!(p.install(|| fib(20)), 6765);
 }
@@ -29,7 +29,7 @@ fn sum_tree(lo: u64, hi: u64, grain: u64) -> u64 {
 }
 
 #[test]
-fn balanced_recursion_is_correct_on_both_backends_and_thread_counts() {
+fn balanced_recursion_is_correct_across_thread_counts() {
     for threads in [1usize, 2, 7] {
         let p = ThreadPool::new(threads);
         let n = 300_000u64;
@@ -108,7 +108,7 @@ fn stolen_branches_execute_exactly_once_under_contention() {
 }
 
 #[test]
-fn steals_occur_under_both_backends_when_work_is_wide() {
+fn steals_occur_when_work_is_wide() {
     let p = ThreadPool::new(4);
     // On a starved host (or with the allocation-free hot path in a release build) one
     // run can finish on the installed worker before any thief is scheduled; repeat —

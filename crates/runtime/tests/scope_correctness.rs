@@ -7,7 +7,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
-fn scoped_spawns_borrow_the_callers_frame_on_both_backends() {
+fn scoped_spawns_borrow_the_callers_frame() {
     let pool = ThreadPool::new(4);
     let total = pool.install(move || {
         let data: Vec<u64> = (0..100_000).collect();
@@ -114,23 +114,14 @@ fn deep_nested_scopes_work_under_oversubscription() {
 }
 
 #[test]
-fn par_iter_layers_agree_with_sequential_references_on_both_backends() {
+fn par_chunks_mut_agrees_with_a_sequential_reference() {
     let pool = ThreadPool::new(3);
     let ok = pool.install(move || {
-        let data: Vec<i64> = (0..30_000).map(|i| (i * 7) % 23 - 11).collect();
-        // map_reduce against the sequential sum.
-        let expected: i64 = data.iter().sum();
-        let got = data.par_iter().map_reduce(|&x| x, |a, b| a + b, 0);
-        // par_iter_mut against a sequential transform.
-        let mut doubled = data.clone();
-        doubled.par_iter_mut().for_each(|v| *v *= 2);
         let mut chunk_tags = vec![0usize; 30_000];
         chunk_tags.par_chunks_mut(64).for_each_indexed(|i, part| {
             part.iter_mut().for_each(|v| *v = i);
         });
-        got == expected
-            && doubled.iter().zip(&data).all(|(&d, &x)| d == 2 * x)
-            && chunk_tags.iter().enumerate().all(|(j, &tag)| tag == j / 64)
+        chunk_tags.iter().enumerate().all(|(j, &tag)| tag == j / 64)
     });
     assert!(ok);
 }
@@ -147,7 +138,12 @@ fn scope_spawn_mixes_with_join_and_par_iter_in_one_computation() {
             let (ra, rb) = (&mut a, &mut b);
             scope(|s| {
                 s.spawn(move |_| {
-                    *ra = xs_a.par_iter().map_reduce(|&x| x, |p, q| p + q, 0);
+                    // One partial sum per 1 000-element piece, each written by its own leaf.
+                    let mut partials = [0u64; 25];
+                    partials.par_chunks_mut(1).for_each_indexed(|i, p| {
+                        p[0] = xs_a[i * 1_000..(i + 1) * 1_000].iter().sum();
+                    });
+                    *ra = partials.iter().sum();
                 });
                 let (lo, hi) = rws_runtime::join(
                     || xs_b[..12_500].iter().sum::<u64>(),
