@@ -11,6 +11,12 @@
 //! pool: each pointer-jumping round fork-joins over disjoint chunks of a double-buffered
 //! successor/rank state, so parallel branches only borrow (the round's output buffer
 //! mutably and disjointly, the previous round's buffer shared).
+//!
+//! What the dag does not model: [`list_ranking_computation`] charges each round as a BP scan
+//! of contiguous `(succ, rank)` words. It has no random gather `cur[succ[i]]`, and it runs
+//! one round fewer than the native kernel. The gather is the cost that dominates
+//! [`list_ranking_native`], so `listrank.scn`'s simulator verdicts are about a computation
+//! without it.
 
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
@@ -157,27 +163,31 @@ pub fn connected_components_computation(cfg: &ConnectedComponentsConfig) -> Comp
 // Sequential references
 // ------------------------------------------------------------------------------------------
 
+/// Pointer-jumping rounds of [`list_ranking_reference`] and [`list_ranking_native`]:
+/// `ceil(log2 n) + 1`, one more than the rounds [`list_ranking_computation`] builds. It is the
+/// reference's count, and on an input with no fixed point (a cycle) the ranks depend on it,
+/// so the native kernel must run exactly as many rounds to agree.
+fn rounds(n: usize) -> usize {
+    n.next_power_of_two().trailing_zeros() as usize + 1
+}
+
 /// Sequential list ranking: given `succ` (successor indices, with the tail pointing to
 /// itself), return the distance of every node from the tail.
 pub fn list_ranking_reference(succ: &[usize]) -> Vec<u64> {
     let n = succ.len();
-    let mut rank = vec![0u64; n];
     let mut s: Vec<usize> = succ.to_vec();
     let mut r: Vec<u64> =
         succ.iter().enumerate().map(|(i, &x)| if x == i { 0 } else { 1 }).collect();
-    let rounds = (n as f64).log2().ceil() as usize + 1;
-    for _ in 0..rounds {
-        let mut new_s = s.clone();
-        let mut new_r = r.clone();
+    let (mut next_s, mut next_r) = (vec![0usize; n], vec![0u64; n]);
+    for _ in 0..rounds(n) {
         for i in 0..n {
-            new_r[i] = r[i] + r[s[i]];
-            new_s[i] = s[s[i]];
+            next_r[i] = r[i] + r[s[i]];
+            next_s[i] = s[s[i]];
         }
-        s = new_s;
-        r = new_r;
+        std::mem::swap(&mut s, &mut next_s);
+        std::mem::swap(&mut r, &mut next_r);
     }
-    rank.copy_from_slice(&r);
-    rank
+    r
 }
 
 /// Elements per fork-join leaf of the native pointer-jumping rounds (the native analogue
@@ -197,26 +207,45 @@ const NATIVE_CHUNK: usize = 256;
 /// [`list_ranking_reference`], so the two agree element-for-element even on inputs with no
 /// fixed point (cycles), where the final ranks depend on the number of rounds performed.
 /// Outside a pool worker the joins run sequentially.
+///
+/// Each node's state is one 8-byte `(u32, u32)` word, so a round's random gather
+/// `cur[succ[i]]` ranges over 8n bytes, not 16n: at n = 2^17 the two buffers take 2 MiB
+/// rather than 4, about one core's L2.
+///
+/// # Panics
+///
+/// If `succ` has more than 2^30 nodes, or if a successor is not a node index.
 pub fn list_ranking_native(succ: &[usize]) -> Vec<u64> {
     let n = succ.len();
+    assert!(
+        n <= 1 << 30,
+        "list_ranking_native ranks at most 2^30 nodes, got {n}: a rank at most doubles per \
+         round, so after ceil(log2 n) + 1 rounds it fits its u32 exactly when n <= 2^30 \
+         (on a ring it reaches 2^rounds)"
+    );
     if n == 0 {
         return Vec::new();
     }
-    let mut cur: Vec<(usize, u64)> =
-        succ.iter().enumerate().map(|(i, &s)| (s, u64::from(s != i))).collect();
+    let mut cur: Vec<(u32, u32)> = succ
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| {
+            assert!(s < n, "list_ranking_native: successor {s} of node {i} is not below n = {n}");
+            (s as u32, u32::from(s != i))
+        })
+        .collect();
     let mut next = cur.clone();
-    let rounds = (n as f64).log2().ceil() as usize + 1;
-    for _ in 0..rounds {
+    for _ in 0..rounds(n) {
         next.par_chunks_mut(NATIVE_CHUNK).for_each_indexed(|chunk_idx, part| {
             let prev = &cur[chunk_idx * NATIVE_CHUNK..];
             for (out, &(s, r)) in part.iter_mut().zip(prev) {
-                let (s2, r2) = cur[s];
+                let (s2, r2) = cur[s as usize];
                 *out = (s2, r + r2);
             }
         });
         std::mem::swap(&mut cur, &mut next);
     }
-    cur.into_iter().map(|(_, r)| r).collect()
+    cur.into_iter().map(|(_, r)| u64::from(r)).collect()
 }
 
 /// Sequential connected components by label propagation; returns the smallest vertex id in
@@ -279,6 +308,32 @@ mod tests {
         assert_eq!(list_ranking_native(&ring), list_ranking_reference(&ring));
         assert_eq!(list_ranking_native(&[]), Vec::<u64>::new());
         assert_eq!(list_ranking_native(&[0]), vec![0]);
+    }
+
+    #[test]
+    fn an_out_of_range_successor_panics_instead_of_wrapping() {
+        // Cast unchecked to the packed u32, 1 << 32 would become 0: node 0 would silently
+        // point at itself.
+        for succ in [vec![1usize << 32, 0], vec![2, 0]] {
+            let err = std::panic::catch_unwind(|| list_ranking_native(&succ))
+                .expect_err("an out-of-range successor must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains("is not below n = 2"), "{succ:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_ring_ranks_every_node_two_to_the_rounds() {
+        // A ring has no fixed point: each of a 2^k-node ring's k + 1 rounds doubles every
+        // rank, the growth the native kernel's 2^30 bound on n comes from. (A one-node ring
+        // is a self-loop, i.e. a tail of rank 0.)
+        for k in 1..=12 {
+            let n = 1usize << k;
+            let ring: Vec<usize> = (0..n).map(|i| (i + 1) % n).collect();
+            let expected = vec![1u64 << (k + 1); n];
+            assert_eq!(list_ranking_native(&ring), expected, "native, n = {n}");
+            assert_eq!(list_ranking_reference(&ring), expected, "reference, n = {n}");
+        }
     }
 
     #[test]
