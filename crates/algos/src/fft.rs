@@ -9,7 +9,8 @@
 //! [`fft_native`] is the same decomposition run for real on the `rws-runtime` work-stealing
 //! pool: each recursion level fork-joins its column-FFT, twiddle, and row-FFT collections
 //! over disjoint borrowed chunks of one workspace allocated per top-level call, with the
-//! dag's base-case cutoff ending the recursion in an iterative radix-2 leaf.
+//! dag's base-case cutoff ending the recursion in an iterative radix-2 leaf that gathers
+//! its points bit-reversed and reads its butterfly factors from a small contiguous copy.
 
 use crate::common::{balanced_levels, Dest};
 use rws_dag::builders::BalancedTreeBuilder;
@@ -180,7 +181,7 @@ fn c_mul(a: Complex, b: Complex) -> Complex {
 }
 
 /// Iterative radix-2 Cooley–Tukey FFT of a power-of-two-length buffer, in place (the
-/// reference path; the native kernel's base case is the table-driven [`fft_base_tw`], kept
+/// reference path; the native kernel's base case is the table-driven [`fft_leaf`], kept
 /// separate so the reference stays an independent oracle).
 fn fft_in_place(a: &mut [Complex]) {
     let n = a.len();
@@ -258,30 +259,69 @@ fn twiddle_table(n: usize) -> Vec<Complex> {
     tw
 }
 
-/// The native kernel's base case: iterative radix-2 FFT of `a` in place, butterfly factors
-/// looked up in the full-circle table `tw` (stage `len` uses `ω_len^k = tw[k · tw.len()/len]`;
-/// `a.len()` must divide `tw.len()`).
-fn fft_base_tw(a: &mut [Complex], tw: &[Complex]) {
-    let n = a.len();
-    debug_assert!(n.is_power_of_two() && tw.len().is_multiple_of(n));
-    let bits = n.trailing_zeros();
-    if bits > 0 {
-        for i in 0..n {
-            let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
-            if i < j {
-                a.swap(i, j);
+/// Most butterfly factors a leaf copies out of the table at a time. A 16-point leaf with
+/// room for 16 or 32 measured ≈ 25 % slower than with 8: the larger array is set up in
+/// memory on every call.
+const LEAF_FACTORS: usize = 8;
+
+/// The native kernel's base case: the DFT of the `dst.len()`-point sequence viewed by `src`,
+/// written to `dst` in natural order by radix-2 butterflies in place.
+///
+/// Each group of four consecutive bit-reversed slots holds the points `p`, `p + m/2`,
+/// `p + m/4` and `p + 3m/4` (`p` the group index reversed in `log2(m) − 2` bits); the leaf
+/// gathers those four straight from `src` and runs the length-2 and length-4 stages on them
+/// in registers — their factors are 1 and −i, so neither multiplies — before writing the
+/// group once. There is no separate bit-reversal or swap pass. Every later stage `len`
+/// first copies its factors `ω_len^k = tw[k · tw.len()/len]` (`LEAF_FACTORS` at a time, bit
+/// for bit) out of the full-circle table into a contiguous array, so its butterflies read
+/// consecutive factors instead of table entries `tw.len()/len` apart (at n = 2^16 a
+/// 16-point leaf's factors lie 64 KiB apart, all in one L1 set). `dst.len()` must divide
+/// `tw.len()`.
+fn fft_leaf(src: Strided<'_>, dst: &mut [Complex], tw: &[Complex]) {
+    let m = dst.len();
+    debug_assert!(m.is_power_of_two() && tw.len().is_multiple_of(m));
+    match m {
+        1 => dst[0] = src.get(0),
+        2 => {
+            let (x0, x1) = (src.get(0), src.get(1));
+            (dst[0], dst[1]) = (c_add(x0, x1), c_sub(x0, x1));
+        }
+        _ => {
+            let quarter = m / 4;
+            // `q` reversed in log2(quarter) bits; the shift is split in two so that
+            // quarter = 1 (a shift by the full word) stays legal.
+            let shift = usize::BITS - quarter.trailing_zeros();
+            for (q, group) in dst.chunks_exact_mut(4).enumerate() {
+                let p = (q.reverse_bits() >> 1) >> (shift - 1);
+                let (x0, x1) = (src.get(p), src.get(p + 2 * quarter));
+                let (x2, x3) = (src.get(p + quarter), src.get(p + 3 * quarter));
+                let (a0, a1) = (c_add(x0, x1), c_sub(x0, x1));
+                let (a2, a3) = (c_add(x2, x3), c_sub(x2, x3));
+                let a3_by_minus_i = (a3.1, -a3.0);
+                group.copy_from_slice(&[
+                    c_add(a0, a2),
+                    c_add(a1, a3_by_minus_i),
+                    c_sub(a0, a2),
+                    c_sub(a1, a3_by_minus_i),
+                ]);
             }
         }
     }
-    let mut len = 2;
-    while len <= n {
-        let step = tw.len() / len;
-        for chunk in a.chunks_mut(len) {
-            for k in 0..len / 2 {
-                let u = chunk[k];
-                let v = c_mul(chunk[k + len / 2], tw[k * step]);
-                chunk[k] = c_add(u, v);
-                chunk[k + len / 2] = c_sub(u, v);
+    let mut factors = [(0.0, 0.0); LEAF_FACTORS];
+    let mut len = 8;
+    while len <= m {
+        let (half, step) = (len / 2, tw.len() / len);
+        for k0 in (0..half).step_by(LEAF_FACTORS) {
+            let w = &mut factors[..(half - k0).min(LEAF_FACTORS)];
+            for (k, f) in (k0..).zip(w.iter_mut()) {
+                *f = tw[k * step];
+            }
+            for chunk in dst.chunks_exact_mut(len) {
+                let (lo, hi) = chunk.split_at_mut(half);
+                for ((u, v), f) in lo[k0..].iter_mut().zip(&mut hi[k0..]).zip(&*w) {
+                    let t = c_mul(*v, *f);
+                    (*u, *v) = (c_add(*u, t), c_sub(*u, t));
+                }
             }
         }
         len *= 2;
@@ -331,15 +371,19 @@ impl Strided<'_> {
 ///
 /// The local arrays of the whole recursion are one workspace allocated per top-level call
 /// (`fft_workspace_len`). A level lays its share out as one chunk per sub-FFT — the
-/// sub-FFT's row of the local array followed by that sub-FFT's own workspace — so handing
-/// each parallel branch its chunk (via [`par_chunks_mut`](ParSliceExt::par_chunks_mut))
-/// gives it a disjoint `&mut` borrow of both; the column and the row collection are
-/// sequenced and reuse the same words. The recursion bottoms out at `base` with an iterative radix-2 leaf, mirroring
-/// the dag's base case. All twiddle factors — the per-level scaling pass and the leaves'
+/// sub-FFT's row of the local array followed by that sub-FFT's own workspace and, if it has
+/// one, a 64-byte line of padding that keeps the strided passes off power-of-two strides —
+/// so handing each parallel branch its chunk (via
+/// [`par_chunks_mut`](ParSliceExt::par_chunks_mut)) gives it a disjoint `&mut` borrow of
+/// both; the column and the row collection are sequenced and reuse the same words. The
+/// recursion bottoms out at `base`, mirroring the dag's base case, in an iterative radix-2
+/// leaf that gathers its points into bit-reversed order and runs its first two stages
+/// without multiplies. All twiddle factors — the per-level scaling pass and the leaves'
 /// butterfly factors alike — come from one precomputed full-circle table
 /// (`twiddle_table`) built once per top-level call, replacing per-element trig in the hot
-/// passes. Call from inside [`rws_runtime::ThreadPool::install`] for parallel execution;
-/// outside a pool worker the joins degrade to sequential calls.
+/// passes; a leaf copies each stage's factors out of it into a small contiguous array first.
+/// Call from inside [`rws_runtime::ThreadPool::install`] for parallel execution; outside a
+/// pool worker the joins degrade to sequential calls.
 pub fn fft_native(input: &[Complex], base: usize) -> Vec<Complex> {
     assert!(input.len().is_power_of_two(), "fft length must be a power of two");
     assert!(base.is_power_of_two() && base >= 1, "fft base case must be a power of two");
@@ -363,15 +407,29 @@ fn fft_split(m: usize) -> (usize, usize) {
     (r, m / r)
 }
 
-/// Elements of workspace a size-`m` transform needs: its local array, one row per sub-FFT,
-/// each row followed by the workspace of the sub-FFT that fills it — sized for whichever
-/// of the two (sequenced) collections needs more.
+/// Elements of workspace a size-`m` transform needs: its local array, one chunk per sub-FFT
+/// ([`fft_chunk_len`]) — sized for whichever of the two (sequenced) collections needs more.
 fn fft_workspace_len(m: usize, base: usize) -> usize {
     if fft_is_leaf(m, base) {
         return 0;
     }
     let (r, c) = fft_split(m);
-    (c * (r + fft_workspace_len(r, base))).max(r * (c + fft_workspace_len(c, base)))
+    (c * fft_chunk_len(r, base)).max(r * fft_chunk_len(c, base))
+}
+
+/// Elements of padding after a recursing sub-FFT's chunk: one 64-byte line.
+const ROW_PAD: usize = 64 / std::mem::size_of::<Complex>();
+
+/// The chunk of its parent's workspace a size-`sub` sub-FFT gets: its row of the parent's
+/// local array, then its own workspace, then — if it has one — [`ROW_PAD`] unused elements.
+/// The twiddle and final passes read one element of every chunk in turn; without the pad a
+/// chunk is a power of two (8 KiB at n = 2^16) and those reads fall into a handful of cache
+/// sets. A leaf's chunk is its row alone, at most `base` elements, and stays unpadded.
+fn fft_chunk_len(sub: usize, base: usize) -> usize {
+    match fft_workspace_len(sub, base) {
+        0 => sub,
+        ws => sub + ws + ROW_PAD,
+    }
 }
 
 /// Transform the `m`-element sequence viewed by `src` into `dst` (natural DFT order), with
@@ -389,17 +447,14 @@ fn fft_rec(
     debug_assert_eq!(dst.len(), m);
     debug_assert!(tw.len().is_multiple_of(m));
     if fft_is_leaf(m, base) {
-        for (t, d) in dst.iter_mut().enumerate() {
-            *d = src.get(t);
-        }
-        fft_base_tw(dst, tw);
+        fft_leaf(src, dst, tw);
         return;
     }
     let (r, c) = fft_split(m);
 
     // Collection 1: c column FFTs of size r, one per residue class mod c, each writing
     // the row at the head of its own chunk (the chunk's tail is its workspace).
-    let col_chunk = r + fft_workspace_len(r, base);
+    let col_chunk = fft_chunk_len(r, base);
     let cols = &mut ws[..c * col_chunk];
     cols.par_chunks_mut(col_chunk).for_each_indexed(|j1, chunk| {
         let (row, sub_ws) = chunk.split_at_mut(r);
@@ -425,7 +480,7 @@ fn fft_rec(
     // Collection 2: r row FFTs of size c; row k2 produces X[k2 + r·k1] for k1 in 0..c at
     // the head of its chunk.
     let twiddled = &*dst;
-    let row_chunk = c + fft_workspace_len(c, base);
+    let row_chunk = fft_chunk_len(c, base);
     let rows = &mut ws[..r * row_chunk];
     rows.par_chunks_mut(row_chunk).for_each_indexed(|k2, chunk| {
         let (row, sub_ws) = chunk.split_at_mut(c);
@@ -480,10 +535,10 @@ mod tests {
     fn native_kernel_matches_the_references_outside_a_pool() {
         // Outside a pool worker the joins run sequentially; correctness is identical.
         let mut rng = SmallRng::seed_from_u64(17);
-        for n in [1usize, 2, 4, 8, 16, 64, 256, 1024] {
+        for n in (0..=12).map(|k| 1usize << k) {
             let input: Vec<Complex> =
                 (0..n).map(|_| (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect();
-            for base in [1usize, 4, 16] {
+            for base in [1usize, 2, 4, 8, 16, 32, 64] {
                 let fast = fft_native(&input, base);
                 let oracle = fft_reference(&input);
                 for (a, b) in fast.iter().zip(&oracle) {
@@ -508,14 +563,17 @@ mod tests {
     #[test]
     fn table_driven_base_case_matches_the_trig_recurrence() {
         let mut rng = SmallRng::seed_from_u64(29);
-        for n in [1usize, 2, 8, 32] {
-            let input: Vec<Complex> =
-                (0..n).map(|_| (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect();
+        for n in [1usize, 2, 4, 8, 16, 32] {
+            // The leaf gathers every third point from offset 1, as a column FFT reads its
+            // residue class.
+            let data: Vec<Complex> =
+                (0..3 * n).map(|_| (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect();
+            let input: Vec<Complex> = data.iter().copied().skip(1).step_by(3).collect();
             // A table four times larger than the transform exercises the stride scaling.
             for table_n in [n, 4 * n] {
                 let tw = twiddle_table(table_n);
-                let mut a = input.clone();
-                fft_base_tw(&mut a, &tw);
+                let mut a = vec![(0.0, 0.0); n];
+                fft_leaf(Strided { data: &data, offset: 1, stride: 3 }, &mut a, &tw);
                 let mut b = input.clone();
                 fft_in_place(&mut b);
                 for (x, y) in a.iter().zip(&b) {
@@ -526,6 +584,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn recursing_chunks_are_padded_off_power_of_two_strides() {
+        // The twiddle and final passes read one element of each of a level's chunks in
+        // turn; no chunk holding a sub-FFT's workspace may be a multiple of 4 KiB long (the
+        // span of an L1 of 64 sets of 64 bytes), or those reads share a handful of sets.
+        let bytes = std::mem::size_of::<Complex>();
+        for (n, base) in [(1usize << 16, 16), (1 << 14, 16), (1 << 12, 16), (1 << 12, 4)] {
+            let (r, c) = fft_split(n);
+            for sub in [r, c] {
+                let chunk = fft_chunk_len(sub, base);
+                assert!(!fft_is_leaf(sub, base));
+                assert_ne!(chunk * bytes % 4096, 0, "n = {n}, base = {base}: {chunk} elements");
+            }
+        }
+        // A leaf's chunk is its row alone.
+        assert_eq!(fft_chunk_len(64, 64), 64);
     }
 
     #[test]

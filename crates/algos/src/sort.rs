@@ -126,15 +126,18 @@ fn build_sort(
 /// call — the result and one workspace — both split in half beside each other at every
 /// `join`, so the two branches of a fork hold disjoint `&mut` ranges of each. The buffers
 /// swap roles level by level: a call's halves are sorted *into* the workspace's halves and
-/// merged from there into its destination. Call from inside
-/// [`rws_runtime::ThreadPool::install`] for parallel execution; outside a pool worker the
-/// `join`s degrade to sequential calls.
+/// merged from there into its destination. A base case of `m ≤ base` keys (any `m`, not
+/// only powers of two) forks nothing and branches on no key: it sorts runs of four with a
+/// five-comparator network, then merges them bottom-up with the same branch-free merge,
+/// alternating between its two buffers and starting in the one that makes the last pass
+/// land in its destination. Call from inside [`rws_runtime::ThreadPool::install`] for
+/// parallel execution; outside a pool worker the `join`s degrade to sequential calls.
 pub fn merge_sort_native(keys: &[u64], base: usize) -> Vec<u64> {
     /// Sort `dst`, given that `src` holds the same keys in the same order; `src` is left
-    /// holding the two sorted halves.
+    /// holding the two sorted halves (in a base case, scratch).
     fn msort(src: &mut [u64], dst: &mut [u64], base: usize) {
         if dst.len() <= base {
-            dst.sort_unstable();
+            sort_leaf(src, dst);
             return;
         }
         let mid = dst.len() / 2;
@@ -142,6 +145,46 @@ pub fn merge_sort_native(keys: &[u64], base: usize) -> Vec<u64> {
         let (dst_lo, dst_hi) = dst.split_at_mut(mid);
         rws_runtime::join(|| msort(dst_lo, src_lo, base), || msort(dst_hi, src_hi, base));
         merge(src_lo, src_hi, dst);
+    }
+
+    /// The base case: sort `dst`, using `src` (the same keys) as the other buffer of the
+    /// bottom-up merge passes. Each pass doubles the run width from 4 and moves every key
+    /// to the other buffer, so the runs are formed in `dst` when the pass count is even and
+    /// in `src` when it is odd.
+    fn sort_leaf(src: &mut [u64], dst: &mut [u64]) {
+        const RUN: usize = 4;
+        let n = dst.len();
+        let passes = n.div_ceil(RUN).next_power_of_two().trailing_zeros();
+        let (mut from, mut to) = if passes.is_multiple_of(2) { (dst, src) } else { (src, dst) };
+        let mut runs = from.chunks_exact_mut(RUN);
+        for run in &mut runs {
+            let [a, b, c, d] = run else { unreachable!() };
+            let (a1, b1) = ((*a).min(*b), (*a).max(*b));
+            let (c1, d1) = ((*c).min(*d), (*c).max(*d));
+            let (lo, b2) = (a1.min(c1), a1.max(c1));
+            let (c2, hi) = (b1.min(d1), b1.max(d1));
+            (*a, *b, *c, *d) = (lo, b2.min(c2), b2.max(c2), hi);
+        }
+        if let [a, b, rest @ ..] = runs.into_remainder() {
+            (*a, *b) = ((*a).min(*b), (*a).max(*b));
+            if let [c] = rest {
+                let (b1, c1) = ((*b).min(*c), (*b).max(*c));
+                (*a, *b, *c) = ((*a).min(b1), (*a).max(b1), c1);
+            }
+        }
+        let mut width = RUN;
+        while width < n {
+            for (pair, out) in from.chunks(2 * width).zip(to.chunks_mut(2 * width)) {
+                if pair.len() > width {
+                    let (left, right) = pair.split_at(width);
+                    merge(left, right, out);
+                } else {
+                    out.copy_from_slice(pair);
+                }
+            }
+            std::mem::swap(&mut from, &mut to);
+            width *= 2;
+        }
     }
 
     /// Merge two sorted runs into `out` (`out.len() == left.len() + right.len()`), equal
@@ -194,44 +237,41 @@ pub fn sort_reference(keys: &[u64]) -> Vec<u64> {
     v
 }
 
-/// Sequential merge sort mirroring the recursive decomposition (validated against
-/// [`sort_reference`]).
-pub fn merge_sort_reference(keys: &[u64], base: usize) -> Vec<u64> {
-    if keys.len() <= base {
-        let mut v = keys.to_vec();
-        v.sort();
-        return v;
-    }
-    let h = keys.len() / 2;
-    let left = merge_sort_reference(&keys[..h], base);
-    let right = merge_sort_reference(&keys[h..], base);
-    let mut out = Vec::with_capacity(keys.len());
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        if left[i] <= right[j] {
-            out.push(left[i]);
-            i += 1;
-        } else {
-            out.push(right[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&left[i..]);
-    out.extend_from_slice(&right[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     #[test]
-    fn merge_sort_matches_std_sort() {
-        let mut rng = SmallRng::seed_from_u64(99);
-        for len in [0usize, 1, 2, 17, 64, 255] {
-            let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1000)).collect();
-            assert_eq!(merge_sort_reference(&keys, 4), sort_reference(&keys));
+    fn every_short_length_sorts_at_every_base_on_every_pool_shape() {
+        // Lengths 0..=70 put base cases of every length up to 64 — multiples of the run of
+        // four and not, shorter than a run — on either parity of the merge-pass count.
+        use crate::common::PoolShape;
+        use std::sync::Arc;
+        let shapes = PoolShape::all();
+        let mut rng = SmallRng::seed_from_u64(31);
+        for len in 0..=70usize {
+            let inputs: [(&str, Vec<u64>); 4] = [
+                ("random", (0..len).map(|_| rng.gen_range(0..u64::MAX)).collect()),
+                ("keys in 0..4", (0..len).map(|_| rng.gen_range(0..4)).collect()),
+                ("all equal", vec![7; len]),
+                ("descending", (0..len as u64).rev().collect()),
+            ];
+            for (what, keys) in inputs {
+                let expected = sort_reference(&keys);
+                let keys = Arc::new(keys);
+                for base in [1usize, 2, 3, 4, 5, 8, 16, 64] {
+                    for shape in &shapes {
+                        let on_pool = Arc::clone(&keys);
+                        assert_eq!(
+                            shape.run(move || merge_sort_native(&on_pool, base)),
+                            expected,
+                            "{what}, len {len}, base {base}, {}",
+                            shape.label
+                        );
+                    }
+                }
+            }
         }
     }
 

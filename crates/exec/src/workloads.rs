@@ -280,7 +280,11 @@ impl FftWorkload {
     }
 
     fn flatten(out: Vec<Complex>) -> AlgoOutput {
-        AlgoOutput::F64(out.into_iter().flat_map(|(re, im)| [re, im]).collect())
+        // Sized up front: a `flat_map`'s lower size hint is 0, so collecting one grows the
+        // vector by repeated reallocation.
+        let mut flat = Vec::with_capacity(2 * out.len());
+        flat.extend(out.into_iter().flat_map(|(re, im)| [re, im]));
+        AlgoOutput::F64(flat)
     }
 
     /// The `O(n²)` DFT oracle, for validating both backends externally.

@@ -12,7 +12,7 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_algos::layout::{bit_deinterleave, bit_interleave};
 use rws_algos::matmul::{from_bi, matmul_bi_reference, matmul_reference, to_bi};
 use rws_algos::prefix::prefix_sums_reference;
-use rws_algos::sort::{merge_sort_reference, sort_reference};
+use rws_algos::sort::{merge_sort_native, sort_reference};
 use rws_core::{RwsScheduler, SimConfig};
 use rws_dag::{Addr, NodeId, SequentialTracer, SpDag, SpDagBuilder, WorkUnit};
 use rws_machine::MachineConfig;
@@ -157,12 +157,12 @@ fn prefix_sums_reference_is_a_running_total() {
 }
 
 #[test]
-fn merge_sort_reference_sorts() {
+fn merge_sort_native_sorts() {
     let mut rng = SmallRng::seed_from_u64(7000);
     for case in 0..CASES {
         let len = rng.gen_range(0usize..200);
         let xs: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..1000)).collect();
         let base = rng.gen_range(1usize..16);
-        assert_eq!(merge_sort_reference(&xs, base), sort_reference(&xs), "case {case}");
+        assert_eq!(merge_sort_native(&xs, base), sort_reference(&xs), "case {case}");
     }
 }
