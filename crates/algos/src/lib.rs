@@ -27,7 +27,7 @@
 //! | [`sort`] | an HBP merge sort (stand-in for the sample sort of \[7\]; see DESIGN.md) | Type-2 HBP |
 //! | [`fft`] | FFT via the √n-decomposition (Theorem 7.1(iv)) | Type-2 HBP |
 //! | [`listrank`] | list ranking and connected components by iterated rounds (Section 7) | Type-3/4 |
-//! | [`taskgraph`] | arbitrary-dependency task graphs run natively by atomic indegree counting, plus the `dag-workflow` value semantics | irregular (measured-only) |
+//! | [`taskgraph`] | arbitrary-dependency task graphs and their level plan, run natively as one pull pass per level, plus the `dag-workflow` value semantics | irregular (measured-only) |
 //! | [`bfs`] | level-synchronized BFS on seeded random graphs | irregular (measured-only) |
 //! | [`spmv`] | CSR sparse matrix–vector multiply | BP |
 //! | [`samplesort`] | three-phase sample sort with data-dependent buckets | irregular (measured-only) |

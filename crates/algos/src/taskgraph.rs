@@ -1,24 +1,23 @@
-//! A native task-graph runner: execute an arbitrary dependency DAG on the `rws-runtime`
-//! work-stealing pool via atomic indegree counting and [`rws_runtime::scope()`] spawns.
+//! Arbitrary dependency DAGs and the `dag-workflow` workload over them, run natively one
+//! level at a time on the `rws-runtime` work-stealing pool.
 //!
 //! Unlike the series-parallel computations the rest of the suite builds, a [`TaskGraph`]'s
-//! dependencies are unrestricted: any acyclic edge set over `n` nodes. Execution seeds the
-//! scope with every zero-indegree root; when a node finishes it decrements each successor's
-//! indegree and spawns exactly the successors whose count it drove to zero (the classic
-//! last-parent-spawns rule), so a node runs exactly once, after all its predecessors.
+//! dependencies are unrestricted: any acyclic edge set over `n` nodes. [`Levels`] is its
+//! level-synchronous plan. A node's level is the longest path to it from any root, so every
+//! predecessor sits on an earlier level, and a barrier between consecutive levels is the
+//! tightest series-parallel over-approximation of the edge set. The plan is a property of
+//! the graph: build it once, where the graph is built, and run it many times.
 //!
-//! This is the shape that finally stresses the pool's idle path: a deep chain keeps one
-//! worker busy while the rest park, and every dependency resolution is a wake-or-miss
-//! event — the workloads built on this runner are what turned the submit-path missed-wake
-//! and the silent backstop timer into regression-tested fixes.
-//!
-//! For the simulator, [`TaskGraph::levels`] exposes the level-synchronized view (longest
-//! path from any root): an SP dag cannot encode arbitrary cross edges, so the sim encoding
-//! over-approximates with a barrier between consecutive levels, which is exactly the
-//! structure the level-synchronized workloads (`bfs`, `dag-workflow`) execute anyway.
+//! [`Levels::run`] executes one balanced `par_chunks_mut` pass per level, levels in
+//! sequence, and every node *pulls* its value from the finished levels below it. Each value
+//! word is written once, by the leaf that owns it; there are no atomics and no spawn per
+//! node, and the join that ends one level orders it before the next. The native fork tree
+//! is therefore the one [`workflow_computation`] builds for the simulator: `⌈width /
+//! chunk⌉` leaves per level. The barrier gives up the overlap a dataflow runner gets across
+//! levels, but on the layered dags of the benchmark and on a deep spine punctuated by wide
+//! bursts a pass per level costs a fraction of one spawn per node.
 
-use rws_runtime::{scope, Scope};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use rws_runtime::ParSliceExt;
 
 /// An arbitrary dependency DAG over `n` nodes, stored as successor lists plus indegrees.
 #[derive(Clone, Debug, Default)]
@@ -55,18 +54,8 @@ impl TaskGraph {
         self.indegree[to] += 1;
     }
 
-    /// The successors of `node`.
-    pub fn successors(&self, node: usize) -> &[u32] {
-        &self.succs[node]
-    }
-
-    /// The number of predecessors of `node`.
-    pub fn indegree(&self, node: usize) -> u32 {
-        self.indegree[node]
-    }
-
-    /// A topological order of the nodes, or `None` if the edge set has a cycle. This is the
-    /// sequential mirror of [`TaskGraph::run`]: references iterate it in order.
+    /// A topological order of the nodes, or `None` if the edge set has a cycle.
+    /// [`workflow_reference`] iterates it in order.
     pub fn topo_order(&self) -> Option<Vec<usize>> {
         let mut indeg = self.indegree.clone();
         let mut order: Vec<usize> = (0..self.len()).filter(|&v| indeg[v] == 0).collect();
@@ -83,86 +72,98 @@ impl TaskGraph {
         }
         (order.len() == self.len()).then_some(order)
     }
-
-    /// Group the nodes by level (longest path from any root), in level order. This is the
-    /// level-synchronized view the simulator encodes: a barrier between consecutive levels
-    /// is the tightest series-parallel over-approximation of the edge set.
-    ///
-    /// Panics if the graph is cyclic.
-    pub fn levels(&self) -> Vec<Vec<usize>> {
-        let order = self.topo_order().expect("levels() requires an acyclic graph");
-        let mut level = vec![0usize; self.len()];
-        let mut max_level = 0;
-        for &v in &order {
-            for &s in &self.succs[v] {
-                let cand = level[v] + 1;
-                if cand > level[s as usize] {
-                    level[s as usize] = cand;
-                    max_level = max_level.max(cand);
-                }
-            }
-        }
-        let mut groups: Vec<Vec<usize>> =
-            vec![Vec::new(); if self.is_empty() { 0 } else { max_level + 1 }];
-        for v in 0..self.len() {
-            groups[level[v]].push(v);
-        }
-        groups
-    }
-
-    /// Execute every node exactly once, respecting the dependency edges, on the current
-    /// pool (sequentially when called outside a pool worker, like every runtime primitive).
-    ///
-    /// `body(node)` runs after all of `node`'s predecessors have finished; the last
-    /// finishing predecessor spawns it. Panics if the graph is cyclic (some nodes can
-    /// never run) — and a panicking `body` propagates out of the enclosing scope after
-    /// all currently-runnable siblings have settled.
-    pub fn run<F>(&self, body: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let indeg: Vec<AtomicU32> = self.indegree.iter().map(|&d| AtomicU32::new(d)).collect();
-        let indeg_ref = &indeg;
-        scope(|s| {
-            for v in 0..self.len() {
-                if self.indegree[v] == 0 {
-                    s.spawn(move |s| run_node(s, self, indeg_ref, body, v));
-                }
-            }
-        });
-        // A node ran iff its indegree reached zero, so a residue is a node that never ran —
-        // on a cycle or below one. Relaxed: the scope's exit orders every decrement first.
-        assert!(
-            indeg.iter().all(|d| d.load(Ordering::Relaxed) == 0),
-            "task graph has a cycle: not every node became runnable"
-        );
-    }
 }
 
-/// Run one node, then spawn every successor whose indegree this node drove to zero.
-fn run_node<'scope, F>(
-    s: &Scope<'scope>,
-    graph: &'scope TaskGraph,
-    indeg: &'scope [AtomicU32],
-    body: &'scope F,
-    node: usize,
-) where
-    F: Fn(usize) + Sync,
-{
-    body(node);
-    for &succ in graph.successors(node) {
-        // AcqRel: the release half publishes this node's writes to whoever spawns the
-        // successor; the acquire half imports every other predecessor's writes when this
-        // decrement is the one that reaches zero.
-        if indeg[succ as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-            s.spawn(move |s| run_node(s, graph, indeg, body, succ as usize));
+/// The level-synchronous plan of a [`TaskGraph`]: its nodes in level order (by id within a
+/// level), each with its predecessors given as positions in that order.
+#[derive(Clone, Debug)]
+pub struct Levels {
+    /// The node at each position.
+    nodes: Vec<u32>,
+    /// Level `l` is positions `starts[l]..starts[l + 1]`.
+    starts: Vec<usize>,
+    /// Position `i`'s predecessors are `preds[pred_starts[i]..pred_starts[i + 1]]`, by
+    /// ascending node id; an edge added twice is listed twice.
+    pred_starts: Vec<usize>,
+    preds: Vec<u32>,
+    /// The workflow seed of each position's node.
+    seeds: Vec<u64>,
+}
+
+impl Levels {
+    /// The plan of `g`. Panics if `g` has a cycle: the nodes on and below it get no level.
+    pub fn new(g: &TaskGraph) -> Self {
+        // Kahn's algorithm a level at a time: a node joins the next level when its last
+        // predecessor is taken, which is one level past the deepest of them.
+        let mut indeg = g.indegree.clone();
+        let mut nodes: Vec<u32> = (0..g.len() as u32).filter(|&v| indeg[v as usize] == 0).collect();
+        let (mut lo, mut starts) = (0, vec![0]);
+        while lo < nodes.len() {
+            let hi = nodes.len();
+            starts.push(hi);
+            for i in lo..hi {
+                for &s in &g.succs[nodes[i] as usize] {
+                    indeg[s as usize] -= 1;
+                    if indeg[s as usize] == 0 {
+                        nodes.push(s);
+                    }
+                }
+            }
+            nodes[hi..].sort_unstable();
+            lo = hi;
         }
+        assert_eq!(nodes.len(), g.len(), "task graph has a cycle: not every node has a level");
+        let mut pos = vec![0u32; g.len()];
+        for (i, &v) in nodes.iter().enumerate() {
+            pos[v as usize] = i as u32;
+        }
+        let mut pred_starts = vec![0];
+        for &v in &nodes {
+            pred_starts.push(pred_starts[pred_starts.len() - 1] + g.indegree[v as usize] as usize);
+        }
+        let (mut fill, mut preds) = (pred_starts.clone(), vec![0; g.edge_count()]);
+        for (v, succs) in g.succs.iter().enumerate() {
+            for &s in succs {
+                let next = &mut fill[pos[s as usize] as usize];
+                preds[*next] = pos[v];
+                *next += 1;
+            }
+        }
+        let seeds = nodes.iter().map(|&v| node_seed(v as u64)).collect();
+        Levels { nodes, starts, pred_starts, preds, seeds }
+    }
+
+    /// The positions of position `i`'s predecessors.
+    fn preds(&self, i: usize) -> &[u32] {
+        &self.preds[self.pred_starts[i]..self.pred_starts[i + 1]]
+    }
+
+    /// Run every level as one balanced pass of `chunk`-position leaves, levels in order, on
+    /// the current pool (sequentially outside one), and return the words written, in level
+    /// order. `value(i, done)` computes position `i`'s word; `done` holds the words of every
+    /// earlier level, and so of all of `i`'s predecessors. A panic in `value` propagates out.
+    pub fn run<F>(&self, chunk: usize, value: F) -> Vec<u64>
+    where
+        F: Fn(usize, &[u64]) -> u64 + Sync,
+    {
+        let chunk = chunk.max(1);
+        let mut words = vec![0; self.nodes.len()];
+        for w in self.starts.windows(2) {
+            let (done, level) = words[..w[1]].split_at_mut(w[0]);
+            let done = &*done;
+            level.par_chunks_mut(chunk).with_grain(1).for_each_indexed(|c, slots| {
+                for (i, slot) in (w[0] + c * chunk..).zip(slots) {
+                    *slot = value(i, done);
+                }
+            });
+        }
+        words
     }
 }
 
 /// A seeded layered random DAG: `layers` layers of `width` nodes; every node in layer
 /// `i > 0` depends on one to three distinct nodes of layer `i - 1` (so the graph is
-/// connected level to level and its [`TaskGraph::levels`] match the construction layers).
+/// connected level to level and its [`Levels`] match the construction layers).
 ///
 /// Deterministic in `seed` (a self-contained xorshift; no external RNG dependency).
 pub fn layered_random(seed: u64, layers: usize, width: usize) -> TaskGraph {
@@ -216,56 +217,53 @@ pub fn workflow_reference(g: &TaskGraph) -> Vec<u64> {
     let mut acc: Vec<u64> = (0..g.len() as u64).map(node_seed).collect();
     for v in order {
         let val = acc[v];
-        for &s in g.successors(v) {
+        for &s in &g.succs[v] {
             acc[s as usize] = acc[s as usize].wrapping_add(val);
         }
     }
     acc
 }
 
-/// Native workflow evaluation via [`TaskGraph::run`]: each node reads its (by then final)
-/// accumulator and pushes it into its successors'. Wrapping addition commutes, and a
-/// successor only runs after all its predecessors' pushes, so the result is deterministic
-/// on every schedule and equals [`workflow_reference`].
-pub fn workflow_native(g: &TaskGraph) -> Vec<u64> {
-    let acc: Vec<AtomicU64> = (0..g.len() as u64).map(|v| AtomicU64::new(node_seed(v))).collect();
-    g.run(&|v| {
-        let val = acc[v].load(Ordering::Acquire);
-        for &s in g.successors(v) {
-            acc[s as usize].fetch_add(val, Ordering::AcqRel);
-        }
+/// Native workflow evaluation through [`Levels::run`] in leaves of `chunk` nodes: each node
+/// pulls its seed plus the wrapping sum of its predecessors' finished values, and the
+/// values are then put back in node-id order. Every value is written once and read only by
+/// later levels, so the result is the same on every schedule and equals
+/// [`workflow_reference`].
+pub fn workflow_native(plan: &Levels, chunk: usize) -> Vec<u64> {
+    let by_position = plan.run(chunk, |i, done| {
+        plan.preds(i).iter().fold(plan.seeds[i], |acc, &p| acc.wrapping_add(done[p as usize]))
     });
-    acc.into_iter().map(AtomicU64::into_inner).collect()
+    let mut values = vec![0; by_position.len()];
+    for (&v, value) in plan.nodes.iter().zip(by_position) {
+        values[v as usize] = value;
+    }
+    values
 }
 
-/// Build the level-synchronized workflow computation: nodes grouped by level (longest path
-/// from a root), one balanced parallel pass per level over chunked level nodes, levels
+/// Build the level-synchronized workflow computation from the same plan the native run
+/// uses: one balanced parallel pass per level over leaves of `chunk` nodes, levels
 /// sequenced. Each node's leaf reads its predecessors' value words and writes its own value
 /// word — written exactly once over the whole computation (limited access). The value array
 /// occupies words `0..n`.
-pub fn workflow_computation(g: &TaskGraph, chunk: usize) -> rws_dag::Computation {
+pub fn workflow_computation(plan: &Levels, chunk: usize) -> rws_dag::Computation {
     use rws_dag::builders::BalancedTreeBuilder;
     use rws_dag::{Addr, AlgoMeta, SpDagBuilder, WorkUnit};
-    let n = g.len() as u64;
+    let n = plan.nodes.len() as u64;
     assert!(n > 0, "workflow needs at least one node");
-    let mut preds: Vec<Vec<u64>> = vec![Vec::new(); g.len()];
-    for v in 0..g.len() {
-        for &s in g.successors(v) {
-            preds[s as usize].push(v as u64);
-        }
-    }
+    let chunk = chunk.max(1);
+    let word = |i: usize| Addr(plan.nodes[i] as u64);
     let mut b = SpDagBuilder::new();
     let mut rounds = Vec::new();
-    for level in g.levels() {
-        let leaves: Vec<_> = level
-            .chunks(chunk.max(1))
-            .map(|nodes| {
+    for w in plan.starts.windows(2) {
+        let leaves: Vec<_> = (w[0]..w[1])
+            .step_by(chunk)
+            .map(|first| {
                 let mut unit = WorkUnit::empty();
                 let mut ops = 0u64;
-                for &v in nodes {
-                    ops += 1 + preds[v].len() as u64;
-                    unit = unit.reads(preds[v].iter().map(|&p| Addr(p)));
-                    unit = unit.write(Addr(v as u64));
+                for i in first..(first + chunk).min(w[1]) {
+                    ops += 1 + plan.preds(i).len() as u64;
+                    unit = unit.reads(plan.preds(i).iter().map(|&p| word(p as usize)));
+                    unit = unit.write(word(i));
                 }
                 b.leaf(unit.with_ops(ops))
             })
@@ -293,8 +291,8 @@ pub fn workflow_computation(g: &TaskGraph, chunk: usize) -> rws_dag::Computation
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rws_runtime::ThreadPool;
-    use std::sync::atomic::AtomicU64;
+    use crate::common::PoolShape;
+    use std::sync::Arc;
 
     fn diamond() -> TaskGraph {
         // 0 -> {1, 2} -> 3
@@ -304,6 +302,20 @@ mod tests {
         g.add_edge(1, 3);
         g.add_edge(2, 3);
         g
+    }
+
+    fn graph(n: usize, edges: &[(usize, usize)]) -> TaskGraph {
+        let mut g = TaskGraph::new(n);
+        for &(from, to) in edges {
+            g.add_edge(from, to);
+        }
+        g
+    }
+
+    /// The node ids of each level of `g`'s plan, in level order.
+    fn levels_of(g: &TaskGraph) -> Vec<Vec<u32>> {
+        let plan = Levels::new(g);
+        plan.starts.windows(2).map(|w| plan.nodes[w[0]..w[1]].to_vec()).collect()
     }
 
     #[test]
@@ -328,90 +340,70 @@ mod tests {
         let mut g = diamond();
         // A shortcut edge must not shorten node 3's level.
         g.add_edge(0, 3);
-        assert_eq!(g.levels(), vec![vec![0], vec![1, 2], vec![3]]);
-    }
-
-    #[test]
-    fn run_respects_dependencies_and_runs_each_node_once() {
-        let pool = ThreadPool::new(4);
-        let (g, stamp) = pool.install(|| {
-            let g = layered_random(42, 8, 16);
-            let stamp: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
-            let clock = AtomicU64::new(1);
-            g.run(&|v| {
-                let t = clock.fetch_add(1, Ordering::AcqRel);
-                assert_eq!(stamp[v].swap(t, Ordering::AcqRel), 0, "node {v} ran twice");
-            });
-            (g, stamp)
-        });
-        let n = g.len();
-        for v in 0..n {
-            let tv = stamp[v].load(Ordering::Acquire);
-            assert!(tv > 0, "node {v} never ran");
-            for &s in g.successors(v) {
-                let ts = stamp[s as usize].load(Ordering::Acquire);
-                assert!(tv < ts, "edge ({v}, {s}) ran out of order");
-            }
-        }
-    }
-
-    #[test]
-    fn run_outside_a_pool_degrades_to_sequential_execution() {
-        let g = diamond();
-        let count = AtomicU64::new(0);
-        g.run(&|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 4);
+        assert_eq!(levels_of(&g), [vec![0], vec![1, 2], vec![3]]);
+        // Level order is not id order: a chain with descending ids. Within a level, nodes
+        // are by id whatever order their edges were added in (the dag's leaves depend on it).
+        assert_eq!(levels_of(&graph(3, &[(2, 1), (1, 0)])), [vec![2], vec![1], vec![0]]);
+        assert_eq!(levels_of(&graph(3, &[(0, 2), (0, 1)])), [vec![0], vec![1, 2]]);
     }
 
     #[test]
     #[should_panic(expected = "cycle")]
-    fn run_panics_on_a_cycle() {
-        let mut g = TaskGraph::new(3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(2, 1);
-        g.run(&|_| {});
-    }
-
-    #[test]
-    fn a_cycle_below_a_runnable_prefix_panics_after_the_prefix_ran() {
-        // 0 -> 1 -> 2 runs; 2 -> 3 feeds the cycle 3 -> 4 -> 3; 5 hangs below the cycle.
-        let mut g = TaskGraph::new(6);
-        for (from, to) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 3), (4, 5)] {
-            g.add_edge(from, to);
-        }
-        let ran = std::sync::Mutex::new(Vec::new());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            g.run(&|v| ran.lock().unwrap().push(v));
-        }));
-        let message = *outcome.expect_err("a cyclic graph must panic").downcast::<&str>().unwrap();
-        assert!(message.contains("cycle"), "{message}");
-        assert_eq!(
-            *ran.lock().unwrap(),
-            [0, 1, 2],
-            "the prefix ran; nothing on or below the cycle"
-        );
+    fn planning_a_cyclic_graph_panics() {
+        // 0 -> 1 -> 2 has levels; 2 -> 3 feeds the cycle 3 -> 4 -> 3; 5 hangs below the cycle.
+        Levels::new(&graph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 3), (4, 5)]));
     }
 
     #[test]
     fn workflow_native_matches_reference_outside_a_pool() {
         let g = layered_random(13, 6, 10);
-        assert_eq!(workflow_native(&g), workflow_reference(&g));
+        assert_eq!(workflow_native(&Levels::new(&g), 4), workflow_reference(&g));
         let single = TaskGraph::new(1);
-        assert_eq!(workflow_native(&single), workflow_reference(&single));
+        assert_eq!(workflow_native(&Levels::new(&single), 4), workflow_reference(&single));
+    }
+
+    #[test]
+    fn hand_built_graphs_match_the_reference_at_every_chunk_on_every_pool_shape() {
+        // Level order differs from id order in all but the single node; the wide level has
+        // more nodes than the largest chunk.
+        let wide: Vec<(usize, usize)> =
+            (2..=71).flat_map(|v| [(72, v), (v, 0), (v, 1)]).chain([(72, 1)]).collect();
+        let cases = [
+            ("descending chain", graph(5, &[(4, 3), (3, 2), (2, 1), (1, 0)])),
+            ("diamond plus shortcut", graph(4, &[(3, 1), (3, 2), (1, 0), (2, 0), (3, 0)])),
+            ("duplicate edges", graph(4, &[(3, 2), (3, 2), (2, 0), (3, 1), (1, 0), (1, 0)])),
+            ("isolated nodes", graph(6, &[(5, 2), (2, 0)])),
+            ("single node", TaskGraph::new(1)),
+            ("level wider than a chunk", graph(73, &wide)),
+        ];
+        let shapes = PoolShape::all();
+        for (what, g) in cases {
+            let expected = workflow_reference(&g);
+            let plan = Arc::new(Levels::new(&g));
+            for chunk in [1, 3, 4, 64] {
+                for shape in &shapes {
+                    let on_pool = Arc::clone(&plan);
+                    assert_eq!(
+                        shape.run(move || workflow_native(&on_pool, chunk)),
+                        expected,
+                        "{what}, chunk {chunk}, {}",
+                        shape.label
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn workflow_dag_models_the_levels_with_single_writes() {
         let g = layered_random(21, 5, 8);
-        let comp = workflow_computation(&g, 4);
+        let plan = Levels::new(&g);
+        let comp = workflow_computation(&plan, 4);
         assert!(comp.check_properties().is_empty(), "{:?}", comp.check_properties());
         assert_eq!(comp.dag.max_writes_per_global_word(), 1);
         assert_eq!(
             comp.dag.leaf_count() as usize,
-            g.levels().iter().map(|l| l.len().div_ceil(4)).sum::<usize>()
+            plan.starts.windows(2).map(|w| (w[1] - w[0]).div_ceil(4)).sum::<usize>()
         );
     }
 
@@ -420,8 +412,8 @@ mod tests {
         let a = layered_random(7, 5, 6);
         let b = layered_random(7, 5, 6);
         assert_eq!(a.edge_count(), b.edge_count());
-        assert_eq!(a.levels(), b.levels());
-        assert_eq!(a.levels().len(), 5, "construction layers survive as levels");
+        assert_eq!(levels_of(&a), levels_of(&b));
+        assert_eq!(levels_of(&a).len(), 5, "construction layers survive as levels");
         let c = layered_random(8, 5, 6);
         assert!(
             c.edge_count() != a.edge_count() || c.succs != a.succs,

@@ -15,7 +15,7 @@ use rws_algos::matmul::matmul_native_bi;
 use rws_algos::samplesort::sample_sort_native;
 use rws_algos::sort::merge_sort_native;
 use rws_algos::spmv::{spmv_native, CsrMatrix};
-use rws_algos::taskgraph::{layered_random, workflow_native};
+use rws_algos::taskgraph::{layered_random, workflow_native, Levels};
 use rws_algos::transpose::{bi_to_rm_native, rm_to_bi_native, transpose_native_bi};
 use rws_runtime::ThreadPool;
 use std::sync::Arc;
@@ -106,7 +106,8 @@ fn list_ranking_allocates_two_buffers_and_its_result() {
 }
 
 // The irregular kernels: a leaf writes its own region of a buffer allocated once per call
-// (sample sort, SpMV) or grown at most once per level (BFS), never a `Vec` of its own.
+// (sample sort, SpMV, the workflow) or grown at most once per level (BFS), never a `Vec` of
+// its own.
 
 #[test]
 fn sample_sort_allocates_per_call_not_per_chunk_or_bucket() {
@@ -144,16 +145,11 @@ fn spmv_allocates_its_result() {
 }
 
 #[test]
-fn workflow_allocates_at_most_one_box_per_spawn() {
-    for (layers, width) in [(6usize, 24usize), (12, 96)] {
-        let g = Arc::new(layered_random(11, layers, width));
-        let nodes = g.len() as u64;
-        let allocations = allocations_of(move || workflow_native(&g));
-        // One box per spawn that found the scope's inline slots busy, plus the indegree
-        // counters, the accumulators and the result.
-        assert!(
-            allocations <= nodes + 3,
-            "workflow {layers} x {width}: {allocations} allocations for {nodes} nodes"
-        );
-    }
+fn workflow_allocates_its_values_and_its_result() {
+    // The level plan is built once per graph, outside the call; a call allocates the values
+    // in level order and the result in node-id order (6 x 48 and 12 x 96 nodes).
+    assert_constant("workflow", [6, 12], 2, |layers| {
+        let plan = Levels::new(&layered_random(11, layers, 8 * layers));
+        move || workflow_native(&plan, 4)
+    });
 }

@@ -1,9 +1,9 @@
 //! The fork tree of every native HBP kernel, pinned: on a 1-thread pool the `jobs` counter
 //! (fork branches executed) of one call is a pure function of the kernel and its size, and
 //! each constant below was captured from the commit *before* the kernels were made
-//! allocation-lean. A kernel that got faster by forking less — a coarser leaf, a skipped
-//! level, a collection flattened into a loop — fails here; one that only changed how it
-//! obtains its local arrays does not.
+//! allocation-lean (the workflow's is the dag's fork count instead of a constant). A kernel
+//! that got faster by forking less — a coarser leaf, a skipped level, a collection flattened
+//! into a loop — fails here; one that only changed how it obtains its local arrays does not.
 
 use rws_algos::bfs::{bfs_native, CsrGraph};
 use rws_algos::fft::{fft_native, Complex};
@@ -13,7 +13,7 @@ use rws_algos::prefix::prefix_sums_native;
 use rws_algos::samplesort::sample_sort_native;
 use rws_algos::sort::merge_sort_native;
 use rws_algos::spmv::{spmv_native, CsrMatrix};
-use rws_algos::taskgraph::{layered_random, workflow_native};
+use rws_algos::taskgraph::{layered_random, workflow_computation, workflow_native, Levels};
 use rws_algos::transpose::{bi_to_rm_native, rm_to_bi_native, transpose_native_bi};
 use rws_runtime::ThreadPool;
 
@@ -89,16 +89,20 @@ fn list_ranking_fork_count_is_pinned() {
     }
 }
 
-// The four irregular kernels. Their constants were printed by the commit *before* their
-// bodies stopped allocating per chunk (one region per leaf of a buffer allocated once per
-// call); the second size of each row is the repository benchmark's (`dag-irregular`).
+// The four irregular kernels. The constants of BFS, SpMV and sample sort were printed by the
+// commit *before* their bodies stopped allocating per chunk (one region per leaf of a buffer
+// allocated once per call); the workflow's count is derived from its dag. The second size of
+// each row is the repository benchmark's (`dag-irregular`).
 
 #[test]
-fn workflow_fork_count_is_pinned() {
-    // One job per node (the last finishing predecessor spawns it) plus the `install`.
-    for (layers, width, expected) in [(6usize, 24usize, 145u64), (12, 96, 1153)] {
-        let g = layered_random(11, layers, width);
-        assert_eq!(jobs_of(move || workflow_native(&g)), expected, "{layers} x {width}");
+fn workflow_fork_count_is_the_dags() {
+    // Not pinned but derived: the pool runs the tree the simulator analyses, one balanced
+    // pass of `⌈width / 4⌉` leaves per level, so its jobs are the dag's forks plus the
+    // `install`.
+    for (layers, width) in [(6usize, 24usize), (12, 96)] {
+        let plan = Levels::new(&layered_random(11, layers, width));
+        let forks = workflow_computation(&plan, 4).dag.fork_count();
+        assert_eq!(jobs_of(move || workflow_native(&plan, 4)), forks + 1, "{layers} x {width}");
     }
 }
 

@@ -31,7 +31,7 @@ use rws_algos::samplesort::{
 use rws_algos::sort::{merge_sort_native, sort_computation, sort_reference, SortConfig};
 use rws_algos::spmv::{spmv_computation, spmv_native, spmv_reference, CsrMatrix, SpmvConfig};
 use rws_algos::taskgraph::{
-    layered_random, workflow_computation, workflow_native, workflow_reference, TaskGraph,
+    layered_random, workflow_computation, workflow_native, workflow_reference, Levels, TaskGraph,
 };
 use rws_algos::transpose::{
     bi_to_rm_native, rm_to_bi_native, transpose_bi_computation, transpose_native_bi,
@@ -415,21 +415,24 @@ impl Workload for ListRankWorkload {
 
 // ------------------------------------------------------------------------------------------
 
-/// An arbitrary-dependency task graph run by atomic indegree counting (measured-only: no
-/// fork-join structure, so no paper bound applies).
+/// An arbitrary-dependency task graph run one level at a time, each level one balanced pass
+/// of `chunk`-node leaves (measured-only: the level widths are data-dependent, so no paper
+/// bound applies).
 #[derive(Clone, Debug)]
 pub struct DagWorkflowWorkload {
     graph: TaskGraph,
+    levels: Levels,
     chunk: usize,
 }
 
 impl DagWorkflowWorkload {
-    /// A workload over the given acyclic task graph (acyclicity validated eagerly, so a
-    /// constructed workload runs — and terminates — on every backend).
+    /// A workload over the given acyclic task graph. Its level plan is built here, once for
+    /// every run; that validates acyclicity eagerly, so a constructed workload runs — and
+    /// terminates — on every backend.
     pub fn new(graph: TaskGraph, chunk: usize) -> Self {
         assert!(!graph.is_empty(), "dag-workflow needs at least one node");
-        assert!(graph.topo_order().is_some(), "dag-workflow graph must be acyclic");
-        DagWorkflowWorkload { graph, chunk: chunk.max(1) }
+        let levels = Levels::new(&graph);
+        DagWorkflowWorkload { graph, levels, chunk: chunk.max(1) }
     }
 
     /// A deterministic demo instance with roughly `n` nodes: a layered random dag,
@@ -447,11 +450,11 @@ impl Workload for DagWorkflowWorkload {
     }
 
     fn computation(&self) -> Computation {
-        workflow_computation(&self.graph, self.chunk)
+        workflow_computation(&self.levels, self.chunk)
     }
 
     fn run_native(&self) -> AlgoOutput {
-        AlgoOutput::U64(workflow_native(&self.graph))
+        AlgoOutput::U64(workflow_native(&self.levels, self.chunk))
     }
 
     fn run_reference(&self) -> AlgoOutput {

@@ -42,7 +42,7 @@ pub enum WorkloadKind {
     Transpose,
     /// List ranking by round-synchronized pointer jumping.
     ListRank,
-    /// Arbitrary-dependency task graph by atomic indegree counting (measured-only).
+    /// Arbitrary-dependency task graph, one pass per level (measured-only).
     DagWorkflow,
     /// Level-synchronized BFS on a seeded random graph (measured-only).
     Bfs,

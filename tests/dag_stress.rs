@@ -4,14 +4,16 @@
 //! demands a prompt wake of the whole parked pool. These tests pin the behaviours the
 //! fork-join kernels (balanced trees, mostly-full frontiers) never stress:
 //!
-//! * correctness of the atomic-indegree task-graph runner on chain/burst shapes across
-//!   pool widths;
-//! * panic containment: a failing node unwinds out of `TaskGraph::run` without wedging
-//!   or poisoning the pool;
+//! * correctness of the level-synchronous workflow runner on chain/burst shapes, at every
+//!   leaf size, outside a pool and across pool widths;
+//! * panic containment: a failing node unwinds out of `Levels::run` without wedging or
+//!   poisoning the pool;
 //! * the satellite idle-path claim — steady-state DAG runs are driven by notifications,
 //!   not by the 1ms park-backstop timer (`PoolStats::total_backstop_wakes` stays flat).
 
-use rws_algos::taskgraph::{layered_random, workflow_native, workflow_reference, TaskGraph};
+use rws_algos::taskgraph::{
+    layered_random, workflow_native, workflow_reference, Levels, TaskGraph,
+};
 use rws_runtime::{InstallError, ThreadPoolBuilder};
 use std::sync::Arc;
 
@@ -41,44 +43,45 @@ const POOL_WIDTHS: [usize; 3] = [1, 2, 4];
 
 #[test]
 fn chain_and_burst_workflows_match_the_reference_on_every_pool_shape() {
-    // A nearly pure chain (one burst at the head) and a heavily burst-punctuated spine:
-    // the value semantics must come out schedule-independent on every width.
-    let graphs =
-        [Arc::new(spine_with_bursts(800, 1000, 8)), Arc::new(spine_with_bursts(240, 20, 64))];
-    for g in &graphs {
-        let expected = workflow_reference(g);
-        for threads in POOL_WIDTHS {
-            let pool = ThreadPoolBuilder::new().threads(threads).build();
-            let g = Arc::clone(g);
-            let got = pool.install(move || workflow_native(&g));
-            assert_eq!(
-                got,
-                expected,
-                "{threads} threads diverged on a {}-node graph",
-                graphs[0].len()
-            );
+    // A nearly pure chain (one burst at the head) and a heavily burst-punctuated spine, whose
+    // level order interleaves spine and burst ids: the value semantics must come out
+    // schedule-independent at every leaf size, outside a pool and on every width.
+    let pools = POOL_WIDTHS.map(|threads| ThreadPoolBuilder::new().threads(threads).build());
+    for g in [spine_with_bursts(800, 1000, 8), spine_with_bursts(240, 20, 64)] {
+        let expected = workflow_reference(&g);
+        let plan = Arc::new(Levels::new(&g));
+        for chunk in [1, 3, 4, 64] {
+            let what = format!("a {}-node graph, chunk {chunk}", g.len());
+            assert_eq!(workflow_native(&plan, chunk), expected, "{what}, no pool");
+            for (threads, pool) in POOL_WIDTHS.iter().zip(&pools) {
+                let plan = Arc::clone(&plan);
+                let got = pool.install(move || workflow_native(&plan, chunk));
+                assert_eq!(got, expected, "{what}, {threads} threads");
+            }
         }
     }
 }
 
 #[test]
 fn a_panicking_node_unwinds_cleanly_and_the_pool_survives() {
-    // Panic injection at a mid-spine node: the unwind must surface through `install` as
-    // a structured error (with the original payload, not a pool-internal one), and the
-    // same pool must then run a clean pass correctly — panics are quarantined per job,
-    // never wedging a worker or leaking a poisoned deque.
+    // Panic injection from a level body, inside a 16-node burst level (positions 53..69,
+    // four leaves of four): the unwind must surface through `install` as a structured error
+    // (with the original payload, not a pool-internal one), and the same pool must then run
+    // a clean pass correctly — panics are quarantined per job, never wedging a worker or
+    // leaking a poisoned deque.
+    let g = spine_with_bursts(120, 10, 16);
+    let plan = Arc::new(Levels::new(&g));
     for threads in POOL_WIDTHS {
         let pool = ThreadPoolBuilder::new().threads(threads).build();
-        let g = Arc::new(spine_with_bursts(120, 10, 16));
         for round in 0..3 {
-            let target = 55 + round; // vary the failing node across rounds
-            let gp = Arc::clone(&g);
+            let target = 55 + 5 * round; // vary the failing leaf across rounds
+            let pp = Arc::clone(&plan);
             let result = pool.try_install(move || {
-                gp.run(&|v| {
-                    if v == target {
+                pp.run(4, |i, _| {
+                    if i == target {
                         panic!("injected node failure");
                     }
-                    std::hint::black_box(v);
+                    std::hint::black_box(i as u64)
                 })
             });
             match result {
@@ -89,9 +92,9 @@ fn a_panicking_node_unwinds_cleanly_and_the_pool_survives() {
                 other => panic!("{threads} threads: expected Panicked, got {other:?}"),
             }
             // The pool is immediately reusable for a full, correct workflow pass.
-            let gc = Arc::clone(&g);
+            let pc = Arc::clone(&plan);
             assert_eq!(
-                pool.install(move || workflow_native(&gc)),
+                pool.install(move || workflow_native(&pc, 4)),
                 workflow_reference(&g),
                 "{threads} threads: clean run after an injected panic diverged"
             );
@@ -110,16 +113,17 @@ fn steady_state_dag_runs_do_not_lean_on_the_park_backstop() {
     // submission path produces.
     const RUNS: usize = 200;
     let pool = ThreadPoolBuilder::new().threads(2).build();
-    let g = Arc::new(layered_random(7, 6, 16));
+    let g = layered_random(7, 6, 16);
     let expected = workflow_reference(&g);
+    let plan = Arc::new(Levels::new(&g));
     // Warmup outside the measured window (thread startup, first parks).
-    let gw = Arc::clone(&g);
-    assert_eq!(pool.install(move || workflow_native(&gw)), expected);
+    let pw = Arc::clone(&plan);
+    assert_eq!(pool.install(move || workflow_native(&pw, 4)), expected);
 
     let before = pool.stats().total_backstop_wakes();
     for _ in 0..RUNS {
-        let gr = Arc::clone(&g);
-        assert_eq!(pool.install(move || workflow_native(&gr)), expected);
+        let pr = Arc::clone(&plan);
+        assert_eq!(pool.install(move || workflow_native(&pr, 4)), expected);
     }
     let backstops = pool.stats().total_backstop_wakes() - before;
     assert!(
