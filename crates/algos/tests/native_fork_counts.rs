@@ -23,13 +23,14 @@ fn jobs_of<R: Send + 'static>(kernel: impl FnOnce() -> R + Send + 'static) -> u6
     let pool = ThreadPool::new(1);
     let before = pool.stats().snapshot();
     pool.install(kernel);
-    let stats = pool.stats();
+    let delta = pool.stats().snapshot_delta(&before);
+    let retries: u64 = delta.workers.iter().map(|w| w.steal_retries).sum();
     assert_eq!(
-        (stats.total_steals(), stats.total_batch_steals(), stats.total_retries()),
+        (delta.total_steals(), delta.total_batch_steals(), retries),
         (0, 0, 0),
         "steals, batch steals and steal retries of a 1-thread pool"
     );
-    stats.snapshot_delta(&before).total_jobs()
+    delta.total_jobs()
 }
 
 fn floats(n: usize) -> Vec<f64> {

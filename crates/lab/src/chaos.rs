@@ -22,7 +22,7 @@
 //! ```
 //!
 //! The run drives four phases — paced steady traffic, a batch of tight-deadline jobs (2 ms
-//! budgets on 5 ms of work), an overload burst of at least `burst_jobs / queue_capacity`
+//! budgets on up to 1 s of work), an overload burst of at least `burst_jobs / queue_capacity`
 //! times the admission window, and a post-chaos probe batch — while the scenario's
 //! [`FaultPlan`] kills and stalls workers (2 ms stalls, at most 6), panics jobs, and
 //! (optionally) hammers the injector with a contention storm (4 threads × 64 pushes).
@@ -37,6 +37,9 @@
 //! * **server-live** — the probe batch completes *after* `min_deaths` injected worker
 //!   deaths, and every death was healed by a respawn;
 //! * **panic-volume** — at least `min_panics` injected panics were quarantined;
+//! * **deadline-enforced** — no deadline-phase job completes: each one ends by its deadline,
+//!   shed or evicted before it ran, or by an injected panic; and at least `min_deadlines`
+//!   jobs end by their deadline;
 //! * **shed-rate-bounded** — load-shedding stayed under `max_shed_rate` of submissions.
 //!
 //! [`run`] returns a [`ChaosReport`] that renders as the validated `rws-chaos-report/v1`
@@ -63,8 +66,11 @@ pub const SCHEMA: &str = "rws-chaos-report/v1";
 
 /// The budget of every deadline-phase job.
 const DEADLINE: Duration = Duration::from_millis(2);
-/// Busy-work length of a deadline-phase job: longer than `DEADLINE`, so deadlines bite.
-const DEADLINE_WORK: Duration = Duration::from_millis(5);
+/// Busy-work length of a deadline-phase job: far past `DEADLINE` plus any wait for a
+/// supervisor sweep to get a CPU, so every deadline-phase job that starts is cut by its
+/// deadline and one that completes means the sweep never came. (At 5 ms, 1 run in 10 on
+/// a loaded 2-CPU host let every started job finish before a sweep ran.)
+const DEADLINE_WORK: Duration = Duration::from_secs(1);
 /// The server's supervisor sweep cadence.
 const HEARTBEAT: Duration = Duration::from_millis(2);
 /// Length of one injected worker stall.
@@ -667,6 +673,9 @@ fn evaluate(
         .filter(|(o, &c)| **o == Some(JobOutcome::Shed) && c != 0)
         .count();
     let shed_rate = if s.submitted == 0 { 0.0 } else { s.shed as f64 / s.submitted as f64 };
+    // How the deadline phase's own submissions ended (they follow the steady phase).
+    let phase = outcomes.iter().skip(sc.steady_jobs as usize).take(sc.deadline_jobs as usize);
+    let ended = |o: JobOutcome| phase.clone().filter(|&&x| x == Some(o)).count();
 
     vec![
         Verdict {
@@ -719,10 +728,17 @@ fn evaluate(
         Verdict {
             name: "deadline-enforced",
             detail: format!(
-                "{} jobs terminated by their deadline (floor {})",
-                s.deadline, sc.min_deadlines
+                "{} jobs terminated by their deadline (floor {}); deadline phase: {} by the \
+                 deadline, {} shed or evicted first, {} panicked first, {} completed before \
+                 a sweep (must be 0)",
+                s.deadline,
+                sc.min_deadlines,
+                ended(JobOutcome::Deadline),
+                ended(JobOutcome::Shed),
+                ended(JobOutcome::Panicked),
+                ended(JobOutcome::Completed),
             ),
-            pass: s.deadline >= sc.min_deadlines,
+            pass: ended(JobOutcome::Completed) == 0 && s.deadline >= sc.min_deadlines,
         },
         Verdict {
             name: "shed-rate-bounded",

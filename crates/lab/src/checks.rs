@@ -150,7 +150,7 @@ mod tests {
              seeds = 11, 23\nsweep = procs: 1, 2",
         )
         .unwrap();
-        let lab = run_scenario(&sc);
+        let (lab, _) = run_scenario(&sc, 1, None);
         let checks = evaluate(&sc, &lab);
         // 2 procs values × 2 seeds sim runs, × 3 default checks; native runs get none.
         assert_eq!(checks.len(), 4 * 3);
@@ -178,7 +178,7 @@ mod tests {
                  seeds = 11, 23, 47\nsweep = procs: 1, 2, 4, 8"
             ))
             .unwrap();
-            let lab = run_scenario(&sc);
+            let (lab, _) = run_scenario(&sc, 1, None);
             for c in evaluate(&sc, &lab) {
                 assert!(c.check.passed(), "{workload} run {}: {}", c.run, c.check.summary());
             }
@@ -192,7 +192,7 @@ mod tests {
              sweep = procs: 1, 4\nchecks = steals, cache-misses, block-misses, runtime",
         )
         .unwrap();
-        let lab = run_scenario(&sc);
+        let (lab, _) = run_scenario(&sc, 1, None);
         let checks = evaluate(&sc, &lab);
         assert_eq!(checks.len(), 2 * 4);
         assert!(checks.iter().any(|c| c.check.name == "cache-misses"));
@@ -208,7 +208,7 @@ mod tests {
             "name = c\nworkload = prefix-sums\nn = 512\nbackends = sim\nseeds = 11",
         )
         .unwrap();
-        let lab = run_scenario(&sc);
+        let (lab, _) = run_scenario(&sc, 1, None);
         let mut report = lab.records[0].report.clone();
         report.time_units = u64::MAX / 2;
         let params = params_of(&lab.records[0].spec.machine);

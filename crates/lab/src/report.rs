@@ -40,7 +40,7 @@
 use crate::checks::{evaluate, CheckRecord};
 use crate::json::{self, obj, Json};
 use crate::scenario::{BackendChoice, Scenario};
-use crate::sweep::{run_scenario_jobs, run_scenario_jobs_traced, LabRun, NativeTraceCapture};
+use crate::sweep::{run_scenario, LabRun, NativeTraceCapture};
 
 /// The schema tag of the emitted JSON document.
 pub const SCHEMA: &str = "rws-lab-report/v1";
@@ -60,24 +60,24 @@ pub fn run(sc: &Scenario) -> LabReport {
 }
 
 /// [`run`] with up to `jobs` concurrent simulated runs (native runs stay serialized); see
-/// [`crate::sweep::run_scenario_jobs`]. The resulting report — and its default JSON
-/// emission — is identical for every `jobs` value.
+/// [`crate::sweep::run_scenario`]. The resulting report — and its default JSON emission —
+/// is identical for every `jobs` value.
 pub fn run_with_jobs(sc: &Scenario, jobs: usize) -> LabReport {
-    let lab = run_scenario_jobs(sc, jobs);
+    let (lab, _) = run_scenario(sc, jobs, None);
     let checks = evaluate(sc, &lab);
     LabReport { lab, checks }
 }
 
 /// [`run_with_jobs`] with the native flight recorder on: each native run executes on a
 /// fresh traced pool and returns its drained event snapshot alongside the report (the
-/// `lab --trace DIR` path; see [`crate::sweep::run_scenario_jobs_traced`]). The report —
+/// `lab --trace DIR` path; see [`crate::sweep::run_scenario`]). The report —
 /// and therefore the emitted lab document — is identical to an untraced run's.
 pub fn run_with_jobs_traced(
     sc: &Scenario,
     jobs: usize,
     trace_capacity: usize,
 ) -> (LabReport, Vec<NativeTraceCapture>) {
-    let (lab, captures) = run_scenario_jobs_traced(sc, jobs, Some(trace_capacity));
+    let (lab, captures) = run_scenario(sc, jobs, Some(trace_capacity));
     let checks = evaluate(sc, &lab);
     (LabReport { lab, checks }, captures)
 }

@@ -1,6 +1,6 @@
 //! The sweep engine: expand a [`Scenario`] into concrete runs and execute them through the
 //! [`rws_exec::Executor`] trait on each requested backend — sequentially, or fanned out
-//! across a driver pool ([`run_scenario_jobs`], the `lab --jobs N` path).
+//! across a pool of `jobs` workers ([`run_scenario`], the `lab --jobs N` path).
 
 use crate::scenario::{BackendChoice, Scenario, SweepAxis};
 use rws_core::SimConfig;
@@ -129,12 +129,6 @@ pub fn expand(sc: &Scenario) -> Vec<RunSpec> {
     specs
 }
 
-/// Execute every expanded run of the scenario and collect the records, one run at a time
-/// in expansion order. Equivalent to [`run_scenario_jobs`] with `jobs = 1`.
-pub fn run_scenario(sc: &Scenario) -> LabRun {
-    run_scenario_jobs(sc, 1)
-}
-
 /// One simulated run: a fresh seeded scheduler per run is what makes it reproducible —
 /// and also what makes simulated runs safe to execute concurrently (the dag they share is
 /// read-only). The sweep wants the counts, not the output, so the run takes the dag built
@@ -145,7 +139,8 @@ fn run_sim(spec: &RunSpec, workload: &SharedWorkload, comp: &Computation) -> Exe
     ExecReport { workload: workload.name(), ..exec.run_computation(comp) }
 }
 
-/// Execute the scenario's expanded runs with up to `jobs` concurrent **simulated** runs.
+/// Execute every expanded run of the scenario and collect the records in expansion order,
+/// with up to `jobs` concurrent **simulated** runs.
 ///
 /// * Simulated runs are pure, independent, seeded computations: they fan out across a
 ///   `jobs`-wide driver pool via [`rws_runtime::scope()`] and land in their expansion-order
@@ -158,18 +153,15 @@ fn run_sim(spec: &RunSpec, workload: &SharedWorkload, comp: &Computation) -> Exe
 ///   pools are still built once per distinct thread count and reused across seeds (pool
 ///   construction is thread spawning; the runs are what is being measured).
 ///
-/// With `jobs = 1` no driver pool is built and everything runs inline on the caller,
-/// exactly as before this entry point existed.
-pub fn run_scenario_jobs(sc: &Scenario, jobs: usize) -> LabRun {
-    run_scenario_jobs_traced(sc, jobs, None).0
-}
-
-/// [`run_scenario_jobs`] with the native flight recorder optionally enabled: when `trace`
-/// is `Some(capacity)`, every native run executes on a **fresh** traced pool (no reuse
-/// across seeds — each capture is one run's events, and the recorder epoch restarts) and
-/// its drained snapshot is returned alongside the run records, in native execution order.
-/// Simulated runs are unaffected; the [`LabRun`] is identical to an untraced sweep's.
-pub fn run_scenario_jobs_traced(
+/// With `jobs = 1` no extra pool is built and everything runs inline on the caller.
+///
+/// `trace = Some(capacity)` turns the native flight recorder on: every native run then
+/// executes on a **fresh** traced pool (no reuse across seeds — each capture is one run's
+/// events, and the recorder epoch restarts) and its drained snapshot is returned alongside
+/// the run records, in native execution order. Simulated runs are unaffected; the
+/// [`LabRun`] is identical to an untraced sweep's. With `trace = None` the capture list is
+/// empty.
+pub fn run_scenario(
     sc: &Scenario,
     jobs: usize,
     trace: Option<usize>,
@@ -311,7 +303,7 @@ mod tests {
             "name = tiny\nworkload = prefix-sums\nn = 256\nbackends = sim, native\n\
              seeds = 11\nsweep = procs: 1, 2",
         );
-        let lab = run_scenario(&sc);
+        let (lab, _) = run_scenario(&sc, 1, None);
         assert_eq!(lab.records.len(), 4);
         assert!(lab.work > 0 && lab.t_inf > 0);
         for r in &lab.records {
@@ -319,7 +311,7 @@ mod tests {
             assert!(r.report.work_items > 0);
         }
         // Simulated runs are seeded: the same scenario reruns identically.
-        let again = run_scenario(&sc);
+        let (again, _) = run_scenario(&sc, 1, None);
         for (a, b) in lab.records.iter().zip(&again.records) {
             if a.spec.backend == BackendChoice::Sim {
                 assert_eq!(a.report.steals, b.report.steals);
@@ -336,8 +328,8 @@ mod tests {
             "name = fan\nworkload = prefix-sums\nn = 512\nbackends = sim, native\n\
              seeds = 5, 9\nsweep = procs: 1, 2",
         );
-        let sequential = run_scenario(&sc);
-        let fanned = run_scenario_jobs(&sc, 4);
+        let (sequential, _) = run_scenario(&sc, 1, None);
+        let (fanned, _) = run_scenario(&sc, 4, None);
         assert_eq!(sequential.records.len(), fanned.records.len());
         for (a, b) in sequential.records.iter().zip(&fanned.records) {
             assert_eq!(a.spec.backend, b.spec.backend, "expansion order must be preserved");
@@ -362,7 +354,7 @@ mod tests {
             "name = traced\nworkload = prefix-sums\nn = 4096\nbackends = native\n\
              seeds = 3, 5\nprocs = 2",
         );
-        let (lab, captures) = run_scenario_jobs_traced(&sc, 1, Some(1 << 16));
+        let (lab, captures) = run_scenario(&sc, 1, Some(1 << 16));
         let native: Vec<_> =
             lab.records.iter().filter(|r| r.spec.backend == BackendChoice::Native).collect();
         assert_eq!(captures.len(), native.len(), "one capture per native run");
@@ -376,7 +368,8 @@ mod tests {
             assert_eq!(steals, record.report.steals, "trace steals == PoolStats delta steals");
         }
         // Tracing must not change what the sweep itself reports.
-        let untraced = run_scenario(&sc);
+        let (untraced, no_captures) = run_scenario(&sc, 1, None);
+        assert!(no_captures.is_empty(), "an untraced sweep captures nothing");
         for (a, b) in lab.records.iter().zip(&untraced.records) {
             assert_eq!(a.report.work_items, b.report.work_items);
         }
@@ -420,7 +413,7 @@ mod tests {
             "name = e2e\nworkload = matmul\nn = 16\nbackends = native, sharded\n\
              seeds = 11\nprocs = 2\nshard_threads = 1\nsweep = shards: 1, 2",
         );
-        let lab = run_scenario(&sc);
+        let (lab, _) = run_scenario(&sc, 1, None);
         assert_eq!(lab.records.len(), 3, "one native run + two sharded runs");
         let native = lab.records.iter().find(|r| r.spec.backend == BackendChoice::Native).unwrap();
         let sharded: Vec<_> =

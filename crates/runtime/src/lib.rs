@@ -9,12 +9,13 @@
 //! The fork/steal hot path is engineered to cost what the model charges it and nothing more:
 //!
 //! * **Lock-free deques with steal-half batching** — each worker's queue is a real
-//!   Chase–Lev deque (the vendored `crossbeam-deque`): atomic top/bottom indices,
-//!   CAS-arbitrated steals with `Steal::Retry` on lost races, a growable ring buffer, and
-//!   no locks anywhere. A thief takes up to *half* the victim's queue per visit
-//!   (`steal_batch_and_pop`), running the oldest job and requeueing the rest locally — the
-//!   stats separate the paper's per-task steal events from per-visit
-//!   [`batch_steals`](PoolStats::total_batch_steals).
+//!   Chase–Lev deque (the vendored `crossbeam-deque`) with one discipline, LIFO owner and
+//!   FIFO thief: atomic top/bottom indices, one CAS per stolen task with `Steal::Retry` on
+//!   lost races, a growable ring buffer, and no locks anywhere. A thief takes up to *half*
+//!   the victim's queue per visit (`steal_batch_and_pop_counted`), running the oldest job
+//!   and requeueing the rest locally — the stats separate the paper's per-task steal events
+//!   from per-visit [`batch_steals`](PoolStatsSnapshot::total_batch_steals). Every counter
+//!   is read through one [`PoolStats::snapshot`].
 //! * **Allocation-free `join`** — the right branch of a [`join`] is a *stack job* in the
 //!   caller's frame, queued by reference; the unstolen fast path performs zero heap
 //!   allocations and takes no lock (asserted by a counting-allocator test), touching only
@@ -152,7 +153,10 @@ mod health {
             for _ in 0..100 {
                 pool.install(|| join(|| (), || ()));
             }
-            assert!((0..2).any(|w| pool.stats().heartbeat_of(w) > 0), "the workers swept");
+            assert!(
+                (0..2).any(|w| pool.stats().snapshot().workers[w].heartbeats > 0),
+                "the workers swept"
+            );
             for _ in 0..1000 {
                 shared.health().wake_all();
             }

@@ -175,25 +175,13 @@ impl WorkerHandle {
         self.local.pop()
     }
 
-    /// One batch-steal visit to `victim`: up to half its queue (capped at the deque's
-    /// `MAX_BATCH`) moves in a single visit. The oldest job — in recursive computations
-    /// the largest, the one the paper's discipline says a thief should run — comes back
-    /// directly; the rest land in this worker's own deque, where they are locally
-    /// poppable *and* still stealable by everyone else. Returns the popped job and the
-    /// total number of jobs moved.
-    fn steal_from(&self, victim: usize) -> Steal<(Job, u64)> {
-        let stealer = self.shared.stealers[victim].read().unwrap_or_else(|e| e.into_inner());
-        match stealer.steal_batch_and_pop_counted(&self.local) {
-            Steal::Success((job, k)) => Steal::Success((job, k as u64)),
-            Steal::Empty => Steal::Empty,
-            Steal::Retry => Steal::Retry,
-        }
-    }
-
     /// Find one job: local deque first, then the injector, then a bounded number of random
     /// steal attempts (with a short per-victim retry budget for lost CAS races). A
-    /// successful steal is a *batch* (see [`WorkerHandle::steal_from`]): the surplus goes
-    /// into our own deque and a sleeper is woken to come and take some of it.
+    /// successful steal is a *batch*: up to half the victim's queue (capped at the deque's
+    /// `MAX_BATCH`) moves in one visit. The oldest job — in recursive computations the
+    /// largest, the one the paper's discipline says a thief should run — comes back to run;
+    /// the surplus lands in our own deque, where it is locally poppable *and* still
+    /// stealable by everyone else, and a sleeper is woken to come and take some of it.
     ///
     /// `record_failures` gates the failed-steal/retry accounting: the first sweep of an
     /// activity burst records (that is the paper's "active processor probed and missed"),
@@ -240,8 +228,15 @@ impl WorkerHandle {
                 };
                 let mut retries = 0;
                 loop {
-                    match self.steal_from(victim) {
+                    // The read guard lives for this statement only: a respawn swapping in
+                    // the victim's fresh stealer waits out one visit, not a retry loop.
+                    let stolen = self.shared.stealers[victim]
+                        .read()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .steal_batch_and_pop_counted(&self.local);
+                    match stolen {
                         Steal::Success((job, k)) => {
+                            let k = k as u64;
                             self.shared.stats.record_steal_batch(self.index, k);
                             if let Some(t) = self.shared.trace() {
                                 t.record(
@@ -1026,7 +1021,7 @@ mod tests {
         let n = 2_000_000u64;
         let total = pool.install(move || recursive_sum(0, n));
         assert_eq!(total, n * (n - 1) / 2);
-        assert!(pool.stats().total_jobs() > 0);
+        assert!(pool.stats().snapshot().total_jobs() > 0);
     }
 
     #[test]
@@ -1035,10 +1030,11 @@ mod tests {
         let n = 1_000_000u64;
         let total = pool.install(move || recursive_sum(0, n));
         assert_eq!(total, n * (n - 1) / 2);
-        let stats = pool.stats();
+        let stats = pool.stats().snapshot();
         // Every steal path is batch-aware, so the two task-level views agree, and a
         // visit never moves fewer than one job.
-        assert_eq!(stats.total_jobs_stolen(), stats.total_steals());
+        let jobs_stolen: u64 = stats.workers.iter().map(|w| w.jobs_stolen).sum();
+        assert_eq!(jobs_stolen, stats.total_steals());
         assert!(stats.total_batch_steals() <= stats.total_steals());
     }
 
@@ -1168,11 +1164,12 @@ mod tests {
         // One idle worker, so nothing but its backstop sweeps fires a supervision event:
         // were the heartbeat's wake missing, the wait would last its whole 5 s.
         let pool = ThreadPool::new(1);
-        let heartbeats = pool.stats().heartbeat_of(0);
+        let heartbeats = pool.stats().snapshot().workers[0].heartbeats;
         let waiting = Instant::now();
-        assert!(
-            pool.wait_health(|| pool.stats().heartbeat_of(0) > heartbeats, Duration::from_secs(5))
-        );
+        assert!(pool.wait_health(
+            || pool.stats().snapshot().workers[0].heartbeats > heartbeats,
+            Duration::from_secs(5)
+        ));
         assert!(waiting.elapsed() < Duration::from_millis(2500), "waited {:?}", waiting.elapsed());
     }
 

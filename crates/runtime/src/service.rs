@@ -17,7 +17,8 @@
 //!   deadline fires never runs.
 //! * **Admission control** — a bounded occupancy gate with a [`Block`], [`Shed`], or
 //!   [`ShedOldest`] policy, plus queue-latency and service-latency histograms
-//!   (p50/p99/p999) and shed counters in the pool's stats.
+//!   (p50/p99/p999); sheds and expired deadlines are counted in the outcome partition of
+//!   [`ServiceSnapshot`].
 //!
 //! **Exactly-one-terminal-outcome contract**: every submission — admitted, shed at the
 //! door, or evicted from the queue — settles to exactly one [`JobOutcome`], arbitrated by
@@ -539,7 +540,6 @@ impl JobServer {
             if state.shutdown.load(Ordering::Acquire) {
                 job.claim_run(); // never runs
                 state.settle_never_ran(&job, JobOutcome::Shed);
-                self.pool.stats().record_shed();
                 return handle;
             }
             let occ = state.both.0.occupancy.load(Ordering::Acquire);
@@ -567,13 +567,11 @@ impl JobServer {
                 AdmissionPolicy::Shed => {
                     job.claim_run();
                     state.settle_never_ran(&job, JobOutcome::Shed);
-                    self.pool.stats().record_shed();
                     return handle;
                 }
                 AdmissionPolicy::ShedOldest => {
                     if let Some(victim) = state.claim_oldest_pending() {
                         state.settle_never_ran(&victim, JobOutcome::Shed);
-                        self.pool.stats().record_shed_oldest();
                         // Transfer the victim's slot to this submission. An unstarted
                         // victim still holds its slot, so the swap always wins here; the
                         // defensive branch covers the (unreachable today) case of racing
@@ -633,7 +631,7 @@ impl JobServer {
             shed: s.outcomes.0.shed.load(Ordering::Relaxed),
             respawns: stats.total_respawns(),
             jobs_drained: stats.total_jobs_drained(),
-            panics_caught: stats.total_panics_caught(),
+            panics_caught: stats.snapshot().total_panics_caught(),
             queue: s.queue_hist.snapshot(),
             service: s.service_hist.snapshot(),
             terminal: s.terminal_hist.snapshot(),
@@ -757,13 +755,6 @@ fn run_root_job(
             server.settle(job, JobOutcome::Completed, finished_at);
         }
         Err(payload) if payload.is::<CancelPayload>() => {
-            // Pool-stats view of expirations (the server's own counter is bumped by
-            // settle's outcome partition).
-            WorkerHandle::with_current(|w| {
-                if let Some(w) = w {
-                    w.shared.stats().record_deadline_expired();
-                }
-            });
             server.settle(job, JobOutcome::Deadline, finished_at);
         }
         Err(payload) => {
@@ -827,7 +818,6 @@ fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Dur
                             // Still queued: it never runs; settle and free its slot.
                             state.settle_never_ran(&job, JobOutcome::Deadline);
                             state.release_slot(&job);
-                            pool.stats().record_deadline_expired();
                         }
                         // Else: running — the token does the work at the next fork point.
                     }

@@ -11,8 +11,13 @@
 //! thread was joined, so ownership hands over with a happens-before. That is why they are
 //! bumped with a plain load and store (`bump`) rather than a locked read-modify-write — the
 //! unstolen `join` path counts a job per fork. Readers on any thread keep their relaxed
-//! loads and see each counter monotone. The service-wide counters have many writers
-//! (submitters, the supervisor, workers) and keep `fetch_add`.
+//! loads and see each counter monotone. The two pool-wide respawn counters are written by
+//! whichever thread heals the pool (the supervisor, or a shutdown's drain) and keep
+//! `fetch_add`.
+//!
+//! Every per-worker counter is read one way: [`PoolStats::snapshot`] copies them all, and
+//! [`PoolStats::snapshot_delta`] attributes a bracketed region; totals are sums over the
+//! snapshot's workers.
 
 use crate::padding::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,14 +60,11 @@ struct WorkerCounters {
     panics_caught: AtomicU64,
 }
 
-/// Pool-level service counters (one padded line, not per-worker: these are recorded on the
-/// cold submission/supervision paths — sheds, expired deadlines, worker respawns — never
-/// on the fork hot path). Written from any thread, hence `fetch_add`.
+/// Pool-level respawn counters (one padded line, not per-worker: recorded on the cold
+/// supervision path, never on the fork hot path). Written from any thread, hence
+/// `fetch_add`.
 #[derive(Debug, Default)]
-struct ServiceCounters {
-    shed: AtomicU64,
-    shed_oldest: AtomicU64,
-    deadlines_expired: AtomicU64,
+struct RespawnCounters {
     respawns: AtomicU64,
     jobs_drained: AtomicU64,
 }
@@ -71,7 +73,7 @@ struct ServiceCounters {
 #[derive(Debug)]
 pub struct PoolStats {
     workers: Vec<CachePadded<WorkerCounters>>,
-    service: CachePadded<ServiceCounters>,
+    respawns: CachePadded<RespawnCounters>,
 }
 
 /// A point-in-time copy of one worker's counters (see [`PoolStats::snapshot`]).
@@ -172,6 +174,11 @@ impl PoolStatsSnapshot {
     pub fn total_batch_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.batch_steals).sum()
     }
+
+    /// Total panics caught (quarantined) across workers.
+    pub fn total_panics_caught(&self) -> u64 {
+        self.workers.iter().map(|w| w.panics_caught).sum()
+    }
 }
 
 impl PoolStats {
@@ -179,7 +186,7 @@ impl PoolStats {
     pub fn new(workers: usize) -> Self {
         PoolStats {
             workers: (0..workers).map(|_| CachePadded::default()).collect(),
-            service: CachePadded::default(),
+            respawns: CachePadded::default(),
         }
     }
 
@@ -232,131 +239,21 @@ impl PoolStats {
         bump(&self.workers[w].0.panics_caught, 1);
     }
 
-    /// Record a submission shed at admission (queue full, `Shed` policy).
-    pub fn record_shed(&self) {
-        self.service.0.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a queued job evicted to admit a newer one (`ShedOldest` policy).
-    pub fn record_shed_oldest(&self) {
-        self.service.0.shed_oldest.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a job whose deadline expired before it completed.
-    pub fn record_deadline_expired(&self) {
-        self.service.0.deadlines_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record a dead worker respawned by the supervisor, with the number of orphaned jobs
     /// drained from its deque back to the injector.
-    pub fn record_respawn(&self, drained_jobs: u64) {
-        self.service.0.respawns.fetch_add(1, Ordering::Relaxed);
-        self.service.0.jobs_drained.fetch_add(drained_jobs, Ordering::Relaxed);
-    }
-
-    /// Total successful steals.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|c| c.0.steals.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total jobs executed.
-    pub fn total_jobs(&self) -> u64 {
-        self.workers.iter().map(|c| c.0.jobs.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total fruitless steal attempts: empty-victim probes plus lost CAS races — the native
-    /// analogue of the simulator's `failed_steals` (every time a worker reached for work
-    /// and came back empty-handed).
-    pub fn total_failed_steals(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|c| {
-                c.0.failed_steals.load(Ordering::Relaxed)
-                    + c.0.steal_retries.load(Ordering::Relaxed)
-            })
-            .sum()
-    }
-
-    /// Total steal attempts that lost a CAS race.
-    pub fn total_retries(&self) -> u64 {
-        self.workers.iter().map(|c| c.0.steal_retries.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total successful steal *operations* (victim visits — a batch counts once).
-    pub fn total_batch_steals(&self) -> u64 {
-        self.workers.iter().map(|c| c.0.batch_steals.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total jobs moved by steal operations (batch sizes summed);
-    /// `total_jobs_stolen() / total_batch_steals()` is the average batch size.
-    pub fn total_jobs_stolen(&self) -> u64 {
-        self.workers.iter().map(|c| c.0.jobs_stolen.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total times any worker parked.
-    pub fn total_parks(&self) -> u64 {
-        self.workers.iter().map(|c| c.0.parks.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total parks that ended in the backstop timeout rather than a notification.
-    pub fn total_backstop_wakes(&self) -> u64 {
-        self.workers.iter().map(|c| c.0.backstop_wakes.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total panics caught (quarantined) across all workers.
-    pub fn total_panics_caught(&self) -> u64 {
-        self.workers.iter().map(|c| c.0.panics_caught.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Submissions shed at admission (`Shed` policy refusals plus `ShedOldest` evictions'
-    /// admitted replacements are *not* counted here — this is refused work only).
-    pub fn total_shed(&self) -> u64 {
-        self.service.0.shed.load(Ordering::Relaxed)
-    }
-
-    /// Queued jobs evicted by the `ShedOldest` policy.
-    pub fn total_shed_oldest(&self) -> u64 {
-        self.service.0.shed_oldest.load(Ordering::Relaxed)
-    }
-
-    /// Jobs whose deadline expired before completion.
-    pub fn total_deadlines_expired(&self) -> u64 {
-        self.service.0.deadlines_expired.load(Ordering::Relaxed)
+    pub(crate) fn record_respawn(&self, drained_jobs: u64) {
+        self.respawns.0.respawns.fetch_add(1, Ordering::Relaxed);
+        self.respawns.0.jobs_drained.fetch_add(drained_jobs, Ordering::Relaxed);
     }
 
     /// Dead workers respawned by a supervisor.
     pub fn total_respawns(&self) -> u64 {
-        self.service.0.respawns.load(Ordering::Relaxed)
+        self.respawns.0.respawns.load(Ordering::Relaxed)
     }
 
     /// Orphaned jobs drained from dead workers' deques back to the injector.
     pub fn total_jobs_drained(&self) -> u64 {
-        self.service.0.jobs_drained.load(Ordering::Relaxed)
-    }
-
-    /// Steals performed by worker `w`.
-    pub fn steals_of(&self, w: usize) -> u64 {
-        self.workers[w].0.steals.load(Ordering::Relaxed)
-    }
-
-    /// Worker `w`'s heartbeat epoch (scheduling sweeps completed).
-    pub fn heartbeat_of(&self, w: usize) -> u64 {
-        self.workers[w].0.heartbeats.load(Ordering::Relaxed)
-    }
-
-    /// Panics caught while worker `w` executed jobs.
-    pub fn panics_caught_of(&self, w: usize) -> u64 {
-        self.workers[w].0.panics_caught.load(Ordering::Relaxed)
-    }
-
-    /// Jobs executed by worker `w`.
-    pub fn jobs_of(&self, w: usize) -> u64 {
-        self.workers[w].0.jobs.load(Ordering::Relaxed)
-    }
-
-    /// Number of workers the statistics cover.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.respawns.0.jobs_drained.load(Ordering::Relaxed)
     }
 
     /// Copy every worker's counters at one point in time (each load is relaxed; the copy
@@ -409,19 +306,20 @@ mod tests {
         s.record_park(0);
         s.record_backstop_wake(0);
         s.record_backstop_wake(0);
-        assert_eq!(s.total_steals(), 3);
-        assert_eq!(s.steals_of(1), 2);
-        assert_eq!(s.total_batch_steals(), 3, "each single steal is a batch of one");
-        assert_eq!(s.total_jobs_stolen(), 3);
-        assert_eq!(s.total_jobs(), 1);
-        assert_eq!(s.jobs_of(0), 1);
-        assert_eq!(s.total_retries(), 1);
-        assert_eq!(s.total_failed_steals(), 3, "empty probes plus CAS losses");
-        assert_eq!(s.total_parks(), 1);
-        assert_eq!(s.total_backstop_wakes(), 2);
-        assert_eq!(s.workers(), 2);
+        let snap = s.snapshot();
+        assert_eq!(snap.workers.len(), 2);
+        assert_eq!(snap.total_steals(), 3);
+        assert_eq!(snap.workers[1].steals, 2);
+        assert_eq!(snap.total_batch_steals(), 3, "each single steal is a batch of one");
+        assert_eq!(snap.workers.iter().map(|w| w.jobs_stolen).sum::<u64>(), 3);
+        assert_eq!(snap.total_jobs(), 1);
+        assert_eq!(snap.workers[0].jobs, 1);
+        assert_eq!(snap.workers[1].steal_retries, 1);
+        assert_eq!(snap.total_failed_steals(), 3, "empty probes plus CAS losses");
+        assert_eq!(snap.total_parks(), 1);
+        assert_eq!(snap.total_backstop_wakes(), 2);
         let d = s.snapshot_delta(&PoolStatsSnapshot { workers: vec![Default::default(); 2] });
-        assert_eq!(d.total_backstop_wakes(), 2, "backstop wakes flow through snapshots");
+        assert_eq!(d, snap, "a delta against zeros is the snapshot itself");
     }
 
     #[test]
@@ -429,9 +327,10 @@ mod tests {
         let s = PoolStats::new(1);
         s.record_steal_batch(0, 5);
         s.record_steal_batch(0, 1);
-        assert_eq!(s.total_steals(), 6, "paper view: one event per migrated task");
-        assert_eq!(s.total_batch_steals(), 2, "CAS-traffic view: one per victim visit");
-        assert_eq!(s.total_jobs_stolen(), 6);
+        let snap = s.snapshot();
+        assert_eq!(snap.total_steals(), 6, "paper view: one event per migrated task");
+        assert_eq!(snap.total_batch_steals(), 2, "CAS-traffic view: one per victim visit");
+        assert_eq!(snap.workers[0].jobs_stolen, 6);
     }
 
     #[test]
@@ -441,19 +340,13 @@ mod tests {
         s.record_heartbeat(0);
         s.record_heartbeat(1);
         s.record_panic_caught(1);
-        s.record_shed();
-        s.record_shed();
-        s.record_shed_oldest();
-        s.record_deadline_expired();
         s.record_respawn(3);
         s.record_respawn(0);
-        assert_eq!(s.heartbeat_of(0), 2);
-        assert_eq!(s.heartbeat_of(1), 1);
-        assert_eq!(s.panics_caught_of(1), 1);
-        assert_eq!(s.total_panics_caught(), 1);
-        assert_eq!(s.total_shed(), 2);
-        assert_eq!(s.total_shed_oldest(), 1);
-        assert_eq!(s.total_deadlines_expired(), 1);
+        let snap = s.snapshot();
+        assert_eq!(snap.workers[0].heartbeats, 2);
+        assert_eq!(snap.workers[1].heartbeats, 1);
+        assert_eq!(snap.workers[1].panics_caught, 1);
+        assert_eq!(snap.total_panics_caught(), 1);
         assert_eq!(s.total_respawns(), 2);
         assert_eq!(s.total_jobs_drained(), 3);
     }

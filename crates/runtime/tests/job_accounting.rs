@@ -81,11 +81,13 @@ fn a_fork_tree_counts_one_job_per_fork_plus_its_root_while_a_reader_watches() {
             stop.store(true, Ordering::Release);
             assert!(reader.join().expect("reader") > 0, "the reader took snapshots");
         });
-        assert_eq!(stats.total_jobs(), REPEATS as u64 * (FORKS + 1), "{threads} threads");
-        assert_eq!(stats.total_jobs_stolen(), stats.total_steals(), "{threads} threads");
+        let totals = stats.snapshot();
+        let jobs_stolen: u64 = totals.workers.iter().map(|w| w.jobs_stolen).sum();
+        assert_eq!(totals.total_jobs(), REPEATS as u64 * (FORKS + 1), "{threads} threads");
+        assert_eq!(jobs_stolen, totals.total_steals(), "{threads} threads");
         if threads == 1 {
-            assert_eq!(stats.total_steals(), 0, "nobody to steal from");
-            assert_eq!(stats.jobs_of(0), REPEATS as u64 * (FORKS + 1));
+            assert_eq!(totals.total_steals(), 0, "nobody to steal from");
+            assert_eq!(totals.workers[0].jobs, REPEATS as u64 * (FORKS + 1));
         }
     }
 }

@@ -90,7 +90,7 @@ fn stolen_branches_execute_exactly_once_under_contention() {
     // before any thief is scheduled, so keep running rounds (each one exact-checked)
     // until steals have demonstrably happened.
     let mut rounds = 0;
-    while p.stats().total_steals() == 0 {
+    while p.stats().snapshot().total_steals() == 0 {
         rounds += 1;
         assert!(rounds <= 100, "no steal in {rounds} rounds — not contending");
         let depth = 13;
@@ -116,11 +116,11 @@ fn steals_occur_when_work_is_wide() {
     // the running worker is eventually preempted while work is still queued — until a
     // steal demonstrably happened.
     let mut rounds = 0;
-    while p.stats().total_steals() == 0 {
+    while p.stats().snapshot().total_steals() == 0 {
         rounds += 1;
         assert!(rounds <= 50, "a wide 4-worker run must steal at least once");
         let n = 8_000_000u64;
         assert_eq!(p.install(move || sum_tree(0, n, 64)), n * (n - 1) / 2);
-        assert!(p.stats().total_jobs() > 0, "forked jobs must be recorded");
+        assert!(p.stats().snapshot().total_jobs() > 0, "forked jobs must be recorded");
     }
 }

@@ -83,7 +83,7 @@ fn heartbeats_advance_on_live_workers() {
     let stats = pool.stats();
     assert!(
         pool.wait_health(
-            || stats.heartbeat_of(0) > 0 && stats.heartbeat_of(1) > 0,
+            || stats.snapshot().workers.iter().all(|w| w.heartbeats > 0),
             Duration::from_secs(30),
         ),
         "every worker sweeps its heartbeat epoch"
@@ -98,10 +98,13 @@ fn panic_quarantine_is_health_tracked_per_worker() {
     }
     // Each quarantined panic fires a health event; wait on those, not on a timer.
     assert!(
-        pool.wait_health(|| pool.stats().total_panics_caught() >= 3, Duration::from_secs(30)),
+        pool.wait_health(
+            || pool.stats().snapshot().total_panics_caught() >= 3,
+            Duration::from_secs(30)
+        ),
         "panics never recorded"
     );
-    assert_eq!(pool.stats().panics_caught_of(0), 3);
+    assert_eq!(pool.stats().snapshot().workers[0].panics_caught, 3);
     assert_eq!(pool.install(|| 5), 5, "the worker survives its quarantined panics");
 }
 

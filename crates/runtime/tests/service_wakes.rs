@@ -82,7 +82,7 @@ fn a_submission_to_a_parked_worker_issues_exactly_one_wake() {
         // and a tick is counted before the worker looks for the job it will then run.
         let deadline = Instant::now() + Duration::from_secs(10);
         let backstops = loop {
-            let backstops = pool.stats().total_backstop_wakes();
+            let backstops = pool.stats().snapshot().total_backstop_wakes();
             if pool.parked_workers() == 1 {
                 break backstops;
             }
@@ -93,7 +93,7 @@ fn a_submission_to_a_parked_worker_issues_exactly_one_wake() {
         assert_eq!(server.submit(|| {}).wait(), JobOutcome::Completed);
         let wakes = pool.wake_events() - before;
         assert!(wakes <= 1, "one job needs one worker, not {wakes} wake-ups");
-        if pool.stats().total_backstop_wakes() == backstops {
+        if pool.stats().snapshot().total_backstop_wakes() == backstops {
             assert_eq!(wakes, 1, "the worker was parked throughout: the submission wakes it");
             pinned += 1;
         }

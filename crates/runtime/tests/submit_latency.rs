@@ -138,7 +138,7 @@ fn spawns_against_a_parked_pool_never_lean_on_the_backstop() {
     const ROUNDS: u64 = 100;
 
     await_parked(&pool, 1);
-    let before = pool.stats().total_backstop_wakes();
+    let before = pool.stats().snapshot().total_backstop_wakes();
     for _ in 0..ROUNDS {
         await_parked(&pool, 1);
         let ran = Arc::clone(&ran);
@@ -149,7 +149,7 @@ fn spawns_against_a_parked_pool_never_lean_on_the_backstop() {
         });
         rx.recv().expect("worker must run the job");
     }
-    let backstops = pool.stats().total_backstop_wakes() - before;
+    let backstops = pool.stats().snapshot().total_backstop_wakes() - before;
 
     assert_eq!(ran.load(Ordering::Relaxed), ROUNDS);
     assert!(

@@ -58,11 +58,11 @@ fn a_respawned_worker_forks_under_the_index_it_replaced() {
         "the planned death never fired"
     );
     assert_eq!(pool.respawn_dead_workers().respawned, 1);
-    let before = pool.stats().jobs_of(0);
+    let before = pool.stats().snapshot().workers[0].jobs;
     let (sum, threads) = pool.install(|| (recursive_sum(0, N), current_num_threads()));
     assert_eq!((sum, threads), (SUM, 1));
     assert_eq!(
-        pool.stats().jobs_of(0) - before,
+        pool.stats().snapshot().workers[0].jobs - before,
         FORKS + 1,
         "the replacement forks on slot 0's deque and counts under slot 0"
     );
@@ -73,20 +73,29 @@ fn install_on_another_pool_forks_on_that_pool() {
     let a = ThreadPool::new(1);
     let b = Arc::new(ThreadPool::new(1));
     let inner = Arc::clone(&b);
-    let (a_before, b_before) = (a.stats().total_jobs(), b.stats().total_jobs());
+    let (a_before, b_before) =
+        (a.stats().snapshot().total_jobs(), b.stats().snapshot().total_jobs());
     assert_eq!(a.install(move || inner.install(|| recursive_sum(0, N))), SUM);
-    assert_eq!(a.stats().total_jobs() - a_before, 1, "a ran the outer closure and nothing else");
-    assert_eq!(b.stats().total_jobs() - b_before, FORKS + 1, "every fork went to b's deque");
+    assert_eq!(
+        a.stats().snapshot().total_jobs() - a_before,
+        1,
+        "a ran the outer closure and nothing else"
+    );
+    assert_eq!(
+        b.stats().snapshot().total_jobs() - b_before,
+        FORKS + 1,
+        "every fork went to b's deque"
+    );
 }
 
 #[test]
 fn nested_install_on_the_same_pool_forks_inline_on_the_same_worker() {
     let pool = Arc::new(ThreadPool::new(1));
     let inner = Arc::clone(&pool);
-    let before = pool.stats().total_jobs();
+    let before = pool.stats().snapshot().total_jobs();
     assert_eq!(pool.install(move || inner.install(|| recursive_sum(0, N))), SUM);
     assert_eq!(
-        pool.stats().total_jobs() - before,
+        pool.stats().snapshot().total_jobs() - before,
         FORKS + 1,
         "one root: the inner install queued nothing"
     );

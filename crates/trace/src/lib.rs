@@ -407,9 +407,11 @@ pub struct WorkerProfile {
     pub overhead_ns: u64,
     /// The observed span: first event timestamp to last event timestamp on this lane.
     pub span_ns: u64,
-    /// Jobs executed (every `job_start`, nested or not — matches `PoolStats::jobs_of`).
+    /// Jobs executed (every `job_start`, nested or not — matches the worker's `jobs` in a
+    /// `PoolStats` snapshot).
     pub jobs: u64,
-    /// Tasks migrated by successful steals (batch sizes summed — matches `steals_of`).
+    /// Tasks migrated by successful steals (batch sizes summed — matches the snapshot's
+    /// `steals`).
     pub steals: u64,
     /// Successful steal visits (one per `steal_ok` event).
     pub batch_steals: u64,
@@ -420,7 +422,7 @@ pub struct WorkerProfile {
     /// Parks.
     pub parks: u64,
     /// Unparks whose `aux` says the 1ms backstop timer fired (no notification arrived) —
-    /// matches `PoolStats::total_backstop_wakes`.
+    /// matches the snapshot's `backstop_wakes`.
     pub backstop_wakes: u64,
     /// Cooperative cancellation checks observed at fork points.
     pub cancel_checks: u64,

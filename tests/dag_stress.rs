@@ -9,7 +9,8 @@
 //! * panic containment: a failing node unwinds out of `Levels::run` without wedging or
 //!   poisoning the pool;
 //! * the satellite idle-path claim — steady-state DAG runs are driven by notifications,
-//!   not by the 1ms park-backstop timer (`PoolStats::total_backstop_wakes` stays flat).
+//!   not by the 1ms park-backstop timer (a `PoolStats` snapshot's `total_backstop_wakes`
+//!   stays flat).
 
 use rws_algos::taskgraph::{
     layered_random, workflow_native, workflow_reference, Levels, TaskGraph,
@@ -120,12 +121,12 @@ fn steady_state_dag_runs_do_not_lean_on_the_park_backstop() {
     let pw = Arc::clone(&plan);
     assert_eq!(pool.install(move || workflow_native(&pw, 4)), expected);
 
-    let before = pool.stats().total_backstop_wakes();
+    let before = pool.stats().snapshot().total_backstop_wakes();
     for _ in 0..RUNS {
         let pr = Arc::clone(&plan);
         assert_eq!(pool.install(move || workflow_native(&pr, 4)), expected);
     }
-    let backstops = pool.stats().total_backstop_wakes() - before;
+    let backstops = pool.stats().snapshot().total_backstop_wakes() - before;
     assert!(
         backstops <= (RUNS / 4) as u64,
         "{backstops} backstop wakes across {RUNS} steady-state DAG runs: \

@@ -44,13 +44,13 @@ fn fft_survives_oversubscription() {
         let expected = fft_reference(&input);
         let mut stolen = false;
         for _ in 0..ATTEMPTS {
-            let steals0 = pool.stats().total_steals();
+            let steals0 = pool.stats().snapshot().total_steals();
             let on_pool = Arc::clone(&input);
             let got = pool.install(move || fft_native(&on_pool, 16));
             for (a, b) in got.iter().zip(&expected) {
                 assert!((a.0 - b.0).abs() < 1e-9 && (a.1 - b.1).abs() < 1e-9, "seed {seed}");
             }
-            stolen = stolen || pool.stats().total_steals() > steals0;
+            stolen = stolen || pool.stats().snapshot().total_steals() > steals0;
             if stolen {
                 break;
             }
