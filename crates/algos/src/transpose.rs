@@ -13,8 +13,9 @@
 //! Each of the three computations also ships as a real fork-join kernel on the
 //! `rws-runtime` pool ([`transpose_native_bi`], [`rm_to_bi_native`], [`bi_to_rm_native`]):
 //! aligned BI quadrants are contiguous, so the quadrant recursion splits the buffer into
-//! disjoint borrowed `&mut` slices and forks with `rws_runtime::join` — the same
-//! decomposition the dag builders emit, executed for real.
+//! disjoint borrowed `&mut` slices and forks with nested `rws_runtime::join`s — the binary
+//! fork tree `BalancedTreeBuilder::combine` gives the dag builders, same shape and child
+//! order, executed for real.
 
 use crate::common::{balanced_levels, Dest};
 use crate::layout::{bi_quadrant_offset, bit_interleave, quad, quads_mut};
@@ -105,9 +106,9 @@ pub fn transpose_reference(a: &[f64], n: usize) -> Vec<f64> {
 
 /// In-place native fork-join transpose of an `n × n` matrix in BI layout — the same
 /// decomposition as [`transpose_bi_computation`]'s dag: diagonal quadrants transpose
-/// themselves, the off-diagonal pair swap-transposes, all three in one parallel collection
-/// over disjoint borrowed quadrant slices. Outside a pool worker the joins run
-/// sequentially.
+/// themselves, the off-diagonal pair swap-transposes, forked as the dag's
+/// `Par(tl, Par(br, swap))` over disjoint borrowed quadrant slices. Outside a pool worker
+/// the joins run sequentially.
 pub fn transpose_native_bi(a: &mut [f64], n: usize, base: usize) {
     assert!(n.is_power_of_two() && base.is_power_of_two() && base >= 1 && base <= n);
     assert_eq!(a.len(), n * n);
@@ -125,13 +126,16 @@ fn transpose_rec(a: &mut [f64], m: usize, base: usize) {
         return;
     }
     let [tl, tr, bl, br] = quads_mut(a);
-    // One scope per node: the two diagonal recursions are spawns (inline slots — no
-    // allocation when unstolen), the swap pair runs in the scope body.
-    rws_runtime::scope(|s| {
-        s.spawn(|_| transpose_rec(tl, m / 2, base));
-        s.spawn(|_| transpose_rec(br, m / 2, base));
-        swap_transpose_rec(tr, bl, m / 2, base);
-    });
+    // The dag's `Par(tl, Par(br, swap))`: the two diagonal recursions, then the swap pair.
+    rws_runtime::join(
+        || transpose_rec(tl, m / 2, base),
+        || {
+            rws_runtime::join(
+                || transpose_rec(br, m / 2, base),
+                || swap_transpose_rec(tr, bl, m / 2, base),
+            )
+        },
+    );
 }
 
 /// Set `X ← Yᵀ` and `Y ← Xᵀ` for two disjoint BI-ordered `m × m` tiles; quadrant-wise,
@@ -149,14 +153,21 @@ fn swap_transpose_rec(x: &mut [f64], y: &mut [f64], m: usize, base: usize) {
     }
     let [x0, x1, x2, x3] = quads_mut(x);
     let [y0, y1, y2, y3] = quads_mut(y);
-    // The four-child collection as a 4-way scope over disjoint quadrant borrows; three
-    // spawned branches fit the inline slots, the fourth is the scope body.
-    rws_runtime::scope(|s| {
-        s.spawn(|_| swap_transpose_rec(x0, y0, m / 2, base));
-        s.spawn(|_| swap_transpose_rec(x1, y2, m / 2, base));
-        s.spawn(|_| swap_transpose_rec(x2, y1, m / 2, base));
-        swap_transpose_rec(x3, y3, m / 2, base);
-    });
+    // The dag's `Par(Par(q0, q1), Par(q2, q3))` over disjoint quadrant borrows.
+    rws_runtime::join(
+        || {
+            rws_runtime::join(
+                || swap_transpose_rec(x0, y0, m / 2, base),
+                || swap_transpose_rec(x1, y2, m / 2, base),
+            )
+        },
+        || {
+            rws_runtime::join(
+                || swap_transpose_rec(x2, y1, m / 2, base),
+                || swap_transpose_rec(x3, y3, m / 2, base),
+            )
+        },
+    );
 }
 
 /// Native fork-join conversion of a row-major `n × n` matrix into a fresh BI-ordered
@@ -190,12 +201,21 @@ fn rm_to_bi_rec(
     }
     let h = m / 2;
     let [q0, q1, q2, q3] = quads_mut(out);
-    rws_runtime::scope(|s| {
-        s.spawn(|_| rm_to_bi_rec(rm, n, i0, j0, h, q0, base));
-        s.spawn(|_| rm_to_bi_rec(rm, n, i0, j0 + h, h, q1, base));
-        s.spawn(|_| rm_to_bi_rec(rm, n, i0 + h, j0, h, q2, base));
-        rm_to_bi_rec(rm, n, i0 + h, j0 + h, h, q3, base);
-    });
+    // The dag's balanced tree over the four quadrants' tiles: `Par(Par(q0, q1), Par(q2, q3))`.
+    rws_runtime::join(
+        || {
+            rws_runtime::join(
+                || rm_to_bi_rec(rm, n, i0, j0, h, q0, base),
+                || rm_to_bi_rec(rm, n, i0, j0 + h, h, q1, base),
+            )
+        },
+        || {
+            rws_runtime::join(
+                || rm_to_bi_rec(rm, n, i0 + h, j0, h, q2, base),
+                || rm_to_bi_rec(rm, n, i0 + h, j0 + h, h, q3, base),
+            )
+        },
+    );
 }
 
 /// Native fork-join conversion of a BI-ordered `n × n` matrix into a fresh row-major
@@ -232,14 +252,21 @@ fn bi_to_rm_rec(bi: &[f64], out: &mut [f64], ws: &mut [f64], m: usize, base: usi
     {
         let [t0, t1, t2, t3] = quads_mut(ws);
         let [o0, o1, o2, o3] = quads_mut(out);
-        // 4-way scope over disjoint quarter borrows: three spawned branches fit the
-        // inline slots, the fourth is the scope body.
-        rws_runtime::scope(|s| {
-            s.spawn(|_| bi_to_rm_rec(quad(bi, 0), t0, o0, h, base));
-            s.spawn(|_| bi_to_rm_rec(quad(bi, 1), t1, o1, h, base));
-            s.spawn(|_| bi_to_rm_rec(quad(bi, 2), t2, o2, h, base));
-            bi_to_rm_rec(quad(bi, 3), t3, o3, h, base);
-        });
+        // The dag's `Par(Par(q0, q1), Par(q2, q3))` over disjoint quarter borrows.
+        rws_runtime::join(
+            || {
+                rws_runtime::join(
+                    || bi_to_rm_rec(quad(bi, 0), t0, o0, h, base),
+                    || bi_to_rm_rec(quad(bi, 1), t1, o1, h, base),
+                )
+            },
+            || {
+                rws_runtime::join(
+                    || bi_to_rm_rec(quad(bi, 2), t2, o2, h, base),
+                    || bi_to_rm_rec(quad(bi, 3), t3, o3, h, base),
+                )
+            },
+        );
     }
     // Merge pass: one branch per output row; row i (< h) interleaves TL row i and TR row
     // i, row i (>= h) interleaves BL and BR rows (the dag's row-merge tree).

@@ -1,9 +1,10 @@
 //! The fork tree of every native HBP kernel, pinned: on a 1-thread pool the `jobs` counter
 //! (fork branches executed) of one call is a pure function of the kernel and its size, and
 //! each constant below was captured from the commit *before* the kernels were made
-//! allocation-lean (the workflow's is the dag's fork count instead of a constant). A kernel
-//! that got faster by forking less — a coarser leaf, a skipped level, a collection flattened
-//! into a loop — fails here; one that only changed how it obtains its local arrays does not.
+//! allocation-lean (the workflow's, the transpose's and rm→bi's are their dags' fork counts
+//! instead of constants). A kernel that got faster by forking less — a coarser leaf, a
+//! skipped level, a collection flattened into a loop — fails here; one that only changed how
+//! it obtains its local arrays does not.
 
 use rws_algos::bfs::{bfs_native, CsrGraph};
 use rws_algos::fft::{fft_native, Complex};
@@ -14,7 +15,10 @@ use rws_algos::samplesort::sample_sort_native;
 use rws_algos::sort::merge_sort_native;
 use rws_algos::spmv::{spmv_native, CsrMatrix};
 use rws_algos::taskgraph::{layered_random, workflow_computation, workflow_native, Levels};
-use rws_algos::transpose::{bi_to_rm_native, rm_to_bi_native, transpose_native_bi};
+use rws_algos::transpose::{
+    bi_to_rm_native, rm_to_bi_computation, rm_to_bi_native, transpose_bi_computation,
+    transpose_native_bi,
+};
 use rws_runtime::ThreadPool;
 
 /// `jobs` executed by one `install` of `kernel` on a fresh 1-thread pool — where a lone
@@ -64,6 +68,27 @@ fn transpose_pipeline_fork_count_is_pinned() {
         };
         assert_eq!(jobs_of(pipeline), expected, "n = {n}");
     }
+}
+
+#[test]
+fn transpose_and_rm_to_bi_fork_counts_are_the_dags() {
+    // Not pinned but derived: both kernels fork their dag's binary tree with nested `join`s,
+    // so their jobs are the dag's forks plus the `install`. The last size is the repository
+    // benchmark's (`kernels-coarse`).
+    for (n, base) in [(64usize, 16usize), (128, 16), (256, 16)] {
+        let forks = transpose_bi_computation(n, base).dag.fork_count();
+        let mut bi = floats(n * n);
+        assert_eq!(jobs_of(move || transpose_native_bi(&mut bi, n, base)), forks + 1, "n = {n}");
+        let forks = rm_to_bi_computation(n, base).dag.fork_count();
+        let rm = floats(n * n);
+        assert_eq!(jobs_of(move || rm_to_bi_native(&rm, n, base)), forks + 1, "n = {n}");
+    }
+    // The hand counts at the two smaller sizes: a transpose node forks twice, a swap or an
+    // rm→bi node three times.
+    assert_eq!(transpose_bi_computation(64, 16).dag.fork_count(), 9);
+    assert_eq!(rm_to_bi_computation(64, 16).dag.fork_count(), 15);
+    assert_eq!(transpose_bi_computation(128, 16).dag.fork_count(), 35);
+    assert_eq!(rm_to_bi_computation(128, 16).dag.fork_count(), 63);
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! [`JobServer`], with structured recovery-invariant verdicts.
 //!
 //! A chaos scenario reuses the lab's plain `key = value` file format but is its own
-//! dialect, selected by `mode = chaos` as the first meaningful line (the `lab` binary
-//! dispatches on [`is_chaos_scenario`]). Instead of a workload and paper-bound checks it
-//! describes a *traffic trace* against a [`JobServer`] and the faults to inject under it:
+//! dialect, selected when the file's first `mode` key, wherever it stands, reads
+//! `mode = chaos` (the `lab` binary dispatches on [`is_chaos_scenario`]). Instead of a
+//! workload and paper-bound checks it describes a *traffic trace* against a [`JobServer`]
+//! and the faults to inject under it:
 //!
 //! ```text
 //! mode = chaos
@@ -49,7 +50,7 @@
 //! that proves the harness actually trips.
 
 use crate::json::{self, obj, Json};
-use crate::scenario::{err, parse_num, split_list, ScenarioError};
+use crate::scenario::{err, key_values, parse_num, split_list, ScenarioError};
 use crate::trace_export;
 use rws_runtime::trace::TraceSnapshot;
 use rws_runtime::{
@@ -83,17 +84,14 @@ const STORM_PUSHES: usize = 64;
 /// Overall budget for every submission to settle (generous; CI hosts have 1 CPU).
 const SETTLE_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Quick dispatch test: does this scenario text declare `mode = chaos`?
+/// Quick dispatch test: does the first `mode` key of this scenario text, wherever in the
+/// file it stands, read `chaos`? Malformed lines are skipped here; the parser the text
+/// dispatches to reports them.
 pub fn is_chaos_scenario(text: &str) -> bool {
-    text.lines()
-        .filter_map(|raw| {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            let (k, v) = line.split_once('=')?;
-            Some((k.trim() == "mode").then(|| v.trim() == "chaos"))
-        })
+    key_values(text)
         .flatten()
-        .next()
-        .unwrap_or(false)
+        .find(|&(_, key, _)| key == "mode")
+        .is_some_and(|(_, _, v)| v == "chaos")
 }
 
 /// One declarative chaos run: the traffic trace, the fault plan, and the invariant floors.
@@ -168,19 +166,8 @@ impl ChaosScenario {
         let mut min_deadlines = 0u64;
         let mut max_shed_rate = 1.0f64;
 
-        for (idx, raw) in text.lines().enumerate() {
-            let ln = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return err(ln, format!("expected `key = value`, got `{line}`"));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            if value.is_empty() {
-                return err(ln, format!("`{key}` has no value"));
-            }
+        for entry in key_values(text) {
+            let (ln, key, value) = entry?;
             match key {
                 "mode" => mode = Some(value.to_string()),
                 "name" => name = Some(value.to_string()),
@@ -785,6 +772,9 @@ mod tests {
         assert_eq!(sc.total_jobs(), 40 + 24 + 4 + 8);
         assert!(is_chaos_scenario(TINY));
         assert!(!is_chaos_scenario("name = x\nworkload = fft\nn = 64"));
+        // The first `mode` key decides, wherever it stands; malformed lines are skipped.
+        assert!(is_chaos_scenario("# x\nname = x\nnot a pair\nthreads = 2\nmode = chaos"));
+        assert!(!is_chaos_scenario("mode = sim\nmode = chaos"));
 
         let defaults =
             ChaosScenario::parse("mode = chaos\nname = d\nqueue_capacity = 16").expect("defaults");

@@ -23,9 +23,9 @@
 //! cargo run --release -p rws-lab --bin lab -- scenarios/quick.scn --out LAB_quick.json
 //! ```
 //!
-//! A scenario whose first meaningful key is `mode = chaos` dispatches to the [`chaos`]
-//! harness instead: streamed fault-injected traffic against the supervised
-//! `rws_runtime::JobServer`, with recovery-invariant verdicts emitted as a
+//! A scenario whose first `mode` key, wherever in the file it stands, reads `mode = chaos`
+//! dispatches to the [`chaos`] harness instead: streamed fault-injected traffic against the
+//! supervised `rws_runtime::JobServer`, with recovery-invariant verdicts emitted as a
 //! `rws-chaos-report/v1` document (the CI `chaos-smoke` job gates on its exit code, and
 //! `--sabotage` is the self-test proving the harness trips on doctored evidence).
 //!

@@ -203,10 +203,6 @@ impl CheckKind {
             CheckKind::CacheMisses => 8.0,
         }
     }
-
-    fn all() -> [CheckKind; 4] {
-        [CheckKind::Steals, CheckKind::BlockMisses, CheckKind::Runtime, CheckKind::CacheMisses]
-    }
 }
 
 /// A parse/validation error: the offending line (0 for whole-file problems) and a message.
@@ -283,19 +279,8 @@ impl Scenario {
         let mut checks: Option<Vec<CheckKind>> = None;
         let mut slacks: Vec<(CheckKind, f64, usize)> = Vec::new();
 
-        for (idx, raw) in text.lines().enumerate() {
-            let ln = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return err(ln, format!("expected `key = value`, got `{line}`"));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            if value.is_empty() {
-                return err(ln, format!("`{key}` has no value"));
-            }
+        for entry in key_values(text) {
+            let (ln, key, value) = entry?;
             match key {
                 "name" => name = Some(value.to_string()),
                 "workload" => match WorkloadKind::parse(value) {
@@ -536,7 +521,6 @@ impl Scenario {
                 }
             }
         }
-        debug_assert!(CheckKind::all().len() >= checks_with_slack.len());
 
         machine.procs = procs;
         if let Err(e) = machine.validate() {
@@ -600,6 +584,29 @@ impl Scenario {
     }
 }
 
+/// The meaningful lines of a `key = value` file, in order, as `(line, key, value)` with a
+/// 1-based line number: `#` starts a comment, blank lines are skipped, key and value are
+/// trimmed. A line with no `=`, or with nothing after it, yields that line's error.
+pub(crate) fn key_values(
+    text: &str,
+) -> impl Iterator<Item = Result<(usize, &str, &str), ScenarioError>> {
+    text.lines().enumerate().filter_map(|(idx, raw)| {
+        let ln = idx + 1;
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            return None;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            return Some(err(ln, format!("expected `key = value`, got `{line}`")));
+        };
+        let (key, value) = (key.trim(), value.trim());
+        if value.is_empty() {
+            return Some(err(ln, format!("`{key}` has no value")));
+        }
+        Some(Ok((ln, key, value)))
+    })
+}
+
 pub(crate) fn split_list(value: &str) -> Vec<&str> {
     value.split(',').map(str::trim).filter(|s| !s.is_empty()).collect()
 }
@@ -618,6 +625,12 @@ pub(crate) fn parse_num<T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CheckKind {
+        fn all() -> [CheckKind; 4] {
+            [CheckKind::Steals, CheckKind::BlockMisses, CheckKind::Runtime, CheckKind::CacheMisses]
+        }
+    }
 
     const GOOD: &str = "
         # a comment

@@ -97,8 +97,8 @@ unsafe impl Send for JobRef {}
 
 impl JobRef {
     /// A queue entry from a raw data pointer and its execute function. Used by the scoped
-    /// spawn machinery (`scope.rs`), whose jobs live either in the scope's stack frame
-    /// (inline slots) or in a box whose ownership the ref carries.
+    /// spawn machinery (`scope.rs`), whose jobs live in a box whose ownership the ref
+    /// carries.
     ///
     /// # Safety
     /// Whatever `data` points to must stay alive until `execute_fn` consumes it, and the

@@ -24,10 +24,9 @@
 //!   the pool's sleep protocol; an idle pool burns no CPU, and a fork wakes sleepers with a
 //!   single relaxed load on the producer side.
 //! * **Scoped tasks and a parallel iterator** — [`scope()`] generalizes `join` to arbitrary
-//!   borrow-friendly fan-out behind one shared atomic completion latch (inline job slots
-//!   keep small fan-outs, including the kernels' 4-way quadrant splits, allocation-free),
-//!   and [`par_iter`] builds a rayon-style `par_chunks_mut` with pool-width-adaptive
-//!   splitting on top of the same fork-join machinery.
+//!   borrow-friendly fan-out behind one shared atomic completion latch (one boxed job per
+//!   spawn; `join` is the one allocation-free fork), and [`par_iter`] builds a rayon-style
+//!   `par_chunks_mut` with pool-width-adaptive splitting on top of `join`.
 //!
 //! On top of the pool sits a supervised **persistent job-server mode** ([`service`]): a
 //! long-lived [`JobServer`] accepting streamed root jobs through the lock-free MPMC

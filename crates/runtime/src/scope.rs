@@ -1,7 +1,7 @@
 //! Scoped tasks: fork any number of borrow-friendly jobs and join them all at once.
 //!
-//! [`join`](crate::join) covers strictly binary fork-join; the paper's analysis (and the
-//! kernels built on it) want arbitrary fan-out. [`scope`] provides it rayon-style:
+//! [`join`](crate::join) covers strictly binary fork-join; [`scope`] adds arbitrary fan-out,
+//! with a branch count known only at run time, rayon-style:
 //!
 //! ```
 //! let mut parts = [0u64; 3];
@@ -22,13 +22,11 @@
 //! * **Borrow-friendly**: spawned closures only need to outlive `'scope`, not `'static` —
 //!   they may borrow from the caller's frame because `scope` does not return until every
 //!   spawn has completed (a shared atomic `CountLatch` counts them down).
-//! * **Allocation-free fast path**: the scope owns [`INLINE_SLOTS`] fixed slots of
-//!   [`INLINE_BYTES`] bytes each, living in the `scope` caller's stack frame. A spawn from
-//!   a worker of the pool whose closure fits claims a slot and is queued as the same
-//!   two-word `JobRef` (see `job.rs`) the `join` fast path uses — no `Box`, no lock. A
-//!   single-spawn scope (and the 4-way quadrant fan-outs in `rws-algos`) therefore
-//!   allocates nothing, preserving the PR 2 hot-path property; only wider or oversized
-//!   fan-outs fall back to boxed jobs.
+//! * **One boxed job per spawn**: a spawn from a worker of the scope's pool boxes its
+//!   closure and pushes it onto that worker's deque as the same two-word `JobRef` (see
+//!   `job.rs`) the `join` fast path uses; a spawn from any other thread is injected. The
+//!   allocation-free fork is [`join`](crate::join): a fixed fan-out on a hot path, such as
+//!   the kernels' quadrant splits, nests it instead.
 //! * **Helping wait**: the owner executes queued work (its own unstolen spawns first —
 //!   LIFO pop — then anything it can find or steal) while waiting for the latch, so a
 //!   blocked scope never idles a core, and the common unstolen case runs entirely on the
@@ -42,10 +40,10 @@
 //! semantics every other primitive in this crate degrades to), still with scope-exit panic
 //! aggregation.
 
-// Unsafe is confined to the slot/box handoff; the invariants mirror `job.rs`: a queued
-// JobRef is executed exactly once, and the memory it points into (a slot in the scope
-// frame, or a box whose ownership the ref carries) outlives execution because `scope` waits
-// for the completion latch before returning — even when its body unwinds.
+// Unsafe is confined to the box handoff; the invariants mirror `job.rs`: a queued JobRef is
+// executed exactly once, the box's ownership travels with the ref, and the scope the box
+// points back to outlives execution because `scope` waits for the completion latch before
+// returning — even when its body unwinds.
 #![allow(unsafe_code)]
 
 use crate::cancel::{self, ForkToken};
@@ -53,47 +51,9 @@ use crate::job::{CountLatch, Job, JobRef};
 use crate::pool::{Shared, WorkerHandle};
 use rws_trace::JobKind;
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::marker::PhantomData;
-use std::mem::{align_of, size_of, MaybeUninit};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Number of inline spawn slots per scope: enough for the quadrant (4-way) fan-outs the
-/// native kernels use, so their spawns never allocate.
-pub const INLINE_SLOTS: usize = 4;
-
-/// Byte capacity of one inline spawn slot. Closures larger than this (or over-aligned
-/// beyond 64 bytes) are boxed instead.
-pub const INLINE_BYTES: usize = 128;
-
-/// 64-byte-aligned backing store for one inline spawn closure. The bytes are only ever
-/// touched through raw pointers (`write`/`read` of the erased closure type), which is why
-/// the field looks unread to the compiler.
-#[repr(align(64))]
-struct SlotStorage(#[allow(dead_code)] [MaybeUninit<u8>; INLINE_BYTES]);
-
-/// One inline spawn slot: a claim flag plus the closure bytes. The slot is reusable — the
-/// executor moves the closure out and releases the claim *before* running it, so a
-/// sequence of short-lived spawns can keep hitting the same slot.
-struct InlineSlot {
-    claimed: AtomicBool,
-    /// Back-pointer to the owning scope, written at `scope` entry (after the `Scope` value
-    /// has reached its final stack address) and read by the type-erased executor.
-    scope: UnsafeCell<*const ()>,
-    storage: UnsafeCell<SlotStorage>,
-}
-
-impl InlineSlot {
-    fn new() -> Self {
-        InlineSlot {
-            claimed: AtomicBool::new(false),
-            scope: UnsafeCell::new(std::ptr::null()),
-            storage: UnsafeCell::new(SlotStorage([MaybeUninit::uninit(); INLINE_BYTES])),
-        }
-    }
-}
 
 /// A scope for spawning borrow-friendly tasks; created by [`scope`], used through the
 /// reference passed to the scope body (and to every spawned closure, so tasks can spawn
@@ -110,21 +70,19 @@ pub struct Scope<'scope> {
     /// so deadlines follow the work onto whichever worker runs it (null outside service
     /// mode). Borrowed: `scope` returns only after every task has finished.
     cancel: ForkToken,
-    slots: [InlineSlot; INLINE_SLOTS],
     /// `'scope` is invariant: it must be exactly the lifetime the closures were checked
     /// against, never shortened or lengthened by variance.
     marker: PhantomData<&'scope mut &'scope ()>,
 }
 
-// Safety: a &Scope crosses threads inside spawned jobs. The slot storage is guarded by the
-// `claimed` flag plus the queue's publish/consume ordering; the panic store is a mutex; the
-// latch is atomic; the pool handle is an Arc. Closure payloads are required to be `Send` by
+// Safety: a &Scope crosses threads inside spawned jobs. The panic store is a mutex, the
+// latch is atomic, the pool handle is an Arc, and the cancel token word is only read (it
+// outlives every task, see `ForkToken`); closure payloads are required to be `Send` by
 // `spawn`'s bounds.
 unsafe impl Sync for Scope<'_> {}
 
-/// A boxed spawn: the fallback when every inline slot is busy or the closure is too big.
-/// Carries the scope pointer alongside the closure; the box travels through the queue as a
-/// raw [`JobRef`] so heap and inline spawns share one execution path.
+/// A boxed spawn: the closure and a pointer to its scope. The box travels through the queue
+/// as a raw [`JobRef`], the same entry a `join` queues.
 struct HeapSpawn<F> {
     scope: *const (),
     func: F,
@@ -140,17 +98,7 @@ impl<'scope> Scope<'scope> {
             latch,
             panic: Mutex::new(None),
             cancel: ForkToken::capture(),
-            slots: [InlineSlot::new(), InlineSlot::new(), InlineSlot::new(), InlineSlot::new()],
             marker: PhantomData,
-        }
-    }
-
-    /// Write the scope's final address into each slot's back-pointer. Must run after the
-    /// `Scope` value has reached the stack location it will keep for its whole life (the
-    /// `let` binding in [`scope`]); the value is never moved afterwards.
-    fn bind_slots(&self) {
-        for slot in &self.slots {
-            unsafe { *slot.scope.get() = self as *const Self as *const () };
         }
     }
 
@@ -180,50 +128,22 @@ impl<'scope> Scope<'scope> {
             return;
         };
         self.latch.increment();
-        WorkerHandle::with_current(|worker| {
-            let worker = worker.filter(|w| Arc::ptr_eq(&w.shared, pool));
-            if let Some(w) = worker {
-                if size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= 64 {
-                    for slot in &self.slots {
-                        // Test before locking: a busy slot costs a load, not an `xchg` that
-                        // was bound to lose. The swap alone claims, and its Acquire still
-                        // pairs with the executor's Release.
-                        if !slot.claimed.load(Ordering::Relaxed)
-                            && !slot.claimed.swap(true, Ordering::Acquire)
-                        {
-                            // Safety: the claim gives us exclusive use of the storage; the
-                            // scope (and thus the slot) outlives execution because the latch
-                            // was incremented above and `scope` waits for it.
-                            let job_ref = unsafe {
-                                (slot.storage.get() as *mut F).write(f);
-                                JobRef::from_raw(
-                                    slot as *const InlineSlot as *const (),
-                                    execute_inline::<F>,
-                                    JobKind::ScopedSpawn,
-                                )
-                            };
-                            w.push_local(Job::Stack(job_ref));
-                            return;
-                        }
-                    }
-                }
-            }
-            // Heap path: every slot busy, oversized closure, or a spawn arriving from a
-            // thread that is not a worker of this pool (which cannot push to a local deque
-            // anyway).
-            let boxed = Box::new(HeapSpawn { scope: self as *const Self as *const (), func: f });
-            // Safety: the box's ownership transfers into the ref; execute_heap reclaims it.
-            let job_ref = unsafe {
-                JobRef::from_raw(
-                    Box::into_raw(boxed) as *const (),
-                    execute_heap::<F>,
-                    JobKind::ScopedSpawn,
-                )
-            };
-            match worker {
-                Some(w) => w.push_local(Job::Stack(job_ref)),
-                None => pool.inject(Job::Stack(job_ref)),
-            }
+        let boxed = Box::new(HeapSpawn { scope: self as *const Self as *const (), func: f });
+        // Safety: the box's ownership transfers into the ref; execute_heap reclaims it. The
+        // scope outlives execution because the latch was incremented above and `scope` waits
+        // for it.
+        let job_ref = unsafe {
+            JobRef::from_raw(
+                Box::into_raw(boxed) as *const (),
+                execute_heap::<F>,
+                JobKind::ScopedSpawn,
+            )
+        };
+        // A worker of this pool queues locally; any other thread cannot reach a local deque
+        // of this pool, so it injects.
+        WorkerHandle::with_current(|worker| match worker.filter(|w| Arc::ptr_eq(&w.shared, pool)) {
+            Some(w) => w.push_local(Job::Stack(job_ref)),
+            None => pool.inject(Job::Stack(job_ref)),
         })
     }
 
@@ -240,56 +160,28 @@ impl<'scope> Scope<'scope> {
     }
 }
 
-/// Run a spawned closure and resolve the scope's bookkeeping. The latch decrement is the
-/// very last touch: after it the owner may return from `scope` and invalidate the frame.
+/// Type-erased executor for a boxed spawn: reclaim the box, run the closure, and resolve
+/// the scope's bookkeeping. The latch decrement is the very last touch: after it the owner
+/// may return from `scope` and invalidate the frame.
 ///
 /// # Safety
-/// `scope` must point at a live `Scope<'scope>` matching `F`'s checked lifetime, and the
-/// caller must be this closure's only executor.
-unsafe fn finish_spawned<'scope, F>(scope: *const (), f: F)
+/// `data` must be the `Box<HeapSpawn<F>>` this ref was created from, pointing at a live
+/// `Scope<'scope>` matching `F`'s checked lifetime, and this must be its only executor.
+unsafe fn execute_heap<'scope, F>(data: *const ())
 where
     F: FnOnce(&Scope<'scope>) + Send + 'scope,
 {
+    let HeapSpawn { scope, func } = *Box::from_raw(data as *mut HeapSpawn<F>);
     let scope = &*(scope as *const Scope<'scope>);
     // The scope's fork-time token rides along to whichever worker runs the task, so a
     // deadline set on the submitting job cancels its scoped fan-out too.
     // Safety (`inherit`): `scope` waits for the latch this task decrements last.
     let _token = cancel::inherit(scope.cancel);
-    let result = panic::catch_unwind(AssertUnwindSafe(|| f(scope)));
+    let result = panic::catch_unwind(AssertUnwindSafe(|| func(scope)));
     if let Err(payload) = result {
         scope.record_panic(payload);
     }
     scope.latch.set_one();
-}
-
-/// Type-erased executor for an inline-slot spawn: move the closure out, release the slot
-/// for reuse, then run.
-///
-/// # Safety
-/// `data` must be the slot this `F` was written into, still owned by exactly one queued ref.
-unsafe fn execute_inline<'scope, F>(data: *const ())
-where
-    F: FnOnce(&Scope<'scope>) + Send + 'scope,
-{
-    let slot = &*(data as *const InlineSlot);
-    let f = (slot.storage.get() as *mut F).read();
-    let scope = *slot.scope.get();
-    // Release after the closure bytes are moved out: a concurrent spawn may now reuse the
-    // slot even while `f` is still running.
-    slot.claimed.store(false, Ordering::Release);
-    finish_spawned(scope, f);
-}
-
-/// Type-erased executor for a boxed spawn: reclaim the box, then run.
-///
-/// # Safety
-/// `data` must be the `Box<HeapSpawn<F>>` this ref was created from.
-unsafe fn execute_heap<'scope, F>(data: *const ())
-where
-    F: FnOnce(&Scope<'scope>) + Send + 'scope,
-{
-    let spawn = Box::from_raw(data as *mut HeapSpawn<F>);
-    finish_spawned(spawn.scope, spawn.func);
 }
 
 /// Open a scope, run `op` with it, and return `op`'s result once every task spawned inside
@@ -310,7 +202,6 @@ where
 {
     WorkerHandle::with_current(|worker| {
         let s = Scope::new(worker.map(|w| Arc::clone(&w.shared)));
-        s.bind_slots();
         let result = panic::catch_unwind(AssertUnwindSafe(|| op(&s)));
         if let Some(w) = worker {
             // Help until every spawn has resolved. Mandatory even when `op` panicked:
@@ -332,7 +223,7 @@ where
 mod tests {
     use super::*;
     use crate::pool::ThreadPool;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn scope_outside_a_pool_runs_spawns_inline() {
@@ -353,7 +244,6 @@ mod tests {
         let count = pool.install(|| {
             let counter = AtomicU64::new(0);
             scope(|s| {
-                // More spawns than inline slots: exercises the boxed path too.
                 for _ in 0..64 {
                     s.spawn(|_| {
                         counter.fetch_add(1, Ordering::Relaxed);
@@ -388,23 +278,5 @@ mod tests {
         let pool = ThreadPool::new(1);
         let out = pool.install(|| scope(|_| 42));
         assert_eq!(out, 42);
-    }
-
-    #[test]
-    fn oversized_closures_take_the_heap_path_and_still_run() {
-        let pool = ThreadPool::new(2);
-        let total = pool.install(|| {
-            let big = [7u8; 2 * INLINE_BYTES];
-            let total = AtomicU64::new(0);
-            let sink = &total;
-            scope(|s| {
-                // `move` captures the whole array by value: the closure cannot fit a slot.
-                s.spawn(move |_| {
-                    sink.fetch_add(big.iter().map(|&b| b as u64).sum(), Ordering::Relaxed);
-                });
-            });
-            total.load(Ordering::Relaxed)
-        });
-        assert_eq!(total, 7 * 2 * INLINE_BYTES as u64);
     }
 }

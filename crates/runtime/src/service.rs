@@ -1263,6 +1263,11 @@ mod tests {
         for h in &handles {
             assert_eq!(h.wait(), JobOutcome::Completed);
         }
+        // A waiter may return as soon as the outcome is published, before the settling
+        // worker records its settle event; `in_flight` drops only after that event.
+        while server.state.both.0.in_flight.load(Ordering::Acquire) != 0 {
+            thread::yield_now();
+        }
         let trace = server.pool().trace_snapshot().expect("tracing is on");
         let snap = server.shutdown();
         let profile = trace.profile();

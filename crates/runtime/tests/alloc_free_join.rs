@@ -13,7 +13,8 @@
 //! pool construction landed in the window.
 //!
 //! The installing thread's own cost is pinned too: a warm `install` allocates its heap job
-//! and, once per 32 pushes, an injector block — nothing else.
+//! and, once per 32 pushes, an injector block — nothing else. So is a scope's: one boxed job
+//! per spawn.
 
 use rws_runtime::{join, scope, ThreadPoolBuilder};
 
@@ -85,40 +86,37 @@ fn traced_unstolen_join_fast_path_is_allocation_free() {
 }
 
 #[test]
-fn unstolen_single_spawn_scope_fast_path_is_allocation_free() {
-    // The scoped-task analogue of the join assertion: a scope whose (small) spawns fit the
-    // inline slots queues them as two-word refs in the scope's own stack frame — no Box,
-    // no Arc, no lock. One worker means nothing is stolen: the owner pops every spawn back
-    // and runs it itself, and the whole recursion must not allocate once warm.
-    fn scoped_sum(lo: u64, hi: u64) -> u64 {
+fn a_warm_scope_costs_its_worker_one_allocation_per_spawn() {
+    // `join` is the allocation-free fork; a scope spawn boxes its closure, and nothing else
+    // on the way allocates — not the scope (latch, panic slot and pool handle live in the
+    // caller's frame), not the queue (the recursion stays far below the deque's capacity).
+    // One worker means nothing is stolen: the owner pops every spawn back and runs it.
+    fn scoped_sum(lo: u64, hi: u64) -> (u64, u64) {
         if hi - lo <= 64 {
-            return (lo..hi).sum();
+            return ((lo..hi).sum(), 0);
         }
         let mid = lo + (hi - lo) / 2;
-        let mut left = 0u64;
+        let mut left = (0, 0);
         // The canonical single-spawn scope: one spawned branch, one in the body.
         let right = scope(|s| {
             s.spawn(|_| left = scoped_sum(lo, mid));
             scoped_sum(mid, hi)
         });
-        left + right
+        (left.0 + right.0, left.1 + right.1 + 1)
     }
     let pool = ThreadPoolBuilder::new().threads(1).build();
     let n = 1 << 16;
     // Warm up: first run pays any one-time lazy initialization.
-    assert_eq!(pool.install(move || scoped_sum(0, n)), n * (n - 1) / 2);
-    let (total, delta) = pool.install(move || {
+    assert_eq!(pool.install(move || scoped_sum(0, n)).0, n * (n - 1) / 2);
+    let ((total, spawns), delta) = pool.install(move || {
         let before = thread_allocations();
-        let total = scoped_sum(0, n);
+        let out = scoped_sum(0, n);
         let after = thread_allocations();
-        (total, after - before)
+        (out, after - before)
     });
     assert_eq!(total, n * (n - 1) / 2);
-    assert_eq!(
-        delta, 0,
-        "the unstolen single-spawn scope fast path must not allocate \
-         (got {delta} allocations)"
-    );
+    assert_eq!(spawns, n / 64 - 1);
+    assert_eq!(delta, spawns, "{spawns} warm scope spawns cost their worker {delta} allocations");
 }
 
 #[test]

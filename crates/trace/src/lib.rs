@@ -122,7 +122,7 @@ impl EventKind {
 pub enum JobKind {
     /// The right branch of a `join` (stack job).
     JoinBranch = 0,
-    /// A scoped spawn (`Scope::spawn`, inline slot or boxed).
+    /// A scoped spawn (`Scope::spawn`, one boxed job).
     ScopedSpawn = 1,
     /// An injected root job (`spawn`, cross-thread `install`, service submissions).
     InjectedRoot = 2,
