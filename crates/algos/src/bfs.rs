@@ -7,21 +7,32 @@
 //! BFS level over the exact frontier the input graph produces, with every distance word
 //! written exactly once (by the level that discovers it), sequenced by a barrier between
 //! levels — the same structure [`bfs_native`] executes for real on the pool.
+//!
+//! The native kernel runs the top-down half of direction-optimizing BFS (Beamer, Asanović
+//! & Patterson, SC 2012) on a 32-bit CSR graph: vertices are claimed in a visited bitmap
+//! small enough for L1, and a level that discovers many vertices hands the next level its
+//! frontier in vertex-id order, so that level reads the graph monotonically. The bitmap
+//! is the one structure every leaf writes, so it is where the kernel's false sharing
+//! lives. Distances, level sizes and the fork tree are the dag's; only the order of a
+//! frontier that follows a dense level differs from the dag's discovery order.
 
 use crate::common::split_lengths;
 use rws_dag::builders::BalancedTreeBuilder;
 use rws_dag::{Addr, AlgoMeta, Computation, NodeId, SpDagBuilder, WorkUnit};
 use rws_runtime::ParSliceExt;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-/// A directed graph in compressed-sparse-row form.
+/// A directed graph in compressed-sparse-row form, with 32-bit vertex ids and edge
+/// offsets: half the bytes per vertex and per edge of a `usize` CSR, which is what keeps
+/// a BFS frontier's random reads into `row_starts` and `cols` within a core's L2 at the
+/// benchmark's 2^17 vertices.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CsrGraph {
     /// `row_starts[v]..row_starts[v + 1]` indexes `cols` with `v`'s out-neighbors.
-    pub row_starts: Vec<usize>,
+    pub row_starts: Vec<u32>,
     /// Concatenated adjacency lists.
-    pub cols: Vec<usize>,
+    pub cols: Vec<u32>,
 }
 
 impl CsrGraph {
@@ -36,15 +47,24 @@ impl CsrGraph {
     }
 
     /// The out-neighbors of `v`.
-    pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.cols[self.row_starts[v]..self.row_starts[v + 1]]
+    pub fn neighbors(&self, v: usize) -> &[u32] {
+        &self.cols[self.row_starts[v] as usize..self.row_starts[v + 1] as usize]
     }
 
     /// A seeded random graph over `vertices` vertices: every vertex keeps a ring edge to
     /// its successor (so the graph is connected and every BFS from any source reaches all
     /// of it) plus up to `extra_degree` random out-edges. Deterministic in `seed`.
+    ///
+    /// # Panics
+    ///
+    /// If `vertices` is 0 or above `u32::MAX`, or if the graph draws more than `u32::MAX`
+    /// edges: vertex ids and edge offsets are stored as `u32`.
     pub fn random(seed: u64, vertices: usize, extra_degree: usize) -> CsrGraph {
         assert!(vertices > 0, "a graph needs at least one vertex");
+        assert!(
+            u32::try_from(vertices).is_ok(),
+            "CsrGraph stores vertex ids as u32: {vertices} vertices do not fit"
+        );
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state >> 12;
@@ -66,8 +86,10 @@ impl CsrGraph {
             adj.sort_unstable();
             adj.dedup();
             adj.retain(|&u| u != v);
-            cols.extend_from_slice(&adj);
-            row_starts.push(cols.len());
+            // Every id is below `vertices`, which fits in u32.
+            cols.extend(adj.iter().map(|&u| u as u32));
+            let edges = u32::try_from(cols.len());
+            row_starts.push(edges.expect("CsrGraph stores edge offsets as u32: too many edges"));
         }
         CsrGraph { row_starts, cols }
     }
@@ -98,6 +120,7 @@ pub fn bfs_level_sets(g: &CsrGraph, src: usize) -> Vec<Vec<usize>> {
         let mut next = Vec::new();
         for &u in frontier {
             for &v in g.neighbors(u) {
+                let v = v as usize;
                 if !seen[v] {
                     seen[v] = true;
                     next.push(v);
@@ -116,61 +139,96 @@ const NATIVE_CHUNK: usize = 64;
 
 /// Native level-synchronized BFS on the `rws-runtime` pool.
 ///
-/// Each level fork-joins over chunks of the current frontier; a chunk claims newly
-/// discovered vertices with a compare-exchange on the shared distance array, so every
-/// vertex is discovered exactly once, and writes them into its own region of one discovery
-/// buffer — sized by the chunk's out-degree sum, the most it can discover — which is
-/// compacted in chunk order into the next frontier. Both buffers are reused from level to
-/// level. Distances are deterministic whatever the race outcome — every contender for a
-/// vertex writes the same level — which is why the output matches [`bfs_reference`] element
-/// for element on any schedule.
+/// Each level fork-joins over chunks of the current frontier. A chunk claims newly
+/// discovered vertices by `fetch_or` on their bits of one shared visited bitmap (`n / 8`
+/// bytes, which stays in L1 where the distance array would not), so every vertex is
+/// claimed exactly once; only the claimant writes the vertex's distance, and it writes
+/// the vertex into its own region of one discovery buffer, sized by the chunk's
+/// out-degree sum, the most it can discover. After the level's join:
+///
+/// * a *sparse* level (fewer discoveries than the bitmap has words) compacts the regions,
+///   in chunk order, into the next frontier;
+/// * a *dense* level rebuilds the next frontier by scanning the bitmap for the bits this
+///   level set, which yields it in vertex-id order, so the next level reads `row_starts`
+///   and `cols` monotonically.
+///
+/// Either way a level costs O(|frontier| + its edges) and the next frontier holds the same
+/// vertices, so the fork tree (one `par_chunks_mut(1)` pass per level, one leaf per 64
+/// frontier vertices) depends only on the level sizes, which are the dag's. Buffers are
+/// reused from level to level. Distances are deterministic whatever the race outcome,
+/// which is why the output matches [`bfs_reference`] element for element on any schedule.
 pub fn bfs_native(g: &CsrGraph, src: usize) -> Vec<i64> {
     let n = g.vertices();
     assert!(src < n, "source {src} out of range for {n} vertices");
+    let words = n.div_ceil(64);
     let dist: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
+    // `seen` holds every claimed vertex; `prev` those claimed before the current level.
+    let seen: Vec<AtomicU64> = (0..words).map(|_| AtomicU64::new(0)).collect();
+    let mut prev = vec![0u64; words];
     dist[src].store(0, Ordering::Relaxed);
-    let mut frontier = vec![src];
-    let mut discovered: Vec<usize> = Vec::new();
+    seen[src / 64].store(1 << (src % 64), Ordering::Relaxed);
+    prev[src / 64] = 1 << (src % 64);
+    // `src < n <= u32::MAX`: the graph's ids are u32.
+    let mut frontier = vec![src as u32];
+    let mut discovered: Vec<u32> = Vec::new();
     let mut level = 0i64;
     while !frontier.is_empty() {
-        let degree_sum = |part: &[usize]| part.iter().map(|&u| g.neighbors(u).len()).sum::<usize>();
+        let degree_sum =
+            |part: &[u32]| part.iter().map(|&u| g.neighbors(u as usize).len()).sum::<usize>();
         let capacity = degree_sum(&frontier);
         if discovered.len() < capacity {
             discovered.resize(capacity, 0);
         }
         // One discovery region per frontier chunk, with the count of vertices it holds:
         // disjoint `&mut` targets for the fork-join.
-        let mut regions: Vec<(&mut [usize], usize)> =
+        let mut regions: Vec<(&mut [u32], usize)> =
             split_lengths(&mut discovered, frontier.chunks(NATIVE_CHUNK).map(degree_sum))
                 .map(|region| (region, 0))
                 .collect();
-        let frontier_ref = &frontier;
-        let dist_ref = &dist;
+        let (frontier_ref, seen_ref, dist_ref) = (&frontier, &seen, &dist);
         regions.par_chunks_mut(1).for_each_indexed(|i, slot| {
             let (region, found) = &mut slot[0];
             let lo = i * NATIVE_CHUNK;
             let hi = (lo + NATIVE_CHUNK).min(frontier_ref.len());
             for &u in &frontier_ref[lo..hi] {
-                for &v in g.neighbors(u) {
-                    // Test before locking. A distance leaves -1 once and never returns, so
-                    // a read of anything else means `v` is already claimed (and in a
-                    // frontier); a read of -1, however stale, goes on to the
-                    // compare-exchange, which alone decides who claims `v`.
-                    if dist_ref[v].load(Ordering::Relaxed) == -1
-                        && dist_ref[v]
-                            .compare_exchange(-1, level + 1, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
+                for &v in g.neighbors(u as usize) {
+                    let (word, bit) = (&seen_ref[v as usize / 64], 1u64 << (v % 64));
+                    // Test before locking. A bit is set once and never cleared, so a read
+                    // of 1 means `v` is claimed; a read of 0, however stale, goes on to the
+                    // `fetch_or`, whose returned bit alone decides who claims `v`.
+                    if word.load(Ordering::Relaxed) & bit == 0
+                        && word.fetch_or(bit, Ordering::Relaxed) & bit == 0
                     {
+                        dist_ref[v as usize].store(level + 1, Ordering::Relaxed);
                         region[*found] = v;
                         *found += 1;
                     }
                 }
             }
         });
+        let next_len: usize = regions.iter().map(|(_, found)| found).sum();
         frontier.clear();
-        frontier.reserve(regions.iter().map(|(_, found)| found).sum());
-        for (region, found) in &regions {
-            frontier.extend_from_slice(&region[..*found]);
+        frontier.reserve(next_len);
+        if next_len >= words {
+            // Dense: the scan of `words` words costs no more than the copy it replaces.
+            for (w, (seen, prev)) in seen.iter().zip(&mut prev).enumerate() {
+                let now = seen.load(Ordering::Relaxed);
+                let mut new = now & !*prev;
+                *prev = now;
+                while new != 0 {
+                    // Bits at or past `n` are never set, so the id fits in u32.
+                    frontier.push((w * 64) as u32 + new.trailing_zeros());
+                    new &= new - 1;
+                }
+            }
+        } else {
+            for (region, found) in &regions {
+                let region = &region[..*found];
+                frontier.extend_from_slice(region);
+                for &v in region {
+                    prev[v as usize / 64] |= 1 << (v % 64);
+                }
+            }
         }
         level += 1;
     }
@@ -224,6 +282,7 @@ pub fn bfs_computation(g: &CsrGraph, cfg: &BfsConfig) -> Computation {
     for frontier in &sets {
         for &u in frontier {
             for &v in g.neighbors(u) {
+                let v = v as usize;
                 if discoverer[v] == usize::MAX && discovery[v] > discovery[u] {
                     discoverer[v] = u;
                 }
@@ -246,8 +305,8 @@ pub fn bfs_computation(g: &CsrGraph, cfg: &BfsConfig) -> Computation {
                     let hi = g.row_starts[u + 1] as u64;
                     unit = unit.reads((lo..hi).map(Addr));
                     for &v in g.neighbors(u) {
-                        if discoverer[v] == u {
-                            unit = unit.write(Addr(dist_base + discovery[v]));
+                        if discoverer[v as usize] == u {
+                            unit = unit.write(Addr(dist_base + discovery[v as usize]));
                         }
                     }
                 }
@@ -308,8 +367,8 @@ mod tests {
         let mut row_starts = vec![0];
         let mut cols = Vec::new();
         for u in 0..n {
-            cols.extend(edges.iter().filter(|e| e.0 == u).map(|e| e.1));
-            row_starts.push(cols.len());
+            cols.extend(edges.iter().filter(|e| e.0 == u).map(|e| e.1 as u32));
+            row_starts.push(cols.len() as u32);
         }
         CsrGraph { row_starts, cols }
     }
@@ -325,6 +384,26 @@ mod tests {
         let star: Vec<(usize, usize)> = (1..=leaves)
             .flat_map(|v| [(0, v), (v, 0), (v, 1 + v % leaves), (v, leaves + 1), (v, leaves + 2)])
             .collect();
+        // A broom: a 300-vertex path into a hub whose leaves fan out again into twigs that
+        // share their ends with the next leaf's and converge on one sink. A level is dense
+        // when it discovers at least one vertex per bitmap word (here 14), so the levels
+        // run sparse along the path, dense over the leaves and the twigs, and sparse again
+        // at the sink.
+        let (hub, twigs) = (300, 301 + leaves);
+        let sink = twigs + 2 * leaves;
+        let broom: Vec<(usize, usize)> = (0..hub)
+            .map(|v| (v, v + 1))
+            .chain((0..leaves).flat_map(|i| {
+                let (leaf, twig) = (hub + 1 + i, |k| twigs + (2 * i + k) % (2 * leaves));
+                [(hub, leaf), (leaf, hub), (leaf, twig(0)), (leaf, twig(1)), (leaf, twig(2))]
+            }))
+            .chain((twigs..sink).map(|t| (t, sink)))
+            .collect();
+        // 131 vertices, three bitmap words, the last with three live bits. Both wide levels
+        // are dense, and the second ends in the partial word at vertex 128, whose path on to
+        // 129 and 130 only a frontier rebuilt from that word continues.
+        let partial: Vec<(usize, usize)> =
+            (1..=64).flat_map(|v| [(0, v), (v, 64 + v)]).chain([(128, 129), (129, 130)]).collect();
         // The small cases state their distances, so the reference is checked too.
         let cases = [
             (
@@ -348,6 +427,14 @@ mod tests {
             ("zero-out-degree source", graph(3, &[(0, 1), (1, 0)]), 2, vec![-1, -1, 0]),
             ("wide star", graph(leaves + 4, &star), 0, vec![]),
             ("wide star from a leaf", graph(leaves + 4, &star), 7, vec![]),
+            ("4096-vertex ring", CsrGraph::random(3, 4096, 0), 0, (0..4096).collect()),
+            ("broom", graph(sink + 1, &broom), 0, vec![]),
+            (
+                "dense level in a partial bitmap word",
+                graph(131, &partial),
+                0,
+                [0].into_iter().chain([1; 64]).chain([2; 64]).chain([3, 4]).collect(),
+            ),
         ];
         let shapes = PoolShape::all();
         for (what, g, src, stated) in cases {
@@ -364,6 +451,12 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "CsrGraph stores vertex ids as u32")]
+    fn random_rejects_vertex_ids_beyond_u32_before_allocating() {
+        CsrGraph::random(1, u32::MAX as usize + 2, 0);
     }
 
     #[test]

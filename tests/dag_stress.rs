@@ -8,10 +8,14 @@
 //!   leaf size, outside a pool and across pool widths;
 //! * panic containment: a failing node unwinds out of `Levels::run` without wedging or
 //!   poisoning the pool;
+//! * BFS's claim of a vertex through `fetch_or` on a shared visited-bitmap word, the one
+//!   cross-thread protocol of its leaves: repeated searches on 2 and 4 threads, over a
+//!   random graph and over a broom whose wide levels all contend for the same words;
 //! * the satellite idle-path claim — steady-state DAG runs are driven by notifications,
 //!   not by the 1ms park-backstop timer (a `PoolStats` snapshot's `total_backstop_wakes`
 //!   stays flat).
 
+use rws_algos::bfs::{bfs_native, bfs_reference, CsrGraph};
 use rws_algos::taskgraph::{
     layered_random, workflow_native, workflow_reference, Levels, TaskGraph,
 };
@@ -41,6 +45,53 @@ fn spine_with_bursts(spine: usize, every: usize, width: usize) -> TaskGraph {
 }
 
 const POOL_WIDTHS: [usize; 3] = [1, 2, 4];
+
+/// A broom: a 300-vertex path into a hub with `leaves` leaves, each pointing back at the
+/// hub and on to three of `2 * leaves` twigs (sharing two with its neighbor leaf), which
+/// all lead to one sink. Its BFS levels run sparse along the path, dense over the leaves
+/// and twigs, and sparse again at the sink.
+fn broom(leaves: u32) -> CsrGraph {
+    let (hub, twigs) = (300, 301 + leaves);
+    let sink = twigs + 2 * leaves;
+    let rows = (0..hub)
+        .map(|v| vec![v + 1])
+        .chain([(hub + 1..twigs).collect()])
+        .chain((0..leaves).map(|i| {
+            let twig = |k| twigs + (2 * i + k) % (2 * leaves);
+            vec![hub, twig(0), twig(1), twig(2)]
+        }))
+        .chain((twigs..sink).map(|_| vec![sink]))
+        .chain([vec![]]);
+    let mut g = CsrGraph { row_starts: vec![0], cols: Vec::new() };
+    for out in rows {
+        g.cols.extend(out);
+        g.row_starts.push(g.cols.len() as u32);
+    }
+    g
+}
+
+#[test]
+fn bfs_matches_its_reference_under_contended_bitmap_claims() {
+    // The frontier chunk of the native kernel is 64 vertices: 3 * 64 + 5 leaves make four
+    // chunks, the last a short one, all claiming twigs in shared bitmap words at once.
+    const SEARCHES: usize = 100;
+    let graphs = [CsrGraph::random(0x57E5, 1 << 14, 4), broom(3 * 64 + 5)].map(Arc::new);
+    for threads in [2, 4] {
+        let pool = ThreadPoolBuilder::new().threads(threads).build();
+        for g in &graphs {
+            let expected = bfs_reference(g, 0);
+            for run in 0..SEARCHES {
+                let on_pool = Arc::clone(g);
+                let got = pool.install(move || bfs_native(&on_pool, 0));
+                assert!(
+                    got == expected,
+                    "{threads} threads, {} vertices, search {run}: distances differ",
+                    g.vertices()
+                );
+            }
+        }
+    }
+}
 
 #[test]
 fn chain_and_burst_workflows_match_the_reference_on_every_pool_shape() {
