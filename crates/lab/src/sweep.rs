@@ -7,7 +7,7 @@ use rws_core::SimConfig;
 use rws_exec::{Computation, ExecReport, Executor, NativeExecutor, SharedWorkload, SimExecutor};
 use rws_machine::MachineConfig;
 use rws_runtime::trace::TraceSnapshot;
-use rws_runtime::{scope, ThreadPool};
+use rws_runtime::{ParSliceExt, ThreadPool};
 use rws_shard::ShardedExecutor;
 
 /// One expanded run: the backend, the concrete machine/pool shape, and the seed.
@@ -143,9 +143,9 @@ fn run_sim(spec: &RunSpec, workload: &SharedWorkload, comp: &Computation) -> Exe
 /// with up to `jobs` concurrent **simulated** runs.
 ///
 /// * Simulated runs are pure, independent, seeded computations: they fan out across a
-///   `jobs`-wide driver pool via [`rws_runtime::scope()`] and land in their expansion-order
-///   slot, so the record order (and every simulated measurement in it) is identical
-///   whatever `jobs` is.
+///   `jobs`-wide driver pool, one `join` leaf each of a `par_chunks_mut` pass, and land in
+///   their expansion-order slot, so the record order (and every simulated measurement in
+///   it) is identical whatever `jobs` is. They all finish before the first native run.
 /// * Native runs stay **serialized** on the driver thread, in expansion order: an
 ///   [`ExecReport`]'s native steal/job counters are pool-global deltas over the run, which
 ///   only attribute correctly while nothing else executes on that pool — and native runs
@@ -192,10 +192,11 @@ pub fn run_scenario(
     (lab, captures)
 }
 
-/// Run every spec, simulated runs through scoped spawns (concurrent when the caller is a
-/// pool worker, inline otherwise) over the one shared `comp`, native runs serialized in
-/// the scope body. Each run writes its expansion-order slot, so the returned order never
-/// depends on scheduling.
+/// Run every spec: first the simulated runs, one `join` leaf each in a `par_chunks_mut(1)`
+/// pass over their `(spec, slot)` pairs (concurrent when the caller is a pool worker,
+/// inline otherwise) over the one shared `comp`; then the native and sharded runs,
+/// serialized on the calling thread. Each run writes its expansion-order slot, so the
+/// returned order never depends on scheduling.
 ///
 /// With `trace = Some(capacity)` every native run gets a fresh traced pool and contributes
 /// one [`NativeTraceCapture`]; untraced sweeps keep reusing one pool per thread count.
@@ -207,53 +208,50 @@ fn execute_specs(
 ) -> (Vec<RunRecord>, Vec<NativeTraceCapture>) {
     let mut slots: Vec<Option<RunRecord>> = specs.iter().map(|_| None).collect();
     let mut captures: Vec<NativeTraceCapture> = Vec::new();
-    scope(|s| {
-        let mut native = Vec::new();
-        let mut sharded = Vec::new();
-        for (spec, slot) in specs.into_iter().zip(slots.iter_mut()) {
-            match spec.backend {
-                BackendChoice::Sim => {
-                    let workload = &workload;
-                    s.spawn(move |_| {
-                        let report = run_sim(&spec, workload, comp);
-                        *slot = Some(RunRecord { spec, report });
-                    });
-                }
-                BackendChoice::Native => native.push((spec, slot)),
-                BackendChoice::Sharded => sharded.push((spec, slot)),
-            }
+    let mut sim = Vec::new();
+    let mut native = Vec::new();
+    let mut sharded = Vec::new();
+    for (spec, slot) in specs.into_iter().zip(slots.iter_mut()) {
+        match spec.backend {
+            BackendChoice::Sim => sim.push((spec, slot)),
+            BackendChoice::Native => native.push((spec, slot)),
+            BackendChoice::Sharded => sharded.push((spec, slot)),
         }
-        let mut native_pool: Option<NativeExecutor> = None;
-        for (spec, slot) in native {
-            if let Some(capacity) = trace {
-                // A traced native run owns its pool: the capture is exactly this run's
-                // events, with nothing bled in from sibling seeds.
-                let exec = NativeExecutor::with_options(spec.procs, Some(capacity));
-                let report = exec.execute(workload.clone()).report;
-                let snapshot = exec.trace_snapshot().expect("executor was built with tracing on");
-                captures.push(NativeTraceCapture { spec: spec.clone(), snapshot });
-                *slot = Some(RunRecord { spec, report });
-                continue;
-            }
-            let reusable = native_pool.as_ref().is_some_and(|p| p.procs() == spec.procs);
-            if !reusable {
-                native_pool = Some(NativeExecutor::new(spec.procs));
-            }
-            let report = native_pool.as_ref().expect("just built").execute(workload.clone()).report;
-            *slot = Some(RunRecord { spec, report });
-        }
-        // Sharded runs are wall-clock measurements over real subprocesses: serialized on
-        // the driver thread like native runs, after them, in expansion order. The
-        // executor is pure configuration, so one per shard shape is plenty.
-        for (spec, slot) in sharded {
-            let (shards, threads) = spec.shard_shape.expect("sharded specs carry their shape");
-            let exec = ShardedExecutor::new(shards).threads_per_shard(threads);
-            let report = exec.execute(workload.clone()).report;
-            *slot = Some(RunRecord { spec, report });
-        }
+    }
+    sim.par_chunks_mut(1).with_grain(1).for_each(|pair| {
+        let (spec, slot) = &mut pair[0];
+        let report = run_sim(spec, &workload, comp);
+        **slot = Some(RunRecord { spec: spec.clone(), report });
     });
-    let records =
-        slots.into_iter().map(|r| r.expect("every run slot is filled inside the scope")).collect();
+    let mut native_pool: Option<NativeExecutor> = None;
+    for (spec, slot) in native {
+        if let Some(capacity) = trace {
+            // A traced native run owns its pool: the capture is exactly this run's
+            // events, with nothing bled in from sibling seeds.
+            let exec = NativeExecutor::with_options(spec.procs, Some(capacity));
+            let report = exec.execute(workload.clone()).report;
+            let snapshot = exec.trace_snapshot().expect("executor was built with tracing on");
+            captures.push(NativeTraceCapture { spec: spec.clone(), snapshot });
+            *slot = Some(RunRecord { spec, report });
+            continue;
+        }
+        let reusable = native_pool.as_ref().is_some_and(|p| p.procs() == spec.procs);
+        if !reusable {
+            native_pool = Some(NativeExecutor::new(spec.procs));
+        }
+        let report = native_pool.as_ref().expect("just built").execute(workload.clone()).report;
+        *slot = Some(RunRecord { spec, report });
+    }
+    // Sharded runs are wall-clock measurements over real subprocesses: serialized on the
+    // driver thread like native runs, after them, in expansion order. The executor is pure
+    // configuration, so one per shard shape is plenty.
+    for (spec, slot) in sharded {
+        let (shards, threads) = spec.shard_shape.expect("sharded specs carry their shape");
+        let exec = ShardedExecutor::new(shards).threads_per_shard(threads);
+        let report = exec.execute(workload.clone()).report;
+        *slot = Some(RunRecord { spec, report });
+    }
+    let records = slots.into_iter().map(|r| r.expect("every run slot is filled")).collect();
     (records, captures)
 }
 

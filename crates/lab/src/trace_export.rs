@@ -323,7 +323,7 @@ mod tests {
         rec.record(0, EventKind::JobEnd, JobKind::JoinBranch as u8, 0);
         rec.record(0, EventKind::JobEnd, JobKind::InjectedRoot as u8, 0);
         rec.record(1, EventKind::StealOk, 2, 0);
-        rec.record(1, EventKind::StealEmpty, 0, rws_runtime::trace::INJECTOR_ARG);
+        rec.record(1, EventKind::StealEmpty, 0, 0);
         rec.record(1, EventKind::Park, LADDER_STAGE_PARK, 5);
         rec.record(1, EventKind::Unpark, 1, 0);
         rec.record_external(EventKind::ServiceEnqueue, 0, 42);

@@ -30,7 +30,7 @@ pub enum WorkerFault {
 
 /// A one-shot injector contention storm: after `after_accepts` accepted submissions,
 /// `threads` OS threads each fire `pushes_per_thread` no-op jobs at the pool's injector
-/// simultaneously, stress-testing the MPMC path's CAS arbitration under real contention.
+/// simultaneously, stress-testing the injector's lock under real contention.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StormSpec {
     /// Accepted-submission count that arms the storm.

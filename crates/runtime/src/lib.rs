@@ -29,7 +29,7 @@
 //!   `par_chunks_mut` with pool-width-adaptive splitting on top of `join`.
 //!
 //! On top of the pool sits a supervised **persistent job-server mode** ([`service`]): a
-//! long-lived [`JobServer`] accepting streamed root jobs through the lock-free MPMC
+//! long-lived [`JobServer`] accepting streamed root jobs through the pool's locked FIFO
 //! injector, with panic quarantine and dead-worker respawn ([`pool`]'s supervision
 //! hooks), per-job deadlines via cooperative [`cancel`] tokens observed at fork points,
 //! bounded-queue admission control with load-shedding, and latency histograms

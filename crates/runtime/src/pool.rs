@@ -27,9 +27,7 @@ use crate::sleep::{EventCount, BACKOFF, PARK_BACKSTOP};
 use crate::stats::PoolStats;
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use rws_trace::{
-    EventKind, JobKind, TraceRecorder, TraceSnapshot, INJECTOR_ARG, LADDER_STAGE_PARK,
-};
+use rws_trace::{EventKind, JobKind, TraceRecorder, TraceSnapshot, LADDER_STAGE_PARK};
 use std::any::Any;
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::fmt;
@@ -74,15 +72,14 @@ impl Shared {
     /// the submission path for work arriving from outside a worker of this pool (`spawn`,
     /// cross-thread `install`, and scoped spawns issued off-pool).
     ///
-    /// Publish, full fence, look ([`EventCount::wake_one`]): `Injector::push` advances
-    /// `tail` with a `SeqCst` `fetch_add` before it writes the slot, and a worker about to
+    /// Publish, full fence, look ([`EventCount::wake_one`]): `Injector::push` raises the
+    /// queue's length with a `SeqCst` `fetch_add` before it unlocks, and a worker about to
     /// park fences between registering as a sleeper and its last `has_visible_work`. So
-    /// either this thread sees the sleeper and wakes it, or the sleeper sees `tail` moved
-    /// (a claimed-but-unwritten slot already reads "not empty") and does not park: a job
-    /// submitted to an idle pool never waits out the 1 ms park backstop
-    /// (`tests/submit_latency.rs`), and one submitted to a busy pool makes no system call
-    /// (`tests/service_wakes.rs`). One job needs one worker; if it forks, its pushes wake
-    /// the others like any fork's.
+    /// either this thread sees the sleeper and wakes it, or the sleeper sees the length
+    /// raised and does not park: a job submitted to an idle pool never waits out the 1 ms
+    /// park backstop (`tests/submit_latency.rs`), and one submitted to a busy pool makes no
+    /// system call (`tests/service_wakes.rs`). One job needs one worker; if it forks, its
+    /// pushes wake the others like any fork's.
     pub(crate) fn inject(&self, job: Job) {
         self.injector.push(job);
         self.sleep.wake_one();
@@ -175,13 +172,14 @@ impl WorkerHandle {
         self.local.pop()
     }
 
-    /// Find one job: local deque first, then the injector, then a bounded number of random
-    /// steal attempts (with a short per-victim retry budget for lost CAS races). A
-    /// successful steal is a *batch*: up to half the victim's queue (capped at the deque's
-    /// `MAX_BATCH`) moves in one visit. The oldest job — in recursive computations the
-    /// largest, the one the paper's discipline says a thief should run — comes back to run;
-    /// the surplus lands in our own deque, where it is locally poppable *and* still
-    /// stealable by everyone else, and a sleeper is woken to come and take some of it.
+    /// Find one job: local deque first, then the injector (a locked queue, which never
+    /// answers `Retry`), then a bounded number of random steal attempts (with a short
+    /// per-victim retry budget for lost CAS races). A successful steal is a *batch*: up to
+    /// half the victim's queue (capped at the deque's `MAX_BATCH`) moves in one visit. The
+    /// oldest job — in recursive computations the largest, the one the paper's discipline
+    /// says a thief should run — comes back to run; the surplus lands in our own deque,
+    /// where it is locally poppable *and* still stealable by everyone else, and a sleeper
+    /// is woken to come and take some of it.
     ///
     /// `record_failures` gates the failed-steal/retry accounting: the first sweep of an
     /// activity burst records (that is the paper's "active processor probed and missed"),
@@ -192,27 +190,8 @@ impl WorkerHandle {
         if let Some(job) = self.pop_local() {
             return Some(job);
         }
-        // The MPMC injector can answer `Retry` under consumer contention; give it the same
-        // bounded courtesy the per-victim steal loop gets before moving on to stealing.
-        let mut retries = 0;
-        loop {
-            match self.shared.injector.steal() {
-                Steal::Success(job) => return Some(job),
-                Steal::Empty => break,
-                Steal::Retry => {
-                    if record_failures {
-                        self.shared.stats.record_retry(self.index);
-                        if let Some(t) = self.shared.trace() {
-                            t.record(self.index, EventKind::StealRetry, 0, INJECTOR_ARG);
-                        }
-                    }
-                    retries += 1;
-                    if retries >= STEAL_RETRIES {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
+        if let Steal::Success(job) = self.shared.injector.steal() {
+            return Some(job);
         }
         let workers = self.shared.workers;
         if workers > 1 {

@@ -6,7 +6,7 @@
 //!
 //! * **Supervision** — every worker sweeps a heartbeat epoch and lowers an alive flag when
 //!   its thread exits; a supervisor thread joins dead workers, drains the orphaned jobs
-//!   from their deques back into the MPMC injector (no accepted work is lost), and
+//!   from their deques back into the injector (no accepted work is lost), and
 //!   respawns a replacement in the same slot. Job panics are quarantined where they run
 //!   and health-tracked per worker.
 //! * **Per-job deadlines** — a submission may carry a budget
@@ -778,7 +778,7 @@ fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Dur
     while !state.supervisor_stop.load(Ordering::Acquire) {
         pool.respawn_dead_workers();
 
-        // Launch a due contention storm: OS threads hammering the pool's MPMC injector
+        // Launch a due contention storm: OS threads hammering the pool's injector
         // with no-op jobs, concurrently with real traffic.
         if let Some(plan) = &state.faults {
             if let Some(spec) = plan.storm_due(state.submit.0.accepted.load(Ordering::Relaxed)) {

@@ -6,6 +6,11 @@
 //! count: it wakes one worker if one is parked and otherwise makes no system call. Before,
 //! every submission broadcast to the pool whoever was awake, so the first test read 63
 //! events where it now reads 0.
+//!
+//! A job the server has served costs it nothing afterwards: the last test serves 2^16 jobs
+//! through one server and finds no allocation beyond each job's own three. An injector
+//! that kept its consumed slots until it dropped (≈ 30 bytes a job, in one 32-slot block
+//! per 32 submissions) would read 2 048 there.
 
 use rws_runtime::{AdmissionPolicy, JobOutcome, JobServer, ServiceConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,8 +126,10 @@ fn a_submission_costs_its_thread_three_allocations() {
     let allocations = thread_allocations() - before;
 
     // The job's shared state, its cancellation token and the boxed closure the injector
-    // carries; the injector links one 32-slot block per 32 pushes, on the pushing thread.
-    let budget = 3 * JOBS + JOBS / 32 + 1;
+    // carries; the injector's `VecDeque` reallocates only when the queue outgrows its peak
+    // depth, at most `⌈log2 n⌉ + 1` times for `n` pushes, on the pushing thread.
+    let doubling_bound = u64::from(JOBS.next_power_of_two().ilog2()) + 1;
+    let budget = 3 * JOBS + doubling_bound + 1;
     assert!(
         allocations <= budget,
         "{JOBS} submissions cost the submitting thread {allocations} allocations (budget {budget})"
@@ -131,4 +138,40 @@ fn a_submission_costs_its_thread_three_allocations() {
         assert_eq!(h.wait(), JobOutcome::Completed);
     }
     assert_eq!(ran.load(Ordering::Relaxed), JOBS + 8);
+}
+
+#[test]
+fn a_long_lived_server_keeps_nothing_per_job_it_has_served() {
+    const ROUND: usize = 64;
+    const JOBS: u64 = 1 << 16;
+    let server = one_worker_server();
+    let ran = Arc::new(AtomicU64::new(0));
+    let mut handles = Vec::with_capacity(ROUND);
+    // One closed round: submit 64, wait for all. The handles' buffer is reused.
+    let mut round = || {
+        for _ in 0..ROUND {
+            let r = Arc::clone(&ran);
+            handles.push(server.submit(move || {
+                r.fetch_add(1, Ordering::Relaxed);
+            }));
+        }
+        for h in handles.drain(..) {
+            assert_eq!(h.wait(), JobOutcome::Completed);
+        }
+    };
+    // The warm-up round grows the injector's queue to the depth every later round reuses.
+    round();
+
+    let before = thread_allocations();
+    (0..JOBS / ROUND as u64).for_each(|_| round());
+    let overhead = (thread_allocations() - before).saturating_sub(3 * JOBS);
+
+    // Three allocations are the job's own (see the test above), freed once it settles and
+    // its handle drops; whatever is left over is what the server keeps per job served.
+    assert!(
+        overhead <= 16,
+        "{JOBS} jobs served in closed rounds of {ROUND} cost the submitting thread {overhead} \
+         allocations beyond three a job: the server keeps memory for jobs it has finished"
+    );
+    assert_eq!(ran.load(Ordering::Relaxed), JOBS + ROUND as u64);
 }

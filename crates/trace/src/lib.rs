@@ -47,8 +47,7 @@ pub enum EventKind {
     JobEnd = 2,
     /// A successful steal visit: `aux` is the batch size moved, `arg` the victim index.
     StealOk = 3,
-    /// A steal probe that found the victim's deque empty; `arg` is the victim index (or
-    /// [`INJECTOR_ARG`] for the global injector).
+    /// A steal probe that found the victim's deque empty; `arg` is the victim index.
     StealEmpty = 4,
     /// A steal attempt that lost a CAS race (`Steal::Retry`); `arg` as for
     /// [`EventKind::StealEmpty`].
@@ -147,9 +146,6 @@ impl JobKind {
         }
     }
 }
-
-/// `arg` value marking the global injector as the probed victim in steal events.
-pub const INJECTOR_ARG: u64 = ARG_MASK;
 
 /// The `aux` ladder-stage code recorded on [`EventKind::Park`] events (spin and yield
 /// rounds are not individually recorded; the park event carries the round count reached).
@@ -607,7 +603,7 @@ mod tests {
         let rec = TraceRecorder::new(1, 8);
         rec.record(0, EventKind::StealEmpty, 0, u64::MAX);
         let snap = rec.snapshot();
-        assert_eq!(snap.events[0].arg, INJECTOR_ARG);
+        assert_eq!(snap.events[0].arg, (1 << 48) - 1);
         assert_eq!(snap.events[0].kind, EventKind::StealEmpty);
     }
 
@@ -647,7 +643,7 @@ mod tests {
         rec.record(0, EventKind::JobStart, JobKind::JoinBranch as u8, 0);
         rec.record(0, EventKind::JobEnd, JobKind::JoinBranch as u8, 0);
         rec.record(0, EventKind::JobEnd, JobKind::InjectedRoot as u8, 0);
-        rec.record(0, EventKind::StealEmpty, 0, INJECTOR_ARG);
+        rec.record(0, EventKind::StealEmpty, 0, 1);
         rec.record(0, EventKind::StealOk, 4, 3);
         rec.record(0, EventKind::Park, LADDER_STAGE_PARK, 9);
         rec.record(0, EventKind::Unpark, 1, 0);
