@@ -134,7 +134,9 @@ pub fn bfs_level_sets(g: &CsrGraph, src: usize) -> Vec<Vec<usize>> {
     }
 }
 
-/// Frontier vertices per fork-join leaf of the native level sweep.
+/// Frontier vertices per chunk of the native level sweep. `par_chunks_mut`'s adaptive grain
+/// puts ⌈chunks / (4·T)⌉ chunks in a fork-join leaf on a pool of T workers, so a leaf holds
+/// this many vertices or a multiple of it.
 const NATIVE_CHUNK: usize = 64;
 
 /// Native level-synchronized BFS on the `rws-runtime` pool.
@@ -153,8 +155,9 @@ const NATIVE_CHUNK: usize = 64;
 ///   and `cols` monotonically.
 ///
 /// Either way a level costs O(|frontier| + its edges) and the next frontier holds the same
-/// vertices, so the fork tree (one `par_chunks_mut(1)` pass per level, one leaf per 64
-/// frontier vertices) depends only on the level sizes, which are the dag's. Buffers are
+/// vertices, so the fork tree (one `par_chunks_mut(1)` pass per level over 64-vertex
+/// chunks, ⌈chunks / (4·T)⌉ chunks a leaf on a pool of T workers) depends only on the level
+/// sizes, which are the dag's, and on the pool width — never on the schedule. Buffers are
 /// reused from level to level. Distances are deterministic whatever the race outcome,
 /// which is why the output matches [`bfs_reference`] element for element on any schedule.
 pub fn bfs_native(g: &CsrGraph, src: usize) -> Vec<i64> {

@@ -190,8 +190,10 @@ pub fn list_ranking_reference(succ: &[usize]) -> Vec<u64> {
     r
 }
 
-/// Elements per fork-join leaf of the native pointer-jumping rounds (the native analogue
-/// of [`ListRankConfig::chunk`], sized so leaf work dominates fork overhead).
+/// Elements per chunk of the native pointer-jumping rounds (the native analogue of
+/// [`ListRankConfig::chunk`]). `par_chunks_mut`'s adaptive grain puts ⌈chunks / (4·T)⌉
+/// chunks in a fork-join leaf on a pool of T workers, so leaf work dominates fork overhead
+/// at any width.
 const NATIVE_CHUNK: usize = 256;
 
 /// Native fork-join list ranking on the `rws-runtime` work-stealing pool — the same

@@ -44,17 +44,18 @@ fn bucket_of(splitters: &[u64], key: u64) -> usize {
     splitters.partition_point(|&s| s < key)
 }
 
-/// Input keys per fork-join leaf of the native partition pass.
+/// Input keys per chunk of the native partition pass. `par_chunks_mut`'s adaptive grain
+/// puts ⌈chunks / (4·T)⌉ chunks in a fork-join leaf on a pool of T workers.
 const NATIVE_CHUNK: usize = 256;
 
 /// Native sample sort on the `rws-runtime` pool.
 ///
 /// Phase 1 picks splitters (sequential; the sample is tiny). Phase 2 fork-joins over input
-/// chunks: leaf `c` counting-sorts its keys by bucket into words `c * NATIVE_CHUNK..` of one
-/// `n`-word `runs` buffer and leaves each bucket's end offset in row `c` of one
-/// `chunks × buckets` table. Phase 3 fork-joins over buckets: leaf `b` owns its slice of the
-/// output, copies its run out of every chunk in chunk order and sorts in place. Every leaf
-/// writes one contiguous region nobody else touches — the layout [`sample_sort_computation`]
+/// chunks: chunk `c`'s keys are counting-sorted by bucket into words `c * NATIVE_CHUNK..` of
+/// one `n`-word `runs` buffer, and each bucket's end offset goes to row `c` of one
+/// `chunks × buckets` table. Phase 3 fork-joins over buckets: bucket `b` owns its slice of
+/// the output, copies its run out of every chunk in chunk order and sorts in place. Every
+/// chunk and every bucket writes one contiguous region nobody else touches — the layout [`sample_sort_computation`]
 /// models — and nothing is allocated per chunk or per bucket. Output order is
 /// schedule-independent throughout.
 pub fn sample_sort_native(keys: &[u64], buckets: usize) -> Vec<u64> {

@@ -92,7 +92,8 @@ pub fn spmv_reference(m: &CsrMatrix, x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Output rows per fork-join leaf of the native kernel.
+/// Output rows per chunk of the native kernel. `par_chunks_mut`'s adaptive grain puts
+/// ⌈chunks / (4·T)⌉ chunks in a fork-join leaf on a pool of T workers.
 const NATIVE_CHUNK: usize = 64;
 
 /// Native CSR SpMV on the `rws-runtime` pool: fork-join over disjoint chunks of `y`, each

@@ -66,11 +66,6 @@ impl RwsScheduler {
         &self.machine
     }
 
-    /// The simulation options.
-    pub fn sim_config(&self) -> &SimConfig {
-        &self.sim
-    }
-
     /// Run a classified computation.
     pub fn run(&self, computation: &Computation) -> RunReport {
         self.run_dag(&computation.dag)

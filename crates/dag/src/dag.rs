@@ -434,11 +434,6 @@ impl SpDag {
         self.fold_costs(|w: &WorkUnit| w.global.len() as u64).0
     }
 
-    /// Total number of local (stack) accesses over the whole dag.
-    pub fn total_local_accesses(&self) -> u64 {
-        self.fold_costs(|w: &WorkUnit| w.locals.len() as u64).0
-    }
-
     /// Maximum number of times any single global word is written over the whole computation.
     /// A *limited-access* algorithm (Property 4.1) has this bounded by a constant.
     pub fn max_writes_per_global_word(&self) -> u64 {

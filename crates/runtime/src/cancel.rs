@@ -111,6 +111,12 @@ impl ForkToken {
     pub(crate) fn capture() -> ForkToken {
         ForkToken(CURRENT.get())
     }
+
+    /// No token: what a job handed over from outside any fork runs under (an installed
+    /// closure).
+    pub(crate) fn none() -> ForkToken {
+        ForkToken(ptr::null())
+    }
 }
 
 /// The cancellation point every fork goes through: one load of the thread's token word and

@@ -23,8 +23,9 @@ pub enum WorkerFault {
     None,
     /// Sleep for the given duration mid-sweep (a GC pause / noisy-neighbor stand-in).
     Stall(Duration),
-    /// Exit the worker loop as if the thread died. The supervisor must notice the down
-    /// alive flag, drain the orphaned deque, and respawn.
+    /// Exit the worker loop as if the thread died. The jobs queued in its deque stay
+    /// there, stealable; the supervisor must notice the down alive flag and respawn a
+    /// replacement, which inherits the deque.
     Die,
 }
 

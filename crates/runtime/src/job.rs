@@ -7,8 +7,9 @@
 //! owner *when* a stolen branch has finished and carries the result back through an
 //! `UnsafeCell` write that the latch's release/acquire pair orders.
 //!
-//! Heap-allocated jobs ([`Job::Heap`]) remain for the cold entry points (`spawn`,
-//! cross-thread `install`), where an allocation per submission is irrelevant.
+//! A cross-thread `install` hands its closure over the same way, from the installer's frame
+//! through the injector. Heap-allocated jobs ([`Job::Heap`]) remain for the cold,
+//! fire-and-forget entry point (`spawn`), where nobody waits in a frame the job could live in.
 
 #![allow(unsafe_code)]
 
@@ -22,9 +23,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A unit of work queued in a worker deque or the injector.
 pub(crate) enum Job {
-    /// A boxed closure from the cold submission path (`spawn` / cross-thread `install`).
+    /// A boxed closure from the cold submission path (`spawn`).
     Heap(Box<dyn FnOnce() + Send + 'static>),
-    /// A pointer to a [`StackJob`] living in some `join` caller's stack frame.
+    /// A pointer to a job living in a frame that waits for it: a `join` caller's or an
+    /// installer's [`StackJob`], or a scoped spawn's box.
     Stack(JobRef),
 }
 
@@ -33,14 +35,10 @@ impl Job {
     /// here, because the executing worker may be *helping* from inside a blocked `join` —
     /// unwinding through that frame would destroy a `StackJob` a thief is still running
     /// (use-after-free) — and an unwind through `worker_loop` would silently kill the
-    /// worker thread. An `install` closure's panic never gets this far: `try_install`
-    /// wraps the closure in its own `catch_unwind` and writes the payload into the caller's
-    /// result slot, and the caller sees `InstallError::Panicked` (`install` resumes it). A
-    /// job dropped without having run — its worker died with it in hand — sets the caller's
-    /// latch from its drop guard with the slot empty, and the caller sees
-    /// `InstallError::Lost`. A panicking fire-and-forget `spawn` closure is caught here
-    /// and dropped with the job, like a detached thread's. (Stack jobs do their own
-    /// capturing and re-throw the payload at the owning `join`.)
+    /// worker thread. A panicking fire-and-forget `spawn` closure is caught here and
+    /// dropped with the job, like a detached thread's. Stack jobs do their own capturing:
+    /// the payload travels to the owning `join`, which re-throws it, or to the installer,
+    /// whose `try_install` returns it (`install` resumes it).
     ///
     /// Returns `true` when a heap job's panic was quarantined here, so the executing
     /// worker can health-track it (`PoolStats::record_panic_caught`). Stack jobs report
@@ -69,7 +67,8 @@ impl Job {
     }
 
     /// The flight-recorder job-kind tag: heap jobs are injected roots; stack jobs carry
-    /// the tag their creator stamped on the ref (join branch or scoped spawn).
+    /// the tag their creator stamped on the ref (join branch, scoped spawn, or an install's
+    /// injected root).
     pub(crate) fn kind(&self) -> JobKind {
         match self {
             Job::Heap(_) => JobKind::InjectedRoot,
@@ -122,7 +121,7 @@ impl JobRef {
 }
 
 /// A set-once completion flag with release/acquire ordering: the owner of a `join` waits on
-/// one for a stolen branch, an installer on one for its closure. Setting it wakes the
+/// one for a stolen branch, an installer on one for its closure (both are [`StackJob`]s). Setting it wakes the
 /// [`EventCount`] its waiter sleeps on.
 pub(crate) struct Latch {
     done: AtomicBool,
@@ -212,11 +211,13 @@ impl CountLatch {
     }
 }
 
-/// The right branch of a `join`, allocated in the caller's stack frame.
+/// The right branch of a `join`, allocated in the caller's stack frame — or an installed
+/// closure, in its installer's.
 ///
 /// Lifecycle: the owner creates it, pushes its [`JobRef`], runs the left branch, and then
 /// either pops it back (fast path: takes the closure out and runs it inline — no atomics
 /// beyond the deque's own) or, if a thief took it, waits on the latch and reads the result.
+/// An installer injects the ref and always waits on the latch.
 pub(crate) struct StackJob<F, R> {
     latch: Latch,
     func: UnsafeCell<Option<F>>,
@@ -261,18 +262,14 @@ where
         &self.latch
     }
 
-    /// The queue entry pointing at this job.
+    /// The queue entry pointing at this job, tagged `kind` for the flight recorder.
     ///
     /// # Safety
     /// The caller must keep `self` alive until the ref is either executed (latch set) or
-    /// reclaimed by popping it back off the deque — `join` guarantees this by not returning
-    /// until one of the two has happened.
-    pub(crate) unsafe fn as_job_ref(&self) -> JobRef {
-        JobRef {
-            data: self as *const Self as *const (),
-            execute_fn: Self::execute_from_ref,
-            kind: JobKind::JoinBranch,
-        }
+    /// reclaimed by popping it back off the deque — `join` and `try_install` guarantee this
+    /// by not returning until one of the two has happened.
+    pub(crate) unsafe fn as_job_ref(&self, kind: JobKind) -> JobRef {
+        JobRef { data: self as *const Self as *const (), execute_fn: Self::execute_from_ref, kind }
     }
 
     unsafe fn execute_from_ref(data: *const ()) {
@@ -281,7 +278,7 @@ where
         // Install the fork-time token for the branch's run: a thief inherits the owner's
         // deadline, and a cancellation unwind from inside `func` is captured below like any
         // panic, travelling to the owning `join` as the branch's outcome.
-        // Safety (`inherit`): the owning `join` does not return before the latch is set below.
+        // Safety (`inherit`): the owner does not return before the latch is set below.
         let _token = cancel::inherit(this.cancel);
         let result = match panic::catch_unwind(AssertUnwindSafe(func)) {
             Ok(r) => JoinResult::Ok(r),

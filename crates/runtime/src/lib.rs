@@ -11,15 +11,19 @@
 //! * **Lock-free deques with steal-half batching** — each worker's queue is a real
 //!   Chase–Lev deque (the vendored `crossbeam-deque`) with one discipline, LIFO owner and
 //!   FIFO thief: atomic top/bottom indices, one CAS per stolen task with `Steal::Retry` on
-//!   lost races, a growable ring buffer, and no locks anywhere. A thief takes up to *half*
-//!   the victim's queue per visit (`steal_batch_and_pop_counted`), running the oldest job
-//!   and requeueing the rest locally — the stats separate the paper's per-task steal events
+//!   lost races, a growable ring buffer, and no locks anywhere: a worker slot keeps its
+//!   deque for the pool's life (a respawn hands it to the replacement), so a thief reads
+//!   its victim's stealer straight from the pool's table. A thief takes up to *half* the
+//!   victim's queue per visit (`steal_batch_and_pop_counted`), running the oldest job and
+//!   requeueing the rest locally — the stats separate the paper's per-task steal events
 //!   from per-visit [`batch_steals`](PoolStatsSnapshot::total_batch_steals). Every counter
 //!   is read through one [`PoolStats::snapshot`].
 //! * **Allocation-free `join`** — the right branch of a [`join`] is a *stack job* in the
 //!   caller's frame, queued by reference; the unstolen fast path performs zero heap
 //!   allocations and takes no lock (asserted by a counting-allocator test), touching only
-//!   the deque's indices and this worker's own padded counters.
+//!   the deque's indices and this worker's own padded counters. A cross-thread
+//!   [`ThreadPool::install`] hands its closure over the same way, from the installer's
+//!   frame.
 //! * **Parked idle workers** — a worker that finds no work spins briefly and then parks on
 //!   the pool's sleep protocol; an idle pool burns no CPU, and a fork wakes sleepers with a
 //!   single relaxed load on the producer side.
@@ -31,7 +35,8 @@
 //! On top of the pool sits a supervised **persistent job-server mode** ([`service`]): a
 //! long-lived [`JobServer`] accepting streamed root jobs through the pool's locked FIFO
 //! injector, with panic quarantine and dead-worker respawn ([`pool`]'s supervision
-//! hooks), per-job deadlines via cooperative [`cancel`] tokens observed at fork points,
+//! hooks: the replacement inherits the dead worker's deque and its queued jobs), per-job
+//! deadlines via cooperative [`cancel`] tokens observed at fork points,
 //! bounded-queue admission control with load-shedding, and latency histograms
 //! ([`hist`]). A compiled-in, default-off fault-injection layer ([`faults`]) drives the
 //! chaos harness in `rws-lab` that verifies the recovery invariants.
@@ -65,9 +70,7 @@ pub use faults::{FaultPlan, FaultSpec, StormSpec, WorkerFault};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use padding::{CachePadded, PaddedCounters, UnpaddedCounters};
 pub use par_iter::{ParChunksMut, ParSliceExt};
-pub use pool::{
-    current_num_threads, join, InstallError, RespawnReport, ThreadPool, ThreadPoolBuilder,
-};
+pub use pool::{current_num_threads, join, RespawnReport, ThreadPool, ThreadPoolBuilder};
 pub use scope::{scope, Scope};
 pub use service::{
     AdmissionPolicy, JobHandle, JobOutcome, JobServer, ServiceConfig, ServiceSnapshot,

@@ -28,13 +28,11 @@ use crate::stats::PoolStats;
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_trace::{EventKind, JobKind, TraceRecorder, TraceSnapshot, LADDER_STAGE_PARK};
-use std::any::Any;
-use std::cell::{Cell, RefCell, UnsafeCell};
-use std::fmt;
+use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -43,9 +41,9 @@ const STEAL_RETRIES: u32 = 4;
 
 pub(crate) struct Shared {
     injector: Injector<Job>,
-    /// Behind `RwLock` so the supervisor can swap in a respawned worker's fresh stealer;
-    /// steal-path readers share the lock and only ever contend during a respawn.
-    stealers: Vec<RwLock<Stealer<Job>>>,
+    /// One per worker slot, for the pool's life: a respawned worker takes over its slot's
+    /// deque, so a stealer never changes and the steal path takes no lock.
+    stealers: Vec<Stealer<Job>>,
     stats: PoolStats,
     /// Where idle workers park, and owners of stolen branches and scopes wait.
     pub(crate) sleep: EventCount,
@@ -92,7 +90,7 @@ impl Shared {
         if !self.injector.is_empty() {
             return true;
         }
-        self.stealers.iter().any(|s| !s.read().unwrap_or_else(|e| e.into_inner()).is_empty())
+        self.stealers.iter().any(|s| !s.is_empty())
     }
 
     /// The pool's statistics (service-layer access path).
@@ -207,13 +205,7 @@ impl WorkerHandle {
                 };
                 let mut retries = 0;
                 loop {
-                    // The read guard lives for this statement only: a respawn swapping in
-                    // the victim's fresh stealer waits out one visit, not a retry loop.
-                    let stolen = self.shared.stealers[victim]
-                        .read()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .steal_batch_and_pop_counted(&self.local);
-                    match stolen {
+                    match self.shared.stealers[victim].steal_batch_and_pop_counted(&self.local) {
                         Steal::Success((job, k)) => {
                             let k = k as u64;
                             self.shared.stats.record_steal_batch(self.index, k);
@@ -363,18 +355,28 @@ impl Drop for AliveGuard<'_> {
             t.record(worker.index, EventKind::WorkerDead, 0, 0);
         }
         CURRENT_WORKER.set(ptr::null());
-        // A dying worker may strand queued jobs in its deque; make sure somebody is awake
-        // to notice the work (the supervisor's respawn sweep drains the rest).
+        // A dying worker leaves its queued jobs in its slot's deque, still stealable; make
+        // sure somebody is awake to take them (the slot's replacement inherits the rest).
         worker.shared.sleep.wake_one();
         worker.shared.health.wake_all();
     }
 }
 
-/// The worker's scheduling loop. Owns the handle: the thread's worker word points into this
-/// frame for exactly as long as the frame lives.
-fn worker_loop(handle: WorkerHandle) {
-    let handle = &handle;
-    let _alive = AliveGuard::enter(handle);
+/// The worker's thread: runs the scheduling loop and, however the loop ends — shutdown, an
+/// injected death or an unwind — hands the slot's deque back to whoever joins the thread.
+/// Owns the handle: the thread's worker word points into this frame for exactly as long as
+/// the loop runs.
+fn worker_loop(handle: WorkerHandle) -> Worker<Job> {
+    // An unwind escaping the loop kills the worker like an injected death does; catching it
+    // here, outside the `AliveGuard`, keeps the deque for the slot's replacement.
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+        let _alive = AliveGuard::enter(&handle);
+        sweep(&handle);
+    }));
+    handle.local
+}
+
+fn sweep(handle: &WorkerHandle) {
     let mut idle = 0u32;
     loop {
         // One heartbeat per scheduling sweep: a supervisor that sees the epoch frozen
@@ -385,8 +387,9 @@ fn worker_loop(handle: WorkerHandle) {
             match plan.poll_worker_sweep() {
                 WorkerFault::None => {}
                 WorkerFault::Stall(d) => thread::sleep(d),
-                // Injected death: leave exactly like a crashed thread would — no drain, no
-                // goodbye; the AliveGuard lowers the flag and the supervisor cleans up.
+                // Injected death: leave exactly like a crashed thread would — no goodbye;
+                // the AliveGuard lowers the flag, and the queued jobs stay in the slot's
+                // deque for thieves and the slot's replacement.
                 WorkerFault::Die => return,
             }
         }
@@ -460,9 +463,10 @@ impl ThreadPoolBuilder {
 /// A randomized work-stealing thread pool.
 pub struct ThreadPool {
     shared: Arc<Shared>,
-    /// `Option` so the supervisor can `take()` a dead worker's handle to join it before
-    /// installing a replacement; `Mutex` because respawns and `Drop` both touch the slots.
-    handles: Mutex<Vec<Option<thread::JoinHandle<()>>>>,
+    /// `Option` so the supervisor can `take()` a dead worker's handle to join it — getting
+    /// the slot's deque back — before starting a replacement; `Mutex` because respawns and
+    /// `Drop` both touch the slots.
+    handles: Mutex<Vec<Option<thread::JoinHandle<Worker<Job>>>>>,
 }
 
 /// What a [`ThreadPool::respawn_dead_workers`] sweep did.
@@ -470,14 +474,19 @@ pub struct ThreadPool {
 pub struct RespawnReport {
     /// Dead workers replaced with fresh threads.
     pub respawned: usize,
-    /// Orphaned jobs drained from dead workers' deques back to the injector.
+    /// Jobs the replacements inherited: what was still queued in the dead workers'
+    /// deques when the sweep handed them over.
     pub drained_jobs: u64,
 }
 
 /// Start one worker thread for slot `index`. `local` is the worker end of the slot's
-/// Chase–Lev deque; its matching stealer must already be published in
-/// `shared.stealers[index]`.
-fn spawn_worker(shared: &Arc<Shared>, index: usize, local: Worker<Job>) -> thread::JoinHandle<()> {
+/// Chase–Lev deque, whose stealer is `shared.stealers[index]`; joining the thread gives it
+/// back.
+fn spawn_worker(
+    shared: &Arc<Shared>,
+    index: usize,
+    local: Worker<Job>,
+) -> thread::JoinHandle<Worker<Job>> {
     let shared_for_worker = Arc::clone(shared);
     thread::Builder::new()
         .name(format!("rws-worker-{index}"))
@@ -489,7 +498,7 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize, local: Worker<Job>) -> threa
                 shared: shared_for_worker,
                 local,
                 rng: RefCell::new(SmallRng::seed_from_u64(0x9E3779B9 + index as u64)),
-            });
+            })
         })
         .expect("failed to spawn worker thread")
 }
@@ -503,8 +512,7 @@ impl ThreadPool {
     fn with_config(threads: usize, faults: Option<Arc<FaultPlan>>, trace: Option<usize>) -> Self {
         let threads = threads.max(1);
         let locals: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<RwLock<Stealer<Job>>> =
-            locals.iter().map(|w| RwLock::new(w.stealer())).collect();
+        let stealers = locals.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             stealers,
@@ -540,48 +548,28 @@ impl ThreadPool {
         self.shared.alive.iter().filter(|a| !a.load(Ordering::Acquire)).count()
     }
 
-    /// Supervision sweep: join every dead worker's thread, drain the orphaned jobs left in
-    /// its deque back to the injector (so no accepted work is lost), and start a
-    /// replacement thread in its slot. Safe to call from any thread; idempotent when
-    /// nobody died. No-op during shutdown.
+    /// Supervision sweep: join every dead worker's thread and start a replacement in its
+    /// slot on the same deque, so the jobs still queued there (thieves may take them
+    /// meanwhile) are the replacement's to run and no accepted work is lost. Safe to call
+    /// from any thread; idempotent when nobody died. No-op during shutdown.
     pub fn respawn_dead_workers(&self) -> RespawnReport {
         let mut report = RespawnReport::default();
         if self.shared.shutdown.load(Ordering::Acquire) {
             return report;
         }
         // Holding the handle table for the whole sweep serializes concurrent supervisors:
-        // only one of them drains and respawns any given slot.
+        // only one of them respawns any given slot.
         let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
         for index in 0..self.shared.workers {
             if self.shared.alive[index].load(Ordering::Acquire) {
                 continue;
             }
-            // Join the dead thread first: afterwards nothing touches the old deque's
-            // worker end, so the drain below sees every orphaned job.
-            if let Some(h) = handles[index].take() {
-                let _ = h.join();
-            }
-            // Fresh deque for the replacement; publish its stealer, then drain the dead
-            // worker's old deque through the stealer we just unseated.
-            let local = Worker::new_lifo();
-            let old_stealer = std::mem::replace(
-                &mut *self.shared.stealers[index].write().unwrap_or_else(|e| e.into_inner()),
-                local.stealer(),
-            );
-            let mut drained = 0u64;
-            loop {
-                match old_stealer.steal() {
-                    Steal::Success(job) => {
-                        drained += 1;
-                        self.shared.injector.push(job);
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => std::hint::spin_loop(),
-                }
-            }
-            if drained > 0 {
-                self.shared.sleep.wake_all();
-            }
+            let local = handles[index]
+                .take()
+                .expect("a live pool's every slot has a thread")
+                .join()
+                .expect("worker_loop catches every unwind and returns its deque");
+            let drained = local.len() as u64;
             // Raise the flag before the thread exists so a concurrent sweep won't try to
             // respawn the same slot twice.
             self.shared.alive[index].store(true, Ordering::Release);
@@ -673,29 +661,17 @@ impl ThreadPool {
     /// the only one that could run the job) and waste a worker on any pool.
     ///
     /// If `f` panics, the panic is resumed here with its **original payload** (as if `f`
-    /// had run on this thread). If the worker executing `f` dies without delivering a
-    /// result — an injected death or a crashed thread, never an ordinary closure panic —
-    /// this panics with a message saying exactly that; use [`ThreadPool::try_install`] to
-    /// handle either case as a value.
+    /// had run on this thread); use [`ThreadPool::try_install`] to have it as a value.
     pub fn install<R, F>(&self, f: F) -> R
     where
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
     {
-        match self.try_install(f) {
-            Ok(r) => r,
-            Err(InstallError::Panicked(payload)) => panic::resume_unwind(payload),
-            Err(InstallError::Lost) => {
-                panic!("worker died before delivering the installed closure's result")
-            }
-        }
+        self.try_install(f).unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
-    /// [`ThreadPool::install`] with structured errors: a panicking closure comes back as
-    /// [`InstallError::Panicked`] (carrying the original payload) and a worker that dies
-    /// with the job in hand as [`InstallError::Lost`], instead of the two being conflated
-    /// into one misleading secondary panic.
-    pub fn try_install<R, F>(&self, f: F) -> Result<R, InstallError>
+    /// [`ThreadPool::install`] returning a panicking closure's original payload as `Err`.
+    pub fn try_install<R, F>(&self, f: F) -> thread::Result<R>
     where
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
@@ -703,94 +679,27 @@ impl ThreadPool {
         let on_this_pool =
             WorkerHandle::with_current(|w| w.is_some_and(|h| Arc::ptr_eq(&h.shared, &self.shared)));
         if on_this_pool {
-            return panic::catch_unwind(AssertUnwindSafe(f)).map_err(InstallError::Panicked);
+            return panic::catch_unwind(AssertUnwindSafe(f));
         }
-        // The outcome comes back through this frame, which is not left before the latch is
-        // set: the heap job is the install's one allocation.
-        let slot = InstallSlot {
-            outcome: UnsafeCell::new(None),
-            latch: Latch::new(&self.shared.installers),
-        };
-        let delivery = Delivery(&slot);
-        self.spawn(move || delivery.run(f));
-        while !slot.latch.probe() {
-            // Every way the latch gets set wakes this wait; the 50 ms re-check is nothing
-            // it relies on.
-            self.shared.installers.wait_unless(Duration::from_millis(50), || slot.latch.probe());
+        // The same hand-off as a stolen `join` branch. A worker runs every job it takes (it
+        // dies only between jobs, leaving its queue to its slot), so the latch is always
+        // set, by the run that writes the outcome. No token: an install runs under none,
+        // wherever it was called from.
+        let job = StackJob::new(f, &self.shared.installers, ForkToken::none());
+        // SAFETY: `job` outlives its ref: this frame is not left before the latch is set.
+        self.shared.inject(Job::Stack(unsafe { job.as_job_ref(JobKind::InjectedRoot) }));
+        while !job.latch().probe() {
+            // The run's `Latch::set` wakes this wait; the 50 ms re-check is nothing it
+            // relies on.
+            self.shared.installers.wait_unless(Duration::from_millis(50), || job.latch().probe());
         }
-        match slot.outcome.into_inner() {
-            Some(Ok(r)) => Ok(r),
-            Some(Err(payload)) => Err(InstallError::Panicked(payload)),
-            // The job was dropped without running: its worker died with it in hand.
-            None => Err(InstallError::Lost),
+        match job.into_result() {
+            JoinResult::Ok(r) => Ok(r),
+            JoinResult::Panic(payload) => Err(payload),
+            JoinResult::Pending => unreachable!("latch set without a result"),
         }
     }
 }
-
-/// An installer's result slot, in its `try_install` frame.
-struct InstallSlot<R> {
-    outcome: UnsafeCell<Option<thread::Result<R>>>,
-    latch: Latch,
-}
-
-/// The queued half of an install. Dropping it sets the installer's latch — after
-/// [`Delivery::run`] has written the closure's outcome, or with the slot still empty
-/// ([`InstallError::Lost`]) when the job is dropped without running.
-struct Delivery<R>(*const InstallSlot<R>);
-
-// SAFETY: the one field points at the installer's slot, which outlives the delivery — the
-// installer does not leave `try_install` before the latch is set, which only the delivery's
-// drop does — and what crosses threads through it is the outcome, `Send` with `R`.
-unsafe impl<R: Send> Send for Delivery<R> {}
-
-impl<R> Delivery<R> {
-    fn run(self, f: impl FnOnce() -> R) {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(f));
-        // SAFETY: the slot is alive (see `Send` above), and only this job writes it, before
-        // the latch is set.
-        unsafe { *(*self.0).outcome.get() = Some(outcome) };
-    }
-}
-
-impl<R> Drop for Delivery<R> {
-    fn drop(&mut self) {
-        // SAFETY: the latch lives in the slot (see `Send` above) and points into the pool's
-        // `Shared`, which the worker holding this job keeps alive.
-        unsafe { (*self.0).latch.set() };
-    }
-}
-
-/// Why [`ThreadPool::try_install`] failed.
-pub enum InstallError {
-    /// The installed closure panicked; the original payload is carried here.
-    Panicked(Box<dyn Any + Send + 'static>),
-    /// The worker executing the closure died before delivering a result (the closure may
-    /// have partially run). Distinct from [`InstallError::Panicked`]: closure panics are
-    /// always caught and transported.
-    Lost,
-}
-
-impl fmt::Debug for InstallError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InstallError::Panicked(_) => f.write_str("InstallError::Panicked(..)"),
-            InstallError::Lost => f.write_str("InstallError::Lost"),
-        }
-    }
-}
-
-impl fmt::Display for InstallError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InstallError::Panicked(_) => f.write_str("installed closure panicked"),
-            InstallError::Lost => {
-                f.write_str("worker died before delivering the installed closure's result")
-            }
-        }
-    }
-}
-
-impl std::error::Error for InstallError {}
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
@@ -848,7 +757,7 @@ where
     // not leave this function until the reference is out of the queue (reclaimed below) or
     // executed (latch set) — both paths below guarantee that before returning or unwinding.
     let job_b = StackJob::new(b, &worker.shared.sleep, token);
-    let job_ref = unsafe { job_b.as_job_ref() };
+    let job_ref = unsafe { job_b.as_job_ref(JobKind::JoinBranch) };
     worker.push_local(Job::Stack(job_ref));
 
     // Run the left branch, capturing a panic so an unwind cannot tear down this frame while
@@ -1150,6 +1059,36 @@ mod tests {
             Duration::from_secs(5)
         ));
         assert!(waiting.elapsed() < Duration::from_millis(2500), "waited {:?}", waiting.elapsed());
+    }
+
+    #[test]
+    fn a_replacement_inherits_and_runs_the_jobs_its_slot_kept() {
+        let plan = Arc::new(FaultPlan::new(crate::faults::FaultSpec {
+            death_sweeps: vec![0],
+            ..Default::default()
+        }));
+        let pool = ThreadPoolBuilder::new().threads(1).fault_plan(plan).build();
+        assert!(pool.wait_health(|| pool.dead_workers() == 1, Duration::from_secs(30)));
+        // Leave three jobs in the dead worker's deque, as if it had died with them queued.
+        let ran = Arc::new(AtomicU64::new(0));
+        {
+            let mut handles = pool.handles.lock().unwrap();
+            let local = handles[0].take().unwrap().join().unwrap();
+            for _ in 0..3 {
+                let ran = Arc::clone(&ran);
+                local.push(Job::Heap(Box::new(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })));
+            }
+            handles[0] = Some(thread::spawn(move || local));
+        }
+        let report = pool.respawn_dead_workers();
+        assert_eq!(report, RespawnReport { respawned: 1, drained_jobs: 3 });
+        assert_eq!(pool.stats().total_jobs_drained(), 3);
+        // The lone replacement pops its own deque before it looks at the injector, so the
+        // install runs after the three inherited jobs.
+        let seen = Arc::clone(&ran);
+        assert_eq!(pool.install(move || seen.load(Ordering::Relaxed)), 3);
     }
 
     #[test]

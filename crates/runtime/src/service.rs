@@ -5,9 +5,9 @@
 //! Three concerns layer on top of the pool, all off the fork hot path:
 //!
 //! * **Supervision** — every worker sweeps a heartbeat epoch and lowers an alive flag when
-//!   its thread exits; a supervisor thread joins dead workers, drains the orphaned jobs
-//!   from their deques back into the injector (no accepted work is lost), and
-//!   respawns a replacement in the same slot. Job panics are quarantined where they run
+//!   its thread exits; a supervisor thread joins dead workers and respawns a replacement
+//!   in the same slot, on the same deque (no accepted work is lost: thieves may take the
+//!   queued jobs meanwhile, and the replacement inherits the rest). Job panics are quarantined where they run
 //!   and health-tracked per worker.
 //! * **Per-job deadlines** — a submission may carry a budget
 //!   ([`JobServer::submit_with_deadline`]); the supervisor keeps a deadline min-heap and
@@ -433,7 +433,7 @@ pub struct ServiceSnapshot {
     pub shed: u64,
     /// Workers respawned by the supervisor.
     pub respawns: u64,
-    /// Orphaned jobs drained from dead workers' deques back to the injector.
+    /// Jobs respawned workers inherited in their slots' deques.
     pub jobs_drained: u64,
     /// Panics quarantined by workers (pool-wide, includes non-service `spawn`s).
     pub panics_caught: u64,
@@ -658,8 +658,8 @@ impl JobServer {
         // Drain: every accepted job must settle. Workers only die at sweep boundaries
         // (never mid-job), so respawn sweeps guarantee queued jobs find an executor. The
         // settle that zeroes `in_flight` wakes the drain; the wait stays *bounded* anyway,
-        // to interleave respawn sweeps (a queued job stranded on a dead worker settles only
-        // after a sweep requeues it).
+        // to interleave respawn sweeps (a job queued on a dead worker's deque that no thief
+        // takes settles only after a sweep hands the deque to a replacement).
         //
         // The supervisor deliberately keeps running through this drain — stopping it here
         // would be safe for *queued* jobs (`run_root_job`'s pre-run deadline check settles

@@ -239,8 +239,8 @@ impl PoolStats {
         bump(&self.workers[w].0.panics_caught, 1);
     }
 
-    /// Record a dead worker respawned by the supervisor, with the number of orphaned jobs
-    /// drained from its deque back to the injector.
+    /// Record a dead worker respawned by the supervisor, with the number of jobs its
+    /// replacement inherited in the slot's deque.
     pub(crate) fn record_respawn(&self, drained_jobs: u64) {
         self.respawns.0.respawns.fetch_add(1, Ordering::Relaxed);
         self.respawns.0.jobs_drained.fetch_add(drained_jobs, Ordering::Relaxed);
@@ -251,7 +251,7 @@ impl PoolStats {
         self.respawns.0.respawns.load(Ordering::Relaxed)
     }
 
-    /// Orphaned jobs drained from dead workers' deques back to the injector.
+    /// Jobs respawned workers inherited in their slots' deques.
     pub fn total_jobs_drained(&self) -> u64 {
         self.respawns.0.jobs_drained.load(Ordering::Relaxed)
     }

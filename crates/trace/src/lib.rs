@@ -67,7 +67,7 @@ pub enum EventKind {
     /// A worker thread exited (injected death, crash, or shutdown).
     WorkerDead = 11,
     /// The supervisor respawned a dead worker; `arg` is the healed slot index, `aux` the
-    /// number of orphaned jobs drained (saturating at 255).
+    /// number of jobs the replacement inherited in the slot's deque (saturating at 255).
     WorkerRespawn = 12,
     /// A cooperative cancellation check at a fork point ran (and did not unwind).
     CancelCheck = 13,

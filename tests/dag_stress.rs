@@ -19,7 +19,7 @@ use rws_algos::bfs::{bfs_native, bfs_reference, CsrGraph};
 use rws_algos::taskgraph::{
     layered_random, workflow_native, workflow_reference, Levels, TaskGraph,
 };
-use rws_runtime::{InstallError, ThreadPoolBuilder};
+use rws_runtime::ThreadPoolBuilder;
 use std::sync::Arc;
 
 /// A spine of `spine` sequential nodes where every `every`-th spine node releases a burst
@@ -117,8 +117,8 @@ fn chain_and_burst_workflows_match_the_reference_on_every_pool_shape() {
 #[test]
 fn a_panicking_node_unwinds_cleanly_and_the_pool_survives() {
     // Panic injection from a level body, inside a 16-node burst level (positions 53..69,
-    // four leaves of four): the unwind must surface through `install` as a structured error
-    // (with the original payload, not a pool-internal one), and the same pool must then run
+    // four leaves of four): the unwind must surface as `try_install`'s `Err`, carrying the
+    // original payload (not a pool-internal one), and the same pool must then run
     // a clean pass correctly — panics are quarantined per job, never wedging a worker or
     // leaking a poisoned deque.
     let g = spine_with_bursts(120, 10, 16);
@@ -137,11 +137,11 @@ fn a_panicking_node_unwinds_cleanly_and_the_pool_survives() {
                 })
             });
             match result {
-                Err(InstallError::Panicked(payload)) => {
+                Err(payload) => {
                     let msg = payload.downcast::<&'static str>().expect("the original payload");
                     assert_eq!(*msg, "injected node failure");
                 }
-                other => panic!("{threads} threads: expected Panicked, got {other:?}"),
+                Ok(r) => panic!("{threads} threads: expected the node's panic, got {r:?}"),
             }
             // The pool is immediately reusable for a full, correct workflow pass.
             let pc = Arc::clone(&plan);
