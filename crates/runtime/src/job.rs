@@ -46,7 +46,11 @@ impl Job {
     /// `join`, not swallowed, so it is the submitter's failure, not this worker's.
     pub(crate) fn execute(self) -> bool {
         match self {
-            Job::Heap(f) => panic::catch_unwind(AssertUnwindSafe(f)).is_err(),
+            // A heap job was handed over from outside any fork: it runs under no deadline,
+            // whatever the executing worker is helping from.
+            Job::Heap(f) => {
+                cancel::under(None, || panic::catch_unwind(AssertUnwindSafe(f))).is_err()
+            }
             // Safety: a queued JobRef's StackJob is kept alive by its `join` frame until
             // the latch is set, which only `execute` does (after running the closure).
             Job::Stack(r) => {
@@ -222,9 +226,9 @@ pub(crate) struct StackJob<F, R> {
     latch: Latch,
     func: UnsafeCell<Option<F>>,
     result: UnsafeCell<JoinResult<R>>,
-    /// The forking thread's cancellation token word, captured at fork so a *thief* executing
-    /// this branch observes the same deadline the owner does. One borrowed word (null
-    /// outside service mode): the unstolen path never touches the token's count.
+    /// The forking thread's token word, captured at fork so a *thief* executing this branch
+    /// observes the same deadline the owner does. One borrowed word (null outside service
+    /// mode and for an installed closure): the unstolen path never reads it again.
     cancel: ForkToken,
 }
 
@@ -275,15 +279,18 @@ where
     unsafe fn execute_from_ref(data: *const ()) {
         let this = &*(data as *const Self);
         let func = (*this.func.get()).take().expect("stack job executed twice");
-        // Install the fork-time token for the branch's run: a thief inherits the owner's
-        // deadline, and a cancellation unwind from inside `func` is captured below like any
-        // panic, travelling to the owning `join` as the branch's outcome.
-        // Safety (`inherit`): the owner does not return before the latch is set below.
-        let _token = cancel::inherit(this.cancel);
+        // Install the fork-time word for the branch's run: a thief inherits the owner's
+        // deadline, an installed closure runs under none, and a cancellation unwind from
+        // inside `func` is captured below like any panic, travelling to the owning `join` as
+        // the branch's outcome. The guard drops before the latch is set: after that the
+        // owner may return and the flag the word borrows may go.
+        // Safety (`install`): the owner does not return before the latch is set below.
+        let token = cancel::install(this.cancel);
         let result = match panic::catch_unwind(AssertUnwindSafe(func)) {
             Ok(r) => JoinResult::Ok(r),
             Err(payload) => JoinResult::Panic(payload),
         };
+        drop(token);
         *this.result.get() = result;
         this.latch.set();
     }

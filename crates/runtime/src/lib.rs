@@ -36,9 +36,9 @@
 //! long-lived [`JobServer`] accepting streamed root jobs through the pool's locked FIFO
 //! injector, with panic quarantine and dead-worker respawn ([`pool`]'s supervision
 //! hooks: the replacement inherits the dead worker's deque and its queued jobs), per-job
-//! deadlines via cooperative [`cancel`] tokens observed at fork points,
-//! bounded-queue admission control with load-shedding, and latency histograms
-//! ([`hist`]). A compiled-in, default-off fault-injection layer ([`faults`]) drives the
+//! deadlines via a flag in each job's own state that every fork of the job borrows and
+//! observes at fork points ([`cancel`]), bounded-queue admission control with
+//! load-shedding, and latency histograms ([`hist`]). A compiled-in, default-off fault-injection layer ([`faults`]) drives the
 //! chaos harness in `rws-lab` that verifies the recovery invariants.
 //!
 //! The [`padding`] module provides the cache-line padding wrappers the
@@ -65,7 +65,7 @@ pub mod service;
 mod sleep;
 pub mod stats;
 
-pub use cancel::{check_cancel, CancelToken};
+pub use cancel::check_cancel;
 pub use faults::{FaultPlan, FaultSpec, StormSpec, WorkerFault};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use padding::{CachePadded, PaddedCounters, UnpaddedCounters};

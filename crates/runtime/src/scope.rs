@@ -66,9 +66,9 @@ pub struct Scope<'scope> {
     latch: CountLatch,
     /// First panic from a spawned task, rethrown when the scope closes.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// The opening thread's cancellation token word, re-installed around every spawned task
-    /// so deadlines follow the work onto whichever worker runs it (null outside service
-    /// mode). Borrowed: `scope` returns only after every task has finished.
+    /// The opening thread's token word, re-installed around every spawned task so deadlines
+    /// follow the work onto whichever worker runs it (null outside service mode). Borrowed:
+    /// `scope` returns only after every task has finished.
     cancel: ForkToken,
     /// `'scope` is invariant: it must be exactly the lifetime the closures were checked
     /// against, never shortened or lengthened by variance.
@@ -76,7 +76,7 @@ pub struct Scope<'scope> {
 }
 
 // Safety: a &Scope crosses threads inside spawned jobs. The panic store is a mutex, the
-// latch is atomic, the pool handle is an Arc, and the cancel token word is only read (it
+// latch is atomic, the pool handle is an Arc, and the token word is only read (its flag
 // outlives every task, see `ForkToken`); closure payloads are required to be `Send` by
 // `spawn`'s bounds.
 unsafe impl Sync for Scope<'_> {}
@@ -173,11 +173,13 @@ where
 {
     let HeapSpawn { scope, func } = *Box::from_raw(data as *mut HeapSpawn<F>);
     let scope = &*(scope as *const Scope<'scope>);
-    // The scope's fork-time token rides along to whichever worker runs the task, so a
-    // deadline set on the submitting job cancels its scoped fan-out too.
-    // Safety (`inherit`): `scope` waits for the latch this task decrements last.
-    let _token = cancel::inherit(scope.cancel);
+    // The scope's fork-time word rides along to whichever worker runs the task, so a
+    // deadline set on the submitting job cancels its scoped fan-out too. The guard drops
+    // before the latch: its last decrement may let `scope` return.
+    // Safety (`install`): `scope` waits for the latch this task decrements last.
+    let token = cancel::install(scope.cancel);
     let result = panic::catch_unwind(AssertUnwindSafe(|| func(scope)));
+    drop(token);
     if let Err(payload) = result {
         scope.record_panic(payload);
     }

@@ -11,10 +11,11 @@
 //!   and health-tracked per worker.
 //! * **Per-job deadlines** — a submission may carry a budget
 //!   ([`JobServer::submit_with_deadline`]); the supervisor keeps a deadline min-heap and
-//!   flips the job's [`CancelToken`] when the budget expires. The running job observes the
-//!   token cooperatively at fork points (`join` / `scope` / `par_chunks_mut` grain
-//!   boundaries) and terminates with [`JobOutcome::Deadline`]; a job still queued when its
-//!   deadline fires never runs.
+//!   raises the flag in the job's own state when the budget expires. The running job, and
+//!   every branch it forks wherever that branch runs, borrows the flag through the thread's
+//!   token word ([`cancel`]) and observes it cooperatively at fork points (`join` / `scope`
+//!   / `par_chunks_mut` grain boundaries), terminating with [`JobOutcome::Deadline`]; a job
+//!   still queued when its deadline fires never runs.
 //! * **Admission control** — a bounded occupancy gate with a [`Block`], [`Shed`], or
 //!   [`ShedOldest`] policy, plus queue-latency and service-latency histograms
 //!   (p50/p99/p999); sheds and expired deadlines are counted in the outcome partition of
@@ -38,7 +39,7 @@
 //! [`Shed`]: AdmissionPolicy::Shed
 //! [`ShedOldest`]: AdmissionPolicy::ShedOldest
 
-use crate::cancel::{self, CancelPayload, CancelToken};
+use crate::cancel::{self, CancelPayload};
 use crate::faults::FaultPlan;
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::padding::CachePadded;
@@ -103,7 +104,10 @@ fn outcome_from_u8(v: u8) -> Option<JobOutcome> {
 struct JobState {
     seq: u64,
     outcome: AtomicU8,
-    token: CancelToken,
+    /// The deadline flag: raised (`Relaxed` — it publishes no other data; the outcome it
+    /// leads to is arbitrated by `outcome`'s CAS) once the deadline has passed. The job's
+    /// run borrows it through the token word ([`cancel::under`]).
+    cancelled: AtomicBool,
     submitted_at: Instant,
     deadline: Option<Instant>,
     /// Execution claim: set by whichever side gets there first — the worker about to run
@@ -112,9 +116,6 @@ struct JobState {
     /// Occupancy-slot accounting: set by whoever disposes of this job's admission slot
     /// (the runner releasing it, or a `ShedOldest` evictor transferring it).
     slot_released: AtomicBool,
-    /// Nanoseconds from submission to the terminal outcome, stored by the winning
-    /// `settle`. Zero means "not settled yet" (a genuine zero-ns settle rounds up to 1).
-    settled_at_ns: AtomicU64,
     /// Where [`JobHandle::wait`] blocks until `settle` has published `outcome`.
     settled: EventCount,
 }
@@ -124,12 +125,11 @@ impl JobState {
         JobState {
             seq,
             outcome: AtomicU8::new(PENDING),
-            token: CancelToken::new(),
+            cancelled: AtomicBool::new(false),
             submitted_at: Instant::now(),
             deadline,
             started: AtomicBool::new(false),
             slot_released: AtomicBool::new(false),
-            settled_at_ns: AtomicU64::new(0),
             settled: EventCount::default(),
         }
     }
@@ -329,10 +329,7 @@ struct ServerState {
 impl ServerState {
     /// Settle `job` to `outcome` — the single arbitration point for the
     /// exactly-one-terminal-outcome contract. Returns whether this call won.
-    ///
-    /// `now` is the instant the outcome was reached: the run path has just read the clock
-    /// for `service_hist` and passes that reading on.
-    fn settle(&self, job: &JobState, outcome: JobOutcome, now: Instant) -> bool {
+    fn settle(&self, job: &JobState, outcome: JobOutcome) -> bool {
         if job
             .outcome
             .compare_exchange(PENDING, outcome as u8, Ordering::AcqRel, Ordering::Acquire)
@@ -347,8 +344,6 @@ impl ServerState {
             JobOutcome::Shed => &self.outcomes.0.shed,
         }
         .fetch_add(1, Ordering::Relaxed);
-        let settled_ns = now.duration_since(job.submitted_at).as_nanos().max(1) as u64;
-        job.settled_at_ns.store(settled_ns, Ordering::Release);
         self.trace_event(EventKind::ServiceSettle, outcome as u8, job.seq);
         if self.both.0.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Nothing in flight: wake the shutdown drain, if one waits.
@@ -365,10 +360,10 @@ impl ServerState {
     /// never-started submissions — `queue_hist`/`service_hist` stay started-jobs-only,
     /// so the three histograms partition cleanly by outcome path.
     fn settle_never_ran(&self, job: &JobState, outcome: JobOutcome) -> bool {
-        if !self.settle(job, outcome, Instant::now()) {
+        if !self.settle(job, outcome) {
             return false;
         }
-        self.terminal_hist.record(job.settled_at_ns.load(Ordering::Acquire));
+        self.terminal_hist.record(job.submitted_at.elapsed().as_nanos() as u64);
         true
     }
 
@@ -712,8 +707,9 @@ impl Drop for JobServer {
 }
 
 /// The root wrapper every admitted job runs under: claims execution, does the latency
-/// accounting, installs the cancellation token, quarantines panics, and settles the
-/// outcome.
+/// accounting, lends the job's deadline flag to the thread's token word for the run
+/// (every branch the job forks borrows it from there), quarantines panics, and settles
+/// the outcome.
 fn run_root_job(
     server: &Arc<ServerState>,
     job: &Arc<JobState>,
@@ -730,32 +726,32 @@ fn run_root_job(
     server.queue_hist.record(started_at.duration_since(job.submitted_at).as_nanos() as u64);
     server.trace_event(EventKind::ServiceClaim, 0, job.seq);
     server.release_slot(job);
-    // Expired while queued: flip the token so the very first cancellation point (below,
+    // Expired while queued: raise the flag so the very first cancellation point (below,
     // before the closure runs) converts this into a no-work Deadline outcome.
     if let Some(at) = job.deadline {
         if started_at >= at {
-            job.token.cancel();
+            job.cancelled.store(true, Ordering::Relaxed);
         }
     }
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        let _token = cancel::enter(job.token.clone());
-        cancel::check_cancel();
-        if inject_panic {
-            // `resume_unwind`, not `panic!`: the unwind takes the same quarantine path a
-            // real panic would, but skips the panic hook — a chaos run injects hundreds
-            // of these and must not flood stderr with backtraces.
-            panic::resume_unwind(Box::new("injected job panic (fault plan)"));
-        }
-        f();
+        cancel::under(Some(&job.cancelled), || {
+            cancel::check_cancel();
+            if inject_panic {
+                // `resume_unwind`, not `panic!`: the unwind takes the same quarantine path a
+                // real panic would, but skips the panic hook — a chaos run injects hundreds
+                // of these and must not flood stderr with backtraces.
+                panic::resume_unwind(Box::new("injected job panic (fault plan)"));
+            }
+            f();
+        })
     }));
-    let finished_at = Instant::now();
-    server.service_hist.record(finished_at.duration_since(started_at).as_nanos() as u64);
+    server.service_hist.record(started_at.elapsed().as_nanos() as u64);
     match result {
         Ok(()) => {
-            server.settle(job, JobOutcome::Completed, finished_at);
+            server.settle(job, JobOutcome::Completed);
         }
         Err(payload) if payload.is::<CancelPayload>() => {
-            server.settle(job, JobOutcome::Deadline, finished_at);
+            server.settle(job, JobOutcome::Deadline);
         }
         Err(payload) => {
             // A genuine panic: quarantined here (this catch is inside Job::execute's, so
@@ -766,7 +762,7 @@ fn run_root_job(
                     w.shared.health().wake_all();
                 }
             });
-            server.settle(job, JobOutcome::Panicked, finished_at);
+            server.settle(job, JobOutcome::Panicked);
             drop(payload);
         }
     }
@@ -799,7 +795,7 @@ fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Dur
             }
         }
 
-        // Deadline sweep: pop everything due, cancel the tokens, and settle jobs that
+        // Deadline sweep: pop everything due, raise their flags, and settle jobs that
         // provably never started.
         let now = Instant::now();
         let mut next_deadline: Option<Instant> = None;
@@ -813,13 +809,13 @@ fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Dur
                 let entry = heap.pop().expect("peeked entry");
                 if let Some(job) = entry.job.upgrade() {
                     if job.outcome().is_none() {
-                        job.token.cancel();
+                        job.cancelled.store(true, Ordering::Relaxed);
                         if job.claim_run() {
                             // Still queued: it never runs; settle and free its slot.
                             state.settle_never_ran(&job, JobOutcome::Deadline);
                             state.release_slot(&job);
                         }
-                        // Else: running — the token does the work at the next fork point.
+                        // Else: running — the flag does the work at the next fork point.
                     }
                 }
             }

@@ -34,8 +34,7 @@ fn token_is_observed_between_sibling_spawns() {
                 });
                 // The deadline passes between the siblings: the *next* spawn call is a
                 // cancellation point and must unwind before queueing its closure.
-                let token = cancel::current_token().expect("a service job runs under its token");
-                while !token.is_cancelled() {
+                while !cancel::is_cancelled().expect("a service job runs under its flag") {
                     thread::yield_now();
                 }
                 s.spawn(|_| {
@@ -170,7 +169,7 @@ fn a_deadline_cancels_the_branch_a_thief_is_running() {
                 },
                 || {
                     stolen_w.store(thread::current().id() != owner, Ordering::Relaxed);
-                    saw_token_w.store(cancel::current_token().is_some(), Ordering::Relaxed);
+                    saw_token_w.store(cancel::is_cancelled().is_some(), Ordering::Relaxed);
                     started.store(true, Ordering::Release);
                     loop {
                         rws_runtime::check_cancel();
@@ -191,9 +190,50 @@ fn a_deadline_cancels_the_branch_a_thief_is_running() {
     // Both workers' token words are clean again: a fresh job sees only its own, live token.
     for _ in 0..4 {
         let h = srv.submit(|| {
-            assert!(!cancel::current_token().expect("own token").is_cancelled());
+            assert_eq!(cancel::is_cancelled(), Some(false), "own token, still live");
         });
         assert_eq!(h.wait_timeout(Duration::from_secs(60)), Some(JobOutcome::Completed));
     }
     assert_eq!(srv.shutdown().deadline, 1);
+}
+
+#[test]
+fn a_job_with_no_deadline_never_inherits_its_helpers() {
+    // Worker A runs a deadline job whose right branch worker B steals and sleeps in; A
+    // finishes its left branch and helps while it waits — with the one job in sight, an
+    // `install` from outside the pool. That install has no deadline, so the deadline job's
+    // flag, raised while A runs it, must not cut it short.
+    let srv = server(2);
+    let stolen = Arc::new(AtomicBool::new(false));
+    let stolen_w = Arc::clone(&stolen);
+    let handle = srv.submit_with_deadline(
+        move || {
+            let started = AtomicBool::new(false);
+            rws_runtime::join(
+                || {
+                    while !started.load(Ordering::Acquire) {
+                        thread::yield_now();
+                    }
+                },
+                || {
+                    started.store(true, Ordering::Release);
+                    stolen_w.store(true, Ordering::Release);
+                    thread::sleep(Duration::from_millis(500));
+                },
+            );
+        },
+        Duration::from_millis(20),
+    );
+    while !stolen.load(Ordering::Acquire) {
+        thread::yield_now();
+    }
+    let installed = srv.pool().try_install(|| {
+        for _ in 0..200 {
+            rws_runtime::join(|| (), || ());
+            thread::sleep(Duration::from_millis(1));
+        }
+    });
+    assert!(installed.is_ok(), "an install runs under no deadline, whoever helps with it");
+    assert!(handle.wait_timeout(Duration::from_secs(60)).is_some(), "the deadline job settles");
+    srv.shutdown();
 }

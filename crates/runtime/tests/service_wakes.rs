@@ -8,7 +8,7 @@
 //! events where it now reads 0.
 //!
 //! A job the server has served costs it nothing afterwards: the last test serves 2^16 jobs
-//! through one server and finds no allocation beyond each job's own three. An injector
+//! through one server and finds no allocation beyond each job's own two. An injector
 //! that kept its consumed slots until it dropped (≈ 30 bytes a job, in one 32-slot block
 //! per 32 submissions) would read 2 048 there.
 
@@ -107,7 +107,7 @@ fn a_submission_to_a_parked_worker_issues_exactly_one_wake() {
 }
 
 #[test]
-fn a_submission_costs_its_thread_three_allocations() {
+fn a_submission_costs_its_thread_two_allocations() {
     const JOBS: u64 = 1024;
     let server = one_worker_server();
     let ran = Arc::new(AtomicU64::new(0));
@@ -125,11 +125,11 @@ fn a_submission_costs_its_thread_three_allocations() {
     (0..JOBS).for_each(|_| submit(&mut handles));
     let allocations = thread_allocations() - before;
 
-    // The job's shared state, its cancellation token and the boxed closure the injector
-    // carries; the injector's `VecDeque` reallocates only when the queue outgrows its peak
-    // depth, at most `⌈log2 n⌉ + 1` times for `n` pushes, on the pushing thread.
+    // The job's shared state (its deadline flag included) and the boxed closure the
+    // injector carries; the injector's `VecDeque` reallocates only when the queue outgrows
+    // its peak depth, at most `⌈log2 n⌉ + 1` times for `n` pushes, on the pushing thread.
     let doubling_bound = u64::from(JOBS.next_power_of_two().ilog2()) + 1;
-    let budget = 3 * JOBS + doubling_bound + 1;
+    let budget = 2 * JOBS + doubling_bound + 1;
     assert!(
         allocations <= budget,
         "{JOBS} submissions cost the submitting thread {allocations} allocations (budget {budget})"
@@ -164,14 +164,14 @@ fn a_long_lived_server_keeps_nothing_per_job_it_has_served() {
 
     let before = thread_allocations();
     (0..JOBS / ROUND as u64).for_each(|_| round());
-    let overhead = (thread_allocations() - before).saturating_sub(3 * JOBS);
+    let overhead = (thread_allocations() - before).saturating_sub(2 * JOBS);
 
-    // Three allocations are the job's own (see the test above), freed once it settles and
+    // Two allocations are the job's own (see the test above), freed once it settles and
     // its handle drops; whatever is left over is what the server keeps per job served.
     assert!(
         overhead <= 16,
         "{JOBS} jobs served in closed rounds of {ROUND} cost the submitting thread {overhead} \
-         allocations beyond three a job: the server keeps memory for jobs it has finished"
+         allocations beyond two a job: the server keeps memory for jobs it has finished"
     );
     assert_eq!(ran.load(Ordering::Relaxed), JOBS + ROUND as u64);
 }
