@@ -18,12 +18,6 @@ pub struct SimConfig {
     /// work per sample; samples are taken at every successful steal and at computation-phase
     /// boundaries).
     pub track_potential: bool,
-    /// Safety limit on the number of scheduler events; a run exceeding it panics (this only
-    /// triggers on scheduler bugs, never on legitimate computations of sensible size).
-    pub max_events: u64,
-    /// Extra words reserved per task stack beyond the dag's worst-case sequential stack need
-    /// (headroom for block alignment).
-    pub stack_headroom_words: u64,
 }
 
 impl SimConfig {
@@ -58,8 +52,6 @@ impl Default for SimConfig {
             pad_segments: false,
             collect_steal_events: false,
             track_potential: false,
-            max_events: 2_000_000_000,
-            stack_headroom_words: 64,
         }
     }
 }
@@ -83,6 +75,5 @@ mod tests {
         assert!(!c.pad_segments);
         assert!(!c.collect_steal_events);
         assert!(!c.track_potential);
-        assert!(c.max_events > 1_000_000);
     }
 }

@@ -42,6 +42,14 @@ use rws_machine::{Access, Addr, MachineConfig, MemorySystem, ProcId, Region};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Safety limit on the number of scheduler events; a run exceeding it panics (this only
+/// triggers on scheduler bugs, never on legitimate computations of sensible size).
+const MAX_EVENTS: u64 = 2_000_000_000;
+
+/// Extra words reserved per task stack beyond the dag's worst-case sequential stack need
+/// (headroom for block alignment).
+const STACK_HEADROOM_WORDS: u64 = 64;
+
 /// The randomized work-stealing scheduler: configure once, run many computations.
 #[derive(Clone, Debug)]
 pub struct RwsScheduler {
@@ -118,7 +126,7 @@ struct Sim<'a> {
 impl<'a> Sim<'a> {
     fn new(machine: &MachineConfig, sim: &SimConfig, dag: &'a SpDag) -> Self {
         let p = machine.procs;
-        let mut reserve = dag.sequential_stack_words() + sim.stack_headroom_words;
+        let mut reserve = dag.sequential_stack_words() + STACK_HEADROOM_WORDS;
         if sim.pad_segments {
             // Every segment can grow to the next block boundary.
             reserve += (dag.max_segment_depth() + 1) * machine.block_words;
@@ -186,9 +194,9 @@ impl<'a> Sim<'a> {
             }
             self.events += 1;
             assert!(
-                self.events <= self.sim.max_events,
+                self.events <= MAX_EVENTS,
                 "simulation exceeded the configured event limit ({})",
-                self.sim.max_events
+                MAX_EVENTS
             );
             debug_assert_eq!(self.procs[p].time, t, "heap time must match processor time");
             let cost = self.step(ProcId(p));

@@ -605,7 +605,7 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
 
     let all_settled = main_terminal + probe_terminal == total as u64;
     let snapshot = if all_settled {
-        // Clean path: drain, heal every remaining dead worker, stop the supervisor.
+        // Clean path: drain, wait for every claimed death to restart, stop the supervisor.
         server.shutdown()
     } else {
         // A submission never settled — that is itself the finding; don't hang in
@@ -821,7 +821,8 @@ mod tests {
     fn traced_chaos_run_embeds_a_consistent_trace_summary() {
         let sc = ChaosScenario::parse(
             "mode = chaos\nname = traced\nthreads = 2\nqueue_capacity = 8\nsteady_jobs = 12\n\
-             burst_jobs = 4\nprobe_jobs = 4\njob_work_us = 50\nsteady_pace_us = 50",
+             burst_jobs = 4\nprobe_jobs = 4\njob_work_us = 50\nsteady_pace_us = 50\n\
+             death_sweeps = 5",
         )
         .unwrap();
         let report = run_traced(&sc, false, Some(1 << 14));
@@ -840,7 +841,12 @@ mod tests {
         assert_eq!(
             summary.get("respawns").and_then(Json::as_u64),
             Some(report.snapshot.respawns),
-            "trace-observed respawns agree with the supervisor counter"
+            "trace-observed respawns agree with the pool's counter"
+        );
+        assert_eq!(
+            summary.get("deaths").and_then(Json::as_u64),
+            Some(report.deaths_injected as u64),
+            "a worker's exit at shutdown is not a death"
         );
         assert!(report.summary_lines().iter().any(|l| l.contains("trace:")));
     }

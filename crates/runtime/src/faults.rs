@@ -8,8 +8,8 @@
 //! thread timing. Production builds pay one `Option` test per worker sweep (branch
 //! predicted never-taken when no plan is installed) and nothing on the fork hot path.
 //!
-//! The plan decides *what* goes wrong; the supervisor and the chaos harness in `rws-lab`
-//! verify that the service-mode invariants survive it: no accepted job lost or run twice,
+//! The plan decides *what* goes wrong; the chaos harness in `rws-lab` verifies that the
+//! service-mode invariants survive it: no accepted job lost or run twice,
 //! every submission reaching a terminal outcome, the server staying live after every
 //! injected death.
 
@@ -23,9 +23,10 @@ pub enum WorkerFault {
     None,
     /// Sleep for the given duration mid-sweep (a GC pause / noisy-neighbor stand-in).
     Stall(Duration),
-    /// Exit the worker loop as if the thread died. The jobs queued in its deque stay
-    /// there, stealable; the supervisor must notice the down alive flag and respawn a
-    /// replacement, which inherits the deque.
+    /// Unwind out of the worker's scheduling loop as if it crashed (`resume_unwind`, so
+    /// no panic hook runs). `worker_loop` catches the unwind and restarts the loop on the
+    /// same thread and deque; the jobs queued there stay stealable meanwhile and run after
+    /// the restart.
     Die,
 }
 
@@ -81,7 +82,7 @@ pub struct FaultPlan {
     storm: Option<StormSpec>,
     storm_fired: AtomicBool,
     /// Once raised, polls inject nothing more. A draining server disarms its plan so a
-    /// death threshold crossed mid-shutdown can't fire after the pool was healed.
+    /// death threshold crossed mid-shutdown can't fire after it counted the restarts.
     disarmed: AtomicBool,
 }
 

@@ -29,38 +29,33 @@ use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_trace::{EventKind, JobKind, TraceRecorder, TraceSnapshot, LADDER_STAGE_PARK};
 use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Consecutive `Steal::Retry` results tolerated per victim before trying another.
 const STEAL_RETRIES: u32 = 4;
 
 pub(crate) struct Shared {
     injector: Injector<Job>,
-    /// One per worker slot, for the pool's life: a respawned worker takes over its slot's
-    /// deque, so a stealer never changes and the steal path takes no lock.
+    /// One per worker, for the pool's life: a worker whose scheduling loop dies restarts it
+    /// on the same thread and deque, so a stealer never changes and the steal path takes no
+    /// lock.
     stealers: Vec<Stealer<Job>>,
     stats: PoolStats,
     /// Where idle workers park, and owners of stolen branches and scopes wait.
     pub(crate) sleep: EventCount,
     shutdown: AtomicBool,
     workers: usize,
-    /// Liveness flag per worker: lowered by the worker's own [`AliveGuard`] when its
-    /// thread exits for any reason (injected death, panic escaping the loop, shutdown).
-    /// A supervisor distinguishes shutdown from death by checking `shutdown` first.
-    alive: Vec<AtomicBool>,
     /// Optional compiled-in fault schedule (default off; see [`crate::faults`]).
     faults: Option<Arc<FaultPlan>>,
     /// Optional flight recorder (default off; see [`rws_trace`]). Every hook site below
     /// pays one never-taken branch when this is `None`.
     trace: Option<Arc<TraceRecorder>>,
-    /// Where threads wait on supervision events (deaths, respawns, panics, heartbeats):
-    /// [`ThreadPool::wait_health`]. Free while nobody waits.
-    health: EventCount,
     /// Where threads outside the pool wait for the closure they installed.
     installers: EventCount,
 }
@@ -102,11 +97,6 @@ impl Shared {
     pub(crate) fn trace(&self) -> Option<&TraceRecorder> {
         self.trace.as_deref()
     }
-
-    /// Where supervision waiters sleep (service-layer access path).
-    pub(crate) fn health(&self) -> &EventCount {
-        &self.health
-    }
 }
 
 pub(crate) struct WorkerHandle {
@@ -120,7 +110,7 @@ thread_local! {
     /// The calling thread's worker: null on every thread that is not inside `worker_loop`.
     /// One word, `const`-initialised and without a destructor, so reading it is a plain
     /// thread-local load — no lazy-registration check, no borrow flag, no reference count.
-    /// Written only by [`AliveGuard`] (set on entry to `worker_loop`, cleared on every exit).
+    /// Written only by [`CurrentWorker`] (set on entry to `worker_loop`, cleared on exit).
     static CURRENT_WORKER: Cell<*const WorkerHandle> = const { Cell::new(ptr::null()) };
 }
 
@@ -139,11 +129,11 @@ impl WorkerHandle {
     pub(crate) fn with_current<R>(f: impl FnOnce(Option<&WorkerHandle>) -> R) -> R {
         let worker = CURRENT_WORKER.get();
         // SAFETY: a non-null slot points at the `WorkerHandle` owned by this thread's
-        // `worker_loop` frame. The `AliveGuard` in that frame sets the slot after the handle
-        // exists and clears it before the handle is dropped, on every exit path (return,
-        // shutdown break, unwind), and nothing runs on a worker thread outside
-        // `worker_loop` — so whoever reads a non-null slot is running beneath that frame,
-        // and so is `f`, which cannot keep the reference past its own return.
+        // `worker_loop` frame. The `CurrentWorker` guard in that frame sets the slot after
+        // the handle exists and clears it before the handle is dropped, and nothing runs on
+        // a worker thread outside `worker_loop` — so whoever reads a non-null slot is
+        // running beneath that frame, and so is `f`, which cannot keep the reference past
+        // its own return.
         f(unsafe { worker.as_ref() })
     }
 
@@ -261,10 +251,9 @@ impl WorkerHandle {
             t.record(self.index, EventKind::JobStart, kind, 0);
         }
         if job.execute() {
-            // A heap job's panic was quarantined inside `execute`; health-track it against
-            // this worker so a supervisor can tell a panic-storm from a healthy pool.
+            // A heap job's panic was quarantined inside `execute`; count it against this
+            // worker so a supervisor can tell a panic-storm from a healthy pool.
             self.shared.stats.record_panic_caught(self.index);
-            self.shared.health.wake_all();
         }
         if let Some(t) = self.shared.trace() {
             t.record(self.index, EventKind::JobEnd, kind, 0);
@@ -332,65 +321,57 @@ impl WorkerHandle {
     }
 }
 
-/// Publishes the worker in its thread's worker word for the life of `worker_loop`, and on
-/// the way out — by `return`, by shutdown `break`, or by an unwind escaping the loop —
-/// clears the word and lowers the worker's alive flag. Running it on every exit path is what
-/// makes the flag a truthful liveness signal for the supervisor, and what makes a non-null
-/// worker word a valid pointer (see [`WorkerHandle::with_current`]): the guard borrows the
-/// handle, so it cannot outlive it.
-struct AliveGuard<'a>(&'a WorkerHandle);
+/// Publishes the worker in its thread's worker word for the life of `worker_loop` and
+/// clears it on the way out, by return or by unwind. That is what makes a non-null worker
+/// word a valid pointer (see [`WorkerHandle::with_current`]): the guard borrows the handle,
+/// so it cannot outlive it.
+struct CurrentWorker<'a>(PhantomData<&'a WorkerHandle>);
 
-impl<'a> AliveGuard<'a> {
+impl<'a> CurrentWorker<'a> {
     fn enter(worker: &'a WorkerHandle) -> Self {
         CURRENT_WORKER.set(worker);
-        AliveGuard(worker)
+        CurrentWorker(PhantomData)
     }
 }
 
-impl Drop for AliveGuard<'_> {
+impl Drop for CurrentWorker<'_> {
     fn drop(&mut self) {
-        let AliveGuard(worker) = self;
-        worker.shared.alive[worker.index].store(false, Ordering::Release);
-        if let Some(t) = worker.shared.trace() {
-            t.record(worker.index, EventKind::WorkerDead, 0, 0);
-        }
         CURRENT_WORKER.set(ptr::null());
-        // A dying worker leaves its queued jobs in its slot's deque, still stealable; make
-        // sure somebody is awake to take them (the slot's replacement inherits the rest).
-        worker.shared.sleep.wake_one();
-        worker.shared.health.wake_all();
     }
 }
 
-/// The worker's thread: runs the scheduling loop and, however the loop ends — shutdown, an
-/// injected death or an unwind — hands the slot's deque back to whoever joins the thread.
-/// Owns the handle: the thread's worker word points into this frame for exactly as long as
-/// the loop runs.
-fn worker_loop(handle: WorkerHandle) -> Worker<Job> {
-    // An unwind escaping the loop kills the worker like an injected death does; catching it
-    // here, outside the `AliveGuard`, keeps the deque for the slot's replacement.
-    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-        let _alive = AliveGuard::enter(&handle);
-        sweep(&handle);
-    }));
-    handle.local
+/// The worker's thread. Owns the handle: the thread's worker word points into this frame
+/// for exactly as long as the scheduling loop runs. An unwind out of the loop — an injected
+/// death or a panic that escaped it — kills the loop, not the worker: it restarts here, on
+/// the same thread and deque, so the jobs queued there (thieves may take some meanwhile)
+/// run after the restart and no accepted work is lost.
+fn worker_loop(handle: WorkerHandle) {
+    let _current = CurrentWorker::enter(&handle);
+    while panic::catch_unwind(AssertUnwindSafe(|| sweep(&handle))).is_err() {
+        let queued = handle.local.len() as u64;
+        if let Some(t) = handle.shared.trace() {
+            t.record(handle.index, EventKind::WorkerDead, 0, 0);
+            t.record(
+                handle.index,
+                EventKind::WorkerRespawn,
+                queued.min(u8::MAX as u64) as u8,
+                handle.index as u64,
+            );
+        }
+        handle.shared.stats.record_respawn(queued);
+    }
 }
 
 fn sweep(handle: &WorkerHandle) {
     let mut idle = 0u32;
     loop {
-        // One heartbeat per scheduling sweep: a supervisor that sees the epoch frozen
-        // while `alive` is down knows the thread exited (vs. being busy in one long job).
-        handle.shared.stats.record_heartbeat(handle.index);
-        handle.shared.health.wake_all();
         if let Some(plan) = &handle.shared.faults {
             match plan.poll_worker_sweep() {
                 WorkerFault::None => {}
                 WorkerFault::Stall(d) => thread::sleep(d),
-                // Injected death: leave exactly like a crashed thread would — no goodbye;
-                // the AliveGuard lowers the flag, and the queued jobs stay in the slot's
-                // deque for thieves and the slot's replacement.
-                WorkerFault::Die => return,
+                // Injected death: unwind out of the loop like a crash would (without the
+                // panic hook, so a chaos run prints nothing); `worker_loop` restarts it.
+                WorkerFault::Die => panic::resume_unwind(Box::new("injected worker death")),
             }
         }
         if let Some(job) = handle.find_job(idle == 0) {
@@ -463,44 +444,8 @@ impl ThreadPoolBuilder {
 /// A randomized work-stealing thread pool.
 pub struct ThreadPool {
     shared: Arc<Shared>,
-    /// `Option` so the supervisor can `take()` a dead worker's handle to join it — getting
-    /// the slot's deque back — before starting a replacement; `Mutex` because respawns and
-    /// `Drop` both touch the slots.
-    handles: Mutex<Vec<Option<thread::JoinHandle<Worker<Job>>>>>,
-}
-
-/// What a [`ThreadPool::respawn_dead_workers`] sweep did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RespawnReport {
-    /// Dead workers replaced with fresh threads.
-    pub respawned: usize,
-    /// Jobs the replacements inherited: what was still queued in the dead workers'
-    /// deques when the sweep handed them over.
-    pub drained_jobs: u64,
-}
-
-/// Start one worker thread for slot `index`. `local` is the worker end of the slot's
-/// Chase–Lev deque, whose stealer is `shared.stealers[index]`; joining the thread gives it
-/// back.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    index: usize,
-    local: Worker<Job>,
-) -> thread::JoinHandle<Worker<Job>> {
-    let shared_for_worker = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("rws-worker-{index}"))
-        .spawn(move || {
-            // The worker handle is built on its own thread: the crossbeam worker
-            // end of the deque and the RNG are thread-local by design.
-            worker_loop(WorkerHandle {
-                index,
-                shared: shared_for_worker,
-                local,
-                rng: RefCell::new(SmallRng::seed_from_u64(0x9E3779B9 + index as u64)),
-            })
-        })
-        .expect("failed to spawn worker thread")
+    /// One per worker, joined by `Drop`.
+    handles: Vec<thread::JoinHandle<()>>,
 }
 
 impl ThreadPool {
@@ -520,96 +465,31 @@ impl ThreadPool {
             sleep: EventCount::default(),
             shutdown: AtomicBool::new(false),
             workers: threads,
-            alive: (0..threads).map(|_| AtomicBool::new(true)).collect(),
             faults,
             trace: trace.map(|cap| TraceRecorder::new(threads, cap)),
-            health: EventCount::default(),
             installers: EventCount::default(),
         });
         let handles = locals
             .into_iter()
             .enumerate()
-            .map(|(index, local)| Some(spawn_worker(&shared, index, local)))
+            .map(|(index, local)| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("rws-worker-{index}"))
+                    .spawn(move || {
+                        // The worker handle is built on its own thread: the crossbeam worker
+                        // end of the deque and the RNG are thread-local by design.
+                        worker_loop(WorkerHandle {
+                            index,
+                            shared,
+                            local,
+                            rng: RefCell::new(SmallRng::seed_from_u64(0x9E3779B9 + index as u64)),
+                        })
+                    })
+                    .expect("failed to spawn worker thread")
+            })
             .collect();
-        ThreadPool { shared, handles: Mutex::new(handles) }
-    }
-
-    /// Whether worker `index`'s thread is currently running its loop.
-    pub fn worker_alive(&self, index: usize) -> bool {
-        self.shared.alive[index].load(Ordering::Acquire)
-    }
-
-    /// Number of workers whose threads have exited (excluding an in-progress shutdown,
-    /// during which every worker legitimately exits).
-    pub fn dead_workers(&self) -> usize {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return 0;
-        }
-        self.shared.alive.iter().filter(|a| !a.load(Ordering::Acquire)).count()
-    }
-
-    /// Supervision sweep: join every dead worker's thread and start a replacement in its
-    /// slot on the same deque, so the jobs still queued there (thieves may take them
-    /// meanwhile) are the replacement's to run and no accepted work is lost. Safe to call
-    /// from any thread; idempotent when nobody died. No-op during shutdown.
-    pub fn respawn_dead_workers(&self) -> RespawnReport {
-        let mut report = RespawnReport::default();
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return report;
-        }
-        // Holding the handle table for the whole sweep serializes concurrent supervisors:
-        // only one of them respawns any given slot.
-        let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
-        for index in 0..self.shared.workers {
-            if self.shared.alive[index].load(Ordering::Acquire) {
-                continue;
-            }
-            let local = handles[index]
-                .take()
-                .expect("a live pool's every slot has a thread")
-                .join()
-                .expect("worker_loop catches every unwind and returns its deque");
-            let drained = local.len() as u64;
-            // Raise the flag before the thread exists so a concurrent sweep won't try to
-            // respawn the same slot twice.
-            self.shared.alive[index].store(true, Ordering::Release);
-            handles[index] = Some(spawn_worker(&self.shared, index, local));
-            if let Some(t) = self.shared.trace() {
-                // The supervisor runs off-pool; the shared external lane takes the event.
-                t.record_external(
-                    EventKind::WorkerRespawn,
-                    drained.min(u8::MAX as u64) as u8,
-                    index as u64,
-                );
-            }
-            self.shared.stats.record_respawn(drained);
-            report.respawned += 1;
-            report.drained_jobs += drained;
-        }
-        if report.respawned > 0 {
-            self.shared.health.wake_all();
-        }
-        report
-    }
-
-    /// Block until `pred` holds, for at most `timeout`; returns whether it did. The
-    /// predicate is re-evaluated on every supervision event — a worker death, a respawn,
-    /// a quarantined panic, a heartbeat — instead of on a polling timer, so waits resolve
-    /// the instant the event lands and cost nothing to the pool while nobody waits. This
-    /// is the deterministic replacement for `sleep`-loop polling over [`ThreadPool::dead_workers`]
-    /// / [`PoolStats`] in supervision tests and in the service shutdown path.
-    pub fn wait_health(&self, mut pred: impl FnMut() -> bool, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if pred() {
-                return true;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            self.shared.health.wait_unless(left, &mut pred);
-        }
+        ThreadPool { shared, handles }
     }
 
     /// Number of worker threads.
@@ -681,9 +561,9 @@ impl ThreadPool {
         if on_this_pool {
             return panic::catch_unwind(AssertUnwindSafe(f));
         }
-        // The same hand-off as a stolen `join` branch. A worker runs every job it takes (it
-        // dies only between jobs, leaving its queue to its slot), so the latch is always
-        // set, by the run that writes the outcome. No token: an install runs under none,
+        // The same hand-off as a stolen `join` branch. A worker runs every job it takes (its
+        // loop dies only between jobs and restarts on the same deque), so the latch is
+        // always set, by the run that writes the outcome. No token: an install runs under none,
         // wherever it was called from.
         let job = StackJob::new(f, &self.shared.installers, ForkToken::none());
         // SAFETY: `job` outlives its ref: this frame is not left before the latch is set.
@@ -705,8 +585,7 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.sleep.wake_all();
-        let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
-        for h in handles.drain(..).flatten() {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
@@ -831,6 +710,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
 
     fn parallel_sum(pool_threads: usize, n: u64) -> u64 {
         let pool = ThreadPoolBuilder::new().threads(pool_threads).build();
@@ -1048,47 +928,39 @@ mod tests {
     }
 
     #[test]
-    fn a_health_waiter_is_woken_by_the_next_heartbeat() {
-        // One idle worker, so nothing but its backstop sweeps fires a supervision event:
-        // were the heartbeat's wake missing, the wait would last its whole 5 s.
-        let pool = ThreadPool::new(1);
-        let heartbeats = pool.stats().snapshot().workers[0].heartbeats;
-        let waiting = Instant::now();
-        assert!(pool.wait_health(
-            || pool.stats().snapshot().workers[0].heartbeats > heartbeats,
-            Duration::from_secs(5)
-        ));
-        assert!(waiting.elapsed() < Duration::from_millis(2500), "waited {:?}", waiting.elapsed());
-    }
-
-    #[test]
     fn a_replacement_inherits_and_runs_the_jobs_its_slot_kept() {
         let plan = Arc::new(FaultPlan::new(crate::faults::FaultSpec {
             death_sweeps: vec![0],
             ..Default::default()
         }));
         let pool = ThreadPoolBuilder::new().threads(1).fault_plan(plan).build();
-        assert!(pool.wait_health(|| pool.dead_workers() == 1, Duration::from_secs(30)));
-        // Leave three jobs in the dead worker's deque, as if it had died with them queued.
-        let ran = Arc::new(AtomicU64::new(0));
-        {
-            let mut handles = pool.handles.lock().unwrap();
-            let local = handles[0].take().unwrap().join().unwrap();
-            for _ in 0..3 {
-                let ran = Arc::clone(&ran);
-                local.push(Job::Heap(Box::new(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                })));
-            }
-            handles[0] = Some(thread::spawn(move || local));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while pool.stats().total_respawns() < 1 {
+            assert!(Instant::now() < deadline, "the planned death never healed");
+            thread::yield_now();
         }
-        let report = pool.respawn_dead_workers();
-        assert_eq!(report, RespawnReport { respawned: 1, drained_jobs: 3 });
-        assert_eq!(pool.stats().total_jobs_drained(), 3);
-        // The lone replacement pops its own deque before it looks at the injector, so the
-        // install runs after the three inherited jobs.
+        assert_eq!(pool.stats().total_respawns(), 1);
+        // The worker's thread survived its loop's death and serves the slot still.
+        let slot_thread = pool.handles[0].thread().id();
+        assert_eq!(pool.install(|| thread::current().id()), slot_thread);
+        // Three jobs queued on the deque the restarted loop still owns: the lone worker pops
+        // it before it looks at the injector, so the next install runs after all three.
+        let ran = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&ran);
+        pool.install(move || {
+            WorkerHandle::with_current(|w| {
+                let w = w.expect("installed on a worker");
+                for _ in 0..3 {
+                    let r = Arc::clone(&r);
+                    w.push_local(Job::Heap(Box::new(move || {
+                        r.fetch_add(1, Ordering::Relaxed);
+                    })));
+                }
+            })
+        });
         let seen = Arc::clone(&ran);
         assert_eq!(pool.install(move || seen.load(Ordering::Relaxed)), 3);
+        assert_eq!(pool.stats().total_respawns(), 1, "the plan had one death to inject");
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //!
 //! Three concerns layer on top of the pool, all off the fork hot path:
 //!
-//! * **Supervision** — every worker sweeps a heartbeat epoch and lowers an alive flag when
-//!   its thread exits; a supervisor thread joins dead workers and respawns a replacement
-//!   in the same slot, on the same deque (no accepted work is lost: thieves may take the
-//!   queued jobs meanwhile, and the replacement inherits the rest). Job panics are quarantined where they run
-//!   and health-tracked per worker.
+//! * **Supervision** — a worker whose scheduling loop dies (an injected death, or a panic
+//!   that escapes the loop) restarts the loop on the same thread and deque, so no accepted
+//!   work is lost: thieves may take the queued jobs meanwhile, and the restarted loop runs
+//!   the rest. Job panics are quarantined where they run and counted per worker.
 //! * **Per-job deadlines** — a submission may carry a budget
 //!   ([`JobServer::submit_with_deadline`]); the supervisor keeps a deadline min-heap and
 //!   raises the flag in the job's own state when the budget expires. The running job, and
@@ -203,7 +202,7 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What to do when the queue is full.
     pub admission: AdmissionPolicy,
-    /// Supervisor sweep cadence (respawn checks, deadline sweeps, storm launches).
+    /// Supervisor sweep cadence (deadline sweeps and storm launches).
     pub heartbeat_interval: Duration,
     /// Optional fault-injection schedule (chaos testing; default off).
     pub faults: Option<Arc<FaultPlan>>,
@@ -426,9 +425,9 @@ pub struct ServiceSnapshot {
     pub deadline: u64,
     /// Submissions shed (refused, evicted, or arriving during shutdown).
     pub shed: u64,
-    /// Workers respawned by the supervisor.
+    /// Dead scheduling loops that their workers restarted.
     pub respawns: u64,
-    /// Jobs respawned workers inherited in their slots' deques.
+    /// Jobs the restarted loops found queued in their deques.
     pub jobs_drained: u64,
     /// Panics quarantined by workers (pool-wide, includes non-service `spawn`s).
     pub panics_caught: u64,
@@ -496,7 +495,7 @@ impl JobServer {
         JobServer { state, pool, supervisor: Some(supervisor) }
     }
 
-    /// The wrapped pool (stats, worker liveness).
+    /// The wrapped pool (stats, trace).
     pub fn pool(&self) -> &ThreadPool {
         &self.pool
     }
@@ -638,23 +637,22 @@ impl JobServer {
         self.state.both.0.in_flight.load(Ordering::Acquire)
     }
 
-    /// Stop accepting work, drain every in-flight submission to a terminal outcome
-    /// (respawning dead workers as needed so queued jobs always find an executor), heal
-    /// any remaining dead workers, stop the supervisor, and return the final accounting.
+    /// Stop accepting work, drain every in-flight submission to a terminal outcome, wait
+    /// for every claimed worker death to have restarted its loop, stop the supervisor, and
+    /// return the final accounting.
     pub fn shutdown(mut self) -> ServiceSnapshot {
         let state = &self.state;
         state.shutdown.store(true, Ordering::Release);
         // Stop fault injection first: a death threshold crossed while we drain below
-        // must not fire after the heal loop has already pronounced the pool healthy.
+        // must not fire after the respawn wait has already counted the deaths.
         if let Some(plan) = &state.faults {
             plan.disarm();
         }
         state.admission.wake_all();
-        // Drain: every accepted job must settle. Workers only die at sweep boundaries
-        // (never mid-job), so respawn sweeps guarantee queued jobs find an executor. The
-        // settle that zeroes `in_flight` wakes the drain; the wait stays *bounded* anyway,
-        // to interleave respawn sweeps (a job queued on a dead worker's deque that no thief
-        // takes settles only after a sweep hands the deque to a replacement).
+        // Drain: every accepted job must settle. A worker's loop dies only at a sweep
+        // boundary (never mid-job) and restarts on the same deque, so a queued job always
+        // finds an executor. The settle that zeroes `in_flight` wakes the drain; the 1 ms
+        // re-check is nothing it relies on.
         //
         // The supervisor deliberately keeps running through this drain — stopping it here
         // would be safe for *queued* jobs (`run_root_job`'s pre-run deadline check settles
@@ -662,24 +660,20 @@ impl JobServer {
         // job's expired deadline uncancelled until it completed on its own.
         let drained = || state.both.0.in_flight.load(Ordering::Acquire) == 0;
         while !drained() {
-            self.pool.respawn_dead_workers();
             state.drain.wait_unless(Duration::from_millis(1), drained);
         }
-        // Heal the pool: afterwards respawns == injected deaths, deterministically, which
-        // the chaos harness asserts.
-        while self.pool.dead_workers() > 0 {
-            self.pool.respawn_dead_workers();
-        }
-        // A worker that claimed a death just before the disarm may not have lowered its
-        // alive flag yet; wait for its death event (the plan is disarmed, so this set
-        // cannot grow) so the respawn count truthfully matches the claimed deaths.
+        // A worker that claimed a death just before the disarm restarts its loop a few
+        // instructions later; wait for that (the plan is disarmed, so the claimed deaths
+        // cannot grow), so respawns == injected deaths, which the chaos harness asserts.
         if let Some(plan) = &state.faults {
-            while (self.pool.stats().total_respawns() as usize) < plan.deaths_injected() {
-                self.pool.respawn_dead_workers();
-                self.pool.wait_health(|| self.pool.dead_workers() > 0, Duration::from_millis(1));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while (self.pool.stats().total_respawns() as usize) < plan.deaths_injected()
+                && Instant::now() < deadline
+            {
+                thread::yield_now();
             }
         }
-        // Stop the supervisor last, after the pool is healthy and every job has settled:
+        // Stop the supervisor last, after every death has restarted and every job settled:
         // nothing below needs its sweeps, and `supervisor_loop` looks at the stop flag
         // last before it waits, so this raise-then-wake cannot be lost (the same flag-then-
         // wake `Drop` does).
@@ -755,11 +749,10 @@ fn run_root_job(
         }
         Err(payload) => {
             // A genuine panic: quarantined here (this catch is inside Job::execute's, so
-            // the pool-level catch never sees it) — health-track it like the pool would.
+            // the pool-level catch never sees it) — count it like the pool would.
             WorkerHandle::with_current(|w| {
                 if let Some(w) = w {
                     w.shared.stats().record_panic_caught(w.index());
-                    w.shared.health().wake_all();
                 }
             });
             server.settle(job, JobOutcome::Panicked);
@@ -768,12 +761,10 @@ fn run_root_job(
     }
 }
 
-/// The supervisor: deadline sweeps, dead-worker respawns, and contention-storm launches,
-/// all on one thread woken by deadline registrations or its heartbeat interval.
+/// The supervisor: deadline sweeps and contention-storm launches, both on one thread woken
+/// by deadline registrations or its heartbeat interval.
 fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Duration) {
     while !state.supervisor_stop.load(Ordering::Acquire) {
-        pool.respawn_dead_workers();
-
         // Launch a due contention storm: OS threads hammering the pool's injector
         // with no-op jobs, concurrently with real traffic.
         if let Some(plan) = &state.faults {
@@ -895,7 +886,7 @@ mod tests {
         let snap = server.shutdown();
         assert_eq!(snap.panicked, 1);
         assert_eq!(snap.completed, 1);
-        assert!(snap.panics_caught >= 1, "the panic is health-tracked per worker");
+        assert!(snap.panics_caught >= 1, "the panic is counted per worker");
     }
 
     #[test]
@@ -1051,7 +1042,7 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 200);
         assert_eq!(snap.completed, 200);
         assert_eq!(plan.deaths_injected(), 3, "every planned death fired");
-        assert_eq!(snap.respawns, 3, "shutdown heals the pool: respawns == deaths");
+        assert_eq!(snap.respawns, 3, "every death restarted its loop: respawns == deaths");
     }
 
     #[test]

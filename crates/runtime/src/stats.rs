@@ -7,13 +7,11 @@
 //!
 //! Every per-worker counter has **one writer**: the worker's own thread. The recorders are
 //! `pub(crate)` and every call site passes the calling worker's own index (a `WorkerHandle`
-//! never leaves its thread); a respawned worker takes the slot over only after the dead
-//! thread was joined, so ownership hands over with a happens-before. That is why they are
-//! bumped with a plain load and store (`bump`) rather than a locked read-modify-write — the
-//! unstolen `join` path counts a job per fork. Readers on any thread keep their relaxed
-//! loads and see each counter monotone. The two pool-wide respawn counters are written by
-//! whichever thread heals the pool (the supervisor, or a shutdown's drain) and keep
-//! `fetch_add`.
+//! never leaves its thread, and a worker whose loop dies restarts it on the same thread).
+//! That is why they are bumped with a plain load and store (`bump`) rather than a locked
+//! read-modify-write — the unstolen `join` path counts a job per fork. Readers on any thread
+//! keep their relaxed loads and see each counter monotone. The two pool-wide respawn
+//! counters are written by whichever worker restarts its loop and keep `fetch_add`.
 //!
 //! Every per-worker counter is read one way: [`PoolStats::snapshot`] copies them all, and
 //! [`PoolStats::snapshot_delta`] attributes a bracketed region; totals are sums over the
@@ -51,18 +49,13 @@ struct WorkerCounters {
     /// (`batch_steals`, `jobs_stolen`) pair stays self-describing — their ratio is the
     /// average batch size.
     jobs_stolen: AtomicU64,
-    /// Scheduling-sweep heartbeat epoch: bumped once per `worker_loop` iteration. A
-    /// supervisor that sees the epoch frozen while the worker's alive flag is down knows
-    /// the thread is gone (vs. merely busy inside one long job).
-    heartbeats: AtomicU64,
     /// Panics this worker caught and quarantined while executing heap jobs — the per-job
     /// quarantine was always there; this makes it *health-tracked* per worker.
     panics_caught: AtomicU64,
 }
 
 /// Pool-level respawn counters (one padded line, not per-worker: recorded on the cold
-/// supervision path, never on the fork hot path). Written from any thread, hence
-/// `fetch_add`.
+/// restart path, never on the fork hot path). Written by every worker, hence `fetch_add`.
 #[derive(Debug, Default)]
 struct RespawnCounters {
     respawns: AtomicU64,
@@ -95,8 +88,6 @@ pub struct WorkerSnapshot {
     pub batch_steals: u64,
     /// Jobs moved by steal operations (batch sizes summed).
     pub jobs_stolen: u64,
-    /// Scheduling-sweep heartbeat epoch.
-    pub heartbeats: u64,
     /// Panics caught (quarantined) while executing jobs.
     pub panics_caught: u64,
 }
@@ -114,7 +105,6 @@ impl WorkerSnapshot {
             backstop_wakes: self.backstop_wakes.saturating_sub(prev.backstop_wakes),
             batch_steals: self.batch_steals.saturating_sub(prev.batch_steals),
             jobs_stolen: self.jobs_stolen.saturating_sub(prev.jobs_stolen),
-            heartbeats: self.heartbeats.saturating_sub(prev.heartbeats),
             panics_caught: self.panics_caught.saturating_sub(prev.panics_caught),
         }
     }
@@ -228,30 +218,24 @@ impl PoolStats {
         bump(&self.workers[w].0.backstop_wakes, 1);
     }
 
-    /// Bump worker `w`'s scheduling-sweep heartbeat epoch (once per `worker_loop`
-    /// iteration, on the worker's own padded line).
-    pub(crate) fn record_heartbeat(&self, w: usize) {
-        bump(&self.workers[w].0.heartbeats, 1);
-    }
-
     /// Record a panic caught (quarantined) while worker `w` executed a job.
     pub(crate) fn record_panic_caught(&self, w: usize) {
         bump(&self.workers[w].0.panics_caught, 1);
     }
 
-    /// Record a dead worker respawned by the supervisor, with the number of jobs its
-    /// replacement inherited in the slot's deque.
+    /// Record a worker restarting its dead scheduling loop, with the number of jobs still
+    /// queued in its deque for the restarted loop to run.
     pub(crate) fn record_respawn(&self, drained_jobs: u64) {
         self.respawns.0.respawns.fetch_add(1, Ordering::Relaxed);
         self.respawns.0.jobs_drained.fetch_add(drained_jobs, Ordering::Relaxed);
     }
 
-    /// Dead workers respawned by a supervisor.
+    /// Dead scheduling loops restarted by their workers.
     pub fn total_respawns(&self) -> u64 {
         self.respawns.0.respawns.load(Ordering::Relaxed)
     }
 
-    /// Jobs respawned workers inherited in their slots' deques.
+    /// Jobs restarted loops found queued in their deques.
     pub fn total_jobs_drained(&self) -> u64 {
         self.respawns.0.jobs_drained.load(Ordering::Relaxed)
     }
@@ -274,7 +258,6 @@ impl PoolStats {
                         backstop_wakes: c.backstop_wakes.load(Ordering::Relaxed),
                         batch_steals: c.batch_steals.load(Ordering::Relaxed),
                         jobs_stolen: c.jobs_stolen.load(Ordering::Relaxed),
-                        heartbeats: c.heartbeats.load(Ordering::Relaxed),
                         panics_caught: c.panics_caught.load(Ordering::Relaxed),
                     }
                 })
@@ -336,15 +319,11 @@ mod tests {
     #[test]
     fn health_and_service_counters_accumulate() {
         let s = PoolStats::new(2);
-        s.record_heartbeat(0);
-        s.record_heartbeat(0);
-        s.record_heartbeat(1);
         s.record_panic_caught(1);
         s.record_respawn(3);
         s.record_respawn(0);
         let snap = s.snapshot();
-        assert_eq!(snap.workers[0].heartbeats, 2);
-        assert_eq!(snap.workers[1].heartbeats, 1);
+        assert_eq!(snap.workers[0].panics_caught, 0);
         assert_eq!(snap.workers[1].panics_caught, 1);
         assert_eq!(snap.total_panics_caught(), 1);
         assert_eq!(s.total_respawns(), 2);

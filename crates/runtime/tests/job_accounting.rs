@@ -25,7 +25,7 @@ fn recursive_sum(lo: u64, hi: u64) -> u64 {
     a + b
 }
 
-fn fields(w: &WorkerSnapshot) -> [u64; 10] {
+fn fields(w: &WorkerSnapshot) -> [u64; 9] {
     [
         w.steals,
         w.jobs,
@@ -35,7 +35,6 @@ fn fields(w: &WorkerSnapshot) -> [u64; 10] {
         w.backstop_wakes,
         w.batch_steals,
         w.jobs_stolen,
-        w.heartbeats,
         w.panics_caught,
     ]
 }

@@ -1,8 +1,8 @@
 //! Life cycle of the thread's worker word: which pool (if any) a `join` forks on.
 //!
 //! The word is set for exactly the life of a worker's scheduling loop, so: a thread that is
-//! not a worker forks on nothing (sequential), a respawned worker forks under the index it
-//! replaced, a closure installed on pool `b` from a worker of pool `a` forks on `b`, and a
+//! not a worker forks on nothing (sequential), a worker whose loop died and restarted forks
+//! under its own index, a closure installed on pool `b` from a worker of pool `a` forks on `b`, and a
 //! closure installed on the pool it already runs on stays inline on that worker.
 
 use rws_runtime::{
@@ -10,7 +10,7 @@ use rws_runtime::{
 };
 use std::sync::Arc;
 use std::thread::{self, ThreadId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const LEAF: u64 = 64;
 /// Forks `recursive_sum(0, N)` makes.
@@ -53,18 +53,18 @@ fn a_respawned_worker_forks_under_the_index_it_replaced() {
     let plan =
         Arc::new(FaultPlan::new(FaultSpec { death_sweeps: vec![0], ..FaultSpec::default() }));
     let pool = ThreadPoolBuilder::new().threads(1).fault_plan(plan).build();
-    assert!(
-        pool.wait_health(|| pool.dead_workers() == 1, Duration::from_secs(30)),
-        "the planned death never fired"
-    );
-    assert_eq!(pool.respawn_dead_workers().respawned, 1);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pool.stats().total_respawns() < 1 {
+        assert!(Instant::now() < deadline, "the planned death never fired");
+        thread::yield_now();
+    }
     let before = pool.stats().snapshot().workers[0].jobs;
     let (sum, threads) = pool.install(|| (recursive_sum(0, N), current_num_threads()));
     assert_eq!((sum, threads), (SUM, 1));
     assert_eq!(
         pool.stats().snapshot().workers[0].jobs - before,
         FORKS + 1,
-        "the replacement forks on slot 0's deque and counts under slot 0"
+        "the restarted loop forks on worker 0's deque and counts under worker 0"
     );
 }
 

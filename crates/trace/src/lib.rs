@@ -64,10 +64,11 @@ pub enum EventKind {
     ServiceClaim = 9,
     /// A service job settled; `aux` is the `JobOutcome` code, `arg` the sequence number.
     ServiceSettle = 10,
-    /// A worker thread exited (injected death, crash, or shutdown).
+    /// A worker's scheduling loop died (an injected death, or a panic that escaped it).
     WorkerDead = 11,
-    /// The supervisor respawned a dead worker; `arg` is the healed slot index, `aux` the
-    /// number of jobs the replacement inherited in the slot's deque (saturating at 255).
+    /// A worker restarted its dead scheduling loop on the same thread and deque; `arg` is
+    /// the worker's index, `aux` the number of jobs still queued in its deque (saturating
+    /// at 255).
     WorkerRespawn = 12,
     /// A cooperative cancellation check at a fork point ran (and did not unwind).
     CancelCheck = 13,
