@@ -25,10 +25,11 @@
 //! The run drives four phases — paced steady traffic, a batch of tight-deadline jobs (2 ms
 //! budgets on up to 1 s of work), an overload burst of at least `burst_jobs / queue_capacity`
 //! times the admission window, and a post-chaos probe batch — while the scenario's
-//! [`FaultPlan`] kills and stalls workers (2 ms stalls, at most 6), panics jobs, and
-//! (optionally) hammers the injector with a contention storm (4 threads × 64 pushes).
-//! Every submission's closure bumps a per-submission execution counter, so the verdicts
-//! are counted facts, not vibes:
+//! [`FaultPlan`] kills and stalls workers (2 ms stalls, at most 6). The traffic's own faults
+//! are the harness's: a seeded hash picks roughly one in `panic_every` submissions to
+//! panic, and once `storm_after_accepts` submissions were admitted the harness hammers the
+//! injector with a one-shot contention storm (4 threads × 64 pushes). Every submission's
+//! closure bumps a per-submission execution counter, so the verdicts are counted facts:
 //!
 //! * **all-terminal** — every submission reaches a terminal [`JobOutcome`];
 //! * **conservation** — the outcome partition sums exactly to `submitted`;
@@ -55,8 +56,9 @@ use crate::trace_export;
 use rws_runtime::trace::TraceSnapshot;
 use rws_runtime::{
     AdmissionPolicy, FaultPlan, FaultSpec, HistogramSnapshot, JobHandle, JobOutcome, JobServer,
-    ServiceConfig, ServiceSnapshot, StormSpec,
+    ServiceConfig, ServiceSnapshot,
 };
+use std::panic;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -72,8 +74,6 @@ const DEADLINE: Duration = Duration::from_millis(2);
 /// deadline and one that completes means the sweep never came. (At 5 ms, 1 run in 10 on
 /// a loaded 2-CPU host let every started job finish before a sweep ran.)
 const DEADLINE_WORK: Duration = Duration::from_secs(1);
-/// The server's supervisor sweep cadence.
-const HEARTBEAT: Duration = Duration::from_millis(2);
 /// Length of one injected worker stall.
 const STALL: Duration = Duration::from_millis(2);
 /// Cap on injected stalls.
@@ -99,7 +99,7 @@ pub fn is_chaos_scenario(text: &str) -> bool {
 pub struct ChaosScenario {
     /// Scenario name (appears in the report and output file names).
     pub name: String,
-    /// Seed for the fault plan's per-job panic hash.
+    /// Seed for the harness's per-job panic hash.
     pub seed: u64,
     /// Worker threads in the server's pool.
     pub threads: usize,
@@ -125,8 +125,9 @@ pub struct ChaosScenario {
     pub death_sweeps: Vec<u64>,
     /// Stall one worker every this many sweeps (0 = never).
     pub stall_every: u64,
-    /// Optional one-shot injector contention storm.
-    pub storm: Option<StormSpec>,
+    /// Admitted submissions after which the harness starts its one-shot injector
+    /// contention storm (`None` = no storm).
+    pub storm_after_accepts: Option<u64>,
     /// Verdict floor: injected worker deaths the run must reach.
     pub min_deaths: usize,
     /// Verdict floor: quarantined job panics the run must reach.
@@ -160,7 +161,7 @@ impl ChaosScenario {
         let mut panic_every = 0u64;
         let mut death_sweeps: Vec<u64> = Vec::new();
         let mut stall_every = 0u64;
-        let mut storm_after: Option<u64> = None;
+        let mut storm_after_accepts: Option<u64> = None;
         let mut min_deaths: Option<usize> = None;
         let mut min_panics = 0u64;
         let mut min_deadlines = 0u64;
@@ -205,7 +206,7 @@ impl ChaosScenario {
                     death_sweeps = list;
                 }
                 "stall_every" => stall_every = parse_num(ln, key, value)?,
-                "storm_after_accepts" => storm_after = Some(parse_num(ln, key, value)?),
+                "storm_after_accepts" => storm_after_accepts = Some(parse_num(ln, key, value)?),
                 "min_deaths" => min_deaths = Some(parse_num(ln, key, value)?),
                 "min_panics" => min_panics = parse_num(ln, key, value)?,
                 "min_deadlines" => min_deadlines = parse_num(ln, key, value)?,
@@ -259,11 +260,6 @@ impl ChaosScenario {
                 ),
             );
         }
-        let storm = storm_after.map(|after_accepts| StormSpec {
-            after_accepts,
-            threads: STORM_THREADS,
-            pushes_per_thread: STORM_PUSHES,
-        });
         // Default burst: four admission windows back to back — comfortably past 2x overload.
         let burst_jobs = burst_jobs.unwrap_or(4 * queue_capacity as u64);
 
@@ -282,7 +278,7 @@ impl ChaosScenario {
             panic_every,
             death_sweeps,
             stall_every,
-            storm,
+            storm_after_accepts,
             min_deaths,
             min_panics,
             min_deadlines,
@@ -321,6 +317,8 @@ pub struct ChaosReport {
     pub deaths_injected: usize,
     /// Closure executions observed (sum of per-submission counters).
     pub executions: u64,
+    /// Whether the run reached `storm_after_accepts` and the harness launched its storm.
+    pub storm: bool,
     /// The evaluated recovery invariants.
     pub verdicts: Vec<Verdict>,
     /// Whether the evidence was deliberately doctored (the harness self-test).
@@ -445,7 +443,7 @@ impl ChaosReport {
                     ("jobs_drained", s.jobs_drained.into()),
                     ("panics_caught", s.panics_caught.into()),
                     ("panic_every", sc.panic_every.into()),
-                    ("storm", sc.storm.is_some().into()),
+                    ("storm", self.storm.into()),
                 ]),
             ),
             ("latency", obj([("queue", hist(&s.queue)), ("service", hist(&s.service))])),
@@ -496,6 +494,23 @@ pub fn validate_chaos_report(doc: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// splitmix64: a tiny, high-quality mixing function — the standard way to turn a counter
+/// into uncorrelated bits without carrying RNG state.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Whether the harness makes submission `idx` panic: roughly one in `panic_every`
+/// (0 = never), by a seeded hash of the index. Pure, so a scenario panics the same
+/// submissions every run.
+fn job_panics(seed: u64, panic_every: u64, idx: u64) -> bool {
+    panic_every > 0
+        && splitmix64(seed ^ idx.wrapping_mul(0xA24B_AED4_963E_E407)).is_multiple_of(panic_every)
+}
+
 /// Busy-work leaf with cooperative cancellation: spins for `d`, polling the job's token
 /// so a deadline can cut it mid-run (the unwind settles the job as `Deadline`).
 fn busy(d: Duration) {
@@ -512,7 +527,7 @@ fn busy(d: Duration) {
 /// one submission's execution counter is bumped (a duplicated run) and one terminal
 /// outcome is erased (a lost job) — so a sabotaged run must FAIL. CI runs this as the
 /// self-test proving the harness can trip; it is not a fault *injection* knob (those live
-/// in the scenario's fault plan).
+/// in the scenario).
 pub fn run(sc: &ChaosScenario, sabotage: bool) -> ChaosReport {
     run_traced(sc, sabotage, None)
 }
@@ -524,19 +539,15 @@ pub fn run(sc: &ChaosScenario, sabotage: bool) -> ChaosReport {
 /// other observable are unaffected by tracing.
 pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> ChaosReport {
     let plan = Arc::new(FaultPlan::new(FaultSpec {
-        seed: sc.seed,
         death_sweeps: sc.death_sweeps.clone(),
         stall_every: sc.stall_every,
         stall: STALL,
         max_stalls: MAX_STALLS,
-        panic_every: sc.panic_every,
-        storm: sc.storm,
     }));
     let server = JobServer::new(ServiceConfig {
         threads: sc.threads,
         queue_capacity: sc.queue_capacity,
         admission: sc.admission,
-        heartbeat_interval: HEARTBEAT,
         faults: Some(Arc::clone(&plan)),
         trace,
     });
@@ -548,64 +559,87 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
     let counts: Arc<Vec<AtomicU32>> = Arc::new((0..total).map(|_| AtomicU32::new(0)).collect());
     let mut handles: Vec<JobHandle> = Vec::with_capacity(total);
     let overall = Instant::now() + SETTLE_TIMEOUT;
+    let left = || overall.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
 
+    // A submission's index is its server sequence number: the harness is the only submitter.
     let submit_work = |idx: usize, work: Duration| {
         let counts = Arc::clone(&counts);
+        let panics = job_panics(sc.seed, sc.panic_every, idx as u64);
         move || {
+            if panics {
+                // `resume_unwind`, not `panic!`: the unwind takes the quarantine path a
+                // real panic would, but skips the panic hook — a chaos run panics hundreds
+                // of jobs and must not flood stderr with backtraces.
+                panic::resume_unwind(Box::new("injected job panic"));
+            }
             counts[idx].fetch_add(1, Ordering::Relaxed);
             busy(work);
         }
     };
 
-    // Phase 1 — steady: paced traffic the server keeps up with (faults fire under it).
-    for _ in 0..sc.steady_jobs {
-        handles.push(server.submit(submit_work(handles.len(), sc.job_work)));
-        thread::sleep(sc.steady_pace);
-    }
-    // Phase 2 — deadlines: paced like steady traffic (so they are admitted, not shed at
-    // the door), with work longer than the budget, so the budget must win.
-    for _ in 0..sc.deadline_jobs {
-        handles
-            .push(server.submit_with_deadline(submit_work(handles.len(), DEADLINE_WORK), DEADLINE));
-        thread::sleep(sc.steady_pace);
-    }
-    // Phase 3 — burst: back-to-back submissions several admission windows deep; under a
-    // shedding policy this is where load-shedding must engage (and stay bounded).
-    for _ in 0..sc.burst_jobs {
-        handles.push(server.submit(submit_work(handles.len(), sc.job_work)));
-    }
-
-    // Let the main trace settle before probing liveness.
+    let mut storm_due = sc.storm_after_accepts;
     let mut main_terminal = 0u64;
-    for h in &handles {
-        let left = overall.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
-        if h.wait_timeout(left).is_some() {
-            main_terminal += 1;
-        }
-    }
-
-    // Phase 4 — probe: the healed server must still serve fresh work.
-    let probe_start = handles.len();
-    for _ in 0..sc.probe_jobs {
-        handles.push(server.submit(submit_work(handles.len(), sc.job_work)));
-    }
-    let mut probe_terminal = 0u64;
-    let mut probe_completed = 0u64;
-    for h in &handles[probe_start..] {
-        let left = overall.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
-        match h.wait_timeout(left) {
-            Some(JobOutcome::Completed) => {
-                probe_terminal += 1;
-                probe_completed += 1;
+    let (mut probe_terminal, mut probe_completed) = (0u64, 0u64);
+    thread::scope(|scope| {
+        // After each submission: once `storm_after_accepts` were admitted, threads push no-op
+        // jobs straight at the pool's injector, alongside the phases still to come.
+        let mut storm_check = || {
+            if storm_due.is_some_and(|after| server.snapshot().accepted >= after) {
+                storm_due = None;
+                let pool = server.pool();
+                for _ in 0..STORM_THREADS {
+                    scope.spawn(move || (0..STORM_PUSHES).for_each(|_| pool.spawn(|| {})));
+                }
             }
-            Some(_) => probe_terminal += 1,
-            None => {}
+        };
+
+        // Phase 1 — steady: paced traffic the server keeps up with (faults fire under it).
+        for _ in 0..sc.steady_jobs {
+            handles.push(server.submit(submit_work(handles.len(), sc.job_work)));
+            storm_check();
+            thread::sleep(sc.steady_pace);
         }
-    }
+        // Phase 2 — deadlines: paced like steady traffic (so they are admitted, not shed at
+        // the door), with work longer than the budget, so the budget must win.
+        for _ in 0..sc.deadline_jobs {
+            let work = submit_work(handles.len(), DEADLINE_WORK);
+            handles.push(server.submit_with_deadline(work, DEADLINE));
+            storm_check();
+            thread::sleep(sc.steady_pace);
+        }
+        // Phase 3 — burst: back-to-back submissions several admission windows deep; under a
+        // shedding policy this is where load-shedding must engage (and stay bounded).
+        for _ in 0..sc.burst_jobs {
+            handles.push(server.submit(submit_work(handles.len(), sc.job_work)));
+            storm_check();
+        }
+
+        // Let the main trace settle before probing liveness.
+        main_terminal = handles.iter().filter(|h| h.wait_timeout(left()).is_some()).count() as u64;
+
+        // Phase 4 — probe: the healed server must still serve fresh work.
+        let probe_start = handles.len();
+        for _ in 0..sc.probe_jobs {
+            handles.push(server.submit(submit_work(handles.len(), sc.job_work)));
+            storm_check();
+        }
+        for h in &handles[probe_start..] {
+            match h.wait_timeout(left()) {
+                Some(JobOutcome::Completed) => {
+                    probe_terminal += 1;
+                    probe_completed += 1;
+                }
+                Some(_) => probe_terminal += 1,
+                None => {}
+            }
+        }
+    });
+    let storm = sc.storm_after_accepts.is_some() && storm_due.is_none();
 
     let all_settled = main_terminal + probe_terminal == total as u64;
     let snapshot = if all_settled {
-        // Clean path: drain, wait for every claimed death to restart, stop the supervisor.
+        // Clean path: drain, stop the supervisor, join the workers (every claimed death
+        // has restarted by then).
         server.shutdown()
     } else {
         // A submission never settled — that is itself the finding; don't hang in
@@ -631,6 +665,7 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
         snapshot,
         deaths_injected,
         executions,
+        storm,
         verdicts,
         sabotaged: sabotage,
         trace: recorder.map(|r| r.snapshot()),
@@ -849,6 +884,44 @@ mod tests {
             "a worker's exit at shutdown is not a death"
         );
         assert!(report.summary_lines().iter().any(|l| l.contains("trace:")));
+    }
+
+    #[test]
+    fn the_harness_panics_the_same_submissions_every_run() {
+        // The committed scenarios' schedules, pinned: the hash, its seed mixing and the
+        // submission indexing must not drift, or the scenarios' panic floors lose meaning.
+        for (text, count, first) in [
+            (
+                include_str!("../../../scenarios/chaos_quick.scn"),
+                258,
+                [1, 5, 12, 15, 23, 25, 31, 38],
+            ),
+            (include_str!("../../../scenarios/chaos_storm.scn"), 91, [3, 6, 7, 10, 12, 27, 32, 38]),
+        ] {
+            let sc = ChaosScenario::parse(text).unwrap();
+            let hits: Vec<u64> =
+                (0..sc.total_jobs()).filter(|&i| job_panics(sc.seed, sc.panic_every, i)).collect();
+            assert_eq!((hits.len(), &hits[..8]), (count, &first[..]), "{}", sc.name);
+        }
+        let schedule = |seed| (0..10_000).filter(|&i| job_panics(seed, 10, i)).collect::<Vec<_>>();
+        assert_eq!(schedule(7), schedule(7), "same seed, same panic schedule");
+        assert_ne!(schedule(7), schedule(8), "different seed, different schedule");
+        // ~1000 expected; splitmix64 is good enough that 3x bounds are safe.
+        assert!((300..3000).contains(&schedule(7).len()));
+        assert!(!(0..10_000).any(|i| job_panics(7, 0, i)), "panic_every = 0 panics nothing");
+    }
+
+    #[test]
+    fn the_report_says_whether_the_storm_ran() {
+        let base = "mode = chaos\nname = st\nthreads = 2\nqueue_capacity = 8\nsteady_jobs = 10\n\
+                    burst_jobs = 4\nprobe_jobs = 4\njob_work_us = 50\nsteady_pace_us = 50\n";
+        for (after, ran) in [(1_000, false), (1, true)] {
+            let sc = ChaosScenario::parse(&format!("{base}storm_after_accepts = {after}")).unwrap();
+            let report = run(&sc, false);
+            assert!(report.all_passed(), "{:?}", report.summary_lines());
+            assert_eq!(report.storm, ran, "storm_after_accepts = {after}");
+            assert!(report.to_json().contains(&format!("\"storm\": {ran}")));
+        }
     }
 
     #[test]

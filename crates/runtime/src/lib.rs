@@ -39,8 +39,8 @@
 //! all), per-job deadlines via a flag in each job's own state that every fork of the job
 //! borrows and observes at fork points ([`cancel`]), bounded-queue admission control with
 //! load-shedding, and latency histograms ([`hist`]). A compiled-in, default-off
-//! fault-injection layer ([`faults`]) drives the chaos harness in `rws-lab` that verifies
-//! the recovery invariants.
+//! fault-injection layer ([`faults`]: worker deaths and stalls) lets the chaos harness in
+//! `rws-lab` verify the recovery invariants.
 //!
 //! The [`padding`] module provides the cache-line padding wrappers the
 //! `prefix_sums_native` example (E19) runs false sharing on: identical workloads run once with
@@ -67,7 +67,7 @@ mod sleep;
 pub mod stats;
 
 pub use cancel::check_cancel;
-pub use faults::{FaultPlan, FaultSpec, StormSpec, WorkerFault};
+pub use faults::{FaultPlan, FaultSpec, WorkerFault};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use padding::{CachePadded, PaddedCounters, UnpaddedCounters};
 pub use par_iter::{ParChunksMut, ParSliceExt};

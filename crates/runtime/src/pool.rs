@@ -444,7 +444,7 @@ impl ThreadPoolBuilder {
 /// A randomized work-stealing thread pool.
 pub struct ThreadPool {
     shared: Arc<Shared>,
-    /// One per worker, joined by `Drop`.
+    /// One per worker, joined by `stop`.
     handles: Vec<thread::JoinHandle<()>>,
 }
 
@@ -579,15 +579,22 @@ impl ThreadPool {
             JoinResult::Pending => unreachable!("latch set without a result"),
         }
     }
-}
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
+    /// Shut the workers down and join them. They run what is still queued first, and a
+    /// worker whose loop dies restarts it before it can exit, so once this returns every
+    /// claimed death is in the respawn count. Idempotent: a second call joins nothing.
+    pub(crate) fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.sleep.wake_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+impl Drop for ThreadPool {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 

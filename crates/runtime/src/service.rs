@@ -24,15 +24,15 @@
 //! door, or evicted from the queue — settles to exactly one [`JobOutcome`], arbitrated by
 //! a single compare-and-swap. Execution is claimed the same way (`started`), so a job is
 //! run exactly once or not at all, never both run and shed. The chaos harness in `rws-lab`
-//! drives these invariants under injected panics, worker deaths, stalls, and contention
-//! storms (see [`crate::faults`]).
+//! drives these invariants under worker deaths and stalls (see [`crate::faults`]) and under
+//! traffic of its own making: jobs that panic, overload bursts, and injector storms.
 //!
 //! **Who wakes whom.** A root job passes three waits — a parked worker for the submitted
 //! job (`Shared::inject`), a [`Block`] submitter for the slot a starting job frees
-//! (`release_slot`), [`JobHandle::wait`] for the settle — plus the supervisor's timer and
-//! the shutdown drain. Each is an `EventCount` (`sleep.rs`), so none of them makes a system
-//! call unless somebody is asleep on the other side; `docs/ARCHITECTURE.md` ("Every
-//! blocking wait") has the table.
+//! (`release_slot`), [`JobHandle::wait`] for the settle — plus the supervisor's wait for
+//! the next deadline and the shutdown drain. Each is an `EventCount` (`sleep.rs`), so none
+//! of them makes a system call unless somebody is asleep on the other side;
+//! `docs/ARCHITECTURE.md` ("Every blocking wait") has the table.
 //!
 //! [`Block`]: AdmissionPolicy::Block
 //! [`Shed`]: AdmissionPolicy::Shed
@@ -73,8 +73,7 @@ pub enum AdmissionPolicy {
 pub enum JobOutcome {
     /// The job ran to completion.
     Completed = 1,
-    /// The job's closure panicked (or a fault-plan panic was injected); the panic was
-    /// quarantined on the worker that ran it.
+    /// The job's closure panicked; the panic was quarantined on the worker that ran it.
     Panicked = 2,
     /// The job's deadline expired — either before it started (it never runs) or mid-run at
     /// a cooperative cancellation point.
@@ -202,8 +201,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What to do when the queue is full.
     pub admission: AdmissionPolicy,
-    /// Supervisor sweep cadence (deadline sweeps and storm launches).
-    pub heartbeat_interval: Duration,
     /// Optional fault-injection schedule (chaos testing; default off).
     pub faults: Option<Arc<FaultPlan>>,
     /// Flight-recorder capacity per lane (None = tracing off; see
@@ -219,7 +216,6 @@ impl Default for ServiceConfig {
             threads: 0,
             queue_capacity: 1024,
             admission: AdmissionPolicy::Block,
-            heartbeat_interval: Duration::from_millis(5),
             faults: None,
             trace: None,
         }
@@ -288,7 +284,6 @@ struct SharedCounters {
 struct ServerState {
     capacity: usize,
     policy: AdmissionPolicy,
-    faults: Option<Arc<FaultPlan>>,
 
     /// The per-job counters, a cache line per set of writers (see [`SubmitCounters`]).
     submit: CachePadded<SubmitCounters>,
@@ -302,7 +297,8 @@ struct ServerState {
     pending: Mutex<VecDeque<Arc<JobState>>>,
     /// Deadline min-heap the supervisor sweeps.
     deadlines: Mutex<BinaryHeap<DeadlineEntry>>,
-    /// Where the supervisor waits out its heartbeat interval or the next deadline.
+    /// Where the supervisor waits for the next deadline (or, with none pending, for a
+    /// registration or its stop).
     supervisor: EventCount,
     supervisor_stop: AtomicBool,
 
@@ -419,7 +415,7 @@ pub struct ServiceSnapshot {
     pub accepted: u64,
     /// Jobs that ran to completion.
     pub completed: u64,
-    /// Jobs that panicked (including fault-injected panics).
+    /// Jobs whose closure panicked.
     pub panicked: u64,
     /// Jobs terminated by their deadline.
     pub deadline: u64,
@@ -445,7 +441,7 @@ pub struct ServiceSnapshot {
 /// A supervised, long-lived job server over a [`ThreadPool`]. See the module docs.
 pub struct JobServer {
     state: Arc<ServerState>,
-    pool: Arc<ThreadPool>,
+    pool: ThreadPool,
     supervisor: Option<thread::JoinHandle<()>>,
 }
 
@@ -462,12 +458,11 @@ impl JobServer {
         if let Some(capacity) = config.trace {
             builder = builder.trace(capacity);
         }
-        let pool = Arc::new(builder.build());
+        let pool = builder.build();
         let trace = pool.trace_recorder();
         let state = Arc::new(ServerState {
             capacity: config.queue_capacity.max(1),
             policy: config.admission,
-            faults: config.faults,
             submit: CachePadded::default(),
             outcomes: CachePadded::default(),
             both: CachePadded::default(),
@@ -485,11 +480,9 @@ impl JobServer {
         });
         let supervisor = {
             let state = Arc::clone(&state);
-            let pool = Arc::clone(&pool);
-            let interval = config.heartbeat_interval;
             thread::Builder::new()
                 .name("rws-supervisor".into())
-                .spawn(move || supervisor_loop(state, pool, interval))
+                .spawn(move || supervisor_loop(state))
                 .expect("failed to spawn supervisor thread")
         };
         JobServer { state, pool, supervisor: Some(supervisor) }
@@ -604,11 +597,10 @@ impl JobServer {
             });
             state.wake_supervisor();
         }
-        let inject_panic = state.faults.as_ref().is_some_and(|p| p.should_panic_job(seq));
         state.trace_event(EventKind::ServiceEnqueue, 0, seq);
         let server = Arc::clone(state);
         let job_for_run = Arc::clone(&job);
-        self.pool.spawn(move || run_root_job(&server, &job_for_run, f, inject_panic));
+        self.pool.spawn(move || run_root_job(&server, &job_for_run, f));
         handle
     }
 
@@ -637,17 +629,11 @@ impl JobServer {
         self.state.both.0.in_flight.load(Ordering::Acquire)
     }
 
-    /// Stop accepting work, drain every in-flight submission to a terminal outcome, wait
-    /// for every claimed worker death to have restarted its loop, stop the supervisor, and
-    /// return the final accounting.
+    /// Stop accepting work, drain every in-flight submission to a terminal outcome, stop
+    /// the supervisor, join the workers, and return the final accounting.
     pub fn shutdown(mut self) -> ServiceSnapshot {
         let state = &self.state;
         state.shutdown.store(true, Ordering::Release);
-        // Stop fault injection first: a death threshold crossed while we drain below
-        // must not fire after the respawn wait has already counted the deaths.
-        if let Some(plan) = &state.faults {
-            plan.disarm();
-        }
         state.admission.wake_all();
         // Drain: every accepted job must settle. A worker's loop dies only at a sweep
         // boundary (never mid-job) and restarts on the same deque, so a queued job always
@@ -662,26 +648,17 @@ impl JobServer {
         while !drained() {
             state.drain.wait_unless(Duration::from_millis(1), drained);
         }
-        // A worker that claimed a death just before the disarm restarts its loop a few
-        // instructions later; wait for that (the plan is disarmed, so the claimed deaths
-        // cannot grow), so respawns == injected deaths, which the chaos harness asserts.
-        if let Some(plan) = &state.faults {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while (self.pool.stats().total_respawns() as usize) < plan.deaths_injected()
-                && Instant::now() < deadline
-            {
-                thread::yield_now();
-            }
-        }
-        // Stop the supervisor last, after every death has restarted and every job settled:
-        // nothing below needs its sweeps, and `supervisor_loop` looks at the stop flag
-        // last before it waits, so this raise-then-wake cannot be lost (the same flag-then-
-        // wake `Drop` does).
+        // Every job has settled, so nothing below needs the supervisor's sweeps.
+        // `supervisor_loop` looks at the stop flag last before it waits, so this
+        // raise-then-wake cannot be lost (the same flag-then-wake `Drop` does).
         state.supervisor_stop.store(true, Ordering::Release);
         state.wake_supervisor();
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
+        // Join the workers before counting: a worker that claims a death restarts its loop
+        // before it can exit, so once they are joined the snapshot holds every respawn.
+        self.pool.stop();
         self.snapshot()
     }
 }
@@ -704,12 +681,7 @@ impl Drop for JobServer {
 /// accounting, lends the job's deadline flag to the thread's token word for the run
 /// (every branch the job forks borrows it from there), quarantines panics, and settles
 /// the outcome.
-fn run_root_job(
-    server: &Arc<ServerState>,
-    job: &Arc<JobState>,
-    f: impl FnOnce(),
-    inject_panic: bool,
-) {
+fn run_root_job(server: &Arc<ServerState>, job: &Arc<JobState>, f: impl FnOnce()) {
     if !job.claim_run() {
         // An evictor or deadline sweep claimed this job first: it has settled (or is
         // settling) without running. Slot accounting belongs to whoever claimed it.
@@ -730,12 +702,6 @@ fn run_root_job(
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
         cancel::under(Some(&job.cancelled), || {
             cancel::check_cancel();
-            if inject_panic {
-                // `resume_unwind`, not `panic!`: the unwind takes the same quarantine path a
-                // real panic would, but skips the panic hook — a chaos run injects hundreds
-                // of these and must not flood stderr with backtraces.
-                panic::resume_unwind(Box::new("injected job panic (fault plan)"));
-            }
             f();
         })
     }));
@@ -761,31 +727,14 @@ fn run_root_job(
     }
 }
 
-/// The supervisor: deadline sweeps and contention-storm launches, both on one thread woken
-/// by deadline registrations or its heartbeat interval.
-fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Duration) {
-    while !state.supervisor_stop.load(Ordering::Acquire) {
-        // Launch a due contention storm: OS threads hammering the pool's injector
-        // with no-op jobs, concurrently with real traffic.
-        if let Some(plan) = &state.faults {
-            if let Some(spec) = plan.storm_due(state.submit.0.accepted.load(Ordering::Relaxed)) {
-                let threads: Vec<_> = (0..spec.threads)
-                    .map(|_| {
-                        let pool = Arc::clone(&pool);
-                        let pushes = spec.pushes_per_thread;
-                        thread::spawn(move || {
-                            for _ in 0..pushes {
-                                pool.spawn(|| {});
-                            }
-                        })
-                    })
-                    .collect();
-                for t in threads {
-                    let _ = t.join();
-                }
-            }
-        }
+/// How long the supervisor sleeps with no deadline pending. A deadline's registration
+/// and the stop wake it sooner, and nothing relies on this re-arm.
+const IDLE_REARM: Duration = Duration::from_secs(20);
 
+/// The supervisor: deadline sweeps, on one thread that sleeps until the next deadline or
+/// until a registration or its stop wakes it.
+fn supervisor_loop(state: Arc<ServerState>) {
+    while !state.supervisor_stop.load(Ordering::Acquire) {
         // Deadline sweep: pop everything due, raise their flags, and settle jobs that
         // provably never started.
         let now = Instant::now();
@@ -812,11 +761,9 @@ fn supervisor_loop(state: Arc<ServerState>, pool: Arc<ThreadPool>, interval: Dur
             }
         }
 
-        let timeout = match next_deadline {
-            Some(at) => at.saturating_duration_since(now).min(interval),
-            None => interval,
-        }
-        .max(Duration::from_micros(100));
+        let timeout = next_deadline
+            .map_or(IDLE_REARM, |at| at.saturating_duration_since(now))
+            .max(Duration::from_micros(100));
         // Up before the timer for a stop, or for a deadline registered since the sweep
         // that falls before the one it saw (the registration's wake may have found nobody
         // waiting yet).
@@ -1015,14 +962,12 @@ mod tests {
     #[test]
     fn injected_worker_deaths_are_respawned_and_no_job_is_lost() {
         let plan = Arc::new(FaultPlan::new(FaultSpec {
-            seed: 11,
             death_sweeps: vec![10, 40, 80],
             ..FaultSpec::default()
         }));
         let server = JobServer::new(ServiceConfig {
             threads: 2,
             queue_capacity: 256,
-            heartbeat_interval: Duration::from_millis(1),
             faults: Some(Arc::clone(&plan)),
             ..ServiceConfig::default()
         });
@@ -1047,23 +992,25 @@ mod tests {
 
     #[test]
     fn shutdown_snapshot_partitions_under_mixed_outcomes() {
-        let plan =
-            Arc::new(FaultPlan::new(FaultSpec { seed: 3, panic_every: 5, ..FaultSpec::default() }));
-        let server = JobServer::new(ServiceConfig {
-            threads: 2,
-            queue_capacity: 64,
-            faults: Some(plan),
-            ..ServiceConfig::default()
-        });
-        let handles: Vec<_> = (0..100).map(|_| server.submit(|| {})).collect();
+        let server = quick_server(2, 64, AdmissionPolicy::Block);
+        // One job in five panics, by `resume_unwind` (no panic hook, so no backtraces).
+        let handles: Vec<_> = (0..100)
+            .map(|i| {
+                server.submit(move || {
+                    if i % 5 == 0 {
+                        panic::resume_unwind(Box::new("planned job panic"));
+                    }
+                })
+            })
+            .collect();
         for h in &handles {
             let o = h.wait();
             assert!(matches!(o, JobOutcome::Completed | JobOutcome::Panicked));
         }
         let snap = server.shutdown();
         assert_eq!(snap.submitted, 100);
-        assert!(snap.panicked > 0, "the fault plan injected panics");
-        assert_eq!(snap.completed + snap.panicked, 100);
+        assert_eq!(snap.panicked, 20, "every planned panic was quarantined");
+        assert_eq!(snap.completed, 80);
         assert_eq!(snap.queue.count, 100, "panicked jobs still started (queue latency)");
         assert_eq!(snap.service.count, 100, "panicked jobs record service latency too");
         assert_eq!(snap.terminal.count, 0);
@@ -1173,16 +1120,11 @@ mod tests {
 
     #[test]
     fn the_supervisor_wakes_for_a_new_deadline_and_for_its_stop() {
-        // A heartbeat far longer than the test: the supervisor sleeps through it unless a
-        // deadline's registration, `shutdown` or `drop` wakes it.
-        let slow_heartbeat = || {
-            JobServer::new(ServiceConfig {
-                threads: 1,
-                heartbeat_interval: Duration::from_secs(20),
-                ..ServiceConfig::default()
-            })
-        };
-        let server = slow_heartbeat();
+        // An idle re-arm far longer than the test's 5 s bounds: the supervisor sleeps through
+        // it unless a deadline's registration, `shutdown` or `drop` wakes it.
+        const { assert!(IDLE_REARM.as_secs() >= 10) };
+        let idle_server = || quick_server(1, 1024, AdmissionPolicy::Block);
+        let server = idle_server();
         let gate = Arc::new(AtomicBool::new(false));
         let g = Arc::clone(&gate);
         let blocker = server.submit(move || {
@@ -1205,7 +1147,7 @@ mod tests {
             },
             drop::<JobServer>,
         ] {
-            let server = slow_heartbeat();
+            let server = idle_server();
             while server.state.supervisor.waiters() == 0 {
                 thread::yield_now();
             }

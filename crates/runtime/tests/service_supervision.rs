@@ -55,11 +55,8 @@ fn try_install_inline_path_catches_panics_too() {
 fn dead_workers_are_detected_and_respawned_with_their_jobs_drained() {
     // Two deaths almost immediately (either worker may claim either); each dead loop
     // restarts on its own deque, and whatever was still queued there is counted as drained.
-    let plan = Arc::new(FaultPlan::new(FaultSpec {
-        seed: 5,
-        death_sweeps: vec![0, 1],
-        ..FaultSpec::default()
-    }));
+    let plan =
+        Arc::new(FaultPlan::new(FaultSpec { death_sweeps: vec![0, 1], ..FaultSpec::default() }));
     let pool = ThreadPoolBuilder::new().threads(2).fault_plan(Arc::clone(&plan)).build();
     let deadline = Instant::now() + Duration::from_secs(30);
     while pool.stats().total_respawns() < 2 {
@@ -87,27 +84,26 @@ fn panic_quarantine_is_health_tracked_per_worker() {
 
 #[test]
 fn server_survives_sustained_panic_storm_with_deaths_and_overload() {
-    // A miniature of the lab's chaos scenario: injected job panics + worker deaths +
-    // a Shed admission gate under a burst, all settling to terminal outcomes.
-    let plan = Arc::new(FaultPlan::new(FaultSpec {
-        seed: 99,
-        panic_every: 7,
-        death_sweeps: vec![50, 500],
-        ..FaultSpec::default()
-    }));
+    // A miniature of the lab's chaos scenario: job panics (one in seven panics before it
+    // counts its run) + worker deaths + a Shed admission gate under a burst, all settling to
+    // terminal outcomes.
+    let plan =
+        Arc::new(FaultPlan::new(FaultSpec { death_sweeps: vec![50, 500], ..FaultSpec::default() }));
     let server = JobServer::new(ServiceConfig {
         threads: 2,
         queue_capacity: 32,
         admission: AdmissionPolicy::Shed,
-        heartbeat_interval: Duration::from_millis(1),
         faults: Some(Arc::clone(&plan)),
         ..ServiceConfig::default()
     });
     let executions = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..300)
-        .map(|_| {
+        .map(|i| {
             let e = Arc::clone(&executions);
             server.submit(move || {
+                if i % 7 == 3 {
+                    std::panic::resume_unwind(Box::new("planned job panic"));
+                }
                 e.fetch_add(1, Ordering::Relaxed);
             })
         })
@@ -124,6 +120,34 @@ fn server_survives_sustained_panic_storm_with_deaths_and_overload() {
         snap.completed,
         "exactly the completed jobs ran their closures — none lost, none twice"
     );
-    assert!(snap.panicked > 0, "the plan injected panics");
+    assert!(snap.panicked > 0, "the planned panics were quarantined");
     assert_eq!(snap.respawns as usize, plan.deaths_injected(), "every death was healed");
+}
+
+#[test]
+fn deaths_that_fire_during_shutdown_are_counted() {
+    // Forty deaths three sweeps apart, the first at a different sweep each round: a death
+    // left over when the jobs are done fires when `shutdown` wakes the parked workers, and
+    // `shutdown` joins its workers before it counts, so the snapshot holds every restart.
+    for round in 0..300u64 {
+        let plan = Arc::new(FaultPlan::new(FaultSpec {
+            death_sweeps: (0..40).map(|k| round % 7 + 3 * k).collect(),
+            ..FaultSpec::default()
+        }));
+        let server = JobServer::new(ServiceConfig {
+            threads: 2,
+            faults: Some(Arc::clone(&plan)),
+            ..ServiceConfig::default()
+        });
+        let handles: Vec<_> = (0..8).map(|_| server.submit(|| {})).collect();
+        for h in &handles {
+            assert_eq!(h.wait(), JobOutcome::Completed);
+        }
+        let snap = server.shutdown();
+        assert_eq!(
+            snap.respawns as usize,
+            plan.deaths_injected(),
+            "round {round}: a death claimed during shutdown went uncounted"
+        );
+    }
 }
