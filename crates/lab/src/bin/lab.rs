@@ -24,7 +24,7 @@
 //! scenario emits the same bytes.
 //!
 //! `--trace DIR` turns on the runtime's flight recorder and writes, per native run (or
-//! per chaos run), a full `rws-trace/v1` document plus a Chrome `trace_event` file into
+//! per chaos run), a full `rws-trace/v2` document plus a Chrome `trace_event` file into
 //! `DIR` (`<scenario>_native_<i>.trace.json` / `..._chrome.json`, or `<scenario>.trace.json`
 //! for chaos). The trace files are a **sidecar**: the lab report itself stays byte-identical
 //! to an untraced run's, and every trace document is validated as it landed on disk.
@@ -82,7 +82,7 @@ fn emit(doc: &str, path: Option<&str>, validate: fn(&str) -> Result<(), String>)
     true
 }
 
-/// Write one trace snapshot's pair of files (`rws-trace/v1` + Chrome) into `dir`,
+/// Write one trace snapshot's pair of files (`rws-trace/v2` + Chrome) into `dir`,
 /// validating each as it landed on disk. Returns `false` on any failure.
 fn write_trace_pair(
     dir: &str,
@@ -215,7 +215,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// The chaos path: run the fault-injection harness, emit `rws-chaos-report/v1`, exit
+/// The chaos path: run the fault-injection harness, emit `rws-chaos-report/v2`, exit
 /// nonzero on any failed recovery invariant (or malformed emission).
 fn run_chaos(
     path: &str,
@@ -232,13 +232,13 @@ fn run_chaos(
         }
     };
     eprintln!(
-        "lab: running chaos scenario `{}` ({} jobs on {} threads, capacity {}, {} planned \
-         death(s), panic_every = {}{}{})",
+        "lab: running chaos scenario `{}` ({} jobs on {} threads, capacity {}, stall_every = \
+         {}, panic_every = {}{}{})",
         scenario.name,
         scenario.total_jobs(),
         scenario.threads,
         scenario.queue_capacity,
-        scenario.death_sweeps.len(),
+        scenario.stall_every,
         scenario.panic_every,
         if sabotage { ", SABOTAGE self-test" } else { "" },
         if trace_dir.is_some() { ", traced" } else { "" }

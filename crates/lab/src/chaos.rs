@@ -16,8 +16,7 @@
 //! steady_jobs = 600        # paced submissions the server can keep up with
 //! burst_jobs = 256         # back-to-back burst, several x queue_capacity
 //! panic_every = 4          # seeded: roughly one in four jobs panics
-//! death_sweeps = 30, 60, 300
-//! min_deaths = 3
+//! stall_every = 50         # a worker stalls every 50 pool-wide scheduling sweeps
 //! min_panics = 100
 //! max_shed_rate = 0.75
 //! ```
@@ -25,7 +24,7 @@
 //! The run drives four phases — paced steady traffic, a batch of tight-deadline jobs (2 ms
 //! budgets on up to 1 s of work), an overload burst of at least `burst_jobs / queue_capacity`
 //! times the admission window, and a post-chaos probe batch — while the scenario's
-//! [`FaultPlan`] kills and stalls workers (2 ms stalls, at most 6). The traffic's own faults
+//! [`FaultPlan`] stalls workers (2 ms stalls, at most 6). The traffic's own faults
 //! are the harness's: a seeded hash picks roughly one in `panic_every` submissions to
 //! panic, and once `storm_after_accepts` submissions were admitted the harness hammers the
 //! injector with a one-shot contention storm (4 threads × 64 pushes). Every submission's
@@ -36,22 +35,21 @@
 //! * **no-lost-jobs** — every `Completed` job ran its closure exactly once;
 //! * **no-duplicate-runs** — no closure ran twice (the settle/claim CAS arbitration);
 //! * **shed-never-ran** — a `Shed` submission's closure never ran;
-//! * **server-live** — the probe batch completes *after* `min_deaths` injected worker
-//!   deaths, and every death was healed by a respawn;
+//! * **server-live** — jobs of the probe batch, submitted after the chaos, complete;
 //! * **panic-volume** — at least `min_panics` injected panics were quarantined;
 //! * **deadline-enforced** — no deadline-phase job completes: each one ends by its deadline,
 //!   shed or evicted before it ran, or by an injected panic; and at least `min_deadlines`
 //!   jobs end by their deadline;
 //! * **shed-rate-bounded** — load-shedding stayed under `max_shed_rate` of submissions.
 //!
-//! [`run`] returns a [`ChaosReport`] that renders as the validated `rws-chaos-report/v1`
+//! [`run`] returns a [`ChaosReport`] that renders as the validated `rws-chaos-report/v2`
 //! JSON document; the `lab` binary exits nonzero on any failed verdict, which is what the
 //! CI `chaos-smoke` job gates on. `sabotage` doctors the observed evidence before the
 //! verdicts are evaluated (a duplicated execution and a lost outcome) — the CI self-test
 //! that proves the harness actually trips.
 
 use crate::json::{self, obj, Json};
-use crate::scenario::{err, key_values, parse_num, split_list, ScenarioError};
+use crate::scenario::{err, key_values, parse_num, ScenarioError};
 use crate::trace_export;
 use rws_runtime::trace::TraceSnapshot;
 use rws_runtime::{
@@ -65,7 +63,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// The schema tag of the emitted JSON document.
-pub const SCHEMA: &str = "rws-chaos-report/v1";
+pub const SCHEMA: &str = "rws-chaos-report/v2";
 
 /// The budget of every deadline-phase job.
 const DEADLINE: Duration = Duration::from_millis(2);
@@ -121,15 +119,11 @@ pub struct ChaosScenario {
     pub job_work: Duration,
     /// Panic roughly one in `panic_every` jobs (0 = never).
     pub panic_every: u64,
-    /// Global sweep counts at which a worker dies.
-    pub death_sweeps: Vec<u64>,
     /// Stall one worker every this many sweeps (0 = never).
     pub stall_every: u64,
     /// Admitted submissions after which the harness starts its one-shot injector
     /// contention storm (`None` = no storm).
     pub storm_after_accepts: Option<u64>,
-    /// Verdict floor: injected worker deaths the run must reach.
-    pub min_deaths: usize,
     /// Verdict floor: quarantined job panics the run must reach.
     pub min_panics: u64,
     /// Verdict floor: deadline-terminated jobs the run must reach.
@@ -159,10 +153,8 @@ impl ChaosScenario {
         let mut probe_jobs = 32u64;
         let mut job_work_us = 200u64;
         let mut panic_every = 0u64;
-        let mut death_sweeps: Vec<u64> = Vec::new();
         let mut stall_every = 0u64;
         let mut storm_after_accepts: Option<u64> = None;
-        let mut min_deaths: Option<usize> = None;
         let mut min_panics = 0u64;
         let mut min_deadlines = 0u64;
         let mut max_shed_rate = 1.0f64;
@@ -198,16 +190,8 @@ impl ChaosScenario {
                 "probe_jobs" => probe_jobs = parse_num(ln, key, value)?,
                 "job_work_us" => job_work_us = parse_num(ln, key, value)?,
                 "panic_every" => panic_every = parse_num(ln, key, value)?,
-                "death_sweeps" => {
-                    let mut list = Vec::new();
-                    for item in split_list(value) {
-                        list.push(parse_num(ln, key, item)?);
-                    }
-                    death_sweeps = list;
-                }
                 "stall_every" => stall_every = parse_num(ln, key, value)?,
                 "storm_after_accepts" => storm_after_accepts = Some(parse_num(ln, key, value)?),
-                "min_deaths" => min_deaths = Some(parse_num(ln, key, value)?),
                 "min_panics" => min_panics = parse_num(ln, key, value)?,
                 "min_deadlines" => min_deadlines = parse_num(ln, key, value)?,
                 "max_shed_rate" => {
@@ -238,16 +222,6 @@ impl ChaosScenario {
         if probe_jobs == 0 {
             return err(0, "probe_jobs must be at least 1 (the server-live verdict needs them)");
         }
-        let min_deaths = min_deaths.unwrap_or(death_sweeps.len());
-        if min_deaths > death_sweeps.len() {
-            return err(
-                0,
-                format!(
-                    "min_deaths = {min_deaths} is unsatisfiable: only {} death_sweeps planned",
-                    death_sweeps.len()
-                ),
-            );
-        }
         if min_panics > 0 && panic_every == 0 {
             return err(0, "min_panics > 0 is unsatisfiable with panic_every = 0");
         }
@@ -276,10 +250,8 @@ impl ChaosScenario {
             probe_jobs,
             job_work: Duration::from_micros(job_work_us),
             panic_every,
-            death_sweeps,
             stall_every,
             storm_after_accepts,
-            min_deaths,
             min_panics,
             min_deadlines,
             max_shed_rate,
@@ -313,8 +285,6 @@ pub struct ChaosReport {
     pub scenario: ChaosScenario,
     /// The server's final counter/latency snapshot.
     pub snapshot: ServiceSnapshot,
-    /// Worker deaths the fault plan actually injected.
-    pub deaths_injected: usize,
     /// Closure executions observed (sum of per-submission counters).
     pub executions: u64,
     /// Whether the run reached `storm_after_accepts` and the harness launched its storm.
@@ -343,17 +313,13 @@ impl ChaosReport {
     pub fn summary_lines(&self) -> Vec<String> {
         let s = &self.snapshot;
         let mut lines = vec![format!(
-            "chaos {}: {} submitted -> {} completed, {} panicked, {} deadline, {} shed; {} \
-             deaths healed by {} respawns ({} jobs drained){}",
+            "chaos {}: {} submitted -> {} completed, {} panicked, {} deadline, {} shed{}",
             self.scenario.name,
             s.submitted,
             s.completed,
             s.panicked,
             s.deadline,
             s.shed,
-            self.deaths_injected,
-            s.respawns,
-            s.jobs_drained,
             if self.sabotaged { " [SABOTAGED EVIDENCE]" } else { "" }
         )];
         lines.push(format!(
@@ -389,7 +355,7 @@ impl ChaosReport {
         lines
     }
 
-    /// Render the `rws-chaos-report/v1` JSON document. Latency fields and the exact shed
+    /// Render the `rws-chaos-report/v2` JSON document. Latency fields and the exact shed
     /// split are wall-clock-dependent; the *verdicts* are the stable, gateable content.
     pub fn to_json(&self) -> String {
         let sc = &self.scenario;
@@ -437,10 +403,6 @@ impl ChaosReport {
             (
                 "faults",
                 obj([
-                    ("deaths_planned", sc.death_sweeps.len().into()),
-                    ("deaths_injected", self.deaths_injected.into()),
-                    ("respawns", s.respawns.into()),
-                    ("jobs_drained", s.jobs_drained.into()),
                     ("panics_caught", s.panics_caught.into()),
                     ("panic_every", sc.panic_every.into()),
                     ("storm", self.storm.into()),
@@ -535,24 +497,22 @@ pub fn run(sc: &ChaosScenario, sabotage: bool) -> ChaosReport {
 /// [`run`] with the server pool's flight recorder optionally enabled: `trace =
 /// Some(capacity)` records `capacity` events per lane and returns the drained snapshot in
 /// [`ChaosReport::trace`] (rendered into the report's `trace_summary` key, and written as
-/// full `rws-trace/v1` / Chrome documents by `lab --trace DIR`). The verdicts and every
+/// full `rws-trace/v2` / Chrome documents by `lab --trace DIR`). The verdicts and every
 /// other observable are unaffected by tracing.
 pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> ChaosReport {
-    let plan = Arc::new(FaultPlan::new(FaultSpec {
-        death_sweeps: sc.death_sweeps.clone(),
-        stall_every: sc.stall_every,
-        stall: STALL,
-        max_stalls: MAX_STALLS,
-    }));
     let server = JobServer::new(ServiceConfig {
         threads: sc.threads,
         queue_capacity: sc.queue_capacity,
         admission: sc.admission,
-        faults: Some(Arc::clone(&plan)),
+        faults: Some(Arc::new(FaultPlan::new(FaultSpec {
+            stall_every: sc.stall_every,
+            stall: STALL,
+            max_stalls: MAX_STALLS,
+        }))),
         trace,
     });
     // The recorder outlives the pool (it is an `Arc`), so the snapshot can be drained
-    // after shutdown and still include the shutdown-path events (final settles, respawns).
+    // after shutdown and still include the shutdown-path events (the final settles).
     let recorder = server.pool().trace_recorder();
 
     let total = sc.total_jobs() as usize;
@@ -617,7 +577,7 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
         // Let the main trace settle before probing liveness.
         main_terminal = handles.iter().filter(|h| h.wait_timeout(left()).is_some()).count() as u64;
 
-        // Phase 4 — probe: the healed server must still serve fresh work.
+        // Phase 4 — probe: the server must still serve fresh work.
         let probe_start = handles.len();
         for _ in 0..sc.probe_jobs {
             handles.push(server.submit(submit_work(handles.len(), sc.job_work)));
@@ -638,8 +598,7 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
 
     let all_settled = main_terminal + probe_terminal == total as u64;
     let snapshot = if all_settled {
-        // Clean path: drain, stop the supervisor, join the workers (every claimed death
-        // has restarted by then).
+        // Clean path: drain, stop the supervisor, join the workers.
         server.shutdown()
     } else {
         // A submission never settled — that is itself the finding; don't hang in
@@ -648,7 +607,6 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
         drop(server);
         snap
     };
-    let deaths_injected = plan.deaths_injected();
 
     // The collected evidence, doctored iff this is the harness self-test.
     let mut outcomes: Vec<Option<JobOutcome>> = handles.iter().map(|h| h.outcome()).collect();
@@ -659,11 +617,10 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
     }
 
     let executions: u64 = counts.iter().map(|&c| u64::from(c)).sum();
-    let verdicts = evaluate(sc, &snapshot, deaths_injected, &outcomes, &counts, probe_completed);
+    let verdicts = evaluate(sc, &snapshot, &outcomes, &counts, probe_completed);
     ChaosReport {
         scenario: sc.clone(),
         snapshot,
-        deaths_injected,
         executions,
         storm,
         verdicts,
@@ -675,7 +632,6 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
 fn evaluate(
     sc: &ChaosScenario,
     s: &ServiceSnapshot,
-    deaths_injected: usize,
     outcomes: &[Option<JobOutcome>],
     counts: &[u32],
     probe_completed: u64,
@@ -730,17 +686,8 @@ fn evaluate(
         },
         Verdict {
             name: "server-live",
-            detail: format!(
-                "{probe_completed}/{} probe jobs completed after {deaths_injected} worker \
-                 death(s) (floor {})",
-                sc.probe_jobs, sc.min_deaths
-            ),
-            pass: probe_completed > 0 && deaths_injected >= sc.min_deaths,
-        },
-        Verdict {
-            name: "deaths-healed",
-            detail: format!("{} respawns for {deaths_injected} injected death(s)", s.respawns),
-            pass: s.respawns == deaths_injected as u64,
+            detail: format!("{probe_completed}/{} probe jobs completed", sc.probe_jobs),
+            pass: probe_completed > 0,
         },
         Verdict {
             name: "panic-volume",
@@ -791,8 +738,7 @@ mod tests {
         probe_jobs = 8
         job_work_us = 100
         panic_every = 3
-        death_sweeps = 5, 9
-        min_deaths = 2
+        stall_every = 7
         min_panics = 1
         min_deadlines = 1
         max_shed_rate = 0.9
@@ -803,7 +749,7 @@ mod tests {
         let sc = ChaosScenario::parse(TINY).expect("must parse");
         assert_eq!(sc.name, "tiny");
         assert_eq!(sc.threads, 2);
-        assert_eq!(sc.death_sweeps, vec![5, 9]);
+        assert_eq!(sc.stall_every, 7);
         assert_eq!(sc.total_jobs(), 40 + 24 + 4 + 8);
         assert!(is_chaos_scenario(TINY));
         assert!(!is_chaos_scenario("name = x\nworkload = fft\nn = 64"));
@@ -814,7 +760,6 @@ mod tests {
         let defaults =
             ChaosScenario::parse("mode = chaos\nname = d\nqueue_capacity = 16").expect("defaults");
         assert_eq!(defaults.burst_jobs, 64, "default burst is four admission windows");
-        assert_eq!(defaults.min_deaths, 0, "defaults to the planned death count");
     }
 
     #[test]
@@ -824,7 +769,6 @@ mod tests {
             ("mode = chaos", "missing required key `name`"),
             ("mode = chaos\nname = x\nadmission = drop", "unknown admission"),
             ("mode = chaos\nname = x\nbogus = 1", "unknown chaos key"),
-            ("mode = chaos\nname = x\nmin_deaths = 1", "unsatisfiable"),
             ("mode = chaos\nname = x\nmin_panics = 5", "unsatisfiable"),
             ("mode = chaos\nname = x\nmin_deadlines = 1", "unsatisfiable"),
             ("mode = chaos\nname = x\nmax_shed_rate = 1.5", "[0, 1]"),
@@ -841,11 +785,10 @@ mod tests {
         let sc = ChaosScenario::parse(TINY).unwrap();
         let report = run(&sc, false);
         assert!(report.all_passed(), "{:?}", report.summary_lines());
-        assert!(report.deaths_injected >= 2);
         assert!(report.snapshot.panicked >= 1);
         let doc = report.to_json();
         validate_chaos_report(&doc).expect("chaos report must validate");
-        for key in ["\"invariants\"", "\"deaths_injected\"", "\"p99_ns\"", "\"shed_rate\""] {
+        for key in ["\"invariants\"", "\"panics_caught\"", "\"p99_ns\"", "\"shed_rate\""] {
             assert!(doc.contains(key), "missing {key} in\n{doc}");
         }
         assert!(doc.contains("\"sabotaged\": false"));
@@ -857,7 +800,7 @@ mod tests {
         let sc = ChaosScenario::parse(
             "mode = chaos\nname = traced\nthreads = 2\nqueue_capacity = 8\nsteady_jobs = 12\n\
              burst_jobs = 4\nprobe_jobs = 4\njob_work_us = 50\nsteady_pace_us = 50\n\
-             death_sweeps = 5",
+             stall_every = 5",
         )
         .unwrap();
         let report = run_traced(&sc, false, Some(1 << 14));
@@ -871,17 +814,12 @@ mod tests {
         assert!(summary.get("schema").is_some(), "summary is an object, not null: {doc}");
         // Two accounting paths, one truth: every submission settles exactly once, and the
         // trace saw each settle (capacity is far above this scenario's event volume).
-        let settled = summary.get("service").and_then(|s| s.get("settled")).and_then(Json::as_u64);
-        assert_eq!(settled, Some(report.snapshot.submitted));
+        let service = |key: &str| summary.get("service").and_then(|s| s.get(key)?.as_u64());
+        assert_eq!(service("settled"), Some(report.snapshot.submitted));
         assert_eq!(
-            summary.get("respawns").and_then(Json::as_u64),
-            Some(report.snapshot.respawns),
-            "trace-observed respawns agree with the pool's counter"
-        );
-        assert_eq!(
-            summary.get("deaths").and_then(Json::as_u64),
-            Some(report.deaths_injected as u64),
-            "a worker's exit at shutdown is not a death"
+            service("enqueued"),
+            Some(report.snapshot.accepted),
+            "the trace saw every admitted submission enqueued"
         );
         assert!(report.summary_lines().iter().any(|l| l.contains("trace:")));
     }

@@ -12,7 +12,7 @@
 //!
 //! The [`json`] module is the workspace's single hand-rolled JSON writer/validator (the
 //! repository benchmark under `benchmark/` renders through it too), and
-//! [`trace_export`] renders the runtime's flight-recorder snapshots as `rws-trace/v1`
+//! [`trace_export`] renders the runtime's flight-recorder snapshots as `rws-trace/v2`
 //! documents and Chrome `trace_event` files (`lab --trace DIR` captures one per native
 //! run and per chaos run).
 //!
@@ -26,7 +26,7 @@
 //! A scenario whose first `mode` key, wherever in the file it stands, reads `mode = chaos`
 //! dispatches to the [`chaos`] harness instead: streamed fault-injected traffic against the
 //! supervised `rws_runtime::JobServer`, with recovery-invariant verdicts emitted as a
-//! `rws-chaos-report/v1` document (the CI `chaos-smoke` job gates on its exit code, and
+//! `rws-chaos-report/v2` document (the CI `chaos-smoke` job gates on its exit code, and
 //! `--sabotage` is the self-test proving the harness trips on doctored evidence).
 //!
 //! `--jobs N` fans independent simulated runs out across an `N`-worker `rws-runtime` pool

@@ -1,15 +1,15 @@
 //! Exporters for the runtime's flight recorder: a [`rws_runtime::trace::TraceSnapshot`] rendered as
-//! the compact `rws-trace/v1` document, as a Chrome `trace_event` JSON file (loadable in
+//! the compact `rws-trace/v2` document, as a Chrome `trace_event` JSON file (loadable in
 //! `chrome://tracing` / Perfetto), and as the one-object summary embedded in chaos reports.
 //!
 //! The exporters live here rather than in `rws-trace` so the recorder crate stays
 //! zero-dependency and the whole workspace keeps exactly one JSON writer ([`crate::json`]).
 //!
-//! `rws-trace/v1` layout (all keys always present):
+//! `rws-trace/v2` layout (all keys always present):
 //!
 //! ```text
 //! {
-//!   "schema": "rws-trace/v1",
+//!   "schema": "rws-trace/v2",
 //!   "label": <run label>, "workers": N, "capacity": C,
 //!   "lanes": [ { "lane", "recorded", "dropped" } ],
 //!   "profile": {
@@ -19,8 +19,7 @@
 //!                    "parks", "backstop_wakes", "cancel_checks" } ],
 //!     "service": { "enqueued", "claimed", "settled", "outcomes",
 //!                  "queue_pairs", "queue_mean_ns", "queue_max_ns",
-//!                  "service_pairs", "service_mean_ns", "service_max_ns" },
-//!     "deaths": D, "respawns": R
+//!                  "service_pairs", "service_mean_ns", "service_max_ns" }
 //!   },
 //!   "events": [ { "ts_ns", "lane", "kind", "aux", "arg" } ]
 //! }
@@ -33,8 +32,8 @@
 use crate::json::{self, obj, Json};
 use rws_runtime::trace::{EventKind, JobKind, TraceSnapshot, WorkerProfile};
 
-/// The schema tag of the emitted `rws-trace/v1` document.
-pub const SCHEMA: &str = "rws-trace/v1";
+/// The schema tag of the emitted `rws-trace/v2` document.
+pub const SCHEMA: &str = "rws-trace/v2";
 
 fn frac(part: u64, whole: u64) -> f64 {
     if whole == 0 {
@@ -96,12 +95,10 @@ fn profile_json(snap: &TraceSnapshot) -> Json {
                 ("service_max_ns", s.service_max_ns.into()),
             ]),
         ),
-        ("deaths", p.deaths.into()),
-        ("respawns", p.respawns.into()),
     ])
 }
 
-/// Render a snapshot as the full `rws-trace/v1` [`Json`] document.
+/// Render a snapshot as the full `rws-trace/v2` [`Json`] document.
 pub fn trace_document(snap: &TraceSnapshot, label: &str) -> Json {
     let lanes: Vec<Json> = snap
         .lanes
@@ -139,7 +136,7 @@ pub fn trace_document(snap: &TraceSnapshot, label: &str) -> Json {
     ])
 }
 
-/// Validate an emitted `rws-trace/v1` document: well-formed JSON carrying the schema tag
+/// Validate an emitted `rws-trace/v2` document: well-formed JSON carrying the schema tag
 /// and the required top-level keys.
 pub fn validate_trace_document(doc: &str) -> Result<(), String> {
     json::validate_with_keys(doc, &["schema", "label", "workers", "lanes", "profile", "events"])?;
@@ -247,8 +244,12 @@ pub fn chrome_trace(snap: &TraceSnapshot, label: &str) -> Json {
                     obj([("seq", e.arg.into()), ("aux", u64::from(e.aux).into())]),
                 ))
             }
-            EventKind::WorkerDead | EventKind::WorkerRespawn | EventKind::CancelCheck => events
-                .push(chrome_instant(e.kind.name(), e.lane, e.ts_ns, obj([("arg", e.arg.into())]))),
+            EventKind::CancelCheck => events.push(chrome_instant(
+                e.kind.name(),
+                e.lane,
+                e.ts_ns,
+                obj([("arg", e.arg.into())]),
+            )),
         }
     }
     obj([
@@ -306,8 +307,6 @@ pub fn trace_summary(snap: &TraceSnapshot) -> Json {
                 ("service_mean_ns", mean(p.service.service_ns, p.service.service_pairs).into()),
             ]),
         ),
-        ("deaths", p.deaths.into()),
-        ("respawns", p.respawns.into()),
     ])
 }
 

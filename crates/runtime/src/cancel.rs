@@ -142,16 +142,19 @@ pub fn check_cancel() {
     let _ = fork_point();
 }
 
+/// A deadline cut is not a panic: `resume_unwind` skips the panic hook, so a cut job
+/// prints nothing.
 #[cold]
 #[inline(never)]
 fn throw_cancel() -> ! {
-    panic::panic_any(CancelPayload)
+    panic::resume_unwind(Box::new(CancelPayload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn check_cancel_is_inert_without_a_token() {
@@ -166,6 +169,22 @@ mod tests {
         let payload = result.expect_err("a raised flag must unwind the check");
         assert!(payload.is::<CancelPayload>(), "the crate's own payload");
         assert_eq!(is_cancelled(), None, "the guard must restore TLS through the unwind");
+    }
+
+    #[test]
+    fn a_cancellation_unwind_runs_no_panic_hook() {
+        static CANCEL_HOOKS: AtomicUsize = AtomicUsize::new(0);
+        let previous = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if info.payload().is::<CancelPayload>() {
+                CANCEL_HOOKS.fetch_add(1, Ordering::Relaxed);
+            }
+            previous(info);
+        }));
+        let flag = AtomicBool::new(true);
+        let cut = catch_unwind(AssertUnwindSafe(|| under(Some(&flag), check_cancel)));
+        assert!(cut.expect_err("a raised flag must unwind the check").is::<CancelPayload>());
+        assert_eq!(CANCEL_HOOKS.load(Ordering::Relaxed), 0);
     }
 
     #[test]

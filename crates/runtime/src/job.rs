@@ -34,11 +34,11 @@ impl Job {
     /// Execute the job, consuming it. Never unwinds: a panic from a heap job is caught
     /// here, because the executing worker may be *helping* from inside a blocked `join` —
     /// unwinding through that frame would destroy a `StackJob` a thief is still running
-    /// (use-after-free) — and an unwind through `worker_loop` would silently kill the
-    /// worker thread. A panicking fire-and-forget `spawn` closure is caught here and
-    /// dropped with the job, like a detached thread's. Stack jobs do their own capturing:
-    /// the payload travels to the owning `join`, which re-throws it, or to the installer,
-    /// whose `try_install` returns it (`install` resumes it).
+    /// (use-after-free) — and an unwind through `worker_loop` aborts the process. A
+    /// panicking fire-and-forget `spawn` closure is caught here and dropped with the job,
+    /// like a detached thread's. Stack jobs do their own capturing: the payload travels to
+    /// the owning `join`, which re-throws it, or to the installer, whose `try_install`
+    /// returns it (`install` resumes it).
     ///
     /// Returns `true` when a heap job's panic was quarantined here, so the executing
     /// worker can health-track it (`PoolStats::record_panic_caught`). Stack jobs report

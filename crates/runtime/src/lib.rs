@@ -12,8 +12,8 @@
 //!   Chase–Lev deque (the vendored `crossbeam-deque`) with one discipline, LIFO owner and
 //!   FIFO thief: atomic top/bottom indices, one CAS per stolen task with `Steal::Retry` on
 //!   lost races, a growable ring buffer, and no locks anywhere: a worker keeps its deque
-//!   for the pool's life (a dead scheduling loop restarts on it), so a thief reads its
-//!   victim's stealer straight from the pool's table. A thief takes up to *half* the
+//!   for the pool's life, so a thief reads its victim's stealer straight from the pool's
+//!   table. A thief takes up to *half* the
 //!   victim's queue per visit (`steal_batch_and_pop_counted`), running the oldest job and
 //!   requeueing the rest locally — the stats separate the paper's per-task steal events
 //!   from per-visit [`batch_steals`](PoolStatsSnapshot::total_batch_steals). Every counter
@@ -34,13 +34,13 @@
 //!
 //! On top of the pool sits a supervised **persistent job-server mode** ([`service`]): a
 //! long-lived [`JobServer`] accepting streamed root jobs through the pool's locked FIFO
-//! injector, with panic quarantine, in-place restart of a dead worker ([`pool`]'s
-//! `worker_loop` restarts its scheduling loop on the same thread and deque, queued jobs and
-//! all), per-job deadlines via a flag in each job's own state that every fork of the job
-//! borrows and observes at fork points ([`cancel`]), bounded-queue admission control with
-//! load-shedding, and latency histograms ([`hist`]). A compiled-in, default-off
-//! fault-injection layer ([`faults`]: worker deaths and stalls) lets the chaos harness in
-//! `rws-lab` verify the recovery invariants.
+//! injector, with panic quarantine (every job catches its own unwind, so one that escapes
+//! a worker's scheduling loop is a scheduler bug and aborts the process), per-job deadlines
+//! via a flag in each job's own state that every fork of the job borrows and observes at
+//! fork points ([`cancel`]), bounded-queue admission control with load-shedding, and
+//! latency histograms ([`hist`]). A compiled-in, default-off fault-injection layer
+//! ([`faults`]: worker stalls) lets the chaos harness in `rws-lab` verify the service
+//! invariants.
 //!
 //! The [`padding`] module provides the cache-line padding wrappers the
 //! `prefix_sums_native` example (E19) runs false sharing on: identical workloads run once with
@@ -67,7 +67,7 @@ mod sleep;
 pub mod stats;
 
 pub use cancel::check_cancel;
-pub use faults::{FaultPlan, FaultSpec, WorkerFault};
+pub use faults::{FaultPlan, FaultSpec};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use padding::{CachePadded, PaddedCounters, UnpaddedCounters};
 pub use par_iter::{ParChunksMut, ParSliceExt};

@@ -21,8 +21,9 @@
 #![allow(unsafe_code)]
 
 use crate::cancel::{self, ForkToken};
-use crate::faults::{FaultPlan, WorkerFault};
+use crate::faults::FaultPlan;
 use crate::job::{Job, JoinResult, Latch, StackJob};
+use crate::padding::CachePadded;
 use crate::sleep::{EventCount, BACKOFF, PARK_BACKSTOP};
 use crate::stats::PoolStats;
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
@@ -42,13 +43,13 @@ const STEAL_RETRIES: u32 = 4;
 
 pub(crate) struct Shared {
     injector: Injector<Job>,
-    /// One per worker, for the pool's life: a worker whose scheduling loop dies restarts it
-    /// on the same thread and deque, so a stealer never changes and the steal path takes no
-    /// lock.
+    /// One per worker, for the pool's life, so the steal path takes no lock.
     stealers: Vec<Stealer<Job>>,
     stats: PoolStats,
-    /// Where idle workers park, and owners of stolen branches and scopes wait.
-    pub(crate) sleep: EventCount,
+    /// Where idle workers park, and owners of stolen branches and scopes wait. Every fork
+    /// reads its event count (`notify`); the line of its own keeps the submitter-written
+    /// `injector` off it.
+    pub(crate) sleep: CachePadded<EventCount>,
     shutdown: AtomicBool,
     workers: usize,
     /// Optional compiled-in fault schedule (default off; see [`crate::faults`]).
@@ -75,7 +76,7 @@ impl Shared {
     /// pushes wake the others like any fork's.
     pub(crate) fn inject(&self, job: Job) {
         self.injector.push(job);
-        self.sleep.wake_one();
+        self.sleep.0.wake_one();
     }
 
     /// Whether any queue visibly holds work (the pre-park check, made after the sleeper's
@@ -152,7 +153,7 @@ impl WorkerHandle {
     pub(crate) fn push_local(&self, job: Job) {
         self.local.push(job);
         // One relaxed load when the pool is busy; a real wakeup only if somebody parked.
-        self.shared.sleep.notify();
+        self.shared.sleep.0.notify();
     }
 
     #[inline(never)]
@@ -211,7 +212,7 @@ impl WorkerHandle {
                                 // Freshly stealable surplus sits in our deque now; one
                                 // wake (the usual single relaxed load when nobody is
                                 // parked) invites a thief over.
-                                self.shared.sleep.notify();
+                                self.shared.sleep.0.notify();
                             }
                             return Some(job);
                         }
@@ -282,7 +283,7 @@ impl WorkerHandle {
             if let Some(t) = self.shared.trace() {
                 t.record(self.index, EventKind::Park, LADDER_STAGE_PARK, *idle as u64);
             }
-            let notified = self.shared.sleep.wait_unless(PARK_BACKSTOP, ready);
+            let notified = self.shared.sleep.0.wait_unless(PARK_BACKSTOP, ready);
             if !notified {
                 // The 1ms backstop timer fired with no notification: count it so tests
                 // (and profiles) can assert steady-state runs never lean on the backstop.
@@ -341,38 +342,25 @@ impl Drop for CurrentWorker<'_> {
 }
 
 /// The worker's thread. Owns the handle: the thread's worker word points into this frame
-/// for exactly as long as the scheduling loop runs. An unwind out of the loop — an injected
-/// death or a panic that escaped it — kills the loop, not the worker: it restarts here, on
-/// the same thread and deque, so the jobs queued there (thieves may take some meanwhile)
-/// run after the restart and no accepted work is lost.
+/// for exactly as long as the scheduling loop runs.
+///
+/// Every job catches its own unwind (`Job::execute`, `StackJob`, `scope`, the service's
+/// root wrapper), so an unwind out of `sweep` can only come from the scheduler itself —
+/// from `find_job` mid-claim, say — and may have left a deque's invariants broken. Running
+/// on could then lose a job or run one twice, so the process aborts instead.
 fn worker_loop(handle: WorkerHandle) {
     let _current = CurrentWorker::enter(&handle);
-    while panic::catch_unwind(AssertUnwindSafe(|| sweep(&handle))).is_err() {
-        let queued = handle.local.len() as u64;
-        if let Some(t) = handle.shared.trace() {
-            t.record(handle.index, EventKind::WorkerDead, 0, 0);
-            t.record(
-                handle.index,
-                EventKind::WorkerRespawn,
-                queued.min(u8::MAX as u64) as u8,
-                handle.index as u64,
-            );
-        }
-        handle.shared.stats.record_respawn(queued);
+    if panic::catch_unwind(AssertUnwindSafe(|| sweep(&handle))).is_err() {
+        eprintln!("rws-runtime: worker {} unwound out of its scheduling loop", handle.index);
+        std::process::abort();
     }
 }
 
 fn sweep(handle: &WorkerHandle) {
     let mut idle = 0u32;
     loop {
-        if let Some(plan) = &handle.shared.faults {
-            match plan.poll_worker_sweep() {
-                WorkerFault::None => {}
-                WorkerFault::Stall(d) => thread::sleep(d),
-                // Injected death: unwind out of the loop like a crash would (without the
-                // panic hook, so a chaos run prints nothing); `worker_loop` restarts it.
-                WorkerFault::Die => panic::resume_unwind(Box::new("injected worker death")),
-            }
+        if let Some(stall) = handle.shared.faults.as_ref().and_then(|p| p.poll_worker_sweep()) {
+            thread::sleep(stall);
         }
         if let Some(job) = handle.find_job(idle == 0) {
             idle = 0;
@@ -462,7 +450,7 @@ impl ThreadPool {
             injector: Injector::new(),
             stealers,
             stats: PoolStats::new(threads),
-            sleep: EventCount::default(),
+            sleep: CachePadded::default(),
             shutdown: AtomicBool::new(false),
             workers: threads,
             faults,
@@ -517,7 +505,7 @@ impl ThreadPool {
     /// Number of workers currently parked (an instantaneous, racy reading — useful for
     /// verifying that an idle pool actually sleeps instead of spinning).
     pub fn parked_workers(&self) -> usize {
-        self.shared.sleep.waiters()
+        self.shared.sleep.0.waiters()
     }
 
     /// Wake-ups the pool has issued to parked workers so far (an instantaneous reading of
@@ -525,7 +513,7 @@ impl ThreadPool {
     /// work to a pool whose workers are all awake wakes nobody: every event is a lock and
     /// a `futex` call on the publisher's side.
     pub fn wake_events(&self) -> u64 {
-        self.shared.sleep.events()
+        self.shared.sleep.0.events()
     }
 
     /// Submit a fire-and-forget job.
@@ -561,10 +549,9 @@ impl ThreadPool {
         if on_this_pool {
             return panic::catch_unwind(AssertUnwindSafe(f));
         }
-        // The same hand-off as a stolen `join` branch. A worker runs every job it takes (its
-        // loop dies only between jobs and restarts on the same deque), so the latch is
-        // always set, by the run that writes the outcome. No token: an install runs under none,
-        // wherever it was called from.
+        // The same hand-off as a stolen `join` branch. A worker runs every job it takes, so
+        // the latch is always set, by the run that writes the outcome. No token: an install
+        // runs under none, wherever it was called from.
         let job = StackJob::new(f, &self.shared.installers, ForkToken::none());
         // SAFETY: `job` outlives its ref: this frame is not left before the latch is set.
         self.shared.inject(Job::Stack(unsafe { job.as_job_ref(JobKind::InjectedRoot) }));
@@ -580,12 +567,12 @@ impl ThreadPool {
         }
     }
 
-    /// Shut the workers down and join them. They run what is still queued first, and a
-    /// worker whose loop dies restarts it before it can exit, so once this returns every
-    /// claimed death is in the respawn count. Idempotent: a second call joins nothing.
+    /// Shut the workers down and join them. They run what is still queued first, so once
+    /// this returns every queued job has run and been counted. Idempotent: a second call
+    /// joins nothing.
     pub(crate) fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.sleep.wake_all();
+        self.shared.sleep.0.wake_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -642,7 +629,7 @@ where
     // The right branch lives in this frame; the queue holds only a reference to it. We must
     // not leave this function until the reference is out of the queue (reclaimed below) or
     // executed (latch set) — both paths below guarantee that before returning or unwinding.
-    let job_b = StackJob::new(b, &worker.shared.sleep, token);
+    let job_b = StackJob::new(b, &worker.shared.sleep.0, token);
     let job_ref = unsafe { job_b.as_job_ref(JobKind::JoinBranch) };
     worker.push_local(Job::Stack(job_ref));
 
@@ -893,7 +880,7 @@ mod tests {
     /// The thief's half: announce the steal, finish once the owner has parked.
     fn finish_after_the_owner_parks(pool: &ThreadPool, stolen: &AtomicBool) {
         stolen.store(true, Ordering::Release);
-        after_a_waiter_sleeps_on(&pool.shared.sleep);
+        after_a_waiter_sleeps_on(&pool.shared.sleep.0);
     }
 
     #[test]
@@ -932,42 +919,6 @@ mod tests {
             })
             .count();
         assert!(late < ROUNDS / 4, "{late} of {ROUNDS} installers slept out their re-check");
-    }
-
-    #[test]
-    fn a_replacement_inherits_and_runs_the_jobs_its_slot_kept() {
-        let plan = Arc::new(FaultPlan::new(crate::faults::FaultSpec {
-            death_sweeps: vec![0],
-            ..Default::default()
-        }));
-        let pool = ThreadPoolBuilder::new().threads(1).fault_plan(plan).build();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while pool.stats().total_respawns() < 1 {
-            assert!(Instant::now() < deadline, "the planned death never healed");
-            thread::yield_now();
-        }
-        assert_eq!(pool.stats().total_respawns(), 1);
-        // The worker's thread survived its loop's death and serves the slot still.
-        let slot_thread = pool.handles[0].thread().id();
-        assert_eq!(pool.install(|| thread::current().id()), slot_thread);
-        // Three jobs queued on the deque the restarted loop still owns: the lone worker pops
-        // it before it looks at the injector, so the next install runs after all three.
-        let ran = Arc::new(AtomicU64::new(0));
-        let r = Arc::clone(&ran);
-        pool.install(move || {
-            WorkerHandle::with_current(|w| {
-                let w = w.expect("installed on a worker");
-                for _ in 0..3 {
-                    let r = Arc::clone(&r);
-                    w.push_local(Job::Heap(Box::new(move || {
-                        r.fetch_add(1, Ordering::Relaxed);
-                    })));
-                }
-            })
-        });
-        let seen = Arc::clone(&ran);
-        assert_eq!(pool.install(move || seen.load(Ordering::Relaxed)), 3);
-        assert_eq!(pool.stats().total_respawns(), 1, "the plan had one death to inject");
     }
 
     #[test]

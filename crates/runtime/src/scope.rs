@@ -92,7 +92,7 @@ impl<'scope> Scope<'scope> {
     fn new(pool: Option<Arc<Shared>>) -> Self {
         // The latch keeps a raw pointer into the pool's EventCount: workers executing this
         // scope's jobs keep the Shared (and thus the EventCount) alive; see CountLatch::set_one.
-        let latch = CountLatch::new(pool.as_ref().map(|p| &p.sleep));
+        let latch = CountLatch::new(pool.as_ref().map(|p| &p.sleep.0));
         Scope {
             pool,
             latch,

@@ -4,10 +4,10 @@
 //!
 //! Three concerns layer on top of the pool, all off the fork hot path:
 //!
-//! * **Supervision** — a worker whose scheduling loop dies (an injected death, or a panic
-//!   that escapes the loop) restarts the loop on the same thread and deque, so no accepted
-//!   work is lost: thieves may take the queued jobs meanwhile, and the restarted loop runs
-//!   the rest. Job panics are quarantined where they run and counted per worker.
+//! * **Supervision** — a job's panic is quarantined where it runs (this module's root
+//!   wrapper settles it as [`JobOutcome::Panicked`]) and counted per worker, so no panic
+//!   ever reaches a worker's scheduling loop and every worker keeps serving. (An unwind out
+//!   of that loop can only be a scheduler bug, and aborts the process: see [`crate::pool`].)
 //! * **Per-job deadlines** — a submission may carry a budget
 //!   ([`JobServer::submit_with_deadline`]); the supervisor keeps a deadline min-heap and
 //!   raises the flag in the job's own state when the budget expires. The running job, and
@@ -24,8 +24,8 @@
 //! door, or evicted from the queue — settles to exactly one [`JobOutcome`], arbitrated by
 //! a single compare-and-swap. Execution is claimed the same way (`started`), so a job is
 //! run exactly once or not at all, never both run and shed. The chaos harness in `rws-lab`
-//! drives these invariants under worker deaths and stalls (see [`crate::faults`]) and under
-//! traffic of its own making: jobs that panic, overload bursts, and injector storms.
+//! drives these invariants under worker stalls (see [`crate::faults`]) and under traffic of
+//! its own making: jobs that panic, overload bursts, and injector storms.
 //!
 //! **Who wakes whom.** A root job passes three waits — a parked worker for the submitted
 //! job (`Shared::inject`), a [`Block`] submitter for the slot a starting job frees
@@ -421,10 +421,6 @@ pub struct ServiceSnapshot {
     pub deadline: u64,
     /// Submissions shed (refused, evicted, or arriving during shutdown).
     pub shed: u64,
-    /// Dead scheduling loops that their workers restarted.
-    pub respawns: u64,
-    /// Jobs the restarted loops found queued in their deques.
-    pub jobs_drained: u64,
     /// Panics quarantined by workers (pool-wide, includes non-service `spawn`s).
     pub panics_caught: u64,
     /// Submission → execution-start latency distribution (started jobs only).
@@ -607,7 +603,6 @@ impl JobServer {
     /// Current accounting (counters are racy snapshots while jobs are in flight).
     pub fn snapshot(&self) -> ServiceSnapshot {
         let s = &self.state;
-        let stats = self.pool.stats();
         ServiceSnapshot {
             submitted: s.submit.0.seq.load(Ordering::Relaxed),
             accepted: s.submit.0.accepted.load(Ordering::Relaxed),
@@ -615,9 +610,7 @@ impl JobServer {
             panicked: s.outcomes.0.panicked.load(Ordering::Relaxed),
             deadline: s.outcomes.0.deadline.load(Ordering::Relaxed),
             shed: s.outcomes.0.shed.load(Ordering::Relaxed),
-            respawns: stats.total_respawns(),
-            jobs_drained: stats.total_jobs_drained(),
-            panics_caught: stats.snapshot().total_panics_caught(),
+            panics_caught: self.pool.stats().snapshot().total_panics_caught(),
             queue: s.queue_hist.snapshot(),
             service: s.service_hist.snapshot(),
             terminal: s.terminal_hist.snapshot(),
@@ -635,9 +628,8 @@ impl JobServer {
         let state = &self.state;
         state.shutdown.store(true, Ordering::Release);
         state.admission.wake_all();
-        // Drain: every accepted job must settle. A worker's loop dies only at a sweep
-        // boundary (never mid-job) and restarts on the same deque, so a queued job always
-        // finds an executor. The settle that zeroes `in_flight` wakes the drain; the 1 ms
+        // Drain: every accepted job must settle. Every worker keeps running its loop until
+        // the pool stops, so a queued job always finds an executor. The settle that zeroes `in_flight` wakes the drain; the 1 ms
         // re-check is nothing it relies on.
         //
         // The supervisor deliberately keeps running through this drain — stopping it here
@@ -656,8 +648,9 @@ impl JobServer {
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
-        // Join the workers before counting: a worker that claims a death restarts its loop
-        // before it can exit, so once they are joined the snapshot holds every respawn.
+        // Join the workers before counting: they run what is still queued before they exit
+        // (a `spawn` on this server's pool, say), so once they are joined `panics_caught`
+        // holds every quarantined panic.
         self.pool.stop();
         self.snapshot()
     }
@@ -782,7 +775,6 @@ fn supervisor_loop(state: Arc<ServerState>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultSpec;
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     fn quick_server(threads: usize, capacity: usize, policy: AdmissionPolicy) -> JobServer {
@@ -957,37 +949,6 @@ mod tests {
         assert_eq!(handle.wait_timeout(Duration::from_secs(30)), Some(JobOutcome::Deadline));
         let snap = server.shutdown();
         assert_eq!(snap.deadline, 1);
-    }
-
-    #[test]
-    fn injected_worker_deaths_are_respawned_and_no_job_is_lost() {
-        let plan = Arc::new(FaultPlan::new(FaultSpec {
-            death_sweeps: vec![10, 40, 80],
-            ..FaultSpec::default()
-        }));
-        let server = JobServer::new(ServiceConfig {
-            threads: 2,
-            queue_capacity: 256,
-            faults: Some(Arc::clone(&plan)),
-            ..ServiceConfig::default()
-        });
-        let ran = Arc::new(TestCounter::new(0));
-        let handles: Vec<_> = (0..200)
-            .map(|_| {
-                let ran = Arc::clone(&ran);
-                server.submit(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        for h in &handles {
-            assert_eq!(h.wait(), JobOutcome::Completed, "no job lost to a worker death");
-        }
-        let snap = server.shutdown();
-        assert_eq!(ran.load(Ordering::Relaxed), 200);
-        assert_eq!(snap.completed, 200);
-        assert_eq!(plan.deaths_injected(), 3, "every planned death fired");
-        assert_eq!(snap.respawns, 3, "every death restarted its loop: respawns == deaths");
     }
 
     #[test]

@@ -5,13 +5,11 @@
 //! would otherwise be injected by the measurement itself — and (b) one worker's related
 //! counters share a line, so recording a steal and a job costs one line, not two.
 //!
-//! Every per-worker counter has **one writer**: the worker's own thread. The recorders are
+//! Every counter has **one writer**: the worker's own thread. The recorders are
 //! `pub(crate)` and every call site passes the calling worker's own index (a `WorkerHandle`
-//! never leaves its thread, and a worker whose loop dies restarts it on the same thread).
-//! That is why they are bumped with a plain load and store (`bump`) rather than a locked
-//! read-modify-write — the unstolen `join` path counts a job per fork. Readers on any thread
-//! keep their relaxed loads and see each counter monotone. The two pool-wide respawn
-//! counters are written by whichever worker restarts its loop and keep `fetch_add`.
+//! never leaves its thread). That is why they are bumped with a plain load and store
+//! (`bump`) rather than a locked read-modify-write — the unstolen `join` path counts a job
+//! per fork. Readers on any thread keep their relaxed loads and see each counter monotone.
 //!
 //! Every per-worker counter is read one way: [`PoolStats::snapshot`] copies them all, and
 //! [`PoolStats::snapshot_delta`] attributes a bracketed region; totals are sums over the
@@ -54,19 +52,10 @@ struct WorkerCounters {
     panics_caught: AtomicU64,
 }
 
-/// Pool-level respawn counters (one padded line, not per-worker: recorded on the cold
-/// restart path, never on the fork hot path). Written by every worker, hence `fetch_add`.
-#[derive(Debug, Default)]
-struct RespawnCounters {
-    respawns: AtomicU64,
-    jobs_drained: AtomicU64,
-}
-
 /// Counters collected by the thread pool.
 #[derive(Debug)]
 pub struct PoolStats {
     workers: Vec<CachePadded<WorkerCounters>>,
-    respawns: CachePadded<RespawnCounters>,
 }
 
 /// A point-in-time copy of one worker's counters (see [`PoolStats::snapshot`]).
@@ -174,10 +163,7 @@ impl PoolStatsSnapshot {
 impl PoolStats {
     /// Zeroed statistics for `workers` workers.
     pub fn new(workers: usize) -> Self {
-        PoolStats {
-            workers: (0..workers).map(|_| CachePadded::default()).collect(),
-            respawns: CachePadded::default(),
-        }
+        PoolStats { workers: (0..workers).map(|_| CachePadded::default()).collect() }
     }
 
     /// Record one successful steal operation by worker `w` that moved `k >= 1` jobs: `k`
@@ -221,23 +207,6 @@ impl PoolStats {
     /// Record a panic caught (quarantined) while worker `w` executed a job.
     pub(crate) fn record_panic_caught(&self, w: usize) {
         bump(&self.workers[w].0.panics_caught, 1);
-    }
-
-    /// Record a worker restarting its dead scheduling loop, with the number of jobs still
-    /// queued in its deque for the restarted loop to run.
-    pub(crate) fn record_respawn(&self, drained_jobs: u64) {
-        self.respawns.0.respawns.fetch_add(1, Ordering::Relaxed);
-        self.respawns.0.jobs_drained.fetch_add(drained_jobs, Ordering::Relaxed);
-    }
-
-    /// Dead scheduling loops restarted by their workers.
-    pub fn total_respawns(&self) -> u64 {
-        self.respawns.0.respawns.load(Ordering::Relaxed)
-    }
-
-    /// Jobs restarted loops found queued in their deques.
-    pub fn total_jobs_drained(&self) -> u64 {
-        self.respawns.0.jobs_drained.load(Ordering::Relaxed)
     }
 
     /// Copy every worker's counters at one point in time (each load is relaxed; the copy
@@ -320,14 +289,10 @@ mod tests {
     fn health_and_service_counters_accumulate() {
         let s = PoolStats::new(2);
         s.record_panic_caught(1);
-        s.record_respawn(3);
-        s.record_respawn(0);
         let snap = s.snapshot();
         assert_eq!(snap.workers[0].panics_caught, 0);
         assert_eq!(snap.workers[1].panics_caught, 1);
         assert_eq!(snap.total_panics_caught(), 1);
-        assert_eq!(s.total_respawns(), 2);
-        assert_eq!(s.total_jobs_drained(), 3);
     }
 
     #[test]

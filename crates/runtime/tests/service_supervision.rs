@@ -1,15 +1,13 @@
-//! Supervision integration: `install`'s panic payloads, a dead worker's in-place restart,
-//! and panic quarantine accounting — the runtime-level half of the chaos story (the
-//! full streamed-traffic harness lives in `rws-lab`).
+//! Supervision integration: `install`'s panic payloads and panic quarantine accounting —
+//! the runtime-level half of the chaos story (the full streamed-traffic harness lives in
+//! `rws-lab`).
 
 use rws_runtime::{
     AdmissionPolicy, FaultPlan, FaultSpec, JobOutcome, JobServer, ServiceConfig, ThreadPool,
-    ThreadPoolBuilder,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[test]
 fn try_install_reports_a_panicking_closure_with_its_original_payload() {
@@ -52,25 +50,6 @@ fn try_install_inline_path_catches_panics_too() {
 }
 
 #[test]
-fn dead_workers_are_detected_and_respawned_with_their_jobs_drained() {
-    // Two deaths almost immediately (either worker may claim either); each dead loop
-    // restarts on its own deque, and whatever was still queued there is counted as drained.
-    let plan =
-        Arc::new(FaultPlan::new(FaultSpec { death_sweeps: vec![0, 1], ..FaultSpec::default() }));
-    let pool = ThreadPoolBuilder::new().threads(2).fault_plan(Arc::clone(&plan)).build();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while pool.stats().total_respawns() < 2 {
-        assert!(Instant::now() < deadline, "planned deaths never fired or never restarted");
-        thread::yield_now();
-    }
-    assert_eq!(plan.deaths_injected(), 2);
-    assert_eq!(pool.stats().total_respawns(), 2, "one restart per death");
-    assert_eq!(pool.stats().total_jobs_drained(), 0, "both died before any job was queued");
-    // The healed pool serves work (the plan has no deaths left to inject).
-    assert_eq!(pool.install(|| 21 * 2), 42);
-}
-
-#[test]
 fn panic_quarantine_is_health_tracked_per_worker() {
     let pool = ThreadPool::new(1);
     for _ in 0..3 {
@@ -83,17 +62,20 @@ fn panic_quarantine_is_health_tracked_per_worker() {
 }
 
 #[test]
-fn server_survives_sustained_panic_storm_with_deaths_and_overload() {
+fn server_survives_sustained_panic_storm_with_stalls_and_overload() {
     // A miniature of the lab's chaos scenario: job panics (one in seven panics before it
-    // counts its run) + worker deaths + a Shed admission gate under a burst, all settling to
+    // counts its run) + worker stalls + a Shed admission gate under a burst, all settling to
     // terminal outcomes.
-    let plan =
-        Arc::new(FaultPlan::new(FaultSpec { death_sweeps: vec![50, 500], ..FaultSpec::default() }));
+    let plan = Arc::new(FaultPlan::new(FaultSpec {
+        stall_every: 50,
+        stall: Duration::from_millis(1),
+        max_stalls: 10,
+    }));
     let server = JobServer::new(ServiceConfig {
         threads: 2,
         queue_capacity: 32,
         admission: AdmissionPolicy::Shed,
-        faults: Some(Arc::clone(&plan)),
+        faults: Some(plan),
         ..ServiceConfig::default()
     });
     let executions = Arc::new(AtomicU64::new(0));
@@ -121,33 +103,4 @@ fn server_survives_sustained_panic_storm_with_deaths_and_overload() {
         "exactly the completed jobs ran their closures — none lost, none twice"
     );
     assert!(snap.panicked > 0, "the planned panics were quarantined");
-    assert_eq!(snap.respawns as usize, plan.deaths_injected(), "every death was healed");
-}
-
-#[test]
-fn deaths_that_fire_during_shutdown_are_counted() {
-    // Forty deaths three sweeps apart, the first at a different sweep each round: a death
-    // left over when the jobs are done fires when `shutdown` wakes the parked workers, and
-    // `shutdown` joins its workers before it counts, so the snapshot holds every restart.
-    for round in 0..300u64 {
-        let plan = Arc::new(FaultPlan::new(FaultSpec {
-            death_sweeps: (0..40).map(|k| round % 7 + 3 * k).collect(),
-            ..FaultSpec::default()
-        }));
-        let server = JobServer::new(ServiceConfig {
-            threads: 2,
-            faults: Some(Arc::clone(&plan)),
-            ..ServiceConfig::default()
-        });
-        let handles: Vec<_> = (0..8).map(|_| server.submit(|| {})).collect();
-        for h in &handles {
-            assert_eq!(h.wait(), JobOutcome::Completed);
-        }
-        let snap = server.shutdown();
-        assert_eq!(
-            snap.respawns as usize,
-            plan.deaths_injected(),
-            "round {round}: a death claimed during shutdown went uncounted"
-        );
-    }
 }

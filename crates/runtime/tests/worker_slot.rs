@@ -1,16 +1,13 @@
 //! Life cycle of the thread's worker word: which pool (if any) a `join` forks on.
 //!
 //! The word is set for exactly the life of a worker's scheduling loop, so: a thread that is
-//! not a worker forks on nothing (sequential), a worker whose loop died and restarted forks
-//! under its own index, a closure installed on pool `b` from a worker of pool `a` forks on `b`, and a
-//! closure installed on the pool it already runs on stays inline on that worker.
+//! not a worker forks on nothing (sequential), a closure installed on pool `b` from a worker
+//! of pool `a` forks on `b`, and a closure installed on the pool it already runs on stays
+//! inline on that worker.
 
-use rws_runtime::{
-    current_num_threads, join, scope, FaultPlan, FaultSpec, ThreadPool, ThreadPoolBuilder,
-};
+use rws_runtime::{current_num_threads, join, scope, ThreadPool};
 use std::sync::Arc;
 use std::thread::{self, ThreadId};
-use std::time::{Duration, Instant};
 
 const LEAF: u64 = 64;
 /// Forks `recursive_sum(0, N)` makes.
@@ -46,26 +43,6 @@ fn a_plain_thread_forks_sequentially_before_and_after_it_owned_a_pool() {
     drop(pool);
     assert_eq!(fork_sites(), (me, me, me, 1), "pool dropped");
     assert_eq!(recursive_sum(0, N), SUM);
-}
-
-#[test]
-fn a_respawned_worker_forks_under_the_index_it_replaced() {
-    let plan =
-        Arc::new(FaultPlan::new(FaultSpec { death_sweeps: vec![0], ..FaultSpec::default() }));
-    let pool = ThreadPoolBuilder::new().threads(1).fault_plan(plan).build();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while pool.stats().total_respawns() < 1 {
-        assert!(Instant::now() < deadline, "the planned death never fired");
-        thread::yield_now();
-    }
-    let before = pool.stats().snapshot().workers[0].jobs;
-    let (sum, threads) = pool.install(|| (recursive_sum(0, N), current_num_threads()));
-    assert_eq!((sum, threads), (SUM, 1));
-    assert_eq!(
-        pool.stats().snapshot().workers[0].jobs - before,
-        FORKS + 1,
-        "the restarted loop forks on worker 0's deque and counts under worker 0"
-    );
 }
 
 #[test]

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// What a recorded event describes. The discriminants are the wire encoding (bits 56..64 of
-/// the packed payload word) and the `rws-trace/v1` `kind` codes.
+/// the packed payload word) and the `rws-trace/v2` `kind` codes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -64,12 +64,9 @@ pub enum EventKind {
     ServiceClaim = 9,
     /// A service job settled; `aux` is the `JobOutcome` code, `arg` the sequence number.
     ServiceSettle = 10,
-    /// A worker's scheduling loop died (an injected death, or a panic that escaped it).
-    WorkerDead = 11,
-    /// A worker restarted its dead scheduling loop on the same thread and deque; `arg` is
-    /// the worker's index, `aux` the number of jobs still queued in its deque (saturating
-    /// at 255).
-    WorkerRespawn = 12,
+    // Codes 11 and 12 are reserved: they were `WorkerDead` and `WorkerRespawn` in
+    // `rws-trace/v1`, when a worker's scheduling loop restarted after an unwind. Nothing
+    // writes them now, and `from_code` reads them as unknown.
     /// A cooperative cancellation check at a fork point ran (and did not unwind).
     CancelCheck = 13,
 }
@@ -88,14 +85,12 @@ impl EventKind {
             8 => EventKind::ServiceEnqueue,
             9 => EventKind::ServiceClaim,
             10 => EventKind::ServiceSettle,
-            11 => EventKind::WorkerDead,
-            12 => EventKind::WorkerRespawn,
             13 => EventKind::CancelCheck,
             _ => return None,
         })
     }
 
-    /// Stable lowercase name (the `rws-trace/v1` and Chrome-trace label).
+    /// Stable lowercase name (the `rws-trace/v2` and Chrome-trace label).
     pub fn name(self) -> &'static str {
         match self {
             EventKind::JobStart => "job_start",
@@ -108,8 +103,6 @@ impl EventKind {
             EventKind::ServiceEnqueue => "service_enqueue",
             EventKind::ServiceClaim => "service_claim",
             EventKind::ServiceSettle => "service_settle",
-            EventKind::WorkerDead => "worker_dead",
-            EventKind::WorkerRespawn => "worker_respawn",
             EventKind::CancelCheck => "cancel_check",
         }
     }
@@ -458,17 +451,11 @@ pub struct TraceProfile {
     pub workers: Vec<WorkerProfile>,
     /// Service-lifecycle aggregates (zeroed when the trace has no service events).
     pub service: ServiceProfile,
-    /// Worker deaths observed.
-    pub deaths: u64,
-    /// Respawns observed.
-    pub respawns: u64,
 }
 
 fn profile_snapshot(snap: &TraceSnapshot) -> TraceProfile {
     let mut workers = vec![WorkerProfile::default(); snap.workers];
     let mut service = ServiceProfile::default();
-    let mut deaths = 0u64;
-    let mut respawns = 0u64;
 
     // Per-worker interval state machine.
     struct LaneState {
@@ -513,8 +500,6 @@ fn profile_snapshot(snap: &TraceSnapshot) -> TraceProfile {
                     service.service_max_ns = service.service_max_ns.max(d);
                 }
             }
-            EventKind::WorkerDead => deaths += 1,
-            EventKind::WorkerRespawn => respawns += 1,
             _ => {}
         }
 
@@ -565,7 +550,6 @@ fn profile_snapshot(snap: &TraceSnapshot) -> TraceProfile {
                 }
             }
             EventKind::CancelCheck => w.cancel_checks += 1,
-            EventKind::WorkerDead => st.depth = 0,
             _ => {}
         }
     }
@@ -575,7 +559,7 @@ fn profile_snapshot(snap: &TraceSnapshot) -> TraceProfile {
             w.span_ns = st.last_ts.saturating_sub(first);
         }
     }
-    TraceProfile { workers, service, deaths, respawns }
+    TraceProfile { workers, service }
 }
 
 #[cfg(test)]
