@@ -559,9 +559,14 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
             storm_check();
             thread::sleep(sc.steady_pace);
         }
-        // Phase 2 — deadlines: paced like steady traffic (so they are admitted, not shed at
-        // the door), with work longer than the budget, so the budget must win.
+        // Phase 2 — deadlines: paced like steady traffic, with work longer than the budget,
+        // so the budget must win. Each one waits for a free admission slot (the harness is
+        // the server's only submitter), so it is admitted, not shed at the door, even when
+        // a stalled worker has let the queue fill.
         for _ in 0..sc.deadline_jobs {
+            while server.in_flight() >= sc.queue_capacity as u64 && Instant::now() < overall {
+                thread::sleep(Duration::from_micros(50));
+            }
             let work = submit_work(handles.len(), DEADLINE_WORK);
             handles.push(server.submit_with_deadline(work, DEADLINE));
             storm_check();

@@ -38,19 +38,6 @@ impl MachineConfig {
         }
     }
 
-    /// A machine resembling a contemporary multicore: 64-word (512-byte-per-8-byte-word)
-    /// blocks are unrealistic, so we use 8 words per line and a 32 Ki-word L1-like cache.
-    pub fn realistic(procs: usize) -> Self {
-        MachineConfig {
-            procs,
-            cache_words: 32 * 1024,
-            block_words: 8,
-            miss_cost: 16,
-            steal_cost: 64,
-            failed_steal_cost: 32,
-        }
-    }
-
     /// Builder-style setter for the number of processors.
     pub fn with_procs(mut self, procs: usize) -> Self {
         self.procs = procs;
@@ -66,19 +53,6 @@ impl MachineConfig {
     /// Builder-style setter for the block size `B` (words).
     pub fn with_block_words(mut self, b: u64) -> Self {
         self.block_words = b;
-        self
-    }
-
-    /// Builder-style setter for the miss cost `b`.
-    pub fn with_miss_cost(mut self, b: u64) -> Self {
-        self.miss_cost = b;
-        self
-    }
-
-    /// Builder-style setter for the steal cost `s` (both successful and failed).
-    pub fn with_steal_cost(mut self, s: u64) -> Self {
-        self.steal_cost = s;
-        self.failed_steal_cost = s;
         self
     }
 
@@ -139,11 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn realistic_is_valid() {
-        MachineConfig::realistic(16).validate().unwrap();
-    }
-
-    #[test]
     fn lines_per_cache() {
         let c = MachineConfig::small();
         assert_eq!(c.lines_per_cache(), (4096 / 8) as usize);
@@ -184,12 +153,11 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = MachineConfig::small()
-            .with_procs(9)
-            .with_block_words(16)
-            .with_cache_words(1 << 14)
-            .with_miss_cost(2)
-            .with_steal_cost(10);
+        let mut c =
+            MachineConfig::small().with_procs(9).with_block_words(16).with_cache_words(1 << 14);
+        c.miss_cost = 2;
+        c.steal_cost = 10;
+        c.failed_steal_cost = 10;
         assert_eq!(c.procs, 9);
         assert_eq!(c.block_words, 16);
         assert_eq!(c.cache_words, 1 << 14);

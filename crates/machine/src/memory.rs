@@ -84,16 +84,41 @@ impl AccessOutcome {
     }
 }
 
+/// The block a processor accessed last. It is resident in that processor's cache, at the
+/// head of its LRU list, until another processor's write strikes it or the processor
+/// accesses another block.
+#[derive(Clone, Copy, Debug)]
+struct Last {
+    /// The block's first word.
+    base: u64,
+    /// `B` while this memo holds a block. 0 while it holds none: then no address is inside,
+    /// whatever `base` reads.
+    span: u32,
+    /// The block's dense index.
+    idx: u32,
+    /// The block, for the outcome.
+    block: BlockId,
+    /// This cache holds the only copy, and that copy is modified: a write strikes no one.
+    exclusive: bool,
+}
+
+/// The memo of a processor that has accessed no block yet.
+const NO_LAST: Last = Last { base: 0, span: 0, idx: 0, block: BlockId(0), exclusive: false };
+
 /// The simulated memory system.
 ///
-/// One access interns its block once (an open-addressed probe in the directory's block
-/// index) and from there on touches only flat vectors indexed by the block's dense index:
-/// no hashing of per-block state, and no heap allocation except to extend those vectors
-/// when a block is seen for the first time.
+/// A repeat access to the block a processor accessed last is one subtract and compare
+/// against that processor's memo: a read hit there changes nothing but the hit count, and
+/// so does a write by the sole, dirty owner. Any other access interns its block once (an
+/// open-addressed probe in the directory's block index) and from there on touches only flat
+/// vectors indexed by the block's dense index: no hashing of per-block state, and no heap
+/// allocation except to extend those vectors when a block is seen for the first time.
 #[derive(Clone, Debug)]
 pub struct MemorySystem {
     config: MachineConfig,
     caches: Vec<Cache>,
+    /// One memo per processor.
+    last: Vec<Last>,
     directory: Directory,
     stats: MemStats,
 }
@@ -105,6 +130,7 @@ impl MemorySystem {
         let lines = config.lines_per_cache();
         MemorySystem {
             caches: (0..config.procs).map(|_| Cache::new(lines)).collect(),
+            last: vec![NO_LAST; config.procs],
             directory: Directory::new(config.procs),
             stats: MemStats::new(config.procs),
             config,
@@ -142,6 +168,30 @@ impl MemorySystem {
     /// (of either kind) per the paper's cost model.
     #[inline]
     pub fn access(&mut self, proc: ProcId, access: Access) -> AccessOutcome {
+        let last = self.last[proc.index()];
+        if access.addr.0.wrapping_sub(last.base) < u64::from(last.span)
+            && (!access.write || last.exclusive)
+        {
+            // What the path below would do on this hit, less its no-ops: the block is
+            // already at the head of the LRU list, and a sole dirty owner's write strikes
+            // no copy and leaves owner, last holder and line state as they are.
+            self.stats.proc_mut(proc).hits += 1;
+            let (block, region) = (last.block, access.addr.region());
+            return AccessOutcome {
+                block,
+                miss: None,
+                transferred: false,
+                invalidations: 0,
+                region,
+            };
+        }
+        self.access_off_memo(proc, access)
+    }
+
+    /// [`access`](Self::access) when the memo cannot answer. Out of line, so that only the
+    /// memo's test is inlined into the simulator's loops.
+    #[inline(never)]
+    fn access_off_memo(&mut self, proc: ProcId, access: Access) -> AccessOutcome {
         let b = self.config.block_words;
         let block = access.addr.block(b);
         let region = access.addr.region();
@@ -177,6 +227,9 @@ impl MemorySystem {
                     self.stats.proc_mut(owner).writebacks += 1;
                 }
                 self.directory.clear_owner(idx);
+                if self.last[owner.index()].idx == idx {
+                    self.last[owner.index()].exclusive = false;
+                }
             }
 
             // Fill into the local cache, possibly evicting.
@@ -221,6 +274,11 @@ impl MemorySystem {
             self.directory.set_owner(idx, proc);
             self.caches[proc.index()].mark_dirty(idx);
         }
+        // Every access off the memo sets it. Eviction needs no hook: only this processor's
+        // own fills evict from its cache, and each one passes here.
+        let base = access.addr.0 - u64::from(offset);
+        self.last[proc.index()] =
+            Last { base, span: b as u32, idx, block, exclusive: access.write };
 
         AccessOutcome { block, miss, transferred, invalidations, region }
     }
@@ -244,12 +302,15 @@ impl MemorySystem {
     /// Invalidate every copy of block `idx` but `writer`'s, whose write touched the word at
     /// `offset`. Returns how many copies there were.
     fn invalidate_others(&mut self, idx: u32, writer: ProcId, offset: u32) -> u32 {
-        let MemorySystem { caches, directory, stats, .. } = self;
+        let MemorySystem { caches, last, directory, stats, .. } = self;
         let mut count = 0;
         directory.invalidate_others(idx, writer, |p| {
             // The sharer bits mirror residency, so every struck cache held a copy.
             let (was_resident, was_dirty) = caches[p.index()].invalidate(idx, offset);
             debug_assert!(was_resident, "the directory listed a cache without a copy");
+            if last[p.index()].idx == idx {
+                last[p.index()].span = 0;
+            }
             count += 1;
             stats.proc_mut(p).invalidations_received += 1;
             if was_dirty {

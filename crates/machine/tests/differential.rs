@@ -1,8 +1,10 @@
 //! Differential test of the block-table [`MemorySystem`] against a naive reference model of
 //! the same machine: a `Vec`-scan LRU per cache, ordered maps and sets for everything the
-//! real one keeps in flat vectors. Seeded random access streams over small address pools in
-//! both regions drive the two side by side; every [`AccessOutcome`], the final [`MemStats`]
-//! and every block's transfer count must be equal.
+//! real one keeps in flat vectors, and no memo of a processor's last block. Seeded random
+//! access streams over small address pools in both regions drive the two side by side;
+//! every [`AccessOutcome`], the final [`MemStats`] and every block's transfer count must be
+//! equal. Two kinds of stream: one that draws a fresh processor for every access, and one
+//! of bursts, where a processor stays on one block while others read and write it.
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_machine::addr::STACK_REGION_BASE;
@@ -108,24 +110,61 @@ impl RefMemory {
     }
 }
 
+/// The real memory system and the naive model of the same machine, driven side by side.
+struct Pair {
+    real: MemorySystem,
+    naive: RefMemory,
+    label: String,
+}
+
+impl Pair {
+    fn new(procs: usize, lines: usize, block_words: u64) -> Self {
+        let config = MachineConfig::small()
+            .with_procs(procs)
+            .with_cache_words(lines as u64 * block_words)
+            .with_block_words(block_words);
+        Pair {
+            real: MemorySystem::new(config),
+            naive: RefMemory {
+                block_words,
+                lines,
+                caches: (0..procs).map(|_| RefCache::default()).collect(),
+                directory: BTreeMap::new(),
+                stats: MemStats::new(procs),
+            },
+            label: format!("p={procs} lines={lines} B={block_words}"),
+        }
+    }
+
+    fn access(&mut self, step: usize, proc: usize, access: Access) {
+        assert_eq!(
+            self.real.access(ProcId(proc), access),
+            self.naive.access(proc, access),
+            "{} step {step}: P{proc} {access:?}",
+            self.label
+        );
+    }
+
+    /// Compare the final counters and every block's transfer count; return the counters.
+    fn finish(self) -> ProcStats {
+        let Pair { real, naive, label } = self;
+        assert_eq!(real.stats(), &naive.stats, "{label}");
+        assert_eq!(real.block_transfers().len(), naive.directory.len());
+        for (block, transfers) in real.block_transfers() {
+            assert_eq!(transfers, naive.directory[&block].1, "{label} {block:?}");
+            assert_eq!(real.transfers_of(block), transfers);
+        }
+        real.stats().total()
+    }
+}
+
 #[test]
 fn every_outcome_counter_and_transfer_matches_the_naive_model() {
     let mut seen = ProcStats::default();
     for procs in [1usize, 2, 3, 8, 70] {
         for lines in [1usize, 2, 4, 64] {
             for block_words in [1u64, 4, 8] {
-                let config = MachineConfig::small()
-                    .with_procs(procs)
-                    .with_cache_words(lines as u64 * block_words)
-                    .with_block_words(block_words);
-                let mut real = MemorySystem::new(config);
-                let mut naive = RefMemory {
-                    block_words,
-                    lines,
-                    caches: (0..procs).map(|_| RefCache::default()).collect(),
-                    directory: BTreeMap::new(),
-                    stats: MemStats::new(procs),
-                };
+                let mut pair = Pair::new(procs, lines, block_words);
                 // Per region, twice the blocks one cache holds (at least six), so lines are
                 // evicted, yet few enough that processors keep meeting on the same blocks.
                 let pool_words = (2 * lines as u64).max(6) * block_words;
@@ -135,20 +174,9 @@ fn every_outcome_counter_and_transfer_matches_the_naive_model() {
                     let proc = rng.gen_range(0..procs);
                     let base = if rng.gen_bool(0.5) { 0 } else { STACK_REGION_BASE };
                     let addr = Addr(base + rng.gen_range(0..pool_words));
-                    let access = Access { addr, write: rng.gen_bool(0.4) };
-                    assert_eq!(
-                        real.access(ProcId(proc), access),
-                        naive.access(proc, access),
-                        "p={procs} lines={lines} B={block_words} step {step}: P{proc} {access:?}"
-                    );
+                    pair.access(step, proc, Access { addr, write: rng.gen_bool(0.4) });
                 }
-                assert_eq!(real.stats(), &naive.stats, "p={procs} lines={lines} B={block_words}");
-                assert_eq!(real.block_transfers().len(), naive.directory.len());
-                for (block, transfers) in real.block_transfers() {
-                    assert_eq!(transfers, naive.directory[&block].1, "{block:?}");
-                    assert_eq!(real.transfers_of(block), transfers);
-                }
-                seen += real.stats().total();
+                seen += pair.finish();
             }
         }
     }
@@ -157,4 +185,52 @@ fn every_outcome_counter_and_transfer_matches_the_naive_model() {
     assert!(seen.upgrades > 0 && seen.invalidations_received > seen.upgrades);
     assert!(seen.false_sharing_misses > 0, "invalidations by a write to another word");
     assert!(seen.block_misses > seen.false_sharing_misses, "true sharing or dirty transfers");
+}
+
+/// Bursts: each turn one processor makes a run of 1–16 accesses inside one block, its
+/// reads before its writes, while other processors now and then read the block (which
+/// downgrades a dirty copy) or write it (which strikes every other copy). A repeat access to
+/// a processor's last block is what the real system answers from its memo, and these
+/// streams are made of them.
+#[test]
+fn bursts_on_one_block_match_the_naive_model() {
+    let mut seen = ProcStats::default();
+    let mut repeats = 0u64;
+    for procs in [1usize, 2, 3, 8, 70] {
+        for lines in [1usize, 4] {
+            for block_words in [1u64, 4, 8] {
+                let mut pair = Pair::new(procs, lines, block_words);
+                let pool_blocks = (2 * lines as u64).max(6);
+                let seed = (procs * 1000 + lines * 10) as u64 + block_words + 7;
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut step = 0;
+                while step < 6000 {
+                    let proc = rng.gen_range(0..procs);
+                    let region = if rng.gen_bool(0.5) { 0 } else { STACK_REGION_BASE };
+                    let base = region + rng.gen_range(0..pool_blocks) * block_words;
+                    let run = rng.gen_range(1..17);
+                    let reads = rng.gen_range(0..run + 1);
+                    for i in 0..run {
+                        let addr = Addr(base + rng.gen_range(0..block_words));
+                        pair.access(step, proc, Access { addr, write: i >= reads });
+                        repeats += (i > 0) as u64;
+                        step += 1;
+                        if procs > 1 && rng.gen_bool(0.2) {
+                            let other = (proc + rng.gen_range(1..procs)) % procs;
+                            let addr = Addr(base + rng.gen_range(0..block_words));
+                            pair.access(step, other, Access { addr, write: rng.gen_bool(0.5) });
+                            step += 1;
+                        }
+                    }
+                }
+                seen += pair.finish();
+            }
+        }
+    }
+    assert!(repeats > seen.accesses() / 2, "most accesses repeat the processor's last block");
+    // A write after another processor's read must strike that reader; a repeat access
+    // after another processor's write must miss.
+    assert!(seen.upgrades > 0 && seen.invalidations_received > 0 && seen.writebacks > 0);
+    assert!(seen.false_sharing_misses > 0 && seen.block_misses > seen.false_sharing_misses);
+    assert!(seen.capacity_misses > 0, "a one-line cache evicts between bursts");
 }
