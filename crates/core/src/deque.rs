@@ -66,11 +66,6 @@ impl SimDeque {
         self.entries.pop_front()
     }
 
-    /// Look at the oldest entry without removing it.
-    pub fn peek_top(&self) -> Option<&DequeEntry> {
-        self.entries.front()
-    }
-
     /// Iterate from top (oldest) to bottom (newest).
     pub fn iter(&self) -> impl Iterator<Item = &DequeEntry> {
         self.entries.iter()
@@ -127,7 +122,6 @@ mod tests {
         let mut d = SimDeque::new();
         d.push_bottom(entry(1));
         d.push_bottom(entry(2));
-        assert_eq!(d.peek_top().unwrap().par_node, NodeId(1));
         assert_eq!(d.peek_bottom().unwrap().par_node, NodeId(2));
         assert_eq!(d.len(), 2);
         let order: Vec<u32> = d.iter().map(|e| e.par_node.0).collect();

@@ -119,12 +119,6 @@ impl TaskInstance {
             nodes_executed: 0,
         }
     }
-
-    /// Whether the task has nothing left to do (no frames, nothing being entered, no pending
-    /// join to resume).
-    pub fn is_complete(&self) -> bool {
-        self.frames.is_empty() && self.entering.is_none() && self.resume_join.is_none()
-    }
 }
 
 /// Per-`Par`-node join bookkeeping shared by all task instances of a run.
@@ -140,25 +134,6 @@ pub struct JoinState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::StackAllocator;
-
-    #[test]
-    fn new_task_is_not_complete_until_drained() {
-        let mut alloc = StackAllocator::new(8, 64);
-        let mut t = TaskInstance::new(
-            TaskId(0),
-            TaskOrigin::Root,
-            NodeId(0),
-            Vec::new(),
-            alloc.new_task_stack(),
-            None,
-        );
-        assert!(!t.is_complete());
-        t.entering = None;
-        assert!(t.is_complete());
-        t.resume_join = Some(NodeId(3));
-        assert!(!t.is_complete());
-    }
 
     #[test]
     fn task_id_index() {

@@ -111,11 +111,6 @@ impl WorkUnit {
         (self.global.len() + self.locals.len()) as u64
     }
 
-    /// Number of global writes in this unit.
-    pub fn global_writes(&self) -> u64 {
-        self.global.iter().filter(|a| a.write).count() as u64
-    }
-
     /// Whether the unit does nothing at all.
     pub fn is_empty(&self) -> bool {
         self.ops == 0 && self.global.is_empty() && self.locals.is_empty()
@@ -145,7 +140,6 @@ mod tests {
         assert_eq!(w.global.len(), 5);
         assert_eq!(w.locals.len(), 2);
         assert_eq!(w.access_count(), 7);
-        assert_eq!(w.global_writes(), 2);
         assert!(!w.is_empty());
     }
 

@@ -103,15 +103,6 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    /// Steals per unit of work — comparable across backends as a scheduling-intensity
-    /// measure.
-    pub fn steals_per_work_item(&self) -> f64 {
-        if self.work_items == 0 {
-            return 0.0;
-        }
-        self.steals as f64 / self.work_items as f64
-    }
-
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
@@ -160,10 +151,7 @@ mod tests {
     #[test]
     fn derived_metrics_and_summary() {
         let r = report(Backend::Simulated);
-        assert!((r.steals_per_work_item() - 0.1).abs() < 1e-12);
         let s = r.summary();
         assert!(s.contains("10 steals") && s.contains("ticks"), "{s}");
-        let zero = ExecReport { work_items: 0, ..report(Backend::Native) };
-        assert_eq!(zero.steals_per_work_item(), 0.0);
     }
 }

@@ -5,7 +5,7 @@
 //! dialect, selected when the file's first `mode` key, wherever it stands, reads
 //! `mode = chaos` (the `lab` binary dispatches on [`is_chaos_scenario`]). Instead of a
 //! workload and paper-bound checks it describes a *traffic trace* against a [`JobServer`]
-//! and the faults to inject under it:
+//! and the faults its traffic carries:
 //!
 //! ```text
 //! mode = chaos
@@ -16,19 +16,20 @@
 //! steady_jobs = 600        # paced submissions the server can keep up with
 //! burst_jobs = 256         # back-to-back burst, several x queue_capacity
 //! panic_every = 4          # seeded: roughly one in four jobs panics
-//! stall_every = 50         # a worker stalls every 50 pool-wide scheduling sweeps
+//! stall_every = 50         # seeded: roughly one in 50 jobs stalls its worker first
 //! min_panics = 100
 //! max_shed_rate = 0.75
 //! ```
 //!
 //! The run drives four phases — paced steady traffic, a batch of tight-deadline jobs (2 ms
 //! budgets on up to 1 s of work), an overload burst of at least `burst_jobs / queue_capacity`
-//! times the admission window, and a post-chaos probe batch — while the scenario's
-//! [`FaultPlan`] stalls workers (2 ms stalls, at most 6). The traffic's own faults
-//! are the harness's: a seeded hash picks roughly one in `panic_every` submissions to
-//! panic, and once `storm_after_accepts` submissions were admitted the harness hammers the
-//! injector with a one-shot contention storm (4 threads × 64 pushes). Every submission's
-//! closure bumps a per-submission execution counter, so the verdicts are counted facts:
+//! times the admission window, and a post-chaos probe batch. Every fault is the traffic's
+//! own, made by the harness, not by the server: a seeded hash picks roughly one in
+//! `panic_every` submissions to panic, another picks roughly one in `stall_every` to sleep
+//! 2 ms on its worker before its work (the first 6 picks only), and once
+//! `storm_after_accepts` submissions were admitted the harness hammers the injector with a
+//! one-shot contention storm (4 threads × 64 pushes). Every submission's closure bumps a
+//! per-submission execution counter, so the verdicts are counted facts:
 //!
 //! * **all-terminal** — every submission reaches a terminal [`JobOutcome`];
 //! * **conservation** — the outcome partition sums exactly to `submitted`;
@@ -53,11 +54,11 @@ use crate::scenario::{err, key_values, parse_num, ScenarioError};
 use crate::trace_export;
 use rws_runtime::trace::TraceSnapshot;
 use rws_runtime::{
-    AdmissionPolicy, FaultPlan, FaultSpec, HistogramSnapshot, JobHandle, JobOutcome, JobServer,
-    ServiceConfig, ServiceSnapshot,
+    AdmissionPolicy, HistogramSnapshot, JobHandle, JobOutcome, JobServer, ServiceConfig,
+    ServiceSnapshot,
 };
 use std::panic;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -72,9 +73,9 @@ const DEADLINE: Duration = Duration::from_millis(2);
 /// deadline and one that completes means the sweep never came. (At 5 ms, 1 run in 10 on
 /// a loaded 2-CPU host let every started job finish before a sweep ran.)
 const DEADLINE_WORK: Duration = Duration::from_secs(1);
-/// Length of one injected worker stall.
+/// How long a stalling job sleeps on its worker before its work.
 const STALL: Duration = Duration::from_millis(2);
-/// Cap on injected stalls.
+/// Cap on stalling submissions: the submitter applies only the first `MAX_STALLS` picks.
 const MAX_STALLS: u64 = 6;
 /// OS threads a contention storm starts, and no-op jobs each of them pushes.
 const STORM_THREADS: usize = 4;
@@ -92,12 +93,12 @@ pub fn is_chaos_scenario(text: &str) -> bool {
         .is_some_and(|(_, _, v)| v == "chaos")
 }
 
-/// One declarative chaos run: the traffic trace, the fault plan, and the invariant floors.
+/// One declarative chaos run: the traffic trace, its faults, and the invariant floors.
 #[derive(Clone, Debug)]
 pub struct ChaosScenario {
     /// Scenario name (appears in the report and output file names).
     pub name: String,
-    /// Seed for the harness's per-job panic hash.
+    /// Seed for the harness's per-job panic and stall hashes.
     pub seed: u64,
     /// Worker threads in the server's pool.
     pub threads: usize,
@@ -119,7 +120,7 @@ pub struct ChaosScenario {
     pub job_work: Duration,
     /// Panic roughly one in `panic_every` jobs (0 = never).
     pub panic_every: u64,
-    /// Stall one worker every this many sweeps (0 = never).
+    /// Stall roughly one in `stall_every` jobs (0 = never; at most `MAX_STALLS` of them).
     pub stall_every: u64,
     /// Admitted submissions after which the harness starts its one-shot injector
     /// contention storm (`None` = no storm).
@@ -289,6 +290,8 @@ pub struct ChaosReport {
     pub executions: u64,
     /// Whether the run reached `storm_after_accepts` and the harness launched its storm.
     pub storm: bool,
+    /// Stalling closures that actually slept (a shed one never runs).
+    pub stalls: u64,
     /// The evaluated recovery invariants.
     pub verdicts: Vec<Verdict>,
     /// Whether the evidence was deliberately doctored (the harness self-test).
@@ -405,6 +408,8 @@ impl ChaosReport {
                 obj([
                     ("panics_caught", s.panics_caught.into()),
                     ("panic_every", sc.panic_every.into()),
+                    ("stall_every", sc.stall_every.into()),
+                    ("stalls", self.stalls.into()),
                     ("storm", self.storm.into()),
                 ]),
             ),
@@ -473,6 +478,14 @@ fn job_panics(seed: u64, panic_every: u64, idx: u64) -> bool {
         && splitmix64(seed ^ idx.wrapping_mul(0xA24B_AED4_963E_E407)).is_multiple_of(panic_every)
 }
 
+/// Whether the harness picks submission `idx` to stall: roughly one in `stall_every`
+/// (0 = never), by a seeded hash of the index independent of [`job_panics`]'s. Pure, like
+/// it; the submitter applies only the first [`MAX_STALLS`] picks.
+fn job_stalls(seed: u64, stall_every: u64, idx: u64) -> bool {
+    stall_every > 0
+        && splitmix64(!seed ^ idx.wrapping_mul(0xE703_7ED1_A0B4_28DB)).is_multiple_of(stall_every)
+}
+
 /// Busy-work leaf with cooperative cancellation: spins for `d`, polling the job's token
 /// so a deadline can cut it mid-run (the unwind settles the job as `Deadline`).
 fn busy(d: Duration) {
@@ -504,11 +517,6 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
         threads: sc.threads,
         queue_capacity: sc.queue_capacity,
         admission: sc.admission,
-        faults: Some(Arc::new(FaultPlan::new(FaultSpec {
-            stall_every: sc.stall_every,
-            stall: STALL,
-            max_stalls: MAX_STALLS,
-        }))),
         trace,
     });
     // The recorder outlives the pool (it is an `Arc`), so the snapshot can be drained
@@ -517,15 +525,23 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
 
     let total = sc.total_jobs() as usize;
     let counts: Arc<Vec<AtomicU32>> = Arc::new((0..total).map(|_| AtomicU32::new(0)).collect());
+    let stalled = Arc::new(AtomicU64::new(0));
+    let mut stall_picks = 0u64;
     let mut handles: Vec<JobHandle> = Vec::with_capacity(total);
     let overall = Instant::now() + SETTLE_TIMEOUT;
     let left = || overall.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
 
     // A submission's index is its server sequence number: the harness is the only submitter.
-    let submit_work = |idx: usize, work: Duration| {
-        let counts = Arc::clone(&counts);
+    let mut submit_work = |idx: usize, work: Duration| {
+        let (counts, stalled) = (Arc::clone(&counts), Arc::clone(&stalled));
         let panics = job_panics(sc.seed, sc.panic_every, idx as u64);
+        let stalls = stall_picks < MAX_STALLS && job_stalls(sc.seed, sc.stall_every, idx as u64);
+        stall_picks += u64::from(stalls);
         move || {
+            if stalls {
+                thread::sleep(STALL);
+                stalled.fetch_add(1, Ordering::Relaxed);
+            }
             if panics {
                 // `resume_unwind`, not `panic!`: the unwind takes the quarantine path a
                 // real panic would, but skips the panic hook — a chaos run panics hundreds
@@ -628,6 +644,7 @@ pub fn run_traced(sc: &ChaosScenario, sabotage: bool, trace: Option<usize>) -> C
         snapshot,
         executions,
         storm,
+        stalls: stalled.load(Ordering::Relaxed),
         verdicts,
         sabotaged: sabotage,
         trace: recorder.map(|r| r.snapshot()),
@@ -791,8 +808,10 @@ mod tests {
         let report = run(&sc, false);
         assert!(report.all_passed(), "{:?}", report.summary_lines());
         assert!(report.snapshot.panicked >= 1);
+        assert!((1..=MAX_STALLS).contains(&report.stalls), "stalls = {}", report.stalls);
         let doc = report.to_json();
         validate_chaos_report(&doc).expect("chaos report must validate");
+        assert!(doc.contains(&format!("\"stalls\": {}", report.stalls)), "{doc}");
         for key in ["\"invariants\"", "\"panics_caught\"", "\"p99_ns\"", "\"shed_rate\""] {
             assert!(doc.contains(key), "missing {key} in\n{doc}");
         }
@@ -852,6 +871,35 @@ mod tests {
         // ~1000 expected; splitmix64 is good enough that 3x bounds are safe.
         assert!((300..3000).contains(&schedule(7).len()));
         assert!(!(0..10_000).any(|i| job_panics(7, 0, i)), "panic_every = 0 panics nothing");
+    }
+
+    #[test]
+    fn the_harness_stalls_the_same_submissions_every_run() {
+        let schedule =
+            |seed, every| (0..10_000).filter(|&i| job_stalls(seed, every, i)).collect::<Vec<_>>();
+        assert_eq!(schedule(7, 10), schedule(7, 10), "same seed, same stall picks");
+        assert_ne!(schedule(7, 10), schedule(8, 10), "different seed, different picks");
+        assert!((300..3000).contains(&schedule(7, 10).len()));
+        let panics = (0..10_000).filter(|&i| job_panics(7, 10, i)).collect::<Vec<_>>();
+        assert_ne!(schedule(7, 10), panics, "the stall hash is not the panic hash");
+        assert!(schedule(7, 0).is_empty(), "stall_every = 0 stalls nothing");
+    }
+
+    #[test]
+    fn only_the_first_max_stalls_picks_sleep() {
+        // `stall_every = 1` picks every submission; the first six are admitted whatever the
+        // workers do (occupancy at submission k is at most k < 8), so exactly six sleep.
+        let sc = ChaosScenario::parse(
+            "mode = chaos\nname = cap\nthreads = 2\nqueue_capacity = 8\nsteady_jobs = 10\n\
+             burst_jobs = 4\nprobe_jobs = 4\njob_work_us = 50\nsteady_pace_us = 50\n\
+             stall_every = 1",
+        )
+        .unwrap();
+        let report = run(&sc, false);
+        assert!(report.all_passed(), "{:?}", report.summary_lines());
+        assert_eq!(report.stalls, MAX_STALLS, "the cap bounds the stalls");
+        let none = ChaosScenario { stall_every: 0, ..sc };
+        assert_eq!(run(&none, false).stalls, 0, "stall_every = 0 stalls nothing");
     }
 
     #[test]

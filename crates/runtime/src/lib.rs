@@ -38,9 +38,9 @@
 //! a worker's scheduling loop is a scheduler bug and aborts the process), per-job deadlines
 //! via a flag in each job's own state that every fork of the job borrows and observes at
 //! fork points ([`cancel`]), bounded-queue admission control with load-shedding, and
-//! latency histograms ([`hist`]). A compiled-in, default-off fault-injection layer
-//! ([`faults`]: worker stalls) lets the chaos harness in `rws-lab` verify the service
-//! invariants.
+//! latency histograms ([`hist`]). The runtime injects no faults: the chaos harness in
+//! `rws-lab` verifies the service invariants with traffic of its own making (jobs that
+//! panic or stall, overload, injector storms), the same way any caller would.
 //!
 //! The [`padding`] module provides the cache-line padding wrappers the
 //! `prefix_sums_native` example (E19) runs false sharing on: identical workloads run once with
@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
-pub mod faults;
 pub mod hist;
 mod job;
 pub mod padding;
@@ -67,7 +66,6 @@ mod sleep;
 pub mod stats;
 
 pub use cancel::check_cancel;
-pub use faults::{FaultPlan, FaultSpec};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use padding::{CachePadded, PaddedCounters, UnpaddedCounters};
 pub use par_iter::{ParChunksMut, ParSliceExt};

@@ -21,7 +21,6 @@
 #![allow(unsafe_code)]
 
 use crate::cancel::{self, ForkToken};
-use crate::faults::FaultPlan;
 use crate::job::{Job, JoinResult, Latch, StackJob};
 use crate::padding::CachePadded;
 use crate::sleep::{EventCount, BACKOFF, PARK_BACKSTOP};
@@ -52,8 +51,6 @@ pub(crate) struct Shared {
     pub(crate) sleep: CachePadded<EventCount>,
     shutdown: AtomicBool,
     workers: usize,
-    /// Optional compiled-in fault schedule (default off; see [`crate::faults`]).
-    faults: Option<Arc<FaultPlan>>,
     /// Optional flight recorder (default off; see [`rws_trace`]). Every hook site below
     /// pays one never-taken branch when this is `None`.
     trace: Option<Arc<TraceRecorder>>,
@@ -359,9 +356,6 @@ fn worker_loop(handle: WorkerHandle) {
 fn sweep(handle: &WorkerHandle) {
     let mut idle = 0u32;
     loop {
-        if let Some(stall) = handle.shared.faults.as_ref().and_then(|p| p.poll_worker_sweep()) {
-            thread::sleep(stall);
-        }
         if let Some(job) = handle.find_job(idle == 0) {
             idle = 0;
             handle.run_job(job);
@@ -381,13 +375,12 @@ fn sweep(handle: &WorkerHandle) {
 #[derive(Clone, Debug)]
 pub struct ThreadPoolBuilder {
     threads: usize,
-    faults: Option<Arc<FaultPlan>>,
     trace: Option<usize>,
 }
 
 impl Default for ThreadPoolBuilder {
     fn default() -> Self {
-        ThreadPoolBuilder { threads: num_threads_default(), faults: None, trace: None }
+        ThreadPoolBuilder { threads: num_threads_default(), trace: None }
     }
 }
 
@@ -407,14 +400,6 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Install a fault-injection schedule (chaos testing; see [`crate::faults`]). Workers
-    /// poll the plan once per scheduling sweep; without a plan the poll is a single
-    /// never-taken branch.
-    pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
     /// Enable the flight recorder with `capacity` event slots per lane (rounded up to a
     /// power of two, minimum 8). Default off: without this call every trace hook in the
     /// scheduler is one never-taken branch. See [`rws_trace`] for the event model.
@@ -425,7 +410,7 @@ impl ThreadPoolBuilder {
 
     /// Build and start the pool.
     pub fn build(self) -> ThreadPool {
-        ThreadPool::with_config(self.threads, self.faults, self.trace)
+        ThreadPool::with_config(self.threads, self.trace)
     }
 }
 
@@ -439,10 +424,10 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// A pool with `threads` workers.
     pub fn new(threads: usize) -> Self {
-        Self::with_config(threads, None, None)
+        Self::with_config(threads, None)
     }
 
-    fn with_config(threads: usize, faults: Option<Arc<FaultPlan>>, trace: Option<usize>) -> Self {
+    fn with_config(threads: usize, trace: Option<usize>) -> Self {
         let threads = threads.max(1);
         let locals: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_lifo()).collect();
         let stealers = locals.iter().map(Worker::stealer).collect();
@@ -453,7 +438,6 @@ impl ThreadPool {
             sleep: CachePadded::default(),
             shutdown: AtomicBool::new(false),
             workers: threads,
-            faults,
             trace: trace.map(|cap| TraceRecorder::new(threads, cap)),
             installers: EventCount::default(),
         });

@@ -24,8 +24,8 @@
 //! door, or evicted from the queue — settles to exactly one [`JobOutcome`], arbitrated by
 //! a single compare-and-swap. Execution is claimed the same way (`started`), so a job is
 //! run exactly once or not at all, never both run and shed. The chaos harness in `rws-lab`
-//! drives these invariants under worker stalls (see [`crate::faults`]) and under traffic of
-//! its own making: jobs that panic, overload bursts, and injector storms.
+//! drives these invariants with traffic of its own making: jobs that panic, jobs that
+//! stall, overload bursts, and injector storms. The server has no fault hook of its own.
 //!
 //! **Who wakes whom.** A root job passes three waits — a parked worker for the submitted
 //! job (`Shared::inject`), a [`Block`] submitter for the slot a starting job frees
@@ -39,7 +39,6 @@
 //! [`ShedOldest`]: AdmissionPolicy::ShedOldest
 
 use crate::cancel::{self, CancelPayload};
-use crate::faults::FaultPlan;
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::padding::CachePadded;
 use crate::pool::{ThreadPool, ThreadPoolBuilder, WorkerHandle};
@@ -201,8 +200,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What to do when the queue is full.
     pub admission: AdmissionPolicy,
-    /// Optional fault-injection schedule (chaos testing; default off).
-    pub faults: Option<Arc<FaultPlan>>,
     /// Flight-recorder capacity per lane (None = tracing off; see
     /// [`crate::pool::ThreadPoolBuilder::trace`]). Service-job lifecycle events
     /// (enqueue → claim → settle, linked by sequence number) join the pool's scheduler
@@ -216,7 +213,6 @@ impl Default for ServiceConfig {
             threads: 0,
             queue_capacity: 1024,
             admission: AdmissionPolicy::Block,
-            faults: None,
             trace: None,
         }
     }
@@ -447,9 +443,6 @@ impl JobServer {
         let mut builder = ThreadPoolBuilder::new();
         if config.threads > 0 {
             builder = builder.threads(config.threads);
-        }
-        if let Some(plan) = &config.faults {
-            builder = builder.fault_plan(Arc::clone(plan));
         }
         if let Some(capacity) = config.trace {
             builder = builder.trace(capacity);

@@ -2,9 +2,7 @@
 //! the runtime-level half of the chaos story (the full streamed-traffic harness lives in
 //! `rws-lab`).
 
-use rws_runtime::{
-    AdmissionPolicy, FaultPlan, FaultSpec, JobOutcome, JobServer, ServiceConfig, ThreadPool,
-};
+use rws_runtime::{AdmissionPolicy, JobOutcome, JobServer, ServiceConfig, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,18 +62,12 @@ fn panic_quarantine_is_health_tracked_per_worker() {
 #[test]
 fn server_survives_sustained_panic_storm_with_stalls_and_overload() {
     // A miniature of the lab's chaos scenario: job panics (one in seven panics before it
-    // counts its run) + worker stalls + a Shed admission gate under a burst, all settling to
-    // terminal outcomes.
-    let plan = Arc::new(FaultPlan::new(FaultSpec {
-        stall_every: 50,
-        stall: Duration::from_millis(1),
-        max_stalls: 10,
-    }));
+    // counts its run) + stalls (one in thirty sleeps 1 ms before its work: 10 of them) + a
+    // Shed admission gate under a burst, all settling to terminal outcomes.
     let server = JobServer::new(ServiceConfig {
         threads: 2,
         queue_capacity: 32,
         admission: AdmissionPolicy::Shed,
-        faults: Some(plan),
         ..ServiceConfig::default()
     });
     let executions = Arc::new(AtomicU64::new(0));
@@ -83,6 +75,9 @@ fn server_survives_sustained_panic_storm_with_stalls_and_overload() {
         .map(|i| {
             let e = Arc::clone(&executions);
             server.submit(move || {
+                if i % 30 == 29 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 if i % 7 == 3 {
                     std::panic::resume_unwind(Box::new("planned job panic"));
                 }

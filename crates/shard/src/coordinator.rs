@@ -44,12 +44,33 @@ const JOBS_PER_SHARD: usize = 4;
 /// Heartbeat-silence span after which a shard is declared dead.
 pub const DEFAULT_HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(1000);
 
-/// Per-shard fault-injection script, forwarded to the worker via its environment
-/// ([`crate::worker::ENV_FAIL_AFTER_JOBS`] / [`crate::worker::ENV_STALL_AFTER_JOBS`]).
+/// Per-shard fault script. The coordinator does the fault to the worker's process itself;
+/// the worker has no fault hook.
 #[derive(Clone, Copy, Debug, Default)]
 struct ShardFault {
     exit_after: Option<u64>,
     stall_after: Option<u64>,
+}
+
+impl ShardFault {
+    /// On the shard's `results`-th result, do the scripted fault to its process: SIGKILL
+    /// for `exit_after`, SIGSTOP (`kill -STOP`) for `stall_after`. Says whether it did.
+    fn strike(&self, child: &mut Child, results: u64) -> bool {
+        if self.exit_after == Some(results) {
+            let _ = child.kill();
+            true
+        } else if self.stall_after == Some(results) {
+            let status = Command::new("kill").arg("-STOP").arg(child.id().to_string()).status();
+            assert!(
+                status.as_ref().is_ok_and(|s| s.success()),
+                "kill -STOP {} failed: {status:?}",
+                child.id()
+            );
+            true
+        } else {
+            false
+        }
+    }
 }
 
 /// The multi-process sharded executor. Pure configuration — all per-run state lives
@@ -87,14 +108,17 @@ impl ShardedExecutor {
         self
     }
 
-    /// Chaos knob: script shard `shard` to crash after producing `jobs` results.
+    /// Chaos knob: kill shard `shard`'s process when its `jobs`-th result arrives. That
+    /// result is dropped, as if the process had died sending it, so the shard always dies
+    /// holding an unacknowledged job; the coordinator must see the pipe close.
     pub fn fault_exit_after(mut self, shard: usize, jobs: u64) -> Self {
         self.faults[shard].exit_after = Some(jobs);
         self
     }
 
-    /// Chaos knob: script shard `shard` to wedge (stop answering and heartbeating)
-    /// after producing `jobs` results.
+    /// Chaos knob: stop shard `shard`'s process (SIGSTOP) when its `jobs`-th result
+    /// arrives, dropping that result. The wedged process neither answers nor heartbeats
+    /// but stays alive: only the heartbeat timeout can catch it.
     pub fn fault_stall_after(mut self, shard: usize, jobs: u64) -> Self {
         self.faults[shard].stall_after = Some(jobs);
         self
@@ -140,6 +164,8 @@ struct ShardState {
     last_seen: Instant,
     in_flight: usize,
     accepted: u64,
+    /// Results received, accepted or not: what a [`ShardFault`] counts.
+    results: u64,
     _reader: thread::JoinHandle<()>,
 }
 
@@ -271,12 +297,6 @@ impl Executor for ShardedExecutor {
         for shard in 0..self.shards {
             let mut cmd = Command::new(&worker);
             cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::inherit());
-            if let Some(n) = self.faults[shard].exit_after {
-                cmd.env(crate::worker::ENV_FAIL_AFTER_JOBS, n.to_string());
-            }
-            if let Some(n) = self.faults[shard].stall_after {
-                cmd.env(crate::worker::ENV_STALL_AFTER_JOBS, n.to_string());
-            }
             let mut child = cmd
                 .spawn()
                 .unwrap_or_else(|e| panic!("cannot spawn shard worker {}: {e}", worker.display()));
@@ -319,6 +339,7 @@ impl Executor for ShardedExecutor {
                 last_seen: Instant::now(),
                 in_flight: 0,
                 accepted: 0,
+                results: 0,
                 _reader: reader,
             });
         }
@@ -352,7 +373,13 @@ impl Executor for ShardedExecutor {
                         Message::Heartbeat { .. } => run.heartbeats += 1,
                         Message::JobResult { job_id, output, stats } => {
                             let idx = job_id.wrapping_sub(1) as usize;
-                            if job_id == 0 || idx >= parts || run.outputs[idx].is_some() {
+                            let state = &mut run.shards[shard];
+                            state.results += 1;
+                            if self.faults[shard].strike(&mut state.child, state.results) {
+                                // The fault landed on this result. Dropping it leaves its job
+                                // unacknowledged, so the shard dies holding one whatever its
+                                // timing; the death is detected the way a real one would be.
+                            } else if job_id == 0 || idx >= parts || run.outputs[idx].is_some() {
                                 // Duplicate (job was redistributed, both copies ran) or
                                 // bogus id: first ack already won, drop this one.
                             } else {

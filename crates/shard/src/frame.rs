@@ -72,14 +72,6 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl FrameError {
-    /// Whether this error means the peer is gone (any end-of-stream shape or I/O error),
-    /// as opposed to a protocol violation on a live stream ([`FrameError::Oversize`]).
-    pub fn is_disconnect(&self) -> bool {
-        !matches!(self, FrameError::Oversize { .. })
-    }
-}
-
 /// Write `payload` as one frame and flush. The frame is assembled into a single buffer
 /// first so the underlying writer sees exactly one write call per frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
@@ -161,7 +153,5 @@ mod tests {
         let mut r = Cursor::new(buf);
         let err = read_frame(&mut r).unwrap_err();
         assert!(matches!(err, FrameError::Oversize { .. }));
-        assert!(!err.is_disconnect(), "a live stream spoke garbage; the peer is not gone");
-        assert!(FrameError::CleanEof.is_disconnect());
     }
 }

@@ -15,7 +15,8 @@
 //!   `Shutdown`/`Bye`/`Error`) over frame payloads, with a versioned, magic-prefixed
 //!   handshake that both sides refuse on mismatch;
 //! * [`worker`] — the subprocess side: handshake, job loop on a native pool, heartbeat
-//!   thread, and env-scripted fault injection for the chaos tests;
+//!   thread; it has no fault hook (the chaos tests' crashes and wedges are signals the
+//!   coordinator sends its process);
 //! * [`coordinator`] — [`ShardedExecutor`]: windowed round-robin dispatch, shard-death detection
 //!   (EOF, error frames, heartbeat timeout), redistribution of unacknowledged jobs, and
 //!   aggregation of per-shard statistics into a normalized [`rws_exec::ExecReport`].

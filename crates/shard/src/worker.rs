@@ -23,21 +23,13 @@
 //! Stdout is shared by the result and heartbeat writers behind a mutex; frames are
 //! assembled as single writes (see [`crate::frame`]) so they never interleave.
 //!
-//! # Fault injection
-//!
-//! Two environment variables let the chaos tests script worker failure:
-//!
-//! * [`ENV_FAIL_AFTER_JOBS`] — after producing this many results, exit abruptly
-//!   (simulates a crash with jobs still queued; the coordinator sees EOF).
-//! * [`ENV_STALL_AFTER_JOBS`] — after producing this many results, stop processing *and*
-//!   stop heartbeating, but stay alive (simulates a wedged process; the coordinator's
-//!   heartbeat timeout must catch it).
+//! The worker has no fault hook: a crash or a wedge is done to its process from outside
+//! (see the coordinator's `fault_exit_after` / `fault_stall_after`).
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{Message, PartStats, VERSION};
 use rws_exec::{NativeExecutor, SharedWorkload};
 use std::io::{self, Write};
-use std::process;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -47,22 +39,10 @@ use std::time::{Duration, Instant};
 /// How often the worker emits a heartbeat frame.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Env var: exit the process abruptly after this many results (chaos testing).
-pub const ENV_FAIL_AFTER_JOBS: &str = "RWS_SHARD_FAIL_AFTER_JOBS";
-
-/// Env var: stop processing and heartbeating (but stay alive) after this many results.
-pub const ENV_STALL_AFTER_JOBS: &str = "RWS_SHARD_STALL_AFTER_JOBS";
-
 /// Exit code when the handshake is refused (bad magic or version mismatch).
 pub const EXIT_HANDSHAKE_REFUSED: i32 = 2;
-/// Exit code for the scripted abrupt death of [`ENV_FAIL_AFTER_JOBS`].
-pub const EXIT_FAULT_INJECTED: i32 = 3;
 /// Exit code when a job references an unknown workload kind.
 pub const EXIT_BAD_JOB: i32 = 4;
-
-fn env_count(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
 
 fn send(out: &Mutex<io::Stdout>, msg: &Message) -> io::Result<()> {
     let mut guard = out.lock().unwrap_or_else(|e| e.into_inner());
@@ -106,9 +86,6 @@ pub fn run_worker() -> i32 {
     if send(&out, &Message::HelloAck { version: VERSION, shard }).is_err() {
         return EXIT_HANDSHAKE_REFUSED;
     }
-
-    let fail_after = env_count(ENV_FAIL_AFTER_JOBS);
-    let stall_after = env_count(ENV_STALL_AFTER_JOBS);
 
     let queue_depth = Arc::new(AtomicU32::new(0));
     let jobs_done = Arc::new(AtomicU64::new(0));
@@ -171,16 +148,6 @@ pub fn run_worker() -> i32 {
         };
         match msg {
             Message::Job(job) => {
-                if let Some(limit) = stall_after {
-                    if jobs_done.load(Ordering::SeqCst) >= limit {
-                        // Wedge: stop heartbeating and never answer again. The
-                        // coordinator's heartbeat timeout is responsible for killing us.
-                        let _ = stop.send(());
-                        loop {
-                            thread::sleep(Duration::from_secs(3600));
-                        }
-                    }
-                }
                 let key = (job.kind.clone(), job.n, job.base);
                 let workload = match &cache {
                     Some((cached_key, wl)) if *cached_key == key => Arc::clone(wl),
@@ -228,14 +195,7 @@ pub fn run_worker() -> i32 {
                     break 0; // coordinator hung up
                 }
                 queue_depth.fetch_sub(1, Ordering::SeqCst);
-                let done = jobs_done.fetch_add(1, Ordering::SeqCst) + 1;
-                if let Some(limit) = fail_after {
-                    if done >= limit {
-                        // Scripted crash: no Bye, no drain — the coordinator must see a
-                        // raw EOF with jobs still unacknowledged.
-                        process::exit(EXIT_FAULT_INJECTED);
-                    }
-                }
+                jobs_done.fetch_add(1, Ordering::SeqCst);
             }
             Message::Shutdown => {
                 let _ = send(&out, &Message::Bye);
