@@ -1,15 +1,24 @@
 //! Job representations for the pool's deques.
 //!
-//! The hot path of fork-join execution is [`StackJob`]: the right branch of a `join` lives
-//! in the **caller's stack frame** and is pushed into the deque as a [`JobRef`] — two words,
-//! no `Box`, no `Arc`, no `Mutex`. Exactly-once execution is guaranteed by the deque itself
-//! (each pushed item is popped or stolen exactly once); the atomic [`Latch`] only tells the
-//! owner *when* a stolen branch has finished and carries the result back through an
-//! `UnsafeCell` write that the latch's release/acquire pair orders.
+//! A queued [`Job`] is two words, `{ data, execute }`, passed in two registers and stored
+//! in one 16-byte deque slot: a pointer to the job's payload, whose low two bits carry its
+//! flight-recorder [`JobKind`], and the function that runs it. It has no drop glue and no
+//! variants: every payload is reached the same way, and whoever pops or steals the job
+//! runs it exactly once. The payloads:
 //!
-//! A cross-thread `install` hands its closure over the same way, from the installer's frame
-//! through the injector. Heap-allocated jobs ([`Job::Heap`]) remain for the cold,
-//! fire-and-forget entry point (`spawn`), where nobody waits in a frame the job could live in.
+//! * [`StackJob`] — the right branch of a `join`, in the **caller's stack frame**: no
+//!   `Box`, no `Arc`, no `Mutex`. Exactly-once execution is guaranteed by the deque itself
+//!   (each pushed item is popped or stolen exactly once); the atomic [`Latch`] only tells
+//!   the owner *when* a stolen branch has finished and carries the result back through an
+//!   `UnsafeCell` write that the latch's release/acquire pair orders. A cross-thread
+//!   `install` hands its closure over the same way, from the installer's frame through the
+//!   injector.
+//! * A scoped spawn's box (`scope.rs`), which points back at its scope.
+//! * [`HeapJob`] — the cold, fire-and-forget entry point (`spawn`), where nobody waits in a
+//!   frame the job could live in: the concrete closure, boxed once.
+//!
+//! Every payload is 8-aligned, so the two low bits of its address are free for the tag;
+//! [`Job::from_raw`] does not compile for a payload type aligned to less than 4.
 
 #![allow(unsafe_code)]
 
@@ -21,106 +30,105 @@ use std::cell::UnsafeCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// A unit of work queued in a worker deque or the injector.
-pub(crate) enum Job {
-    /// A boxed closure from the cold submission path (`spawn`).
-    Heap(Box<dyn FnOnce() + Send + 'static>),
-    /// A pointer to a job living in a frame that waits for it: a `join` caller's or an
-    /// installer's [`StackJob`], or a scoped spawn's box.
-    Stack(JobRef),
+/// The bits of a job's data word that hold its [`JobKind`].
+const KIND_BITS: usize = 0b11;
+
+/// A unit of work queued in a worker deque or the injector: a tagged pointer to its payload
+/// and the function that consumes it. Not `Copy`: only the one queued value is ever executed,
+/// and `join` keeps [`Job::id`] as its identity witness.
+pub(crate) struct Job {
+    /// The payload's address with its [`JobKind`] in the low two bits.
+    data: *const (),
+    /// Runs the payload at the untagged address; returns whether a heap job's panic was
+    /// caught (see [`Job::execute`]).
+    execute: unsafe fn(*const ()) -> bool,
 }
+
+// Two words, and `Option<Job>` (the fn pointer's niche) too: `push_local` takes the job in
+// two registers and `pop_local` returns it in two, and a deque slot is 16 bytes.
+const _: () = assert!(std::mem::size_of::<Job>() == 2 * std::mem::size_of::<usize>());
+const _: () = assert!(std::mem::size_of::<Option<Job>>() == std::mem::size_of::<Job>());
+
+// SAFETY: a Job travels from its creator to exactly one executor (owner or thief). Its
+// payload is a `StackJob`, `Sync` for exactly that transfer (its closure and result are
+// `Send`), a scoped spawn's box of a `Send` closure, or a `HeapJob` of a `Send` closure.
+unsafe impl Send for Job {}
 
 impl Job {
-    /// Execute the job, consuming it. Never unwinds: a panic from a heap job is caught
-    /// here, because the executing worker may be *helping* from inside a blocked `join` —
-    /// unwinding through that frame would destroy a `StackJob` a thief is still running
-    /// (use-after-free) — and an unwind through `worker_loop` aborts the process. A
-    /// panicking fire-and-forget `spawn` closure is caught here and dropped with the job,
-    /// like a detached thread's. Stack jobs do their own capturing: the payload travels to
-    /// the owning `join`, which re-throws it, or to the installer, whose `try_install`
-    /// returns it (`install` resumes it).
+    /// A job from its payload's address, the function that consumes it, and the kind the
+    /// flight recorder labels it with.
     ///
-    /// Returns `true` when a heap job's panic was quarantined here, so the executing
-    /// worker can health-track it (`PoolStats::record_panic_caught`). Stack jobs report
-    /// `false` even when their closure panics: that payload is *delivered* to the owning
-    /// `join`, not swallowed, so it is the submitter's failure, not this worker's.
-    pub(crate) fn execute(self) -> bool {
-        match self {
-            // A heap job was handed over from outside any fork: it runs under no deadline,
-            // whatever the executing worker is helping from.
-            Job::Heap(f) => {
-                cancel::under(None, || panic::catch_unwind(AssertUnwindSafe(f))).is_err()
-            }
-            // Safety: a queued JobRef's StackJob is kept alive by its `join` frame until
-            // the latch is set, which only `execute` does (after running the closure).
-            Job::Stack(r) => {
-                unsafe { r.execute() };
-                false
-            }
-        }
-    }
-
-    /// Whether this job is the given stack job (pointer identity) — the `join` fast path's
-    /// "did I just pop my own right branch?" test.
+    /// # Safety
+    /// Whatever `data` points to must stay alive until `execute` consumes it, `execute` must
+    /// accept exactly that payload, and the job must be executed exactly once (the deque's
+    /// pop/steal discipline) or, for a `join` branch, reclaimed by its owner.
     #[inline]
-    pub(crate) fn is_ref(&self, r: &JobRef) -> bool {
-        match self {
-            Job::Heap(_) => false,
-            Job::Stack(mine) => std::ptr::eq(mine.data, r.data),
-        }
-    }
-
-    /// The flight-recorder job-kind tag: heap jobs are injected roots; stack jobs carry
-    /// the tag their creator stamped on the ref (join branch, scoped spawn, or an install's
-    /// injected root).
-    pub(crate) fn kind(&self) -> JobKind {
-        match self {
-            Job::Heap(_) => JobKind::InjectedRoot,
-            Job::Stack(r) => r.kind,
-        }
-    }
-}
-
-/// A type-erased pointer to a [`StackJob`] plus its execute function: the two-word queue
-/// entry of the allocation-free fork path. `Copy` so the owner can keep an identity witness
-/// while the queue holds the working copy (only one of the two is ever executed).
-#[derive(Clone, Copy)]
-pub(crate) struct JobRef {
-    data: *const (),
-    execute_fn: unsafe fn(*const ()),
-    /// Flight-recorder tag: what kind of work this ref points at. One byte riding along
-    /// so `run_job` can label its trace events without a virtual call.
-    kind: JobKind,
-}
-
-// Safety: a JobRef only travels from the owner's push to exactly one executor (owner or
-// thief), and the StackJob it points to is Sync for exactly that transfer (the closure and
-// result are `Send`).
-unsafe impl Send for JobRef {}
-
-impl JobRef {
-    /// A queue entry from a raw data pointer and its execute function. Used by the scoped
-    /// spawn machinery (`scope.rs`), whose jobs live in a box whose ownership the ref
-    /// carries.
-    ///
-    /// # Safety
-    /// Whatever `data` points to must stay alive until `execute_fn` consumes it, and the
-    /// ref must be executed exactly once (the deque's pop/steal discipline).
-    pub(crate) unsafe fn from_raw(
-        data: *const (),
-        execute_fn: unsafe fn(*const ()),
+    pub(crate) unsafe fn from_raw<T>(
+        data: *const T,
+        execute: unsafe fn(*const ()) -> bool,
         kind: JobKind,
-    ) -> JobRef {
-        JobRef { data, execute_fn, kind }
+    ) -> Job {
+        const { assert!(std::mem::align_of::<T>() > KIND_BITS, "no room for the kind tag") };
+        Job { data: data.cast::<()>().map_addr(|a| a | kind as usize), execute }
     }
 
-    /// Run the referenced stack job.
+    /// A fire-and-forget closure (`spawn`), boxed once. It runs under no deadline, whatever
+    /// the executing worker is helping from, and its panic is caught and dropped with it,
+    /// like a detached thread's.
+    pub(crate) fn heap<F: FnOnce() + Send + 'static>(func: F) -> Job {
+        let boxed = Box::into_raw(Box::new(HeapJob(func)));
+        // SAFETY: the box's ownership moves into the job and `HeapJob::execute` reclaims it.
+        // A job is never dropped unexecuted — it has no drop glue, so one would leak — since
+        // `ThreadPool::stop` runs every queued job before the deques go.
+        unsafe { Job::from_raw(boxed, HeapJob::<F>::execute, JobKind::InjectedRoot) }
+    }
+
+    /// Execute the job, consuming it. Never unwinds: every payload catches its own panic,
+    /// because the executing worker may be *helping* from inside a blocked `join` —
+    /// unwinding through that frame would destroy a `StackJob` a thief is still running
+    /// (use-after-free) — and an unwind through `worker_loop` aborts the process. A stack
+    /// job's payload travels to the owning `join`, which re-throws it, or to the
+    /// installer, whose `try_install` returns it (`install` resumes it); a scoped spawn's
+    /// goes to its scope.
+    ///
+    /// Returns `true` when a heap job's panic was quarantined, so the executing worker can
+    /// health-track it (`PoolStats::record_panic_caught`). The other kinds report `false`
+    /// even when their closure panics: that payload is *delivered*, not swallowed, so it is
+    /// the submitter's failure, not this worker's.
+    #[inline]
+    pub(crate) fn execute(self) -> bool {
+        // SAFETY: the constructor's contract — the payload is alive and this is its one
+        // execution — and the untagged word is the address it was built from.
+        unsafe { (self.execute)(self.data.map_addr(|a| a & !KIND_BITS)) }
+    }
+
+    /// The tagged data word: equal for two jobs only if they are the same job. `join` keeps
+    /// its branch's id to tell, after popping, whether it got its own branch back.
+    #[inline]
+    pub(crate) fn id(&self) -> *const () {
+        self.data
+    }
+
+    /// The flight-recorder job-kind tag its creator stamped on the job: a join branch, a
+    /// scoped spawn, or an injected root (`spawn`, or an install's stack job).
+    pub(crate) fn kind(&self) -> JobKind {
+        JobKind::from_code((self.data.addr() & KIND_BITS) as u8)
+    }
+}
+
+/// A `spawn`ed closure in its own box: the payload of [`Job::heap`]. 8-aligned whatever the
+/// closure's alignment, so its address has room for the kind tag.
+#[repr(align(8))]
+struct HeapJob<F>(F);
+
+impl<F: FnOnce() + Send> HeapJob<F> {
+    /// Reclaim the box, run the closure under no deadline, and report whether it panicked.
     ///
     /// # Safety
-    /// The referenced [`StackJob`] must still be alive, and this must be the job's only
-    /// executor (guaranteed by the deque's exactly-once pop/steal discipline).
-    pub(crate) unsafe fn execute(self) {
-        (self.execute_fn)(self.data)
+    /// `data` must be the `Box<HeapJob<F>>` a [`Job::heap`] was made from, executed once.
+    unsafe fn execute(data: *const ()) -> bool {
+        let HeapJob(func) = *Box::from_raw(data as *mut HeapJob<F>);
+        cancel::under(None, || panic::catch_unwind(AssertUnwindSafe(func))).is_err()
     }
 }
 
@@ -218,10 +226,10 @@ impl CountLatch {
 /// The right branch of a `join`, allocated in the caller's stack frame — or an installed
 /// closure, in its installer's.
 ///
-/// Lifecycle: the owner creates it, pushes its [`JobRef`], runs the left branch, and then
+/// Lifecycle: the owner creates it, pushes its [`Job`], runs the left branch, and then
 /// either pops it back (fast path: takes the closure out and runs it inline — no atomics
 /// beyond the deque's own) or, if a thief took it, waits on the latch and reads the result.
-/// An installer injects the ref and always waits on the latch.
+/// An installer injects the job and always waits on the latch.
 pub(crate) struct StackJob<F, R> {
     latch: Latch,
     func: UnsafeCell<Option<F>>,
@@ -269,14 +277,15 @@ where
     /// The queue entry pointing at this job, tagged `kind` for the flight recorder.
     ///
     /// # Safety
-    /// The caller must keep `self` alive until the ref is either executed (latch set) or
+    /// The caller must keep `self` alive until the job is either executed (latch set) or
     /// reclaimed by popping it back off the deque — `join` and `try_install` guarantee this
     /// by not returning until one of the two has happened.
-    pub(crate) unsafe fn as_job_ref(&self, kind: JobKind) -> JobRef {
-        JobRef { data: self as *const Self as *const (), execute_fn: Self::execute_from_ref, kind }
+    #[inline]
+    pub(crate) unsafe fn as_job(&self, kind: JobKind) -> Job {
+        Job::from_raw(self as *const Self, Self::execute, kind)
     }
 
-    unsafe fn execute_from_ref(data: *const ()) {
+    unsafe fn execute(data: *const ()) -> bool {
         let this = &*(data as *const Self);
         let func = (*this.func.get()).take().expect("stack job executed twice");
         // Install the fork-time word for the branch's run: a thief inherits the owner's
@@ -293,25 +302,26 @@ where
         drop(token);
         *this.result.get() = result;
         this.latch.set();
+        false
     }
 
-    /// Fast path: the owner popped its own ref back — take the closure out of the job where
+    /// Fast path: the owner popped its own job back — take the closure out of the job where
     /// it stands (no move of the whole job) and run it inline, returning the value directly
     /// (panics propagate normally; the job is exclusively ours again).
     ///
     /// # Safety
-    /// Must only be called after reclaiming the job's ref from the deque.
+    /// Must only be called after reclaiming the job from the deque.
     #[inline]
     pub(crate) unsafe fn run_inline(&self) -> R {
         let func = (*self.func.get()).take().expect("reclaimed stack job must hold its closure");
         func()
     }
 
-    /// Drop the unexecuted closure (owner reclaimed the ref while unwinding from a panic in
+    /// Drop the unexecuted closure (owner reclaimed the job while unwinding from a panic in
     /// the left branch).
     ///
     /// # Safety
-    /// Must only be called after reclaiming the job's ref from the deque.
+    /// Must only be called after reclaiming the job from the deque.
     pub(crate) unsafe fn abandon(&self) {
         drop((*self.func.get()).take());
     }
@@ -320,5 +330,75 @@ where
     pub(crate) fn into_result(self) -> JoinResult<R> {
         debug_assert!(self.latch.probe(), "result taken before the latch was set");
         self.result.into_inner()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::resume_unwind;
+
+    /// A scoped spawn's payload stand-in: a box of a pointer-aligned value.
+    unsafe fn execute_boxed(data: *const ()) -> bool {
+        drop(Box::from_raw(data as *mut usize));
+        false
+    }
+
+    #[test]
+    fn each_constructor_reports_its_kind() {
+        let events = EventCount::default();
+        let stack = StackJob::new(|| 1, &events, ForkToken::none());
+        for kind in [JobKind::JoinBranch, JobKind::InjectedRoot] {
+            // SAFETY: `stack` outlives the job, which is dropped unexecuted (inert).
+            assert_eq!(unsafe { stack.as_job(kind) }.kind(), kind);
+        }
+        let heap = Job::heap(|| ());
+        assert_eq!(heap.kind(), JobKind::InjectedRoot);
+        assert!(!heap.execute());
+        // SAFETY: the box is consumed by the one execution below.
+        let boxed = unsafe {
+            Job::from_raw(Box::into_raw(Box::new(7usize)), execute_boxed, JobKind::ScopedSpawn)
+        };
+        assert_eq!(boxed.kind(), JobKind::ScopedSpawn);
+        assert!(!boxed.execute());
+    }
+
+    #[test]
+    fn execute_reports_only_a_heap_jobs_panic() {
+        assert!(Job::heap(|| resume_unwind(Box::new("heap job fails"))).execute());
+        assert!(!Job::heap(|| ()).execute());
+
+        let events = EventCount::default();
+        let stack = StackJob::new(
+            || -> u8 { resume_unwind(Box::new("branch fails")) },
+            &events,
+            ForkToken::none(),
+        );
+        // SAFETY: `stack` outlives its one execution.
+        assert!(!unsafe { stack.as_job(JobKind::JoinBranch) }.execute(), "delivered, not caught");
+        assert!(stack.latch().probe());
+        assert!(matches!(stack.into_result(), JoinResult::Panic(_)));
+    }
+
+    #[test]
+    fn a_join_witness_matches_only_its_own_job() {
+        let events = EventCount::default();
+        let mine = StackJob::new(|| 1, &events, ForkToken::none());
+        let other = StackJob::new(|| 2, &events, ForkToken::none());
+        // SAFETY: both stack jobs outlive these jobs, none of which is executed.
+        let (id, again, other, as_root) = unsafe {
+            (
+                mine.as_job(JobKind::JoinBranch).id(),
+                mine.as_job(JobKind::JoinBranch).id(),
+                other.as_job(JobKind::JoinBranch).id(),
+                mine.as_job(JobKind::InjectedRoot).id(),
+            )
+        };
+        assert_eq!(id, again);
+        assert_ne!(id, other);
+        assert_ne!(id, as_root, "the kind tag is part of the identity");
+        let heap = Job::heap(|| ());
+        assert_ne!(heap.id(), id);
+        heap.execute();
     }
 }

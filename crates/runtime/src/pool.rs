@@ -5,8 +5,10 @@
 //! uniformly at random and steals from the *top* of its deque. [`join`] implements fork-join
 //! on top of this with an **allocation-free fast path**: the right branch is a
 //! `StackJob` (see `job.rs`) in the caller's own stack frame, pushed into the deque as a
-//! two-word reference. When nobody steals it the owner pops it straight back and runs it
-//! inline — no `Box`, no `Arc`, no lock and no locked read-modify-write: the
+//! two-word `Job` — a tagged pointer to it and its execute function, passed in two
+//! registers and stored as two 8-byte words in one 16-byte slot. When nobody steals it the
+//! owner pops it straight back (again in two registers) and runs it inline — no `Box`, no
+//! `Arc`, no lock and no locked read-modify-write: the
 //! fork reads the thread's worker word and its cancellation word, pushes, pops (whose
 //! `SeqCst` fence is the path's one serializing instruction), reads the job's latch once
 //! (one acquire load that finds it unset; nothing ever sets or waits on it) and bumps its
@@ -141,11 +143,10 @@ impl WorkerHandle {
     }
 
     /// Kept out of line, like [`WorkerHandle::pop_local`]: one compact function with the
-    /// deque operation inlined into it, called from every `join` instance. Left to itself
-    /// LLVM folds both into `join`, and that shape measures two ways on `forkjoin-fine` —
-    /// a fifth faster than this one for minutes at a time, a few percent slower for others
-    /// — while this one reads the same every run (`docs/ARCHITECTURE.md`, "What an
-    /// unstolen fork costs").
+    /// deque operation inlined into it, called from every `join` instance, taking the job
+    /// in two registers. Folded into `join` (`#[inline]`) both measure two ways on
+    /// `forkjoin-fine`, and the folded shape has not read lower in 9 of 10 pairs
+    /// (`docs/ARCHITECTURE.md`, "What an unstolen fork costs").
     #[inline(never)]
     pub(crate) fn push_local(&self, job: Job) {
         self.local.push(job);
@@ -341,10 +342,10 @@ impl Drop for CurrentWorker<'_> {
 /// The worker's thread. Owns the handle: the thread's worker word points into this frame
 /// for exactly as long as the scheduling loop runs.
 ///
-/// Every job catches its own unwind (`Job::execute`, `StackJob`, `scope`, the service's
-/// root wrapper), so an unwind out of `sweep` can only come from the scheduler itself —
-/// from `find_job` mid-claim, say — and may have left a deque's invariants broken. Running
-/// on could then lose a job or run one twice, so the process aborts instead.
+/// Every job catches its own unwind (`spawn`'s `HeapJob`, `StackJob`, `scope`, the
+/// service's root wrapper), so an unwind out of `sweep` can only come from the scheduler
+/// itself — from `find_job` mid-claim, say — and may have left a deque's invariants broken.
+/// Running on could then lose a job or run one twice, so the process aborts instead.
 fn worker_loop(handle: WorkerHandle) {
     let _current = CurrentWorker::enter(&handle);
     if panic::catch_unwind(AssertUnwindSafe(|| sweep(&handle))).is_err() {
@@ -502,7 +503,7 @@ impl ThreadPool {
 
     /// Submit a fire-and-forget job.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.inject(Job::Heap(Box::new(job)));
+        self.shared.inject(Job::heap(job));
     }
 
     /// Run `f` on a worker thread and block until it returns. Calls to [`join`] inside `f`
@@ -537,8 +538,9 @@ impl ThreadPool {
         // the latch is always set, by the run that writes the outcome. No token: an install
         // runs under none, wherever it was called from.
         let job = StackJob::new(f, &self.shared.installers, ForkToken::none());
-        // SAFETY: `job` outlives its ref: this frame is not left before the latch is set.
-        self.shared.inject(Job::Stack(unsafe { job.as_job_ref(JobKind::InjectedRoot) }));
+        // SAFETY: `job` outlives its queue entry: this frame is not left before the latch is
+        // set.
+        self.shared.inject(unsafe { job.as_job(JobKind::InjectedRoot) });
         while !job.latch().probe() {
             // The run's `Latch::set` wakes this wait; the 50 ms re-check is nothing it
             // relies on.
@@ -575,7 +577,7 @@ impl Drop for ThreadPool {
 /// called from an ordinary thread the two closures simply run sequentially.
 ///
 /// The fast path is allocation-free: the right branch lives in this stack frame and is
-/// queued by reference; if no thief takes it, the owner pops it straight back and runs it
+/// queued by pointer; if no thief takes it, the owner pops it straight back and runs it
 /// inline. If a branch panics, the panic is rethrown on the caller's thread *after* both
 /// branches have been resolved (so no stack job is ever left dangling); when both panic,
 /// the left branch's payload wins.
@@ -610,12 +612,14 @@ where
     if let Some(t) = worker.shared.trace() {
         t.record(worker.index, EventKind::CancelCheck, 0, 0);
     }
-    // The right branch lives in this frame; the queue holds only a reference to it. We must
-    // not leave this function until the reference is out of the queue (reclaimed below) or
+    // The right branch lives in this frame; the queue holds only a pointer to it. We must
+    // not leave this function until the job is out of the queue (reclaimed below) or
     // executed (latch set) — both paths below guarantee that before returning or unwinding.
     let job_b = StackJob::new(b, &worker.shared.sleep.0, token);
-    let job_ref = unsafe { job_b.as_job_ref(JobKind::JoinBranch) };
-    worker.push_local(Job::Stack(job_ref));
+    // SAFETY: see above; `id` is the witness that tells our own job from any other.
+    let job = unsafe { job_b.as_job(JobKind::JoinBranch) };
+    let id = job.id();
+    worker.push_local(job);
 
     // Run the left branch, capturing a panic so an unwind cannot tear down this frame while
     // `job_b`'s reference is still out there.
@@ -628,9 +632,9 @@ where
             break job_b.into_result();
         }
         match worker.pop_local() {
-            Some(job) if job.is_ref(&job_ref) => {
+            Some(job) if job.id() == id => {
                 // Fast path: nobody stole it — the job is exclusively ours again. `job` is
-                // just the two-word reference; dropping it here is inert.
+                // just the two words pointing at `job_b`; dropping it here is inert.
                 match result_a {
                     Ok(ra) => {
                         // Still a unit of fork-join work: count it (a plain load and store
@@ -660,7 +664,7 @@ where
                 }
             }
             Some(job) => {
-                // With strictly nested joins the top of our deque is always our own ref (or
+                // With strictly nested joins the top of our deque is always our own job (or
                 // empty); tolerate foreign jobs anyway by just running them.
                 worker.run_job(job);
             }
@@ -929,7 +933,7 @@ mod tests {
 
     #[test]
     fn panicking_spawned_job_does_not_kill_workers() {
-        // Regression test: Job::execute must not let a heap job's panic unwind the worker
+        // Regression test: a heap job's execute must not let its panic unwind the worker
         // (or a join frame the worker is helping from — that would be a use-after-free of
         // the frame's StackJob).
         let pool = ThreadPool::new(1);

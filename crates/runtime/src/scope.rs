@@ -23,7 +23,7 @@
 //!   they may borrow from the caller's frame because `scope` does not return until every
 //!   spawn has completed (a shared atomic `CountLatch` counts them down).
 //! * **One boxed job per spawn**: a spawn from a worker of the scope's pool boxes its
-//!   closure and pushes it onto that worker's deque as the same two-word `JobRef` (see
+//!   closure and pushes it onto that worker's deque as the same two-word `Job` (see
 //!   `job.rs`) the `join` fast path uses; a spawn from any other thread is injected. The
 //!   allocation-free fork is [`join`](crate::join): a fixed fan-out on a hot path, such as
 //!   the kernels' quadrant splits, nests it instead.
@@ -40,14 +40,14 @@
 //! semantics every other primitive in this crate degrades to), still with scope-exit panic
 //! aggregation.
 
-// Unsafe is confined to the box handoff; the invariants mirror `job.rs`: a queued JobRef is
-// executed exactly once, the box's ownership travels with the ref, and the scope the box
+// Unsafe is confined to the box handoff; the invariants mirror `job.rs`: a queued Job is
+// executed exactly once, the box's ownership travels with the job, and the scope the box
 // points back to outlives execution because `scope` waits for the completion latch before
 // returning — even when its body unwinds.
 #![allow(unsafe_code)]
 
 use crate::cancel::{self, ForkToken};
-use crate::job::{CountLatch, Job, JobRef};
+use crate::job::{CountLatch, Job};
 use crate::pool::{Shared, WorkerHandle};
 use rws_trace::JobKind;
 use std::any::Any;
@@ -81,8 +81,9 @@ pub struct Scope<'scope> {
 // `spawn`'s bounds.
 unsafe impl Sync for Scope<'_> {}
 
-/// A boxed spawn: the closure and a pointer to its scope. The box travels through the queue
-/// as a raw [`JobRef`], the same entry a `join` queues.
+/// A boxed spawn: the closure and a pointer to its scope (which makes it 8-aligned, room for
+/// the job's kind tag). The box travels through the queue as a [`Job`], the same entry a
+/// `join` queues.
 struct HeapSpawn<F> {
     scope: *const (),
     func: F,
@@ -129,21 +130,16 @@ impl<'scope> Scope<'scope> {
         };
         self.latch.increment();
         let boxed = Box::new(HeapSpawn { scope: self as *const Self as *const (), func: f });
-        // Safety: the box's ownership transfers into the ref; execute_heap reclaims it. The
+        // Safety: the box's ownership transfers into the job; execute_heap reclaims it. The
         // scope outlives execution because the latch was incremented above and `scope` waits
         // for it.
-        let job_ref = unsafe {
-            JobRef::from_raw(
-                Box::into_raw(boxed) as *const (),
-                execute_heap::<F>,
-                JobKind::ScopedSpawn,
-            )
-        };
+        let job =
+            unsafe { Job::from_raw(Box::into_raw(boxed), execute_heap::<F>, JobKind::ScopedSpawn) };
         // A worker of this pool queues locally; any other thread cannot reach a local deque
         // of this pool, so it injects.
         WorkerHandle::with_current(|worker| match worker.filter(|w| Arc::ptr_eq(&w.shared, pool)) {
-            Some(w) => w.push_local(Job::Stack(job_ref)),
-            None => pool.inject(Job::Stack(job_ref)),
+            Some(w) => w.push_local(job),
+            None => pool.inject(job),
         })
     }
 
@@ -162,12 +158,13 @@ impl<'scope> Scope<'scope> {
 
 /// Type-erased executor for a boxed spawn: reclaim the box, run the closure, and resolve
 /// the scope's bookkeeping. The latch decrement is the very last touch: after it the owner
-/// may return from `scope` and invalidate the frame.
+/// may return from `scope` and invalidate the frame. Returns `false`: a panic is delivered
+/// to the scope, not swallowed (see `Job::execute`).
 ///
 /// # Safety
-/// `data` must be the `Box<HeapSpawn<F>>` this ref was created from, pointing at a live
+/// `data` must be the `Box<HeapSpawn<F>>` this job was created from, pointing at a live
 /// `Scope<'scope>` matching `F`'s checked lifetime, and this must be its only executor.
-unsafe fn execute_heap<'scope, F>(data: *const ())
+unsafe fn execute_heap<'scope, F>(data: *const ()) -> bool
 where
     F: FnOnce(&Scope<'scope>) + Send + 'scope,
 {
@@ -184,6 +181,7 @@ where
         scope.record_panic(payload);
     }
     scope.latch.set_one();
+    false
 }
 
 /// Open a scope, run `op` with it, and return `op`'s result once every task spawned inside

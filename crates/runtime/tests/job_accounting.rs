@@ -7,7 +7,7 @@
 //! a counter that decreases under the reader.
 
 use rws_runtime::{join, PoolStatsSnapshot, ThreadPoolBuilder, WorkerSnapshot};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 
 const LEAF: u64 = 64;
@@ -53,6 +53,7 @@ fn a_fork_tree_counts_one_job_per_fork_plus_its_root_while_a_reader_watches() {
         let pool = ThreadPoolBuilder::new().threads(threads).build();
         let stats = pool.stats();
         let stop = AtomicBool::new(false);
+        let taken = AtomicU64::new(0);
         thread::scope(|s| {
             let reader = s.spawn(|| {
                 let mut prev = stats.snapshot();
@@ -62,10 +63,16 @@ fn a_fork_tree_counts_one_job_per_fork_plus_its_root_while_a_reader_watches() {
                     assert_monotone(&prev, &now);
                     prev = now;
                     snapshots += 1;
+                    taken.store(snapshots, Ordering::Release);
                     thread::yield_now();
                 }
                 snapshots
             });
+            // On a loaded host the trees can all finish before the reader is first
+            // scheduled; it must be watching before the first one starts (or have failed).
+            while taken.load(Ordering::Acquire) == 0 && !reader.is_finished() {
+                thread::yield_now();
+            }
             let n = LEAF * LEAVES;
             for repeat in 0..REPEATS {
                 let before = stats.snapshot();

@@ -1,9 +1,9 @@
 //! A panic through every public entry point stays in the job that raised it.
 //!
-//! Every job kind catches its own unwind — a heap job in `Job::execute`, a `join` branch
-//! or an install in its `StackJob`, a scoped spawn in its scope, a service job in its root
-//! wrapper — so no closure's panic ever reaches a worker's scheduling loop. (An unwind that
-//! did would abort the process, and this test binary with it.) Each case runs 50 rounds on
+//! Every job kind catches its own unwind — a `spawn`ed closure in its `HeapJob`, a `join`
+//! branch or an install in its `StackJob`, a scoped spawn in its scope, a service job in its
+//! root wrapper — so no closure's panic ever reaches a worker's scheduling loop. (An unwind
+//! that did would abort the process, and this test binary with it.) Each case runs 50 rounds on
 //! a 1-thread and on a 2-thread pool, and the pools still compute afterwards.
 //!
 //! The closures panic with `resume_unwind`, which skips the panic hook, so a passing run
