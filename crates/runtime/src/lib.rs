@@ -8,25 +8,22 @@
 //!
 //! The fork/steal hot path is engineered to cost what the model charges it and nothing more:
 //!
-//! * **Lock-free deques with steal-half batching** — each worker's queue is a real
-//!   Chase–Lev deque (the vendored `crossbeam-deque`) with one discipline, LIFO owner and
-//!   FIFO thief: atomic top/bottom indices, one CAS per stolen task with `Steal::Retry` on
-//!   lost races, a growable ring buffer, and no locks anywhere: a worker keeps its deque
-//!   for the pool's life, so a thief reads its victim's stealer straight from the pool's
-//!   table. A thief takes up to *half* the
-//!   victim's queue per visit (`steal_batch_and_pop_counted`), running the oldest job and
-//!   requeueing the rest locally — the stats separate the paper's per-task steal events
-//!   from per-visit [`batch_steals`](PoolStatsSnapshot::total_batch_steals). Every counter
-//!   is read through one [`PoolStats::snapshot`].
+//! * **Private deques, one task per steal** — each worker's queue is a plain `VecDeque`
+//!   that only its owner touches, LIFO for the owner. Its oldest job sits on offer in the
+//!   worker's cache-line-padded steal cell, where a thief takes it with one CAS, never
+//!   waiting for the owner: one steal moves exactly one task, the oldest, as in the paper
+//!   and the simulator. The owner's push and pop take no fence and no locked instruction
+//!   (a pop that finds the deque empty takes the offer back with one CAS, out of line).
+//!   Every counter is read through one [`PoolStats::snapshot`].
 //! * **Allocation-free `join`** — the right branch of a [`join`] is a *stack job* in the
 //!   caller's frame, queued by reference; the unstolen fast path performs zero heap
 //!   allocations and takes no lock (asserted by a counting-allocator test), touching only
-//!   the deque's indices and this worker's own padded counters. A cross-thread
-//!   [`ThreadPool::install`] hands its closure over the same way, from the installer's
-//!   frame.
+//!   its own deque, its steal cell's state word and this worker's own padded counters. A
+//!   cross-thread [`ThreadPool::install`] hands its closure over the same way, from the
+//!   installer's frame.
 //! * **Parked idle workers** — a worker that finds no work spins briefly and then parks on
-//!   the pool's sleep protocol; an idle pool burns no CPU, and a fork wakes sleepers with a
-//!   single relaxed load on the producer side.
+//!   the pool's sleep protocol; an idle pool burns no CPU, and an offer wakes sleepers with
+//!   a single relaxed load on the producer side.
 //! * **Scoped tasks and a parallel iterator** — [`scope()`] generalizes `join` to arbitrary
 //!   borrow-friendly fan-out behind one shared atomic completion latch (one boxed job per
 //!   spawn; `join` is the one allocation-free fork), and [`par_iter`] builds a rayon-style
@@ -47,10 +44,11 @@
 //! per-worker accumulators packed into a single cache line (false sharing) and once with each
 //! accumulator padded to its own line.
 
-// Unsafe is confined to the stack-job handoff in `job` (and its use in `pool` and `scope`)
-// and to the two one-word thread-locals the fork path reads — the worker word in `pool`, the
-// token word in `cancel`: the invariants are documented at each site and covered by the
-// stress, correctness, and counting-allocator tests.
+// Unsafe is confined to the stack-job handoff in `job` (and its use in `pool` and `scope`),
+// to the owner's private deque in `pool` and the offered job's hand-over in `steal`, and to
+// the two one-word thread-locals the fork path reads — the worker word in `pool`, the token
+// word in `cancel`: the invariants are documented at each site and covered by the stress,
+// correctness, model and counting-allocator tests.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -64,6 +62,7 @@ pub mod scope;
 pub mod service;
 mod sleep;
 pub mod stats;
+mod steal;
 
 pub use cancel::check_cancel;
 pub use hist::{HistogramSnapshot, LatencyHistogram};

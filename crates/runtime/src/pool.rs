@@ -2,24 +2,25 @@
 //!
 //! Workers follow the paper's discipline: each has a private deque; new tasks go to the
 //! bottom; an idle worker first drains the global injector, then repeatedly picks a victim
-//! uniformly at random and steals from the *top* of its deque. [`join`] implements fork-join
-//! on top of this with an **allocation-free fast path**: the right branch is a
-//! `StackJob` (see `job.rs`) in the caller's own stack frame, pushed into the deque as a
-//! two-word `Job` — a tagged pointer to it and its execute function, passed in two
-//! registers and stored as two 8-byte words in one 16-byte slot. When nobody steals it the
-//! owner pops it straight back (again in two registers) and runs it inline — no `Box`, no
-//! `Arc`, no lock and no locked read-modify-write: the
-//! fork reads the thread's worker word and its cancellation word, pushes, pops (whose
-//! `SeqCst` fence is the path's one serializing instruction), reads the job's latch once
-//! (one acquire load that finds it unset; nothing ever sets or waits on it) and bumps its
-//! own job counter with a plain store. `docs/ARCHITECTURE.md` ("What an unstolen fork
-//! costs") has the budget and the tests that pin it. Only when a thief takes the branch
-//! does the owner wait on the job's atomic latch, helping execute other jobs in the meantime
-//! (a blocked join never idles a core) and parking on the pool's `EventCount` (see
-//! `sleep.rs`) when there is nothing to help with.
+//! uniformly at random and steals one task, the *oldest* in the victim's deque. The deque
+//! is a plain `VecDeque` that only its owner touches; the oldest job sits on offer in the
+//! owner's steal cell (`steal.rs`), where a thief takes it with one CAS, without waiting for
+//! the owner and without touching the deque. [`join`] implements fork-join on top of this
+//! with an **allocation-free fast path**: the right branch is a `StackJob` (see `job.rs`) in
+//! the caller's own stack frame, pushed into the deque as a two-word `Job` — a tagged
+//! pointer to it and its execute function, passed in two registers. When nobody steals it
+//! the owner pops it straight back (again in two registers) and runs it inline — no `Box`,
+//! no `Arc`, no lock and no fence: the fork reads the thread's worker word and its
+//! cancellation word, pushes (and looks at its steal cell with one relaxed load), pops,
+//! reads the job's latch once (one acquire load that finds it unset; nothing ever sets or
+//! waits on it) and bumps its own job counter with a plain store. `docs/ARCHITECTURE.md`
+//! ("What an unstolen fork costs") has the budget and the tests that pin it. Only when a
+//! thief takes the branch does the owner wait on the job's atomic latch, helping execute
+//! other jobs in the meantime (a blocked join never idles a core) and parking on the pool's
+//! `EventCount` (see `sleep.rs`) when there is nothing to help with.
 
-// The unsafe here is confined to the stack-job handoff (see `job.rs` for the invariants);
-// everything else in the pool is safe code over the lock-free deques.
+// The unsafe here is confined to the stack-job handoff (see `job.rs` for the invariants), the
+// worker word, and the owner's access to its private deque and its steal cell's offer.
 #![allow(unsafe_code)]
 
 use crate::cancel::{self, ForkToken};
@@ -27,10 +28,12 @@ use crate::job::{Job, JoinResult, Latch, StackJob};
 use crate::padding::CachePadded;
 use crate::sleep::{EventCount, BACKOFF, PARK_BACKSTOP};
 use crate::stats::PoolStats;
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+use crate::steal::StealCell;
+use crossbeam_deque::{Injector, Steal};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_trace::{EventKind, JobKind, TraceRecorder, TraceSnapshot, LADDER_STAGE_PARK};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
@@ -39,15 +42,16 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// Consecutive `Steal::Retry` results tolerated per victim before trying another.
-const STEAL_RETRIES: u32 = 4;
+/// The jobs a worker's deque holds before it first grows: a fork-join nest pushes one per
+/// level, so a warm fork never allocates.
+const DEQUE_CAPACITY: usize = 64;
 
 pub(crate) struct Shared {
     injector: Injector<Job>,
-    /// One per worker, for the pool's life, so the steal path takes no lock.
-    stealers: Vec<Stealer<Job>>,
+    /// One per worker, each on a cache line of its own: where its oldest job is on offer.
+    cells: Box<[CachePadded<StealCell>]>,
     stats: PoolStats,
-    /// Where idle workers park, and owners of stolen branches and scopes wait. Every fork
+    /// Where idle workers park, and owners of stolen branches and scopes wait. Every offer
     /// reads its event count (`notify`); the line of its own keeps the submitter-written
     /// `injector` off it.
     pub(crate) sleep: CachePadded<EventCount>,
@@ -61,6 +65,19 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    fn new(workers: usize, trace: Option<usize>) -> Self {
+        Shared {
+            injector: Injector::new(),
+            cells: (0..workers).map(|_| CachePadded::default()).collect(),
+            stats: PoolStats::new(workers),
+            sleep: CachePadded::default(),
+            shutdown: AtomicBool::new(false),
+            workers,
+            trace: trace.map(|cap| TraceRecorder::new(workers, cap)),
+            installers: EventCount::default(),
+        }
+    }
+
     /// Push a job into the global injector and wake one parked worker, if there is one —
     /// the submission path for work arriving from outside a worker of this pool (`spawn`,
     /// cross-thread `install`, and scoped spawns issued off-pool).
@@ -78,14 +95,11 @@ impl Shared {
         self.sleep.0.wake_one();
     }
 
-    /// Whether any queue visibly holds work (the pre-park check, made after the sleeper's
-    /// fence: a job injected by a thread that then saw no sleeper is visible here; a fork's
-    /// push into a deque may be missed, which the sleep protocol's backstop covers).
+    /// Whether any queue visibly holds work a thief could take (the pre-park check, made
+    /// after the sleeper's fence: a job injected by a thread that then saw no sleeper is
+    /// visible here; an offer may be missed, which the sleep protocol's backstop covers).
     fn has_visible_work(&self) -> bool {
-        if !self.injector.is_empty() {
-            return true;
-        }
-        self.stealers.iter().any(|s| !s.is_empty())
+        !self.injector.is_empty() || self.cells.iter().any(|c| c.0.is_open())
     }
 
     /// The pool's statistics (service-layer access path).
@@ -102,7 +116,9 @@ impl Shared {
 pub(crate) struct WorkerHandle {
     index: usize,
     pub(crate) shared: Arc<Shared>,
-    local: Worker<Job>,
+    /// The private deque: newest job at the back. Only this worker's thread touches it
+    /// (the handle is `!Sync`), through [`WorkerHandle::with_deque`].
+    deque: UnsafeCell<VecDeque<Job>>,
     rng: RefCell<SmallRng>,
 }
 
@@ -122,6 +138,16 @@ pub fn current_num_threads() -> usize {
 }
 
 impl WorkerHandle {
+    /// Worker `index`'s handle, with its deque's capacity allocated up front.
+    fn new(index: usize, shared: Arc<Shared>) -> Self {
+        WorkerHandle {
+            index,
+            shared,
+            deque: UnsafeCell::new(VecDeque::with_capacity(DEQUE_CAPACITY)),
+            rng: RefCell::new(SmallRng::seed_from_u64(0x9E3779B9 + index as u64)),
+        }
+    }
+
     /// Run `f` with the calling thread's worker handle, when it is a pool worker. This is
     /// the one place the thread's worker word is read: `join`, `scope`, `Scope::spawn`,
     /// `try_install`'s on-this-pool test and the service layer all come through here.
@@ -142,31 +168,73 @@ impl WorkerHandle {
         self.index
     }
 
+    /// Run `f` on this worker's deque.
+    #[inline]
+    fn with_deque<R>(&self, f: impl FnOnce(&mut VecDeque<Job>) -> R) -> R {
+        // SAFETY: the handle is `!Sync`, so only the one thread that holds it reaches the
+        // deque, and no `f` passed here calls back into the handle, so this is the deque's
+        // only reference.
+        f(unsafe { &mut *self.deque.get() })
+    }
+
+    /// This worker's steal cell.
+    #[inline]
+    fn cell(&self) -> &StealCell {
+        &self.shared.cells[self.index].0
+    }
+
     /// Kept out of line, like [`WorkerHandle::pop_local`]: one compact function with the
     /// deque operation inlined into it, called from every `join` instance, taking the job
     /// in two registers. Folded into `join` (`#[inline]`) both measure two ways on
     /// `forkjoin-fine`, and the folded shape has not read lower in 9 of 10 pairs
     /// (`docs/ARCHITECTURE.md`, "What an unstolen fork costs").
+    ///
+    /// The push polls the steal cell with one relaxed load: when a thief took the last offer
+    /// (or none was made), the oldest job goes on offer.
     #[inline(never)]
     pub(crate) fn push_local(&self, job: Job) {
-        self.local.push(job);
-        // One relaxed load when the pool is busy; a real wakeup only if somebody parked.
-        self.shared.sleep.0.notify();
+        self.with_deque(|d| d.push_back(job));
+        if self.cell().is_blocked() {
+            self.offer_oldest();
+        }
     }
 
+    /// The newest job: the back of the deque or, once that is empty, the offer taken back.
     #[inline(never)]
     fn pop_local(&self) -> Option<Job> {
-        self.local.pop()
+        match self.with_deque(VecDeque::pop_back) {
+            Some(job) => Some(job),
+            None => self.reclaim(),
+        }
     }
 
-    /// Find one job: local deque first, then the injector (a locked queue, which never
-    /// answers `Retry`), then a bounded number of random steal attempts (with a short
-    /// per-victim retry budget for lost CAS races). A successful steal is a *batch*: up to
-    /// half the victim's queue (capped at the deque's `MAX_BATCH`) moves in one visit. The
-    /// oldest job — in recursive computations the largest, the one the paper's discipline
-    /// says a thief should run — comes back to run; the surplus lands in our own deque,
-    /// where it is locally poppable *and* still stealable by everyone else, and a sleeper
-    /// is woken to come and take some of it.
+    /// Put the oldest job in the deque on offer, and wake a sleeper to come and take it (the
+    /// usual single relaxed load when nobody is parked). Out of line: it runs when the deque
+    /// leaves empty and after a steal, not per fork.
+    #[cold]
+    #[inline(never)]
+    fn offer_oldest(&self) {
+        if let Some(job) = self.with_deque(VecDeque::pop_front) {
+            // SAFETY: this is the cell's owner, and its caller found the cell blocked.
+            unsafe { self.cell().offer(job) };
+            self.shared.sleep.0.notify();
+        }
+    }
+
+    /// Take the offer back: the pop path's one CAS, kept out of `pop_local` (which then holds
+    /// no locked instruction), since the deque empties only when the fork nest does.
+    #[cold]
+    #[inline(never)]
+    fn reclaim(&self) -> Option<Job> {
+        self.cell().reclaim()
+    }
+
+    /// Find one job: the newest in the local deque first (re-offering the oldest of what
+    /// stays, if a thief took the last offer), then the injector (a locked queue, which never
+    /// answers `Retry`), then up to `2 × workers` steal attempts on victims picked uniformly
+    /// at random. A steal takes the victim's offer — its oldest job, in recursive
+    /// computations the largest, the one the paper's discipline says a thief should run —
+    /// and moves exactly that one task.
     ///
     /// `record_failures` gates the failed-steal/retry accounting: the first sweep of an
     /// activity burst records (that is the paper's "active processor probed and missed"),
@@ -175,6 +243,9 @@ impl WorkerHandle {
     /// parking noise.
     fn find_job(&self, record_failures: bool) -> Option<Job> {
         if let Some(job) = self.pop_local() {
+            if self.cell().is_blocked() {
+                self.offer_oldest();
+            }
             return Some(job);
         }
         if let Steal::Success(job) = self.shared.injector.steal() {
@@ -192,49 +263,28 @@ impl WorkerHandle {
                         v
                     }
                 };
-                let mut retries = 0;
-                loop {
-                    match self.shared.stealers[victim].steal_batch_and_pop_counted(&self.local) {
-                        Steal::Success((job, k)) => {
-                            let k = k as u64;
-                            self.shared.stats.record_steal_batch(self.index, k);
+                match self.shared.cells[victim].0.steal(self.index) {
+                    Steal::Success(job) => {
+                        self.shared.stats.record_steal(self.index);
+                        if let Some(t) = self.shared.trace() {
+                            t.record(self.index, EventKind::StealOk, 1, victim as u64);
+                        }
+                        return Some(job);
+                    }
+                    Steal::Empty => {
+                        if record_failures {
+                            self.shared.stats.record_failed_steal(self.index);
                             if let Some(t) = self.shared.trace() {
-                                t.record(
-                                    self.index,
-                                    EventKind::StealOk,
-                                    k.min(u8::MAX as u64) as u8,
-                                    victim as u64,
-                                );
+                                t.record(self.index, EventKind::StealEmpty, 0, victim as u64);
                             }
-                            if k > 1 {
-                                // Freshly stealable surplus sits in our deque now; one
-                                // wake (the usual single relaxed load when nobody is
-                                // parked) invites a thief over.
-                                self.shared.sleep.0.notify();
-                            }
-                            return Some(job);
                         }
-                        Steal::Empty => {
-                            if record_failures {
-                                self.shared.stats.record_failed_steal(self.index);
-                                if let Some(t) = self.shared.trace() {
-                                    t.record(self.index, EventKind::StealEmpty, 0, victim as u64);
-                                }
+                    }
+                    Steal::Retry => {
+                        if record_failures {
+                            self.shared.stats.record_retry(self.index);
+                            if let Some(t) = self.shared.trace() {
+                                t.record(self.index, EventKind::StealRetry, 0, victim as u64);
                             }
-                            break;
-                        }
-                        Steal::Retry => {
-                            if record_failures {
-                                self.shared.stats.record_retry(self.index);
-                                if let Some(t) = self.shared.trace() {
-                                    t.record(self.index, EventKind::StealRetry, 0, victim as u64);
-                                }
-                            }
-                            retries += 1;
-                            if retries >= STEAL_RETRIES {
-                                break;
-                            }
-                            std::hint::spin_loop();
                         }
                     }
                 }
@@ -429,36 +479,13 @@ impl ThreadPool {
     }
 
     fn with_config(threads: usize, trace: Option<usize>) -> Self {
-        let threads = threads.max(1);
-        let locals: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers = locals.iter().map(Worker::stealer).collect();
-        let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
-            stats: PoolStats::new(threads),
-            sleep: CachePadded::default(),
-            shutdown: AtomicBool::new(false),
-            workers: threads,
-            trace: trace.map(|cap| TraceRecorder::new(threads, cap)),
-            installers: EventCount::default(),
-        });
-        let handles = locals
-            .into_iter()
-            .enumerate()
-            .map(|(index, local)| {
-                let shared = Arc::clone(&shared);
+        let shared = Arc::new(Shared::new(threads.max(1), trace));
+        let handles = (0..shared.workers)
+            .map(|index| {
+                let handle = WorkerHandle::new(index, Arc::clone(&shared));
                 thread::Builder::new()
                     .name(format!("rws-worker-{index}"))
-                    .spawn(move || {
-                        // The worker handle is built on its own thread: the crossbeam worker
-                        // end of the deque and the RNG are thread-local by design.
-                        worker_loop(WorkerHandle {
-                            index,
-                            shared,
-                            local,
-                            rng: RefCell::new(SmallRng::seed_from_u64(0x9E3779B9 + index as u64)),
-                        })
-                    })
+                    .spawn(move || worker_loop(handle))
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -691,7 +718,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::mem::{offset_of, size_of};
+    use std::sync::atomic::{AtomicU64, AtomicU8};
     use std::time::Instant;
 
     fn parallel_sum(pool_threads: usize, n: u64) -> u64 {
@@ -781,11 +809,166 @@ mod tests {
         let total = pool.install(move || recursive_sum(0, n));
         assert_eq!(total, n * (n - 1) / 2);
         let stats = pool.stats().snapshot();
-        // Every steal path is batch-aware, so the two task-level views agree, and a
-        // visit never moves fewer than one job.
+        // A steal moves exactly one task, so all three views agree.
         let jobs_stolen: u64 = stats.workers.iter().map(|w| w.jobs_stolen).sum();
         assert_eq!(jobs_stolen, stats.total_steals());
-        assert!(stats.total_batch_steals() <= stats.total_steals());
+        assert_eq!(stats.total_batch_steals(), stats.total_steals());
+    }
+
+    thread_local! {
+        /// The model jobs this thread ran, in order.
+        static RAN: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// A job that counts its runs in `runs[id]` and appends `id` to its thread's `RAN`.
+    fn model_job(id: usize, runs: &Arc<Vec<AtomicU8>>) -> Job {
+        let runs = Arc::clone(runs);
+        Job::heap(move || {
+            runs[id].fetch_add(1, Ordering::Relaxed);
+            RAN.with(|r| r.borrow_mut().push(id));
+        })
+    }
+
+    /// The owner's side of `stress.rs`'s `VecDeque` differential, ported to the private
+    /// deque: one owner pushes and pops at random (through `push_local`, `pop_local` and
+    /// `find_job`, as `join` and the wait loops do) while the other workers run the real
+    /// thief path (`find_job`) against it. The owner always runs its newest job, each thief
+    /// receives the owner's jobs oldest first, every job runs once, and every steal moves
+    /// one task.
+    #[test]
+    fn the_private_deque_matches_a_vecdeque_model_under_concurrent_thieves() {
+        const JOBS: usize = 20_000;
+        for (workers, seed) in [(2, 1u64), (2, 42), (4, 0xC0FFEE)] {
+            let shared = Arc::new(Shared::new(workers, None));
+            let runs: Arc<Vec<AtomicU8>> = Arc::new((0..JOBS).map(|_| AtomicU8::new(0)).collect());
+            let done = AtomicBool::new(false);
+            // Every thief is running before the owner pushes its first job.
+            let started = std::sync::Barrier::new(workers);
+            let stolen: Vec<Vec<usize>> = thread::scope(|scope| {
+                let thieves: Vec<_> = (1..workers)
+                    .map(|index| {
+                        let (shared, done, started) = (Arc::clone(&shared), &done, &started);
+                        scope.spawn(move || {
+                            let thief = WorkerHandle::new(index, shared);
+                            started.wait();
+                            while !done.load(Ordering::Acquire) {
+                                match thief.find_job(true) {
+                                    Some(job) => assert!(!job.execute()),
+                                    None => thread::yield_now(),
+                                }
+                            }
+                            RAN.with(|r| r.take())
+                        })
+                    })
+                    .collect();
+                /// Stops the thieves when the owner is done, or fails.
+                struct Stop<'a>(&'a AtomicBool);
+                impl Drop for Stop<'_> {
+                    fn drop(&mut self) {
+                        self.0.store(true, Ordering::Release);
+                    }
+                }
+                let stop = Stop(&done);
+                let owner = WorkerHandle::new(0, Arc::clone(&shared));
+                started.wait();
+                // The owner's jobs not yet run by the owner, oldest first. A thief only ever
+                // takes the front, so the back is the owner's newest unless none is left.
+                let mut model = VecDeque::new();
+                let run_newest = |job: Option<Job>, model: &mut VecDeque<usize>| match job {
+                    Some(job) => {
+                        assert!(!job.execute());
+                        let id = RAN.with(|r| r.borrow_mut().pop()).expect("the job ran here");
+                        assert_eq!(Some(id), model.pop_back(), "the owner runs its newest job");
+                    }
+                    // Every job still in the model went to a thief.
+                    None => model.clear(),
+                };
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut next = 0;
+                while next < JOBS {
+                    for _ in 0..(1 + rng.gen_range(0..16usize)).min(JOBS - next) {
+                        owner.push_local(model_job(next, &runs));
+                        model.push_back(next);
+                        next += 1;
+                    }
+                    // Leave the first offer out until a thief has it, so no round passes
+                    // without a steal however the threads are scheduled.
+                    while shared.stats.snapshot().total_steals() == 0 {
+                        thread::yield_now();
+                    }
+                    for _ in 0..rng.gen_range(0..8) {
+                        let job = if rng.gen_range(0..4) == 0 {
+                            owner.find_job(true)
+                        } else {
+                            owner.pop_local()
+                        };
+                        run_newest(job, &mut model);
+                    }
+                }
+                while !model.is_empty() {
+                    run_newest(owner.find_job(true), &mut model);
+                }
+                // An offer a thief claimed is run before that thief looks at `done` again.
+                drop(stop);
+                thieves.into_iter().map(|t| t.join().expect("a thief failed")).collect()
+            });
+            for (thief, ids) in stolen.iter().enumerate() {
+                assert!(
+                    ids.windows(2).all(|w| w[0] < w[1]),
+                    "thief {thief} received a job younger than a later one (seed {seed})"
+                );
+            }
+            for (id, r) in runs.iter().enumerate() {
+                assert_eq!(r.load(Ordering::Relaxed), 1, "job {id} (seed {seed})");
+            }
+            let stats = shared.stats.snapshot();
+            let moved: u64 = stolen.iter().map(|ids| ids.len() as u64).sum();
+            assert!(moved > 0, "no job was stolen (seed {seed})");
+            let jobs_stolen: u64 = stats.workers.iter().map(|w| w.jobs_stolen).sum();
+            assert_eq!(stats.total_steals(), moved, "one steal, one task");
+            assert_eq!(stats.total_batch_steals(), moved);
+            assert_eq!(jobs_stolen, moved);
+        }
+    }
+
+    /// The paper's object, in the pool's own hot words: a line two processors write. Each
+    /// steal cell (its state word: written by its owner and by thieves; its slot: written by
+    /// its owner and by the thief taking the job) fills a line of its own, and the event
+    /// count every fork reads is alone on the first line of `Shared`.
+    #[test]
+    fn steal_cells_and_the_sleep_word_each_sit_alone_on_their_lines() {
+        let line = |addr: usize| addr / 64;
+        let shared = Arc::new(Shared::new(4, None));
+        assert_eq!(Arc::as_ptr(&shared) as usize % 64, 0, "`Shared` starts a line");
+        assert_eq!(offset_of!(Shared, sleep), 0);
+        assert_eq!(size_of::<CachePadded<EventCount>>(), 64);
+        for (field, offset) in [
+            ("injector", offset_of!(Shared, injector)),
+            ("cells", offset_of!(Shared, cells)),
+            ("stats", offset_of!(Shared, stats)),
+            ("shutdown", offset_of!(Shared, shutdown)),
+            ("workers", offset_of!(Shared, workers)),
+            ("trace", offset_of!(Shared, trace)),
+            ("installers", offset_of!(Shared, installers)),
+        ] {
+            assert!(offset >= 64, "`{field}` shares the sleep word's line");
+        }
+        for (i, cell) in shared.cells.iter().enumerate() {
+            let start = cell as *const CachePadded<StealCell> as usize;
+            assert_eq!(start % 64, 0, "cell {i} starts a line");
+            assert_eq!(size_of::<CachePadded<StealCell>>(), 64, "a cell fills one line");
+            let [state, slot] = cell.0.spans();
+            assert_eq!((line(state.0), line(state.1 - 1)), (line(start), line(start)));
+            assert_eq!((line(slot.0), line(slot.1 - 1)), (line(start), line(start)));
+            for (j, other) in shared.cells.iter().enumerate().filter(|&(j, _)| j != i) {
+                for (lo, hi) in other.0.spans() {
+                    assert!(
+                        line(hi - 1) < line(state.0) || line(lo) > line(state.0),
+                        "worker {j}'s cell shares worker {i}'s state line"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,13 +12,13 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// How long a parked worker waits before re-checking for work on its own: the backstop for
-/// the fork path's unfenced [`EventCount::notify`].
+/// an offer's unfenced [`EventCount::notify`].
 pub(crate) const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 
 /// Shape of the idle protocol's spin→yield→park schedule.
 ///
 /// Each idle *round* is one full work-finding sweep (own deque, injector, random victims) —
-/// the expensive part of idling, since every sweep hammers other workers' deque indices.
+/// the expensive part of idling, since every sweep probes other workers' steal cells.
 /// The schedule therefore backs off **between sweeps** exponentially: round `i` of the
 /// first `spin_rounds` busy-spins `2^min(i - 1, spin_cap_shift)` pause cycles, the next
 /// `yield_rounds` rounds yield the OS slice, and after that the worker parks on the pool's
@@ -64,7 +64,7 @@ impl SleepBackoff {
 /// or is woken from — or the waiter's last look sees the change. The notify happens outside
 /// the lock, so the woken thread finds it free.
 ///
-/// [`EventCount::notify`] is the one unfenced wake: the fork path's, see there.
+/// [`EventCount::notify`] is the one unfenced wake: an offer's, see there.
 #[derive(Debug, Default)]
 pub(crate) struct EventCount {
     /// Threads registered in [`EventCount::wait_unless`]. Wakers skip all locking while
@@ -87,16 +87,18 @@ impl EventCount {
         *self.epoch.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The fork path's wake: one `Relaxed` load and, only for a registered waiter, a wake of
-    /// **one** — one pushed job needs one thief, and waking everyone per fork would turn a
-    /// deep serial recursion into a thundering herd.
+    /// An offer's wake (a worker putting its oldest job in its steal cell, on a push or
+    /// after a steal): one `Relaxed` load and, only for a registered waiter, a wake of
+    /// **one** — one offered job needs one thief, and waking everyone would turn a deep
+    /// serial recursion into a thundering herd.
     ///
-    /// Unfenced on purpose, the one wake in the crate that is: the load can pass the push
+    /// Unfenced on purpose, the one wake in the crate that is: the load can pass the offer
     /// still in the store buffer (StoreLoad) while a waiter makes its last look, and that
-    /// waiter then sleeps out its timeout. Closing it would cost a full fence on **every
-    /// fork**. What it can lose is the wake of a *thief*: the pushed job belongs to a worker
-    /// that is awake and pops it itself, nobody waits on the thief, and the pool parks with
-    /// a [`PARK_BACKSTOP`] timeout.
+    /// waiter then sleeps out its timeout. Closing it would cost a full fence on every
+    /// offer, which a fork makes whenever its deque was empty. What it can lose is the wake
+    /// of a *thief*: the offered job belongs to a worker that is awake and takes it back
+    /// itself, nobody waits on the thief, and the pool parks with a [`PARK_BACKSTOP`]
+    /// timeout.
     #[inline]
     pub(crate) fn notify(&self) {
         if self.waiters.load(Ordering::Relaxed) > 0 {

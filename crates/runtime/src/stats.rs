@@ -38,14 +38,9 @@ struct WorkerCounters {
     /// published without a wake reaching anyone — the missed-wake class the submit-path
     /// handshake closes (see `Shared::inject`).
     backstop_wakes: AtomicU64,
-    /// Successful steal *operations* (victim visits): a batch moving `k` jobs counts once
-    /// here and `k` times in `steals` — this is the CAS-traffic/victim-visit view, while
-    /// `steals` keeps the paper's per-task-migration semantics.
+    /// Successful steal operations. A steal moves one task, so this equals `steals`.
     batch_steals: AtomicU64,
-    /// Jobs moved by steal operations (the batch sizes summed). Numerically equal to
-    /// `steals` while every steal path is batch-aware; recorded independently so the
-    /// (`batch_steals`, `jobs_stolen`) pair stays self-describing — their ratio is the
-    /// average batch size.
+    /// Jobs moved by steal operations. A steal moves one task, so this equals `steals`.
     jobs_stolen: AtomicU64,
     /// Panics this worker caught and quarantined while executing heap jobs — the per-job
     /// quarantine was always there; this makes it *health-tracked* per worker.
@@ -61,21 +56,23 @@ pub struct PoolStats {
 /// A point-in-time copy of one worker's counters (see [`PoolStats::snapshot`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSnapshot {
-    /// Successful steals, one per migrated task (paper semantics).
+    /// Successful steals, one per migrated task (paper semantics): a steal takes the
+    /// victim's oldest job and nothing else.
     pub steals: u64,
     /// Jobs executed.
     pub jobs: u64,
     /// Steal attempts that found the victim empty.
     pub failed_steals: u64,
-    /// Steal attempts that lost a CAS race.
+    /// Steal attempts that found the victim's offer already being taken by another thief
+    /// (lost the claim CAS to it, or saw it won).
     pub steal_retries: u64,
     /// Times the worker parked.
     pub parks: u64,
     /// Parks that ended in the backstop timeout rather than a notification.
     pub backstop_wakes: u64,
-    /// Successful steal operations (victim visits — a batch counts once).
+    /// Successful steal operations: equal to `steals`, since one steal moves one task.
     pub batch_steals: u64,
-    /// Jobs moved by steal operations (batch sizes summed).
+    /// Jobs moved by steal operations: equal to `steals`, since one steal moves one task.
     pub jobs_stolen: u64,
     /// Panics caught (quarantined) while executing jobs.
     pub panics_caught: u64,
@@ -134,7 +131,7 @@ impl PoolStatsSnapshot {
         self.workers.iter().map(|w| w.jobs).sum()
     }
 
-    /// Total fruitless steal attempts (empty probes plus CAS losses) across workers.
+    /// Total fruitless steal attempts (empty probes plus lost claims) across workers.
     pub fn total_failed_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.failed_steals + w.steal_retries).sum()
     }
@@ -149,7 +146,7 @@ impl PoolStatsSnapshot {
         self.workers.iter().map(|w| w.backstop_wakes).sum()
     }
 
-    /// Total successful steal operations (victim visits) across workers.
+    /// Total successful steal operations across workers (equal to [`Self::total_steals`]).
     pub fn total_batch_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.batch_steals).sum()
     }
@@ -166,15 +163,12 @@ impl PoolStats {
         PoolStats { workers: (0..workers).map(|_| CachePadded::default()).collect() }
     }
 
-    /// Record one successful steal operation by worker `w` that moved `k >= 1` jobs: `k`
-    /// steal events for the paper-facing `steals` (a batch of `k` migrates `k` tasks), one
-    /// `batch_steals` operation for the CAS-traffic view.
-    pub(crate) fn record_steal_batch(&self, w: usize, k: u64) {
-        debug_assert!(k >= 1, "a successful steal moves at least one job");
+    /// Record one successful steal by worker `w`: one task moved, in every view.
+    pub(crate) fn record_steal(&self, w: usize) {
         let c = &self.workers[w].0;
-        bump(&c.steals, k);
+        bump(&c.steals, 1);
         bump(&c.batch_steals, 1);
-        bump(&c.jobs_stolen, k);
+        bump(&c.jobs_stolen, 1);
     }
 
     /// Record a job executed by worker `w`.
@@ -183,12 +177,13 @@ impl PoolStats {
         bump(&self.workers[w].0.jobs, 1);
     }
 
-    /// Record a steal attempt by worker `w` that found the victim's deque empty.
+    /// Record a steal attempt by worker `w` that found nothing on offer at the victim.
     pub(crate) fn record_failed_steal(&self, w: usize) {
         bump(&self.workers[w].0.failed_steals, 1);
     }
 
-    /// Record a steal attempt by worker `w` that lost a CAS race (`Steal::Retry`).
+    /// Record a steal attempt by worker `w` that lost the victim's offer to another thief
+    /// (`Steal::Retry`).
     pub(crate) fn record_retry(&self, w: usize) {
         bump(&self.workers[w].0.steal_retries, 1);
     }
@@ -248,9 +243,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = PoolStats::new(2);
-        s.record_steal_batch(0, 1);
-        s.record_steal_batch(1, 1);
-        s.record_steal_batch(1, 1);
+        s.record_steal(0);
+        s.record_steal(1);
+        s.record_steal(1);
         s.record_job(0);
         s.record_retry(1);
         s.record_failed_steal(0);
@@ -262,12 +257,12 @@ mod tests {
         assert_eq!(snap.workers.len(), 2);
         assert_eq!(snap.total_steals(), 3);
         assert_eq!(snap.workers[1].steals, 2);
-        assert_eq!(snap.total_batch_steals(), 3, "each single steal is a batch of one");
+        assert_eq!(snap.total_batch_steals(), 3, "one steal is one operation");
         assert_eq!(snap.workers.iter().map(|w| w.jobs_stolen).sum::<u64>(), 3);
         assert_eq!(snap.total_jobs(), 1);
         assert_eq!(snap.workers[0].jobs, 1);
         assert_eq!(snap.workers[1].steal_retries, 1);
-        assert_eq!(snap.total_failed_steals(), 3, "empty probes plus CAS losses");
+        assert_eq!(snap.total_failed_steals(), 3, "empty probes plus lost claims");
         assert_eq!(snap.total_parks(), 1);
         assert_eq!(snap.total_backstop_wakes(), 2);
         let d = s.snapshot_delta(&PoolStatsSnapshot { workers: vec![Default::default(); 2] });
@@ -275,14 +270,14 @@ mod tests {
     }
 
     #[test]
-    fn batches_count_k_steal_events_but_one_operation() {
+    fn a_steal_counts_one_task_in_every_view() {
         let s = PoolStats::new(1);
-        s.record_steal_batch(0, 5);
-        s.record_steal_batch(0, 1);
+        s.record_steal(0);
+        s.record_steal(0);
         let snap = s.snapshot();
-        assert_eq!(snap.total_steals(), 6, "paper view: one event per migrated task");
-        assert_eq!(snap.total_batch_steals(), 2, "CAS-traffic view: one per victim visit");
-        assert_eq!(snap.workers[0].jobs_stolen, 6);
+        assert_eq!(snap.total_steals(), 2, "paper view: one event per migrated task");
+        assert_eq!(snap.total_batch_steals(), 2, "one operation per steal");
+        assert_eq!(snap.workers[0].jobs_stolen, 2);
     }
 
     #[test]
@@ -298,22 +293,23 @@ mod tests {
     #[test]
     fn snapshot_delta_isolates_the_bracketed_region() {
         let s = PoolStats::new(2);
-        s.record_steal_batch(0, 1);
+        s.record_steal(0);
         s.record_job(1);
         let before = s.snapshot();
-        s.record_steal_batch(0, 4);
+        s.record_steal(0);
+        s.record_steal(0);
         s.record_job(0);
         s.record_job(1);
         s.record_park(1);
         s.record_failed_steal(0);
         s.record_retry(0);
         let d = s.snapshot_delta(&before);
-        assert_eq!(d.total_steals(), 4, "only the bracketed batch counts");
+        assert_eq!(d.total_steals(), 2, "only the bracketed steals count");
         assert_eq!(d.total_jobs(), 2);
         assert_eq!(d.total_parks(), 1);
-        assert_eq!(d.total_failed_steals(), 2, "empty probe plus CAS loss");
-        assert_eq!(d.total_batch_steals(), 1);
-        assert_eq!(d.workers[0].jobs_stolen, 4);
+        assert_eq!(d.total_failed_steals(), 2, "empty probe plus lost claim");
+        assert_eq!(d.total_batch_steals(), 2);
+        assert_eq!(d.workers[0].jobs_stolen, 2);
         assert_eq!(d.workers[1].jobs, 1);
         // Deltas against a *later* snapshot saturate to zero instead of wrapping.
         let after = s.snapshot();

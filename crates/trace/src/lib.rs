@@ -45,12 +45,13 @@ pub enum EventKind {
     JobStart = 1,
     /// The matching end of a [`EventKind::JobStart`]; `aux` is the [`JobKind`] code.
     JobEnd = 2,
-    /// A successful steal visit: `aux` is the batch size moved, `arg` the victim index.
+    /// A successful steal: `aux` is the number of tasks moved (1: a steal takes the victim's
+    /// oldest job and nothing else), `arg` the victim index.
     StealOk = 3,
-    /// A steal probe that found the victim's deque empty; `arg` is the victim index.
+    /// A steal probe that found nothing on offer at the victim; `arg` is the victim index.
     StealEmpty = 4,
-    /// A steal attempt that lost a CAS race (`Steal::Retry`); `arg` as for
-    /// [`EventKind::StealEmpty`].
+    /// A steal attempt that found the victim's offer taken by another thief
+    /// (`Steal::Retry`); `arg` as for [`EventKind::StealEmpty`].
     StealRetry = 5,
     /// The worker is about to park; `arg` is the sleep-ladder round it reached (the full
     /// spin+yield budget), `aux` the ladder stage code (always [`LADDER_STAGE_PARK`]).
