@@ -98,7 +98,9 @@ fn matmul_allocates_its_result_and_one_workspace() {
 }
 
 #[test]
-fn list_ranking_allocates_two_buffers_and_its_result() {
+fn list_ranking_allocates_blocks_predecessors_links_and_its_result() {
+    // The block table, the predecessor words, the rulers' links and the node words, which
+    // become the result in place (as the links become the rulers' ranks).
     assert_constant("list ranking", [1 << 12, 1 << 14], 4, |n| {
         let succ: Vec<usize> = (0..n).map(|i| (i + 1).min(n - 1)).collect();
         move || list_ranking_native(&succ)

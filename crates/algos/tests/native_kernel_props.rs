@@ -9,7 +9,7 @@
 //!   direction agrees with its sequential reference exactly (pure copies, no arithmetic);
 //! * `list_ranking_native` agrees with `list_ranking_reference` on random permutation
 //!   lists — both random-order chains (self-loop tail) and full cycles (no fixed point,
-//!   where matching the reference's round count is what keeps outputs identical).
+//!   where the native kernel must give every node the reference's `2^rounds`).
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rws_algos::fft::{dft_reference, fft_native, Complex};

@@ -364,7 +364,8 @@ impl Workload for TransposeWorkload {
 
 // ------------------------------------------------------------------------------------------
 
-/// List ranking (Type-3/4 workload; native side runs round-synchronized pointer jumping).
+/// List ranking (Type-3/4 workload; the simulator runs pointer-jumping rounds, the native
+/// side a sparse ruling set).
 #[derive(Clone, Debug)]
 pub struct ListRankWorkload {
     succ: Vec<usize>,
@@ -378,20 +379,22 @@ impl ListRankWorkload {
         ListRankWorkload { succ, cfg }
     }
 
-    /// A deterministic demo instance over `n` nodes (a shuffled ring).
+    /// A deterministic demo instance over `n` nodes: one chain visiting the nodes in a
+    /// seeded shuffled order, its last node a self-loop tail. (The dag depends on `n` only.)
     pub fn demo(n: usize) -> Self {
-        // A simple deterministic permutation cycle: node i's successor is (i + step) mod n
-        // with step coprime to n, forming one cycle through every node.
-        let step = (1..n).find(|s| gcd(*s, n) == 1).unwrap_or(1);
-        Self::new((0..n).map(|i| (i + step) % n).collect())
-    }
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
+        let mut rng = SmallRng::seed_from_u64(0x115F);
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut succ = vec![0; n];
+        for pair in order.windows(2) {
+            succ[pair[0]] = pair[1];
+        }
+        if let Some(&tail) = order.last() {
+            succ[tail] = tail;
+        }
+        Self::new(succ)
     }
 }
 
@@ -647,6 +650,18 @@ mod tests {
         for (x, y) in full_suite().iter().zip(full_suite().iter()) {
             assert_eq!(x.run_reference(), y.run_reference(), "{}", x.name());
         }
+    }
+
+    #[test]
+    fn the_list_ranking_demo_is_one_shuffled_chain() {
+        // Ranked, one shuffled chain of n nodes reads every distance 0 .. n - 1 once and is
+        // not the identity order.
+        let n = 256;
+        let demo = ListRankWorkload::demo(n);
+        let mut ranks = list_ranking_reference(&demo.succ);
+        assert_ne!(demo.succ, (0..n).map(|i| (i + 1).min(n - 1)).collect::<Vec<_>>());
+        ranks.sort_unstable();
+        assert_eq!(ranks, (0..n as u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub enum WorkloadKind {
     Fft,
     /// Bit-interleaved matrix transpose (quadrant-recursive).
     Transpose,
-    /// List ranking by round-synchronized pointer jumping.
+    /// List ranking: pointer-jumping rounds on the simulator, a sparse ruling set natively.
     ListRank,
     /// Arbitrary-dependency task graph, one pass per level (measured-only).
     DagWorkflow,
