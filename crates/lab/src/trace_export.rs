@@ -16,7 +16,7 @@
 //!     "workers": [ { "lane", "busy_ns", "steal_ns", "park_ns", "overhead_ns", "span_ns",
 //!                    "busy_frac", "steal_frac", "park_frac", "overhead_frac",
 //!                    "jobs", "steals", "batch_steals", "empty_probes", "retries",
-//!                    "parks", "backstop_wakes", "cancel_checks" } ],
+//!                    "parks", "cancel_checks" } ],
 //!     "service": { "enqueued", "claimed", "settled", "outcomes",
 //!                  "queue_pairs", "queue_mean_ns", "queue_max_ns",
 //!                  "service_pairs", "service_mean_ns", "service_max_ns" }
@@ -65,7 +65,6 @@ fn worker_profile_json(lane: usize, w: &WorkerProfile) -> Json {
         ("empty_probes", w.empty_probes.into()),
         ("retries", w.retries.into()),
         ("parks", w.parks.into()),
-        ("backstop_wakes", w.backstop_wakes.into()),
         ("cancel_checks", w.cancel_checks.into()),
     ])
 }
@@ -214,14 +213,7 @@ pub fn chrome_trace(snap: &TraceSnapshot, label: &str) -> Json {
             EventKind::Park => park_since[e.lane] = Some(e.ts_ns),
             EventKind::Unpark => {
                 if let Some(start) = park_since[e.lane].take() {
-                    let meaningful = e.aux != 0;
-                    events.push(chrome_complete(
-                        "park",
-                        e.lane,
-                        start,
-                        e.ts_ns,
-                        obj([("meaningful_wake", meaningful.into())]),
-                    ));
+                    events.push(chrome_complete("park", e.lane, start, e.ts_ns, Json::Obj(vec![])));
                 }
             }
             EventKind::StealOk => events.push(chrome_instant(
@@ -324,7 +316,7 @@ mod tests {
         rec.record(1, EventKind::StealOk, 2, 0);
         rec.record(1, EventKind::StealEmpty, 0, 0);
         rec.record(1, EventKind::Park, LADDER_STAGE_PARK, 5);
-        rec.record(1, EventKind::Unpark, 1, 0);
+        rec.record(1, EventKind::Unpark, 0, 0);
         rec.record_external(EventKind::ServiceEnqueue, 0, 42);
         rec.record(1, EventKind::ServiceClaim, 0, 42);
         rec.record(1, EventKind::ServiceSettle, 1, 42);

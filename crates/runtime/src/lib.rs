@@ -22,8 +22,9 @@
 //!   cross-thread [`ThreadPool::install`] hands its closure over the same way, from the
 //!   installer's frame.
 //! * **Parked idle workers** — a worker that finds no work spins briefly and then parks on
-//!   the pool's sleep protocol; an idle pool burns no CPU, and an offer wakes sleepers with
-//!   a single relaxed load on the producer side.
+//!   the pool's sleep protocol until a wake: an idle pool burns no CPU and wakes on no
+//!   timer, and an offer or a submission wakes a sleeper with a full fence and one load on
+//!   the producer side.
 //! * **Scoped tasks and a parallel iterator** — [`scope()`] generalizes `join` to arbitrary
 //!   borrow-friendly fan-out behind one shared atomic completion latch (one boxed job per
 //!   spawn; `join` is the one allocation-free fork), and [`par_iter`] builds a rayon-style
@@ -79,3 +80,7 @@ pub use stats::{PoolStats, PoolStatsSnapshot, WorkerSnapshot};
 /// [`trace::TraceSnapshot`]s from [`pool::ThreadPool::trace_snapshot`] without naming
 /// `rws-trace` as a direct dependency.
 pub use rws_trace as trace;
+
+#[cfg(test)]
+#[path = "../../../tests/support/watchdog.rs"]
+mod watchdog;

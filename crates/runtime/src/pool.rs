@@ -26,7 +26,7 @@
 use crate::cancel::{self, ForkToken};
 use crate::job::{Job, JoinResult, Latch, StackJob};
 use crate::padding::CachePadded;
-use crate::sleep::{EventCount, BACKOFF, PARK_BACKSTOP};
+use crate::sleep::{EventCount, BACKOFF};
 use crate::stats::PoolStats;
 use crate::steal::StealCell;
 use crossbeam_deque::{Injector, Steal};
@@ -40,7 +40,6 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 /// The jobs a worker's deque holds before it first grows: a fork-join nest pushes one per
 /// level, so a warm fork never allocates.
@@ -52,7 +51,7 @@ pub(crate) struct Shared {
     cells: Box<[CachePadded<StealCell>]>,
     stats: PoolStats,
     /// Where idle workers park, and owners of stolen branches and scopes wait. Every offer
-    /// reads its event count (`notify`); the line of its own keeps the submitter-written
+    /// reads its waiter count (`wake_one`); the line of its own keeps the submitter-written
     /// `injector` off it.
     pub(crate) sleep: CachePadded<EventCount>,
     shutdown: AtomicBool,
@@ -86,9 +85,9 @@ impl Shared {
     /// queue's length with a `SeqCst` `fetch_add` before it unlocks, and a worker about to
     /// park fences between registering as a sleeper and its last `has_visible_work`. So
     /// either this thread sees the sleeper and wakes it, or the sleeper sees the length
-    /// raised and does not park: a job submitted to an idle pool never waits out the 1 ms
-    /// park backstop (`tests/submit_latency.rs`), and one submitted to a busy pool makes no
-    /// system call (`tests/service_wakes.rs`). One job needs one worker; if it forks, its
+    /// raised and does not park: a job submitted to an idle pool is never left waiting
+    /// (`tests/submit_latency.rs`), and one submitted to a busy pool makes no system call
+    /// (`tests/service_wakes.rs`). One job needs one worker; if it forks, its
     /// pushes wake the others like any fork's.
     pub(crate) fn inject(&self, job: Job) {
         self.injector.push(job);
@@ -96,8 +95,8 @@ impl Shared {
     }
 
     /// Whether any queue visibly holds work a thief could take (the pre-park check, made
-    /// after the sleeper's fence: a job injected by a thread that then saw no sleeper is
-    /// visible here; an offer may be missed, which the sleep protocol's backstop covers).
+    /// after the sleeper's fence: a job injected or offered by a thread that then saw no
+    /// sleeper is visible here).
     fn has_visible_work(&self) -> bool {
         !self.injector.is_empty() || self.cells.iter().any(|c| c.0.is_open())
     }
@@ -208,16 +207,17 @@ impl WorkerHandle {
         }
     }
 
-    /// Put the oldest job in the deque on offer, and wake a sleeper to come and take it (the
-    /// usual single relaxed load when nobody is parked). Out of line: it runs when the deque
-    /// leaves empty and after a steal, not per fork.
+    /// Put the oldest job in the deque on offer, and wake a sleeper to come and take it: a
+    /// full fence and one load when nobody is parked, the handshake every wake makes (see
+    /// `sleep.rs`). Out of line: it runs when the deque leaves empty and after a steal, not
+    /// per fork.
     #[cold]
     #[inline(never)]
     fn offer_oldest(&self) {
         if let Some(job) = self.with_deque(VecDeque::pop_front) {
             // SAFETY: this is the cell's owner, and its caller found the cell blocked.
             unsafe { self.cell().offer(job) };
-            self.shared.sleep.0.notify();
+            self.shared.sleep.0.wake_one();
         }
     }
 
@@ -237,10 +237,9 @@ impl WorkerHandle {
     /// and moves exactly that one task.
     ///
     /// `record_failures` gates the failed-steal/retry accounting: the first sweep of an
-    /// activity burst records (that is the paper's "active processor probed and missed"),
-    /// while the subsequent spin rounds and the 1ms park-backstop rechecks do not — an
-    /// idle pool would otherwise inflate `failed_steals` by thousands per second of pure
-    /// parking noise.
+    /// activity burst (and the first after each wake) records — that is the paper's "active
+    /// processor probed and missed" — while the sweeps of the spin and yield rounds do not,
+    /// which would otherwise count the backoff's own schedule as failed steals.
     fn find_job(&self, record_failures: bool) -> Option<Job> {
         if let Some(job) = self.pop_local() {
             if self.cell().is_blocked() {
@@ -312,12 +311,10 @@ impl WorkerHandle {
     /// One step of the spin→yield→park idle protocol (the schedule is `sleep.rs`'s
     /// `BACKOFF`): the first rounds busy-spin an exponentially growing number of
     /// pause cycles between work-finding sweeps, the next rounds yield the OS slice, and
-    /// past the budget the worker parks. `ready` is the wake condition re-checked before
-    /// actually sleeping (see [`EventCount::wait_unless`]). After a meaningful wake
-    /// (notification / work visible) the caller's next find sweep starts a fresh activity
-    /// burst (`idle == 0`); after a backstop timeout the backoff budget stays spent, so
-    /// the worker makes one quiet rescan and goes right back to sleep.
-    fn idle_step(&self, idle: &mut u32, ready: impl FnMut() -> bool) {
+    /// past the budget the worker parks until a wake. `ready` is the wake condition
+    /// re-checked before actually sleeping (see [`EventCount::wait_unless`]). After the
+    /// park the caller's next find sweep starts a fresh activity burst (`idle == 0`).
+    fn idle_step(&self, idle: &mut u32, ready: impl FnOnce() -> bool) {
         let bk = BACKOFF;
         *idle += 1;
         if *idle <= bk.spin_rounds {
@@ -331,16 +328,11 @@ impl WorkerHandle {
             if let Some(t) = self.shared.trace() {
                 t.record(self.index, EventKind::Park, LADDER_STAGE_PARK, *idle as u64);
             }
-            let notified = self.shared.sleep.0.wait_unless(PARK_BACKSTOP, ready);
-            if !notified {
-                // The 1ms backstop timer fired with no notification: count it so tests
-                // (and profiles) can assert steady-state runs never lean on the backstop.
-                self.shared.stats.record_backstop_wake(self.index);
-            }
+            self.shared.sleep.0.wait_unless(None, ready);
             if let Some(t) = self.shared.trace() {
-                t.record(self.index, EventKind::Unpark, notified as u8, 0);
+                t.record(self.index, EventKind::Unpark, 0, 0);
             }
-            *idle = if notified { 0 } else { bk.rounds_before_park() };
+            *idle = 0;
         }
     }
 
@@ -569,9 +561,8 @@ impl ThreadPool {
         // set.
         self.shared.inject(unsafe { job.as_job(JobKind::InjectedRoot) });
         while !job.latch().probe() {
-            // The run's `Latch::set` wakes this wait; the 50 ms re-check is nothing it
-            // relies on.
-            self.shared.installers.wait_unless(Duration::from_millis(50), || job.latch().probe());
+            // The run's `Latch::set` wakes this wait.
+            self.shared.installers.wait_unless(None, || job.latch().probe());
         }
         match job.into_result() {
             JoinResult::Ok(r) => Ok(r),
@@ -718,9 +709,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::watchdog;
     use std::mem::{offset_of, size_of};
     use std::sync::atomic::{AtomicU64, AtomicU8};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn parallel_sum(pool_threads: usize, n: u64) -> u64 {
         let pool = ThreadPoolBuilder::new().threads(pool_threads).build();
@@ -934,7 +926,7 @@ mod tests {
     /// The paper's object, in the pool's own hot words: a line two processors write. Each
     /// steal cell (its state word: written by its owner and by thieves; its slot: written by
     /// its owner and by the thief taking the job) fills a line of its own, and the event
-    /// count every fork reads is alone on the first line of `Shared`.
+    /// count every offer reads is alone on the first line of `Shared`.
     #[test]
     fn steal_cells_and_the_sleep_word_each_sit_alone_on_their_lines() {
         let line = |addr: usize| addr / 64;
@@ -1003,30 +995,19 @@ mod tests {
         assert_eq!(pool.install(|| 21 * 2), 42);
     }
 
-    /// Runs `round` `ROUNDS` times on a 2-worker pool and fails when a quarter of them or
-    /// more ended with the owner sleeping out a park backstop: `round` forks work the other
-    /// worker steals and finishes only once the owner has parked, so only the completion's
-    /// own wake can end that park early.
-    fn parked_owners_are_woken(round: impl Fn(&ThreadPool) + Send + Sync + 'static) {
+    /// Runs `round` `ROUNDS` times on a 2-worker pool: `round` forks work the other worker
+    /// steals and finishes only once the owner has parked, so only the completion's own
+    /// wake can end that park. Without it the owner sleeps for good, and the watchdog fails.
+    fn parked_owners_are_woken(
+        what: &'static str,
+        round: impl Fn(&ThreadPool) + Send + Sync + 'static,
+    ) {
         const ROUNDS: usize = 40;
-        let pool = Arc::new(ThreadPool::new(2));
-        let p = Arc::clone(&pool);
-        let late = pool.install(move || {
-            let me = WorkerHandle::with_current(|w| w.expect("installed on a worker").index);
-            let backstops = || p.stats().snapshot().workers[me].backstop_wakes;
-            (0..ROUNDS)
-                .filter(|_| {
-                    let before = backstops();
-                    round(&p);
-                    backstops() > before
-                })
-                .count()
+        watchdog::within(watchdog::LIMIT, what, move || {
+            let pool = Arc::new(ThreadPool::new(2));
+            let p = Arc::clone(&pool);
+            pool.install(move || (0..ROUNDS).for_each(|_| round(&p)));
         });
-        assert!(
-            late < ROUNDS / 4,
-            "{late} of {ROUNDS} parked owners slept out their park backstop: the completion \
-             they waited for did not wake them"
-        );
     }
 
     /// Hold the calling worker until `stolen`, then return.
@@ -1036,14 +1017,14 @@ mod tests {
         }
     }
 
-    /// Return once `events` has a waiter and a tenth of a park backstop more has passed:
-    /// long enough for that waiter to be past its last look and asleep.
+    /// Return once `events` has a waiter and 100 µs more have passed: long enough for that
+    /// waiter to be past its last look and asleep.
     fn after_a_waiter_sleeps_on(events: &EventCount) {
         while events.waiters() == 0 {
             thread::yield_now();
         }
         let registered = Instant::now();
-        while registered.elapsed() < PARK_BACKSTOP / 10 {
+        while registered.elapsed() < Duration::from_micros(100) {
             std::hint::spin_loop();
         }
     }
@@ -1056,7 +1037,7 @@ mod tests {
 
     #[test]
     fn a_parked_owner_is_woken_by_its_stolen_branch() {
-        parked_owners_are_woken(|pool| {
+        parked_owners_are_woken("the stolen branch's `Latch::set`", |pool| {
             let stolen = AtomicBool::new(false);
             join(|| until(&stolen), || finish_after_the_owner_parks(pool, &stolen));
         });
@@ -1064,7 +1045,7 @@ mod tests {
 
     #[test]
     fn a_parked_scope_owner_is_woken_by_its_last_spawn() {
-        parked_owners_are_woken(|pool| {
+        parked_owners_are_woken("the last spawn's `CountLatch::set_one`", |pool| {
             let stolen = AtomicBool::new(false);
             crate::scope(|s| {
                 s.spawn(|_| finish_after_the_owner_parks(pool, &stolen));
@@ -1076,20 +1057,15 @@ mod tests {
     #[test]
     fn an_installer_is_woken_by_its_closure() {
         // The closure returns only once its installer is asleep: were the wake missing,
-        // every install would last the installer's whole 50 ms re-check.
+        // the installer would sleep for good.
         const ROUNDS: usize = 20;
-        let pool = ThreadPool::new(1);
-        let late = (0..ROUNDS)
-            .filter(|_| {
+        watchdog::within(watchdog::LIMIT, "the installed closure's `Latch::set`", || {
+            let pool = ThreadPool::new(1);
+            for _ in 0..ROUNDS {
                 let shared = Arc::clone(&pool.shared);
-                let finished = pool.install(move || {
-                    after_a_waiter_sleeps_on(&shared.installers);
-                    Instant::now()
-                });
-                finished.elapsed() >= Duration::from_millis(25)
-            })
-            .count();
-        assert!(late < ROUNDS / 4, "{late} of {ROUNDS} installers slept out their re-check");
+                pool.install(move || after_a_waiter_sleeps_on(&shared.installers));
+            }
+        });
     }
 
     #[test]

@@ -171,22 +171,17 @@ impl JobHandle {
 
     /// The outcome, waiting for it until `deadline` (forever without one). A settled job
     /// answers from the atomic alone, without a lock; an unsettled one blocks on the job's
-    /// `EventCount`, re-checking every 50 ms all the same.
+    /// `EventCount` until the settle wakes it or the deadline passes.
     fn wait_until(&self, deadline: Option<Instant>) -> Option<JobOutcome> {
         let job = &*self.state;
         loop {
             if let Some(outcome) = job.outcome() {
                 return Some(outcome);
             }
-            let mut wait = Duration::from_millis(50);
-            if let Some(deadline) = deadline {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return None;
-                }
-                wait = wait.min(left);
+            if deadline.is_some_and(|at| Instant::now() >= at) {
+                return None;
             }
-            job.settled.wait_unless(wait, || job.outcome().is_some());
+            job.settled.wait_unless(deadline, || job.outcome().is_some());
         }
     }
 }
@@ -533,11 +528,11 @@ impl JobServer {
             }
             match state.policy {
                 AdmissionPolicy::Block => {
-                    // The wait is bounded, so a wake that goes to another blocked
-                    // submitter costs this one at most a tick.
-                    state.admission.wait_unless(Duration::from_millis(1), || {
+                    // Every freed slot wakes one blocked submitter. No other wake can end
+                    // this wait: `shutdown` and `drop` own the server, so while any
+                    // `submit` runs neither can.
+                    state.admission.wait_unless(None, || {
                         state.both.0.occupancy.load(Ordering::Acquire) < state.capacity
-                            || state.shutdown.load(Ordering::Acquire)
                     });
                 }
                 AdmissionPolicy::Shed => {
@@ -620,10 +615,9 @@ impl JobServer {
     pub fn shutdown(mut self) -> ServiceSnapshot {
         let state = &self.state;
         state.shutdown.store(true, Ordering::Release);
-        state.admission.wake_all();
         // Drain: every accepted job must settle. Every worker keeps running its loop until
-        // the pool stops, so a queued job always finds an executor. The settle that zeroes `in_flight` wakes the drain; the 1 ms
-        // re-check is nothing it relies on.
+        // the pool stops, so a queued job always finds an executor, and the settle that
+        // zeroes `in_flight` wakes the drain.
         //
         // The supervisor deliberately keeps running through this drain — stopping it here
         // would be safe for *queued* jobs (`run_root_job`'s pre-run deadline check settles
@@ -631,7 +625,7 @@ impl JobServer {
         // job's expired deadline uncancelled until it completed on its own.
         let drained = || state.both.0.in_flight.load(Ordering::Acquire) == 0;
         while !drained() {
-            state.drain.wait_unless(Duration::from_millis(1), drained);
+            state.drain.wait_unless(None, drained);
         }
         // Every job has settled, so nothing below needs the supervisor's sweeps.
         // `supervisor_loop` looks at the stop flag last before it waits, so this
@@ -656,7 +650,6 @@ impl Drop for JobServer {
         self.state.shutdown.store(true, Ordering::Release);
         self.state.supervisor_stop.store(true, Ordering::Release);
         self.state.wake_supervisor();
-        self.state.admission.wake_all();
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
@@ -713,12 +706,9 @@ fn run_root_job(server: &Arc<ServerState>, job: &Arc<JobState>, f: impl FnOnce()
     }
 }
 
-/// How long the supervisor sleeps with no deadline pending. A deadline's registration
-/// and the stop wake it sooner, and nothing relies on this re-arm.
-const IDLE_REARM: Duration = Duration::from_secs(20);
-
 /// The supervisor: deadline sweeps, on one thread that sleeps until the next deadline or
-/// until a registration or its stop wakes it.
+/// until a registration or its stop wakes it; with no deadline pending, only a wake ends
+/// its sleep.
 fn supervisor_loop(state: Arc<ServerState>) {
     while !state.supervisor_stop.load(Ordering::Acquire) {
         // Deadline sweep: pop everything due, raise their flags, and settle jobs that
@@ -747,13 +737,10 @@ fn supervisor_loop(state: Arc<ServerState>) {
             }
         }
 
-        let timeout = next_deadline
-            .map_or(IDLE_REARM, |at| at.saturating_duration_since(now))
-            .max(Duration::from_micros(100));
-        // Up before the timer for a stop, or for a deadline registered since the sweep
-        // that falls before the one it saw (the registration's wake may have found nobody
-        // waiting yet).
-        state.supervisor.wait_unless(timeout, || {
+        // Up before the next deadline for a stop, or for a deadline registered since the
+        // sweep that falls before the one it saw (the registration's wake may have found
+        // nobody waiting yet).
+        state.supervisor.wait_unless(next_deadline, || {
             state.supervisor_stop.load(Ordering::Acquire)
                 || state
                     .deadlines
@@ -768,6 +755,7 @@ fn supervisor_loop(state: Arc<ServerState>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::watchdog;
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     fn quick_server(threads: usize, capacity: usize, policy: AdmissionPolicy) -> JobServer {
@@ -1008,117 +996,99 @@ mod tests {
     #[test]
     fn no_wait_ever_leans_on_its_fifty_millisecond_recheck() {
         // Two submitters, each waiting on every job it submits, against two workers: the
-        // settle and the waiter's registration race 20 000 times. A wake lost there costs
-        // the waiter its whole 50 ms re-check, which no healthy round trip comes near.
+        // settle and the waiter's registration race 20 000 times. A wake lost there leaves
+        // its waiter asleep for good.
         const JOBS_EACH: usize = 10_000;
-        let server = quick_server(2, 64, AdmissionPolicy::Block);
-        let slowest = thread::scope(|s| {
+        watchdog::within(watchdog::LIMIT, "a settle's wake of `JobHandle::wait`", || {
+            let server = Arc::new(quick_server(2, 64, AdmissionPolicy::Block));
             let submitters: Vec<_> = (0..2)
                 .map(|_| {
-                    s.spawn(|| {
-                        (0..JOBS_EACH)
-                            .map(|_| {
-                                let handle = server.submit(|| {});
-                                let waiting = Instant::now();
-                                assert_eq!(handle.wait(), JobOutcome::Completed);
-                                waiting.elapsed()
-                            })
-                            .max()
-                            .expect("JOBS_EACH > 0")
+                    let server = Arc::clone(&server);
+                    thread::spawn(move || {
+                        for _ in 0..JOBS_EACH {
+                            assert_eq!(server.submit(|| {}).wait(), JobOutcome::Completed);
+                        }
                     })
                 })
                 .collect();
-            submitters.into_iter().map(|h| h.join().expect("submitter panicked")).max()
+            submitters.into_iter().for_each(|h| h.join().expect("submitter panicked"));
+            let server = Arc::into_inner(server).expect("the submitters are joined");
+            assert_eq!(server.shutdown().completed, 2 * JOBS_EACH as u64);
         });
-        let slowest = slowest.expect("two submitters");
-        assert!(
-            slowest < Duration::from_millis(45),
-            "a wait() took {slowest:?}: its wake was lost and the 50 ms re-check found the outcome"
-        );
-        assert_eq!(server.shutdown().completed, 2 * JOBS_EACH as u64);
     }
 
     #[test]
     fn a_blocked_submitter_is_woken_by_the_slot_it_waits_for() {
         // Capacity 1: the submitter blocks on nearly every submission, until the worker
         // claims the queued job (50 us of work away) and frees its slot. Were those wakes
-        // missing, every block would last its whole 1 ms timed wait — 500 ms for the
-        // stream, against 25 ms of work. Counted per submission, so that a crowded host,
-        // which slows both cases alike, does not blur the two.
+        // missing, the first block would last for good.
         const JOBS: usize = 500;
-        let server = quick_server(1, 1, AdmissionPolicy::Block);
-        let mut whole_ticks = 0;
-        let handles: Vec<_> = (0..JOBS)
-            .map(|_| {
-                let submitting = Instant::now();
-                let handle = server.submit(|| {
-                    let begun = Instant::now();
-                    while begun.elapsed() < Duration::from_micros(50) {
-                        std::hint::spin_loop();
-                    }
-                });
-                whole_ticks += usize::from(submitting.elapsed() >= Duration::from_millis(1));
-                handle
-            })
-            .collect();
-        for h in &handles {
-            assert_eq!(h.wait(), JobOutcome::Completed);
-        }
-        assert!(
-            whole_ticks < JOBS / 4,
-            "{whole_ticks} of {JOBS} submissions to a capacity-1 queue took a whole 1 ms \
-             tick: blocked submitters are not being woken by the slot they wait for"
-        );
-        assert_eq!(server.shutdown().completed, JOBS as u64);
+        watchdog::within(watchdog::LIMIT, "`release_slot`'s wake of a `Block` submitter", || {
+            let server = quick_server(1, 1, AdmissionPolicy::Block);
+            let handles: Vec<_> = (0..JOBS)
+                .map(|_| {
+                    server.submit(|| {
+                        let begun = Instant::now();
+                        while begun.elapsed() < Duration::from_micros(50) {
+                            std::hint::spin_loop();
+                        }
+                    })
+                })
+                .collect();
+            for h in &handles {
+                assert_eq!(h.wait(), JobOutcome::Completed);
+            }
+            assert_eq!(server.shutdown().completed, JOBS as u64);
+        });
     }
 
     #[test]
     fn the_supervisor_wakes_for_a_new_deadline_and_for_its_stop() {
-        // An idle re-arm far longer than the test's 5 s bounds: the supervisor sleeps through
-        // it unless a deadline's registration, `shutdown` or `drop` wakes it.
-        const { assert!(IDLE_REARM.as_secs() >= 10) };
-        let idle_server = || quick_server(1, 1024, AdmissionPolicy::Block);
-        let server = idle_server();
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let blocker = server.submit(move || {
-            while !g.load(Ordering::Acquire) {
-                thread::sleep(Duration::from_millis(1));
-            }
-        });
-        while server.state.supervisor.waiters() == 0 {
-            thread::yield_now();
-        }
-        // Queued behind the blocker, so only the supervisor's sweep can expire it.
-        let doomed = server.submit_with_deadline(|| {}, Duration::from_millis(10));
-        let outcome = doomed.wait_timeout(Duration::from_secs(5));
-        gate.store(true, Ordering::Release);
-        assert_eq!(outcome, Some(JobOutcome::Deadline), "the registration woke the supervisor");
-        assert_eq!(blocker.wait(), JobOutcome::Completed);
-        for stop in [
-            |s: JobServer| {
-                s.shutdown();
-            },
-            drop::<JobServer>,
-        ] {
+        // With no deadline pending the supervisor sleeps until a deadline's registration,
+        // `shutdown` or `drop` wakes it.
+        let what = "a deadline's registration, `shutdown` or `drop` waking the supervisor";
+        watchdog::within(watchdog::LIMIT, what, || {
+            let idle_server = || quick_server(1, 1024, AdmissionPolicy::Block);
             let server = idle_server();
+            let gate = Arc::new(AtomicBool::new(false));
+            let g = Arc::clone(&gate);
+            let blocker = server.submit(move || {
+                while !g.load(Ordering::Acquire) {
+                    thread::sleep(Duration::from_millis(1));
+                }
+            });
             while server.state.supervisor.waiters() == 0 {
                 thread::yield_now();
             }
-            let stopping = Instant::now();
-            stop(server);
-            assert!(stopping.elapsed() < Duration::from_secs(5), "the stop woke the supervisor");
-        }
-        drop(server);
+            // Queued behind the blocker, so only the supervisor's sweep can expire it.
+            let doomed = server.submit_with_deadline(|| {}, Duration::from_millis(10));
+            let outcome = doomed.wait_timeout(Duration::from_secs(5));
+            gate.store(true, Ordering::Release);
+            assert_eq!(outcome, Some(JobOutcome::Deadline), "the registration woke the supervisor");
+            assert_eq!(blocker.wait(), JobOutcome::Completed);
+            for stop in [
+                |s: JobServer| {
+                    s.shutdown();
+                },
+                drop::<JobServer>,
+            ] {
+                let server = idle_server();
+                while server.state.supervisor.waiters() == 0 {
+                    thread::yield_now();
+                }
+                stop(server);
+            }
+            drop(server);
+        });
     }
 
     #[test]
     fn the_drain_is_woken_by_the_last_settle() {
         // The last job settles only once `shutdown`'s drain is asleep, so its settle finds a
-        // waiter to wake; only a drain that slept out its 1 ms re-check first does not.
+        // waiter to wake; without that wake the drain sleeps for good.
         const ROUNDS: usize = 20;
-        let unwoken = (0..ROUNDS)
-            .filter(|_| {
+        watchdog::within(watchdog::LIMIT, "the last settle's wake of the drain", || {
+            for _ in 0..ROUNDS {
                 let server = quick_server(1, 4, AdmissionPolicy::Block);
                 let state = Arc::clone(&server.state);
                 let s = Arc::clone(&state);
@@ -1128,10 +1098,9 @@ mod tests {
                     }
                 });
                 server.shutdown();
-                state.drain.events() == 0
-            })
-            .count();
-        assert!(unwoken < ROUNDS / 4, "{unwoken} of {ROUNDS} drains were never woken");
+                assert!(state.drain.events() > 0, "the drain slept and was woken");
+            }
+        });
     }
 
     #[test]

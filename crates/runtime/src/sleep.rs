@@ -2,18 +2,15 @@
 //!
 //! [`EventCount`] is the one way a thread of this crate goes to sleep: an idle worker, the
 //! owner of a stolen branch, a `Block` submitter, a `JobHandle` waiter, the supervisor, a
-//! shutdown drain, an installer, a supervision waiter. `docs/ARCHITECTURE.md` ("Every
-//! blocking wait") lists each instance with who waits, who wakes, the timeout and whether
-//! the wake is fenced. [`SleepBackoff`] is the spin → yield ladder an idle worker climbs
+//! shutdown drain, an installer. Every wake is fenced, and a wait ends only on a wake or on
+//! its caller's own deadline: nothing re-checks on a timer. `docs/ARCHITECTURE.md` ("Every
+//! blocking wait") lists each instance with who waits, who wakes and the test that fails
+//! without the wake. [`SleepBackoff`] is the spin → yield ladder an idle worker climbs
 //! before it parks on the pool's instance.
 
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
-
-/// How long a parked worker waits before re-checking for work on its own: the backstop for
-/// an offer's unfenced [`EventCount::notify`].
-pub(crate) const PARK_BACKSTOP: Duration = Duration::from_millis(1);
+use std::time::Instant;
 
 /// Shape of the idle protocol's spin→yield→park schedule.
 ///
@@ -61,10 +58,9 @@ impl SleepBackoff {
 /// registers, issues a full fence, reads the epoch and looks at the condition once more
 /// before it blocks ([`EventCount::wait_unless`]). Dekker's handshake: either the waker sees
 /// the registration — and bumps the epoch under the lock, which the waiter then finds moved
-/// or is woken from — or the waiter's last look sees the change. The notify happens outside
-/// the lock, so the woken thread finds it free.
-///
-/// [`EventCount::notify`] is the one unfenced wake: an offer's, see there.
+/// or is woken from — or the waiter's last look sees the change. So no wake is lost, and no
+/// wait needs a timer to rescue one (`tests/sleep_model.rs` explores the handshake on
+/// x86-TSO). The notify happens outside the lock, so the woken thread finds it free.
 #[derive(Debug, Default)]
 pub(crate) struct EventCount {
     /// Threads registered in [`EventCount::wait_unless`]. Wakers skip all locking while
@@ -87,29 +83,15 @@ impl EventCount {
         *self.epoch.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// An offer's wake (a worker putting its oldest job in its steal cell, on a push or
-    /// after a steal): one `Relaxed` load and, only for a registered waiter, a wake of
-    /// **one** — one offered job needs one thief, and waking everyone would turn a deep
-    /// serial recursion into a thundering herd.
-    ///
-    /// Unfenced on purpose, the one wake in the crate that is: the load can pass the offer
-    /// still in the store buffer (StoreLoad) while a waiter makes its last look, and that
-    /// waiter then sleeps out its timeout. Closing it would cost a full fence on every
-    /// offer, which a fork makes whenever its deque was empty. What it can lose is the wake
-    /// of a *thief*: the offered job belongs to a worker that is awake and takes it back
-    /// itself, nobody waits on the thief, and the pool parks with a [`PARK_BACKSTOP`]
-    /// timeout.
-    #[inline]
-    pub(crate) fn notify(&self) {
-        if self.waiters.load(Ordering::Relaxed) > 0 {
-            self.signal_one();
-        }
-    }
-
-    /// Wake one waiter, if one is registered. Call after publishing what it waits for.
+    /// Wake one waiter, if one is registered. Call after publishing what it waits for. One
+    /// submitted or offered job needs one worker: waking everyone would turn a deep serial
+    /// recursion into a thundering herd.
     pub(crate) fn wake_one(&self) {
         fence(Ordering::SeqCst);
-        self.notify();
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            self.bump();
+            self.condvar.notify_one();
+        }
     }
 
     /// Wake every waiter, if one is registered. Call after publishing what they wait for;
@@ -123,27 +105,16 @@ impl EventCount {
         }
     }
 
-    /// The lock-and-signal half of [`EventCount::notify`], out of line so the inlined half
-    /// is one load and one untaken branch per fork.
-    #[cold]
-    #[inline(never)]
-    fn signal_one(&self) {
-        self.bump();
-        self.condvar.notify_one();
-    }
-
     fn bump(&self) {
         let mut epoch = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
         *epoch = epoch.wrapping_add(1);
     }
 
-    /// Block for at most `timeout`, unless `ready()` holds at the last look before blocking.
-    ///
-    /// Returns `true` when the wait ended meaningfully — `ready` held, or a wake arrived —
-    /// and `false` when only the timeout fired, so a caller can tell a timed re-check from
-    /// a wake (the pool counts its backstop wakes). Either way the caller re-checks its
-    /// condition: a wake meant for another waiter of the same instance also ends the wait.
-    pub(crate) fn wait_unless(&self, timeout: Duration, ready: impl FnOnce() -> bool) -> bool {
+    /// Block until a wake arrives, or until `deadline` when the caller has one of its own,
+    /// unless `ready()` holds at the last look before blocking. The caller re-checks its
+    /// condition either way: a wake meant for another waiter of the same instance also
+    /// ends the wait.
+    pub(crate) fn wait_unless(&self, deadline: Option<Instant>, ready: impl FnOnce() -> bool) {
         self.waiters.fetch_add(1, Ordering::SeqCst);
         // Registration before the last look, in the one total order of `SeqCst` fences:
         // pairs with the fence a waker issues between its publish and its waiter-count load.
@@ -151,16 +122,19 @@ impl EventCount {
         // Taking the lock orders this read after any bump already made, so whatever was
         // published before that bump is visible to `ready`.
         let observed = *self.epoch.lock().unwrap_or_else(|e| e.into_inner());
-        let notified = ready() || {
+        if !ready() {
             let epoch = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
-            let (_epoch, result) = self
-                .condvar
-                .wait_timeout_while(epoch, timeout, |epoch| *epoch == observed)
-                .unwrap_or_else(|e| e.into_inner());
-            !result.timed_out()
-        };
+            let unchanged = |epoch: &mut u64| *epoch == observed;
+            // Poisoned or not, the result only hands the guard back.
+            match deadline {
+                None => drop(self.condvar.wait_while(epoch, unchanged)),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    drop(self.condvar.wait_timeout_while(epoch, left, unchanged));
+                }
+            }
+        }
         self.waiters.fetch_sub(1, Ordering::SeqCst);
-        notified
     }
 }
 
@@ -170,28 +144,24 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::thread;
-    use std::time::Instant;
+    use std::time::Duration;
 
     #[test]
     fn notify_wakes_a_sleeper() {
-        // Each of the three wakes, issued after the flag flips, ends a wait that would
-        // otherwise last 30 s — and reports it as a wake, not a timeout.
-        let wakes: [fn(&EventCount); 3] =
-            [EventCount::notify, EventCount::wake_one, EventCount::wake_all];
+        // Each wake, issued after the flag flips, ends a wait that has no deadline.
+        let wakes: [fn(&EventCount); 2] = [EventCount::wake_one, EventCount::wake_all];
         for wake in wakes {
             let events = Arc::new(EventCount::default());
             let flag = Arc::new(AtomicBool::new(false));
             let (e, f) = (Arc::clone(&events), Arc::clone(&flag));
-            let waiter = thread::spawn(move || {
-                e.wait_unless(Duration::from_secs(30), || f.load(Ordering::Acquire))
-            });
+            let waiter = thread::spawn(move || e.wait_unless(None, || f.load(Ordering::Acquire)));
             // Wait for registration so the wake below cannot be skipped as waiter-less.
             while events.waiters() == 0 {
                 thread::yield_now();
             }
             flag.store(true, Ordering::Release);
             wake(&events);
-            assert!(waiter.join().unwrap(), "the wake must end the wait as notified");
+            waiter.join().unwrap();
             assert_eq!(events.waiters(), 0);
         }
     }
@@ -199,24 +169,25 @@ mod tests {
     #[test]
     fn ready_check_short_circuits_the_park() {
         let events = EventCount::default();
-        assert!(events.wait_unless(Duration::from_secs(30), || true));
+        events.wait_unless(None, || true);
         assert_eq!(events.waiters(), 0);
     }
 
     #[test]
     fn a_timeout_returns_not_notified() {
+        // The caller's own deadline is the one thing besides a wake that ends a wait.
         let events = EventCount::default();
         let start = Instant::now();
-        assert!(!events.wait_unless(Duration::from_millis(5), || false));
+        events.wait_unless(Some(start + Duration::from_millis(5)), || false);
         assert!(start.elapsed() >= Duration::from_millis(5));
         assert_eq!(events.waiters(), 0);
+        assert_eq!(events.events(), 0, "no wake was issued");
     }
 
     #[test]
     fn notify_without_sleepers_is_cheap_and_harmless() {
         let events = EventCount::default();
         for _ in 0..1000 {
-            events.notify();
             events.wake_one();
             events.wake_all();
         }

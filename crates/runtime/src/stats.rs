@@ -33,11 +33,6 @@ struct WorkerCounters {
     failed_steals: AtomicU64,
     steal_retries: AtomicU64,
     parks: AtomicU64,
-    /// Parks that ended in the 1ms backstop timeout instead of a notification. A handful
-    /// around activity edges is normal; a steady-state stream means work is being
-    /// published without a wake reaching anyone — the missed-wake class the submit-path
-    /// handshake closes (see `Shared::inject`).
-    backstop_wakes: AtomicU64,
     /// Successful steal operations. A steal moves one task, so this equals `steals`.
     batch_steals: AtomicU64,
     /// Jobs moved by steal operations. A steal moves one task, so this equals `steals`.
@@ -68,7 +63,9 @@ pub struct WorkerSnapshot {
     pub steal_retries: u64,
     /// Times the worker parked.
     pub parks: u64,
-    /// Parks that ended in the backstop timeout rather than a notification.
+    /// Always 0: a park ends only on a wake, since no timer backs it up. Kept only because
+    /// the repository benchmark's `sleep.backstop_wakes` row reads it; both go together
+    /// (ROADMAP 1(b)).
     pub backstop_wakes: u64,
     /// Successful steal operations: equal to `steals`, since one steal moves one task.
     pub batch_steals: u64,
@@ -88,7 +85,7 @@ impl WorkerSnapshot {
             failed_steals: self.failed_steals.saturating_sub(prev.failed_steals),
             steal_retries: self.steal_retries.saturating_sub(prev.steal_retries),
             parks: self.parks.saturating_sub(prev.parks),
-            backstop_wakes: self.backstop_wakes.saturating_sub(prev.backstop_wakes),
+            backstop_wakes: 0,
             batch_steals: self.batch_steals.saturating_sub(prev.batch_steals),
             jobs_stolen: self.jobs_stolen.saturating_sub(prev.jobs_stolen),
             panics_caught: self.panics_caught.saturating_sub(prev.panics_caught),
@@ -141,11 +138,6 @@ impl PoolStatsSnapshot {
         self.workers.iter().map(|w| w.parks).sum()
     }
 
-    /// Total backstop-timeout wakeups across workers.
-    pub fn total_backstop_wakes(&self) -> u64 {
-        self.workers.iter().map(|w| w.backstop_wakes).sum()
-    }
-
     /// Total successful steal operations across workers (equal to [`Self::total_steals`]).
     pub fn total_batch_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.batch_steals).sum()
@@ -193,12 +185,6 @@ impl PoolStats {
         bump(&self.workers[w].0.parks, 1);
     }
 
-    /// Record worker `w` waking from a park because the backstop timer fired, not because
-    /// anybody notified it.
-    pub(crate) fn record_backstop_wake(&self, w: usize) {
-        bump(&self.workers[w].0.backstop_wakes, 1);
-    }
-
     /// Record a panic caught (quarantined) while worker `w` executed a job.
     pub(crate) fn record_panic_caught(&self, w: usize) {
         bump(&self.workers[w].0.panics_caught, 1);
@@ -219,7 +205,7 @@ impl PoolStats {
                         failed_steals: c.failed_steals.load(Ordering::Relaxed),
                         steal_retries: c.steal_retries.load(Ordering::Relaxed),
                         parks: c.parks.load(Ordering::Relaxed),
-                        backstop_wakes: c.backstop_wakes.load(Ordering::Relaxed),
+                        backstop_wakes: 0,
                         batch_steals: c.batch_steals.load(Ordering::Relaxed),
                         jobs_stolen: c.jobs_stolen.load(Ordering::Relaxed),
                         panics_caught: c.panics_caught.load(Ordering::Relaxed),
@@ -251,8 +237,6 @@ mod tests {
         s.record_failed_steal(0);
         s.record_failed_steal(1);
         s.record_park(0);
-        s.record_backstop_wake(0);
-        s.record_backstop_wake(0);
         let snap = s.snapshot();
         assert_eq!(snap.workers.len(), 2);
         assert_eq!(snap.total_steals(), 3);
@@ -264,7 +248,6 @@ mod tests {
         assert_eq!(snap.workers[1].steal_retries, 1);
         assert_eq!(snap.total_failed_steals(), 3, "empty probes plus lost claims");
         assert_eq!(snap.total_parks(), 1);
-        assert_eq!(snap.total_backstop_wakes(), 2);
         let d = s.snapshot_delta(&PoolStatsSnapshot { workers: vec![Default::default(); 2] });
         assert_eq!(d, snap, "a delta against zeros is the snapshot itself");
     }

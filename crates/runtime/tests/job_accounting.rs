@@ -25,14 +25,13 @@ fn recursive_sum(lo: u64, hi: u64) -> u64 {
     a + b
 }
 
-fn fields(w: &WorkerSnapshot) -> [u64; 9] {
+fn fields(w: &WorkerSnapshot) -> [u64; 8] {
     [
         w.steals,
         w.jobs,
         w.failed_steals,
         w.steal_retries,
         w.parks,
-        w.backstop_wakes,
         w.batch_steals,
         w.jobs_stolen,
         w.panics_caught,

@@ -4,6 +4,7 @@
 use rws_runtime::{join, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -88,11 +89,16 @@ fn stolen_branches_execute_exactly_once_under_contention() {
     let p = ThreadPool::new(8);
     // On a starved host a small tree can occasionally complete on the installed worker
     // before any thief is scheduled, so keep running rounds (each one exact-checked)
-    // until steals have demonstrably happened.
+    // until steals have demonstrably happened. On one CPU a hundred rounds fit in one
+    // scheduler slice, in which no woken thief gets the processor: the budget is time.
+    let started = Instant::now();
     let mut rounds = 0;
     while p.stats().snapshot().total_steals() == 0 {
         rounds += 1;
-        assert!(rounds <= 100, "no steal in {rounds} rounds — not contending");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "no steal in {rounds} rounds over 10 s — not contending"
+        );
         let depth = 13;
         let count = p.install(move || {
             let counter = AtomicU64::new(0);

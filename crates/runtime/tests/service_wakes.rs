@@ -7,12 +7,17 @@
 //! every submission broadcast to the pool whoever was awake, so the first test read 63
 //! events where it now reads 0.
 //!
+//! An idle pool, and an idle server with no deadline pending, costs nothing either: no
+//! wait has a timer, so over 200 ms its parked workers neither re-park nor get woken.
+//!
 //! A job the server has served costs it nothing afterwards: the last test serves 2^16 jobs
 //! through one server and finds no allocation beyond each job's own two. An injector
 //! that kept its consumed slots until it dropped (≈ 30 bytes a job, in one 32-slot block
 //! per 32 submissions) would read 2 048 there.
 
-use rws_runtime::{AdmissionPolicy, JobOutcome, JobServer, ServiceConfig};
+use rws_runtime::{
+    AdmissionPolicy, JobOutcome, JobServer, ServiceConfig, ThreadPool, ThreadPoolBuilder,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -20,6 +25,9 @@ use std::time::{Duration, Instant};
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::{thread_allocations, CountingAllocator};
+
+#[path = "../../../tests/support/watchdog.rs"]
+mod watchdog;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -77,33 +85,81 @@ fn submissions_to_a_busy_server_wake_nobody() {
 
 #[test]
 fn a_submission_to_a_parked_worker_issues_exactly_one_wake() {
+    // A parked worker has no timer to re-register on, so once it reads as parked it stays
+    // parked until the submission's wake: exactly one, on every attempt.
     const ATTEMPTS: usize = 50;
-    let server = one_worker_server();
-    let pool = server.pool();
-    let mut pinned = 0;
-    for _ in 0..ATTEMPTS {
-        // A parked worker re-registers after every 1 ms backstop tick, so "parked" is only
-        // known to have held from this reading to the wake if no tick fell in between —
-        // and a tick is counted before the worker looks for the job it will then run.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let backstops = loop {
-            let backstops = pool.stats().snapshot().total_backstop_wakes();
-            if pool.parked_workers() == 1 {
-                break backstops;
-            }
-            assert!(Instant::now() < deadline, "the idle worker never parked");
-            std::thread::yield_now();
-        };
-        let before = pool.wake_events();
-        assert_eq!(server.submit(|| {}).wait(), JobOutcome::Completed);
-        let wakes = pool.wake_events() - before;
-        assert!(wakes <= 1, "one job needs one worker, not {wakes} wake-ups");
-        if pool.stats().snapshot().total_backstop_wakes() == backstops {
-            assert_eq!(wakes, 1, "the worker was parked throughout: the submission wakes it");
-            pinned += 1;
+    watchdog::within(watchdog::LIMIT, "`Shared::inject`'s wake", || {
+        let server = one_worker_server();
+        let pool = server.pool();
+        for _ in 0..ATTEMPTS {
+            await_parked(pool, 1);
+            let before = pool.wake_events();
+            assert_eq!(server.submit(|| {}).wait(), JobOutcome::Completed);
+            assert_eq!(pool.wake_events() - before, 1, "one job wakes its parked worker once");
         }
+        server.shutdown();
+    });
+}
+
+/// Wait (bounded) until `workers` workers of `pool` are parked.
+fn await_parked(pool: &ThreadPool, workers: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while pool.parked_workers() < workers {
+        assert!(Instant::now() < deadline, "the idle workers never parked");
+        std::thread::yield_now();
     }
-    assert!(pinned > 0, "every one of {ATTEMPTS} submissions raced a backstop tick");
+}
+
+/// Over `QUIET` once every worker of `pool` has parked: no park, no wake, every worker
+/// still parked. A worker that read as parked may still be on its way out of a park whose
+/// wake it shared with the other (it found the epoch moved) and park once more, so a window
+/// that is not silent is taken again, twice at most; a pool that wakes on a timer is never
+/// silent.
+fn assert_silent(pool: &ThreadPool, workers: usize) {
+    const QUIET: Duration = Duration::from_millis(200);
+    let mut windows = Vec::new();
+    for _ in 0..3 {
+        await_parked(pool, workers);
+        let (parks, wakes) = (pool.stats().snapshot().total_parks(), pool.wake_events());
+        let mut fewest = workers;
+        let start = Instant::now();
+        while start.elapsed() < QUIET {
+            fewest = fewest.min(pool.parked_workers());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let parks = pool.stats().snapshot().total_parks() - parks;
+        let wakes = pool.wake_events() - wakes;
+        if (parks, wakes, fewest) == (0, 0, workers) {
+            return;
+        }
+        windows.push((parks, wakes, fewest));
+    }
+    panic!(
+        "an idle pool was never silent for {QUIET:?}: (parks, wakes, fewest parked) per window \
+         {windows:?}"
+    );
+}
+
+#[test]
+fn an_idle_pool_is_silent() {
+    // The paper's idle processor only tries to steal; a parked worker here does nothing at
+    // all until a wake. A pool with a park timer re-parks each worker about once per tick.
+    watchdog::within(watchdog::LIMIT, "`ThreadPool::stop`'s wake", || {
+        let pool = ThreadPoolBuilder::new().threads(2).build();
+        assert_silent(&pool, 2);
+    });
+}
+
+#[test]
+fn an_idle_server_is_silent() {
+    // The same for a server with no deadline pending: its workers and its supervisor sleep
+    // until a submission, a deadline's registration or the shutdown wakes them.
+    watchdog::within(watchdog::LIMIT, "the shutdown's wakes", || {
+        let server = JobServer::new(ServiceConfig { threads: 2, ..ServiceConfig::default() });
+        assert_eq!(server.submit(|| {}).wait(), JobOutcome::Completed);
+        assert_silent(server.pool(), 2);
+        assert_eq!(server.shutdown().completed, 1);
+    });
 }
 
 #[test]

@@ -1,20 +1,19 @@
-//! Submit-to-start latency: a job submitted to a parked pool starts in microseconds, never
-//! a timer tick later.
+//! Submit-to-start latency: a job submitted to a parked pool starts in microseconds.
 //!
-//! `Shared::inject` once paired `injector.push` with the relaxed `Sleep::notify`, whose
-//! fast path reads the sleeper count without the lock. A worker between "checked the
-//! queues" and "recorded itself as a sleeper" missed both the push and the notification,
-//! and the job waited for the 1ms `PARK_BACKSTOP` timer. The first fix broadcast on every
-//! submission (lock, bump, `notify_all`), whoever was awake. What runs now is a handshake:
-//! the submitter pushes, issues a full fence and looks at the sleeper count; a worker
-//! registers as a sleeper, issues a full fence and looks at the queues once more. One of
-//! the two always sees the other, so the wake is conditional — one worker, and only if one
-//! is parked (`tests/service_wakes.rs` counts them) — and still never lost.
+//! `Shared::inject` once paired `injector.push` with a relaxed look at the sleeper count.
+//! A worker between "checked the queues" and "recorded itself as a sleeper" missed both the
+//! push and the wake, and the job waited for the 1 ms park timer the pool then had. The
+//! first fix broadcast on every submission (lock, bump, `notify_all`), whoever was awake.
+//! What runs now is a handshake: the submitter pushes, issues a full fence and looks at the
+//! sleeper count; a worker registers as a sleeper, issues a full fence and looks at the
+//! queues once more. One of the two always sees the other, so the wake is conditional —
+//! one worker, and only if one is parked (`tests/service_wakes.rs` counts them) — and
+//! never lost.
 //!
-//! The tests measure the submit-to-start distribution against parked workers and assert
-//! the p99 sits well under the 1ms backstop. With the racy wake, nearly every sample in the
-//! 1-worker setup waited out the full backstop (the pool is otherwise idle, so nothing else
-//! could wake the worker), making the old tail two orders of magnitude above the bound here.
+//! No park has a timer any more, so a lost wake leaves its job unrun for good: every test
+//! here runs under a watchdog that names the wake. The first two also measure the
+//! submit-to-start distribution against parked workers and assert that its p99 stays under
+//! 1 ms: a wake reaches a parked worker in tens of microseconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -22,6 +21,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rws_runtime::ThreadPoolBuilder;
+
+#[path = "../../../tests/support/watchdog.rs"]
+mod watchdog;
 
 /// Wait (bounded) until every worker of the pool is parked, so the next `spawn` must
 /// cross the sleep path rather than catching a still-spinning worker.
@@ -38,30 +40,32 @@ fn submit_to_start_p99_beats_the_park_backstop() {
     const SAMPLES: usize = 300;
     // One worker: the single lane must be parked before each submission, so every sample
     // exercises the park -> inject -> wake edge and none can be served by a busy worker.
-    let pool = ThreadPoolBuilder::new().threads(1).build();
-    let (tx, rx) = mpsc::channel::<Duration>();
+    let latencies = watchdog::within(watchdog::LIMIT, "`Shared::inject`'s wake", || {
+        let pool = ThreadPoolBuilder::new().threads(1).build();
+        let (tx, rx) = mpsc::channel::<Duration>();
+        let mut latencies = Vec::with_capacity(SAMPLES);
+        for _ in 0..SAMPLES {
+            await_parked(&pool, 1);
+            let tx = tx.clone();
+            let submitted = Instant::now();
+            pool.spawn(move || {
+                let _ = tx.send(submitted.elapsed());
+            });
+            latencies.push(rx.recv().expect("worker must run the job"));
+        }
+        latencies
+    });
 
-    let mut latencies = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        await_parked(&pool, 1);
-        let tx = tx.clone();
-        let submitted = Instant::now();
-        pool.spawn(move || {
-            let _ = tx.send(submitted.elapsed());
-        });
-        latencies.push(rx.recv().expect("worker must run the job"));
-    }
-
+    let mut latencies = latencies;
     latencies.sort();
     let p99 = latencies[SAMPLES * 99 / 100 - 1];
     let worst = *latencies.last().unwrap();
-    // The backstop timer is 1ms. A wake lands in the tens of microseconds even on a
-    // loaded CI box; asserting p99 < 1ms (with the max printed for forensics) fails
-    // loudly if submissions ever fall back to waiting out the timer again.
+    // A wake lands in the tens of microseconds even on a loaded CI box; p99 < 1 ms (with
+    // the max printed for forensics) leaves that a wide margin.
     assert!(
         p99 < Duration::from_millis(1),
-        "submit-to-start p99 {p99:?} reaches the 1ms park backstop (max {worst:?}): \
-         the submission path is missing wakeups again"
+        "submit-to-start p99 {p99:?} reaches 1 ms (max {worst:?}): the woken worker is slow \
+         to start the job"
     );
 }
 
@@ -74,87 +78,76 @@ fn concurrent_submitters_p99_beats_the_park_backstop() {
     // registering and waiting — the window the two fences close — and races the other
     // submitters' pushes and wake-ups: one job wakes one worker, so two jobs submitted
     // together must wake both.
-    let pool = ThreadPoolBuilder::new().threads(2).build();
-    let sample = || -> Vec<Duration> {
-        std::thread::scope(|s| {
-            let submitters: Vec<_> = (0..SUBMITTERS)
-                .map(|_| {
-                    s.spawn(|| {
-                        let (tx, rx) = mpsc::channel::<Duration>();
-                        (0..SAMPLES_EACH)
-                            .map(|_| {
-                                await_parked(&pool, 2);
-                                let tx = tx.clone();
-                                let submitted = Instant::now();
-                                pool.spawn(move || {
-                                    let _ = tx.send(submitted.elapsed());
-                                });
-                                rx.recv().expect("a worker must run the job")
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            submitters.into_iter().flat_map(|h| h.join().expect("submitter panicked")).collect()
-        })
-    };
-
-    // With two workers a lost wake costs less than the whole backstop: the job is found by
-    // whichever parked worker's 1 ms timer fires first, and the submitter fired when the
-    // *later* one registered, so the wait is spread evenly over (0, 1 ms] and its p99 sits
-    // just under 1 ms. Half the backstop is the bound that tells the two apart; a healthy
-    // tail is tens of microseconds.
     //
     // Six threads on a crowded host can leave a woken worker runnable but off its
     // processor for a scheduler slice (≈ 4 ms), which says nothing about wake-ups: a set
-    // of samples that misses the bound is taken again, twice at most. A submission path
-    // that loses wakes misses it every time.
+    // of samples that misses the bound is taken again, twice at most.
     let bound = Duration::from_micros(500);
-    let mut tails = Vec::new();
-    for _ in 0..3 {
-        let mut latencies = sample();
-        latencies.sort();
-        let p99 = latencies[latencies.len() * 99 / 100 - 1];
-        tails.push((p99, *latencies.last().unwrap()));
-        if p99 < bound {
-            return;
+    let tails = watchdog::within(watchdog::LIMIT, "`Shared::inject`'s wake", move || {
+        let pool = ThreadPoolBuilder::new().threads(2).build();
+        let sample = || -> Vec<Duration> {
+            std::thread::scope(|s| {
+                let submitters: Vec<_> = (0..SUBMITTERS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let (tx, rx) = mpsc::channel::<Duration>();
+                            (0..SAMPLES_EACH)
+                                .map(|_| {
+                                    await_parked(&pool, 2);
+                                    let tx = tx.clone();
+                                    let submitted = Instant::now();
+                                    pool.spawn(move || {
+                                        let _ = tx.send(submitted.elapsed());
+                                    });
+                                    rx.recv().expect("a worker must run the job")
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                submitters.into_iter().flat_map(|h| h.join().expect("submitter panicked")).collect()
+            })
+        };
+        let mut tails = Vec::new();
+        for _ in 0..3 {
+            let mut latencies = sample();
+            latencies.sort();
+            let p99 = latencies[latencies.len() * 99 / 100 - 1];
+            tails.push((p99, *latencies.last().unwrap()));
+            if p99 < bound {
+                break;
+            }
         }
-    }
-    panic!(
+        tails
+    });
+    assert!(
+        tails.last().is_some_and(|&(p99, _)| p99 < bound),
         "submit-to-start (p99, max) with {SUBMITTERS} submitters on 2 workers was {tails:?}, \
-         never under {bound:?}: submissions are waiting for a park backstop timer to find them"
+         never under {bound:?}: woken workers are slow to start their jobs"
     );
 }
 
 #[test]
 fn spawns_against_a_parked_pool_never_lean_on_the_backstop() {
-    // The counter-level view of the same bug: wakes caused by submissions must be
-    // notifications, not backstop timeouts. Parks themselves are fine — the worker goes
-    // back to sleep after each job — but the backstop-wake delta over a run that only
-    // ever wakes workers via `spawn` must stay near zero (a stray timer tick racing a
-    // submission is tolerated; "every wake is a timeout" is the bug).
-    let pool = ThreadPoolBuilder::new().threads(1).build();
-    let ran = Arc::new(AtomicU64::new(0));
+    // The counter-level view: each spawn to the parked worker issues exactly one wake, and
+    // that wake is what runs the job. A park has no timer, so a submission whose wake were
+    // lost would never run, and the watchdog would name it.
     const ROUNDS: u64 = 100;
-
-    await_parked(&pool, 1);
-    let before = pool.stats().snapshot().total_backstop_wakes();
-    for _ in 0..ROUNDS {
-        await_parked(&pool, 1);
-        let ran = Arc::clone(&ran);
-        let (tx, rx) = mpsc::channel::<()>();
-        pool.spawn(move || {
-            ran.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(());
-        });
-        rx.recv().expect("worker must run the job");
-    }
-    let backstops = pool.stats().snapshot().total_backstop_wakes() - before;
-
-    assert_eq!(ran.load(Ordering::Relaxed), ROUNDS);
-    assert!(
-        backstops <= ROUNDS / 10,
-        "{backstops} of {ROUNDS} submission wakes were backstop timeouts: \
-         the submit path is not notifying sleepers"
-    );
+    watchdog::within(watchdog::LIMIT, "`Shared::inject`'s wake", || {
+        let pool = ThreadPoolBuilder::new().threads(1).build();
+        let ran = Arc::new(AtomicU64::new(0));
+        let before = pool.wake_events();
+        for _ in 0..ROUNDS {
+            await_parked(&pool, 1);
+            let ran = Arc::clone(&ran);
+            let (tx, rx) = mpsc::channel::<()>();
+            pool.spawn(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send(());
+            });
+            rx.recv().expect("worker must run the job");
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), ROUNDS);
+        assert_eq!(pool.wake_events() - before, ROUNDS, "one wake per spawn to a parked worker");
+    });
 }

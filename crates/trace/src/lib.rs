@@ -56,8 +56,8 @@ pub enum EventKind {
     /// The worker is about to park; `arg` is the sleep-ladder round it reached (the full
     /// spin+yield budget), `aux` the ladder stage code (always [`LADDER_STAGE_PARK`]).
     Park = 6,
-    /// The worker returned from a park; `aux` is 1 for a meaningful wake (notification or
-    /// visible work) and 0 for the 1ms backstop timeout.
+    /// The worker returned from a park: it was woken, or its last look found work. `aux`
+    /// is 0 (a park has no timer, so every unpark is a wake).
     Unpark = 7,
     /// A service submission was accepted; `arg` is the job's server sequence number.
     ServiceEnqueue = 8,
@@ -412,9 +412,6 @@ pub struct WorkerProfile {
     pub retries: u64,
     /// Parks.
     pub parks: u64,
-    /// Unparks whose `aux` says the 1ms backstop timer fired (no notification arrived) —
-    /// matches the snapshot's `backstop_wakes`.
-    pub backstop_wakes: u64,
     /// Cooperative cancellation checks observed at fork points.
     pub cancel_checks: u64,
 }
@@ -544,12 +541,7 @@ fn profile_snapshot(snap: &TraceSnapshot) -> TraceProfile {
                 w.parks += 1;
                 st.parked = true;
             }
-            EventKind::Unpark => {
-                st.parked = false;
-                if ev.aux == 0 {
-                    w.backstop_wakes += 1;
-                }
-            }
+            EventKind::Unpark => st.parked = false,
             EventKind::CancelCheck => w.cancel_checks += 1,
             _ => {}
         }
@@ -632,7 +624,7 @@ mod tests {
         rec.record(0, EventKind::StealEmpty, 0, 1);
         rec.record(0, EventKind::StealOk, 4, 3);
         rec.record(0, EventKind::Park, LADDER_STAGE_PARK, 9);
-        rec.record(0, EventKind::Unpark, 1, 0);
+        rec.record(0, EventKind::Unpark, 0, 0);
         let p = rec.snapshot().profile();
         let w = &p.workers[0];
         assert_eq!(w.jobs, 2, "nested job starts both count (PoolStats semantics)");

@@ -11,9 +11,8 @@
 //! * BFS's claim of a vertex through `fetch_or` on a shared visited-bitmap word, the one
 //!   cross-thread protocol of its leaves: repeated searches on 2 and 4 threads, over a
 //!   random graph and over a broom whose wide levels all contend for the same words;
-//! * the satellite idle-path claim — steady-state DAG runs are driven by notifications,
-//!   not by the 1ms park-backstop timer (a `PoolStats` snapshot's `total_backstop_wakes`
-//!   stays flat).
+//! * the idle-path claim — steady-state DAG runs are driven by wakes alone: no park has a
+//!   timer, so a lost wake would stall a run for good, and a watchdog names it.
 
 use rws_algos::bfs::{bfs_native, bfs_reference, CsrGraph};
 use rws_algos::taskgraph::{
@@ -21,6 +20,9 @@ use rws_algos::taskgraph::{
 };
 use rws_runtime::ThreadPoolBuilder;
 use std::sync::Arc;
+
+#[path = "support/watchdog.rs"]
+mod watchdog;
 
 /// A spine of `spine` sequential nodes where every `every`-th spine node releases a burst
 /// of `width` parallel nodes that all converge into the next spine node — a deep critical
@@ -156,31 +158,19 @@ fn a_panicking_node_unwinds_cleanly_and_the_pool_survives() {
 
 #[test]
 fn steady_state_dag_runs_do_not_lean_on_the_park_backstop() {
-    // The counter the submit-path fix made observable: with back-to-back DAG runs keeping
-    // the pool saturated in work-arrival notifications, essentially no wake should come
-    // from the 1ms backstop timer. Before the fix, every `install` against the
-    // between-runs idle pool risked the full backstop tail; now submission broadcasts.
-    // The bound is loose (a preempted worker on a loaded 1-CPU CI host can legitimately
-    // ride out a timer tick) but far below the one-backstop-per-run a missed-wake
-    // submission path produces.
+    // Back-to-back DAG runs on a 2-worker pool: each `install` hands its run to a pool
+    // whose workers may have parked, and each level's fan-out offers work to a worker that
+    // may have parked. With no timer behind any park, a lost submission or latch wake
+    // stalls its run for good.
     const RUNS: usize = 200;
-    let pool = ThreadPoolBuilder::new().threads(2).build();
-    let g = layered_random(7, 6, 16);
-    let expected = workflow_reference(&g);
-    let plan = Arc::new(Levels::new(&g));
-    // Warmup outside the measured window (thread startup, first parks).
-    let pw = Arc::clone(&plan);
-    assert_eq!(pool.install(move || workflow_native(&pw, 4)), expected);
-
-    let before = pool.stats().snapshot().total_backstop_wakes();
-    for _ in 0..RUNS {
-        let pr = Arc::clone(&plan);
-        assert_eq!(pool.install(move || workflow_native(&pr, 4)), expected);
-    }
-    let backstops = pool.stats().snapshot().total_backstop_wakes() - before;
-    assert!(
-        backstops <= (RUNS / 4) as u64,
-        "{backstops} backstop wakes across {RUNS} steady-state DAG runs: \
-         the pool is leaning on the 1ms timer instead of notifications"
-    );
+    watchdog::within(watchdog::LIMIT, "a submission's, offer's or latch's wake", || {
+        let pool = ThreadPoolBuilder::new().threads(2).build();
+        let g = layered_random(7, 6, 16);
+        let expected = workflow_reference(&g);
+        let plan = Arc::new(Levels::new(&g));
+        for _ in 0..RUNS {
+            let pr = Arc::clone(&plan);
+            assert_eq!(pool.install(move || workflow_native(&pr, 4)), expected);
+        }
+    });
 }
